@@ -174,3 +174,115 @@ def test_artifacts_are_deterministic_across_runs_and_threads(runner, tmp_path):
         for artifact in ("summary.json", "geodesic_trace.csv"):
             assert (first / artifact).read_bytes() \
                 == (other / artifact).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The config contract of every subcommand
+# ---------------------------------------------------------------------------
+
+#: One valid value per battery setting of a config file.
+SETTING_VALUES = {
+    "target": {"kind": "euclidean", "dim": 2},
+    "base": {"count": 3},
+    "p": 2,
+    "grid": 9,
+    "trials": 1,
+}
+
+#: Subcommand argv -> the config settings it reads.
+ACCEPTED_SETTINGS = {
+    ("fubini",): {"trials", "p"},
+    ("transport",): {"trials", "p", "grid"},
+    ("transport", "--counterexample-p1"): set(),
+    ("geodesic",): {"trials", "p", "grid", "target", "base"},
+    ("curvature",): {"trials", "target", "base"},
+    ("length",): {"trials", "p", "grid"},
+    ("speed",): {"trials", "p", "grid"},
+    ("skorokhod",): {"trials"},
+    ("all",): set(),
+}
+
+REJECTED = [(argv, name) for argv, accepted in ACCEPTED_SETTINGS.items()
+            for name in SETTING_VALUES if name not in accepted]
+
+
+@pytest.mark.parametrize(
+    "argv,name", REJECTED,
+    ids=[f"{' '.join(argv)}:{name}" for argv, name in REJECTED])
+def test_every_unused_setting_is_rejected(runner, tmp_path, argv, name):
+    """Each subcommand refuses, by name, every setting it would ignore."""
+    cfg = write_json(tmp_path, "cfg.json", {name: SETTING_VALUES[name]})
+    result = runner.invoke(main, [*argv, "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"not used by '{' '.join(argv)}'" in result.stderr
+    assert name in result.stderr
+
+
+#: Subcommand argv -> a tiny config setting every field it accepts, and the
+#: metrics those fields must show up as.
+TINY_RUNS = {
+    ("fubini",): ({"trials": 2, "p": 3},
+                  {"trials": 2, "p_values": [3.0]}),
+    ("transport",): ({"trials": 1, "p": 2, "grid": [17, 33]},
+                     {"curves": 1, "grids": [17, 33]}),
+    ("transport", "--counterexample-p1", "--n", "4"): (
+        {}, {"sizes": [4]}),
+    ("geodesic",): ({"trials": 1, "p": 2, "grid": 5,
+                     "target": {"kind": "sphere", "dim": 3},
+                     "base": {"count": 2}},
+                    {"trials": 1, "p_values": [2.0], "n_nodes": 5,
+                     "targets": ["sphere"]}),
+    ("curvature",): ({"trials": 5, "target": {"kind": "euclidean", "dim": 2},
+                      "base": {"count": 2}},
+                     {"trials": 5}),
+    ("length",): ({"trials": 1, "p": 2, "grid": 9},
+                  {"trials": 1, "p_values": [2.0]}),
+    ("speed",): ({"trials": 1, "p": 2, "grid": [65, 129]},
+                 {"curves": 1, "grids": [65, 129]}),
+    ("skorokhod",): ({"trials": 3}, {"pairs": 3}),
+}
+
+
+@pytest.mark.parametrize("argv", list(TINY_RUNS),
+                         ids=[" ".join(a) for a in TINY_RUNS])
+def test_every_accepted_setting_reaches_its_battery(runner, tmp_path, argv):
+    """A tiny run with all of a subcommand's settings passes, echoes them,
+    and reports them back in the battery's metrics."""
+    settings, expected = TINY_RUNS[argv]
+    cfg = write_json(tmp_path, "cfg.json", settings)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*argv, "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = read_summary(out)
+    assert set(summary["config"]) == {"seed", *settings}
+    (suite,) = summary["suites"].values()
+    for key, value in expected.items():
+        assert suite["metrics"][key] == value, key
+
+
+#: Subcommand -> a setting it accepts but whose value it cannot use, and
+#: the diagnostic that names the problem.
+UNUSABLE_VALUES = [
+    ("transport", "p", 1, "finite exponent > 1"),
+    ("speed", "p", "inf", "finite exponent > 1"),
+    ("length", "p", 1, "finite exponent > 1"),
+    ("transport", "grid", 65, "at least two increasing node counts"),
+    ("speed", "grid", [65], "at least two increasing node counts"),
+    ("geodesic", "grid", [5, 9], "a single node count"),
+    ("length", "grid", [5, 9], "a single node count"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,name,value,message", UNUSABLE_VALUES,
+    ids=[f"{c}:{n}={v}" for c, n, v, _ in UNUSABLE_VALUES])
+def test_unusable_setting_values_exit_2(runner, tmp_path, command, name,
+                                        value, message):
+    cfg = write_json(tmp_path, "cfg.json", {name: value})
+    result = runner.invoke(main, [command, "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert name in result.stderr
