@@ -9,17 +9,18 @@ into the output directory, and exits with:
 * ``2`` — the configuration was invalid.
 
 Results are a pure function of the configuration echoed in
-``summary.json``; the output directory and worker-thread count are
-excluded from that echo because they never change a computed number.
+``summary.json``; the output directory is excluded from that echo because
+it never changes a computed number.  The subcommands are generated from
+:data:`nlsp.suites.BATTERIES`, which says which config fields and
+tolerances each battery reads.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
-import math
-import os
 from pathlib import Path
 
 import click
@@ -27,20 +28,15 @@ import numpy as np
 
 from .config import ExperimentConfig, build_config
 from .errors import ConfigError
-from .suites import (
-    SuiteResult,
-    run_all,
-    run_counterexample,
-    run_curvature,
-    run_fubini,
-    run_geodesic,
-    run_length,
-    run_skorokhod,
-    run_speed,
-    run_transport,
-)
+from .suites import BATTERIES, Battery, SuiteResult, run_all
 
-_CONFIG_FIELDS = ("target", "base", "p", "grid", "trials")
+#: Config fields that some battery reads, in config order; each subcommand
+#: rejects the ones its battery does not read.
+_BATTERY_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if any(f.name in b.fields for b in BATTERIES))
+
+_BATTERY = {b.name: b for b in BATTERIES}
 
 
 def _parse_tolerance_flags(pairs) -> dict[str, float]:
@@ -56,23 +52,6 @@ def _parse_tolerance_flags(pairs) -> dict[str, float]:
             raise ConfigError(f"expected a number, got {value!r}",
                               field=f"tolerance.{name}") from exc
     return out
-
-
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return int(flag)
-    env = os.environ.get("NLSP_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ConfigError(
-                f"NLSP_THREADS must be a positive integer, got {env!r}",
-                field="threads")
-        return value
-    return 1
 
 
 def _cell(value):
@@ -118,37 +97,20 @@ def _finish(cfg: ExperimentConfig, results: list[SuiteResult]) -> None:
                + f" -> {outdir / 'summary.json'}")
 
 
-def _reject_unused(cfg: ExperimentConfig, command: str, used: tuple[str, ...]):
-    for name in _CONFIG_FIELDS:
-        if name not in used and getattr(cfg, name) is not None:
+def _reject_unused(cfg: ExperimentConfig, command: str, accepted=()):
+    for name in _BATTERY_FIELDS:
+        if name not in accepted and getattr(cfg, name) is not None:
             raise ConfigError(f"not used by {command!r}", field=name)
 
 
-def _require_finite_p_above_one(p: float) -> float:
-    if math.isinf(p) or p <= 1.0:
-        raise ConfigError(
-            f"this battery needs a finite exponent > 1, got {p!r}", field="p")
-    return float(p)
-
-
-def _single_grid(cfg: ExperimentConfig) -> int | None:
-    if cfg.grid is None:
-        return None
-    if len(cfg.grid) != 1:
-        raise ConfigError(
-            f"expected a single node count here, got {list(cfg.grid)}",
-            field="grid")
-    return int(cfg.grid[0])
-
-
-def _refining_grids(cfg: ExperimentConfig) -> tuple[int, ...] | None:
-    if cfg.grid is None:
-        return None
-    if len(cfg.grid) < 2:
-        raise ConfigError(
-            "convergence batteries need at least two increasing node "
-            f"counts, got {list(cfg.grid)}", field="grid")
-    return cfg.grid
+def _run(cfg: ExperimentConfig, command: str, battery: Battery, **kwargs):
+    """Run one battery with the config fields it reads, rejecting others."""
+    _reject_unused(cfg, command, battery.fields)
+    for name, (arg, convert) in battery.fields.items():
+        value = getattr(cfg, name)
+        if value is not None:
+            kwargs[arg] = convert(value)
+    _finish(cfg, [battery(cfg.seed, cfg.effective_tolerances(), **kwargs)])
 
 
 def common_options(fn):
@@ -159,21 +121,16 @@ def common_options(fn):
                   help="Root seed for all random streams (default 7).")
     @click.option("--out", "output", type=click.Path(file_okay=False),
                   default=None, help="Output directory (default '.').")
-    @click.option("--threads", type=click.IntRange(min=1), default=None,
-                  help="Worker threads; never changes results "
-                       "(default NLSP_THREADS or 1).")
     @click.option("--tolerance", "tolerance_flags", multiple=True,
                   metavar="NAME=VALUE",
                   help="Override one check tolerance (repeatable).")
     @functools.wraps(fn)
-    def wrapper(config_path, seed, output, threads, tolerance_flags,
-                **kwargs):
+    def wrapper(config_path, seed, output, tolerance_flags, **kwargs):
         try:
             cfg = build_config(
                 config_path,
                 seed=seed,
                 output=output,
-                threads=_resolve_threads(threads),
                 tolerances=_parse_tolerance_flags(tolerance_flags),
             )
             fn(cfg, **kwargs)
@@ -189,18 +146,27 @@ def main():
     """Deterministic experiment suites for metric-valued mapping spaces."""
 
 
-@main.command()
-@common_options
-def fubini(cfg: ExperimentConfig):
-    """Iterated norms against the joint product norm."""
-    _reject_unused(cfg, "fubini", ("trials", "p"))
-    tol = cfg.effective_tolerances()
-    kwargs = {}
-    if cfg.p is not None:
-        kwargs["p_values"] = (cfg.p,)
-    _finish(cfg, [run_fubini(seed=cfg.seed, trials=cfg.trials or 100,
-                             threads=cfg.threads,
-                             rel_tol=tol["fubini_rel"], **kwargs)])
+#: Help line of each battery's subcommand.  The p = 1 counterexample has no
+#: subcommand of its own: it runs as ``transport --counterexample-p1``.
+_HELP = {
+    "fubini": "Iterated norms against the joint product norm.",
+    "geodesic": "Constant-speed interpolation between mappings.",
+    "curvature": "Comparison-sign transfer from targets to mapping spaces.",
+    "length": "Energy bounds, geodesic saturation, reparametrization.",
+    "speed": "Log-map speed fields against the metric derivative.",
+    "skorokhod": "Computable bounds on the jump-time warping distance.",
+}
+
+
+def _add_battery_command(name: str) -> None:
+    @main.command(name=name, help=_HELP[name])
+    @common_options
+    def command(cfg: ExperimentConfig):
+        _run(cfg, name, _BATTERY[name])
+
+
+for _name in _HELP:
+    _add_battery_command(_name)
 
 
 @main.command()
@@ -213,118 +179,22 @@ def fubini(cfg: ExperimentConfig):
 def transport(cfg: ExperimentConfig, counterexample_p1: bool,
               n_atoms: int | None):
     """Atomwise slicing of curves: speed and variation identities."""
-    tol = cfg.effective_tolerances()
     if counterexample_p1:
-        _reject_unused(cfg, "transport --counterexample-p1", ())
-        sizes = (n_atoms,) if n_atoms is not None else (4, 16, 64)
-        _finish(cfg, [run_counterexample(
-            seed=cfg.seed, sizes=sizes, tv_tol=tol["counterexample_tv"])])
+        sizes = {} if n_atoms is None else {"sizes": (n_atoms,)}
+        _run(cfg, "transport --counterexample-p1", _BATTERY["counterexample"],
+             **sizes)
         return
     if n_atoms is not None:
         raise ConfigError("--n requires --counterexample-p1", field="n")
-    _reject_unused(cfg, "transport", ("trials", "p", "grid"))
-    kwargs = {}
-    if cfg.p is not None:
-        kwargs["p"] = _require_finite_p_above_one(cfg.p)
-    grids = _refining_grids(cfg)
-    if grids is not None:
-        kwargs["grids"] = grids
-    _finish(cfg, [run_transport(
-        seed=cfg.seed, curves=cfg.trials or 20, threads=cfg.threads,
-        residual_tol=tol["transport_residual"], order_min=tol["order_min"],
-        variation_tol=tol["variation_residual"], **kwargs)])
-
-
-@main.command()
-@common_options
-def geodesic(cfg: ExperimentConfig):
-    """Constant-speed interpolation between mappings."""
-    _reject_unused(cfg, "geodesic", ("trials", "p", "grid", "target", "base"))
-    tol = cfg.effective_tolerances()
-    kwargs = {}
-    if cfg.p is not None:
-        kwargs["p_values"] = (cfg.p,)
-    n_nodes = _single_grid(cfg)
-    if n_nodes is not None:
-        kwargs["n_nodes"] = n_nodes
-    target = cfg.target_space()
-    if target is not None:
-        kwargs["targets"] = (target,)
-    base = cfg.base_space()
-    if base is not None:
-        kwargs["base_space"] = base
-    _finish(cfg, [run_geodesic(
-        seed=cfg.seed, trials=cfg.trials or 3, threads=cfg.threads,
-        residual_tol=tol["geodesic_residual"], **kwargs)])
-
-
-@main.command()
-@common_options
-def curvature(cfg: ExperimentConfig):
-    """Comparison-sign transfer from targets to mapping spaces."""
-    _reject_unused(cfg, "curvature", ("trials", "target", "base"))
-    tol = cfg.effective_tolerances()
-    target = cfg.target_space()
-    _finish(cfg, [run_curvature(
-        seed=cfg.seed, trials=cfg.trials or 500, threads=cfg.threads,
-        sign_tol=tol["curvature_sign"], flat_tol=tol["curvature_flat"],
-        targets=(target,) if target is not None else None,
-        base_space=cfg.base_space())])
-
-
-@main.command()
-@common_options
-def length(cfg: ExperimentConfig):
-    """Energy bounds, geodesic saturation, reparametrization."""
-    _reject_unused(cfg, "length", ("trials", "p", "grid"))
-    tol = cfg.effective_tolerances()
-    kwargs = {}
-    if cfg.p is not None:
-        kwargs["p_values"] = (_require_finite_p_above_one(cfg.p),)
-    n_nodes = _single_grid(cfg)
-    if n_nodes is not None:
-        kwargs["n_nodes"] = n_nodes
-    _finish(cfg, [run_length(
-        seed=cfg.seed, trials=cfg.trials or 12, threads=cfg.threads,
-        equality_tol=tol.get("length_equality"), **kwargs)])
-
-
-@main.command()
-@common_options
-def speed(cfg: ExperimentConfig):
-    """Log-map speed fields against the metric derivative."""
-    _reject_unused(cfg, "speed", ("trials", "p", "grid"))
-    tol = cfg.effective_tolerances()
-    kwargs = {}
-    if cfg.p is not None:
-        kwargs["p"] = _require_finite_p_above_one(cfg.p)
-    grids = _refining_grids(cfg)
-    if grids is not None:
-        kwargs["grids"] = grids
-    _finish(cfg, [run_speed(
-        seed=cfg.seed, curves=cfg.trials or 6, threads=cfg.threads,
-        residual_tol=tol["speed_residual"], order_min=tol["order_min"],
-        consistency_tol=tol["speed_consistency"], **kwargs)])
-
-
-@main.command()
-@common_options
-def skorokhod(cfg: ExperimentConfig):
-    """Computable bounds on the jump-time warping distance."""
-    _reject_unused(cfg, "skorokhod", ("trials",))
-    tol = cfg.effective_tolerances()
-    _finish(cfg, [run_skorokhod(
-        seed=cfg.seed, pairs=cfg.trials or 200, threads=cfg.threads,
-        example_tol=tol["skorokhod_example"])])
+    _run(cfg, "transport", _BATTERY["transport"])
 
 
 @main.command(name="all")
 @common_options
 def all_suites(cfg: ExperimentConfig):
     """Run every suite in canonical order."""
-    _reject_unused(cfg, "all", ())
-    _finish(cfg, run_all(seed=cfg.seed, threads=cfg.threads,
-                         tolerances=cfg.effective_tolerances()))
+    _reject_unused(cfg, "all")
+    _finish(cfg, run_all(seed=cfg.seed, tolerances=cfg.effective_tolerances()))
 
 
 if __name__ == "__main__":

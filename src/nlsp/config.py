@@ -3,9 +3,7 @@
 Configuration files are flat JSON objects.  Unknown keys are rejected, and
 every diagnostic names the offending field and, where recoverable, the line
 in the file.  Command-line flags override file values, which override the
-documented defaults.  Worker-thread count is a runtime concern and is
-deliberately **not** a file key: it comes from the ``--threads`` flag or
-the ``NLSP_THREADS`` environment variable and never affects results.
+documented defaults.
 """
 
 from __future__ import annotations
@@ -112,6 +110,17 @@ def validate_tolerances(value, line: int | None = None) -> dict[str, float]:
     return out
 
 
+def target_from_config(data, line: int | None = None) -> TargetSpace:
+    """Build a target space from its config form (see :func:`make_target`)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected an object, got {data!r}",
+                          field="target", line=line)
+    try:
+        return make_target(data)
+    except NlspError as exc:
+        raise ConfigError(str(exc), field="target", line=line) from exc
+
+
 def base_space_from_config(data, line: int | None = None) -> FiniteMeasureSpace:
     """Build a finite measure space from its config form.
 
@@ -198,15 +207,11 @@ class ExperimentConfig:
     trials: int | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
     output: str = "."
-    threads: int = 1
 
     def target_space(self) -> TargetSpace | None:
         if self.target is None:
             return None
-        try:
-            return make_target(self.target)
-        except NlspError as exc:
-            raise ConfigError(str(exc), field="target") from exc
+        return target_from_config(self.target)
 
     def base_space(self) -> FiniteMeasureSpace | None:
         if self.base is None:
@@ -221,9 +226,9 @@ class ExperimentConfig:
     def normalized(self) -> dict:
         """JSON-able echo of the settings that can influence results.
 
-        Output location and thread count are excluded: neither changes a
-        single computed number, so two runs that differ only there must
-        produce identical summaries.
+        The output location is excluded: it never changes a computed
+        number, so two runs that differ only there must produce identical
+        summaries.
         """
         out: dict = {"seed": int(self.seed)}
         if self.target is not None:
@@ -257,9 +262,8 @@ def load_config_file(path) -> dict:
         line = _line_of(text, key)
         if key not in _ALLOWED_KEYS:
             raise ConfigError(
-                f"unknown key {key!r}; allowed keys: {list(_ALLOWED_KEYS)} "
-                "(worker threads are runtime-only: use --threads or "
-                "NLSP_THREADS)", field=key, line=line)
+                f"unknown key {key!r}; allowed keys: {list(_ALLOWED_KEYS)}",
+                field=key, line=line)
         if key == "seed":
             out["seed"] = validate_seed(value, line)
         elif key == "p":
@@ -271,13 +275,7 @@ def load_config_file(path) -> dict:
         elif key == "tolerances":
             out["tolerances"] = validate_tolerances(value, line)
         elif key == "target":
-            if not isinstance(value, dict):
-                raise ConfigError(f"expected an object, got {value!r}",
-                                  field="target", line=line)
-            try:
-                make_target(value)
-            except NlspError as exc:
-                raise ConfigError(str(exc), field="target", line=line) from exc
+            target_from_config(value, line)  # validate eagerly
             out["target"] = value
         elif key == "base":
             base_space_from_config(value, line)  # validate eagerly

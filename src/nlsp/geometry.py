@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .curves import (
     SampledCurve,
     constant_speed_reparam,
@@ -272,12 +273,12 @@ _SIGN_CHECKS = {
 }
 
 
-def curvature_comparison_suite(target: TargetSpace,
-                               base_space: FiniteMeasureSpace,
-                               trials: int,
-                               seed: int = 0,
-                               sign_tol: float = 1e-8,
-                               flat_tol: float = 1e-10) -> CurvatureReport:
+def curvature_comparison_suite(
+        target: TargetSpace, base_space: FiniteMeasureSpace, trials: int,
+        seed: int = 0,
+        sign_tol: float = DEFAULT_TOLERANCES["curvature_sign"],
+        flat_tol: float = DEFAULT_TOLERANCES["curvature_flat"]
+) -> CurvatureReport:
     """Random quadruple battery for the comparison-sign transfer.
 
     Each trial draws a witness mapping ``z``, geodesic endpoints ``f, g``
@@ -468,6 +469,23 @@ def length_space_check(target: TargetSpace,
     )
 
 
+def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):
+    """Retime ``curve`` once at constant speed and score it per exponent.
+
+    Returns the retimed curve, the length ``L`` of ``curve`` and, for each
+    ``p`` in ``p_values``, the energy ratio ``(b-a)^{p-1} E_p / L^p`` of the
+    retimed curve.
+    """
+    total = length(curve)
+    if total <= 0.0:
+        raise ValidationError(
+            "reparametrization certificates need a curve of positive length")
+    re = constant_speed_reparam(curve, eps)
+    a, b = re.interval
+    return re, total, [(b - a) ** (p - 1.0) * energy(re, p) / total ** p
+                       for p in p_values]
+
+
 def reparam_length_certificate(curve: SampledCurve, p, eps: float
                                ) -> tuple[float, float]:
     """Reparametrize and report ``((b-a)^{p-1} E_p / L^p, (1 + eps)^p)``.
@@ -478,11 +496,5 @@ def reparam_length_certificate(curve: SampledCurve, p, eps: float
     the additive slack converts to at most this multiplicative budget).
     """
     p = check_p(p, allow_inf=False)
-    total = length(curve)
-    if total <= 0.0:
-        raise ValidationError(
-            "reparam_length_certificate needs a curve of positive length")
-    re = constant_speed_reparam(curve, eps)
-    a, b = re.interval
-    ratio = (b - a) ** (p - 1.0) * energy(re, p) / total ** p
+    _, _, (ratio,) = reparam_energy_ratios(curve, (p,), eps)
     return float(ratio), float((1.0 + float(eps)) ** p)

@@ -5,30 +5,36 @@ Each ``run_*`` function executes one battery of checks and returns a
 failed invariants, and CSV-ready tables.  All randomness flows through
 counter-based streams keyed by ``(seed, suite name, trial index)``
 (:func:`nlsp.rng.trial_rng`), and trial results are collected in index
-order, so every suite produces byte-identical output for a fixed seed
-regardless of the number of worker threads.
+order, so every suite produces byte-identical output for a fixed seed.
+
+:data:`BATTERIES` holds, for each suite, the facts its callers need: the
+tolerance names it checks and the config fields it accepts.  :func:`run_all`
+and the command-line subcommands are built from it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import (
+    DEFAULT_TOLERANCES,
+    base_space_from_config,
+    target_from_config,
+)
 from .curves import (
     SampledCurve,
     StepCurve,
-    constant_speed_reparam,
-    energy,
     length,
     metric_derivative,
     skorokhod_distance,
     variation,
     variation_measure,
 )
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .geometry import (
     curvature_comparison_suite,
     constant_speed_residual,
@@ -36,6 +42,7 @@ from .geometry import (
     geodesic_speed_check,
     length_space_check,
     lp_geodesic,
+    reparam_energy_ratios,
     start_aligned_residuals,
 )
 from .mappings import (
@@ -83,16 +90,8 @@ class SuiteResult:
     csv: dict[str, list[list]] = field(default_factory=dict)
 
 
-def map_trials(fn, n: int, threads: int = 1) -> list:
-    """Run ``fn(0..n-1)`` and collect results in index order.
-
-    With ``threads > 1`` the trials run on a thread pool; because every
-    trial seeds its own random stream and the results are gathered in
-    index order, the output is identical to the serial run.
-    """
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, range(n)))
+def map_trials(fn, n: int) -> list:
+    """Run ``fn(0..n-1)`` and collect results in index order."""
     return [fn(i) for i in range(n)]
 
 
@@ -297,8 +296,8 @@ def random_step_curve(space, value_sampler, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def run_fubini(seed: int = 7, trials: int = 100, threads: int = 1,
-               rel_tol: float = 1e-13,
+def run_fubini(seed: int = 7, trials: int = 100,
+               rel_tol: float = DEFAULT_TOLERANCES["fubini_rel"],
                p_values: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf)
                ) -> SuiteResult:
     """Both iterated norms must match the joint product norm exactly.
@@ -337,7 +336,7 @@ def run_fubini(seed: int = 7, trials: int = 100, threads: int = 1,
             for k in range(rows) for j in range(8))
         return worst_time, worst_atom, roundtrip
 
-    results = map_trials(one_trial, int(trials), threads)
+    results = map_trials(one_trial, int(trials))
     max_time = max(r[0] for r in results)
     max_atom = max(r[1] for r in results)
     roundtrip_ok = all(r[2] for r in results)
@@ -382,9 +381,11 @@ def run_fubini(seed: int = 7, trials: int = 100, threads: int = 1,
 
 def run_transport(seed: int = 7, curves: int = 20,
                   grids: tuple[int, ...] = (65, 129, 257),
-                  bv_curves: int = 100, threads: int = 1,
-                  residual_tol: float = 2e-3, order_min: float = 0.9,
-                  variation_tol: float = 1e-12, p: float = 2.0) -> SuiteResult:
+                  bv_curves: int = 100,
+                  residual_tol: float = DEFAULT_TOLERANCES["transport_residual"],
+                  order_min: float = DEFAULT_TOLERANCES["order_min"],
+                  variation_tol: float = DEFAULT_TOLERANCES["variation_residual"],
+                  p: float = 2.0) -> SuiteResult:
     """Atomwise slicing preserves speed (p > 1) and variation (p = 1).
 
     Smooth random curves of mappings into spherical and SPD targets are
@@ -414,7 +415,7 @@ def run_transport(seed: int = 7, curves: int = 20,
                 maxima.append(float(np.max(np.abs(res[1:-1]))))
             return maxima
 
-        per_curve = map_trials(one_curve, int(curves), threads)
+        per_curve = map_trials(one_curve, int(curves))
         grid_maxima = [max(m[k] for m in per_curve) for k in range(len(grids))]
         order = decay_order(grid_maxima)
         at_floor = max(grid_maxima) <= CONVERGENCE_FLOOR
@@ -455,7 +456,7 @@ def run_transport(seed: int = 7, curves: int = 20,
                 vm.of_open_interval(s, t) - variation(curve, (s, t))))
         return float(worst), float(measure_gap)
 
-    bv_results = map_trials(one_bv, int(bv_curves), threads)
+    bv_results = map_trials(one_bv, int(bv_curves))
     bv_max = max(r[0] for r in bv_results)
     measure_max = max(r[1] for r in bv_results)
     if bv_max > variation_tol:
@@ -494,7 +495,8 @@ def run_transport(seed: int = 7, curves: int = 20,
 
 def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
                        refinements: tuple[int, ...] = (1, 2, 4),
-                       tv_tol: float = 1e-12) -> SuiteResult:
+                       tv_tol: float = DEFAULT_TOLERANCES["counterexample_tv"]
+                       ) -> SuiteResult:
     """Lipschitz curve of mappings whose atom slices all jump.
 
     For each size the moving-indicator curve must have difference quotients
@@ -551,8 +553,8 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
 
 def run_geodesic(seed: int = 7, trials: int = 3,
                  p_values: tuple[float, ...] = (1.5, 2.0, 3.0),
-                 n_nodes: int = 17, threads: int = 1,
-                 residual_tol: float = 1e-9,
+                 n_nodes: int = 17,
+                 residual_tol: float = DEFAULT_TOLERANCES["geodesic_residual"],
                  targets: tuple[TargetSpace, ...] | None = None,
                  base_space: FiniteMeasureSpace | None = None) -> SuiteResult:
     """Atomwise geodesics are constant-speed with length equal to distance.
@@ -592,7 +594,7 @@ def run_geodesic(seed: int = 7, trials: int = 3,
             out.append((csr, atom_dev, len_rel))
         return out
 
-    all_results = map_trials(one_combo, len(combos), threads)
+    all_results = map_trials(one_combo, len(combos))
     for (target, p), results in zip(combos, all_results):
         for csr, atom_dev, len_rel in results:
             worst["constant_speed"] = max(worst["constant_speed"], csr)
@@ -656,8 +658,9 @@ def run_geodesic(seed: int = 7, trials: int = 3,
 _DEFAULT_CURVATURE_BASE = (("x0", 0.5), ("x1", 1.0), ("x2", 0.25))
 
 
-def run_curvature(seed: int = 7, trials: int = 500, threads: int = 1,
-                  sign_tol: float = 1e-8, flat_tol: float = 1e-10,
+def run_curvature(seed: int = 7, trials: int = 500,
+                  sign_tol: float = DEFAULT_TOLERANCES["curvature_sign"],
+                  flat_tol: float = DEFAULT_TOLERANCES["curvature_flat"],
                   targets: tuple[TargetSpace, ...] | None = None,
                   base_space: FiniteMeasureSpace | None = None) -> SuiteResult:
     """Comparison signs transfer from targets to mapping spaces.
@@ -678,7 +681,7 @@ def run_curvature(seed: int = 7, trials: int = 500, threads: int = 1,
         lambda i: curvature_comparison_suite(
             targets[i], base_space, int(trials), seed=seed,
             sign_tol=sign_tol, flat_tol=flat_tol),
-        len(targets), threads)
+        len(targets))
 
     failures = []
     metrics = {"trials": int(trials), "targets": {}}
@@ -718,8 +721,9 @@ def run_curvature(seed: int = 7, trials: int = 500, threads: int = 1,
 def run_length(seed: int = 7, trials: int = 12,
                p_values: tuple[float, ...] = (1.5, 2.0, 3.0),
                reparam_curves: int = 50, eps: float = 1e-6,
-               n_nodes: int = 17, threads: int = 1,
-               equality_tol: float | None = None) -> SuiteResult:
+               n_nodes: int = 17,
+               equality_tol: float | None = DEFAULT_TOLERANCES["length_equality"]
+               ) -> SuiteResult:
     """Energy controls distance, geodesics saturate it, reparametrization
     reaches the bound within ``(1 + eps)^p``.
     """
@@ -731,7 +735,7 @@ def run_length(seed: int = 7, trials: int = 12,
         lambda i: length_space_check(
             combos[i][0], base_space, combos[i][1], int(trials), seed=seed,
             n_nodes=int(n_nodes), equality_tol=equality_tol),
-        len(combos), threads)
+        len(combos))
 
     failures = []
     metrics = {"trials": int(trials), "targets": {}, "p_values": list(p_values)}
@@ -758,19 +762,15 @@ def run_length(seed: int = 7, trials: int = 12,
             curve = polyline_curve(Sphere(3), rng)
         else:
             curve = polyline_mapping_curve(Sphere(3), rng)
-        total = length(curve)
+        re, total, ratios = reparam_energy_ratios(curve, p_values, eps)
         if total < 1.0:  # pragma: no cover - legs guarantee length >= 1.5
             raise ValidationError(
                 f"reparam battery sampled a curve of length {total!r} < 1")
-        re = constant_speed_reparam(curve, eps)
-        a, b = re.interval
-        worst_excess = -math.inf
-        for p in p_values:
-            ratio = (b - a) ** (p - 1.0) * energy(re, p) / total ** p
-            worst_excess = max(worst_excess, ratio - (1.0 + eps) ** p)
+        worst_excess = max(ratio - (1.0 + eps) ** p
+                           for ratio, p in zip(ratios, p_values))
         return float(worst_excess), float(abs(length(re) - total))
 
-    reparam_results = map_trials(one_reparam, int(reparam_curves), threads)
+    reparam_results = map_trials(one_reparam, int(reparam_curves))
     max_excess = max(r[0] for r in reparam_results)
     max_len_gap = max(r[1] for r in reparam_results)
     if max_excess > 1e-12:
@@ -804,9 +804,11 @@ def run_length(seed: int = 7, trials: int = 12,
 
 
 def run_speed(seed: int = 7, curves: int = 6,
-              grids: tuple[int, ...] = (65, 129, 257), threads: int = 1,
-              residual_tol: float = 2e-3, order_min: float = 0.9,
-              consistency_tol: float = 5e-3, p: float = 2.0) -> SuiteResult:
+              grids: tuple[int, ...] = (65, 129, 257),
+              residual_tol: float = DEFAULT_TOLERANCES["speed_residual"],
+              order_min: float = DEFAULT_TOLERANCES["order_min"],
+              consistency_tol: float = DEFAULT_TOLERANCES["speed_consistency"],
+              p: float = 2.0) -> SuiteResult:
     """The bundle norm of log-map velocities matches the metric derivative.
 
     Smooth random curves into flat, spherical and SPD targets at ``p = 2``;
@@ -844,7 +846,7 @@ def run_speed(seed: int = 7, curves: int = 6,
                              for k, t in enumerate(curve.times)]
             return maxima, float(consistency), trace
 
-        per_curve = map_trials(one_curve, int(curves), threads)
+        per_curve = map_trials(one_curve, int(curves))
         grid_maxima = [max(r[0][k] for r in per_curve)
                        for k in range(len(grids))]
         cons_max = max(r[1] for r in per_curve)
@@ -888,7 +890,8 @@ def run_speed(seed: int = 7, curves: int = 6,
 
 
 def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
-                  threads: int = 1, example_tol: float = 1e-3) -> SuiteResult:
+                  example_tol: float = DEFAULT_TOLERANCES["skorokhod_example"]
+                  ) -> SuiteResult:
     """Worked examples hit known values; bounds sandwich and refine monotonically."""
     target = Euclidean(1)
 
@@ -937,7 +940,7 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
         return (float(sandwich), float(monotone),
                 float(coarse.lower), float(coarse.upper), float(fine.upper))
 
-    results = map_trials(one_pair, int(pairs), threads)
+    results = map_trials(one_pair, int(pairs))
     sandwich_max = max(r[0] for r in results)
     monotone_max = max(r[1] for r in results)
     if sandwich_max > 1e-12:
@@ -972,38 +975,99 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
 # Orchestration
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("fubini", "transport", "counterexample", "geodesic",
-               "curvature", "length", "speed", "skorokhod")
+def _finite_p_above_one(p: float) -> float:
+    if math.isinf(p) or p <= 1.0:
+        raise ConfigError(
+            f"this battery needs a finite exponent > 1, got {p!r}", field="p")
+    return float(p)
 
 
-def run_all(seed: int = 7, threads: int = 1,
-            tolerances: dict | None = None) -> list[SuiteResult]:
+def _single_grid(grid: tuple[int, ...]) -> int:
+    if len(grid) != 1:
+        raise ConfigError(
+            f"expected a single node count here, got {list(grid)}",
+            field="grid")
+    return int(grid[0])
+
+
+def _refining_grids(grid: tuple[int, ...]) -> tuple[int, ...]:
+    if len(grid) < 2:
+        raise ConfigError(
+            "convergence batteries need at least two increasing node "
+            f"counts, got {list(grid)}", field="grid")
+    return grid
+
+
+def _one(value) -> tuple:
+    return (value,)
+
+
+def _one_target(spec: dict) -> tuple[TargetSpace]:
+    return (target_from_config(spec),)
+
+
+@dataclass(frozen=True)
+class Battery:
+    """One suite as data: its runner, tolerances and config fields.
+
+    ``tolerances`` maps each :data:`~nlsp.config.DEFAULT_TOLERANCES` name
+    the suite checks to the keyword argument of ``run`` it sets.  ``fields``
+    maps each config field the suite accepts to the keyword argument it
+    sets and a converter from the config value, which raises
+    :class:`~nlsp.errors.ConfigError` for a value the suite cannot use.
+    Defaults live in the ``run`` signature only.
+    """
+
+    name: str
+    run: Callable[..., SuiteResult]
+    tolerances: dict[str, str]
+    fields: dict[str, tuple[str, Callable]]
+
+    def __call__(self, seed: int, tolerances: dict | None = None,
+                 **kwargs) -> SuiteResult:
+        """Run the suite with tolerance overrides by name and ``kwargs``."""
+        tol = tolerances or {}
+        kwargs.update({arg: tol[name] for name, arg in self.tolerances.items()
+                       if name in tol})
+        # Resolve the module attribute at call time, so that rebinding it
+        # (a tracer, a test double) reaches every caller of the table.
+        return globals()[self.run.__name__](seed=seed, **kwargs)
+
+
+#: Every suite, in the canonical order of :func:`run_all`.
+BATTERIES = (
+    Battery("fubini", run_fubini, {"fubini_rel": "rel_tol"},
+            {"trials": ("trials", int), "p": ("p_values", _one)}),
+    Battery("transport", run_transport,
+            {"transport_residual": "residual_tol", "order_min": "order_min",
+             "variation_residual": "variation_tol"},
+            {"trials": ("curves", int), "p": ("p", _finite_p_above_one),
+             "grid": ("grids", _refining_grids)}),
+    Battery("counterexample", run_counterexample,
+            {"counterexample_tv": "tv_tol"}, {}),
+    Battery("geodesic", run_geodesic, {"geodesic_residual": "residual_tol"},
+            {"trials": ("trials", int), "p": ("p_values", _one),
+             "grid": ("n_nodes", _single_grid),
+             "target": ("targets", _one_target),
+             "base": ("base_space", base_space_from_config)}),
+    Battery("curvature", run_curvature,
+            {"curvature_sign": "sign_tol", "curvature_flat": "flat_tol"},
+            {"trials": ("trials", int), "target": ("targets", _one_target),
+             "base": ("base_space", base_space_from_config)}),
+    Battery("length", run_length, {"length_equality": "equality_tol"},
+            {"trials": ("trials", int),
+             "p": ("p_values", lambda p: (_finite_p_above_one(p),)),
+             "grid": ("n_nodes", _single_grid)}),
+    Battery("speed", run_speed,
+            {"speed_residual": "residual_tol", "order_min": "order_min",
+             "speed_consistency": "consistency_tol"},
+            {"trials": ("curves", int), "p": ("p", _finite_p_above_one),
+             "grid": ("grids", _refining_grids)}),
+    Battery("skorokhod", run_skorokhod, {"skorokhod_example": "example_tol"},
+            {"trials": ("pairs", int)}),
+)
+
+
+def run_all(seed: int = 7, tolerances: dict | None = None) -> list[SuiteResult]:
     """Run every suite in canonical order with optional tolerance overrides."""
-    tol = dict(tolerances or {})
-
-    def t(name: str, default: float) -> float:
-        return float(tol.get(name, default))
-
-    return [
-        run_fubini(seed=seed, threads=threads,
-                   rel_tol=t("fubini_rel", 1e-13)),
-        run_transport(seed=seed, threads=threads,
-                      residual_tol=t("transport_residual", 2e-3),
-                      order_min=t("order_min", 0.9),
-                      variation_tol=t("variation_residual", 1e-12)),
-        run_counterexample(seed=seed,
-                           tv_tol=t("counterexample_tv", 1e-12)),
-        run_geodesic(seed=seed, threads=threads,
-                     residual_tol=t("geodesic_residual", 1e-9)),
-        run_curvature(seed=seed, threads=threads,
-                      sign_tol=t("curvature_sign", 1e-8),
-                      flat_tol=t("curvature_flat", 1e-10)),
-        run_length(seed=seed, threads=threads,
-                   equality_tol=tol.get("length_equality")),
-        run_speed(seed=seed, threads=threads,
-                  residual_tol=t("speed_residual", 2e-3),
-                  order_min=t("order_min", 0.9),
-                  consistency_tol=t("speed_consistency", 5e-3)),
-        run_skorokhod(seed=seed, threads=threads,
-                      example_tol=t("skorokhod_example", 1e-3)),
-    ]
+    return [battery(seed, tolerances) for battery in BATTERIES]

@@ -89,9 +89,6 @@ def decompose_ac(c: SampledCurve, p) -> TransportDecomposition:
     per_atom = tuple(
         SampledCurve(tgt, c.times, tuple(m.values[j] for m in c.values))
         for j in range(len(family.base_space)))
-    for j, curve in enumerate(per_atom):
-        for i in range(len(c)):
-            assert curve.values[i] is c.values[i].values[j]
     return TransportDecomposition(source=c, per_atom_curves=per_atom, p=p)
 
 

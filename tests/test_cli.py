@@ -4,7 +4,7 @@ Runs real subcommands through Click's test runner and checks exit
 codes (0 pass / 1 invariant failure / 2 bad configuration), the
 summary.json structure, CSV artifacts, tolerance overrides, rejection
 of settings a battery does not use, and byte-level determinism of the
-written artifacts across output directories and thread counts.
+written artifacts across output directories.
 """
 
 from __future__ import annotations
@@ -145,15 +145,9 @@ def test_malformed_tolerance_flags_exit_2(runner):
     assert "unknown tolerance" in result.stderr
 
 
-def test_threads_env_var_is_validated(runner):
-    result = runner.invoke(main, ["fubini"], env={"NLSP_THREADS": "zero"})
-    assert result.exit_code == 2
-    assert "NLSP_THREADS" in result.stderr
-
-
-def test_artifacts_are_deterministic_across_runs_and_threads(runner, tmp_path):
+def test_artifacts_are_deterministic_across_runs(runner, tmp_path):
     """Identical configuration must produce byte-identical summary.json
-    and CSV artifacts, regardless of output directory or thread count."""
+    and CSV artifacts, regardless of output directory."""
     cfg = write_json(tmp_path, "cfg.json", {
         "target": {"kind": "spd", "matrix_dim": 2},
         "base": {"count": 3},
@@ -161,19 +155,16 @@ def test_artifacts_are_deterministic_across_runs_and_threads(runner, tmp_path):
         "grid": 17,
     })
     outputs = []
-    for name, threads in (("a", None), ("b", None), ("c", "2")):
+    for name in ("a", "b"):
         out = tmp_path / name
-        args = ["geodesic", "--config", str(cfg), "--out", str(out)]
-        if threads is not None:
-            args += ["--threads", threads]
-        result = runner.invoke(main, args)
+        result = runner.invoke(main, ["geodesic", "--config", str(cfg),
+                                      "--out", str(out)])
         assert result.exit_code == 0, result.output
         outputs.append(out)
-    first = outputs[0]
-    for other in outputs[1:]:
-        for artifact in ("summary.json", "geodesic_trace.csv"):
-            assert (first / artifact).read_bytes() \
-                == (other / artifact).read_bytes()
+    first, other = outputs
+    for artifact in ("summary.json", "geodesic_trace.csv"):
+        assert (first / artifact).read_bytes() \
+            == (other / artifact).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_default_config_values():
     assert cfg.target is None and cfg.base is None
     assert cfg.p is None and cfg.grid is None and cfg.trials is None
     assert cfg.tolerances == {}
-    assert cfg.output == "." and cfg.threads == 1
+    assert cfg.output == "."
 
 
 def test_default_tolerance_registry():
@@ -203,15 +203,12 @@ def test_load_config_file_accepts_p_inf(tmp_path):
     assert load_config_file(path)["p"] == math.inf
 
 
-def test_unknown_key_diagnostic_names_line_and_threads_hint(tmp_path):
-    """Unknown keys report their line; 'threads' in particular points at
-    the runtime-only alternatives."""
+def test_unknown_key_diagnostic_names_line_and_field(tmp_path):
+    """Unknown keys, such as a 'threads' setting, report their line."""
     path = write_config(tmp_path, {"seed": 3, "threads": 8})
     with pytest.raises(ConfigError) as err:
         load_config_file(path)
-    message = str(err.value)
-    assert "'threads'" in message
-    assert "--threads or NLSP_THREADS" in message
+    assert "'threads'" in str(err.value)
     assert err.value.line == 3  # "threads" sits on line 3 of the file
     assert err.value.field == "threads"
 
@@ -280,13 +277,12 @@ def test_build_config_without_file_uses_defaults():
 
 
 def test_normalized_excludes_runtime_only_settings():
-    """Output directory and thread count never enter the echo, so two
-    runs differing only there compare equal."""
-    a = ExperimentConfig(seed=5, p=2.0, output="/tmp/a", threads=1)
-    b = ExperimentConfig(seed=5, p=2.0, output="/somewhere/else", threads=8)
+    """The output directory never enters the echo, so two runs differing
+    only there compare equal."""
+    a = ExperimentConfig(seed=5, p=2.0, output="/tmp/a")
+    b = ExperimentConfig(seed=5, p=2.0, output="/somewhere/else")
     assert a.normalized() == b.normalized()
     assert "output" not in a.normalized()
-    assert "threads" not in a.normalized()
 
 
 def test_normalized_serializes_p_inf_as_string():

@@ -1,26 +1,28 @@
-"""Tests for experiment-suite plumbing: trial mapping, decay rates,
-shared samplers, and the smooth-path generator used by the convergence
-batteries.
+"""Tests for experiment-suite plumbing: decay rates, shared samplers,
+the smooth-path generator used by the convergence batteries, and the
+battery table that run_all and the CLI are built from.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from nlsp import (
+    DEFAULT_TOLERANCES,
     Spd,
     Sphere,
     ValidationError,
     decay_order,
     default_tree,
-    map_trials,
     sample_smooth_path,
     trial_rng,
 )
-from nlsp.suites import order_jsonable, random_base_space
+from nlsp import suites
+from nlsp.suites import BATTERIES, order_jsonable, random_base_space
 
 
 def test_decay_order_of_halving_sequence_is_one():
@@ -48,17 +50,6 @@ def test_order_jsonable_forms():
     assert order_jsonable(math.inf) == "inf"
     assert order_jsonable(-math.inf) == "-inf"
     assert order_jsonable(1.5) == 1.5
-
-
-def test_map_trials_is_thread_invariant():
-    """Per-trial seeding plus index-ordered collection makes the thread
-    pool invisible in the results."""
-    def trial(i: int) -> float:
-        return float(trial_rng(3, "suite/thread-check", i).uniform())
-
-    serial = map_trials(trial, 16, threads=1)
-    pooled = map_trials(trial, 16, threads=4)
-    assert serial == pooled
 
 
 def test_random_base_space_zero_atom_option():
@@ -98,3 +89,43 @@ def test_default_tree_is_reusable():
     b = tree.node_point("e")
     assert tree.distance(a, b) == pytest.approx(1.5 + 1.0 + 2.0 + 1.2,
                                                 abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The battery table
+# ---------------------------------------------------------------------------
+
+
+def test_battery_table_runs_in_canonical_order():
+    assert [b.name for b in BATTERIES] == [
+        "fubini", "transport", "counterexample", "geodesic", "curvature",
+        "length", "speed", "skorokhod"]
+
+
+def test_every_default_tolerance_is_read_by_a_battery():
+    read = [name for b in BATTERIES for name in b.tolerances]
+    assert set(read) == set(DEFAULT_TOLERANCES)
+    assert [b.name for b in BATTERIES if "order_min" in b.tolerances] \
+        == ["transport", "speed"]
+
+
+@pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
+def test_battery_arguments_match_the_run_signature(battery):
+    """Each tolerance and config field sets a real keyword argument, and a
+    tolerance's signature default is its DEFAULT_TOLERANCES value."""
+    params = inspect.signature(battery.run).parameters
+    for name, arg in battery.tolerances.items():
+        assert params[arg].default == DEFAULT_TOLERANCES[name], name
+    for name, (arg, convert) in battery.fields.items():
+        assert arg in params and callable(convert), name
+
+
+def test_battery_call_resolves_the_module_attribute(monkeypatch):
+    """The table reaches each runner through the module attribute, so a
+    rebinding of ``suites.run_*`` is seen by run_all and the CLI."""
+    seen = []
+    monkeypatch.setattr(suites, "run_skorokhod",
+                        lambda **kwargs: seen.append(kwargs))
+    skorokhod = BATTERIES[-1]
+    skorokhod(3, {"skorokhod_example": 0.5, "fubini_rel": 1.0}, pairs=2)
+    assert seen == [{"seed": 3, "pairs": 2, "example_tol": 0.5}]
