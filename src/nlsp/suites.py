@@ -975,6 +975,7 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
 # Orchestration
 # ---------------------------------------------------------------------------
 
+
 def _finite_p_above_one(p: float) -> float:
     if math.isinf(p) or p <= 1.0:
         raise ConfigError(
