@@ -104,8 +104,13 @@ def _reject_unused(cfg: ExperimentConfig, command: str, accepted=()):
 
 
 def _run(cfg: ExperimentConfig, command: str, battery: Battery, **kwargs):
-    """Run one battery with the config fields it reads, rejecting others."""
+    """Run one battery with the config fields and tolerances it reads,
+    rejecting others."""
     _reject_unused(cfg, command, battery.fields)
+    for name in sorted(cfg.tolerances):
+        if name not in battery.tolerances:
+            raise ConfigError(f"not used by {command!r}",
+                              field=f"tolerances.{name}")
     for name, (arg, convert) in battery.fields.items():
         value = getattr(cfg, name)
         if value is not None:
@@ -172,19 +177,19 @@ for _name in _HELP:
 @main.command()
 @click.option("--counterexample-p1", is_flag=True,
               help="Run the p=1 moving-indicator counterexample instead.")
-@click.option("--n", "n_atoms", type=click.IntRange(min=2), default=None,
-              help="Atom count for the counterexample (repeatable sizes "
-                   "4, 16, 64 when omitted).")
+@click.option("--n", "n_atoms", type=click.IntRange(min=2), multiple=True,
+              help="Atom count for the counterexample; repeatable, run in "
+                   "the order given (4, 16, 64 when omitted).")
 @common_options
 def transport(cfg: ExperimentConfig, counterexample_p1: bool,
-              n_atoms: int | None):
+              n_atoms: tuple[int, ...]):
     """Atomwise slicing of curves: speed and variation identities."""
     if counterexample_p1:
-        sizes = {} if n_atoms is None else {"sizes": (n_atoms,)}
+        sizes = {"sizes": n_atoms} if n_atoms else {}
         _run(cfg, "transport --counterexample-p1", _BATTERY["counterexample"],
              **sizes)
         return
-    if n_atoms is not None:
+    if n_atoms:
         raise ConfigError("--n requires --counterexample-p1", field="n")
     _run(cfg, "transport", _BATTERY["transport"])
 

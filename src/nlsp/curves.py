@@ -1,11 +1,13 @@
 """Curve calculus over an arbitrary metric space.
 
-Works with any ambient exposing ``distance`` (and optionally ``as_point`` /
-``points_equal``): concrete targets and :class:`~nlsp.mappings.LpSpace`
-alike.  Provides sampled curves with metric derivative, length, p-energy
-and constant-speed reparametrization; right-continuous step curves with
-total variation and its jump measure; and two-sided bounds for the
-Skorokhod distance between step curves.
+Works with any ambient exposing ``distance`` and the batched
+``as_point_tuple`` / ``distances``: concrete targets and
+:class:`~nlsp.mappings.LpSpace` alike.  Each curve validates its samples
+with one batched call and keeps them as one batch, ``points``, so that
+sample distances take one batched call too.  Provides sampled curves with
+metric derivative, length, p-energy and constant-speed reparametrization;
+right-continuous step curves with total variation and its jump measure;
+and two-sided bounds for the Skorokhod distance between step curves.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ from .errors import SpaceMismatchError, ValidationError
 from .mappings import check_p
 
 
-def _coerce_values(space, values) -> tuple:
-    if hasattr(space, "as_point"):
-        return tuple(space.as_point(v) for v in values)
-    return tuple(values)
-
-
 def _check_times(times, what: str) -> tuple[float, ...]:
     times = tuple(float(t) for t in times)
     if not times:
@@ -40,7 +36,10 @@ def _check_times(times, what: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """A curve known at finitely many strictly increasing times."""
+    """A curve known at finitely many strictly increasing times.
+
+    ``points`` holds ``values`` as one batch of the ambient space.
+    """
 
     space: object
     times: tuple[float, ...]
@@ -48,12 +47,13 @@ class SampledCurve:
 
     def __post_init__(self):
         times = _check_times(self.times, "curve times")
-        values = _coerce_values(self.space, self.values)
+        values, points = self.space.as_point_tuple(self.values)
         if len(values) != len(times):
             raise ValidationError(
                 f"{len(values)} values for {len(times)} time nodes")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -70,8 +70,7 @@ class SampledCurve:
 
     def segment_lengths(self) -> np.ndarray:
         """Distances between consecutive samples."""
-        d = self.space.distance
-        return np.array([d(a, b) for a, b in zip(self.values, self.values[1:])])
+        return self.space.distances(self.points[:-1], self.points[1:])
 
 
 def _require_multinode(c: SampledCurve, op: str) -> None:
@@ -90,16 +89,22 @@ def metric_derivative(c: SampledCurve) -> np.ndarray:
     one-sided quotients over their single adjacent segment.
     """
     _require_multinode(c, "metric_derivative")
-    t = c.times
-    v = c.values
-    d = c.space.distance
-    n = len(t)
-    out = np.empty(n)
-    out[0] = d(v[0], v[1]) / (t[1] - t[0])
-    out[-1] = d(v[-2], v[-1]) / (t[-1] - t[-2])
-    for i in range(1, n - 1):
-        out[i] = d(v[i - 1], v[i + 1]) / (t[i + 1] - t[i - 1])
-    return out
+    return metric_speeds(c.space, c.points, c.times_array)
+
+
+def metric_speeds(space, points, times) -> np.ndarray:
+    """The quotients of :func:`metric_derivative` along the first axis of a
+    batch of samples, with one batched distance call.
+
+    ``points[i]`` holds the samples at ``times[i]``; further batch axes
+    (atoms, say) are carried through to the result.
+    """
+    n = len(times)
+    lo = np.r_[0, 0:n - 2, n - 2]
+    hi = np.r_[1, 2:n, n - 1]
+    dists = space.distances(points[lo], points[hi])
+    dt = times[hi] - times[lo]
+    return dists / dt.reshape(dt.shape + (1,) * (dists.ndim - 1))
 
 
 def length(c: SampledCurve) -> float:
@@ -159,7 +164,8 @@ class StepCurve:
 
     ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the value
     at the final time ``b`` is the last piece's value, so the curve is
-    defined on all of ``[a, b]``.
+    defined on all of ``[a, b]``.  ``points`` holds ``values`` as one batch
+    of the ambient space.
     """
 
     space: object
@@ -170,13 +176,14 @@ class StepCurve:
         bp = _check_times(self.breakpoints, "breakpoints")
         if len(bp) < 2:
             raise ValidationError("a step curve needs at least two breakpoints")
-        values = _coerce_values(self.space, self.values)
+        values, points = self.space.as_point_tuple(self.values)
         if len(values) != len(bp) - 1:
             raise ValidationError(
                 f"{len(values)} pieces for {len(bp)} breakpoints "
                 f"(need exactly breakpoints - 1)")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "points", points)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -196,9 +203,9 @@ class StepCurve:
 
     def jumps(self) -> list[tuple[float, float]]:
         """Interior breakpoints with the distance jumped there, ascending."""
-        d = self.space.distance
-        return [(self.breakpoints[i], d(self.values[i - 1], self.values[i]))
-                for i in range(1, len(self.values))]
+        jumps = self.space.distances(self.points[:-1], self.points[1:])
+        return [(at, float(jump))
+                for at, jump in zip(self.breakpoints[1:-1], jumps)]
 
 
 def variation(c, subinterval: tuple[float, float] | None = None) -> float:
@@ -221,11 +228,9 @@ def variation(c, subinterval: tuple[float, float] | None = None) -> float:
         s, t = (a, b) if subinterval is None else map(float, subinterval)
         if t < s:
             raise ValidationError(f"empty subinterval ({s!r}, {t!r})")
-        d = c.space.distance
         return float(sum(
-            d(c.values[i], c.values[i + 1])
-            for i in range(len(c) - 1)
-            if c.times[i] >= s and c.times[i + 1] <= t))
+            seg for seg, lo, hi in zip(c.segment_lengths(), c.times, c.times[1:])
+            if lo >= s and hi <= t))
     raise ValidationError(
         f"variation expects a StepCurve or SampledCurve, got {type(c).__name__}")
 

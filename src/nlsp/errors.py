@@ -16,7 +16,15 @@ class SpaceMismatchError(NlspError, ValueError):
 
 
 class GeodesicError(NlspError, ValueError):
-    """No unique geodesic exists for the requested endpoints."""
+    """No unique geodesic exists for the requested endpoints.
+
+    A batched geodesic call sets ``undefined``: a boolean mask, broadcastable
+    to the batch, that marks the pairs without a unique geodesic.
+    """
+
+    def __init__(self, message: str, *, undefined=None):
+        self.undefined = undefined
+        super().__init__(message)
 
 
 class UnsupportedOperationError(NlspError, TypeError):

@@ -25,7 +25,7 @@ from .curves import (
     constant_speed_reparam,
     energy,
     length,
-    metric_derivative,
+    metric_speeds,
 )
 from .errors import GeodesicError, ValidationError
 from .mappings import (
@@ -37,37 +37,21 @@ from .mappings import (
     d_p,
 )
 from .rng import trial_rng
-from .targets import FLAT, GLOBAL_NNC, GLOBAL_NPC, Sphere, TargetSpace
-
-#: Sphere endpoint pairs are sampled with angles in this range, keeping a
-#: wide margin from the antipodal degeneracy.
-SPHERE_SAFE_RADIUS = (0.3, 2.5)
+from .targets import FLAT, GLOBAL_NNC, GLOBAL_NPC, TargetSpace
 
 
 def geodesic_safe_pair(target: TargetSpace, rng: np.random.Generator):
-    """Two target points joined by a unique geodesic.
-
-    Spheres draw the second point through the exponential map at a safe
-    angle; every other supported target has globally unique geodesics, so
-    two independent points are returned.
-    """
-    y = target.random_point(rng)
-    if isinstance(target, Sphere):
-        radius = float(rng.uniform(*SPHERE_SAFE_RADIUS))
-        z = target.exp_map(y, target.random_tangent(y, rng, norm=radius))
-    else:
-        z = target.random_point(rng)
-    return y, z
+    """Two target points joined by a unique geodesic."""
+    ys, zs = target.random_geodesic_pairs(rng, 1)
+    return ys[0], zs[0]
 
 
 def geodesic_safe_mapping_pair(family: MappingFamily,
                                rng: np.random.Generator
                                ) -> tuple[MetricMapping, MetricMapping]:
     """Two mappings of the family with a unique per-atom geodesic."""
-    pairs = [geodesic_safe_pair(family.target, rng)
-             for _ in range(len(family.base_space))]
-    return (MetricMapping(family, tuple(a for a, _ in pairs)),
-            MetricMapping(family, tuple(b for _, b in pairs)))
+    ys, zs = family.target.random_geodesic_pairs(rng, len(family.base_space))
+    return MetricMapping(family, ys), MetricMapping(family, zs)
 
 
 def _require_positive_mass(base_space: FiniteMeasureSpace, op: str) -> None:
@@ -110,9 +94,10 @@ def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
     """Assemble the geodesic from ``f`` to ``g`` atom by atom.
 
     Every atom takes the target geodesic between its endpoints, sampled at
-    ``n_nodes`` equally spaced times on ``interval``.  A positive-weight
-    atom without a unique target geodesic (antipodal sphere endpoints) is a
-    real obstruction and raises :class:`~nlsp.errors.GeodesicError` naming
+    ``n_nodes`` equally spaced times on ``interval``; one batched target
+    call covers all atoms and nodes.  A positive-weight atom without a
+    unique target geodesic (antipodal sphere endpoints) is a real
+    obstruction and raises :class:`~nlsp.errors.GeodesicError` naming
     the atom; a zero-weight atom with the same defect is repaired by
     holding it constant, which changes nothing almost everywhere.
     """
@@ -131,27 +116,27 @@ def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
     _require_positive_mass(family.base_space, "lp_geodesic")
 
     tgt = family.target
+    space = family.base_space
     fractions = np.linspace(0.0, 1.0, int(n_nodes))
     fractions[0], fractions[-1] = 0.0, 1.0
     times = tuple(float(t) for t in a + (b - a) * fractions)
 
-    atom_values: list[tuple] = []
-    for j in range(len(family.base_space)):
-        y, z = f.values[j], g.values[j]
-        try:
-            vals = tuple(tgt.geodesic_point(y, z, float(s)) for s in fractions)
-        except GeodesicError as exc:
-            if family.base_space.weights[j] > 0.0:
-                raise GeodesicError(
-                    f"no unique geodesic on positive-weight atom "
-                    f"{family.base_space.atom_ids[j]!r}: {exc}") from exc
-            vals = (y,) * len(fractions)
-        atom_values.append(vals)
+    ys, zs = f.points, g.points
+    try:
+        nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
+    except GeodesicError as exc:
+        undefined = np.broadcast_to(
+            exc.undefined, (len(fractions), len(space))).any(axis=0)
+        blocked = np.flatnonzero(undefined & (space.weights_array > 0.0))
+        if blocked.size:
+            raise GeodesicError(
+                f"no unique geodesic on positive-weight atom "
+                f"{space.atom_ids[blocked[0]]!r}: {exc}") from exc
+        # Zero-weight atoms travel from their start to their start.
+        zs = np.where(undefined.reshape((-1,) + (1,) * (ys.ndim - 1)), ys, zs)
+        nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
 
-    node_mappings = tuple(
-        MetricMapping(family, tuple(atom_values[j][i]
-                                    for j in range(len(atom_values))))
-        for i in range(len(times)))
+    node_mappings = tuple(MetricMapping(family, row) for row in nodes)
     curve = SampledCurve(LpSpace(family, p), times, node_mappings)
     per_atom = tuple(
         SampledCurve(tgt, times,
@@ -169,28 +154,28 @@ def constant_speed_residual(geo: LpGeodesic) -> float:
     """
     if not isinstance(geo, LpGeodesic):
         raise ValidationError(f"expected an LpGeodesic, got {type(geo).__name__}")
-    times = geo.curve.times
-    values = geo.curve.values
+    curve = geo.curve
+    t = curve.times_array
     a, b = geo.interval
     total = geo.endpoint_distance()
-    p = geo.p
     worst = 0.0
-    for i in range(len(times)):
-        for k in range(i + 1, len(times)):
-            expected = (times[k] - times[i]) / (b - a) * total
-            worst = max(worst, abs(d_p(values[i], values[k], p) - expected))
-    return float(worst)
+    # One start node per batched call: all node pairs at once would hold
+    # nodes^2 / 2 copies of a mapping's atoms in memory.
+    for i in range(len(t) - 1):
+        expected = (t[i + 1:] - t[i]) / (b - a) * total
+        gaps = np.abs(curve.space.distances(curve.points[i:i + 1],
+                                            curve.points[i + 1:]) - expected)
+        worst = max(worst, float(gaps.max()))
+    return worst
 
 
 def start_aligned_residuals(geo: LpGeodesic) -> np.ndarray:
     """Per-node residual against the start: ``|D_p(c(a), c(t)) - s(t) D|``."""
-    times = geo.curve.times
-    values = geo.curve.values
+    curve = geo.curve
     a, b = geo.interval
-    total = geo.endpoint_distance()
-    return np.array([
-        abs(d_p(values[0], values[i], geo.p) - (t - a) / (b - a) * total)
-        for i, t in enumerate(times)])
+    expected = (curve.times_array - a) / (b - a) * geo.endpoint_distance()
+    return np.abs(curve.space.distances(curve.points[:1], curve.points)
+                  - expected)
 
 
 def geodesic_speed_check(geo: LpGeodesic) -> float:
@@ -203,12 +188,10 @@ def geodesic_speed_check(geo: LpGeodesic) -> float:
         raise ValidationError(f"expected an LpGeodesic, got {type(geo).__name__}")
     a, b = geo.interval
     tgt = geo.family.target
-    worst = 0.0
-    for j, atom_curve in enumerate(geo.per_atom_curves):
-        speed = tgt.distance(geo.start.values[j], geo.end.values[j]) / (b - a)
-        md = metric_derivative(atom_curve)
-        worst = max(worst, float(np.max(np.abs(md - speed))))
-    return float(worst)
+    speed = tgt.distances(geo.start.points, geo.end.points) / (b - a)
+    nodes = np.stack([m.points for m in geo.curve.values])
+    md = metric_speeds(tgt, nodes, geo.curve.times_array)
+    return float(np.max(np.abs(md - speed), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +217,7 @@ def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
         raise ValidationError(f"t must lie in [0, 1], got {t!r}")
     if t == 0.0 or t == 1.0:
         return 0.0
-    family = f.family
-    tgt = family.target
-    mid = MetricMapping(family, tuple(
-        tgt.geodesic_point(f.values[j], g.values[j], t)
-        for j in range(len(family.base_space))))
+    mid = MetricMapping(f.family, f.target.geodesic_points(f.points, g.points, t))
     d_zm = d_p(z, mid, 2.0)
     d_zf = d_p(z, f, 2.0)
     d_zg = d_p(z, g, 2.0)
@@ -299,9 +278,8 @@ def curvature_comparison_suite(
     _require_positive_mass(base_space, "curvature_comparison_suite")
 
     setup = trial_rng(seed, f"curvature/{target.kind}/setup", 0)
-    base_values = tuple(target.random_point(setup)
-                        for _ in range(len(base_space)))
-    family = MappingFamily(base_space, target, base_values)
+    family = MappingFamily(base_space, target,
+                           target.random_points(setup, len(base_space)))
     mass = base_space.total_mass
 
     rows = []
@@ -423,9 +401,8 @@ def length_space_check(target: TargetSpace,
         equality_tol = default_equality_tol(target)
 
     setup = trial_rng(seed, f"length/{target.kind}/setup", 0)
-    base_values = tuple(target.random_point(setup)
-                        for _ in range(len(base_space)))
-    family = MappingFamily(base_space, target, base_values)
+    family = MappingFamily(base_space, target,
+                           target.random_points(setup, len(base_space)))
 
     rows = []
     upper_excess = []

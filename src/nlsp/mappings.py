@@ -122,7 +122,7 @@ class MappingFamily:
         if not isinstance(self.target, TargetSpace):
             raise ValidationError(
                 f"target must be a TargetSpace, got {type(self.target).__name__}")
-        vals = tuple(self.target.as_point(v) for v in self.base_values)
+        vals, _ = self.target.as_point_tuple(self.base_values)
         if len(vals) != len(self.base_space):
             raise ValidationError(
                 f"{len(vals)} base values for {len(self.base_space)} atoms")
@@ -142,8 +142,7 @@ class MappingFamily:
 
     def random_mapping(self, rng: np.random.Generator) -> "MetricMapping":
         return MetricMapping(
-            self, tuple(self.target.random_point(rng)
-                        for _ in range(len(self.base_space))))
+            self, self.target.random_points(rng, len(self.base_space)))
 
 
 def mapping_family(base_space: FiniteMeasureSpace, target: TargetSpace,
@@ -161,17 +160,23 @@ def constant_family(base_space: FiniteMeasureSpace, target: TargetSpace,
 
 @dataclass(frozen=True)
 class MetricMapping:
-    """One atomwise assignment of target points, bound to its family."""
+    """One atomwise assignment of target points, bound to its family.
+
+    ``values`` holds one point per atom.  ``points`` holds the same values
+    as one batch for the target's batched primitives (a stacked array for
+    array targets); both are set when the values are validated.
+    """
 
     family: MappingFamily
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(self.family.target.as_point(v) for v in self.values)
+        vals, points = self.family.target.as_point_tuple(self.values)
         if len(vals) != len(self.family.base_space):
             raise ValidationError(
                 f"{len(vals)} values for {len(self.family.base_space)} atoms")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "points", points)
 
     @property
     def base_space(self) -> FiniteMeasureSpace:
@@ -200,8 +205,25 @@ def _require_same_family(f: MetricMapping, g: MetricMapping) -> None:
 def atom_distances(f: MetricMapping, g: MetricMapping) -> np.ndarray:
     """Pointwise target distances ``d_N(f_j, g_j)`` over all atoms."""
     _require_same_family(f, g)
-    tgt = f.target
-    return np.array([tgt.distance(a, b) for a, b in zip(f.values, g.values)])
+    return f.target.distances(f.points, g.points)
+
+
+def _weighted_norm(dists: np.ndarray, space: FiniteMeasureSpace,
+                   p: float) -> np.ndarray:
+    """Weighted p-norm over the last (atom) axis of pointwise distances.
+
+    For ``p = inf`` the maximum over positive-weight atoms.
+    """
+    if math.isinf(p):
+        pos = list(space.positive_atoms)
+        if not pos:
+            return np.zeros(dists.shape[:-1])
+        return dists[..., pos].max(axis=-1)
+    # keepdims: the root is taken by the array power loop for every batch
+    # shape, so one pair and a batch of pairs round alike.
+    total = np.add.reduce(dists ** p * space.weights_array, axis=-1,
+                          keepdims=True)
+    return (total ** (1.0 / p))[..., 0]
 
 
 def d_p(f: MetricMapping, g: MetricMapping, p) -> float:
@@ -211,14 +233,7 @@ def d_p(f: MetricMapping, g: MetricMapping, p) -> float:
     the maximum pointwise distance over positive-weight atoms.
     """
     p = check_p(p)
-    dists = atom_distances(f, g)
-    w = f.base_space.weights_array
-    if math.isinf(p):
-        pos = f.base_space.positive_atoms
-        if not pos:
-            return 0.0
-        return float(dists[list(pos)].max())
-    return float(np.dot(w, dists ** p) ** (1.0 / p))
+    return float(_weighted_norm(atom_distances(f, g), f.base_space, p))
 
 
 def ae_equal(f: MetricMapping, g: MetricMapping,
@@ -233,8 +248,10 @@ def ae_equal(f: MetricMapping, g: MetricMapping,
 class LpSpace:
     """The mappings of one family viewed as a metric space under ``d_p``.
 
-    Provides the ``distance`` / ``points_equal`` / ``as_point`` interface
-    that curve calculus expects of an ambient space.
+    Provides the interface that curve calculus expects of an ambient space:
+    ``distance`` / ``points_equal`` / ``as_point`` and their batched forms
+    ``distances`` / ``as_points`` / ``as_point_tuple``, whose batches are
+    object arrays of mappings.
     """
 
     def __init__(self, family: MappingFamily, p):
@@ -247,6 +264,16 @@ class LpSpace:
     def distance(self, f: MetricMapping, g: MetricMapping) -> float:
         return d_p(f, g, self.p)
 
+    def distances(self, fs, gs) -> np.ndarray:
+        """``d_p`` between two batches of mappings, broadcast together;
+        one target call covers every atom of every pair."""
+        if len(fs) == 0 or len(gs) == 0:
+            return np.zeros(0)
+        stacked = [np.stack([self.as_point(f).points for f in batch])
+                   for batch in (fs, gs)]
+        return _weighted_norm(self.family.target.distances(*stacked),
+                              self.family.base_space, self.p)
+
     def points_equal(self, f: MetricMapping, g: MetricMapping,
                      tol: float = POINT_EQ_TOL) -> bool:
         return ae_equal(f, g, tol)
@@ -258,6 +285,13 @@ class LpSpace:
         if f.family is not self.family:
             raise SpaceMismatchError("mapping belongs to a different family")
         return f
+
+    def as_points(self, values) -> np.ndarray:
+        return np.fromiter((self.as_point(f) for f in values), dtype=object)
+
+    def as_point_tuple(self, values) -> tuple[tuple, np.ndarray]:
+        batch = self.as_points(values)
+        return tuple(batch), batch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LpSpace(p={self.p}, atoms={len(self.family.base_space)}, "
@@ -362,7 +396,7 @@ class ProductGridMapping:
         tgt = self.family.target
         rows = []
         for i, row in enumerate(self.values):
-            row = tuple(tgt.as_point(v) for v in row)
+            row, _ = tgt.as_point_tuple(row)
             if len(row) != len(self.family.base_space):
                 raise ValidationError(
                     f"row {i} has {len(row)} values for "

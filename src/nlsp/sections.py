@@ -70,7 +70,7 @@ class MappingOfCurves:
         tgt = self.family.target
         rows = []
         for j, row in enumerate(self.atom_values):
-            row = tuple(tgt.as_point(v) for v in row)
+            row, _ = tgt.as_point_tuple(row)
             if len(row) != len(self.grid):
                 raise ValidationError(
                     f"atom {j} has {len(row)} samples for "

@@ -24,7 +24,7 @@ from .curves import metric_derivative
 from .errors import UnsupportedOperationError, ValidationError
 from .mappings import check_p
 from .targets import TangentVector
-from .transport import TransportDecomposition
+from .transport import TransportDecomposition, per_atom_derivatives
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ def atomwise_consistency_gap(s: SpeedField) -> float:
     if not isinstance(s, SpeedField):
         raise ValidationError(f"expected a SpeedField, got {type(s).__name__}")
     w = s.decomposition.source.space.family.base_space.weights_array
-    per_atom = np.array([metric_derivative(c) ** s.p
-                         for c in s.decomposition.per_atom_curves])
-    rhs = w @ per_atom
+    rhs = w @ (per_atom_derivatives(s.decomposition) ** s.p)
     lhs = bundle_norms(s) ** s.p
     interior = slice(1, -1)
     denom = np.maximum(np.abs(rhs[interior]), 1e-300)

@@ -38,7 +38,7 @@ from .errors import ConfigError, ValidationError
 from .geometry import (
     curvature_comparison_suite,
     constant_speed_residual,
-    geodesic_safe_pair,
+    geodesic_safe_mapping_pair,
     geodesic_speed_check,
     length_space_check,
     lp_geodesic,
@@ -157,9 +157,7 @@ def random_base_space(rng: np.random.Generator, n_atoms: int,
 def random_family(target: TargetSpace, rng: np.random.Generator,
                   n_atoms: int, zero_atom: bool = False) -> MappingFamily:
     space = random_base_space(rng, n_atoms, zero_atom)
-    return MappingFamily(
-        space, target,
-        tuple(target.random_point(rng) for _ in range(n_atoms)))
+    return MappingFamily(space, target, target.random_points(rng, n_atoms))
 
 
 @dataclass(frozen=True)
@@ -186,17 +184,15 @@ class SmoothLpPath:
 
     def materialize(self, n_nodes: int) -> SampledCurve:
         """Sample the path at ``n_nodes`` uniform times on [0, 1]."""
-        tgt = self.family.target
         times = np.linspace(0.0, 1.0, int(n_nodes))
-        node_mappings = []
-        for t in times:
-            vals = tuple(
-                tgt.geodesic_point(y, z, self.warp(j, float(t)))
-                for j, (y, z) in enumerate(self.anchors))
-            node_mappings.append(MetricMapping(self.family, vals))
+        fractions = [[self.warp(j, float(t)) for j in range(len(self.anchors))]
+                     for t in times]
+        ys, zs = (np.array(ends) for ends in zip(*self.anchors))
+        nodes = self.family.target.geodesic_points(ys, zs, fractions)
         return SampledCurve(LpSpace(self.family, self.p),
                             tuple(float(t) for t in times),
-                            tuple(node_mappings))
+                            tuple(MetricMapping(self.family, row)
+                                  for row in nodes))
 
 
 def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
@@ -242,13 +238,17 @@ def polyline_curve(target: TargetSpace, rng: np.random.Generator,
         waypoints.append(target.exp_map(
             waypoints[-1], target.random_tangent(waypoints[-1], rng, norm=step)))
     times = _nonuniform_times(rng, n_nodes)
-    values = []
-    for k in range(n_nodes):
-        u = k / (n_nodes - 1) * legs
-        leg = min(int(u), legs - 1)
-        values.append(target.geodesic_point(
-            waypoints[leg], waypoints[leg + 1], u - leg))
-    return SampledCurve(target, times, tuple(values))
+    leg, fraction = _polyline_legs(legs, n_nodes)
+    ways = np.array(waypoints)
+    return SampledCurve(target, times, target.geodesic_points(
+        ways[leg], ways[leg + 1], fraction))
+
+
+def _polyline_legs(legs: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per node of a polyline, its leg and the fraction of the leg done."""
+    u = [k / (n_nodes - 1) * legs for k in range(n_nodes)]
+    leg = [min(int(x), legs - 1) for x in u]
+    return np.array(leg), np.array([x - j for x, j in zip(u, leg)])
 
 
 def polyline_mapping_curve(target: TargetSpace, rng: np.random.Generator,
@@ -265,16 +265,11 @@ def polyline_mapping_curve(target: TargetSpace, rng: np.random.Generator,
                 pts[-1], target.random_tangent(pts[-1], rng, norm=step)))
         atom_ways.append(pts)
     times = _nonuniform_times(rng, n_nodes)
-    node_mappings = []
-    for k in range(n_nodes):
-        u = k / (n_nodes - 1) * legs
-        leg = min(int(u), legs - 1)
-        vals = tuple(
-            target.geodesic_point(atom_ways[j][leg], atom_ways[j][leg + 1],
-                                  u - leg)
-            for j in range(n_atoms))
-        node_mappings.append(MetricMapping(family, vals))
-    return SampledCurve(LpSpace(family, p), times, tuple(node_mappings))
+    leg, fraction = _polyline_legs(legs, n_nodes)
+    ways = np.array(atom_ways).swapaxes(0, 1)  # (waypoint, atom, ...)
+    nodes = target.geodesic_points(ways[leg], ways[leg + 1], fraction[:, None])
+    return SampledCurve(LpSpace(family, p), times,
+                        tuple(MetricMapping(family, row) for row in nodes))
 
 
 def random_step_curve(space, value_sampler, rng: np.random.Generator,
@@ -316,11 +311,9 @@ def run_fubini(seed: int = 7, trials: int = 100,
                         "trapezoid" if i % 2 == 0 else "left_cells")
         rows = len(grid)
         c1 = ProductGridMapping(grid, family, tuple(
-            tuple(target.random_point(rng) for _ in range(8))
-            for _ in range(rows)))
+            target.random_points(rng, 8) for _ in range(rows)))
         c2 = ProductGridMapping(grid, family, tuple(
-            tuple(target.random_point(rng) for _ in range(8))
-            for _ in range(rows)))
+            target.random_points(rng, 8) for _ in range(rows)))
         worst_time = worst_atom = 0.0
         for p in p_values:
             joint = product_lp_norm(c1, c2, p)
@@ -577,15 +570,11 @@ def run_geodesic(seed: int = 7, trials: int = 3,
         target, p = combos[idx]
         setup = trial_rng(seed, f"geodesic/{target.kind}/p={p!r}/setup", 0)
         family = MappingFamily(
-            base_space, target,
-            tuple(target.random_point(setup) for _ in range(len(base_space))))
+            base_space, target, target.random_points(setup, len(base_space)))
         out = []
         for trial in range(int(trials)):
             rng = trial_rng(seed, f"geodesic/{target.kind}/p={p!r}", trial)
-            pairs = [geodesic_safe_pair(target, rng)
-                     for _ in range(len(base_space))]
-            f = MetricMapping(family, tuple(a for a, _ in pairs))
-            g = MetricMapping(family, tuple(b for _, b in pairs))
+            f, g = geodesic_safe_mapping_pair(family, rng)
             geo = lp_geodesic(f, g, p, n_nodes=int(n_nodes))
             csr = constant_speed_residual(geo)
             atom_dev = geodesic_speed_check(geo)
@@ -605,13 +594,9 @@ def run_geodesic(seed: int = 7, trials: int = 3,
     setup = trial_rng(seed, "geodesic/trace/setup", 0)
     family = MappingFamily(
         base_space, trace_target,
-        tuple(trace_target.random_point(setup) for _ in range(len(base_space))))
-    rng = trial_rng(seed, "geodesic/trace", 0)
-    pairs = [geodesic_safe_pair(trace_target, rng)
-             for _ in range(len(base_space))]
-    geo = lp_geodesic(MetricMapping(family, tuple(a for a, _ in pairs)),
-                      MetricMapping(family, tuple(b for _, b in pairs)),
-                      2.0, n_nodes=int(n_nodes))
+        trace_target.random_points(setup, len(base_space)))
+    geo = lp_geodesic(*geodesic_safe_mapping_pair(
+        family, trial_rng(seed, "geodesic/trace", 0)), 2.0, n_nodes=int(n_nodes))
     aligned = start_aligned_residuals(geo)
     for i, t in enumerate(geo.curve.times):
         trace_rows.append([t,

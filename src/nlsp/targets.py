@@ -7,6 +7,17 @@ affine-invariant metric, and finite metric trees.  Every space provides
 smooth spaces additionally provide ``log_map`` / ``exp_map`` /
 ``tangent_norm`` charts, while metric trees deliberately refuse them.
 
+Every space also works on batches of points: ``as_points``, ``distances``,
+``geodesic_points`` and ``random_points`` take points stacked over any
+leading batch axes (none included) and broadcast them together.  The three
+array spaces write each formula once, as a numpy kernel over the batch
+axes; SPD matrices go through stacked ``eigh`` / ``eigvalsh`` on
+``(..., n, n)`` with the affine-invariant formulas of Pennec, Fillard and
+Ayache (IJCV 2006).  Their scalar ``as_point`` / ``distance`` /
+``geodesic_point`` / ``random_point`` are the same kernels at zero batch
+axes.  Metric trees use the looping defaults of :class:`TargetSpace`, whose
+batches are object arrays of :class:`TreePoint`.
+
 Each space declares a ``curvature_class`` — ``"flat"``, ``"global_npc"``
 (triangles thinner than Euclidean ones) or ``"global_nnc"`` (fatter) —
 which the curvature-comparison experiments read to decide which sign of
@@ -15,6 +26,7 @@ residual they must certify.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -43,14 +55,37 @@ SPD_SYMMETRY_TOL = 1e-12
 SPD_MIN_EIG = 1e-10
 #: Sphere endpoints whose angle is within this margin of pi are antipodal.
 ANTIPODAL_MARGIN = 1e-9
+#: Random sphere pairs are drawn at angles in this range, keeping a wide
+#: margin from the antipodal degeneracy.
+SPHERE_SAFE_RADIUS = (0.3, 2.5)
+
+
+def _check_fractions(t) -> np.ndarray:
+    """Validate geodesic parameters in [0, 1], any shape; clamps roundoff."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= -1e-15) & (t <= 1.0 + 1e-15)  # NaN is outside
+    if not inside.all():
+        raise ValidationError(
+            f"geodesic parameter must lie in [0, 1], got "
+            f"{float(t[~inside].flat[0])!r}")
+    return np.minimum(np.maximum(t, 0.0), 1.0)
 
 
 def _check_fraction(t: float) -> float:
-    """Validate a geodesic parameter in [0, 1]."""
-    t = float(t)
-    if not math.isfinite(t) or t < -1e-15 or t > 1.0 + 1e-15:
-        raise ValidationError(f"geodesic parameter must lie in [0, 1], got {t!r}")
-    return min(max(t, 0.0), 1.0)
+    """Validate one geodesic parameter in [0, 1]."""
+    return float(_check_fractions(t))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis (``np.linalg.norm``'s formula)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _object_array(points) -> np.ndarray:
+    """Points as an object array: as given, or one entry per item."""
+    if isinstance(points, np.ndarray) and points.dtype == object:
+        return points
+    return np.fromiter(points, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -130,6 +165,62 @@ class TargetSpace(ABC):
         chord = (1.0 - t) * d_za ** 2 + t * d_zb ** 2 - (1.0 - t) * t * d_ab ** 2
         return d_zg ** 2 - chord
 
+    # -- batches -------------------------------------------------------------
+    #
+    # Looping defaults over object arrays of points; the array spaces
+    # override all of them with kernels over the batch axes.
+
+    def as_points(self, values) -> np.ndarray:
+        """Validate a batch of points and return it in canonical form."""
+        return _object_array([self.as_point(v) for v in values])
+
+    def as_point_tuple(self, values) -> tuple[tuple, np.ndarray]:
+        """Validate a sequence of points with one :meth:`as_points` call.
+
+        Returns the points as a tuple and as one batch.  An entry that is
+        already canonical is kept itself, so re-wrapping a container's
+        values preserves point-object identity.
+        """
+        batch = self.as_points(values)
+        return tuple(batch), batch
+
+    def distances(self, ys, zs) -> np.ndarray:
+        """Distances between two batches of points, broadcast together."""
+        ys, zs = np.broadcast_arrays(_object_array(ys), _object_array(zs))
+        out = np.empty(ys.shape)
+        for idx in np.ndindex(ys.shape):
+            out[idx] = self.distance(ys[idx], zs[idx])
+        return out
+
+    def geodesic_points(self, ys, zs, t) -> np.ndarray:
+        """Geodesic points at fractions ``t``, broadcast with both batches.
+
+        A space with pairs that have no unique geodesic raises
+        :class:`GeodesicError` with an ``undefined`` mask marking them.
+        """
+        ys, zs, t = np.broadcast_arrays(
+            _object_array(ys), _object_array(zs), _check_fractions(t))
+        out = np.empty(ys.shape, dtype=object)
+        for idx in np.ndindex(ys.shape):
+            out[idx] = self.geodesic_point(ys[idx], zs[idx], t[idx])
+        return out
+
+    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` points, drawn from ``rng`` exactly as ``n`` successive
+        :meth:`random_point` calls draw them."""
+        return _object_array([self.random_point(rng) for _ in range(n)])
+
+    def random_geodesic_pairs(self, rng: np.random.Generator,
+                              n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` pairs of points joined by unique geodesics, as two batches,
+        drawn pair after pair.
+
+        Where every geodesic is unique, as here by default, the ``2 n``
+        points are independent: one batched draw, taken alternately.
+        """
+        points = self.random_points(rng, 2 * n)
+        return points[0::2], points[1::2]
+
     # -- charts ------------------------------------------------------------
 
     @property
@@ -184,7 +275,78 @@ class TargetSpace(ABC):
         return f"{type(self).__name__}({inner})"
 
 
-class Euclidean(TargetSpace):
+class _ArrayTarget(TargetSpace):
+    """A space whose points are float arrays of shape ``point_shape``.
+
+    A batch is a float array of shape ``(..., *point_shape)``.  Subclasses
+    write ``distances``, ``geodesic_points`` and ``random_points`` as
+    kernels over the batch axes, plus their own point constraints; the
+    scalar primitives here are those kernels at zero batch axes.
+    """
+
+    point_shape: tuple[int, ...] = ()
+
+    def _constrain(self, arr: np.ndarray) -> np.ndarray:
+        """Check a finite, well-shaped batch against the space's own
+        constraints; returns it in canonical form."""
+        return arr
+
+    def _checked(self, arr: np.ndarray, shape: tuple) -> np.ndarray:
+        """Validate a batch whose point axes have shape ``shape``."""
+        if shape != self.point_shape:
+            raise ValidationError(
+                f"{self.kind} point must have shape {self.point_shape}, got "
+                f"{arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{self.kind} point must be finite")
+        return self._constrain(arr)
+
+    # asarray keeps canonical float arrays as-is, so re-wrapping a point
+    # preserves its identity.
+
+    def as_points(self, values) -> np.ndarray:
+        arr = np.asarray(values, dtype=float)
+        return self._checked(
+            arr, arr.shape[max(arr.ndim - len(self.point_shape), 0):])
+
+    def as_point(self, y) -> np.ndarray:
+        arr = np.asarray(y, dtype=float)
+        return self._checked(arr, arr.shape)
+
+    def as_point_tuple(self, values) -> tuple[tuple, np.ndarray]:
+        items = values if isinstance(values, np.ndarray) else tuple(values)
+        try:
+            raw = np.asarray(items, dtype=float)
+        except ValueError:  # ragged entries
+            raw = None
+        if raw is None or raw.shape != (len(items), *self.point_shape):
+            for y in items:
+                self.as_point(y)  # raises, naming the malformed point
+            raw = np.empty((0, *self.point_shape))  # there were no entries
+        batch = self.as_points(raw)
+        same = (itertools.repeat(True) if batch is raw else
+                (batch == raw).all(axis=tuple(range(1, raw.ndim))))
+        return tuple(
+            y if keep and type(y) is np.ndarray and y.dtype is batch.dtype
+            else b for y, b, keep in zip(items, batch, same)), batch
+
+    def distance(self, y, z) -> float:
+        return float(self.distances(y, z))
+
+    def geodesic_point(self, y, z, t: float) -> np.ndarray:
+        return self.geodesic_points(y, z, t)
+
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        return self.random_points(rng, 1)[0]
+
+    def point_to_jsonable(self, y):
+        return self.as_point(y).tolist()
+
+    def point_from_jsonable(self, data):
+        return self.as_point(data)
+
+
+class Euclidean(_ArrayTarget):
     """``R^dim`` with the Euclidean distance; geodesics are straight lines."""
 
     kind = "euclidean"
@@ -194,29 +356,17 @@ class Euclidean(TargetSpace):
         if not isinstance(dim, (int, np.integer)) or dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
+        self.point_shape = (self.dim,)
 
-    def as_point(self, y) -> np.ndarray:
-        # asarray keeps canonical float arrays as-is, so re-wrapping a
-        # mapping preserves point-object identity.
-        arr = np.asarray(y, dtype=float)
-        if arr.shape != (self.dim,):
-            raise ValidationError(
-                f"euclidean point must have shape ({self.dim},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("euclidean point must be finite")
-        return arr
-
-    def distance(self, y, z) -> float:
-        return float(np.linalg.norm(np.asarray(y, float) - np.asarray(z, float)))
+    def distances(self, ys, zs) -> np.ndarray:
+        return _norms(np.asarray(ys, float) - np.asarray(zs, float))
 
     def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
         return self.distance(y, z) <= tol
 
-    def geodesic_point(self, y, z, t: float) -> np.ndarray:
-        t = _check_fraction(t)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        return (1.0 - t) * y + t * z
+    def geodesic_points(self, ys, zs, t) -> np.ndarray:
+        t = _check_fractions(t)[..., None]
+        return (1.0 - t) * np.asarray(ys, float) + t * np.asarray(zs, float)
 
     def log_map(self, y, z) -> TangentVector:
         y = self.as_point(y)
@@ -228,8 +378,8 @@ class Euclidean(TargetSpace):
     def tangent_norm(self, v: TangentVector) -> float:
         return float(np.linalg.norm(v.components))
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim)
+    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_normal((n, self.dim))
 
     def random_tangent(self, base, rng: np.random.Generator,
                        norm: float = 1.0) -> TangentVector:
@@ -244,14 +394,8 @@ class Euclidean(TargetSpace):
     def to_config(self) -> dict:
         return {"kind": "euclidean", "dim": self.dim}
 
-    def point_to_jsonable(self, y):
-        return [float(v) for v in self.as_point(y)]
 
-    def point_from_jsonable(self, data):
-        return self.as_point(data)
-
-
-class Sphere(TargetSpace):
+class Sphere(_ArrayTarget):
     """Unit sphere ``S^{dim-1}`` in ``R^dim`` with great-circle distance.
 
     ``dim`` is the ambient dimension, so ``Sphere(3)`` is the ordinary
@@ -267,60 +411,56 @@ class Sphere(TargetSpace):
             raise ValidationError(
                 f"ambient dim must be an integer >= 2, got {dim!r}")
         self.dim = int(dim)
+        self.point_shape = (self.dim,)
 
-    def as_point(self, y) -> np.ndarray:
-        # asarray keeps canonical float arrays as-is, so re-wrapping a
-        # mapping preserves point-object identity.
-        arr = np.asarray(y, dtype=float)
-        if arr.shape != (self.dim,):
-            raise ValidationError(
-                f"sphere point must have shape ({self.dim},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("sphere point must be finite")
-        nrm = np.linalg.norm(arr)
-        if abs(nrm - 1.0) > SPHERE_UNIT_TOL:
+    def _constrain(self, arr: np.ndarray) -> np.ndarray:
+        nrm = _norms(arr)
+        off = np.abs(nrm - 1.0) > SPHERE_UNIT_TOL
+        if off.any():
             raise ValidationError(
                 f"sphere point must be a unit vector within {SPHERE_UNIT_TOL}, "
-                f"got norm {nrm!r}")
+                f"got norm {float(nrm[off].flat[0])!r}")
         return arr
 
-    def distance(self, y, z) -> float:
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        if np.array_equal(y, z):
-            return 0.0  # self-distance is exactly zero, not projection dust
-        cos = float(np.dot(y, z))
+    def distances(self, ys, zs) -> np.ndarray:
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        cos = np.add.reduce(ys * zs, axis=-1)
         # Stable for nearly equal and nearly antipodal pairs alike.
-        perp = z - cos * y
-        return float(math.atan2(np.linalg.norm(perp), cos))
+        theta = np.arctan2(_norms(zs - cos[..., None] * ys), cos)
+        # Self-distance is exactly zero, not projection dust.
+        return np.where((ys == zs).all(axis=-1), 0.0, theta)
 
     def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
         return bool(np.max(np.abs(np.asarray(y, float) - np.asarray(z, float))) <= tol)
 
-    def _angle_checked(self, y, z, op: str) -> float:
-        theta = self.distance(y, z)
-        if theta >= math.pi - ANTIPODAL_MARGIN:
+    def _angles_checked(self, ys, zs, op: str) -> np.ndarray:
+        theta = self.distances(ys, zs)
+        undefined = theta >= math.pi - ANTIPODAL_MARGIN
+        if undefined.any():
             raise GeodesicError(
                 f"{op} is undefined for antipodal sphere points: the angle "
-                f"{theta!r} is within {ANTIPODAL_MARGIN} of pi and the "
-                "geodesic is not unique")
+                f"{float(theta[undefined].flat[0])!r} is within "
+                f"{ANTIPODAL_MARGIN} of pi and the geodesic is not unique",
+                undefined=undefined)
         return theta
 
-    def geodesic_point(self, y, z, t: float) -> np.ndarray:
-        t = _check_fraction(t)
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        theta = self._angle_checked(y, z, "geodesic_point")
-        if theta < 1e-15:
-            return y.copy()
-        s = math.sin(theta)
-        out = (math.sin((1.0 - t) * theta) / s) * y + (math.sin(t * theta) / s) * z
-        return out / np.linalg.norm(out)
+    def geodesic_points(self, ys, zs, t) -> np.ndarray:
+        t = _check_fractions(t)
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        theta = self._angles_checked(ys, zs, "geodesic_point")
+        still = theta < 1e-15
+        s = np.where(still, 1.0, np.sin(theta))
+        a = np.where(still, 1.0, np.sin((1.0 - t) * theta) / s)
+        b = np.sin(t * theta) / s
+        out = a[..., None] * ys + b[..., None] * zs
+        return np.where(still[..., None], ys, out / _norms(out)[..., None])
 
     def log_map(self, y, z) -> TangentVector:
         y = self.as_point(y)
         z = self.as_point(z)
-        theta = self._angle_checked(y, z, "log_map")
+        theta = float(self._angles_checked(y, z, "log_map"))
         perp = z - float(np.dot(y, z)) * y
         nrm = np.linalg.norm(perp)
         if nrm < 1e-15 or theta < 1e-15:
@@ -348,13 +488,30 @@ class Sphere(TargetSpace):
                 f"{float(np.dot(base, comp))!r}")
         return nrm
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal(self.dim)
-        n = np.linalg.norm(g)
-        while n < 1e-12:  # pragma: no cover - astronomically unlikely
-            g = rng.standard_normal(self.dim)
-            n = np.linalg.norm(g)
-        return g / n
+    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        g = rng.standard_normal((n, self.dim))
+        nrm = _norms(g)
+        while (nrm < 1e-12).any():  # pragma: no cover - astronomically unlikely
+            # Point by point, a degenerate draw is redrawn at once; dropping
+            # it and drawing one more at the end reads the same stream.
+            keep = nrm >= 1e-12
+            g = np.concatenate([
+                g[keep], rng.standard_normal((n - int(keep.sum()), self.dim))])
+            nrm = _norms(g)
+        return g / nrm[:, None]
+
+    def random_geodesic_pairs(self, rng: np.random.Generator,
+                              n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each second point is reached through the exponential map at an
+        angle in :data:`SPHERE_SAFE_RADIUS`, so every pair interleaves a
+        point, an angle and a tangent draw, and is drawn on its own."""
+        ys, zs = [], []
+        for _ in range(n):
+            y = self.random_point(rng)
+            radius = float(rng.uniform(*SPHERE_SAFE_RADIUS))
+            ys.append(y)
+            zs.append(self.exp_map(y, self.random_tangent(y, rng, norm=radius)))
+        return np.array(ys), np.array(zs)
 
     def random_tangent(self, base, rng: np.random.Generator,
                        norm: float = 1.0) -> TangentVector:
@@ -371,24 +528,36 @@ class Sphere(TargetSpace):
     def to_config(self) -> dict:
         return {"kind": "sphere", "dim": self.dim}
 
-    def point_to_jsonable(self, y):
-        return [float(v) for v in self.as_point(y)]
-
-    def point_from_jsonable(self, data):
-        return self.as_point(data)
-
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of every matrix in a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-class Spd(TargetSpace):
+def _eig_apply(a: np.ndarray, *fns) -> tuple[np.ndarray, ...]:
+    """``f(a)`` for each scalar function ``f``, per matrix of a stack.
+
+    One stacked ``eigh`` serves every ``f``, and each result is
+    symmetrized.  An ``f`` may broadcast the eigenvalues against extra
+    leading axes, such as a batch of geodesic fractions.
+    """
+    w, v = np.linalg.eigh(_sym(a))
+    vt = v.swapaxes(-1, -2)
+    return tuple(_sym((v * f(w)[..., None, :]) @ vt) for f in fns)
+
+
+def _inv_sqrt(w: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(w)
+
+
+class Spd(_ArrayTarget):
     """Symmetric positive-definite matrices with the affine-invariant metric.
 
     ``d(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F`` with geodesics
     ``A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}``.  All matrix functions go
-    through an eigendecomposition and every result is symmetrized before it
-    is returned, so chains of operations cannot drift away from symmetry.
+    through a stacked eigendecomposition and every result is symmetrized
+    before it is returned, so chains of operations cannot drift away from
+    symmetry.
     """
 
     kind = "spd"
@@ -399,95 +568,67 @@ class Spd(TargetSpace):
             raise ValidationError(
                 f"matrix_dim must be a positive integer, got {matrix_dim!r}")
         self.matrix_dim = int(matrix_dim)
+        self.point_shape = (self.matrix_dim, self.matrix_dim)
 
-    # -- matrix helpers ----------------------------------------------------
-
-    @staticmethod
-    def _fun(a: np.ndarray, fn) -> np.ndarray:
-        """Apply a scalar function to a symmetric matrix via eigh."""
-        w, v = np.linalg.eigh(_sym(a))
-        return _sym((v * fn(w)) @ v.T)
-
-    def _sqrt_isqrt(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(_sym(a))
-        s = np.sqrt(w)
-        return _sym((v * s) @ v.T), _sym((v * (1.0 / s)) @ v.T)
-
-    # -- interface ---------------------------------------------------------
-
-    def as_point(self, y) -> np.ndarray:
-        # asarray keeps canonical float arrays as-is, and exactly symmetric
-        # inputs skip re-symmetrization, so re-wrapping a mapping preserves
-        # point-object identity.
-        arr = np.asarray(y, dtype=float)
-        n = self.matrix_dim
-        if arr.shape != (n, n):
-            raise ValidationError(
-                f"spd point must have shape ({n}, {n}), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("spd point must be finite")
-        asym = float(np.max(np.abs(arr - arr.T)))
+    def _constrain(self, arr: np.ndarray) -> np.ndarray:
+        # Exactly symmetric inputs skip re-symmetrization, so re-wrapping a
+        # mapping preserves point-object identity.
+        asym = float(np.abs(arr - arr.swapaxes(-1, -2)).max(initial=0.0))
         if asym > SPD_SYMMETRY_TOL:
             raise ValidationError(
                 f"spd point must be symmetric within {SPD_SYMMETRY_TOL}, got "
                 f"max asymmetry {asym!r}")
         if asym > 0.0:
             arr = _sym(arr)
-        min_eig = float(np.linalg.eigvalsh(arr).min())
+        min_eig = float(np.linalg.eigvalsh(arr).min(initial=np.inf))
         if min_eig <= SPD_MIN_EIG:
             raise ValidationError(
                 f"spd point must have eigenvalues above {SPD_MIN_EIG}, got "
                 f"minimum {min_eig!r}")
         return arr
 
-    def distance(self, y, z) -> float:
-        y = _sym(np.asarray(y, float))
-        z = _sym(np.asarray(z, float))
-        if np.array_equal(y, z):
-            return 0.0  # self-distance is exactly zero, not eigensolver dust
-        _, isqrt = self._sqrt_isqrt(y)
-        mid = _sym(isqrt @ z @ isqrt)
-        w = np.linalg.eigvalsh(mid)
-        return float(np.linalg.norm(np.log(w)))
+    def distances(self, ys, zs) -> np.ndarray:
+        ys = _sym(np.asarray(ys, float))
+        zs = _sym(np.asarray(zs, float))
+        (isqrt,) = _eig_apply(ys, _inv_sqrt)
+        logs = np.log(np.linalg.eigvalsh(_sym(isqrt @ zs @ isqrt)))
+        # Self-distance is exactly zero, not eigensolver dust.
+        return np.where((ys == zs).all(axis=(-2, -1)), 0.0, _norms(logs))
 
     def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
         diff = np.abs(np.asarray(y, float) - np.asarray(z, float))
         return bool(np.max(diff) <= tol)
 
-    def geodesic_point(self, y, z, t: float) -> np.ndarray:
-        t = _check_fraction(t)
-        y = _sym(np.asarray(y, float))
-        z = _sym(np.asarray(z, float))
-        sqrt, isqrt = self._sqrt_isqrt(y)
-        mid = _sym(isqrt @ z @ isqrt)
-        powed = self._fun(mid, lambda w: np.power(w, t))
+    def geodesic_points(self, ys, zs, t) -> np.ndarray:
+        t = _check_fractions(t)[..., None]
+        sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
+        (powed,) = _eig_apply(isqrt @ _sym(np.asarray(zs, float)) @ isqrt,
+                              lambda w: np.power(w, t))
         return _sym(sqrt @ powed @ sqrt)
 
     def log_map(self, y, z) -> TangentVector:
         y = self.as_point(y)
         z = self.as_point(z)
-        sqrt, isqrt = self._sqrt_isqrt(y)
-        mid = _sym(isqrt @ z @ isqrt)
-        logm = self._fun(mid, np.log)
+        sqrt, isqrt = _eig_apply(y, np.sqrt, _inv_sqrt)
+        (logm,) = _eig_apply(isqrt @ z @ isqrt, np.log)
         return TangentVector(y, _sym(sqrt @ logm @ sqrt))
 
     def exp_map(self, y, v: TangentVector) -> np.ndarray:
         y = self.as_point(y)
         comp = _sym(np.asarray(v.components, float))
-        sqrt, isqrt = self._sqrt_isqrt(y)
-        mid = _sym(isqrt @ comp @ isqrt)
-        expm = self._fun(mid, np.exp)
+        sqrt, isqrt = _eig_apply(y, np.sqrt, _inv_sqrt)
+        (expm,) = _eig_apply(isqrt @ comp @ isqrt, np.exp)
         return _sym(sqrt @ expm @ sqrt)
 
     def tangent_norm(self, v: TangentVector) -> float:
         base = self.as_point(v.base)
         comp = _sym(np.asarray(v.components, float))
-        _, isqrt = self._sqrt_isqrt(base)
+        (isqrt,) = _eig_apply(base, _inv_sqrt)
         return float(np.linalg.norm(isqrt @ comp @ isqrt))
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal((self.matrix_dim, self.matrix_dim))
-        return self._fun(0.6 * _sym(g), np.exp)
+    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        g = rng.standard_normal((n, self.matrix_dim, self.matrix_dim))
+        return _eig_apply(0.6 * _sym(g), np.exp)[0]
 
     def random_tangent(self, base, rng: np.random.Generator,
                        norm: float = 1.0) -> TangentVector:
@@ -501,12 +642,6 @@ class Spd(TargetSpace):
 
     def to_config(self) -> dict:
         return {"kind": "spd", "matrix_dim": self.matrix_dim}
-
-    def point_to_jsonable(self, y):
-        return [[float(v) for v in row] for row in self.as_point(y)]
-
-    def point_from_jsonable(self, data):
-        return self.as_point(data)
 
 
 class MetricTree(TargetSpace):

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, StepCurve, metric_derivative, variation
+from .curves import (
+    SampledCurve,
+    StepCurve,
+    metric_derivative,
+    metric_speeds,
+    variation,
+)
 from .errors import ValidationError
 from .mappings import (
     FiniteMeasureSpace,
@@ -94,7 +100,10 @@ def decompose_ac(c: SampledCurve, p) -> TransportDecomposition:
 
 def per_atom_derivatives(d: TransportDecomposition) -> np.ndarray:
     """Metric derivatives of all atom slices; shape (atoms, nodes)."""
-    return np.array([metric_derivative(curve) for curve in d.per_atom_curves])
+    source = d.source
+    nodes = np.stack([m.points for m in source.values])
+    return metric_speeds(source.space.family.target, nodes,
+                         source.times_array).T
 
 
 def derivative_identity_residual(d: TransportDecomposition) -> np.ndarray:

@@ -1,0 +1,360 @@
+"""Tests for the batched target kernels and the layers routed through them.
+
+Each kernel is checked against a plain per-pair loop of the textbook
+formula (one matrix or vector at a time), and at the numerical edges:
+near-antipodal sphere pairs, ill-conditioned SPD matrices and the
+eigenvalue floor, identical pairs, batches of one point and of zero batch
+axes, the ``p = 1``, ``p -> 1+`` and ``p = inf`` mapping distances with a
+zero-weight atom, and stream-identical sampling.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nlsp import (
+    Euclidean,
+    FiniteMeasureSpace,
+    GeodesicError,
+    LpSpace,
+    MappingFamily,
+    MetricMapping,
+    Spd,
+    Sphere,
+    ValidationError,
+    d_p,
+    default_tree,
+    trial_rng,
+)
+from nlsp.targets import ANTIPODAL_MARGIN, SPD_MIN_EIG
+
+ARRAY_SPACES = [Euclidean(3), Sphere(3), Spd(2), Spd(3)]
+ARRAY_IDS = ["euclidean", "sphere", "spd2", "spd3"]
+ALL_SPACES = [*ARRAY_SPACES, default_tree()]
+ALL_IDS = [*ARRAY_IDS, "metric_tree"]
+
+
+# ---------------------------------------------------------------------------
+# Per-pair reference formulas
+# ---------------------------------------------------------------------------
+
+
+def _sym(a):
+    return 0.5 * (a + a.T)
+
+
+def _matrix_fun(a, fn):
+    w, v = np.linalg.eigh(_sym(a))
+    return _sym((v * fn(w)) @ v.T)
+
+
+def ref_distance(space, y, z) -> float:
+    if isinstance(space, Euclidean):
+        return float(np.linalg.norm(y - z))
+    if np.array_equal(y, z):
+        return 0.0
+    if isinstance(space, Sphere):
+        cos = float(np.dot(y, z))
+        return math.atan2(float(np.linalg.norm(z - cos * y)), cos)
+    isqrt = _matrix_fun(y, lambda w: 1.0 / np.sqrt(w))
+    mid = _sym(isqrt @ z @ isqrt)
+    return float(np.linalg.norm(np.log(np.linalg.eigvalsh(mid))))
+
+
+def ref_geodesic_point(space, y, z, t: float):
+    if isinstance(space, Euclidean):
+        return (1.0 - t) * y + t * z
+    if isinstance(space, Sphere):
+        theta = ref_distance(space, y, z)
+        if theta < 1e-15:
+            return y.copy()
+        s = math.sin(theta)
+        out = (math.sin((1.0 - t) * theta) / s) * y \
+            + (math.sin(t * theta) / s) * z
+        return out / np.linalg.norm(out)
+    sqrt = _matrix_fun(y, np.sqrt)
+    isqrt = _matrix_fun(y, lambda w: 1.0 / np.sqrt(w))
+    powed = _matrix_fun(_sym(isqrt @ z @ isqrt), lambda w: np.power(w, t))
+    return _sym(sqrt @ powed @ sqrt)
+
+
+def _geodesic_safe_batch(space, rng, shape):
+    """Two batches of the given batch shape, away from antipodal pairs."""
+    n = int(np.prod(shape))
+    ys = space.random_points(rng, n)
+    zs = space.random_points(rng, n)
+    if isinstance(space, Sphere):  # pull every second point toward its pair
+        zs = ys + 0.5 * zs
+        zs = zs / np.linalg.norm(zs, axis=-1, keepdims=True)
+    pt = ys.shape[1:]
+    return ys.reshape(shape + pt), zs.reshape(shape + pt)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the per-pair loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_distances_match_the_per_pair_loop(space):
+    """Over two batch axes, every distance is the per-pair formula's."""
+    rng = trial_rng(0, f"test/batched/dist/{space.kind}", 0)
+    ys, zs = _geodesic_safe_batch(space, rng, (6, 7))
+    got = space.distances(ys, zs)
+    assert got.shape == (6, 7)
+    for idx in np.ndindex(6, 7):
+        want = ref_distance(space, ys[idx], zs[idx])
+        assert got[idx] == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert space.distance(ys[idx], zs[idx]) == got[idx]
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_geodesic_points_match_the_per_pair_loop(space):
+    """Fractions on their own axis broadcast against the pair batch."""
+    rng = trial_rng(0, f"test/batched/geo/{space.kind}", 0)
+    ys, zs = _geodesic_safe_batch(space, rng, (9,))
+    fractions = np.linspace(0.0, 1.0, 5)
+    got = space.geodesic_points(ys, zs, fractions[:, None])
+    assert got.shape == (5, 9) + space.point_shape
+    for i, t in enumerate(fractions):
+        for j in range(9):
+            want = ref_geodesic_point(space, ys[j], zs[j], float(t))
+            np.testing.assert_allclose(got[i, j], want, rtol=1e-12,
+                                       atol=1e-13)
+    space.as_points(got)  # every interpolated point is a valid point
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=ALL_IDS)
+def test_random_points_read_the_stream_like_single_draws(space):
+    """``random_points(rng, n)`` equals ``n`` ``random_point`` draws and
+    leaves the generator in the same state."""
+    batched = trial_rng(3, f"test/batched/draw/{space.kind}", 0)
+    single = trial_rng(3, f"test/batched/draw/{space.kind}", 0)
+    points = space.random_points(batched, 7)
+    assert len(points) == 7
+    for point in points:
+        other = space.random_point(single)
+        if isinstance(point, np.ndarray) and point.dtype == float:
+            assert np.array_equal(point, other)
+        else:
+            assert point == other
+    assert batched.random() == single.random()
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=ALL_IDS)
+def test_identical_pairs_inside_a_batch_are_exactly_zero(space):
+    """Self-distance is exactly 0.0 per batch element, beside other pairs."""
+    rng = trial_rng(0, f"test/batched/self/{space.kind}", 0)
+    ys = space.random_points(rng, 6)
+    zs = space.random_points(rng, 6)
+    zs[::2] = ys[::2]
+    got = space.distances(ys, zs)
+    assert np.all(got[::2] == 0.0)
+    assert np.all(got[1::2] > 0.0)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=ALL_IDS)
+def test_batches_of_one_point(space):
+    """A batch of one keeps its batch axis through every kernel."""
+    rng = trial_rng(0, f"test/batched/one/{space.kind}", 0)
+    ys = space.random_points(rng, 1)
+    zs = space.random_points(rng, 1)
+    assert len(space.as_points(ys)) == 1
+    d = space.distances(ys, zs)
+    assert d.shape == (1,)
+    assert d[0] == space.distance(ys[0], zs[0])
+    assert len(space.geodesic_points(ys, zs, 0.25)) == 1
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_zero_batch_axes(space):
+    """Single points are batches with no batch axes."""
+    rng = trial_rng(0, f"test/batched/zero/{space.kind}", 0)
+    y = space.random_point(rng)
+    z = space.random_point(rng)
+    assert space.as_points(y) is y
+    assert space.distances(y, z).shape == ()
+    assert float(space.distances(y, z)) == space.distance(y, z)
+    g = space.geodesic_points(y, z, 0.5)
+    assert g.shape == space.point_shape
+    assert np.array_equal(g, space.geodesic_point(y, z, 0.5))
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_batched_validation_names_the_bad_point(space):
+    """One malformed or non-finite point fails the whole batch."""
+    rng = trial_rng(0, f"test/batched/bad/{space.kind}", 0)
+    points = space.random_points(rng, 4)
+    bad = points.copy()
+    bad[2] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        space.as_points(bad)
+    with pytest.raises(ValidationError, match="shape"):
+        space.as_point_tuple([*points[:3], np.zeros(5)])
+    with pytest.raises(ValidationError, match="parameter"):
+        space.geodesic_points(points[:2], points[2:], [0.5, 1.5])
+
+
+# ---------------------------------------------------------------------------
+# Sphere: near-antipodal pairs
+# ---------------------------------------------------------------------------
+
+
+def _pair_at_angle(theta: float):
+    y = np.array([1.0, 0.0, 0.0])
+    return y, np.array([math.cos(theta), math.sin(theta), 0.0])
+
+
+def test_sphere_pair_one_micro_radian_short_of_antipodal_computes():
+    sphere = Sphere(3)
+    y, z = _pair_at_angle(math.pi - 1e-6)
+    assert sphere.distances(y, z) == pytest.approx(math.pi - 1e-6, abs=1e-12)
+    mid = sphere.geodesic_points(y, z, 0.5)
+    assert sphere.distance(y, mid) == pytest.approx((math.pi - 1e-6) / 2,
+                                                    abs=1e-9)
+
+
+def test_sphere_pair_within_the_antipodal_margin_raises_with_its_mask():
+    """Only the pair within the margin is marked undefined."""
+    sphere = Sphere(3)
+    pairs = [_pair_at_angle(a) for a in
+             (0.5, math.pi - ANTIPODAL_MARGIN / 4, math.pi - 1e-6)]
+    ys = np.array([y for y, _ in pairs])
+    zs = np.array([z for _, z in pairs])
+    with pytest.raises(GeodesicError, match="antipodal") as info:
+        sphere.geodesic_points(ys, zs, 0.5)
+    assert info.value.undefined.tolist() == [False, True, False]
+    with pytest.raises(GeodesicError):
+        sphere.geodesic_point(ys[1], zs[1], 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap=st.floats(min_value=-12.0, max_value=-2.0),
+       t=st.floats(min_value=0.0, max_value=1.0))
+def test_sphere_kernel_near_antipodal_agrees_with_the_loop(gap, t):
+    """Angles pi - 10^gap: inside the margin the kernel raises, outside it
+    matches the per-pair formula."""
+    sphere = Sphere(3)
+    theta = math.pi - 10.0 ** gap
+    y, z = _pair_at_angle(theta)
+    ys = np.array([y, y])
+    zs = np.array([z, y])
+    if 10.0 ** gap < 0.5 * ANTIPODAL_MARGIN:
+        with pytest.raises(GeodesicError):
+            sphere.geodesic_points(ys, zs, t)
+        return
+    assume(10.0 ** gap > 2.0 * ANTIPODAL_MARGIN)  # clear of the boundary
+    d = sphere.distances(ys, zs)
+    assert d[0] == pytest.approx(ref_distance(sphere, y, z), abs=1e-12)
+    assert d[1] == 0.0
+    got = sphere.geodesic_points(ys, zs, t)
+    # The interpolation weights grow like 1 / sin(theta), and so does the
+    # effect of one rounding in them.
+    np.testing.assert_allclose(got[0], ref_geodesic_point(sphere, y, z, t),
+                               atol=1e-14 / 10.0 ** gap)
+    assert np.array_equal(got[1], y)
+
+
+# ---------------------------------------------------------------------------
+# SPD: conditioning and the eigenvalue floor
+# ---------------------------------------------------------------------------
+
+
+def _rotated(eigenvalues, angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    q = np.array([[c, -s], [s, c]])
+    return _sym((q * np.asarray(eigenvalues)) @ q.T)
+
+
+def test_spd_condition_number_1e8_matches_the_loop():
+    spd = Spd(2)
+    ys = np.array([_rotated((1.0, 1e-8), a) for a in (0.1, 0.7, 1.3)])
+    zs = np.array([_rotated((2.0, 3e-8), a) for a in (0.4, 0.2, 2.9)])
+    spd.as_points(ys)
+    got = spd.distances(ys, zs)
+    for j in range(3):
+        assert got[j] == pytest.approx(ref_distance(spd, ys[j], zs[j]),
+                                       rel=1e-8)
+    mid = spd.geodesic_points(ys, zs, 0.5)
+    spd.as_points(mid)
+    np.testing.assert_allclose(spd.distances(ys, mid), got / 2, rtol=1e-6)
+
+
+@pytest.mark.parametrize("factor,accepted", [(1.01, True), (0.99, False),
+                                             (1.0, False)])
+def test_spd_eigenvalue_floor_inside_a_batch(factor, accepted):
+    """An eigenvalue just above SPD_MIN_EIG passes; at or below it the
+    whole batch is refused."""
+    spd = Spd(2)
+    batch = np.array([np.eye(2), np.diag([1.0, factor * SPD_MIN_EIG])])
+    if accepted:
+        assert spd.as_points(batch) is batch
+    else:
+        with pytest.raises(ValidationError, match="eigenvalues above"):
+            spd.as_points(batch)
+
+
+def test_spd_batch_symmetrizes_only_within_tolerance():
+    spd = Spd(2)
+    nearly = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+    batch = spd.as_points(np.array([np.eye(2), nearly]))
+    assert np.array_equal(batch[1], batch[1].T)
+    with pytest.raises(ValidationError, match="symmetric"):
+        spd.as_points(np.array([np.eye(2), nearly + [[0, 0], [1e-9, 0]]]))
+
+
+# ---------------------------------------------------------------------------
+# Mapping distances
+# ---------------------------------------------------------------------------
+
+
+def _far_from(space, y):
+    """A point far from ``y``: farther than any random point."""
+    if isinstance(space, Sphere):
+        return -y
+    if isinstance(space, Spd):
+        return 1e6 * y
+    if isinstance(space, Euclidean):
+        return y + 1e6
+    return y  # metric trees: the random point stays
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=ALL_IDS)
+@pytest.mark.parametrize("p", [1.0, 1.0 + 1e-9, 2.0, math.inf],
+                         ids=["1", "1+1e-9", "2", "inf"])
+def test_d_p_with_a_zero_weight_atom_matches_the_loop(space, p):
+    """The weighted p-norm of per-atom distances; at p = inf the
+    zero-weight atom is ignored although it is the farthest."""
+    base = FiniteMeasureSpace(("a", "b", "c", "d"), (0.5, 0.0, 1.25, 0.75))
+    rng = trial_rng(0, f"test/batched/family/{space.kind}", 0)
+    family = MappingFamily(base, space, space.random_points(rng, 4))
+    f = family.random_mapping(rng)
+    values = list(family.random_mapping(rng).values)
+    values[1] = _far_from(space, f.values[1])
+    g = MetricMapping(family, values)
+    dists = [space.distance(a, b) for a, b in zip(f.values, g.values)]
+    w = base.weights
+    if math.isinf(p):
+        want = max(d for d, wj in zip(dists, w) if wj > 0.0)
+    else:
+        want = sum(wj * d ** p for d, wj in zip(dists, w)) ** (1.0 / p)
+    assert d_p(f, g, p) == pytest.approx(want, rel=1e-12)
+    batch = LpSpace(family, p).distances([f, f], [g, f])
+    assert batch[0] == d_p(f, g, p)
+    assert batch[1] == 0.0
+
+
+def test_mapping_validates_every_atom_in_one_batch():
+    spd = Spd(2)
+    base = FiniteMeasureSpace(("a", "b"), (1.0, 1.0))
+    family = MappingFamily(base, spd, (np.eye(2), np.eye(2)))
+    with pytest.raises(ValidationError, match="eigenvalues above"):
+        MetricMapping(family, (np.eye(2), np.diag([1.0, -1.0])))
+    m = MetricMapping(family, ([[2.0, 0.0], [0.0, 1.0]], np.eye(2)))
+    assert isinstance(m.values[0], np.ndarray)
+    assert np.array_equal(m.points, np.array(m.values))

@@ -3,8 +3,8 @@
 Runs real subcommands through Click's test runner and checks exit
 codes (0 pass / 1 invariant failure / 2 bad configuration), the
 summary.json structure, CSV artifacts, tolerance overrides, rejection
-of settings a battery does not use, and byte-level determinism of the
-written artifacts across output directories.
+of settings and tolerances a battery does not read, and byte-level
+determinism of the written artifacts across output directories.
 """
 
 from __future__ import annotations
@@ -277,3 +277,75 @@ def test_unusable_setting_values_exit_2(runner, tmp_path, command, name,
     assert result.exit_code == 2, result.output
     assert message in result.stderr
     assert name in result.stderr
+
+
+#: Subcommand argv -> a tolerance its battery never reads.
+UNREAD_TOLERANCES = {
+    ("fubini",): "speed_residual",
+    ("transport",): "fubini_rel",
+    ("transport", "--counterexample-p1"): "transport_residual",
+    ("geodesic",): "curvature_sign",
+    ("curvature",): "geodesic_residual",
+    ("length",): "speed_consistency",
+    ("speed",): "variation_residual",
+    ("skorokhod",): "order_min",
+}
+
+UNREAD = [(argv, name, source) for argv, name in UNREAD_TOLERANCES.items()
+          for source in ("flag", "file")]
+
+
+@pytest.mark.parametrize(
+    "argv,name,source", UNREAD,
+    ids=[f"{' '.join(a)}:{n}:{s}" for a, n, s in UNREAD])
+def test_unread_tolerances_are_rejected(runner, tmp_path, argv, name, source):
+    """A tolerance override the battery never reads exits 2 by name, from
+    a flag or from a config file alike."""
+    if source == "flag":
+        extra = ["--tolerance", f"{name}=1e-300"]
+    else:
+        cfg = write_json(tmp_path, "cfg.json", {"tolerances": {name: 1e-300}})
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*argv, *extra, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"field 'tolerances.{name}': not used by '{' '.join(argv)}'" \
+        in result.stderr
+    assert not out.exists()
+
+
+#: Battery argv, a tiny config, and a tolerance that battery reads.
+FORCED_FAILURES = [
+    (("geodesic",), {"trials": 1, "grid": 5, "p": 2}, "geodesic_residual"),
+    (("speed",), {"trials": 1, "p": 2, "grid": [65, 129]}, "speed_residual"),
+]
+
+
+@pytest.mark.parametrize("argv,settings,name", FORCED_FAILURES,
+                         ids=[n for _, _, n in FORCED_FAILURES])
+def test_read_tolerances_still_force_failures(runner, tmp_path, argv,
+                                              settings, name):
+    """An impossible tolerance the battery reads still fails it (exit 1)."""
+    cfg = write_json(tmp_path, "cfg.json", settings)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*argv, "--config", str(cfg),
+                                  "--tolerance", f"{name}=1e-300",
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert read_summary(out)["config"]["tolerances"] == {name: 1e-300}
+
+
+@pytest.mark.parametrize("sizes", [(4, 16), (16, 4)],
+                         ids=["4,16", "16,4"])
+def test_counterexample_sizes_repeat_in_the_order_given(runner, tmp_path,
+                                                        sizes):
+    """Each --n adds one counterexample size, in command-line order."""
+    out = tmp_path / "out"
+    flags = [arg for n in sizes for arg in ("--n", str(n))]
+    result = runner.invoke(main, ["transport", "--counterexample-p1", *flags,
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read_summary(out)["suites"]["counterexample"]["metrics"]["sizes"] \
+        == list(sizes)
+    rows = (out / "counterexample_p1.csv").read_text().splitlines()
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(sizes)
