@@ -1,18 +1,19 @@
 """Curve calculus over an arbitrary metric space.
 
 Works with any ambient exposing ``distance`` and the batched
-``as_point_tuple`` / ``distances``: concrete targets and
+``as_points`` / ``distances``: concrete targets and
 :class:`~nlsp.mappings.LpSpace` alike.  Each curve validates its samples
-with one batched call and keeps them as one batch, ``points``, so that
-sample distances take one batched call too.  Provides sampled curves with
-metric derivative, length, p-energy and constant-speed reparametrization;
-right-continuous step curves with total variation and its jump measure;
-and two-sided bounds for the Skorokhod distance between step curves.
+with one ``as_points`` call and keeps them as one batch, ``values``, whose
+first axis is time, so that sample distances take one batched call too; a
+curve built on a canonical batch (a retimed curve, say) shares its buffer.
+Provides sampled curves with metric derivative, length, p-energy and
+constant-speed reparametrization; right-continuous step curves with total
+variation and its jump measure; and two-sided bounds for the Skorokhod
+distance between step curves.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,22 +39,19 @@ def _check_times(times, what: str) -> tuple[float, ...]:
 class SampledCurve:
     """A curve known at finitely many strictly increasing times.
 
-    ``points`` holds ``values`` as one batch of the ambient space.
+    ``values`` is one batch of the ambient space: ``values[i]`` is the
+    sample at ``times[i]``.
     """
 
     space: object
     times: tuple[float, ...]
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         times = _check_times(self.times, "curve times")
-        values, points = self.space.as_point_tuple(self.values)
-        if len(values) != len(times):
-            raise ValidationError(
-                f"{len(values)} values for {len(times)} time nodes")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values",
+                           self.space.as_points(self.values, (len(times),)))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -70,7 +68,7 @@ class SampledCurve:
 
     def segment_lengths(self) -> np.ndarray:
         """Distances between consecutive samples."""
-        return self.space.distances(self.points[:-1], self.points[1:])
+        return self.space.distances(self.values[:-1], self.values[1:])
 
 
 def _require_multinode(c: SampledCurve, op: str) -> None:
@@ -89,7 +87,7 @@ def metric_derivative(c: SampledCurve) -> np.ndarray:
     one-sided quotients over their single adjacent segment.
     """
     _require_multinode(c, "metric_derivative")
-    return metric_speeds(c.space, c.points, c.times_array)
+    return metric_speeds(c.space, c.values, c.times_array)
 
 
 def metric_speeds(space, points, times) -> np.ndarray:
@@ -164,46 +162,49 @@ class StepCurve:
 
     ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the value
     at the final time ``b`` is the last piece's value, so the curve is
-    defined on all of ``[a, b]``.  ``points`` holds ``values`` as one batch
-    of the ambient space.
+    defined on all of ``[a, b]``.  ``values`` is one batch of the ambient
+    space.
     """
 
     space: object
     breakpoints: tuple[float, ...]
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         bp = _check_times(self.breakpoints, "breakpoints")
         if len(bp) < 2:
             raise ValidationError("a step curve needs at least two breakpoints")
-        values, points = self.space.as_point_tuple(self.values)
-        if len(values) != len(bp) - 1:
+        if len(self.values) != len(bp) - 1:
             raise ValidationError(
-                f"{len(values)} pieces for {len(bp)} breakpoints "
+                f"{len(self.values)} pieces for {len(bp)} breakpoints "
                 f"(need exactly breakpoints - 1)")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values",
+                           self.space.as_points(self.values, (len(bp) - 1,)))
 
     @property
     def interval(self) -> tuple[float, float]:
         return (self.breakpoints[0], self.breakpoints[-1])
 
-    def piece_index(self, t: float) -> int:
+    def piece_index(self, t):
+        """Index of the piece holding at time ``t`` (elementwise on arrays)."""
         a, b = self.interval
-        t = float(t)
-        if t < a - 1e-12 or t > b + 1e-12:
+        t = np.asarray(t, dtype=float)
+        outside = (t < a - 1e-12) | (t > b + 1e-12)
+        if outside.any():
             raise ValidationError(
-                f"time {t!r} lies outside the curve's interval [{a}, {b}]")
-        idx = bisect.bisect_right(self.breakpoints, t) - 1
-        return min(max(idx, 0), len(self.values) - 1)
+                f"time {float(t[outside].flat[0])!r} lies outside the "
+                f"curve's interval [{a}, {b}]")
+        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
+        return np.clip(idx, 0, len(self.values) - 1)
 
-    def value_at(self, t: float):
+    def value_at(self, t):
+        """The value at time ``t``; a batch of values for an array of times."""
         return self.values[self.piece_index(t)]
 
     def jumps(self) -> list[tuple[float, float]]:
         """Interior breakpoints with the distance jumped there, ascending."""
-        jumps = self.space.distances(self.points[:-1], self.points[1:])
+        jumps = self.space.distances(self.values[:-1], self.values[1:])
         return [(at, float(jump))
                 for at, jump in zip(self.breakpoints[1:-1], jumps)]
 
@@ -216,23 +217,20 @@ def variation(c, subinterval: tuple[float, float] | None = None) -> float:
     length over the sample segments wholly contained in the subinterval's
     closure.
     """
-    if isinstance(c, StepCurve):
-        a, b = c.interval
-        s, t = (a, b) if subinterval is None else map(float, subinterval)
-        if t < s:
-            raise ValidationError(f"empty subinterval ({s!r}, {t!r})")
-        return float(sum(jump for at, jump in c.jumps() if s < at < t))
+    if not isinstance(c, (StepCurve, SampledCurve)):
+        raise ValidationError(
+            f"variation expects a StepCurve or SampledCurve, got {type(c).__name__}")
     if isinstance(c, SampledCurve):
         _require_multinode(c, "variation")
-        a, b = c.interval
-        s, t = (a, b) if subinterval is None else map(float, subinterval)
-        if t < s:
-            raise ValidationError(f"empty subinterval ({s!r}, {t!r})")
-        return float(sum(
-            seg for seg, lo, hi in zip(c.segment_lengths(), c.times, c.times[1:])
-            if lo >= s and hi <= t))
-    raise ValidationError(
-        f"variation expects a StepCurve or SampledCurve, got {type(c).__name__}")
+    a, b = c.interval
+    s, t = (a, b) if subinterval is None else map(float, subinterval)
+    if t < s:
+        raise ValidationError(f"empty subinterval ({s!r}, {t!r})")
+    if isinstance(c, StepCurve):
+        return float(sum(jump for at, jump in c.jumps() if s < at < t))
+    return float(sum(
+        seg for seg, lo, hi in zip(c.segment_lengths(), c.times, c.times[1:])
+        if lo >= s and hi <= t))
 
 
 @dataclass(frozen=True)
@@ -359,12 +357,11 @@ def skorokhod_distance(c: StepCurve, g: StepCurve,
         raise ValidationError(
             f"warp_grid must be a positive integer, got {warp_grid!r}")
 
-    dist = c.space.distance
     knots = _merged_knots(c, g, int(warp_grid))
     n = len(knots)
-    c_vals = [c.value_at(knots[k]) for k in range(n - 1)]
-    g_vals = [g.value_at(knots[k]) for k in range(n - 1)]
-    pieces = np.array([[dist(cv, gv) for gv in g_vals] for cv in c_vals])
+    # pieces[k, l]: distance between c on knot cell k and g on knot cell l.
+    pieces = c.space.distances(c.value_at(knots[:-1])[:, None],
+                               g.value_at(knots[:-1])[None, :])
 
     lower = max(float(pieces.min(axis=1).max()),
                 float(pieces.min(axis=0).max()), 0.0)

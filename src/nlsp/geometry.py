@@ -66,8 +66,8 @@ def _require_positive_mass(base_space: FiniteMeasureSpace, op: str) -> None:
 class LpGeodesic:
     """A geodesic between two mappings, with its per-atom target geodesics.
 
-    ``curve`` lives in the ``LpSpace`` ambient; ``per_atom_curves[j]``
-    shares its point objects with ``curve``'s node mappings.
+    ``curve`` lives in the ``LpSpace`` ambient; ``per_atom_curves[j]`` and
+    ``curve``'s node mappings are views of one batch of target points.
     """
 
     start: MetricMapping
@@ -121,7 +121,7 @@ def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
     fractions[0], fractions[-1] = 0.0, 1.0
     times = tuple(float(t) for t in a + (b - a) * fractions)
 
-    ys, zs = f.points, g.points
+    ys, zs = f.values, g.values
     try:
         nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
     except GeodesicError as exc:
@@ -138,10 +138,8 @@ def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
 
     node_mappings = tuple(MetricMapping(family, row) for row in nodes)
     curve = SampledCurve(LpSpace(family, p), times, node_mappings)
-    per_atom = tuple(
-        SampledCurve(tgt, times,
-                     tuple(node.values[j] for node in curve.values))
-        for j in range(len(family.base_space)))
+    per_atom = tuple(SampledCurve(tgt, times, series)
+                     for series in nodes.swapaxes(0, 1))
     return LpGeodesic(start=f, end=g, p=p, curve=curve,
                       per_atom_curves=per_atom)
 
@@ -163,8 +161,8 @@ def constant_speed_residual(geo: LpGeodesic) -> float:
     # nodes^2 / 2 copies of a mapping's atoms in memory.
     for i in range(len(t) - 1):
         expected = (t[i + 1:] - t[i]) / (b - a) * total
-        gaps = np.abs(curve.space.distances(curve.points[i:i + 1],
-                                            curve.points[i + 1:]) - expected)
+        gaps = np.abs(curve.space.distances(curve.values[i:i + 1],
+                                            curve.values[i + 1:]) - expected)
         worst = max(worst, float(gaps.max()))
     return worst
 
@@ -174,7 +172,7 @@ def start_aligned_residuals(geo: LpGeodesic) -> np.ndarray:
     curve = geo.curve
     a, b = geo.interval
     expected = (curve.times_array - a) / (b - a) * geo.endpoint_distance()
-    return np.abs(curve.space.distances(curve.points[:1], curve.points)
+    return np.abs(curve.space.distances(curve.values[:1], curve.values)
                   - expected)
 
 
@@ -188,8 +186,8 @@ def geodesic_speed_check(geo: LpGeodesic) -> float:
         raise ValidationError(f"expected an LpGeodesic, got {type(geo).__name__}")
     a, b = geo.interval
     tgt = geo.family.target
-    speed = tgt.distances(geo.start.points, geo.end.points) / (b - a)
-    nodes = np.stack([m.points for m in geo.curve.values])
+    speed = tgt.distances(geo.start.values, geo.end.values) / (b - a)
+    nodes = geo.curve.space.stacked_values(geo.curve.values)
     md = metric_speeds(tgt, nodes, geo.curve.times_array)
     return float(np.max(np.abs(md - speed), initial=0.0))
 
@@ -217,7 +215,7 @@ def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
         raise ValidationError(f"t must lie in [0, 1], got {t!r}")
     if t == 0.0 or t == 1.0:
         return 0.0
-    mid = MetricMapping(f.family, f.target.geodesic_points(f.points, g.points, t))
+    mid = MetricMapping(f.family, f.target.geodesic_points(f.values, g.values, t))
     d_zm = d_p(z, mid, 2.0)
     d_zf = d_p(z, f, 2.0)
     d_zg = d_p(z, g, 2.0)

@@ -12,6 +12,10 @@ maximum over positive-weight atoms.
 :class:`TimeGrid`, with :func:`product_lp_norm` as the product-space
 distance and :func:`rectangular_simple` building piecewise-constant data
 from disjoint rectangles.
+
+Every container holds its points as one batch of the target, validated by
+one ``as_points`` call, with the atoms (after the time nodes, for product
+data) as batch axes; distances and norms are array expressions over it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .targets import POINT_EQ_TOL, TargetSpace, make_target
+from .targets import POINT_EQ_TOL, TargetSpace, _object_points, make_target
 
 
 def check_p(p, *, allow_inf: bool = True) -> float:
@@ -112,7 +116,7 @@ class MappingFamily:
 
     base_space: FiniteMeasureSpace
     target: TargetSpace
-    base_values: tuple
+    base_values: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.base_space, FiniteMeasureSpace):
@@ -122,14 +126,11 @@ class MappingFamily:
         if not isinstance(self.target, TargetSpace):
             raise ValidationError(
                 f"target must be a TargetSpace, got {type(self.target).__name__}")
-        vals, _ = self.target.as_point_tuple(self.base_values)
-        if len(vals) != len(self.base_space):
-            raise ValidationError(
-                f"{len(vals)} base values for {len(self.base_space)} atoms")
-        object.__setattr__(self, "base_values", vals)
+        object.__setattr__(self, "base_values", self.target.as_points(
+            self.base_values, (len(self.base_space),)))
 
     def mapping(self, values) -> "MetricMapping":
-        return MetricMapping(self, tuple(values))
+        return MetricMapping(self, values)
 
     def base_mapping(self) -> "MetricMapping":
         """The base mapping ``h`` itself, as a member of the family."""
@@ -162,21 +163,16 @@ def constant_family(base_space: FiniteMeasureSpace, target: TargetSpace,
 class MetricMapping:
     """One atomwise assignment of target points, bound to its family.
 
-    ``values`` holds one point per atom.  ``points`` holds the same values
-    as one batch for the target's batched primitives (a stacked array for
-    array targets); both are set when the values are validated.
+    ``values`` is one batch of the target over the atoms: ``values[j]`` is
+    the point of atom ``j``.
     """
 
     family: MappingFamily
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        vals, points = self.family.target.as_point_tuple(self.values)
-        if len(vals) != len(self.family.base_space):
-            raise ValidationError(
-                f"{len(vals)} values for {len(self.family.base_space)} atoms")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", self.family.target.as_points(
+            self.values, (len(self.family.base_space),)))
 
     @property
     def base_space(self) -> FiniteMeasureSpace:
@@ -205,24 +201,23 @@ def _require_same_family(f: MetricMapping, g: MetricMapping) -> None:
 def atom_distances(f: MetricMapping, g: MetricMapping) -> np.ndarray:
     """Pointwise target distances ``d_N(f_j, g_j)`` over all atoms."""
     _require_same_family(f, g)
-    return f.target.distances(f.points, g.points)
+    return f.target.distances(f.values, g.values)
 
 
-def _weighted_norm(dists: np.ndarray, space: FiniteMeasureSpace,
+def _weighted_norm(dists: np.ndarray, weights: np.ndarray,
                    p: float) -> np.ndarray:
-    """Weighted p-norm over the last (atom) axis of pointwise distances.
+    """Weighted p-norm over the last axis of pointwise distances.
 
-    For ``p = inf`` the maximum over positive-weight atoms.
+    For ``p = inf`` the maximum over positive weights (zero if none).
     """
     if math.isinf(p):
-        pos = list(space.positive_atoms)
-        if not pos:
+        pos = weights > 0.0
+        if not pos.any():
             return np.zeros(dists.shape[:-1])
         return dists[..., pos].max(axis=-1)
     # keepdims: the root is taken by the array power loop for every batch
     # shape, so one pair and a batch of pairs round alike.
-    total = np.add.reduce(dists ** p * space.weights_array, axis=-1,
-                          keepdims=True)
+    total = np.add.reduce(dists ** p * weights, axis=-1, keepdims=True)
     return (total ** (1.0 / p))[..., 0]
 
 
@@ -233,7 +228,8 @@ def d_p(f: MetricMapping, g: MetricMapping, p) -> float:
     the maximum pointwise distance over positive-weight atoms.
     """
     p = check_p(p)
-    return float(_weighted_norm(atom_distances(f, g), f.base_space, p))
+    return float(_weighted_norm(atom_distances(f, g),
+                                f.base_space.weights_array, p))
 
 
 def ae_equal(f: MetricMapping, g: MetricMapping,
@@ -250,8 +246,8 @@ class LpSpace:
 
     Provides the interface that curve calculus expects of an ambient space:
     ``distance`` / ``points_equal`` / ``as_point`` and their batched forms
-    ``distances`` / ``as_points`` / ``as_point_tuple``, whose batches are
-    object arrays of mappings.
+    ``distances`` / ``as_points``, whose batches are object arrays of
+    mappings.
     """
 
     def __init__(self, family: MappingFamily, p):
@@ -267,12 +263,22 @@ class LpSpace:
     def distances(self, fs, gs) -> np.ndarray:
         """``d_p`` between two batches of mappings, broadcast together;
         one target call covers every atom of every pair."""
-        if len(fs) == 0 or len(gs) == 0:
-            return np.zeros(0)
-        stacked = [np.stack([self.as_point(f).points for f in batch])
-                   for batch in (fs, gs)]
-        return _weighted_norm(self.family.target.distances(*stacked),
-                              self.family.base_space, self.p)
+        fs, gs = self.as_points(fs), self.as_points(gs)
+        if fs.size == 0 or gs.size == 0:
+            return np.zeros(np.broadcast_shapes(fs.shape, gs.shape))
+        # Stacked apart, so the target kernel broadcasts a batch of one
+        # mapping against many without repeating its work.
+        dists = self.family.target.distances(self.stacked_values(fs),
+                                             self.stacked_values(gs))
+        return _weighted_norm(dists, self.family.base_space.weights_array,
+                              self.p)
+
+    @staticmethod
+    def stacked_values(fs: np.ndarray) -> np.ndarray:
+        """The values of a non-empty object array of mappings as one target
+        batch, with the mapping axes in front of the atom axis."""
+        stacked = np.stack([f.values for f in fs.flat])
+        return stacked.reshape(fs.shape + stacked.shape[1:])
 
     def points_equal(self, f: MetricMapping, g: MetricMapping,
                      tol: float = POINT_EQ_TOL) -> bool:
@@ -286,12 +292,8 @@ class LpSpace:
             raise SpaceMismatchError("mapping belongs to a different family")
         return f
 
-    def as_points(self, values) -> np.ndarray:
-        return np.fromiter((self.as_point(f) for f in values), dtype=object)
-
-    def as_point_tuple(self, values) -> tuple[tuple, np.ndarray]:
-        batch = self.as_points(values)
-        return tuple(batch), batch
+    def as_points(self, values, shape=None) -> np.ndarray:
+        return _object_points(self.as_point, values, shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LpSpace(p={self.p}, atoms={len(self.family.base_space)}, "
@@ -379,12 +381,13 @@ def uniform_grid(a: float, b: float, n_nodes: int,
 class ProductGridMapping:
     """Target values on (time node) x (atom), bound to a grid and family.
 
-    ``values[i][j]`` is the point assigned to time node ``i`` and atom ``j``.
+    ``values`` is one batch of the target over the axes (time node, atom):
+    ``values[i, j]`` is the point assigned to node ``i`` and atom ``j``.
     """
 
     grid: TimeGrid
     family: MappingFamily
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.grid, TimeGrid):
@@ -393,22 +396,11 @@ class ProductGridMapping:
         if not isinstance(self.family, MappingFamily):
             raise ValidationError(
                 f"family must be a MappingFamily, got {type(self.family).__name__}")
-        tgt = self.family.target
-        rows = []
-        for i, row in enumerate(self.values):
-            row, _ = tgt.as_point_tuple(row)
-            if len(row) != len(self.family.base_space):
-                raise ValidationError(
-                    f"row {i} has {len(row)} values for "
-                    f"{len(self.family.base_space)} atoms")
-            rows.append(row)
-        if len(rows) != len(self.grid):
-            raise ValidationError(
-                f"{len(rows)} value rows for {len(self.grid)} grid nodes")
-        object.__setattr__(self, "values", tuple(rows))
+        object.__setattr__(self, "values", self.family.target.as_points(
+            self.values, (len(self.grid), len(self.family.base_space))))
 
     def value(self, i: int, j: int):
-        return self.values[i][j]
+        return self.values[i, j]
 
     def node_mapping(self, i: int) -> MetricMapping:
         """The time slice at node ``i`` as a mapping of the family."""
@@ -416,8 +408,10 @@ class ProductGridMapping:
 
 
 def constant_in_time(grid: TimeGrid, f: MetricMapping) -> ProductGridMapping:
-    """Extend a single mapping to a time-constant product mapping."""
-    return ProductGridMapping(grid, f.family, (f.values,) * len(grid))
+    """Extend a single mapping to a time-constant product mapping; its
+    values are a read-only broadcast view of ``f``'s."""
+    return ProductGridMapping(grid, f.family, np.broadcast_to(
+        f.values, (len(grid),) + f.values.shape))
 
 
 def rectangular_simple(time_grid: TimeGrid, base_space: FiniteMeasureSpace,
@@ -450,9 +444,8 @@ def rectangular_simple(time_grid: TimeGrid, base_space: FiniteMeasureSpace,
         return idx
 
     covered = np.zeros((n_cells, len(base_space)), dtype=bool)
-    # cell -> atom -> point, defaulting to h.
-    cell_values = [[h.values[j] for j in range(len(base_space))]
-                   for _ in range(n_cells)]
+    # Every cell starts at h's values; the rectangles paint over them.
+    cells = np.repeat(h.values[None], n_cells, axis=0)
     for r, rect in enumerate(rectangles):
         try:
             (t_lo, t_hi), atoms, point = rect
@@ -465,7 +458,7 @@ def rectangular_simple(time_grid: TimeGrid, base_space: FiniteMeasureSpace,
         if hi <= lo:
             raise ValidationError(
                 f"rectangle {r} has empty time interval [{t_lo!r}, {t_hi!r})")
-        atoms = tuple(int(j) for j in atoms)
+        atoms = [int(j) for j in atoms]
         if not atoms:
             raise ValidationError(f"rectangle {r} lists no atoms")
         for j in atoms:
@@ -473,23 +466,21 @@ def rectangular_simple(time_grid: TimeGrid, base_space: FiniteMeasureSpace,
                 raise ValidationError(
                     f"rectangle {r} names atom index {j} outside "
                     f"[0, {len(base_space)})")
+        if len(set(atoms)) != len(atoms):
+            raise ValidationError(f"rectangle {r} lists an atom twice")
         point = tgt.as_point(point)
-        for i in range(lo, hi):
-            for j in atoms:
-                if covered[i, j]:
-                    raise ValidationError(
-                        f"rectangle {r} overlaps an earlier rectangle at "
-                        f"cell {i}, atom {base_space.atom_ids[j]!r}")
-                covered[i, j] = True
-                cell_values[i][j] = point
+        hits = np.argwhere(covered[lo:hi, atoms])
+        if len(hits):
+            i, k = hits[0]
+            raise ValidationError(
+                f"rectangle {r} overlaps an earlier rectangle at cell "
+                f"{lo + i}, atom {base_space.atom_ids[atoms[k]]!r}")
+        covered[lo:hi, atoms] = True
+        cells[lo:hi, atoms] = point
 
-    if n_cells:
-        rows = [tuple(row) for row in cell_values]
-        rows.append(tuple(cell_values[-1]))
-    else:  # pragma: no cover - grids always have >= 1 cell
-        rows = []
     grid = TimeGrid(time_grid.nodes, "left_cells")
-    return ProductGridMapping(grid, h.family, tuple(rows))
+    return ProductGridMapping(grid, h.family,
+                              np.concatenate([cells, cells[-1:]]))
 
 
 def _require_same_product(c1: ProductGridMapping, c2: ProductGridMapping) -> None:
@@ -511,29 +502,9 @@ def product_lp_norm(c1: ProductGridMapping, c2: ProductGridMapping, p) -> float:
     """
     p = check_p(p)
     _require_same_product(c1, c2)
-    tgt = c1.family.target
-    tau = c1.grid.node_weights
-    w = c1.family.base_space.weights_array
-    if math.isinf(p):
-        best = 0.0
-        pos = c1.family.base_space.positive_atoms
-        for i in range(len(c1.grid)):
-            if tau[i] <= 0.0:
-                continue
-            for j in pos:
-                best = max(best, tgt.distance(c1.values[i][j], c2.values[i][j]))
-        return float(best)
-    total = 0.0
-    for i in range(len(c1.grid)):
-        if tau[i] == 0.0:
-            continue
-        inner = 0.0
-        for j in range(len(w)):
-            if w[j] == 0.0:
-                continue
-            inner += w[j] * tgt.distance(c1.values[i][j], c2.values[i][j]) ** p
-        total += tau[i] * inner
-    return float(total ** (1.0 / p))
+    dists = c1.family.target.distances(c1.values, c2.values)
+    weights = np.outer(c1.grid.node_weights, c1.family.base_space.weights_array)
+    return float(_weighted_norm(dists.ravel(), weights.ravel(), p))
 
 
 # ---------------------------------------------------------------------------

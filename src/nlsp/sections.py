@@ -8,6 +8,12 @@ readings are isometric to the product distance when time carries exponent
 evaluate the two iterated norms, and :func:`transpose` /
 :func:`transpose_inverse` swap the readings without touching any value.
 
+Both readings are views sharing the product data's one batch of shape
+``(node, atom, *point_shape)``: :func:`sec_time` takes its rows and
+:func:`sec_atom` its ``swapaxes(0, 1)``.  Reading back from a curve of
+mappings stacks a new batch.  Every reading and every round trip returns
+values bitwise equal to its source.
+
 :func:`approximate_by_rectangles` greedily compresses product data into
 rectangles, reporting the product-norm error actually achieved.
 """
@@ -21,12 +27,14 @@ import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 from .mappings import (
+    LpSpace,
     MappingFamily,
     MetricMapping,
     ProductGridMapping,
     TimeGrid,
+    _weighted_norm,
     check_p,
-    d_p,
+    constant_in_time,
     product_lp_norm,
 )
 
@@ -60,62 +68,42 @@ class CurveOfMappings:
 
 @dataclass(frozen=True)
 class MappingOfCurves:
-    """Atom-major reading: one target-valued time series per atom."""
+    """Atom-major reading: one target-valued time series per atom.
+
+    ``atom_values`` is one batch over the axes (atom, time node):
+    ``atom_values[j, i]`` is atom ``j`` at grid node ``i``.
+    """
 
     family: MappingFamily
     grid: TimeGrid
-    atom_values: tuple  # atom_values[j][i]: atom j at grid node i
+    atom_values: np.ndarray
 
     def __post_init__(self):
-        tgt = self.family.target
-        rows = []
-        for j, row in enumerate(self.atom_values):
-            row, _ = tgt.as_point_tuple(row)
-            if len(row) != len(self.grid):
-                raise ValidationError(
-                    f"atom {j} has {len(row)} samples for "
-                    f"{len(self.grid)} grid nodes")
-            rows.append(row)
-        if len(rows) != len(self.family.base_space):
-            raise ValidationError(
-                f"{len(rows)} atom series for "
-                f"{len(self.family.base_space)} atoms")
-        object.__setattr__(self, "atom_values", tuple(rows))
+        object.__setattr__(self, "atom_values", self.family.target.as_points(
+            self.atom_values, (len(self.family.base_space), len(self.grid))))
 
 
 def sec_time(pm: ProductGridMapping) -> CurveOfMappings:
-    """Read product data as a curve of mappings.
-
-    The node mappings reuse the product data's value tuples, so
-    ``sec_time(pm).mappings[i][j] is pm.values[i][j]``.
-    """
+    """Read product data as a curve of mappings; node ``i`` holds the row
+    view ``pm.values[i]``."""
     return CurveOfMappings(
         pm.grid, tuple(MetricMapping(pm.family, row) for row in pm.values))
 
 
 def sec_time_inverse(cm: CurveOfMappings) -> ProductGridMapping:
+    """Stack the node mappings into product data (a new batch)."""
     return ProductGridMapping(
-        cm.grid, cm.family, tuple(m.values for m in cm.mappings))
+        cm.grid, cm.family, np.stack([m.values for m in cm.mappings]))
 
 
 def sec_atom(pm: ProductGridMapping) -> MappingOfCurves:
-    """Read product data as a mapping into curve space.
-
-    The per-atom series reuse the product data's point objects, so
-    ``sec_atom(pm).atom_values[j][i] is pm.values[i][j]``.
-    """
-    n_atoms = len(pm.family.base_space)
-    return MappingOfCurves(
-        pm.family, pm.grid,
-        tuple(tuple(row[j] for row in pm.values) for j in range(n_atoms)))
+    """Read product data as a mapping into curve space; the atom series are
+    the view ``pm.values.swapaxes(0, 1)``."""
+    return MappingOfCurves(pm.family, pm.grid, pm.values.swapaxes(0, 1))
 
 
 def sec_atom_inverse(mc: MappingOfCurves) -> ProductGridMapping:
-    n_nodes = len(mc.grid)
-    return ProductGridMapping(
-        mc.grid, mc.family,
-        tuple(tuple(series[i] for series in mc.atom_values)
-              for i in range(n_nodes)))
+    return ProductGridMapping(mc.grid, mc.family, mc.atom_values.swapaxes(0, 1))
 
 
 def transpose(cm: CurveOfMappings) -> MappingOfCurves:
@@ -124,7 +112,8 @@ def transpose(cm: CurveOfMappings) -> MappingOfCurves:
 
 
 def transpose_inverse(mc: MappingOfCurves) -> CurveOfMappings:
-    """Inverse of :func:`transpose`; a round trip reuses every point object."""
+    """Inverse of :func:`transpose`; its node mappings are views of
+    ``mc``'s batch."""
     return sec_time(sec_atom_inverse(mc))
 
 
@@ -135,9 +124,7 @@ def base_curve_of_mappings(grid: TimeGrid, family: MappingFamily) -> CurveOfMapp
 
 def base_mapping_of_curves(grid: TimeGrid, family: MappingFamily) -> MappingOfCurves:
     """The base mapping held constant in time, read atom-major."""
-    return MappingOfCurves(
-        family, grid,
-        tuple((v,) * len(grid) for v in family.base_values))
+    return sec_atom(constant_in_time(grid, family.base_mapping()))
 
 
 def _require_shared(a, b, kind: str) -> None:
@@ -157,17 +144,8 @@ def d_pp(c1: CurveOfMappings, c2: CurveOfMappings, p) -> float:
         raise ValidationError("d_pp expects two CurveOfMappings")
     _require_shared(c1, c2, "curves of mappings")
     p = check_p(p)
-    tau = c1.grid.node_weights
-    if math.isinf(p):
-        vals = [d_p(a, b, p) for (a, b, w) in
-                zip(c1.mappings, c2.mappings, tau) if w > 0.0]
-        return float(max(vals)) if vals else 0.0
-    total = 0.0
-    for a, b, w in zip(c1.mappings, c2.mappings, tau):
-        if w == 0.0:
-            continue
-        total += w * d_p(a, b, p) ** p
-    return float(total ** (1.0 / p))
+    node_dists = LpSpace(c1.family, p).distances(c1.mappings, c2.mappings)
+    return float(_weighted_norm(node_dists, c1.grid.node_weights, p))
 
 
 def D_pp(m1: MappingOfCurves, m2: MappingOfCurves, p) -> float:
@@ -180,30 +158,9 @@ def D_pp(m1: MappingOfCurves, m2: MappingOfCurves, p) -> float:
         raise ValidationError("D_pp expects two MappingOfCurves")
     _require_shared(m1, m2, "mappings of curves")
     p = check_p(p)
-    tgt = m1.family.target
-    tau = m1.grid.node_weights
-    w = m1.family.base_space.weights_array
-    if math.isinf(p):
-        best = 0.0
-        for j in m1.family.base_space.positive_atoms:
-            for i in range(len(m1.grid)):
-                if tau[i] <= 0.0:
-                    continue
-                best = max(best, tgt.distance(m1.atom_values[j][i],
-                                              m2.atom_values[j][i]))
-        return float(best)
-    total = 0.0
-    for j in range(len(w)):
-        if w[j] == 0.0:
-            continue
-        inner = 0.0
-        for i in range(len(m1.grid)):
-            if tau[i] == 0.0:
-                continue
-            inner += tau[i] * tgt.distance(m1.atom_values[j][i],
-                                           m2.atom_values[j][i]) ** p
-        total += w[j] * inner
-    return float(total ** (1.0 / p))
+    dists = m1.family.target.distances(m1.atom_values, m2.atom_values)
+    atom_norms = _weighted_norm(dists, m1.grid.node_weights, p)
+    return float(_weighted_norm(atom_norms, m1.family.base_space.weights_array, p))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +180,7 @@ class RectangleApproximation:
 def approximate_by_rectangles(pm: ProductGridMapping, p, tol: float,
                               max_rectangles: int | None = None
                               ) -> RectangleApproximation:
-    """Greedily split node-range x atom-set rectangles until the product
+    """Greedily split node-range x atom-range rectangles until the product
     norm error drops to ``tol`` (or the rectangle budget runs out).
 
     Each rectangle is represented by its first value; the worst rectangle
@@ -240,28 +197,16 @@ def approximate_by_rectangles(pm: ProductGridMapping, p, tol: float,
         raise ValidationError(
             f"max_rectangles must be a positive integer, got {max_rectangles!r}")
 
-    tgt = pm.family.target
-    tau = pm.grid.node_weights
-    w = pm.family.base_space.weights_array
-    n_nodes = len(pm.grid)
-    n_atoms = len(w)
+    weights = np.outer(pm.grid.node_weights, pm.family.base_space.weights_array)
+    n_nodes, n_atoms = weights.shape
 
-    def contribution(nodes: range, atoms: tuple[int, ...], rep):
-        total = 0.0
-        for i in nodes:
-            if tau[i] == 0.0:
-                continue
-            for j in atoms:
-                if w[j] == 0.0:
-                    continue
-                total += tau[i] * w[j] * tgt.distance(pm.values[i][j], rep) ** p
-        return total
+    def make(nodes: range, atoms: range):
+        block = np.ix_(nodes, atoms)
+        rep = pm.values[np.ix_(nodes[:1], atoms[:1])]
+        dists = pm.family.target.distances(pm.values[block], rep)
+        return [float(np.sum(weights[block] * dists ** p)), nodes, atoms, rep]
 
-    def make(nodes: range, atoms: tuple[int, ...]):
-        rep = pm.values[nodes.start][atoms[0]]
-        return [contribution(nodes, atoms, rep), nodes, atoms, rep]
-
-    rects = [make(range(n_nodes), tuple(range(n_atoms)))]
+    rects = [make(range(n_nodes), range(n_atoms))]
     budget = math.inf if max_rectangles is None else int(max_rectangles)
     while len(rects) < budget:
         errors = [r[0] for r in rects]
@@ -280,13 +225,10 @@ def approximate_by_rectangles(pm: ProductGridMapping, p, tol: float,
             break  # single cell: representative equals the value, error 0
         rects[k:k + 1] = [make(nds, ats) for nds, ats in parts]
 
-    grid_values = [[None] * n_atoms for _ in range(n_nodes)]
+    painted = np.empty_like(pm.values)
     for _, nodes, atoms, rep in rects:
-        for i in nodes:
-            for j in atoms:
-                grid_values[i][j] = rep
-    approx = ProductGridMapping(pm.grid, pm.family,
-                                tuple(tuple(row) for row in grid_values))
+        painted[np.ix_(nodes, atoms)] = rep
+    approx = ProductGridMapping(pm.grid, pm.family, painted)
     return RectangleApproximation(
         approximation=approx,
         n_rectangles=len(rects),

@@ -18,6 +18,15 @@ Ayache (IJCV 2006).  Their scalar ``as_point`` / ``distance`` /
 axes.  Metric trees use the looping defaults of :class:`TargetSpace`, whose
 batches are object arrays of :class:`TreePoint`.
 
+``as_points`` is the one door through which points enter a container: a
+batch is a float array of shape ``(..., *point_shape)`` for the array
+spaces and an object array over the batch axes otherwise.  A batch that is
+already canonical comes back as itself, so a container that re-reads
+another container's batch, or a view of one, shares its buffer; any other
+input is copied into a new batch.  Input that does not form one batch
+(ragged, non-numeric or of the wrong shape) raises
+:class:`~nlsp.errors.ValidationError` naming the offending entry.
+
 Each space declares a ``curvature_class`` — ``"flat"``, ``"global_npc"``
 (triangles thinner than Euclidean ones) or ``"global_nnc"`` (fatter) —
 which the curvature-comparison experiments read to decide which sign of
@@ -26,7 +35,6 @@ residual they must certify.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -81,11 +89,59 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _object_array(points) -> np.ndarray:
-    """Points as an object array: as given, or one entry per item."""
+def _object_array(points, ndim: int = 1) -> np.ndarray:
+    """Points as an object array: as given, or nested sequences ``ndim``
+    deep."""
     if isinstance(points, np.ndarray) and points.dtype == object:
         return points
-    return np.fromiter(points, dtype=object)
+    if ndim == 1:
+        return np.fromiter(points, dtype=object)
+    rows = [_object_array(row, ndim - 1) for row in points]
+    if len({row.shape for row in rows}) > 1:
+        raise ValidationError(
+            f"points do not form one batch: rows of shapes "
+            f"{[row.shape for row in rows]}")
+    return np.stack(rows) if rows else np.empty((0,) * ndim, dtype=object)
+
+
+def _object_points(as_point, values, shape=None) -> np.ndarray:
+    """Validate a batch of points held in an object array, given as one or
+    as nested sequences ``len(shape)`` deep (default one).  The batch comes
+    back as itself when every entry already is canonical."""
+    batch = _object_array(values, 1 if shape is None else len(shape))
+    _check_batch_shape(batch.shape, shape)
+    out = np.empty(batch.shape, dtype=object)
+    for idx in np.ndindex(batch.shape):
+        out[idx] = as_point(batch[idx])
+    return batch if all(a is b for a, b in zip(out.flat, batch.flat)) else out
+
+
+def _malformed_entry(values, path=()) -> tuple[tuple, object, str]:
+    """Index path, value and fault of the first entry that keeps
+    ``values`` from being one regular numeric array: an entry that is not
+    numeric, or whose shape differs from most of its siblings'."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        return path, values, "is not numeric"
+    items = list(values)
+    shapes = []
+    for k, item in enumerate(items):
+        try:
+            shapes.append(np.shape(np.asarray(item, dtype=float)))
+        except (TypeError, ValueError):
+            return _malformed_entry(item, path + (k,))
+    common = max(shapes, key=shapes.count)
+    k = next((k for k, s in enumerate(shapes) if s != common), None)
+    if k is None:
+        return path, values, "is not one numeric array"
+    return (path + (k,), items[k],
+            f"has shape {shapes[k]}, unlike the shape {common} of its siblings")
+
+
+def _check_batch_shape(got: tuple, shape) -> None:
+    """Refuse a batch whose batch axes are not ``shape`` (None: any)."""
+    if shape is not None and got != tuple(shape):
+        raise ValidationError(
+            f"expected a batch of points of shape {tuple(shape)}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -170,19 +226,13 @@ class TargetSpace(ABC):
     # Looping defaults over object arrays of points; the array spaces
     # override all of them with kernels over the batch axes.
 
-    def as_points(self, values) -> np.ndarray:
-        """Validate a batch of points and return it in canonical form."""
-        return _object_array([self.as_point(v) for v in values])
+    def as_points(self, values, shape=None) -> np.ndarray:
+        """Validate a batch of points and return it in canonical form.
 
-    def as_point_tuple(self, values) -> tuple[tuple, np.ndarray]:
-        """Validate a sequence of points with one :meth:`as_points` call.
-
-        Returns the points as a tuple and as one batch.  An entry that is
-        already canonical is kept itself, so re-wrapping a container's
-        values preserves point-object identity.
+        ``shape``, if given, is the batch shape the caller requires; it
+        also tells how deep nested sequences of points go.
         """
-        batch = self.as_points(values)
-        return tuple(batch), batch
+        return _object_points(self.as_point, values, shape)
 
     def distances(self, ys, zs) -> np.ndarray:
         """Distances between two batches of points, broadcast together."""
@@ -301,34 +351,27 @@ class _ArrayTarget(TargetSpace):
             raise ValidationError(f"{self.kind} point must be finite")
         return self._constrain(arr)
 
-    # asarray keeps canonical float arrays as-is, so re-wrapping a point
-    # preserves its identity.
+    # asarray keeps canonical float arrays as they are, so a container
+    # re-reading a batch, or a view of one, shares its buffer.
 
-    def as_points(self, values) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)
-        return self._checked(
-            arr, arr.shape[max(arr.ndim - len(self.point_shape), 0):])
+    def _float_array(self, values) -> np.ndarray:
+        try:
+            return np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            path, value, fault = _malformed_entry(values)
+        where = f" at index {list(path)}" if path else ""
+        raise ValidationError(f"{self.kind} point {value!r}{where} {fault}")
+
+    def as_points(self, values, shape=None) -> np.ndarray:
+        arr = self._float_array(values)
+        lead = max(arr.ndim - len(self.point_shape), 0)
+        points = self._checked(arr, arr.shape[lead:])
+        _check_batch_shape(arr.shape[:lead], shape)
+        return points
 
     def as_point(self, y) -> np.ndarray:
-        arr = np.asarray(y, dtype=float)
+        arr = self._float_array(y)
         return self._checked(arr, arr.shape)
-
-    def as_point_tuple(self, values) -> tuple[tuple, np.ndarray]:
-        items = values if isinstance(values, np.ndarray) else tuple(values)
-        try:
-            raw = np.asarray(items, dtype=float)
-        except ValueError:  # ragged entries
-            raw = None
-        if raw is None or raw.shape != (len(items), *self.point_shape):
-            for y in items:
-                self.as_point(y)  # raises, naming the malformed point
-            raw = np.empty((0, *self.point_shape))  # there were no entries
-        batch = self.as_points(raw)
-        same = (itertools.repeat(True) if batch is raw else
-                (batch == raw).all(axis=tuple(range(1, raw.ndim))))
-        return tuple(
-            y if keep and type(y) is np.ndarray and y.dtype is batch.dtype
-            else b for y, b, keep in zip(items, batch, same)), batch
 
     def distance(self, y, z) -> float:
         return float(self.distances(y, z))
@@ -571,8 +614,8 @@ class Spd(_ArrayTarget):
         self.point_shape = (self.matrix_dim, self.matrix_dim)
 
     def _constrain(self, arr: np.ndarray) -> np.ndarray:
-        # Exactly symmetric inputs skip re-symmetrization, so re-wrapping a
-        # mapping preserves point-object identity.
+        # Exactly symmetric inputs skip re-symmetrization, so re-reading a
+        # batch shares its buffer.
         asym = float(np.abs(arr - arr.swapaxes(-1, -2)).max(initial=0.0))
         if asym > SPD_SYMMETRY_TOL:
             raise ValidationError(
@@ -751,7 +794,8 @@ class MetricTree(TargetSpace):
             raise ValidationError(
                 f"offset must lie in [0, {length}] on edge {y.edge}, got {off!r}")
         clamped = min(max(off, 0.0), length)
-        # Canonical points pass through unchanged so identity is preserved.
+        # Canonical points pass through unchanged, so a batch of them is
+        # kept as it is.
         if clamped == y.offset and isinstance(y.edge, int):
             return y
         return TreePoint(int(y.edge), clamped)

@@ -24,8 +24,11 @@ from nlsp import (
     LpSpace,
     MappingFamily,
     MetricMapping,
+    ProductGridMapping,
     Spd,
     Sphere,
+    TimeGrid,
+    TreePoint,
     ValidationError,
     d_p,
     default_tree,
@@ -195,7 +198,7 @@ def test_batched_validation_names_the_bad_point(space):
     with pytest.raises(ValidationError, match="finite"):
         space.as_points(bad)
     with pytest.raises(ValidationError, match="shape"):
-        space.as_point_tuple([*points[:3], np.zeros(5)])
+        space.as_points([*points[:3], np.zeros(5)])
     with pytest.raises(ValidationError, match="parameter"):
         space.geodesic_points(points[:2], points[2:], [0.5, 1.5])
 
@@ -356,5 +359,43 @@ def test_mapping_validates_every_atom_in_one_batch():
     with pytest.raises(ValidationError, match="eigenvalues above"):
         MetricMapping(family, (np.eye(2), np.diag([1.0, -1.0])))
     m = MetricMapping(family, ([[2.0, 0.0], [0.0, 1.0]], np.eye(2)))
-    assert isinstance(m.values[0], np.ndarray)
-    assert np.array_equal(m.points, np.array(m.values))
+    assert isinstance(m.values, np.ndarray) and m.values.shape == (2, 2, 2)
+    assert np.array_equal(m.values, [np.diag([2.0, 1.0]), np.eye(2)])
+    assert MetricMapping(family, m.values).values is m.values
+
+
+def test_as_points_refuses_ragged_and_non_numeric_input():
+    """Input that is no regular numeric batch raises ValidationError
+    naming the offending entry, not numpy's ValueError."""
+    sphere = Sphere(3)
+    with pytest.raises(ValidationError, match=r"\[1.0, 0.0\] at index \[1\]"):
+        sphere.as_points([[1.0, 0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match="'abc' is not numeric"):
+        sphere.as_points("abc")
+    with pytest.raises(ValidationError, match=r"'x' at index \[1, 2\]"):
+        sphere.as_points([[1.0, 0.0, 0.0], [0.0, 1.0, "x"]])
+
+
+def test_ragged_mapping_values_raise_validation_error():
+    base = FiniteMeasureSpace(("a", "b"), (1.0, 1.0))
+    family = MappingFamily(base, Sphere(3), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+    with pytest.raises(ValidationError, match="index"):
+        MetricMapping(family, ([1.0, 0.0, 0.0], [0.0, 1.0]))
+    with pytest.raises(ValidationError, match="shape"):
+        MetricMapping(family, ([1.0, 0.0, 0.0],))
+
+
+def test_ragged_product_row_raises_validation_error():
+    """A product row with one atom missing is named by its row index."""
+    base = FiniteMeasureSpace(("a", "b"), (1.0, 1.0))
+    family = MappingFamily(base, Euclidean(2), (np.zeros(2), np.ones(2)))
+    grid = TimeGrid((0.0, 0.5, 1.0))
+    row = (np.zeros(2), np.ones(2))
+    with pytest.raises(ValidationError, match=r"at index \[1\] has shape"):
+        ProductGridMapping(grid, family, (row, row[:1], row))
+    tree = default_tree()
+    tree_family = MappingFamily(base, tree, ((0, 0.0), (1, 0.5)))
+    tree_row = (TreePoint(0, 0.0), TreePoint(1, 0.5))
+    with pytest.raises(ValidationError, match="rows of shapes"):
+        ProductGridMapping(grid, tree_family,
+                           (tree_row, tree_row[:1], tree_row))

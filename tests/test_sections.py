@@ -30,6 +30,7 @@ from nlsp import (
     base_mapping_of_curves,
     constant_in_time,
     d_pp,
+    default_tree,
     product_lp_norm,
     sec_atom,
     sec_atom_inverse,
@@ -62,40 +63,48 @@ def random_product_mapping(target, rng, n_nodes=7, n_atoms=4, rule="trapezoid"):
 # ---------------------------------------------------------------------------
 
 
+def bitwise_equal(a, b):
+    """Same shape and the same bytes: stricter than ==, which takes -0.0
+    for 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_sections_reuse_point_objects():
-    """Both readings expose the original point objects, not copies."""
+    """Both readings are views sharing the product data's buffer."""
     rng = trial_rng(0, "test/sections-exact", 0)
     pm = random_product_mapping(Euclidean(2), rng)
     cm = sec_time(pm)
     mc = sec_atom(pm)
-    n_nodes, n_atoms = len(pm.grid.nodes), len(pm.family.base_space)
-    for i in range(n_nodes):
-        for j in range(n_atoms):
-            assert cm.mappings[i].values[j] is pm.values[i][j]
-            assert mc.atom_values[j][i] is pm.values[i][j]
+    for i, m in enumerate(cm.mappings):
+        assert np.shares_memory(m.values, pm.values)
+        assert bitwise_equal(m.values, pm.values[i])
+    assert np.shares_memory(mc.atom_values, pm.values)
+    assert bitwise_equal(mc.atom_values, pm.values.swapaxes(0, 1))
 
 
 def test_section_inverses_restore_product_data():
-    """sec_time and sec_atom invert exactly, value object by object."""
+    """sec_time and sec_atom invert bit for bit; the atom-major round trip
+    is a view of the same buffer, the time-major one stacks a new batch."""
     rng = trial_rng(0, "test/sections-inverse", 0)
     pm = random_product_mapping(Sphere(3), rng)
     back_t = sec_time_inverse(sec_time(pm))
     back_a = sec_atom_inverse(sec_atom(pm))
-    for i in range(len(pm.grid.nodes)):
-        for j in range(len(pm.family.base_space)):
-            assert back_t.values[i][j] is pm.values[i][j]
-            assert back_a.values[i][j] is pm.values[i][j]
+    assert bitwise_equal(back_t.values, pm.values)
+    assert bitwise_equal(back_a.values, pm.values)
+    assert np.shares_memory(back_a.values, pm.values)
 
 
 def test_transpose_roundtrip_reuses_every_point():
-    """transpose_inverse(transpose(cm)) carries the same point objects."""
+    """transpose_inverse(transpose(cm)) carries bitwise-equal values, and
+    its node mappings are views of the transposed batch."""
     rng = trial_rng(0, "test/transpose", 0)
     pm = random_product_mapping(Euclidean(2), rng)
     cm = sec_time(pm)
-    back = transpose_inverse(transpose(cm))
-    for i in range(len(pm.grid.nodes)):
-        for j in range(len(pm.family.base_space)):
-            assert back.mappings[i].values[j] is cm.mappings[i].values[j]
+    mc = transpose(cm)
+    back = transpose_inverse(mc)
+    for m, orig in zip(back.mappings, cm.mappings):
+        assert bitwise_equal(m.values, orig.values)
+        assert np.shares_memory(m.values, mc.atom_values)
 
 
 def test_base_sections_transpose_to_each_other():
@@ -106,9 +115,8 @@ def test_base_sections_transpose_to_each_other():
     bc = base_curve_of_mappings(grid, fam)
     bm = base_mapping_of_curves(grid, fam)
     swapped = transpose(bc)
-    for j in range(2):
-        for i in range(5):
-            assert swapped.atom_values[j][i] is bm.atom_values[j][i]
+    assert bitwise_equal(swapped.atom_values, bm.atom_values)
+    assert np.shares_memory(bm.atom_values, fam.base_values)
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +263,32 @@ def test_constant_in_time_is_distance_zero_from_itself():
     pm = constant_in_time(grid, MetricMapping(fam, fam.base_values))
     assert product_lp_norm(pm, pm, 2.0) == 0.0
     assert d_pp(sec_time(pm), sec_time(pm), math.inf) == 0.0
+
+
+def test_metric_tree_product_data_reads_both_ways():
+    """Tree batches are 2-D object arrays: both readings are views of them,
+    and the joint and iterated norms agree with a per-pair loop."""
+    rng = trial_rng(0, "test/sections-tree", 0)
+    tree = default_tree()
+    base = FiniteMeasureSpace(("u", "v", "w"), (0.5, 0.0, 1.5))
+    fam = MappingFamily(base, tree, tree.random_points(rng, 3))
+    grid = TimeGrid(tuple(np.linspace(0.0, 1.0, 5)))
+    pm, other = (ProductGridMapping(grid, fam, tuple(
+        tuple(tree.random_points(rng, 3)) for _ in range(5))) for _ in range(2))
+    assert pm.values.dtype == object and pm.values.shape == (5, 3)
+    cm, mc = sec_time(pm), sec_atom(pm)
+    assert all(np.shares_memory(m.values, pm.values) for m in cm.mappings)
+    assert np.shares_memory(mc.atom_values, pm.values)
+    assert (transpose_inverse(transpose(cm)).mappings[2].values
+            == pm.values[2]).all()
+    tau, w = grid.node_weights, np.array(base.weights)
+    dists = np.array([[tree.distance(pm.value(i, j), other.value(i, j))
+                       for j in range(3)] for i in range(5)])
+    for p in (1.0, 2.0, math.inf):
+        if math.isinf(p):
+            want = dists[:, [0, 2]].max()
+        else:
+            want = float(np.sum(np.outer(tau, w) * dists ** p)) ** (1.0 / p)
+        assert product_lp_norm(pm, other, p) == pytest.approx(want, rel=1e-14)
+        assert d_pp(cm, sec_time(other), p) == pytest.approx(want, rel=1e-14)
+        assert D_pp(mc, sec_atom(other), p) == pytest.approx(want, rel=1e-14)

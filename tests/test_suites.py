@@ -13,6 +13,7 @@ import pytest
 
 from nlsp import (
     DEFAULT_TOLERANCES,
+    MappingOfCurves,
     Spd,
     Sphere,
     ValidationError,
@@ -129,3 +130,24 @@ def test_battery_call_resolves_the_module_attribute(monkeypatch):
     skorokhod = BATTERIES[-1]
     skorokhod(3, {"skorokhod_example": 0.5, "fubini_rel": 1.0}, pairs=2)
     assert seen == [{"seed": 3, "pairs": 2, "example_tol": 0.5}]
+
+
+def test_fubini_roundtrip_gate_fails_on_a_one_ulp_change(monkeypatch):
+    """A transpose that moves one value by one ulp is caught: the round
+    trip is checked bit for bit, not within a tolerance."""
+    real = suites.transpose
+
+    def nudged(cm):
+        mc = real(cm)
+        values = mc.atom_values.copy()
+        values[0, 0, 0] = np.nextafter(values[0, 0, 0], np.inf)
+        return MappingOfCurves(mc.family, mc.grid, values)
+
+    monkeypatch.setattr(suites, "transpose", nudged)
+    result = suites.run_fubini(seed=7, trials=2)
+    assert result.metrics["transpose_roundtrip_exact"] is False
+    assert not result.passed
+    assert any(f.startswith("transpose_roundtrip:") for f in result.failures)
+    monkeypatch.undo()
+    assert suites.run_fubini(seed=7, trials=2).metrics[
+        "transpose_roundtrip_exact"] is True
