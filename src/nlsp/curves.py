@@ -35,7 +35,7 @@ def _check_times(times, what: str) -> tuple[float, ...]:
     return times
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledCurve:
     """A curve known at finitely many strictly increasing times.
 
@@ -156,7 +156,7 @@ def constant_speed_reparam(c: SampledCurve, eps: float) -> SampledCurve:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepCurve:
     """A right-continuous piecewise-constant curve.
 

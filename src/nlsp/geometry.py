@@ -62,7 +62,7 @@ def _require_positive_mass(base_space: FiniteMeasureSpace, op: str) -> None:
             "trivial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpGeodesic:
     """A geodesic between two mappings, with its per-atom target geodesics.
 

@@ -106,7 +106,7 @@ def uniform_space(n: int, mass: float = 1.0, prefix: str = "x") -> FiniteMeasure
     return FiniteMeasureSpace(tuple(f"{prefix}{j}" for j in range(n)), (w,) * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingFamily:
     """A base measure space, a target and the shared base mapping ``h``.
 
@@ -159,7 +159,7 @@ def constant_family(base_space: FiniteMeasureSpace, target: TargetSpace,
     return MappingFamily(base_space, target, (y,) * len(base_space))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricMapping:
     """One atomwise assignment of target points, bound to its family.
 
@@ -377,7 +377,7 @@ def uniform_grid(a: float, b: float, n_nodes: int,
     return TimeGrid(tuple(np.linspace(a, b, int(n_nodes))), rule)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductGridMapping:
     """Target values on (time node) x (atom), bound to a grid and family.
 

@@ -39,7 +39,7 @@ from .mappings import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveOfMappings:
     """Time-major reading: one mapping of the family per grid node."""
 
@@ -66,7 +66,7 @@ class CurveOfMappings:
         return self.mappings[0].family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingOfCurves:
     """Atom-major reading: one target-valued time series per atom.
 
@@ -168,7 +168,7 @@ def D_pp(m1: MappingOfCurves, m2: MappingOfCurves, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectangleApproximation:
     """Result of greedy rectangle compression of product data."""
 

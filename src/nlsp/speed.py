@@ -1,13 +1,15 @@
 """Per-atom tangent velocities and the bundle norm of curve speed.
 
 Given an atomwise decomposition of a curve of mappings (``1 < p < inf``),
-:func:`compute_speed` differentiates every atom slice through the target's
-log map — forward differences, so each tangent vector is anchored exactly
-at the curve's value — and :func:`bundle_norm` aggregates the per-atom
-tangent norms into the weighted p-norm.  The bundle norm approximates the
-curve's metric derivative; :func:`speed_identity_residual` measures the
-gap, which shrinks linearly with the time step because the bundle norm is
-a one-sided quotient while the metric derivative is centered.
+:func:`compute_speed` differentiates every atom slice at every node in one
+call of the target's batched log map — forward differences, so each
+tangent vector is anchored exactly at the curve's value; base points and
+vectors are two stacked arrays of shape ``(node, atom, *point_shape)``.
+:func:`bundle_norms` aggregates the per-atom tangent norms into the
+weighted p-norm at every node.  The bundle norm approximates the curve's
+metric derivative; :func:`speed_identity_residual` measures the gap, which
+shrinks linearly with the time step because the bundle norm is a one-sided
+quotient while the metric derivative is centered.
 
 Targets without a tangent chart (metric trees) are refused: their curves
 still have metric derivatives, but no velocity vectors.
@@ -15,29 +17,30 @@ still have metric derivatives, but no velocity vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import metric_derivative
 from .errors import UnsupportedOperationError, ValidationError
-from .mappings import check_p
-from .targets import TangentVector
+from .mappings import _weighted_norm, check_p
 from .transport import TransportDecomposition, per_atom_derivatives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeedField:
     """Forward-difference velocity vectors of every atom slice.
 
-    ``vectors[i][j]`` is the velocity of atom ``j`` at time node ``i``,
-    anchored at the curve's value there (the final node uses the backward
+    ``bases`` is the curve's values stacked into one batch of shape
+    ``(node, atom, *point_shape)``; ``vectors`` has the same shape, and
+    ``vectors[i, j]`` is the velocity of atom ``j`` at time node ``i``, a
+    tangent vector at ``bases[i, j]`` (the final node uses the backward
     pair, rescaled to keep the forward orientation).
     """
 
     decomposition: TransportDecomposition
-    vectors: tuple
+    bases: np.ndarray
+    vectors: np.ndarray
     p: float
 
     @property
@@ -60,8 +63,8 @@ def compute_speed(d: TransportDecomposition) -> SpeedField:
         raise ValidationError(
             f"compute_speed expects a TransportDecomposition, got "
             f"{type(d).__name__}")
-    family = d.source.space.family
-    tgt = family.target
+    space = d.source.space
+    tgt = space.family.target
     if not tgt.has_chart:
         raise UnsupportedOperationError(
             f"{tgt.kind} target has no tangent chart: curve speed exists "
@@ -70,52 +73,46 @@ def compute_speed(d: TransportDecomposition) -> SpeedField:
     if p <= 1.0:
         raise ValidationError(f"compute_speed requires p > 1, got {p!r}")
 
-    times = d.source.times
+    times = d.source.times_array
     n = len(times)
     if n < 2:
         raise ValidationError("compute_speed needs at least two time nodes")
-    per_node: list[tuple] = []
-    for i in range(n):
-        if i < n - 1:
-            src, dst, dt = i, i + 1, times[i + 1] - times[i]
-        else:
-            src, dst, dt = n - 1, n - 2, times[n - 2] - times[n - 1]
-        row = tuple(
-            tgt.log_map(curve.values[src], curve.values[dst]).scaled(1.0 / dt)
-            for curve in d.per_atom_curves)
-        per_node.append(row)
-    return SpeedField(decomposition=d, vectors=tuple(per_node), p=p)
+    bases = space.stacked_values(d.source.values)
+    dst = np.append(np.arange(1, n), n - 2)
+    step = (1.0 / (times[dst] - times)).reshape((n,) + (1,) * (bases.ndim - 1))
+    vectors = tgt.log_maps(bases, bases[dst]) * step
+    return SpeedField(decomposition=d, bases=bases, vectors=vectors, p=p)
+
+
+def _require_speed_field(s) -> None:
+    if not isinstance(s, SpeedField):
+        raise ValidationError(f"expected a SpeedField, got {type(s).__name__}")
 
 
 def tangent_norms(s: SpeedField, node: int) -> np.ndarray:
     """Per-atom tangent norms at one time node."""
-    if not isinstance(s, SpeedField):
-        raise ValidationError(f"expected a SpeedField, got {type(s).__name__}")
+    _require_speed_field(s)
     if not isinstance(node, (int, np.integer)) or not 0 <= node < len(s.vectors):
         raise ValidationError(
             f"node must lie in [0, {len(s.vectors)}), got {node!r}")
-    tgt = s.decomposition.source.space.family.target
-    return np.array([tgt.tangent_norm(v) for v in s.vectors[node]])
+    tgt = s.curve.space.family.target
+    return tgt.tangent_norms(s.bases[node], s.vectors[node])
 
 
 def bundle_norm(s: SpeedField, node: int) -> float:
-    """Weighted p-norm of the per-atom tangent norms at one node.
-
-    ``(sum_j w_j ||v_j(t_node)||^p)^{1/p}``; for ``p = inf`` it would be
-    the positive-weight maximum, but infinite exponents never reach here
-    because :func:`compute_speed` requires finite ``p``.
-    """
+    """Weighted p-norm ``(sum_j w_j ||v_j(t_node)||^p)^{1/p}`` of the
+    per-atom tangent norms at one node."""
     norms = tangent_norms(s, node)
-    w = s.decomposition.source.space.family.base_space.weights_array
-    if math.isinf(s.p):  # pragma: no cover - excluded by compute_speed
-        pos = np.nonzero(w > 0.0)[0]
-        return float(norms[pos].max()) if len(pos) else 0.0
-    return float(np.dot(w, norms ** s.p) ** (1.0 / s.p))
+    w = s.curve.space.family.base_space.weights_array
+    return float(_weighted_norm(norms, w, s.p))
 
 
 def bundle_norms(s: SpeedField) -> np.ndarray:
     """Bundle norm at every time node."""
-    return np.array([bundle_norm(s, i) for i in range(len(s.vectors))])
+    _require_speed_field(s)
+    family = s.curve.space.family
+    return _weighted_norm(family.target.tangent_norms(s.bases, s.vectors),
+                          family.base_space.weights_array, s.p)
 
 
 def speed_identity_residual(s: SpeedField) -> np.ndarray:
@@ -125,8 +122,7 @@ def speed_identity_residual(s: SpeedField) -> np.ndarray:
     the same node pair, so the gap there is pure roundoff; at interior
     nodes it decays like the time step.
     """
-    if not isinstance(s, SpeedField):
-        raise ValidationError(f"expected a SpeedField, got {type(s).__name__}")
+    _require_speed_field(s)
     md = metric_derivative(s.decomposition.source)
     return np.abs(md - bundle_norms(s))
 
@@ -138,8 +134,7 @@ def atomwise_consistency_gap(s: SpeedField) -> float:
     ``sum_j w_j |f_j'|(t_i)^p`` (centered per-atom metric derivatives) at
     interior nodes and returns the worst relative mismatch.
     """
-    if not isinstance(s, SpeedField):
-        raise ValidationError(f"expected a SpeedField, got {type(s).__name__}")
+    _require_speed_field(s)
     w = s.decomposition.source.space.family.base_space.weights_array
     rhs = w @ (per_atom_derivatives(s.decomposition) ** s.p)
     lhs = bundle_norms(s) ** s.p

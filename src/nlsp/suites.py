@@ -159,7 +159,7 @@ def random_family(target: TargetSpace, rng: np.random.Generator,
     return MappingFamily(space, target, target.random_points(rng, n_atoms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothLpPath:
     """A smooth curve of mappings, realizable on any time grid.
 

@@ -3,9 +3,7 @@
 Four concrete geometries share one small interface: flat Euclidean space,
 the round unit sphere, symmetric positive-definite matrices under the
 affine-invariant metric, and finite metric trees.  Every space provides
-``distance``, ``geodesic_point`` and ``comparison_residual``; the three
-smooth spaces additionally provide ``log_map`` / ``exp_map`` /
-``tangent_norm`` charts, while metric trees deliberately refuse them.
+``distance``, ``geodesic_point`` and ``comparison_residual``.
 
 Every space also works on batches of points: ``as_points``, ``distances``,
 ``geodesic_points`` and ``random_points`` take points stacked over any
@@ -13,10 +11,15 @@ leading batch axes (none included) and broadcast them together.  The three
 array spaces write each formula once, as a numpy kernel over the batch
 axes; SPD matrices go through stacked ``eigh`` / ``eigvalsh`` on
 ``(..., n, n)`` with the affine-invariant formulas of Pennec, Fillard and
-Ayache (IJCV 2006).  Their scalar ``as_point`` / ``distance`` /
-``geodesic_point`` / ``random_point`` are the same kernels at zero batch
-axes.  Metric trees use the looping defaults of :class:`TargetSpace`, whose
-batches are object arrays of :class:`TreePoint`.
+Ayache (IJCV 2006).  Their tangent chart is written the same way:
+``log_maps`` / ``exp_maps`` / ``tangent_norms`` are kernels, and a tangent
+vector is a plain component array of the point shape, its base point
+passed beside it.  The scalar ``as_point`` / ``distance`` /
+``geodesic_point`` / ``random_point`` and the validating ``log_map`` /
+``exp_map`` / ``tangent_norm`` are the same kernels at zero batch axes.
+Metric trees use the looping defaults of :class:`TargetSpace`, whose
+batches are object arrays of :class:`TreePoint`, and its chart kernels,
+which refuse: a tree has no tangent chart.
 
 ``as_points`` is the one door through which points enter a container: a
 batch is a float array of shape ``(..., *point_shape)`` for the array
@@ -89,6 +92,12 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
+def _dot_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, summed as ``np.dot`` sums: the
+    chart kernels round like ``np.linalg.norm`` of one vector."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def _object_array(points, ndim: int = 1) -> np.ndarray:
     """Points as an object array: as given, or nested sequences ``ndim``
     deep."""
@@ -156,26 +165,13 @@ class TreePoint:
     offset: float
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector anchored at a base point.
-
-    ``components`` is a vector for Euclidean/sphere targets and a symmetric
-    matrix for SPD targets.
-    """
-
-    base: object
-    components: np.ndarray
-
-    def scaled(self, factor: float) -> "TangentVector":
-        return TangentVector(self.base, self.components * float(factor))
-
-
 class TargetSpace(ABC):
     """Common interface of all metric target spaces."""
 
     kind: str = ""
     curvature_class: str = ""
+    #: Whether log/exp/tangent-norm operations are available.
+    has_chart: bool = True
 
     # -- points ----------------------------------------------------------
 
@@ -272,26 +268,43 @@ class TargetSpace(ABC):
         return points[0::2], points[1::2]
 
     # -- charts ------------------------------------------------------------
+    #
+    # A tangent vector is a plain component array; its base point is passed
+    # beside it.  The batch kernels broadcast their arguments together and
+    # refuse by default, so a space without a tangent chart needs no code;
+    # the scalar methods validate their arguments and run the kernels at
+    # zero batch axes.
 
-    @property
-    def has_chart(self) -> bool:
-        """Whether log/exp/tangent-norm operations are available."""
-        return True
+    def _no_chart(self, op: str) -> UnsupportedOperationError:
+        return UnsupportedOperationError(
+            f"{self.kind} target has no tangent chart: {op} is undefined")
 
-    def log_map(self, y, z) -> TangentVector:
+    def log_maps(self, ys, zs) -> np.ndarray:
+        """Initial velocities at ``ys`` of unit-time geodesics to ``zs``."""
+        raise self._no_chart("log_map")
+
+    def exp_maps(self, ys, vs) -> np.ndarray:
+        """Endpoints of unit-time geodesics from ``ys`` with velocities ``vs``."""
+        raise self._no_chart("exp_map")
+
+    def tangent_norms(self, ys, vs) -> np.ndarray:
+        """Riemannian norms of the tangent vectors ``vs`` at ``ys``."""
+        raise self._no_chart("tangent_norm")
+
+    def _as_tangent(self, v):
+        return v  # without a chart there is nothing to check: kernels refuse
+
+    def log_map(self, y, z) -> np.ndarray:
         """Initial velocity at ``y`` of the unit-time geodesic to ``z``."""
-        raise UnsupportedOperationError(
-            f"{self.kind} target has no tangent chart: log_map is undefined")
+        return self.log_maps(self.as_point(y), self.as_point(z))
 
-    def exp_map(self, y, v: TangentVector):
+    def exp_map(self, y, v) -> np.ndarray:
         """Endpoint of the unit-time geodesic from ``y`` with velocity ``v``."""
-        raise UnsupportedOperationError(
-            f"{self.kind} target has no tangent chart: exp_map is undefined")
+        return self.exp_maps(self.as_point(y), self._as_tangent(v))
 
-    def tangent_norm(self, v: TangentVector) -> float:
-        """Riemannian norm of a tangent vector at its base point."""
-        raise UnsupportedOperationError(
-            f"{self.kind} target has no tangent chart: tangent_norm is undefined")
+    def tangent_norm(self, y, v) -> float:
+        """Riemannian norm of the tangent vector ``v`` at ``y``."""
+        return float(self.tangent_norms(self.as_point(y), self._as_tangent(v)))
 
     # -- sampling ----------------------------------------------------------
 
@@ -300,10 +313,9 @@ class TargetSpace(ABC):
         """Draw a point; deterministic in the supplied generator."""
 
     def random_tangent(self, base, rng: np.random.Generator,
-                       norm: float = 1.0) -> TangentVector:
+                       norm: float = 1.0) -> np.ndarray:
         """Draw a tangent vector at ``base`` with the requested norm."""
-        raise UnsupportedOperationError(
-            f"{self.kind} target has no tangent chart: random_tangent is undefined")
+        raise self._no_chart("random_tangent")
 
     # -- serialization -------------------------------------------------------
 
@@ -341,15 +353,16 @@ class _ArrayTarget(TargetSpace):
         constraints; returns it in canonical form."""
         return arr
 
-    def _checked(self, arr: np.ndarray, shape: tuple) -> np.ndarray:
-        """Validate a batch whose point axes have shape ``shape``."""
+    def _checked(self, arr: np.ndarray, shape: tuple,
+                 what: str = "point") -> np.ndarray:
+        """Check that a batch is finite, its point axes of shape ``shape``."""
         if shape != self.point_shape:
             raise ValidationError(
-                f"{self.kind} point must have shape {self.point_shape}, got "
+                f"{self.kind} {what} must have shape {self.point_shape}, got "
                 f"{arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValidationError(f"{self.kind} point must be finite")
-        return self._constrain(arr)
+            raise ValidationError(f"{self.kind} {what} must be finite")
+        return arr
 
     # asarray keeps canonical float arrays as they are, so a container
     # re-reading a batch, or a view of one, shares its buffer.
@@ -365,22 +378,43 @@ class _ArrayTarget(TargetSpace):
     def as_points(self, values, shape=None) -> np.ndarray:
         arr = self._float_array(values)
         lead = max(arr.ndim - len(self.point_shape), 0)
-        points = self._checked(arr, arr.shape[lead:])
+        points = self._constrain(self._checked(arr, arr.shape[lead:]))
         _check_batch_shape(arr.shape[:lead], shape)
         return points
 
     def as_point(self, y) -> np.ndarray:
         arr = self._float_array(y)
-        return self._checked(arr, arr.shape)
+        return self._constrain(self._checked(arr, arr.shape))
+
+    def _as_tangent(self, v) -> np.ndarray:
+        arr = self._float_array(v)
+        return self._checked(arr, arr.shape, "tangent vector")
 
     def distance(self, y, z) -> float:
         return float(self.distances(y, z))
+
+    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
+        diff = np.abs(np.asarray(y, float) - np.asarray(z, float))
+        return bool(np.max(diff) <= tol)
 
     def geodesic_point(self, y, z, t: float) -> np.ndarray:
         return self.geodesic_points(y, z, t)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return self.random_points(rng, 1)[0]
+
+    def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The tangent part at ``base`` of an ambient array ``g``."""
+        return g
+
+    def random_tangent(self, base, rng: np.random.Generator,
+                       norm: float = 1.0) -> np.ndarray:
+        base = self.as_point(base)
+        while True:
+            g = self._tangent_part(base, rng.standard_normal(self.point_shape))
+            cur = float(self.tangent_norms(base, g))
+            if cur >= 1e-12:  # else redraw: astronomically unlikely
+                return g * (float(norm) / cur)
 
     def point_to_jsonable(self, y):
         return self.as_point(y).tolist()
@@ -411,28 +445,18 @@ class Euclidean(_ArrayTarget):
         t = _check_fractions(t)[..., None]
         return (1.0 - t) * np.asarray(ys, float) + t * np.asarray(zs, float)
 
-    def log_map(self, y, z) -> TangentVector:
-        y = self.as_point(y)
-        return TangentVector(y, self.as_point(z) - y)
+    def log_maps(self, ys, zs) -> np.ndarray:
+        return np.asarray(zs, float) - np.asarray(ys, float)
 
-    def exp_map(self, y, v: TangentVector) -> np.ndarray:
-        return self.as_point(y) + np.asarray(v.components, float)
+    def exp_maps(self, ys, vs) -> np.ndarray:
+        return np.asarray(ys, float) + np.asarray(vs, float)
 
-    def tangent_norm(self, v: TangentVector) -> float:
-        return float(np.linalg.norm(v.components))
+    def tangent_norms(self, ys, vs) -> np.ndarray:
+        _, vs = np.broadcast_arrays(np.asarray(ys, float), np.asarray(vs, float))
+        return _dot_norms(vs)
 
     def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, self.dim))
-
-    def random_tangent(self, base, rng: np.random.Generator,
-                       norm: float = 1.0) -> TangentVector:
-        base = self.as_point(base)
-        g = rng.standard_normal(self.dim)
-        n = np.linalg.norm(g)
-        while n < 1e-12:  # pragma: no cover - astronomically unlikely
-            g = rng.standard_normal(self.dim)
-            n = np.linalg.norm(g)
-        return TangentVector(base, g * (float(norm) / n))
 
     def to_config(self) -> dict:
         return {"kind": "euclidean", "dim": self.dim}
@@ -474,9 +498,6 @@ class Sphere(_ArrayTarget):
         # Self-distance is exactly zero, not projection dust.
         return np.where((ys == zs).all(axis=-1), 0.0, theta)
 
-    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
-        return bool(np.max(np.abs(np.asarray(y, float) - np.asarray(z, float))) <= tol)
-
     def _angles_checked(self, ys, zs, op: str) -> np.ndarray:
         theta = self.distances(ys, zs)
         undefined = theta >= math.pi - ANTIPODAL_MARGIN
@@ -500,35 +521,35 @@ class Sphere(_ArrayTarget):
         out = a[..., None] * ys + b[..., None] * zs
         return np.where(still[..., None], ys, out / _norms(out)[..., None])
 
-    def log_map(self, y, z) -> TangentVector:
-        y = self.as_point(y)
-        z = self.as_point(z)
-        theta = float(self._angles_checked(y, z, "log_map"))
-        perp = z - float(np.dot(y, z)) * y
-        nrm = np.linalg.norm(perp)
-        if nrm < 1e-15 or theta < 1e-15:
-            return TangentVector(y, np.zeros(self.dim))
-        return TangentVector(y, (theta / nrm) * perp)
+    def log_maps(self, ys, zs) -> np.ndarray:
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        theta = self._angles_checked(ys, zs, "log_map")
+        perp = zs - np.vecdot(ys, zs)[..., None] * ys
+        nrm = _dot_norms(perp)
+        still = (nrm < 1e-15) | (theta < 1e-15)
+        scale = np.where(still, 0.0, theta / np.where(still, 1.0, nrm))
+        return scale[..., None] * perp
 
-    def exp_map(self, y, v: TangentVector) -> np.ndarray:
-        y = self.as_point(y)
-        comp = np.asarray(v.components, float)
-        theta = float(np.linalg.norm(comp))
-        if theta < 1e-15:
-            return y.copy()
-        u = comp / theta
-        out = math.cos(theta) * y + math.sin(theta) * u
-        return out / np.linalg.norm(out)
+    def exp_maps(self, ys, vs) -> np.ndarray:
+        ys = np.asarray(ys, float)
+        vs = np.asarray(vs, float)
+        theta = _dot_norms(vs)[..., None]
+        still = theta < 1e-15
+        u = vs / np.where(still, 1.0, theta)
+        out = np.cos(theta) * ys + np.sin(theta) * u
+        return np.where(still, ys, out / _dot_norms(out)[..., None])
 
-    def tangent_norm(self, v: TangentVector) -> float:
-        base = self.as_point(v.base)
-        comp = np.asarray(v.components, float)
-        nrm = float(np.linalg.norm(comp))
-        if abs(float(np.dot(base, comp))) > SPHERE_TANGENT_TOL * max(1.0, nrm):
+    def tangent_norms(self, ys, vs) -> np.ndarray:
+        ys, vs = np.broadcast_arrays(np.asarray(ys, float), np.asarray(vs, float))
+        nrm = _dot_norms(vs)
+        inner = np.vecdot(ys, vs)
+        off = np.abs(inner) > SPHERE_TANGENT_TOL * np.maximum(1.0, nrm)
+        if off.any():
             raise ValidationError(
                 "tangent vector must be orthogonal to its base point within "
                 f"{SPHERE_TANGENT_TOL}, got inner product "
-                f"{float(np.dot(base, comp))!r}")
+                f"{float(inner[off].flat[0])!r}")
         return nrm
 
     def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -548,25 +569,15 @@ class Sphere(_ArrayTarget):
         """Each second point is reached through the exponential map at an
         angle in :data:`SPHERE_SAFE_RADIUS`, so every pair interleaves a
         point, an angle and a tangent draw, and is drawn on its own."""
-        ys, zs = [], []
+        ys, vs = [], []
         for _ in range(n):
-            y = self.random_point(rng)
+            ys.append(self.random_point(rng))
             radius = float(rng.uniform(*SPHERE_SAFE_RADIUS))
-            ys.append(y)
-            zs.append(self.exp_map(y, self.random_tangent(y, rng, norm=radius)))
-        return np.array(ys), np.array(zs)
+            vs.append(self.random_tangent(ys[-1], rng, norm=radius))
+        return np.array(ys), self.exp_maps(np.array(ys), np.array(vs))
 
-    def random_tangent(self, base, rng: np.random.Generator,
-                       norm: float = 1.0) -> TangentVector:
-        base = self.as_point(base)
-        g = rng.standard_normal(self.dim)
-        g = g - float(np.dot(g, base)) * base
-        n = np.linalg.norm(g)
-        while n < 1e-12:  # pragma: no cover - astronomically unlikely
-            g = rng.standard_normal(self.dim)
-            g = g - float(np.dot(g, base)) * base
-            n = np.linalg.norm(g)
-        return TangentVector(base, g * (float(norm) / n))
+    def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return g - float(np.dot(g, base)) * base
 
     def to_config(self) -> dict:
         return {"kind": "sphere", "dim": self.dim}
@@ -638,10 +649,6 @@ class Spd(_ArrayTarget):
         # Self-distance is exactly zero, not eigensolver dust.
         return np.where((ys == zs).all(axis=(-2, -1)), 0.0, _norms(logs))
 
-    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
-        diff = np.abs(np.asarray(y, float) - np.asarray(z, float))
-        return bool(np.max(diff) <= tol)
-
     def geodesic_points(self, ys, zs, t) -> np.ndarray:
         t = _check_fractions(t)[..., None]
         sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
@@ -649,39 +656,32 @@ class Spd(_ArrayTarget):
                               lambda w: np.power(w, t))
         return _sym(sqrt @ powed @ sqrt)
 
-    def log_map(self, y, z) -> TangentVector:
-        y = self.as_point(y)
-        z = self.as_point(z)
-        sqrt, isqrt = _eig_apply(y, np.sqrt, _inv_sqrt)
-        (logm,) = _eig_apply(isqrt @ z @ isqrt, np.log)
-        return TangentVector(y, _sym(sqrt @ logm @ sqrt))
+    def log_maps(self, ys, zs) -> np.ndarray:
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        sqrt, isqrt = _eig_apply(ys, np.sqrt, _inv_sqrt)
+        (logm,) = _eig_apply(isqrt @ zs @ isqrt, np.log)
+        # The log of a point at itself is exactly zero, not eigensolver dust.
+        same = (ys == zs).all(axis=(-2, -1))[..., None, None]
+        return np.where(same, 0.0, _sym(sqrt @ logm @ sqrt))
 
-    def exp_map(self, y, v: TangentVector) -> np.ndarray:
-        y = self.as_point(y)
-        comp = _sym(np.asarray(v.components, float))
-        sqrt, isqrt = _eig_apply(y, np.sqrt, _inv_sqrt)
-        (expm,) = _eig_apply(isqrt @ comp @ isqrt, np.exp)
+    def exp_maps(self, ys, vs) -> np.ndarray:
+        sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
+        (expm,) = _eig_apply(isqrt @ _sym(np.asarray(vs, float)) @ isqrt,
+                             np.exp)
         return _sym(sqrt @ expm @ sqrt)
 
-    def tangent_norm(self, v: TangentVector) -> float:
-        base = self.as_point(v.base)
-        comp = _sym(np.asarray(v.components, float))
-        (isqrt,) = _eig_apply(base, _inv_sqrt)
-        return float(np.linalg.norm(isqrt @ comp @ isqrt))
+    def tangent_norms(self, ys, vs) -> np.ndarray:
+        (isqrt,) = _eig_apply(np.asarray(ys, float), _inv_sqrt)
+        scaled = isqrt @ _sym(np.asarray(vs, float)) @ isqrt
+        return _dot_norms(scaled.reshape(scaled.shape[:-2] + (-1,)))
 
     def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         g = rng.standard_normal((n, self.matrix_dim, self.matrix_dim))
         return _eig_apply(0.6 * _sym(g), np.exp)[0]
 
-    def random_tangent(self, base, rng: np.random.Generator,
-                       norm: float = 1.0) -> TangentVector:
-        base = self.as_point(base)
-        g = _sym(rng.standard_normal((self.matrix_dim, self.matrix_dim)))
-        cur = self.tangent_norm(TangentVector(base, g))
-        while cur < 1e-12:  # pragma: no cover - astronomically unlikely
-            g = _sym(rng.standard_normal((self.matrix_dim, self.matrix_dim)))
-            cur = self.tangent_norm(TangentVector(base, g))
-        return TangentVector(base, g * (float(norm) / cur))
+    def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return _sym(g)
 
     def to_config(self) -> dict:
         return {"kind": "spd", "matrix_dim": self.matrix_dim}
@@ -699,6 +699,7 @@ class MetricTree(TargetSpace):
 
     kind = "metric_tree"
     curvature_class = GLOBAL_NPC
+    has_chart = False
 
     def __init__(self, edges):
         parsed = []
@@ -883,10 +884,6 @@ class MetricTree(TargetSpace):
         k = int(np.searchsorted(self._cum_length, x, side="right") - 1)
         k = min(max(k, 0), len(self.edges) - 1)
         return self.as_point(TreePoint(k, x - float(self._cum_length[k])))
-
-    @property
-    def has_chart(self) -> bool:
-        return False
 
     def to_config(self) -> dict:
         return {"kind": "metric_tree",

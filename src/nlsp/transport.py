@@ -43,7 +43,7 @@ from .mappings import (
 from .targets import Euclidean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportDecomposition:
     """A sampled curve of mappings with its per-atom target curves.
 
@@ -124,7 +124,7 @@ def derivative_identity_residual(d: TransportDecomposition) -> np.ndarray:
     return lhs - rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BVTransportDecomposition:
     """A step curve of mappings with its per-atom step curves.
 

@@ -3,14 +3,17 @@
 Each kernel is checked against a plain per-pair loop of the textbook
 formula (one matrix or vector at a time), and at the numerical edges:
 near-antipodal sphere pairs, ill-conditioned SPD matrices and the
-eigenvalue floor, identical pairs, batches of one point and of zero batch
-axes, the ``p = 1``, ``p -> 1+`` and ``p = inf`` mapping distances with a
-zero-weight atom, and stream-identical sampling.
+eigenvalue floor, identical pairs, non-orthogonal sphere tangents, batches
+of one point and of zero batch axes, the ``p = 1``, ``p -> 1+`` and
+``p = inf`` mapping distances with a zero-weight atom, and
+stream-identical sampling.  The chart kernels ``log_maps``, ``exp_maps``
+and ``tangent_norms`` are checked the same way.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from nlsp import (
     Sphere,
     TimeGrid,
     TreePoint,
+    UnsupportedOperationError,
     ValidationError,
     d_p,
     default_tree,
@@ -86,6 +90,44 @@ def ref_geodesic_point(space, y, z, t: float):
     return _sym(sqrt @ powed @ sqrt)
 
 
+def _spd_roots(y):
+    return (_matrix_fun(y, np.sqrt),
+            _matrix_fun(y, lambda w: 1.0 / np.sqrt(w)))
+
+
+def ref_log_map(space, y, z) -> np.ndarray:
+    if isinstance(space, Euclidean):
+        return z - y
+    if isinstance(space, Sphere):
+        theta = ref_distance(space, y, z)
+        if theta < 1e-15:
+            return np.zeros_like(y)
+        perp = z - float(np.dot(y, z)) * y
+        return (theta / np.linalg.norm(perp)) * perp
+    sqrt, isqrt = _spd_roots(y)
+    return _sym(sqrt @ _matrix_fun(_sym(isqrt @ z @ isqrt), np.log) @ sqrt)
+
+
+def ref_exp_map(space, y, v) -> np.ndarray:
+    if isinstance(space, Euclidean):
+        return y + v
+    if isinstance(space, Sphere):
+        theta = float(np.linalg.norm(v))
+        if theta < 1e-15:
+            return y.copy()
+        out = math.cos(theta) * y + (math.sin(theta) / theta) * v
+        return out / np.linalg.norm(out)
+    sqrt, isqrt = _spd_roots(y)
+    return _sym(sqrt @ _matrix_fun(_sym(isqrt @ v @ isqrt), np.exp) @ sqrt)
+
+
+def ref_tangent_norm(space, y, v) -> float:
+    if isinstance(space, Spd):
+        _, isqrt = _spd_roots(y)
+        return float(np.linalg.norm(isqrt @ v @ isqrt))
+    return float(np.linalg.norm(v))
+
+
 def _geodesic_safe_batch(space, rng, shape):
     """Two batches of the given batch shape, away from antipodal pairs."""
     n = int(np.prod(shape))
@@ -130,6 +172,88 @@ def test_geodesic_points_match_the_per_pair_loop(space):
             np.testing.assert_allclose(got[i, j], want, rtol=1e-12,
                                        atol=1e-13)
     space.as_points(got)  # every interpolated point is a valid point
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_chart_kernels_match_the_per_pair_loop(space):
+    """Over two batch axes, ``log_maps``, ``exp_maps`` and
+    ``tangent_norms`` give the per-pair formulas' values, and the scalar
+    chart calls give the kernels' values."""
+    rng = trial_rng(0, f"test/batched/chart/{space.kind}", 0)
+    ys, zs = _geodesic_safe_batch(space, rng, (4, 5))
+    logs = space.log_maps(ys, zs)
+    assert logs.shape == (4, 5) + space.point_shape
+    # Tangent vectors other than the logs: every vector (symmetric matrix)
+    # is one, except on the sphere, where it is projected onto the plane.
+    vs = 0.3 * logs[::-1]
+    if isinstance(space, Sphere):
+        vs = vs - np.sum(vs * ys, axis=-1, keepdims=True) * ys
+    exps = space.exp_maps(ys, vs)
+    norms = space.tangent_norms(ys, vs)
+    assert exps.shape == logs.shape and norms.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        y, z, v = ys[idx], zs[idx], vs[idx]
+        np.testing.assert_allclose(logs[idx], ref_log_map(space, y, z),
+                                   rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(exps[idx], ref_exp_map(space, y, v),
+                                   rtol=1e-12, atol=1e-13)
+        assert norms[idx] == pytest.approx(ref_tangent_norm(space, y, v),
+                                           rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(space.log_map(y, z), logs[idx],
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(space.exp_map(y, v), exps[idx],
+                                   rtol=1e-14, atol=1e-15)
+        assert space.tangent_norm(y, v) == pytest.approx(norms[idx],
+                                                         rel=1e-14)
+    space.as_points(exps)  # every mapped point is a valid point
+    # One base point broadcasts against a batch of targets.
+    np.testing.assert_allclose(
+        space.log_maps(ys[0, 0], zs[0]),
+        [ref_log_map(space, ys[0, 0], z) for z in zs[0]],
+        rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_chart_of_identical_pairs_inside_a_batch_is_exactly_zero(space):
+    """The log of a point at itself has exactly zero components, and so
+    exactly zero norm, beside pairs that move."""
+    rng = trial_rng(0, f"test/batched/chart-self/{space.kind}", 0)
+    ys, zs = _geodesic_safe_batch(space, rng, (6,))
+    zs[::2] = ys[::2]
+    logs = space.log_maps(ys, zs)
+    assert np.all(logs[::2] == 0.0)
+    norms = space.tangent_norms(ys, logs)
+    assert np.all(norms[::2] == 0.0)
+    assert np.all(norms[1::2] > 0.0)
+
+
+@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+def test_scalar_chart_calls_validate_their_arguments(space):
+    """The scalar chart calls are public entry points: a malformed base
+    point or tangent vector raises before any kernel runs."""
+    rng = trial_rng(0, f"test/batched/chart-validate/{space.kind}", 0)
+    y = space.random_point(rng)
+    v = space.random_tangent(y, rng)
+    with pytest.raises(ValidationError, match="tangent vector must have shape"):
+        space.exp_map(y, np.zeros(7))
+    bad = v.copy()
+    bad.flat[0] = np.nan
+    with pytest.raises(ValidationError, match="tangent vector must be finite"):
+        space.tangent_norm(y, bad)
+    with pytest.raises(ValidationError, match="point must be finite"):
+        space.log_map(np.full(space.point_shape, np.nan), y)
+
+
+def test_metric_tree_batch_chart_calls_have_no_tangent_chart():
+    tree = default_tree()
+    rng = trial_rng(0, "test/batched/tree-chart", 0)
+    ys = tree.random_points(rng, 3)
+    zs = tree.random_points(rng, 3)
+    for call in (lambda: tree.log_maps(ys, zs),
+                 lambda: tree.exp_maps(ys, np.zeros((3, 1))),
+                 lambda: tree.tangent_norms(ys, np.zeros((3, 1)))):
+        with pytest.raises(UnsupportedOperationError, match="no tangent chart"):
+            call()
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=ALL_IDS)
@@ -236,6 +360,36 @@ def test_sphere_pair_within_the_antipodal_margin_raises_with_its_mask():
         sphere.geodesic_point(ys[1], zs[1], 0.5)
 
 
+def test_sphere_log_maps_within_the_antipodal_margin_raise_with_the_mask():
+    sphere = Sphere(3)
+    pairs = [_pair_at_angle(a) for a in
+             (math.pi - ANTIPODAL_MARGIN / 4, 0.5, math.pi - 1e-6)]
+    ys = np.array([y for y, _ in pairs])
+    zs = np.array([z for _, z in pairs])
+    with pytest.raises(GeodesicError, match="log_map .* antipodal") as info:
+        sphere.log_maps(ys, zs)
+    assert info.value.undefined.tolist() == [True, False, False]
+    logs = sphere.log_maps(ys[1:], zs[1:])
+    assert sphere.tangent_norms(ys[1:], logs) == pytest.approx(
+        [0.5, math.pi - 1e-6], abs=1e-9)
+
+
+def test_sphere_tangent_norms_check_every_vector_is_orthogonal():
+    """One tangent with a radial component fails the batch, and the error
+    names its inner product with the base point."""
+    sphere = Sphere(3)
+    rng = trial_rng(0, "test/batched/sphere-orthogonal", 0)
+    ys, zs = _geodesic_safe_batch(sphere, rng, (2, 3))
+    vs = sphere.log_maps(ys, zs)
+    sphere.tangent_norms(ys, vs)
+    vs[1, 2] += 0.25 * ys[1, 2]
+    inner = float(np.dot(ys[1, 2], vs[1, 2]))
+    assert inner == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(ValidationError,
+                       match=rf"orthogonal.*inner product {re.escape(repr(inner))}"):
+        sphere.tangent_norms(ys, vs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(gap=st.floats(min_value=-12.0, max_value=-2.0),
        t=st.floats(min_value=0.0, max_value=1.0))
@@ -286,6 +440,24 @@ def test_spd_condition_number_1e8_matches_the_loop():
     mid = spd.geodesic_points(ys, zs, 0.5)
     spd.as_points(mid)
     np.testing.assert_allclose(spd.distances(ys, mid), got / 2, rtol=1e-6)
+
+
+def test_spd_exp_log_roundtrip_at_condition_number_1e8():
+    """Base points of condition number 1e8, targets at affine distance
+    about 1: the norm of the log is the distance, and exp after log comes
+    back within 1e-7 in the affine metric and 1e-10 in the entries."""
+    spd = Spd(2)
+    ys = np.array([_rotated((1.0, 1e-8), a) for a in (0.1, 0.7, 1.3)])
+    zs = spd.as_points([
+        _sym(_matrix_fun(y, np.sqrt) @ _rotated((2.0, 0.5), a)
+             @ _matrix_fun(y, np.sqrt)) for y, a in zip(ys, (0.3, 1.1, 2.0))])
+    logs = spd.log_maps(ys, zs)
+    np.testing.assert_allclose(spd.tangent_norms(ys, logs),
+                               spd.distances(ys, zs), rtol=1e-8)
+    back = spd.as_points(spd.exp_maps(ys, logs))
+    assert np.all(spd.distances(back, zs) < 1e-7)
+    assert np.all(np.linalg.norm(back - zs, axis=(1, 2))
+                  <= 1e-10 * np.linalg.norm(zs, axis=(1, 2)))
 
 
 @pytest.mark.parametrize("factor,accepted", [(1.01, True), (0.99, False),

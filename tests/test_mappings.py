@@ -43,6 +43,12 @@ from nlsp import (
     uniform_grid,
     uniform_space,
 )
+from nlsp.curves import SampledCurve, StepCurve
+from nlsp.geometry import lp_geodesic
+from nlsp.sections import approximate_by_rectangles, sec_atom, sec_time
+from nlsp.speed import compute_speed
+from nlsp.suites import sample_smooth_path
+from nlsp.transport import decompose_ac, decompose_bv
 
 
 def two_atom_pair():
@@ -358,3 +364,60 @@ def test_d_inf_is_max_over_weighted_atoms(f, g):
             for a, b, w in zip(f.values, g.values, _PROP_BASE.weights)
             if w > 0.0]
     assert d_p(f, g, math.inf) == pytest.approx(max(gaps), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Containers compare by identity
+# ---------------------------------------------------------------------------
+
+
+def _two_plane_mappings(k: float):
+    fam = MappingFamily(FiniteMeasureSpace(("a", "b"), (1.0, 3.0)),
+                        Euclidean(2), (np.zeros(2), np.ones(2)))
+    return (MetricMapping(fam, (np.full(2, k), np.ones(2))),
+            MetricMapping(fam, (np.ones(2), np.full(2, k + 2.0))))
+
+
+def _lp_curve(k: float) -> SampledCurve:
+    f, g = _two_plane_mappings(k)
+    return SampledCurve(LpSpace(f.family, 2.0), (0.0, 0.5, 1.0), (f, g, f))
+
+
+def _product(k: float):
+    return constant_in_time(uniform_grid(0.0, 1.0, 3), _two_plane_mappings(k)[0])
+
+
+def _step_curve(k: float) -> StepCurve:
+    f, g = _two_plane_mappings(k)
+    return StepCurve(LpSpace(f.family, 1.0), (0.0, 0.4, 1.0), (f, g))
+
+
+CONTAINERS = {
+    "MappingFamily": lambda k: _two_plane_mappings(k)[0].family,
+    "MetricMapping": lambda k: _two_plane_mappings(k)[0],
+    "ProductGridMapping": _product,
+    "CurveOfMappings": lambda k: sec_time(_product(k)),
+    "MappingOfCurves": lambda k: sec_atom(_product(k)),
+    "SampledCurve": _lp_curve,
+    "StepCurve": _step_curve,
+    "LpGeodesic": lambda k: lp_geodesic(*_two_plane_mappings(k), 2.0,
+                                        n_nodes=3),
+    "TransportDecomposition": lambda k: decompose_ac(_lp_curve(k), 2.0),
+    "BVTransportDecomposition": lambda k: decompose_bv(_step_curve(k)),
+    "SpeedField": lambda k: compute_speed(decompose_ac(_lp_curve(k), 2.0)),
+    "RectangleApproximation": lambda k: approximate_by_rectangles(
+        _product(k), 2.0, 1.0),
+    "SmoothLpPath": lambda k: sample_smooth_path(
+        Euclidean(2), trial_rng(int(k), "test/containers", 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_containers_compare_by_identity(kind):
+    """Two containers of distinct arrays are unequal without raising; a
+    container equals itself, and both hash."""
+    a, b = CONTAINERS[kind](0.0), CONTAINERS[kind](1.0)
+    assert type(a).__name__ == kind
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b}) == 2

@@ -132,6 +132,23 @@ def test_battery_call_resolves_the_module_attribute(monkeypatch):
     assert seen == [{"seed": 3, "pairs": 2, "example_tol": 0.5}]
 
 
+def test_speed_gate_fails_when_the_sphere_log_map_is_one_percent_long(
+        monkeypatch):
+    """Velocities 1 % too long move the bundle norm away from the metric
+    derivative and from the per-atom speeds, and the speed battery says
+    so; the same run without the change passes."""
+    real = Sphere.log_maps
+    monkeypatch.setattr(Sphere, "log_maps",
+                        lambda self, ys, zs: 1.01 * real(self, ys, zs))
+    result = suites.run_speed(seed=7, curves=2, grids=(65, 129))
+    assert not result.passed
+    names = {f.split(":")[0] for f in result.failures}
+    assert {"speed_identity_residual[sphere]",
+            "bundle_consistency[sphere]"} <= names
+    monkeypatch.undo()
+    assert suites.run_speed(seed=7, curves=2, grids=(65, 129)).passed
+
+
 def test_fubini_roundtrip_gate_fails_on_a_one_ulp_change(monkeypatch):
     """A transpose that moves one value by one ulp is caught: the round
     trip is checked bit for bit, not within a tolerance."""
