@@ -10,6 +10,14 @@ Provides sampled curves with metric derivative, length, p-energy and
 constant-speed reparametrization; right-continuous step curves with total
 variation and its jump measure; and two-sided bounds for the Skorokhod
 distance between step curves.
+
+The Skorokhod upper bound is a dynamic program over pairs of warp knots,
+run for a batch of curve pairs at once (:func:`skorokhod_distances`):
+pairs with the same number of merged knots share one program, with the
+pairs on a leading axis, and a single pair is a batch of one.  Each cell
+takes the cheapest predecessor, ties resolved to the first in row-major
+order, so a pair's bounds and optimal warp do not depend on the batch it
+is computed in.
 """
 
 from __future__ import annotations
@@ -343,61 +351,118 @@ def skorokhod_distance(c: StepCurve, g: StepCurve,
     programming over knot pairs; doubling ``warp_grid`` only enlarges the
     warp family, so the upper bound is monotone under refinement.  The
     lower bound is the two-sided mismatch between the curves' value sets.
+
+    This is :func:`skorokhod_distances` on a batch of one pair.
     """
-    if not isinstance(c, StepCurve) or not isinstance(g, StepCurve):
-        raise ValidationError("skorokhod_distance expects two StepCurve inputs")
-    if c.space is not g.space:
-        raise SpaceMismatchError(
-            "step curves must share the same ambient space object")
-    if c.interval != g.interval:
-        raise SpaceMismatchError(
-            f"step curves must share their time interval, got {c.interval} "
-            f"and {g.interval}")
+    return skorokhod_distances([(c, g)], warp_grid)[0]
+
+
+def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
+    """:func:`skorokhod_distance` for every ``(c, g)`` pair, in input order.
+
+    Pairs whose merged knot sets have the same size ``n`` share one run of
+    the dynamic program, with the pairs on a leading batch axis; the work
+    per pair and per knot cell is that of a single pair.  Each cell
+    ``(i2, j2)`` takes the cheapest predecessor ``(i, j)``, ties resolved
+    to the first in row-major order (argmin's first-occurrence rule over
+    each pair's flattened ``(i, j)`` block), so a pair's bounds and warp do
+    not depend on the batch it shares.
+    """
+    pairs = list(pairs)
+    for c, g in pairs:
+        if not isinstance(c, StepCurve) or not isinstance(g, StepCurve):
+            raise ValidationError(
+                "skorokhod_distance expects two StepCurve inputs")
+        if c.space is not g.space:
+            raise SpaceMismatchError(
+                "step curves must share the same ambient space object")
+        if c.interval != g.interval:
+            raise SpaceMismatchError(
+                f"step curves must share their time interval, got "
+                f"{c.interval} and {g.interval}")
     if not isinstance(warp_grid, (int, np.integer)) or warp_grid < 1:
         raise ValidationError(
             f"warp_grid must be a positive integer, got {warp_grid!r}")
 
-    knots = _merged_knots(c, g, int(warp_grid))
-    n = len(knots)
-    # pieces[k, l]: distance between c on knot cell k and g on knot cell l.
-    pieces = c.space.distances(c.value_at(knots[:-1])[:, None],
-                               g.value_at(knots[:-1])[None, :])
+    knots = [_merged_knots(c, g, int(warp_grid)) for c, g in pairs]
+    out = [None] * len(pairs)
+    for n in sorted({len(k) for k in knots}):
+        group = [b for b, k in enumerate(knots) if len(k) == n]
+        pieces = np.stack([_pieces(*pairs[b], knots[b]) for b in group])
+        value, pred = _warp_program(np.stack([knots[b] for b in group]),
+                                    pieces)
+        for row, b in enumerate(group):
+            out[b] = _bounds(knots[b], pieces[row], value[row], pred[row])
+    return out
 
+
+def _pieces(c: StepCurve, g: StepCurve, knots: np.ndarray) -> np.ndarray:
+    """``pieces[k, l]``: distance between ``c`` on knot cell ``k`` and ``g``
+    on knot cell ``l``."""
+    return c.space.distances(c.value_at(knots[:-1])[:, None],
+                             g.value_at(knots[:-1])[None, :])
+
+
+def _warp_program(knots: np.ndarray, pieces: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The dynamic program over warp knot pairs for a batch of ``B`` pairs
+    with ``n`` knots each: ``knots`` is ``(B, n)``, ``pieces`` ``(B, n-1,
+    n-1)``.
+
+    ``value[b, i, j]`` is the best achievable cost of a warp of pair ``b``
+    matching ``knots[b, i]`` in the input scale to ``knots[b, j]`` in the
+    output scale, having covered ``[a, knots[b, i])``; ``pred[b, i, j]`` is
+    its predecessor as a flat index into the ``(i, j)`` block of cell
+    ``(i, j)``.
+    """
+    batch, n = knots.shape
+    every = np.arange(batch)
+    value = np.full((batch, n, n), math.inf)
+    value[:, 0, 0] = 0.0
+    pred = np.full((batch, n, n), -1, dtype=np.int64)
+    # logs[k][b, m] = log(knots[b, k] - knots[b, m]) for m < k.
+    logs = [np.log(knots[:, k, None] - knots[:, :k]) for k in range(n)]
+    # rows[b, i, l]: max of pieces[b, i:i2, l], the cells the segment from
+    # row i to row i2 crosses; rect[b, i, j]: max of rows[b, i, j:j2].
+    # Maxima are exact, so growing them one row or column at a time gives
+    # the same numbers as any other order.
+    rows = np.empty_like(pieces)
+    rect = np.empty_like(pieces)
+    cand = np.empty(batch * (n - 1) * (n - 1))
+    for i2 in range(1, n):
+        np.maximum(rows[:, :i2 - 1], pieces[:, i2 - 1:i2],
+                   out=rows[:, :i2 - 1])
+        rows[:, i2 - 1] = pieces[:, i2 - 1]
+        log_in = logs[i2][:, :, None]
+        for j2 in range(1, n):
+            np.maximum(rect[:, :i2, :j2 - 1], rows[:, :i2, j2 - 1:j2],
+                       out=rect[:, :i2, :j2 - 1])
+            rect[:, :i2, j2 - 1] = rows[:, :i2, j2 - 1]
+            block = cand[:batch * i2 * j2].reshape(batch, i2, j2)
+            np.subtract(logs[j2][:, None, :], log_in, out=block)
+            np.abs(block, out=block)
+            np.maximum(block, rect[:, :i2, :j2], out=block)
+            np.maximum(block, value[:, :i2, :j2], out=block)
+            flat = block.reshape(batch, -1).argmin(axis=1)
+            value[:, i2, j2] = block.reshape(batch, -1)[every, flat]
+            pred[:, i2, j2] = flat
+    return value, pred
+
+
+def _bounds(knots: np.ndarray, pieces: np.ndarray, value: np.ndarray,
+            pred: np.ndarray) -> SkorokhodBounds:
+    """Read one pair's bounds and optimal warp off its program."""
+    n = len(knots)
     lower = max(float(pieces.min(axis=1).max()),
                 float(pieces.min(axis=0).max()), 0.0)
-
-    # Dynamic program over warp knot pairs (i, j): V[i, j] is the best
-    # achievable cost of a warp matching knots[i] in the input scale to
-    # knots[j] in the output scale, having covered [a, knots[i]).
-    big = math.inf
-    value = np.full((n, n), big)
-    value[0, 0] = 0.0
-    pred = np.full((n, n), -1, dtype=np.int64)
-    for i2 in range(1, n):
-        log_in = np.log(knots[i2] - knots[:i2])
-        for j2 in range(1, n):
-            log_out = np.log(knots[j2] - knots[:j2])
-            slope = np.abs(log_out[None, :] - log_in[:, None])
-            block = pieces[:i2, :j2]
-            rect = np.maximum.accumulate(
-                np.maximum.accumulate(block[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-            cand = np.maximum(value[:i2, :j2], np.maximum(slope, rect))
-            flat = int(np.argmin(cand))
-            value[i2, j2] = float(cand.flat[flat])
-            pred[i2, j2] = flat
-
-    # Reconstruct the optimal warp (ties resolved to the lexicographically
-    # smallest predecessor by argmin's first-occurrence rule).
     path = [(n - 1, n - 1)]
     while path[-1] != (0, 0):
         i, j = path[-1]
         flat = int(pred[i, j])
         path.append((flat // j, flat % j))
     path.reverse()
-
-    upper = float(value[n - 1, n - 1])
     return SkorokhodBounds(
-        upper=upper,
+        upper=float(value[n - 1, n - 1]),
         lower=float(lower),
         input_knots=tuple(float(knots[i]) for i, _ in path),
         output_knots=tuple(float(knots[j]) for _, j in path),

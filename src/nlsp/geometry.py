@@ -33,10 +33,11 @@ from .mappings import (
     LpSpace,
     MappingFamily,
     MetricMapping,
+    _weighted_norm,
     check_p,
     d_p,
 )
-from .rng import trial_rng
+from .rng import trial_rng, worst_trial
 from .targets import FLAT, GLOBAL_NNC, GLOBAL_NPC, TargetSpace
 
 
@@ -197,6 +198,32 @@ def geodesic_speed_check(geo: LpGeodesic) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _comparison_distances(target: TargetSpace, zs, fs, gs, t):
+    """The four target distances of the comparison residual over batch
+    axes: ``d(z, c(t))``, ``d(z, f)``, ``d(z, g)`` and ``d(f, g)``, where
+    ``c`` is the geodesic from ``f`` to ``g`` and ``t`` broadcasts with the
+    batches.  Each is one kernel call."""
+    return (target.distances(zs, target.geodesic_points(fs, gs, t)),
+            target.distances(zs, fs), target.distances(zs, gs),
+            target.distances(fs, gs))
+
+
+def _comparison_residuals(dists, t) -> np.ndarray:
+    """``d_zm^2 - [(1-t) d_zf^2 + t d_zg^2 - (1-t) t d_fg^2]`` elementwise,
+    from the four distances of :func:`_comparison_distances` (or their
+    mapping-space norms); exactly zero wherever ``t`` is 0 or 1."""
+    d_zm, d_zf, d_zg, d_fg = dists
+    chord = (1.0 - t) * d_zf ** 2 + t * d_zg ** 2 - (1.0 - t) * t * d_fg ** 2
+    return np.where((t == 0.0) | (t == 1.0), 0.0, d_zm ** 2 - chord)
+
+
+def _l2_over_atoms(dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``D_2`` from per-atom distances on the last axis; an axis of length
+    one (a constant mapping) is broadcast to every atom first."""
+    return _weighted_norm(
+        np.broadcast_to(dists, dists.shape[:-1] + weights.shape), weights, 2.0)
+
+
 def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
                                 g: MetricMapping, t: float) -> float:
     """Squared-distance comparison residual in the ``L^2`` mapping space.
@@ -213,15 +240,10 @@ def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t must lie in [0, 1], got {t!r}")
-    if t == 0.0 or t == 1.0:
-        return 0.0
-    mid = MetricMapping(f.family, f.target.geodesic_points(f.values, g.values, t))
-    d_zm = d_p(z, mid, 2.0)
-    d_zf = d_p(z, f, 2.0)
-    d_zg = d_p(z, g, 2.0)
-    d_fg = d_p(f, g, 2.0)
-    chord = (1.0 - t) * d_zf ** 2 + t * d_zg ** 2 - (1.0 - t) * t * d_fg ** 2
-    return float(d_zm ** 2 - chord)
+    weights = f.base_space.weights_array
+    dists = _comparison_distances(f.target, z.values, f.values, g.values, t)
+    return float(_comparison_residuals(
+        [_l2_over_atoms(d, weights) for d in dists], t))
 
 
 @dataclass(frozen=True)
@@ -265,6 +287,15 @@ def curvature_comparison_suite(
     embedding rescales the residual by the total mass without changing its
     sign.  A target whose curvature class is not declared flat / NPC / NNC
     is refused rather than guessed at.
+
+    The battery runs in two steps.  The draw step reads each trial's
+    points and times from the trial's own stream ``(seed,
+    "curvature/<kind>", trial)`` and stacks them into ``(trial, atom)`` and
+    ``(trial,)`` batches, each validated once.  The compute step evaluates
+    every trial at once: one geodesic call and four distance calls for the
+    mapping residuals, the same for the target quadruples, whose distances,
+    broadcast over the atoms of a constant mapping, also give the embedded
+    residuals.  A failed check names the stream key of its worst trial.
     """
     if target.curvature_class not in _SIGN_CHECKS:
         raise ValidationError(
@@ -275,72 +306,92 @@ def curvature_comparison_suite(
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     _require_positive_mass(base_space, "curvature_comparison_suite")
 
-    setup = trial_rng(seed, f"curvature/{target.kind}/setup", 0)
-    family = MappingFamily(base_space, target,
-                           target.random_points(setup, len(base_space)))
+    weights = base_space.weights_array
     mass = base_space.total_mass
+    trials = int(trials)
+    stream = f"curvature/{target.kind}"
 
-    rows = []
-    residuals = []
-    embedded = []
-    transfer = []
-    for trial in range(int(trials)):
-        rng = trial_rng(seed, f"curvature/{target.kind}", trial)
-        f, g = geodesic_safe_mapping_pair(family, rng)
-        z = family.random_mapping(rng)
-        t = float(rng.uniform(0.0, 1.0))
-        res = mapping_comparison_residual(z, f, g, t)
-
-        y0, y1 = geodesic_safe_pair(target, rng)
+    # Draw step: one stream per trial, read in the order of the
+    # single-trial battery.  Each kind of draw goes into one preallocated
+    # (trial, atom) or (trial,) batch, validated once.
+    draws = {}
+    for trial in range(trials):
+        rng = trial_rng(seed, stream, trial)
+        f, g = target.random_geodesic_pairs(rng, len(base_space))
+        z = target.random_points(rng, len(base_space))
+        t = rng.uniform(0.0, 1.0)
+        (y0,), (y1,) = target.random_geodesic_pairs(rng, 1)
         w0 = target.random_point(rng)
-        t0 = float(rng.uniform(0.0, 1.0))
-        target_res = target.comparison_residual(w0, y0, y1, t0)
-        emb = mapping_comparison_residual(
-            family.constant_mapping(w0), family.constant_mapping(y0),
-            family.constant_mapping(y1), t0)
-        residuals.append(res)
-        embedded.append(emb)
-        transfer.append(abs(emb - mass * target_res))
-        rows.append((trial, t, res, emb))
+        t0 = rng.uniform(0.0, 1.0)
+        for name, value in (("f", f), ("g", g), ("z", z), ("t", t),
+                            ("y0", y0), ("y1", y1), ("w0", w0), ("t0", t0)):
+            value = np.asarray(value)
+            if name not in draws:
+                draws[name] = np.empty((trials,) + value.shape, value.dtype)
+            draws[name][trial, ...] = value
+    fs, gs, zs = (target.as_points(draws[k], (trials, len(base_space)))
+                  for k in ("f", "g", "z"))
+    y0s, y1s, w0s = (target.as_points(draws[k], (trials,))
+                     for k in ("y0", "y1", "w0"))
+    ts, t0s = draws["t"], draws["t0"]
 
-    res_min, res_max = min(residuals), max(residuals)
-    emb_min, emb_max = min(embedded), max(embedded)
+    # Compute step: every trial at once, one kernel call per distance.
+    residuals = _comparison_residuals(
+        [_l2_over_atoms(d, weights)
+         for d in _comparison_distances(target, zs, fs, gs, ts[:, None])], ts)
+    # The target-level quadruple, in the target and embedded through
+    # constant mappings: their atom axis has length one.
+    target_dists = _comparison_distances(target, w0s, y0s, y1s, t0s)
+    embedded = _comparison_residuals(
+        [_l2_over_atoms(d[:, None], weights) for d in target_dists], t0s)
+    transfer = np.abs(
+        embedded - mass * _comparison_residuals(target_dists, t0s))
+
+    res_min, res_max = float(residuals.min()), float(residuals.max())
+    emb_min, emb_max = float(embedded.min()), float(embedded.max())
     failures = []
     cls = target.curvature_class
-    for label, lo, hi in (("comparison_sign", res_min, res_max),
-                          ("embedded_comparison_sign", emb_min, emb_max)):
+    for label, values in (("comparison_sign", residuals),
+                          ("embedded_comparison_sign", embedded)):
+        lo, hi = float(values.min()), float(values.max())
         if cls == GLOBAL_NPC and hi > sign_tol:
             failures.append(
                 f"{label}_npc: max residual {hi!r} exceeds {sign_tol!r}; "
-                f"expected residual {_SIGN_CHECKS[cls]}")
+                f"expected residual {_SIGN_CHECKS[cls]}"
+                f"{worst_trial(stream, values)}")
         elif cls == GLOBAL_NNC and lo < -sign_tol:
             failures.append(
                 f"{label}_nnc: min residual {lo!r} below {-sign_tol!r}; "
-                f"expected residual {_SIGN_CHECKS[cls]}")
+                f"expected residual {_SIGN_CHECKS[cls]}"
+                f"{worst_trial(stream, -values)}")
         elif cls == FLAT and max(abs(lo), abs(hi)) > flat_tol:
             failures.append(
                 f"{label}_flat: |residual| reaches "
                 f"{max(abs(lo), abs(hi))!r}, exceeding {flat_tol!r}; "
-                f"expected residual {_SIGN_CHECKS[cls]}")
+                f"expected residual {_SIGN_CHECKS[cls]}"
+                f"{worst_trial(stream, np.abs(values))}")
+    transfer_max = float(transfer.max())
     transfer_tol = 1e-10 * max(1.0, mass)
-    if max(transfer) > transfer_tol:
+    if transfer_max > transfer_tol:
         failures.append(
             f"embedding_rescale: |embedded - mass * target| reaches "
-            f"{max(transfer)!r}, exceeding {transfer_tol!r}; the constant "
-            "embedding must rescale comparison residuals by the total mass")
+            f"{transfer_max!r}, exceeding {transfer_tol!r}; the constant "
+            "embedding must rescale comparison residuals by the total mass"
+            f"{worst_trial(stream, transfer)}")
 
     return CurvatureReport(
         target_kind=target.kind,
         curvature_class=cls,
         n_trials=int(trials),
-        residual_min=float(res_min),
-        residual_max=float(res_max),
-        embedded_min=float(emb_min),
-        embedded_max=float(emb_max),
-        embedded_transfer_max=float(max(transfer)),
+        residual_min=res_min,
+        residual_max=res_max,
+        embedded_min=emb_min,
+        embedded_max=emb_max,
+        embedded_transfer_max=transfer_max,
         passed=not failures,
         failures=tuple(failures),
-        rows=tuple(rows),
+        rows=tuple(zip(range(trials), ts.tolist(), residuals.tolist(),
+                       embedded.tolist())),
     )
 
 

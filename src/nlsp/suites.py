@@ -31,6 +31,7 @@ from .curves import (
     length,
     metric_derivative,
     skorokhod_distance,
+    skorokhod_distances,
     variation,
     variation_measure,
 )
@@ -54,7 +55,7 @@ from .mappings import (
     TimeGrid,
     product_lp_norm,
 )
-from .rng import trial_rng
+from .rng import trial_rng, worst_trial
 from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
 from .speed import (
     atomwise_consistency_gap,
@@ -904,35 +905,35 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
             f"skorokhod_shifted_jump: upper bound {b_shift.upper!r} misses "
             f"the known value {shift_expected!r} beyond {example_tol!r}")
 
-    def one_pair(i: int):
+    drawn = []
+    for i in range(int(pairs)):
         rng = trial_rng(seed, "skorokhod/pairs", i)
         c = random_step_curve(target, lambda: pt(rng.uniform(0.0, 2.0)),
                               rng, pieces=2 + i % 3)
         g = random_step_curve(target, lambda: pt(rng.uniform(0.0, 2.0)),
                               rng, pieces=2 + (i + 1) % 3)
-        coarse = skorokhod_distance(c, g, warp_grid=int(warp_grid))
-        fine = skorokhod_distance(c, g, warp_grid=2 * int(warp_grid))
-        sandwich = max(coarse.lower - coarse.upper, fine.lower - fine.upper)
-        monotone = fine.upper - coarse.upper
-        return (float(sandwich), float(monotone),
-                float(coarse.lower), float(coarse.upper), float(fine.upper))
-
-    results = map_trials(one_pair, int(pairs))
-    sandwich_max = max(r[0] for r in results)
-    monotone_max = max(r[1] for r in results)
+        drawn.append((c, g))
+    coarse = skorokhod_distances(drawn, warp_grid=int(warp_grid))
+    fine = skorokhod_distances(drawn, warp_grid=2 * int(warp_grid))
+    sandwich = [max(c.lower - c.upper, f.lower - f.upper)
+                for c, f in zip(coarse, fine)]
+    monotone = [f.upper - c.upper for c, f in zip(coarse, fine)]
+    sandwich_max = max(sandwich)
+    monotone_max = max(monotone)
     if sandwich_max > 1e-12:
         failures.append(
             f"skorokhod_sandwich: a lower bound exceeded its upper bound by "
             f"{sandwich_max!r}; the value-set mismatch can never beat an "
-            "achievable warp")
+            f"achievable warp{worst_trial('skorokhod/pairs', sandwich)}")
     if monotone_max > 1e-12:
         failures.append(
             f"skorokhod_monotone: doubling the warp grid raised an upper "
             f"bound by {monotone_max!r}; refinement only enlarges the warp "
-            "family")
+            f"family{worst_trial('skorokhod/pairs', monotone)}")
 
     csv_rows = [["pair", "lower", "upper", "upper_refined"]]
-    csv_rows += [[i, r[2], r[3], r[4]] for i, r in enumerate(results)]
+    csv_rows += [[i, c.lower, c.upper, f.upper]
+                 for i, (c, f) in enumerate(zip(coarse, fine))]
     return SuiteResult(
         name="skorokhod",
         passed=not failures,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlsp import curves
 from nlsp import (
     Euclidean,
     SampledCurve,
@@ -28,6 +29,7 @@ from nlsp import (
     length,
     metric_derivative,
     skorokhod_distance,
+    skorokhod_distances,
     trial_rng,
     variation,
     variation_measure,
@@ -385,6 +387,85 @@ def test_skorokhod_requires_matching_domains():
         skorokhod_distance(c, other_space)
     with pytest.raises(ValidationError, match="warp_grid"):
         skorokhod_distance(c, c, warp_grid=0)
+
+
+def _loop_skorokhod(c, g, warp_grid):
+    """The pair-at-a-time dynamic program, cell by cell: the reference for
+    the batched one."""
+    knots = curves._merged_knots(c, g, warp_grid)
+    n = len(knots)
+    pieces = c.space.distances(c.value_at(knots[:-1])[:, None],
+                               g.value_at(knots[:-1])[None, :])
+    lower = max(float(pieces.min(axis=1).max()),
+                float(pieces.min(axis=0).max()), 0.0)
+    value = np.full((n, n), math.inf)
+    value[0, 0] = 0.0
+    pred = np.full((n, n), -1, dtype=np.int64)
+    for i2 in range(1, n):
+        log_in = np.log(knots[i2] - knots[:i2])
+        for j2 in range(1, n):
+            log_out = np.log(knots[j2] - knots[:j2])
+            slope = np.abs(log_out[None, :] - log_in[:, None])
+            block = pieces[:i2, :j2]
+            rect = np.maximum.accumulate(np.maximum.accumulate(
+                block[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+            cand = np.maximum(value[:i2, :j2], np.maximum(slope, rect))
+            flat = int(np.argmin(cand))
+            value[i2, j2] = cand.flat[flat]
+            pred[i2, j2] = flat
+    path = [(n - 1, n - 1)]
+    while path[-1] != (0, 0):
+        i, j = path[-1]
+        path.append(divmod(int(pred[i, j]), j))
+    path.reverse()
+    return (float(value[n - 1, n - 1]), lower,
+            tuple(float(knots[i]) for i, _ in path),
+            tuple(float(knots[j]) for _, j in path))
+
+
+def test_batched_skorokhod_program_equals_the_pair_loop_bit_for_bit():
+    """One call over 60 pairs of many knot counts gives every pair the
+    bounds and warp of the pair-at-a-time loop, in input order.
+
+    Every other pair carries redundant breakpoints on the 1/16 grid, so
+    at ``warp_grid=8`` it runs the knot set of a grid-16 program: the call
+    mixes the knot counts of both grids.  Tie-heavy pairs (a curve against
+    itself, and against a refined copy) are among them.
+    """
+    c_self = scalar_step((0.0, 0.3, 0.7, 1.0), (0.0, 1.3, 0.4))
+    g_redundant = scalar_step((0.0, 0.3, 0.5, 0.7, 1.0), (0.0, 1.3, 1.3, 0.4))
+    sixteenths = np.linspace(0.0, 1.0, 17)[1:-1]
+
+    def rand_step(r, refine):
+        k = int(r.integers(2, 5))
+        breaks = np.concatenate([[0.0], np.sort(r.uniform(0.1, 0.9, k - 1)),
+                                 [1.0]])
+        vals = r.uniform(0.0, 2.0, k)
+        if refine:
+            fine = np.union1d(breaks, sixteenths)
+            piece = np.searchsorted(breaks, fine[:-1], side="right") - 1
+            breaks, vals = fine, vals[piece]
+        return scalar_step(breaks, vals)
+
+    pairs = [(c_self, c_self), (c_self, g_redundant), (g_redundant, c_self)]
+    for trial in range(57):
+        rng = trial_rng(0, "test/skorokhod-batch", trial)
+        pairs.append((rand_step(rng, trial % 2 == 0),
+                      rand_step(rng, trial % 4 == 1)))
+    counts = {len(curves._merged_knots(c, g, 8)) for c, g in pairs}
+    assert min(counts) <= 14 and max(counts) >= 20 and len(counts) >= 6
+
+    batched = skorokhod_distances(pairs, warp_grid=8)
+    assert len(batched) == len(pairs)
+    for b, (c, g) in zip(batched, pairs):
+        assert (b.upper, b.lower, b.input_knots, b.output_knots) \
+            == _loop_skorokhod(c, g, 8)
+    assert batched[0].upper == 0.0 and batched[1].upper == 0.0
+
+    c, g = pairs[5]
+    assert skorokhod_distances([(c, g)], warp_grid=16) \
+        == [skorokhod_distance(c, g, warp_grid=16)]
+    assert skorokhod_distances([], warp_grid=8) == []
 
 
 # ---------------------------------------------------------------------------

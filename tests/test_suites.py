@@ -1,12 +1,14 @@
 """Tests for experiment-suite plumbing: decay rates, shared samplers,
-the smooth-path generator used by the convergence batteries, and the
-battery table that run_all and the CLI are built from.
+the smooth-path generator used by the convergence batteries, the battery
+table that run_all and the CLI are built from, and mutations of a
+primitive that a battery must catch.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from nlsp import (
     sample_smooth_path,
     trial_rng,
 )
-from nlsp import suites
+from nlsp import curves, suites
 from nlsp.suites import BATTERIES, order_jsonable, random_base_space
 
 
@@ -168,3 +170,51 @@ def test_fubini_roundtrip_gate_fails_on_a_one_ulp_change(monkeypatch):
     monkeypatch.undo()
     assert suites.run_fubini(seed=7, trials=2).metrics[
         "transpose_roundtrip_exact"] is True
+
+
+def _spd_fractions_to_the_1_01(monkeypatch):
+    real = Spd.geodesic_points
+    monkeypatch.setattr(
+        Spd, "geodesic_points",
+        lambda self, ys, zs, t: real(self, ys, zs, np.asarray(t, float) ** 1.01))
+
+
+def _warp_knots_on_the_uniform_grid_only(monkeypatch):
+    monkeypatch.setattr(
+        curves, "_merged_knots",
+        lambda c, g, warp_grid: np.linspace(*c.interval, warp_grid + 1))
+
+
+#: (mutation, battery run, {check that must fail: stream key its failure
+#: names as the worst trial, or None for a check on fixed examples}).
+MUTATIONS = [
+    pytest.param(
+        _spd_fractions_to_the_1_01,
+        lambda: suites.run_curvature(seed=7, trials=50),
+        {"spd.comparison_sign_npc": "curvature/spd",
+         "spd.embedded_comparison_sign_npc": "curvature/spd"},
+        id="curvature-spd-fraction-power"),
+    pytest.param(
+        _warp_knots_on_the_uniform_grid_only,
+        lambda: suites.run_skorokhod(seed=7, pairs=10),
+        {"skorokhod_shifted_jump": None,
+         "skorokhod_monotone": "skorokhod/pairs"},
+        id="skorokhod-uniform-warp-knots"),
+]
+
+
+@pytest.mark.parametrize("mutate, battery, must_fail", MUTATIONS)
+def test_battery_fails_on_a_mutated_primitive(monkeypatch, mutate, battery,
+                                              must_fail):
+    """The unmutated battery passes; with the mutation it fails the named
+    checks, and each failure ends with the stream key of its worst trial."""
+    assert battery().passed
+    mutate(monkeypatch)
+    result = battery()
+    assert not result.passed
+    failed = {f.split(":")[0]: f for f in result.failures}
+    assert set(must_fail) <= set(failed)
+    for name, stream in must_fail.items():
+        if stream is not None:
+            assert re.search(rf"\(worst: {re.escape(stream)} trial \d+\)$",
+                             failed[name]), failed[name]
