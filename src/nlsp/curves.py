@@ -354,6 +354,7 @@ def skorokhod_distance(c: StepCurve, g: StepCurve,
 
     This is :func:`skorokhod_distances` on a batch of one pair.
     """
+    _check_pair(c, g)
     return skorokhod_distances([(c, g)], warp_grid)[0]
 
 
@@ -369,17 +370,14 @@ def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
     not depend on the batch it shares.
     """
     pairs = list(pairs)
-    for c, g in pairs:
-        if not isinstance(c, StepCurve) or not isinstance(g, StepCurve):
+    for i, pair in enumerate(pairs):
+        try:
+            c, g = pair
+        except (TypeError, ValueError):
             raise ValidationError(
-                "skorokhod_distance expects two StepCurve inputs")
-        if c.space is not g.space:
-            raise SpaceMismatchError(
-                "step curves must share the same ambient space object")
-        if c.interval != g.interval:
-            raise SpaceMismatchError(
-                f"step curves must share their time interval, got "
-                f"{c.interval} and {g.interval}")
+                f"skorokhod_distances expects (c, g) pairs, got "
+                f"{type(pair).__name__} at pair {i}") from None
+        _check_pair(c, g, f" (pair {i})")
     if not isinstance(warp_grid, (int, np.integer)) or warp_grid < 1:
         raise ValidationError(
             f"warp_grid must be a positive integer, got {warp_grid!r}")
@@ -394,6 +392,21 @@ def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
         for row, b in enumerate(group):
             out[b] = _bounds(knots[b], pieces[row], value[row], pred[row])
     return out
+
+
+def _check_pair(c, g, where: str = "") -> None:
+    """Refuse two curves the program cannot compare; ``where`` names the
+    pair within a batch."""
+    if not isinstance(c, StepCurve) or not isinstance(g, StepCurve):
+        raise ValidationError(
+            f"skorokhod_distance expects two StepCurve inputs{where}")
+    if c.space is not g.space:
+        raise SpaceMismatchError(
+            f"step curves must share the same ambient space object{where}")
+    if c.interval != g.interval:
+        raise SpaceMismatchError(
+            f"step curves must share their time interval, got "
+            f"{c.interval} and {g.interval}{where}")
 
 
 def _pieces(c: StepCurve, g: StepCurve, knots: np.ndarray) -> np.ndarray:

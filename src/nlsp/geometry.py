@@ -38,7 +38,14 @@ from .mappings import (
     d_p,
 )
 from .rng import trial_rng, worst_trial
-from .targets import FLAT, GLOBAL_NNC, GLOBAL_NPC, TargetSpace
+from .targets import (
+    FLAT,
+    GLOBAL_NNC,
+    GLOBAL_NPC,
+    TargetSpace,
+    _comparison_distances,
+    _comparison_residuals,
+)
 
 
 def geodesic_safe_pair(target: TargetSpace, rng: np.random.Generator):
@@ -198,25 +205,6 @@ def geodesic_speed_check(geo: LpGeodesic) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _comparison_distances(target: TargetSpace, zs, fs, gs, t):
-    """The four target distances of the comparison residual over batch
-    axes: ``d(z, c(t))``, ``d(z, f)``, ``d(z, g)`` and ``d(f, g)``, where
-    ``c`` is the geodesic from ``f`` to ``g`` and ``t`` broadcasts with the
-    batches.  Each is one kernel call."""
-    return (target.distances(zs, target.geodesic_points(fs, gs, t)),
-            target.distances(zs, fs), target.distances(zs, gs),
-            target.distances(fs, gs))
-
-
-def _comparison_residuals(dists, t) -> np.ndarray:
-    """``d_zm^2 - [(1-t) d_zf^2 + t d_zg^2 - (1-t) t d_fg^2]`` elementwise,
-    from the four distances of :func:`_comparison_distances` (or their
-    mapping-space norms); exactly zero wherever ``t`` is 0 or 1."""
-    d_zm, d_zf, d_zg, d_fg = dists
-    chord = (1.0 - t) * d_zf ** 2 + t * d_zg ** 2 - (1.0 - t) * t * d_fg ** 2
-    return np.where((t == 0.0) | (t == 1.0), 0.0, d_zm ** 2 - chord)
-
-
 def _l2_over_atoms(dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``D_2`` from per-atom distances on the last axis; an axis of length
     one (a constant mapping) is broadcast to every atom first."""
@@ -240,6 +228,8 @@ def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t must lie in [0, 1], got {t!r}")
+    if t == 0.0 or t == 1.0:
+        return 0.0
     weights = f.base_space.weights_array
     dists = _comparison_distances(f.target, z.values, f.values, g.values, t)
     return float(_comparison_residuals(

@@ -87,6 +87,25 @@ def _check_fraction(t: float) -> float:
     return float(_check_fractions(t))
 
 
+def _comparison_distances(target: TargetSpace, zs, fs, gs, t):
+    """The four target distances of the comparison residual over batch
+    axes: ``d(z, c(t))``, ``d(z, f)``, ``d(z, g)`` and ``d(f, g)``, where
+    ``c`` is the geodesic from ``f`` to ``g`` and ``t`` broadcasts with the
+    batches.  Each is one kernel call."""
+    return (target.distances(zs, target.geodesic_points(fs, gs, t)),
+            target.distances(zs, fs), target.distances(zs, gs),
+            target.distances(fs, gs))
+
+
+def _comparison_residuals(dists, t) -> np.ndarray:
+    """``d_zm^2 - [(1-t) d_zf^2 + t d_zg^2 - (1-t) t d_fg^2]`` elementwise,
+    from the four distances of :func:`_comparison_distances` (or their
+    mapping-space norms); exactly zero wherever ``t`` is 0 or 1."""
+    d_zm, d_zf, d_zg, d_fg = dists
+    chord = (1.0 - t) * d_zf ** 2 + t * d_zg ** 2 - (1.0 - t) * t * d_fg ** 2
+    return np.where((t == 0.0) | (t == 1.0), 0.0, d_zm ** 2 - chord)
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis (``np.linalg.norm``'s formula)."""
     return np.sqrt(np.add.reduce(x * x, axis=-1))
@@ -209,13 +228,9 @@ class TargetSpace(ABC):
         t = _check_fraction(t)
         if t == 0.0 or t == 1.0:
             return 0.0
-        gt = self.geodesic_point(a, b, t)
-        d_zg = self.distance(z, gt)
-        d_za = self.distance(z, a)
-        d_zb = self.distance(z, b)
-        d_ab = self.distance(a, b)
-        chord = (1.0 - t) * d_za ** 2 + t * d_zb ** 2 - (1.0 - t) * t * d_ab ** 2
-        return d_zg ** 2 - chord
+        z, a, b = (self.as_points([y]) for y in (z, a, b))
+        return float(_comparison_residuals(
+            _comparison_distances(self, z, a, b, t), t)[0])
 
     # -- batches -------------------------------------------------------------
     #

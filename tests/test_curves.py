@@ -389,6 +389,21 @@ def test_skorokhod_requires_matching_domains():
         skorokhod_distance(c, c, warp_grid=0)
 
 
+def test_skorokhod_distances_names_the_faulty_pair():
+    """A batch entry that is not a pair of comparable step curves is
+    refused with its index."""
+    c = scalar_step((0.0, 0.5, 1.0), (0.0, 1.0))
+    other_interval = scalar_step((0.0, 0.5, 2.0), (0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"\(c, g\) pairs.*pair 1"):
+        skorokhod_distances([(c, c), (c,)])
+    with pytest.raises(ValidationError, match=r"pairs, got int at pair 2"):
+        skorokhod_distances([(c, c), (c, c), 3])
+    with pytest.raises(ValidationError, match=r"StepCurve inputs \(pair 1\)"):
+        skorokhod_distances([(c, c), (c, "g")])
+    with pytest.raises(SpaceMismatchError, match=r"interval.*\(pair 0\)"):
+        skorokhod_distances([(c, other_interval)])
+
+
 def _loop_skorokhod(c, g, warp_grid):
     """The pair-at-a-time dynamic program, cell by cell: the reference for
     the batched one."""

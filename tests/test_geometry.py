@@ -197,6 +197,21 @@ def test_mapping_comparison_residual_vanishes_at_endpoints():
     assert abs(mapping_comparison_residual(z, f, g, 1.0)) <= 1e-12
 
 
+def test_mapping_comparison_residual_ends_skip_antipodal_atoms():
+    """The endpoint zeros are exact without a geodesic, so an antipodal
+    atom, even of zero weight, only fails at interior times."""
+    base = FiniteMeasureSpace(("x0", "x1", "x2"), (1.0, 0.0, 1.0))
+    fam = MappingFamily(base, Sphere(3), (E1, E2, E3))
+    z = MetricMapping(fam, (E3, E3, E3))
+    f = MetricMapping(fam, (E1, E2, E3))
+    g = MetricMapping(fam, (E2, -E2, E1))
+    assert mapping_comparison_residual(z, f, g, 0.0) == 0.0
+    assert mapping_comparison_residual(z, f, g, 1.0) == 0.0
+    with pytest.raises(GeodesicError):
+        mapping_comparison_residual(z, f, g, 0.5)
+    assert Sphere(3).comparison_residual(E3, E2, -E2, 1.0) == 0.0
+
+
 def test_mapping_comparison_residual_signs_by_class():
     """Flat targets sit at zero; NPC targets stay nonpositive."""
     for trial in range(30):
