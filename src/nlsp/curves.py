@@ -3,9 +3,11 @@
 Works with any ambient exposing ``distance`` and the batched
 ``as_points`` / ``distances``: concrete targets and
 :class:`~nlsp.mappings.LpSpace` alike.  Each curve validates its samples
-with one ``as_points`` call and keeps them as one batch, ``values``, whose
-first axis is time, so that sample distances take one batched call too; a
-curve built on a canonical batch (a retimed curve, say) shares its buffer.
+with one ``as_points`` call and keeps them as one float array, ``values``,
+whose first axis is time, so that sample distances take one batched call
+too; a curve built on a canonical batch (a retimed curve, say) shares its
+buffer.  A curve of mappings is one ``(node, atom, *point_shape)`` array,
+and its atom slices are that array's ``swapaxes(0, 1)``.
 Provides sampled curves with metric derivative, length, p-energy and
 constant-speed reparametrization; right-continuous step curves with total
 variation and its jump measure; and two-sided bounds for the Skorokhod

@@ -74,8 +74,9 @@ def _require_positive_mass(base_space: FiniteMeasureSpace, op: str) -> None:
 class LpGeodesic:
     """A geodesic between two mappings, with its per-atom target geodesics.
 
-    ``curve`` lives in the ``LpSpace`` ambient; ``per_atom_curves[j]`` and
-    ``curve``'s node mappings are views of one batch of target points.
+    ``curve`` lives in the ``LpSpace`` ambient and holds one batch of shape
+    ``(node, atom, *point_shape)``; ``per_atom_curves[j]`` reads atom ``j``
+    of it, so both are views of one array of target points.
     """
 
     start: MetricMapping
@@ -144,8 +145,7 @@ def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
         zs = np.where(undefined.reshape((-1,) + (1,) * (ys.ndim - 1)), ys, zs)
         nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
 
-    node_mappings = tuple(MetricMapping(family, row) for row in nodes)
-    curve = SampledCurve(LpSpace(family, p), times, node_mappings)
+    curve = SampledCurve(LpSpace(family, p), times, nodes)
     per_atom = tuple(SampledCurve(tgt, times, series)
                      for series in nodes.swapaxes(0, 1))
     return LpGeodesic(start=f, end=g, p=p, curve=curve,
@@ -195,8 +195,7 @@ def geodesic_speed_check(geo: LpGeodesic) -> float:
     a, b = geo.interval
     tgt = geo.family.target
     speed = tgt.distances(geo.start.values, geo.end.values) / (b - a)
-    nodes = geo.curve.space.stacked_values(geo.curve.values)
-    md = metric_speeds(tgt, nodes, geo.curve.times_array)
+    md = metric_speeds(tgt, geo.curve.values, geo.curve.times_array)
     return float(np.max(np.abs(md - speed), initial=0.0))
 
 

@@ -13,21 +13,32 @@ maximum over positive-weight atoms.
 distance and :func:`rectangular_simple` building piecewise-constant data
 from disjoint rectangles.
 
-Every container holds its points as one batch of the target, validated by
-one ``as_points`` call, with the atoms (after the time nodes, for product
-data) as batch axes; distances and norms are array expressions over it.
+Every container holds its points as one float batch of the target,
+validated by one ``as_points`` call, with the atoms (after the time nodes,
+for product data) as batch axes; distances and norms are array
+expressions over it.  A point of :class:`LpSpace` is a mapping's values
+array ``(atom, *point_shape)``, so a curve of mappings is one ``(node,
+atom, *point_shape)`` array.  That array has two readings: along its
+first axis a curve in ``L^p(Omega; X)``, along its second a mapping into
+curves of ``X`` — the nonlinear Fubini identification
+``L^p(I; L^p(Omega; X)) = L^p(Omega; L^p(I; X))``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .targets import POINT_EQ_TOL, TargetSpace, _object_points, make_target
+from .targets import (
+    POINT_EQ_TOL,
+    TargetSpace,
+    _check_batch_shape,
+    make_target,
+)
 
 
 def check_p(p, *, allow_inf: bool = True) -> float:
@@ -236,9 +247,14 @@ def ae_equal(f: MetricMapping, g: MetricMapping,
              tol: float = POINT_EQ_TOL) -> bool:
     """Whether two mappings agree on every positive-weight atom."""
     _require_same_family(f, g)
-    tgt = f.target
-    return all(tgt.points_equal(f.values[j], g.values[j], tol)
-               for j in f.base_space.positive_atoms)
+    return _ae_equal(f.family, f.values, g.values, tol)
+
+
+def _ae_equal(family: MappingFamily, fs: np.ndarray, gs: np.ndarray,
+              tol: float) -> bool:
+    tgt = family.target
+    return all(tgt.points_equal(fs[j], gs[j], tol)
+               for j in family.base_space.positive_atoms)
 
 
 class LpSpace:
@@ -246,8 +262,9 @@ class LpSpace:
 
     Provides the interface that curve calculus expects of an ambient space:
     ``distance`` / ``points_equal`` / ``as_point`` and their batched forms
-    ``distances`` / ``as_points``, whose batches are object arrays of
-    mappings.
+    ``distances`` / ``as_points``.  A point is a mapping's values array of
+    shape ``(atom, *point_shape)``, and a batch is one float array of shape
+    ``(..., atom, *point_shape)``; the target validates it in one call.
     """
 
     def __init__(self, family: MappingFamily, p):
@@ -257,43 +274,56 @@ class LpSpace:
         self.family = family
         self.p = check_p(p)
 
-    def distance(self, f: MetricMapping, g: MetricMapping) -> float:
-        return d_p(f, g, self.p)
+    def distance(self, f, g) -> float:
+        return float(self.distances(f, g))
 
     def distances(self, fs, gs) -> np.ndarray:
-        """``d_p`` between two batches of mappings, broadcast together;
-        one target call covers every atom of every pair."""
-        fs, gs = self.as_points(fs), self.as_points(gs)
-        if fs.size == 0 or gs.size == 0:
-            return np.zeros(np.broadcast_shapes(fs.shape, gs.shape))
-        # Stacked apart, so the target kernel broadcasts a batch of one
-        # mapping against many without repeating its work.
-        dists = self.family.target.distances(self.stacked_values(fs),
-                                             self.stacked_values(gs))
+        """``d_p`` between two batches of points, broadcast together; one
+        target call covers every atom of every pair.  Like the target
+        kernels, it takes validated points (or mappings of the family)."""
+        dists = self.family.target.distances(
+            np.asarray(self._unwrap(fs), float),
+            np.asarray(self._unwrap(gs), float))
         return _weighted_norm(dists, self.family.base_space.weights_array,
                               self.p)
 
-    @staticmethod
-    def stacked_values(fs: np.ndarray) -> np.ndarray:
-        """The values of a non-empty object array of mappings as one target
-        batch, with the mapping axes in front of the atom axis."""
-        stacked = np.stack([f.values for f in fs.flat])
-        return stacked.reshape(fs.shape + stacked.shape[1:])
+    def points_equal(self, f, g, tol: float = POINT_EQ_TOL) -> bool:
+        return _ae_equal(self.family, self._unwrap(f), self._unwrap(g), tol)
 
-    def points_equal(self, f: MetricMapping, g: MetricMapping,
-                     tol: float = POINT_EQ_TOL) -> bool:
-        return ae_equal(f, g, tol)
+    def _unwrap(self, values):
+        """The values of a mapping of this family, or of a sequence of them
+        stacked; any other input as it is."""
+        if isinstance(values, MetricMapping):
+            return self._values_of(values)
+        if isinstance(values, (list, tuple)) and values \
+                and isinstance(values[0], MetricMapping):
+            return np.stack([self._values_of(f) for f in values])
+        return values
 
-    def as_point(self, f: MetricMapping) -> MetricMapping:
+    def _values_of(self, f) -> np.ndarray:
         if not isinstance(f, MetricMapping):
             raise ValidationError(
                 f"expected a MetricMapping, got {type(f).__name__}")
         if f.family is not self.family:
             raise SpaceMismatchError("mapping belongs to a different family")
-        return f
+        return f.values
+
+    def as_point(self, f) -> np.ndarray:
+        return self.as_points(f, ())
 
     def as_points(self, values, shape=None) -> np.ndarray:
-        return _object_points(self.as_point, values, shape)
+        """Validate a batch of points: a float array of shape ``(...,
+        atom, *point_shape)``, a mapping of this family, or a sequence of
+        them, whose values are stacked."""
+        points = self.family.target.as_points(self._unwrap(values))
+        lead = points.ndim - len(self.family.target.point_shape)
+        n_atoms = len(self.family.base_space)
+        if lead < 1 or points.shape[lead - 1] != n_atoms:
+            raise ValidationError(
+                f"expected points of {n_atoms} atoms, got a batch of shape "
+                f"{points.shape[:lead]}")
+        _check_batch_shape(points.shape[:lead - 1], shape)
+        return points
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LpSpace(p={self.p}, atoms={len(self.family.base_space)}, "
@@ -531,9 +561,16 @@ def mapping_from_jsonable(data: dict) -> MetricMapping:
     missing = {"atoms", "target", "values", "base"} - set(data)
     if missing:
         raise ValidationError(f"mapping encoding is missing keys {sorted(missing)}")
-    atoms = data["atoms"]
-    space = FiniteMeasureSpace(tuple(a["id"] for a in atoms),
-                               tuple(a["weight"] for a in atoms))
+    ids, weights = [], []
+    for k, atom in enumerate(data["atoms"]):
+        try:
+            ids.append(atom["id"])
+            weights.append(atom["weight"])
+        except (KeyError, TypeError, IndexError):
+            raise ValidationError(
+                f"atom {k} must be a dict with 'id' and 'weight' keys, got "
+                f"{atom!r}") from None
+    space = FiniteMeasureSpace(tuple(ids), tuple(weights))
     tgt = make_target(data["target"])
     base = tuple(tgt.point_from_jsonable(v) for v in data["base"])
     family = MappingFamily(space, tgt, base)

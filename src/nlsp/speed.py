@@ -3,8 +3,9 @@
 Given an atomwise decomposition of a curve of mappings (``1 < p < inf``),
 :func:`compute_speed` differentiates every atom slice at every node in one
 call of the target's batched log map — forward differences, so each
-tangent vector is anchored exactly at the curve's value; base points and
-vectors are two stacked arrays of shape ``(node, atom, *point_shape)``.
+tangent vector is anchored exactly at the curve's value.  The base points
+are the curve's own batch of shape ``(node, atom, *point_shape)``, and the
+vectors are one array of the same shape.
 :func:`bundle_norms` aggregates the per-atom tangent norms into the
 weighted p-norm at every node.  The bundle norm approximates the curve's
 metric derivative; :func:`speed_identity_residual` measures the gap, which
@@ -31,8 +32,8 @@ from .transport import TransportDecomposition, per_atom_derivatives
 class SpeedField:
     """Forward-difference velocity vectors of every atom slice.
 
-    ``bases`` is the curve's values stacked into one batch of shape
-    ``(node, atom, *point_shape)``; ``vectors`` has the same shape, and
+    ``bases`` is the curve's own batch of shape ``(node, atom,
+    *point_shape)``, not a copy; ``vectors`` has the same shape, and
     ``vectors[i, j]`` is the velocity of atom ``j`` at time node ``i``, a
     tangent vector at ``bases[i, j]`` (the final node uses the backward
     pair, rescaled to keep the forward orientation).
@@ -63,8 +64,7 @@ def compute_speed(d: TransportDecomposition) -> SpeedField:
         raise ValidationError(
             f"compute_speed expects a TransportDecomposition, got "
             f"{type(d).__name__}")
-    space = d.source.space
-    tgt = space.family.target
+    tgt = d.source.space.family.target
     if not tgt.has_chart:
         raise UnsupportedOperationError(
             f"{tgt.kind} target has no tangent chart: curve speed exists "
@@ -77,7 +77,7 @@ def compute_speed(d: TransportDecomposition) -> SpeedField:
     n = len(times)
     if n < 2:
         raise ValidationError("compute_speed needs at least two time nodes")
-    bases = space.stacked_values(d.source.values)
+    bases = d.source.values
     dst = np.append(np.arange(1, n), n - 2)
     step = (1.0 / (times[dst] - times)).reshape((n,) + (1,) * (bases.ndim - 1))
     vectors = tgt.log_maps(bases, bases[dst]) * step

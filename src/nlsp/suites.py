@@ -50,7 +50,6 @@ from .mappings import (
     FiniteMeasureSpace,
     LpSpace,
     MappingFamily,
-    MetricMapping,
     ProductGridMapping,
     TimeGrid,
     product_lp_norm,
@@ -190,9 +189,7 @@ class SmoothLpPath:
         ys, zs = (np.array(ends) for ends in zip(*self.anchors))
         nodes = self.family.target.geodesic_points(ys, zs, fractions)
         return SampledCurve(LpSpace(self.family, self.p),
-                            tuple(float(t) for t in times),
-                            tuple(MetricMapping(self.family, row)
-                                  for row in nodes))
+                            tuple(float(t) for t in times), nodes)
 
 
 def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
@@ -268,8 +265,7 @@ def polyline_mapping_curve(target: TargetSpace, rng: np.random.Generator,
     leg, fraction = _polyline_legs(legs, n_nodes)
     ways = np.array(atom_ways).swapaxes(0, 1)  # (waypoint, atom, ...)
     nodes = target.geodesic_points(ways[leg], ways[leg + 1], fraction[:, None])
-    return SampledCurve(LpSpace(family, p), times,
-                        tuple(MetricMapping(family, row) for row in nodes))
+    return SampledCurve(LpSpace(family, p), times, nodes)
 
 
 def random_step_curve(space, value_sampler, rng: np.random.Generator,

@@ -5,29 +5,31 @@ the round unit sphere, symmetric positive-definite matrices under the
 affine-invariant metric, and finite metric trees.  Every space provides
 ``distance``, ``geodesic_point`` and ``comparison_residual``.
 
-Every space also works on batches of points: ``as_points``, ``distances``,
-``geodesic_points`` and ``random_points`` take points stacked over any
-leading batch axes (none included) and broadcast them together.  The three
-array spaces write each formula once, as a numpy kernel over the batch
-axes; SPD matrices go through stacked ``eigh`` / ``eigvalsh`` on
-``(..., n, n)`` with the affine-invariant formulas of Pennec, Fillard and
-Ayache (IJCV 2006).  Their tangent chart is written the same way:
+A point of every space is a float array of shape ``point_shape``, and a
+batch of points is one float array of shape ``(..., *point_shape)``:
+``as_points``, ``distances``, ``geodesic_points`` and ``random_points`` take
+points stacked over any leading batch axes (none included) and broadcast
+them together.  Each space writes each formula once, as a numpy kernel
+over the batch axes.  SPD matrices go through stacked ``eigh`` /
+``eigvalsh`` on ``(..., n, n)`` with the affine-invariant formulas of
+Pennec, Fillard and Ayache (IJCV 2006).  A metric-tree point is the pair
+``(edge, offset)`` of shape ``(2,)``, the edge-offset coordinates of a
+metric graph (Bridson and Haefliger, *Metric Spaces of Non-Positive
+Curvature*, 1999, ch. I.1); its kernels index tables of node-to-node
+distances and paths.  The tangent chart is written the same way:
 ``log_maps`` / ``exp_maps`` / ``tangent_norms`` are kernels, and a tangent
 vector is a plain component array of the point shape, its base point
-passed beside it.  The scalar ``as_point`` / ``distance`` /
-``geodesic_point`` / ``random_point`` and the validating ``log_map`` /
-``exp_map`` / ``tangent_norm`` are the same kernels at zero batch axes.
-Metric trees use the looping defaults of :class:`TargetSpace`, whose
-batches are object arrays of :class:`TreePoint`, and its chart kernels,
-which refuse: a tree has no tangent chart.
+passed beside it; a tree has no chart, and its chart kernels refuse.  The
+scalar ``as_point`` / ``distance`` / ``geodesic_point`` / ``random_point``
+/ ``log_map`` / ``exp_map`` / ``tangent_norm`` are the same kernels at zero
+batch axes; those that take points validate them first.
 
-``as_points`` is the one door through which points enter a container: a
-batch is a float array of shape ``(..., *point_shape)`` for the array
-spaces and an object array over the batch axes otherwise.  A batch that is
-already canonical comes back as itself, so a container that re-reads
-another container's batch, or a view of one, shares its buffer; any other
-input is copied into a new batch.  Input that does not form one batch
-(ragged, non-numeric or of the wrong shape) raises
+``as_points`` is the one door through which points enter a container, and
+the kernels take what it returns.  A batch that is already canonical comes
+back as itself, so a container that re-reads another container's batch, or
+a view of one, shares its buffer; any other input is copied into a new
+batch.  Input that does not form one batch (ragged, non-numeric or of the
+wrong shape) or breaks the space's constraints raises
 :class:`~nlsp.errors.ValidationError` naming the offending entry.
 
 Each space declares a ``curvature_class`` — ``"flat"``, ``"global_npc"``
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,33 +118,6 @@ def _dot_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _object_array(points, ndim: int = 1) -> np.ndarray:
-    """Points as an object array: as given, or nested sequences ``ndim``
-    deep."""
-    if isinstance(points, np.ndarray) and points.dtype == object:
-        return points
-    if ndim == 1:
-        return np.fromiter(points, dtype=object)
-    rows = [_object_array(row, ndim - 1) for row in points]
-    if len({row.shape for row in rows}) > 1:
-        raise ValidationError(
-            f"points do not form one batch: rows of shapes "
-            f"{[row.shape for row in rows]}")
-    return np.stack(rows) if rows else np.empty((0,) * ndim, dtype=object)
-
-
-def _object_points(as_point, values, shape=None) -> np.ndarray:
-    """Validate a batch of points held in an object array, given as one or
-    as nested sequences ``len(shape)`` deep (default one).  The batch comes
-    back as itself when every entry already is canonical."""
-    batch = _object_array(values, 1 if shape is None else len(shape))
-    _check_batch_shape(batch.shape, shape)
-    out = np.empty(batch.shape, dtype=object)
-    for idx in np.ndindex(batch.shape):
-        out[idx] = as_point(batch[idx])
-    return batch if all(a is b for a, b in zip(out.flat, batch.flat)) else out
-
-
 def _malformed_entry(values, path=()) -> tuple[tuple, object, str]:
     """Index path, value and fault of the first entry that keeps
     ``values`` from being one regular numeric array: an entry that is not
@@ -172,47 +146,86 @@ def _check_batch_shape(got: tuple, shape) -> None:
             f"expected a batch of points of shape {tuple(shape)}, got {got}")
 
 
-@dataclass(frozen=True)
-class TreePoint:
-    """A point of a metric tree: an edge index plus an offset along it.
-
-    ``offset`` is measured from the edge's first endpoint and lies in
-    ``[0, edge length]``.
-    """
-
-    edge: int
-    offset: float
-
-
 class TargetSpace(ABC):
-    """Common interface of all metric target spaces."""
+    """Common interface of all metric target spaces.
+
+    A point is a float array of shape ``point_shape`` and a batch is a
+    float array of shape ``(..., *point_shape)``.  Subclasses write
+    ``distances``, ``geodesic_points`` and ``random_points`` as kernels
+    over the batch axes, plus their own point constraints; the scalar
+    primitives here are those kernels at zero batch axes.
+    """
 
     kind: str = ""
     curvature_class: str = ""
     #: Whether log/exp/tangent-norm operations are available.
     has_chart: bool = True
+    point_shape: tuple[int, ...] = ()
 
     # -- points ----------------------------------------------------------
 
-    @abstractmethod
-    def as_point(self, y):
+    def _constrain(self, arr: np.ndarray) -> np.ndarray:
+        """Check a finite, well-shaped batch against the space's own
+        constraints; returns it in canonical form."""
+        return arr
+
+    def _checked(self, arr: np.ndarray, shape: tuple,
+                 what: str = "point") -> np.ndarray:
+        """Check that a batch is finite, its point axes of shape ``shape``."""
+        if shape != self.point_shape:
+            raise ValidationError(
+                f"{self.kind} {what} must have shape {self.point_shape}, got "
+                f"{arr.shape}")
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise ValidationError(
+                f"{self.kind} {what} must be finite, got "
+                f"{float(arr[bad].flat[0])!r}")
+        return arr
+
+    # asarray keeps canonical float arrays as they are, so a container
+    # re-reading a batch, or a view of one, shares its buffer.
+
+    def _float_array(self, values) -> np.ndarray:
+        try:
+            return np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            path, value, fault = _malformed_entry(values)
+        where = f" at index {list(path)}" if path else ""
+        raise ValidationError(f"{self.kind} point {value!r}{where} {fault}")
+
+    def as_points(self, values, shape=None) -> np.ndarray:
+        """Validate a batch of points and return it in canonical form.
+
+        ``shape``, if given, is the batch shape the caller requires.
+        """
+        arr = self._float_array(values)
+        lead = max(arr.ndim - len(self.point_shape), 0)
+        points = self._constrain(self._checked(arr, arr.shape[lead:]))
+        _check_batch_shape(arr.shape[:lead], shape)
+        return points
+
+    def as_point(self, y) -> np.ndarray:
         """Coerce ``y`` to canonical form and validate it, or raise
         :class:`ValidationError`."""
+        arr = self._float_array(y)
+        return self._constrain(self._checked(arr, arr.shape))
 
-    @abstractmethod
     def distance(self, y, z) -> float:
         """Geodesic distance between two points."""
+        return float(self.distances(self.as_point(y), self.as_point(z)))
 
-    @abstractmethod
     def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
         """Whether two points coincide within ``tol``."""
+        diff = np.abs(np.asarray(y, float) - np.asarray(z, float))
+        return bool(np.max(diff) <= tol)
 
     # -- geodesics ---------------------------------------------------------
 
-    @abstractmethod
-    def geodesic_point(self, y, z, t: float):
+    def geodesic_point(self, y, z, t: float) -> np.ndarray:
         """The point a fraction ``t`` of the way along the unique
         constant-speed geodesic from ``y`` to ``z``."""
+        return self.geodesic_points(self.as_point(y), self.as_point(z), t)
 
     def comparison_residual(self, z, a, b, t: float) -> float:
         """Deficit of the squared-distance interpolation inequality.
@@ -233,43 +246,23 @@ class TargetSpace(ABC):
             _comparison_distances(self, z, a, b, t), t)[0])
 
     # -- batches -------------------------------------------------------------
-    #
-    # Looping defaults over object arrays of points; the array spaces
-    # override all of them with kernels over the batch axes.
 
-    def as_points(self, values, shape=None) -> np.ndarray:
-        """Validate a batch of points and return it in canonical form.
-
-        ``shape``, if given, is the batch shape the caller requires; it
-        also tells how deep nested sequences of points go.
-        """
-        return _object_points(self.as_point, values, shape)
-
+    @abstractmethod
     def distances(self, ys, zs) -> np.ndarray:
         """Distances between two batches of points, broadcast together."""
-        ys, zs = np.broadcast_arrays(_object_array(ys), _object_array(zs))
-        out = np.empty(ys.shape)
-        for idx in np.ndindex(ys.shape):
-            out[idx] = self.distance(ys[idx], zs[idx])
-        return out
 
+    @abstractmethod
     def geodesic_points(self, ys, zs, t) -> np.ndarray:
         """Geodesic points at fractions ``t``, broadcast with both batches.
 
         A space with pairs that have no unique geodesic raises
         :class:`GeodesicError` with an ``undefined`` mask marking them.
         """
-        ys, zs, t = np.broadcast_arrays(
-            _object_array(ys), _object_array(zs), _check_fractions(t))
-        out = np.empty(ys.shape, dtype=object)
-        for idx in np.ndindex(ys.shape):
-            out[idx] = self.geodesic_point(ys[idx], zs[idx], t[idx])
-        return out
 
+    @abstractmethod
     def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` points, drawn from ``rng`` exactly as ``n`` successive
         :meth:`random_point` calls draw them."""
-        return _object_array([self.random_point(rng) for _ in range(n)])
 
     def random_geodesic_pairs(self, rng: np.random.Generator,
                               n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,8 +299,11 @@ class TargetSpace(ABC):
         """Riemannian norms of the tangent vectors ``vs`` at ``ys``."""
         raise self._no_chart("tangent_norm")
 
-    def _as_tangent(self, v):
-        return v  # without a chart there is nothing to check: kernels refuse
+    def _as_tangent(self, v) -> np.ndarray:
+        if not self.has_chart:
+            return v  # nothing to check: the chart kernels refuse
+        arr = self._float_array(v)
+        return self._checked(arr, arr.shape, "tangent vector")
 
     def log_map(self, y, z) -> np.ndarray:
         """Initial velocity at ``y`` of the unit-time geodesic to ``z``."""
@@ -323,99 +319,8 @@ class TargetSpace(ABC):
 
     # -- sampling ----------------------------------------------------------
 
-    @abstractmethod
-    def random_point(self, rng: np.random.Generator):
-        """Draw a point; deterministic in the supplied generator."""
-
-    def random_tangent(self, base, rng: np.random.Generator,
-                       norm: float = 1.0) -> np.ndarray:
-        """Draw a tangent vector at ``base`` with the requested norm."""
-        raise self._no_chart("random_tangent")
-
-    # -- serialization -------------------------------------------------------
-
-    @abstractmethod
-    def to_config(self) -> dict:
-        """JSON-able description sufficient to rebuild the space."""
-
-    @abstractmethod
-    def point_to_jsonable(self, y):
-        """JSON-able encoding of a point (binary64 values kept exactly)."""
-
-    @abstractmethod
-    def point_from_jsonable(self, data):
-        """Inverse of :meth:`point_to_jsonable`."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        cfg = {k: v for k, v in self.to_config().items() if k != "kind"}
-        inner = ", ".join(f"{k}={v!r}" for k, v in cfg.items())
-        return f"{type(self).__name__}({inner})"
-
-
-class _ArrayTarget(TargetSpace):
-    """A space whose points are float arrays of shape ``point_shape``.
-
-    A batch is a float array of shape ``(..., *point_shape)``.  Subclasses
-    write ``distances``, ``geodesic_points`` and ``random_points`` as
-    kernels over the batch axes, plus their own point constraints; the
-    scalar primitives here are those kernels at zero batch axes.
-    """
-
-    point_shape: tuple[int, ...] = ()
-
-    def _constrain(self, arr: np.ndarray) -> np.ndarray:
-        """Check a finite, well-shaped batch against the space's own
-        constraints; returns it in canonical form."""
-        return arr
-
-    def _checked(self, arr: np.ndarray, shape: tuple,
-                 what: str = "point") -> np.ndarray:
-        """Check that a batch is finite, its point axes of shape ``shape``."""
-        if shape != self.point_shape:
-            raise ValidationError(
-                f"{self.kind} {what} must have shape {self.point_shape}, got "
-                f"{arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{self.kind} {what} must be finite")
-        return arr
-
-    # asarray keeps canonical float arrays as they are, so a container
-    # re-reading a batch, or a view of one, shares its buffer.
-
-    def _float_array(self, values) -> np.ndarray:
-        try:
-            return np.asarray(values, dtype=float)
-        except (TypeError, ValueError):
-            path, value, fault = _malformed_entry(values)
-        where = f" at index {list(path)}" if path else ""
-        raise ValidationError(f"{self.kind} point {value!r}{where} {fault}")
-
-    def as_points(self, values, shape=None) -> np.ndarray:
-        arr = self._float_array(values)
-        lead = max(arr.ndim - len(self.point_shape), 0)
-        points = self._constrain(self._checked(arr, arr.shape[lead:]))
-        _check_batch_shape(arr.shape[:lead], shape)
-        return points
-
-    def as_point(self, y) -> np.ndarray:
-        arr = self._float_array(y)
-        return self._constrain(self._checked(arr, arr.shape))
-
-    def _as_tangent(self, v) -> np.ndarray:
-        arr = self._float_array(v)
-        return self._checked(arr, arr.shape, "tangent vector")
-
-    def distance(self, y, z) -> float:
-        return float(self.distances(y, z))
-
-    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
-        diff = np.abs(np.asarray(y, float) - np.asarray(z, float))
-        return bool(np.max(diff) <= tol)
-
-    def geodesic_point(self, y, z, t: float) -> np.ndarray:
-        return self.geodesic_points(y, z, t)
-
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw a point; deterministic in the supplied generator."""
         return self.random_points(rng, 1)[0]
 
     def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -424,6 +329,9 @@ class _ArrayTarget(TargetSpace):
 
     def random_tangent(self, base, rng: np.random.Generator,
                        norm: float = 1.0) -> np.ndarray:
+        """Draw a tangent vector at ``base`` with the requested norm."""
+        if not self.has_chart:
+            raise self._no_chart("random_tangent")
         base = self.as_point(base)
         while True:
             g = self._tangent_part(base, rng.standard_normal(self.point_shape))
@@ -431,14 +339,27 @@ class _ArrayTarget(TargetSpace):
             if cur >= 1e-12:  # else redraw: astronomically unlikely
                 return g * (float(norm) / cur)
 
+    # -- serialization -------------------------------------------------------
+
+    @abstractmethod
+    def to_config(self) -> dict:
+        """JSON-able description sufficient to rebuild the space."""
+
     def point_to_jsonable(self, y):
+        """JSON-able encoding of a point (binary64 values kept exactly)."""
         return self.as_point(y).tolist()
 
     def point_from_jsonable(self, data):
+        """Inverse of :meth:`point_to_jsonable`."""
         return self.as_point(data)
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        cfg = {k: v for k, v in self.to_config().items() if k != "kind"}
+        inner = ", ".join(f"{k}={v!r}" for k, v in cfg.items())
+        return f"{type(self).__name__}({inner})"
 
-class Euclidean(_ArrayTarget):
+
+class Euclidean(TargetSpace):
     """``R^dim`` with the Euclidean distance; geodesics are straight lines."""
 
     kind = "euclidean"
@@ -477,7 +398,7 @@ class Euclidean(_ArrayTarget):
         return {"kind": "euclidean", "dim": self.dim}
 
 
-class Sphere(_ArrayTarget):
+class Sphere(TargetSpace):
     """Unit sphere ``S^{dim-1}`` in ``R^dim`` with great-circle distance.
 
     ``dim`` is the ambient dimension, so ``Sphere(3)`` is the ordinary
@@ -619,7 +540,7 @@ def _inv_sqrt(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(w)
 
 
-class Spd(_ArrayTarget):
+class Spd(TargetSpace):
     """Symmetric positive-definite matrices with the affine-invariant metric.
 
     ``d(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F`` with geodesics
@@ -705,16 +626,18 @@ class Spd(_ArrayTarget):
 class MetricTree(TargetSpace):
     """A finite metric tree: weighted edges with path-length distance.
 
-    Points are :class:`TreePoint` pairs ``(edge index, offset)``.  Between
-    any two points there is a unique arc, so distances and geodesics are
-    computed by explicit path walking; the space has no tangent chart, and
-    log/exp/tangent-norm requests raise
-    :class:`~nlsp.errors.UnsupportedOperationError`.
+    A point is a float array ``(edge, offset)``: an integer-valued edge
+    index and the offset from the edge's first endpoint, in ``[0, edge
+    length]``.  Between any two points there is a unique arc, so distances
+    index a table of node-to-node distances and geodesics walk the node
+    paths; the space has no tangent chart, and log/exp/tangent-norm
+    requests raise :class:`~nlsp.errors.UnsupportedOperationError`.
     """
 
     kind = "metric_tree"
     curvature_class = GLOBAL_NPC
     has_chart = False
+    point_shape = (2,)
 
     def __init__(self, edges):
         parsed = []
@@ -750,26 +673,28 @@ class MetricTree(TargetSpace):
                 f"{len(self.edges)} edges on {len(self.nodes)} nodes cannot "
                 "form a tree (need exactly nodes - 1 edges)")
 
-        # Adjacency: node index -> list of (edge index, neighbour index).
+        # Adjacency: node index -> list of (edge index, neighbour index);
+        # the edge between two nodes (-1: none); each edge's two gate nodes.
+        n = len(self.nodes)
         adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        self._edge_between: dict[tuple[int, int], int] = {}
+        self._edge_of = np.full((n, n), -1, dtype=np.intp)
         for k, (u, v, _) in enumerate(self.edges):
             ui, vi = index[u], index[v]
-            key = (min(ui, vi), max(ui, vi))
-            if key in self._edge_between:
+            if self._edge_of[ui, vi] >= 0:
                 raise ValidationError(
                     f"duplicate edge between nodes {u!r} and {v!r}")
             adj[ui].append((k, vi))
             adj[vi].append((k, ui))
-            self._edge_between[key] = k
+            self._edge_of[ui, vi] = self._edge_of[vi, ui] = k
         self._adj = adj
         self._index = index
+        self._gates = np.array([[index[u], index[v]] for u, v, _ in self.edges])
+        self._lengths = np.array([length for _, _, length in self.edges])
 
         # Single-source traversals from every node: accumulated distance and
         # the previous node on the path back to the root.
-        n = len(self.nodes)
         self._node_dist = np.zeros((n, n))
-        self._prev = np.full((n, n), -1, dtype=int)
+        self._prev = np.full((n, n), -1, dtype=np.intp)
         for root in range(n):
             seen = [False] * n
             seen[root] = True
@@ -790,126 +715,148 @@ class MetricTree(TargetSpace):
                     f"edge list is not connected: cannot reach {missing!r}")
 
         self.total_length = float(sum(length for _, _, length in self.edges))
-        self._cum_length = np.concatenate(
-            [[0.0], np.cumsum([length for _, _, length in self.edges])])
+        self._cum_length = np.concatenate([[0.0], np.cumsum(self._lengths)])
 
-    # -- basic point handling ------------------------------------------------
+    # -- points ----------------------------------------------------------------
 
-    def as_point(self, y) -> TreePoint:
-        if isinstance(y, (tuple, list)) and len(y) == 2:
-            y = TreePoint(int(y[0]), float(y[1]))
-        if not isinstance(y, TreePoint):
+    def _constrain(self, arr: np.ndarray) -> np.ndarray:
+        edge, off = arr[..., 0], arr[..., 1]
+        bad = edge != np.floor(edge)
+        if bad.any():
             raise ValidationError(
-                f"metric tree point must be a TreePoint, got {type(y).__name__}")
-        if not 0 <= y.edge < len(self.edges):
+                f"edge index must be an integer, got {float(edge[bad].flat[0])!r}")
+        bad = (edge < 0) | (edge >= len(self.edges))
+        if bad.any():
             raise ValidationError(
-                f"edge index must lie in [0, {len(self.edges)}), got {y.edge}")
-        length = self.edges[y.edge][2]
-        off = float(y.offset)
-        if not math.isfinite(off) or off < -1e-12 or off > length + 1e-12:
+                f"edge index must lie in [0, {len(self.edges)}), got "
+                f"{int(edge[bad].flat[0])}")
+        length = self._lengths[edge.astype(np.intp)]
+        bad = (off < -1e-12) | (off > length + 1e-12)
+        if bad.any():
             raise ValidationError(
-                f"offset must lie in [0, {length}] on edge {y.edge}, got {off!r}")
-        clamped = min(max(off, 0.0), length)
+                f"offset must lie in [0, {float(length[bad].flat[0])}] on edge "
+                f"{int(edge[bad].flat[0])}, got {float(off[bad].flat[0])!r}")
+        clamped = np.minimum(np.maximum(off, 0.0), length)
         # Canonical points pass through unchanged, so a batch of them is
         # kept as it is.
-        if clamped == y.offset and isinstance(y.edge, int):
-            return y
-        return TreePoint(int(y.edge), clamped)
+        if (clamped == off).all():
+            return arr
+        out = arr.copy()
+        out[..., 1] = clamped
+        return out
 
-    def node_point(self, label) -> TreePoint:
-        """The :class:`TreePoint` sitting at a named node."""
+    def node_point(self, label) -> np.ndarray:
+        """The point ``(edge, offset)`` sitting at a named node."""
         label = str(label)
         if label not in self._index:
             raise ValidationError(f"unknown node {label!r}")
-        ni = self._index[label]
-        k, _ = self._adj[ni][0]
+        k, _ = self._adj[self._index[label]][0]
         u, _, length = self.edges[k]
-        return TreePoint(k, 0.0 if u == label else length)
+        return np.array([float(k), 0.0 if u == label else length])
 
-    def _gate_offsets(self, p: TreePoint) -> tuple[tuple[int, float], tuple[int, float]]:
-        """Both endpoints of the point's edge with distances from the point."""
-        u, v, length = self.edges[p.edge]
-        return ((self._index[u], p.offset), (self._index[v], length - p.offset))
+    def _split(self, points: np.ndarray):
+        """Edge indices, offsets, both gate nodes of the edge and the
+        distances from the point to them, over the batch axes."""
+        edge = points[..., 0].astype(np.intp)
+        off = points[..., 1]
+        return (edge, off, self._gates[edge],
+                np.stack([off, self._lengths[edge] - off], axis=-1))
 
-    def distance(self, y, z) -> float:
-        y = self.as_point(y)
-        z = self.as_point(z)
-        if y.edge == z.edge:
-            return abs(y.offset - z.offset)
-        best = math.inf
-        for yi, dy in self._gate_offsets(y):
-            for zi, dz in self._gate_offsets(z):
-                best = min(best, dy + self._node_dist[yi, zi] + dz)
-        return float(best)
+    def distances(self, ys, zs) -> np.ndarray:
+        ey, oy, gy, dy = self._split(np.asarray(ys, float))
+        ez, oz, gz, dz = self._split(np.asarray(zs, float))
+        # Through every gate pair: dy + node distance + dz, in that order.
+        via = (dy[..., :, None] + self._node_dist[gy[..., :, None],
+                                                  gz[..., None, :]]
+               + dz[..., None, :])
+        best = via.min(axis=(-2, -1))
+        return np.where(ey == ez, np.abs(oy - oz), best)
 
     def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
         return self.distance(y, z) <= tol
 
-    def _node_path(self, start: int, stop: int) -> list[int]:
-        """Node indices from ``start`` to ``stop`` inclusive."""
-        path = [stop]
-        while path[-1] != start:
-            path.append(int(self._prev[start, path[-1]]))
-        path.reverse()
-        return path
+    def _clamped(self, edge: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Points ``(edge, offset)`` with roundoff past the ends clamped."""
+        off = np.minimum(np.maximum(off, 0.0), self._lengths[edge])
+        return np.stack([edge.astype(float), off], axis=-1)
 
-    def geodesic_point(self, y, z, t: float) -> TreePoint:
-        t = _check_fraction(t)
-        y = self.as_point(y)
-        z = self.as_point(z)
-        if y.edge == z.edge:
-            return TreePoint(y.edge, y.offset + (z.offset - y.offset) * t)
+    def geodesic_points(self, ys, zs, t) -> np.ndarray:
+        """Walk from ``y`` through the gate nodes to ``z``: first along
+        ``y``'s edge, then along whole edges of the node path, then into
+        ``z``'s edge, subtracting each traversed length from ``s = t d``
+        in that order.  The gate pair realizing the distance is taken in
+        the order (gate of y, gate of z) = (u, u), (u, v), (v, u), (v, v),
+        and a later pair replaces an earlier one only if shorter by more
+        than 1e-15."""
+        t = _check_fractions(t)
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
+        shape = np.broadcast_shapes(ys.shape[:-1], zs.shape[:-1], t.shape)
+        ys, zs = (np.broadcast_to(a, shape + (2,)).reshape(-1, 2)
+                  for a in (ys, zs))
+        t = np.broadcast_to(t, shape).ravel()
+        ey, oy, gy, dys = self._split(ys)
+        ez, oz, gz, dzs = self._split(zs)
 
-        # Pick the gate pair realizing the distance; ties break toward the
-        # smaller (gate-of-y, gate-of-z) index pair, deterministically.
-        best = None
-        for yi, dy in self._gate_offsets(y):
-            for zi, dz in self._gate_offsets(z):
-                total = dy + self._node_dist[yi, zi] + dz
-                if best is None or total < best[0] - 1e-15:
-                    best = (total, yi, zi, dy, dz)
-        total, yi, zi, dy, dz = best
+        total = dys[:, 0] + self._node_dist[gy[:, 0], gz[:, 0]] + dzs[:, 0]
+        ia = np.zeros(len(t), dtype=np.intp)
+        ib = np.zeros(len(t), dtype=np.intp)
+        for a, b in ((0, 1), (1, 0), (1, 1)):
+            cand = dys[:, a] + self._node_dist[gy[:, a], gz[:, b]] + dzs[:, b]
+            better = cand < total - 1e-15
+            total = np.where(better, cand, total)
+            ia[better], ib[better] = a, b
+        rows = np.arange(len(t))
+        cur, zi, dy = gy[rows, ia], gz[rows, ib], dys[rows, ia]
         s = t * total
 
-        # Segment 1: along y's edge toward gate node yi.
-        if s <= dy:
-            u, _, _ = self.edges[y.edge]
-            off = y.offset - s if self._index[u] == yi else y.offset + s
-            return self.as_point(TreePoint(y.edge, off))
-        s -= dy
+        # Segment 1: along y's edge toward its gate.
+        edge = ey.copy()
+        off = np.where(ia == 0, oy - s, oy + s)
+        past = (s > dy) & (ey != ez)
+        s = s - dy
+        # Segment 2: along whole edges toward z's gate, all pairs one edge
+        # per step; a pair stops on the first edge long enough.
+        walking = past & (cur != zi)
+        while walking.any():
+            w = np.flatnonzero(walking)
+            nxt = self._prev[zi[w], cur[w]]
+            k = self._edge_of[cur[w], nxt]
+            length = self._lengths[k]
+            hit = s[w] <= length
+            h = w[hit]
+            edge[h] = k[hit]
+            off[h] = np.where(self._gates[k[hit], 0] == cur[h], s[h],
+                              length[hit] - s[h])
+            miss = w[~hit]
+            s[miss] -= length[~hit]
+            cur[miss] = nxt[~hit]
+            walking[h] = False
+            walking[miss] = cur[miss] != zi[miss]
+        # Segment 3: from z's gate into z's edge.
+        last = past & (cur == zi)
+        edge[last] = ez[last]
+        off[last] = np.where(ib[last] == 0, s[last],
+                             self._lengths[ez[last]] - s[last])
 
-        # Segment 2: along whole edges between the two gate nodes.
-        path = self._node_path(yi, zi)
-        for a, b in zip(path, path[1:]):
-            k = self._edge_between[(min(a, b), max(a, b))]
-            u, _, length = self.edges[k]
-            if s <= length:
-                off = s if self._index[u] == a else length - s
-                return self.as_point(TreePoint(k, off))
-            s -= length
+        out = self._clamped(edge, off)
+        same = ey == ez
+        out[same, 1] = oy[same] + (oz[same] - oy[same]) * t[same]
+        return out.reshape(shape + (2,))
 
-        # Segment 3: from gate node zi into z's edge.  as_point clamps the
-        # roundoff that can push the offset a hair past the edge ends.
-        u, _, length = self.edges[z.edge]
-        off = s if self._index[u] == zi else length - s
-        return self.as_point(TreePoint(z.edge, off))
-
-    def random_point(self, rng: np.random.Generator) -> TreePoint:
-        x = float(rng.uniform(0.0, self.total_length))
-        k = int(np.searchsorted(self._cum_length, x, side="right") - 1)
-        k = min(max(k, 0), len(self.edges) - 1)
-        return self.as_point(TreePoint(k, x - float(self._cum_length[k])))
+    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        x = rng.uniform(0.0, self.total_length, n)
+        k = np.searchsorted(self._cum_length, x, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), len(self.edges) - 1)
+        return self._clamped(k, x - self._cum_length[k])
 
     def to_config(self) -> dict:
         return {"kind": "metric_tree",
                 "edges": [[u, v, float(length)] for u, v, length in self.edges]}
 
     def point_to_jsonable(self, y):
-        y = self.as_point(y)
-        return [y.edge, float(y.offset)]
-
-    def point_from_jsonable(self, data):
-        return self.as_point(data)
+        edge, off = self.as_point(y)
+        return [int(edge), float(off)]
 
 
 _TARGET_KINDS = {

@@ -14,9 +14,11 @@ atom slices are unit-jump step functions — so :func:`decompose_ac` refuses
 bookkeeping is the variation identity measured by
 :func:`variation_identity_residual`.
 
-Slicing stacks the curve's node mappings into one batch of shape
-``(node, atom, *point_shape)``; the atom slices are views of it, so every
-slice value is bitwise equal to the source value it was read from.
+A curve of mappings holds one float batch of shape ``(node, atom,
+*point_shape)``.  Read along its first axis it is the curve; read along its
+second, through ``swapaxes(0, 1)``, it is the atom slices.  The slices are
+views of the curve's batch, so every slice value is bitwise equal to the
+source value it was read from.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .mappings import (
     FiniteMeasureSpace,
     LpSpace,
     MappingFamily,
-    MetricMapping,
 )
 from .targets import Euclidean
 
@@ -48,8 +49,8 @@ class TransportDecomposition:
     """A sampled curve of mappings with its per-atom target curves.
 
     ``per_atom_curves[j].values[i]`` is bitwise equal to
-    ``source.values[i].values[j]``: evaluation consistency is exact, not
-    within a tolerance.
+    ``source.values[i, j]``: evaluation consistency is exact, not within a
+    tolerance.
     """
 
     source: SampledCurve
@@ -95,16 +96,15 @@ def decompose_ac(c: SampledCurve, p) -> TransportDecomposition:
             f"curve ambient uses p = {space.p!r} but decompose_ac was asked "
             f"for p = {p!r}")
     tgt = space.family.target
-    series = space.stacked_values(c.values).swapaxes(0, 1)
-    per_atom = tuple(SampledCurve(tgt, c.times, values) for values in series)
+    per_atom = tuple(SampledCurve(tgt, c.times, values)
+                     for values in c.values.swapaxes(0, 1))
     return TransportDecomposition(source=c, per_atom_curves=per_atom, p=p)
 
 
 def per_atom_derivatives(d: TransportDecomposition) -> np.ndarray:
     """Metric derivatives of all atom slices; shape (atoms, nodes)."""
     source = d.source
-    return metric_speeds(source.space.family.target,
-                         source.space.stacked_values(source.values),
+    return metric_speeds(source.space.family.target, source.values,
                          source.times_array).T
 
 
@@ -148,8 +148,8 @@ def decompose_bv(c: StepCurve) -> BVTransportDecomposition:
         raise ValidationError(
             f"decompose_bv is the p = 1 route, got ambient p = {c.space.p!r}")
     tgt = c.space.family.target
-    series = c.space.stacked_values(c.values).swapaxes(0, 1)
-    per_atom = tuple(StepCurve(tgt, c.breakpoints, values) for values in series)
+    per_atom = tuple(StepCurve(tgt, c.breakpoints, values)
+                     for values in c.values.swapaxes(0, 1))
     return BVTransportDecomposition(source=c, per_atom_curves=per_atom)
 
 
@@ -229,12 +229,9 @@ def counterexample_curve(n: int) -> StepCurve:
     family = counterexample_family(n)
     positions = [(2 * j + 1) / (2 * n) for j in range(n)]
     breakpoints = (0.0, *positions, 1.0)
-    pieces = []
-    for piece in range(n + 1):
-        vals = tuple(np.array([1.0]) if j < piece else np.array([0.0])
-                     for j in range(n))
-        pieces.append(MetricMapping(family, vals))
-    return StepCurve(LpSpace(family, 1.0), breakpoints, tuple(pieces))
+    # pieces[k, j] = 1 for the atoms j < k already passed, else 0.
+    pieces = np.tril(np.ones((n + 1, n)), -1)[..., None]
+    return StepCurve(LpSpace(family, 1.0), breakpoints, pieces)
 
 
 def counterexample_p1(n: int = 64,

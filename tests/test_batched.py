@@ -1,12 +1,14 @@
 """Tests for the batched target kernels and the layers routed through them.
 
 Each kernel is checked against a plain per-pair loop of the textbook
-formula (one matrix or vector at a time), and at the numerical edges:
+formula (one matrix or vector at a time; on a metric tree, a walk along
+the node path found by breadth-first search), and at the numerical edges:
 near-antipodal sphere pairs, ill-conditioned SPD matrices and the
 eigenvalue floor, identical pairs, non-orthogonal sphere tangents, batches
 of one point and of zero batch axes, the ``p = 1``, ``p -> 1+`` and
-``p = inf`` mapping distances with a zero-weight atom, and
-stream-identical sampling.  The chart kernels ``log_maps``, ``exp_maps``
+``p = inf`` mapping distances with a zero-weight atom, degenerate trees
+(one edge, a star) with points at their nodes, and stream-identical
+sampling.  The chart kernels ``log_maps``, ``exp_maps``
 and ``tangent_norms`` are checked the same way.
 """
 
@@ -27,11 +29,11 @@ from nlsp import (
     LpSpace,
     MappingFamily,
     MetricMapping,
+    MetricTree,
     ProductGridMapping,
     Spd,
     Sphere,
     TimeGrid,
-    TreePoint,
     UnsupportedOperationError,
     ValidationError,
     d_p,
@@ -44,6 +46,12 @@ ARRAY_SPACES = [Euclidean(3), Sphere(3), Spd(2), Spd(3)]
 ARRAY_IDS = ["euclidean", "sphere", "spd2", "spd3"]
 ALL_SPACES = [*ARRAY_SPACES, default_tree()]
 ALL_IDS = [*ARRAY_IDS, "metric_tree"]
+#: The default tree and two degenerate ones: a single edge, and a star.
+TREES = [default_tree(), MetricTree((("p", "q", 0.75),)),
+         MetricTree(tuple(("hub", f"leaf{k}", length)
+                          for k, length in enumerate((1.0, 0.25, 2.5, 0.5))))]
+KERNEL_SPACES = [*ARRAY_SPACES, *TREES]
+KERNEL_IDS = [*ARRAY_IDS, "metric_tree", "one_edge_tree", "star_tree"]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +68,60 @@ def _matrix_fun(a, fn):
     return _sym((v * fn(w)) @ v.T)
 
 
+def _tree_path(tree, a, b):
+    """The edges ``(k, from, to)`` from node ``a`` to node ``b``, found by
+    breadth-first search over the edge list."""
+    links = {}
+    for k, (u, v, _) in enumerate(tree.edges):
+        links.setdefault(u, []).append((k, v))
+        links.setdefault(v, []).append((k, u))
+    came = {a: None}
+    queue = [a]
+    for cur in queue:
+        for k, nxt in links[cur]:
+            if nxt not in came:
+                came[nxt] = (k, cur)
+                queue.append(nxt)
+    path = []
+    while b != a:
+        k, prev = came[b]
+        path.append((k, prev, b))
+        b = prev
+    return path[::-1]
+
+
+def _tree_gates(tree, y):
+    """Both end nodes of the point's edge, with the distances to them."""
+    u, v, length = tree.edges[int(y[0])]
+    return ((u, float(y[1])), (v, length - float(y[1])))
+
+
+def _tree_route(tree, y, z):
+    """The shortest route between points on different edges: its length,
+    its gate nodes and the legs from the points to them.  Ties break toward
+    the first gate pair unless a later one is shorter by more than 1e-15."""
+    best = None
+    for a, dy in _tree_gates(tree, y):
+        for b, dz in _tree_gates(tree, z):
+            between = sum(tree.edges[k][2] for k, _, _ in _tree_path(tree, a, b))
+            total = dy + between + dz
+            if best is None or total < best[0] - 1e-15:
+                best = (total, a, b, dy)
+    return best
+
+
+def _tree_point(tree, k, off):
+    return np.array([k, min(max(off, 0.0), tree.edges[k][2])])
+
+
 def ref_distance(space, y, z) -> float:
+    if isinstance(space, MetricTree):
+        if int(y[0]) == int(z[0]):
+            return abs(float(y[1]) - float(z[1]))
+        return min(dy + sum(space.edges[k][2]
+                            for k, _, _ in _tree_path(space, a, b)) + dz
+                   for a, dy in _tree_gates(space, y)
+                   for b, dz in _tree_gates(space, z))
     if isinstance(space, Euclidean):
         return float(np.linalg.norm(y - z))
     if np.array_equal(y, z):
@@ -74,6 +135,23 @@ def ref_distance(space, y, z) -> float:
 
 
 def ref_geodesic_point(space, y, z, t: float):
+    if isinstance(space, MetricTree):
+        ey, ez = int(y[0]), int(z[0])
+        if ey == ez:
+            return np.array([ey, y[1] + (z[1] - y[1]) * t])
+        total, a, b, dy = _tree_route(space, y, z)
+        s = t * total
+        if s <= dy:  # along y's edge toward gate a
+            toward_start = space.edges[ey][0] == a
+            return _tree_point(space, ey, y[1] - s if toward_start else y[1] + s)
+        s -= dy
+        for k, frm, _ in _tree_path(space, a, b):
+            u, _, length = space.edges[k]
+            if s <= length:
+                return _tree_point(space, k, s if u == frm else length - s)
+            s -= length
+        u, _, length = space.edges[ez]  # from gate b into z's edge
+        return _tree_point(space, ez, s if u == b else length - s)
     if isinstance(space, Euclidean):
         return (1.0 - t) * y + t * z
     if isinstance(space, Sphere):
@@ -140,37 +218,67 @@ def _geodesic_safe_batch(space, rng, shape):
     return ys.reshape(shape + pt), zs.reshape(shape + pt)
 
 
+def _pair_batch(space, rng, shape):
+    """Pairs for the per-pair comparisons.  On a tree: every pair from a
+    pool of random points, a second point on the edge of each, and both
+    ends of every edge (so each node is reached from every edge that meets
+    it), over two batch axes."""
+    if not isinstance(space, MetricTree):
+        return _geodesic_safe_batch(space, rng, shape)
+    ys = space.random_points(rng, 5)
+    lengths = np.array([length for _, _, length in space.edges])
+    mates = np.stack([ys[:, 0], rng.uniform(0.0, 1.0, 5)
+                      * lengths[ys[:, 0].astype(int)]], axis=-1)
+    ends = np.array([(k, off) for k, length in enumerate(lengths)
+                     for off in (0.0, length)])
+    pool = space.as_points(np.concatenate([ys, mates, ends]))
+    return np.broadcast_arrays(pool[:, None], pool[None, :])
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the per-pair loop
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=KERNEL_IDS)
 def test_distances_match_the_per_pair_loop(space):
-    """Over two batch axes, every distance is the per-pair formula's."""
+    """Over two batch axes, every distance is the per-pair formula's; on
+    trees, bit for bit."""
     rng = trial_rng(0, f"test/batched/dist/{space.kind}", 0)
-    ys, zs = _geodesic_safe_batch(space, rng, (6, 7))
+    ys, zs = _pair_batch(space, rng, (6, 7))
+    batch = ys.shape[:ys.ndim - len(space.point_shape)]
     got = space.distances(ys, zs)
-    assert got.shape == (6, 7)
-    for idx in np.ndindex(6, 7):
+    assert got.shape == batch
+    for idx in np.ndindex(batch):
         want = ref_distance(space, ys[idx], zs[idx])
-        assert got[idx] == pytest.approx(want, rel=1e-12, abs=1e-14)
+        if isinstance(space, MetricTree):
+            assert got[idx] == want
+        else:
+            assert got[idx] == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert space.distance(ys[idx], zs[idx]) == got[idx]
 
 
-@pytest.mark.parametrize("space", ARRAY_SPACES, ids=ARRAY_IDS)
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=KERNEL_IDS)
 def test_geodesic_points_match_the_per_pair_loop(space):
-    """Fractions on their own axis broadcast against the pair batch."""
+    """Fractions on their own axis broadcast against the pair batch; on
+    trees, every point equals the path walk's bit for bit."""
     rng = trial_rng(0, f"test/batched/geo/{space.kind}", 0)
-    ys, zs = _geodesic_safe_batch(space, rng, (9,))
+    ys, zs = _pair_batch(space, rng, (9,))
+    batch = ys.shape[:ys.ndim - len(space.point_shape)]
     fractions = np.linspace(0.0, 1.0, 5)
-    got = space.geodesic_points(ys, zs, fractions[:, None])
-    assert got.shape == (5, 9) + space.point_shape
+    if isinstance(space, MetricTree):
+        fractions = np.append(fractions, [1.0 / 3.0, 1.0 - 1e-9])
+    got = space.geodesic_points(
+        ys, zs, fractions.reshape((-1,) + (1,) * len(batch)))
+    assert got.shape == (len(fractions),) + batch + space.point_shape
     for i, t in enumerate(fractions):
-        for j in range(9):
-            want = ref_geodesic_point(space, ys[j], zs[j], float(t))
-            np.testing.assert_allclose(got[i, j], want, rtol=1e-12,
-                                       atol=1e-13)
+        for idx in np.ndindex(batch):
+            want = ref_geodesic_point(space, ys[idx], zs[idx], float(t))
+            if isinstance(space, MetricTree):
+                assert np.array_equal(got[(i,) + idx], want)
+            else:
+                np.testing.assert_allclose(got[(i,) + idx], want, rtol=1e-12,
+                                           atol=1e-13)
     space.as_points(got)  # every interpolated point is a valid point
 
 
@@ -567,7 +675,7 @@ def test_ragged_product_row_raises_validation_error():
         ProductGridMapping(grid, family, (row, row[:1], row))
     tree = default_tree()
     tree_family = MappingFamily(base, tree, ((0, 0.0), (1, 0.5)))
-    tree_row = (TreePoint(0, 0.0), TreePoint(1, 0.5))
-    with pytest.raises(ValidationError, match="rows of shapes"):
+    tree_row = ((0, 0.0), (1, 0.5))
+    with pytest.raises(ValidationError, match=r"at index \[1\] has shape"):
         ProductGridMapping(grid, tree_family,
                            (tree_row, tree_row[:1], tree_row))

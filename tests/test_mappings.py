@@ -26,7 +26,6 @@ from nlsp import (
     Spd,
     Sphere,
     TimeGrid,
-    TreePoint,
     ValidationError,
     ae_equal,
     atom_distances,
@@ -156,6 +155,28 @@ def test_lp_space_wraps_family_and_exponent():
     assert space.distance(f, g) == 5.0
     assert space.points_equal(f, f)
     assert not space.points_equal(f, g)
+
+
+def test_lp_space_points_are_value_arrays():
+    """A point is a mapping's values array; mappings of the family, alone
+    or in a sequence, are read as their values, and a mapping of another
+    family is refused."""
+    fam, f, g = two_atom_pair()
+    space = LpSpace(fam, 2.0)
+    assert space.as_point(f) is f.values
+    batch = space.as_points([f, g, f], (3,))
+    assert batch.shape == (3, 2, 1)
+    assert np.array_equal(batch, [f.values, g.values, f.values])
+    assert space.as_points(batch, (3,)) is batch
+    assert space.distance(f.values, g.values) == space.distance(f, g) == 5.0
+    with pytest.raises(ValidationError, match="of 2 atoms"):
+        space.as_points(np.zeros((3, 1)))
+    with pytest.raises(ValidationError, match="batch of points of shape"):
+        space.as_points(batch, (2,))
+    _, h, _ = two_atom_pair()
+    for bad in (h, [f, h]):
+        with pytest.raises(SpaceMismatchError, match="different family"):
+            space.as_points(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +348,18 @@ def test_mapping_serialization_roundtrip(target):
     assert g.family.target.to_config() == target.to_config()
     for mine, theirs in zip(f.values, g.values):
         assert target.points_equal(mine, theirs, tol=0.0)
+
+
+@pytest.mark.parametrize("atom", [{"id": "b"}, {"weight": 1.0}, 1, None],
+                         ids=["no-weight", "no-id", "int", "none"])
+def test_mapping_from_jsonable_names_a_malformed_atom(atom):
+    """An atom entry without its id or weight raises ValidationError that
+    names the entry's index, not a bare KeyError or TypeError."""
+    fam, f, _ = two_atom_pair()
+    data = json.loads(json.dumps(mapping_to_jsonable(f)))
+    data["atoms"][1] = atom
+    with pytest.raises(ValidationError, match=r"atom 1 must be a dict"):
+        mapping_from_jsonable(data)
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,9 @@ def test_constant_in_time_is_distance_zero_from_itself():
 
 
 def test_metric_tree_product_data_reads_both_ways():
-    """Tree batches are 2-D object arrays: both readings are views of them,
-    and the joint and iterated norms agree with a per-pair loop."""
+    """Tree batches are float arrays of (edge, offset) points: both readings
+    are views of them, and the joint and iterated norms agree with a
+    per-pair loop."""
     rng = trial_rng(0, "test/sections-tree", 0)
     tree = default_tree()
     base = FiniteMeasureSpace(("u", "v", "w"), (0.5, 0.0, 1.5))
@@ -275,7 +276,7 @@ def test_metric_tree_product_data_reads_both_ways():
     grid = TimeGrid(tuple(np.linspace(0.0, 1.0, 5)))
     pm, other = (ProductGridMapping(grid, fam, tuple(
         tuple(tree.random_points(rng, 3)) for _ in range(5))) for _ in range(2))
-    assert pm.values.dtype == object and pm.values.shape == (5, 3)
+    assert pm.values.dtype == float and pm.values.shape == (5, 3, 2)
     cm, mc = sec_time(pm), sec_atom(pm)
     assert all(np.shares_memory(m.values, pm.values) for m in cm.mappings)
     assert np.shares_memory(mc.atom_values, pm.values)

@@ -85,7 +85,7 @@ def test_velocity_vectors_are_anchored_at_curve_values():
     assert s.bases.shape == s.vectors.shape == (len(c.times), 2, 2)
     for i in range(len(c.times)):
         for j in range(2):
-            assert s.bases[i, j].tobytes() == c.values[i].values[j].tobytes()
+            assert s.bases[i, j].tobytes() == c.values[i, j].tobytes()
 
 
 def test_unit_speed_great_circle_recovers_angular_rate():

@@ -16,6 +16,7 @@ import pytest
 from nlsp import (
     DEFAULT_TOLERANCES,
     MappingOfCurves,
+    MetricTree,
     Spd,
     Sphere,
     ValidationError,
@@ -83,7 +84,8 @@ def test_smooth_path_materializes_on_any_grid():
         curve = path.materialize(n)
         assert len(curve.times) == n
         assert curve.times[0] == 0.0 and curve.times[-1] == 1.0
-        assert all(v.family is path.family for v in curve.values)
+        assert curve.space.family is path.family
+        assert curve.values.shape == (n, 4, 3)
 
 
 def test_default_tree_is_reusable():
@@ -179,6 +181,13 @@ def _spd_fractions_to_the_1_01(monkeypatch):
         lambda self, ys, zs, t: real(self, ys, zs, np.asarray(t, float) ** 1.01))
 
 
+def _tree_fractions_to_the_1_01(monkeypatch):
+    real = MetricTree.geodesic_points
+    monkeypatch.setattr(
+        MetricTree, "geodesic_points",
+        lambda self, ys, zs, t: real(self, ys, zs, np.asarray(t, float) ** 1.01))
+
+
 def _warp_knots_on_the_uniform_grid_only(monkeypatch):
     monkeypatch.setattr(
         curves, "_merged_knots",
@@ -194,6 +203,11 @@ MUTATIONS = [
         {"spd.comparison_sign_npc": "curvature/spd",
          "spd.embedded_comparison_sign_npc": "curvature/spd"},
         id="curvature-spd-fraction-power"),
+    pytest.param(
+        _tree_fractions_to_the_1_01,
+        lambda: suites.run_geodesic(seed=7, targets=(default_tree(),)),
+        {"geodesic_constant_speed": None, "geodesic_atom_speed": None},
+        id="tree-fraction-power"),
     pytest.param(
         _warp_knots_on_the_uniform_grid_only,
         lambda: suites.run_skorokhod(seed=7, pairs=10),

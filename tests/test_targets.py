@@ -23,7 +23,6 @@ from nlsp import (
     MetricTree,
     Spd,
     Sphere,
-    TreePoint,
     UnsupportedOperationError,
     ValidationError,
     default_tree,
@@ -77,8 +76,8 @@ def test_spd_distance_frozen_value():
 def test_tree_distance_goes_through_branch_points():
     """Points on different branches connect through their common ancestors."""
     tree = default_tree()
-    a = TreePoint(2, 0.5)   # half a unit into edge a-c
-    b = TreePoint(4, 0.2)   # near the start of edge b-e
+    a = (2, 0.5)   # half a unit into edge a-c
+    b = (4, 0.2)   # near the start of edge b-e
     # 0.5 back to node a, 1.0 to the root, 2.0 down to node b, 0.2 onward.
     assert tree.distance(a, b) == pytest.approx(3.7, abs=1e-12)
     assert tree.distance(a, a) == 0.0
@@ -110,11 +109,11 @@ def test_spd_geodesic_midpoint_is_geometric_mean():
 def test_tree_geodesic_midpoint_lands_on_connecting_path():
     """The midpoint of a cross-branch pair lies on the root-b edge."""
     tree = default_tree()
-    a = TreePoint(2, 0.5)
-    b = TreePoint(4, 0.2)
+    a = (2, 0.5)
+    b = (4, 0.2)
     mid = tree.geodesic_point(a, b, 0.5)
-    assert mid.edge == 1
-    assert float(mid.offset) == pytest.approx(0.35, abs=1e-12)
+    assert mid[0] == 1
+    assert float(mid[1]) == pytest.approx(0.35, abs=1e-12)
     assert tree.distance(a, mid) == pytest.approx(1.85, abs=1e-12)
 
 
@@ -185,7 +184,7 @@ def test_tree_has_no_tangent_chart():
     """Log, exp, and tangent operations are undefined on a metric tree."""
     tree = default_tree()
     a = tree.node_point("root")
-    b = TreePoint(2, 0.5)
+    b = (2, 0.5)
     assert not tree.has_chart
     with pytest.raises(UnsupportedOperationError, match="no tangent chart"):
         tree.log_map(a, b)
@@ -214,12 +213,49 @@ def test_point_validation_rejects_malformed_points():
     with pytest.raises(ValidationError):
         Spd(2).as_point(np.diag([1.0, -1.0]))
     tree = default_tree()
-    with pytest.raises(ValidationError, match="TreePoint"):
+    with pytest.raises(ValidationError, match=r"must have shape \(2,\)"):
         tree.as_point(np.zeros(1))
     with pytest.raises(ValidationError, match="edge index"):
-        tree.as_point(TreePoint(99, 0.0))
+        tree.as_point((99, 0.0))
     with pytest.raises(ValidationError, match="offset"):
-        tree.as_point(TreePoint(0, 5.0))
+        tree.as_point((0, 5.0))
+
+
+@pytest.mark.parametrize("point, fault", [
+    ((1.7, 0.2), r"edge index must be an integer, got 1\.7"),
+    ((2.9, 0.1), r"edge index must be an integer, got 2\.9"),
+    ((math.nan, 0.2), r"must be finite, got nan"),
+    (("a", 0.2), r"'a' at index \[(1, )?0\] is not numeric"),
+    ((-1.0, 0.0), r"edge index must lie in \[0, 5\), got -1"),
+], ids=["fraction", "fraction-json", "nan", "non-numeric", "negative"])
+def test_tree_edge_must_be_an_integer_index(point, fault):
+    """An edge entry that is no integer index in range is refused, in a
+    batch, a single point and a JSON point alike, with the value named;
+    it is never truncated to an edge."""
+    tree = default_tree()
+    with pytest.raises(ValidationError, match=fault):
+        tree.as_point(point)
+    with pytest.raises(ValidationError, match=fault):
+        tree.as_points([(0, 0.5), point])
+    with pytest.raises(ValidationError, match=fault):
+        tree.point_from_jsonable(list(point))
+    with pytest.raises(ValidationError, match=fault):
+        tree.distance(point, (0, 0.5))
+    with pytest.raises(ValidationError, match=fault):
+        tree.geodesic_point((0, 0.5), point, 0.5)
+
+
+def test_tree_points_are_edge_offset_arrays():
+    """A tree point is the float pair (edge, offset); offsets within 1e-12
+    of the edge ends are clamped, and a canonical batch is kept as is."""
+    tree = default_tree()
+    y = tree.as_point((2, 1.5 + 1e-13))
+    assert y.dtype == float and y.tolist() == [2.0, 1.5]
+    assert tree.as_point((0, -1e-13)).tolist() == [0.0, 0.0]
+    batch = tree.random_points(trial_rng(0, "test/tree-array", 0), 4)
+    assert batch.shape == (4, 2) and tree.as_points(batch) is batch
+    assert tree.point_to_jsonable(y) == [2, 1.5]
+    assert tree.node_point("c").tolist() == [2.0, 1.5]
 
 
 def test_tree_edge_list_validation():
@@ -395,7 +431,7 @@ def tree_points(draw):
     edge = draw(st.integers(min_value=0, max_value=len(tree.edges) - 1))
     frac = draw(st.floats(min_value=0.0, max_value=1.0,
                           allow_nan=False, allow_infinity=False))
-    return TreePoint(edge, frac * tree.edges[edge][2])
+    return (edge, frac * tree.edges[edge][2])
 
 
 @settings(max_examples=60, deadline=None)

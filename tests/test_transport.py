@@ -67,7 +67,7 @@ def test_decompose_ac_keeps_point_objects():
     for j in range(2):
         for i in range(9):
             assert np.array_equal(d.per_atom_curves[j].values[i],
-                                  c.values[i].values[j])
+                                  c.values[i, j])
 
 
 def test_decompose_ac_rejects_p_one_and_infinity():
