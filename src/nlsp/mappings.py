@@ -407,6 +407,18 @@ def uniform_grid(a: float, b: float, n_nodes: int,
     return TimeGrid(tuple(np.linspace(a, b, int(n_nodes))), rule)
 
 
+def _check_grid_and_family(container) -> None:
+    """Reject product data, or a reading of it, whose grid is not a
+    :class:`TimeGrid` or whose family is not a :class:`MappingFamily`."""
+    if not isinstance(container.grid, TimeGrid):
+        raise ValidationError(
+            f"grid must be a TimeGrid, got {type(container.grid).__name__}")
+    if not isinstance(container.family, MappingFamily):
+        raise ValidationError(
+            f"family must be a MappingFamily, got "
+            f"{type(container.family).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProductGridMapping:
     """Target values on (time node) x (atom), bound to a grid and family.
@@ -420,21 +432,12 @@ class ProductGridMapping:
     values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.grid, TimeGrid):
-            raise ValidationError(
-                f"grid must be a TimeGrid, got {type(self.grid).__name__}")
-        if not isinstance(self.family, MappingFamily):
-            raise ValidationError(
-                f"family must be a MappingFamily, got {type(self.family).__name__}")
+        _check_grid_and_family(self)
         object.__setattr__(self, "values", self.family.target.as_points(
             self.values, (len(self.grid), len(self.family.base_space))))
 
     def value(self, i: int, j: int):
         return self.values[i, j]
-
-    def node_mapping(self, i: int) -> MetricMapping:
-        """The time slice at node ``i`` as a mapping of the family."""
-        return MetricMapping(self.family, self.values[i])
 
 
 def constant_in_time(grid: TimeGrid, f: MetricMapping) -> ProductGridMapping:

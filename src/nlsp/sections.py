@@ -8,11 +8,11 @@ readings are isometric to the product distance when time carries exponent
 evaluate the two iterated norms, and :func:`transpose` /
 :func:`transpose_inverse` swap the readings without touching any value.
 
-Both readings are views sharing the product data's one batch of shape
-``(node, atom, *point_shape)``: :func:`sec_time` takes its rows and
-:func:`sec_atom` its ``swapaxes(0, 1)``.  Reading back from a curve of
-mappings stacks a new batch.  Every reading and every round trip returns
-values bitwise equal to its source.
+Both readings are views of one array, the product data's batch of shape
+``(node, atom, *point_shape)``: :func:`sec_time` holds it as it is and
+:func:`sec_atom` holds its ``swapaxes(0, 1)``.  Both inverses and both
+directions of the transpose are views as well, so every reading and every
+round trip shares the source's memory and is bitwise equal to it.
 
 :func:`approximate_by_rectangles` greedily compresses product data into
 rectangles, reporting the product-norm error actually achieved.
@@ -29,9 +29,9 @@ from .errors import SpaceMismatchError, ValidationError
 from .mappings import (
     LpSpace,
     MappingFamily,
-    MetricMapping,
     ProductGridMapping,
     TimeGrid,
+    _check_grid_and_family,
     _weighted_norm,
     check_p,
     constant_in_time,
@@ -41,29 +41,22 @@ from .mappings import (
 
 @dataclass(frozen=True, eq=False)
 class CurveOfMappings:
-    """Time-major reading: one mapping of the family per grid node."""
+    """Time-major reading: a curve in ``L^p(Omega; X)`` over the grid.
+
+    ``values`` is one batch over the axes (time node, atom), in the field
+    order of :class:`~nlsp.mappings.ProductGridMapping`: ``values[i]`` is
+    the mapping at grid node ``i``, a point of
+    :class:`~nlsp.mappings.LpSpace`.
+    """
 
     grid: TimeGrid
-    mappings: tuple[MetricMapping, ...]
+    family: MappingFamily
+    values: np.ndarray
 
     def __post_init__(self):
-        if not self.mappings:
-            raise ValidationError("need at least one mapping")
-        fam = self.mappings[0].family
-        for m in self.mappings:
-            if not isinstance(m, MetricMapping):
-                raise ValidationError(
-                    f"expected MetricMapping nodes, got {type(m).__name__}")
-            if m.family is not fam:
-                raise SpaceMismatchError(
-                    "all node mappings must share one family object")
-        if len(self.mappings) != len(self.grid):
-            raise ValidationError(
-                f"{len(self.mappings)} mappings for {len(self.grid)} grid nodes")
-
-    @property
-    def family(self) -> MappingFamily:
-        return self.mappings[0].family
+        _check_grid_and_family(self)
+        object.__setattr__(self, "values", self.family.target.as_points(
+            self.values, (len(self.grid), len(self.family.base_space))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,21 +72,19 @@ class MappingOfCurves:
     atom_values: np.ndarray
 
     def __post_init__(self):
+        _check_grid_and_family(self)
         object.__setattr__(self, "atom_values", self.family.target.as_points(
             self.atom_values, (len(self.family.base_space), len(self.grid))))
 
 
 def sec_time(pm: ProductGridMapping) -> CurveOfMappings:
-    """Read product data as a curve of mappings; node ``i`` holds the row
-    view ``pm.values[i]``."""
-    return CurveOfMappings(
-        pm.grid, tuple(MetricMapping(pm.family, row) for row in pm.values))
+    """Read product data as a curve of mappings: a view of ``pm.values``."""
+    return CurveOfMappings(pm.grid, pm.family, pm.values)
 
 
 def sec_time_inverse(cm: CurveOfMappings) -> ProductGridMapping:
-    """Stack the node mappings into product data (a new batch)."""
-    return ProductGridMapping(
-        cm.grid, cm.family, np.stack([m.values for m in cm.mappings]))
+    """Product data from a curve of mappings: a view of ``cm.values``."""
+    return ProductGridMapping(cm.grid, cm.family, cm.values)
 
 
 def sec_atom(pm: ProductGridMapping) -> MappingOfCurves:
@@ -108,18 +99,17 @@ def sec_atom_inverse(mc: MappingOfCurves) -> ProductGridMapping:
 
 def transpose(cm: CurveOfMappings) -> MappingOfCurves:
     """Swap the time-major reading for the atom-major one, value for value."""
-    return sec_atom(sec_time_inverse(cm))
+    return MappingOfCurves(cm.family, cm.grid, cm.values.swapaxes(0, 1))
 
 
 def transpose_inverse(mc: MappingOfCurves) -> CurveOfMappings:
-    """Inverse of :func:`transpose`; its node mappings are views of
-    ``mc``'s batch."""
-    return sec_time(sec_atom_inverse(mc))
+    """Inverse of :func:`transpose`."""
+    return CurveOfMappings(mc.grid, mc.family, mc.atom_values.swapaxes(0, 1))
 
 
 def base_curve_of_mappings(grid: TimeGrid, family: MappingFamily) -> CurveOfMappings:
     """The base mapping held constant in time, read time-major."""
-    return CurveOfMappings(grid, (family.base_mapping(),) * len(grid))
+    return sec_time(constant_in_time(grid, family.base_mapping()))
 
 
 def base_mapping_of_curves(grid: TimeGrid, family: MappingFamily) -> MappingOfCurves:
@@ -144,7 +134,7 @@ def d_pp(c1: CurveOfMappings, c2: CurveOfMappings, p) -> float:
         raise ValidationError("d_pp expects two CurveOfMappings")
     _require_shared(c1, c2, "curves of mappings")
     p = check_p(p)
-    node_dists = LpSpace(c1.family, p).distances(c1.mappings, c2.mappings)
+    node_dists = LpSpace(c1.family, p).distances(c1.values, c2.values)
     return float(_weighted_norm(node_dists, c1.grid.node_weights, p))
 
 

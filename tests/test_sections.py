@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from nlsp import (
+    CurveOfMappings,
     D_pp,
     Euclidean,
     FiniteMeasureSpace,
     MappingFamily,
+    MappingOfCurves,
     MetricMapping,
     ProductGridMapping,
+    SpaceMismatchError,
     Sphere,
     TimeGrid,
     ValidationError,
@@ -75,36 +78,37 @@ def test_sections_reuse_point_objects():
     pm = random_product_mapping(Euclidean(2), rng)
     cm = sec_time(pm)
     mc = sec_atom(pm)
-    for i, m in enumerate(cm.mappings):
-        assert np.shares_memory(m.values, pm.values)
-        assert bitwise_equal(m.values, pm.values[i])
+    assert np.shares_memory(cm.values, pm.values)
+    assert bitwise_equal(cm.values, pm.values)
     assert np.shares_memory(mc.atom_values, pm.values)
     assert bitwise_equal(mc.atom_values, pm.values.swapaxes(0, 1))
 
 
 def test_section_inverses_restore_product_data():
-    """sec_time and sec_atom invert bit for bit; the atom-major round trip
-    is a view of the same buffer, the time-major one stacks a new batch."""
+    """sec_time and sec_atom invert bit for bit, and both round trips are
+    views of the same buffer."""
     rng = trial_rng(0, "test/sections-inverse", 0)
     pm = random_product_mapping(Sphere(3), rng)
     back_t = sec_time_inverse(sec_time(pm))
     back_a = sec_atom_inverse(sec_atom(pm))
     assert bitwise_equal(back_t.values, pm.values)
     assert bitwise_equal(back_a.values, pm.values)
+    assert np.shares_memory(back_t.values, pm.values)
     assert np.shares_memory(back_a.values, pm.values)
 
 
 def test_transpose_roundtrip_reuses_every_point():
     """transpose_inverse(transpose(cm)) carries bitwise-equal values, and
-    its node mappings are views of the transposed batch."""
+    every node of it is a view of the transposed batch."""
     rng = trial_rng(0, "test/transpose", 0)
     pm = random_product_mapping(Euclidean(2), rng)
     cm = sec_time(pm)
     mc = transpose(cm)
     back = transpose_inverse(mc)
-    for m, orig in zip(back.mappings, cm.mappings):
-        assert bitwise_equal(m.values, orig.values)
-        assert np.shares_memory(m.values, mc.atom_values)
+    assert bitwise_equal(back.values, cm.values)
+    for i in range(len(cm.grid)):
+        assert bitwise_equal(back.values[i], cm.values[i])
+        assert np.shares_memory(back.values[i], mc.atom_values)
 
 
 def test_base_sections_transpose_to_each_other():
@@ -146,12 +150,39 @@ def test_iterated_norms_match_joint_norm(rule):
 
 
 def test_pp_distances_require_shared_structure():
-    """Mismatched grids are rejected rather than silently recycled."""
+    """Mismatched grids and families are rejected rather than silently
+    recycled."""
     rng = trial_rng(0, "test/pp-mismatch", 0)
     pm = random_product_mapping(Euclidean(2), rng, n_nodes=5)
     other = random_product_mapping(Euclidean(2), rng, n_nodes=7)
-    with pytest.raises(Exception):
+    other = ProductGridMapping(other.grid, pm.family, other.values)
+    with pytest.raises(SpaceMismatchError, match="one time grid"):
         d_pp(sec_time(pm), sec_time(other), 2.0)
+    with pytest.raises(SpaceMismatchError, match="one time grid"):
+        D_pp(sec_atom(pm), sec_atom(other), 2.0)
+    twin = random_product_mapping(Euclidean(2), rng, n_nodes=5)
+    twin = ProductGridMapping(pm.grid, twin.family, twin.values)
+    with pytest.raises(SpaceMismatchError, match="one family object"):
+        d_pp(sec_time(pm), sec_time(twin), 2.0)
+    with pytest.raises(SpaceMismatchError, match="one family object"):
+        D_pp(sec_atom(pm), sec_atom(twin), 2.0)
+
+
+@pytest.mark.parametrize("reading", [
+    ProductGridMapping,
+    CurveOfMappings,
+    lambda grid, family, values: MappingOfCurves(
+        family, grid, values.swapaxes(0, 1)),
+], ids=["product", "time-major", "atom-major"])
+def test_readings_reject_a_bad_grid_or_family(reading):
+    """Each container raises ValidationError, naming the field, for a grid
+    that is not a TimeGrid and for a family that is not a MappingFamily."""
+    rng = trial_rng(0, "test/reading-fields", 0)
+    pm = random_product_mapping(Euclidean(2), rng, n_nodes=3)
+    with pytest.raises(ValidationError, match="grid must be a TimeGrid"):
+        reading(pm.grid.nodes, pm.family, pm.values)
+    with pytest.raises(ValidationError, match="family must be a MappingFamily"):
+        reading(pm.grid, "x", pm.values)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +309,9 @@ def test_metric_tree_product_data_reads_both_ways():
         tuple(tree.random_points(rng, 3)) for _ in range(5))) for _ in range(2))
     assert pm.values.dtype == float and pm.values.shape == (5, 3, 2)
     cm, mc = sec_time(pm), sec_atom(pm)
-    assert all(np.shares_memory(m.values, pm.values) for m in cm.mappings)
+    assert np.shares_memory(cm.values, pm.values)
     assert np.shares_memory(mc.atom_values, pm.values)
-    assert (transpose_inverse(transpose(cm)).mappings[2].values
-            == pm.values[2]).all()
+    assert (transpose_inverse(transpose(cm)).values[2] == pm.values[2]).all()
     tau, w = grid.node_weights, np.array(base.weights)
     dists = np.array([[tree.distance(pm.value(i, j), other.value(i, j))
                        for j in range(3)] for i in range(5)])

@@ -15,6 +15,7 @@ import pytest
 
 from nlsp import (
     DEFAULT_TOLERANCES,
+    CurveOfMappings,
     MappingOfCurves,
     MetricTree,
     Spd,
@@ -71,10 +72,11 @@ def test_smooth_path_warp_is_monotone_inside_unit_interval(target):
     rng = trial_rng(0, "suite/smooth-path", 0)
     path = sample_smooth_path(target, rng, p=2.0)
     ts = np.linspace(0.0, 1.0, 257)
+    warped = path.warp(ts)
+    assert warped.shape == (len(ts), len(path.anchors))
     for j in range(len(path.anchors)):
-        warped = np.array([path.warp(j, float(t)) for t in ts])
-        assert np.all(warped > 0.0) and np.all(warped < 1.0)
-        assert np.all(np.diff(warped) > 0.0)
+        assert np.all(warped[:, j] > 0.0) and np.all(warped[:, j] < 1.0)
+        assert np.all(np.diff(warped[:, j]) > 0.0)
 
 
 def test_smooth_path_materializes_on_any_grid():
@@ -194,6 +196,26 @@ def _warp_knots_on_the_uniform_grid_only(monkeypatch):
         lambda c, g, warp_grid: np.linspace(*c.interval, warp_grid + 1))
 
 
+def _reverse_atoms_of_sec_atom(monkeypatch):
+    real = suites.sec_atom
+
+    def reversed_atoms(pm):
+        mc = real(pm)
+        return MappingOfCurves(mc.family, mc.grid, mc.atom_values[::-1])
+
+    monkeypatch.setattr(suites, "sec_atom", reversed_atoms)
+
+
+def _reverse_nodes_of_sec_time(monkeypatch):
+    real = suites.sec_time
+
+    def reversed_nodes(pm):
+        cm = real(pm)
+        return CurveOfMappings(cm.grid, cm.family, cm.values[::-1])
+
+    monkeypatch.setattr(suites, "sec_time", reversed_nodes)
+
+
 #: (mutation, battery run, {check that must fail: stream key its failure
 #: names as the worst trial, or None for a check on fixed examples}).
 MUTATIONS = [
@@ -214,6 +236,16 @@ MUTATIONS = [
         {"skorokhod_shifted_jump": None,
          "skorokhod_monotone": "skorokhod/pairs"},
         id="skorokhod-uniform-warp-knots"),
+    pytest.param(
+        _reverse_atoms_of_sec_atom,
+        lambda: suites.run_fubini(seed=7, trials=4),
+        {"iterated_norm_atom_major": "fubini"},
+        id="fubini-atom-order"),
+    pytest.param(
+        _reverse_nodes_of_sec_time,
+        lambda: suites.run_fubini(seed=7, trials=4),
+        {"iterated_norm_time_major": "fubini", "transpose_roundtrip": "fubini"},
+        id="fubini-time-order"),
 ]
 
 
