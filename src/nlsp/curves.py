@@ -11,7 +11,8 @@ and its atom slices are that array's ``swapaxes(0, 1)``.
 Provides sampled curves with metric derivative, length, p-energy and
 constant-speed reparametrization; right-continuous step curves with total
 variation and its jump measure; and two-sided bounds for the Skorokhod
-distance between step curves.
+distance between step curves.  :func:`variations` reads the variation over
+many subintervals off one table of jumps or segment lengths.
 
 The Skorokhod upper bound is a dynamic program over pairs of warp knots,
 run for a batch of curve pairs at once (:func:`skorokhod_distances`):
@@ -31,18 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .mappings import check_p
-
-
-def _check_times(times, what: str) -> tuple[float, ...]:
-    times = tuple(float(t) for t in times)
-    if not times:
-        raise ValidationError(f"{what} must not be empty")
-    if not all(math.isfinite(t) for t in times):
-        raise ValidationError(f"{what} must be finite")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValidationError(f"{what} must be strictly increasing")
-    return times
+from .mappings import check_p, check_times
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +48,9 @@ class SampledCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        times = _check_times(self.times, "curve times")
+        times = check_times(self.times, "curve times")
+        if not times:
+            raise ValidationError("curve times must not be empty")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values",
                            self.space.as_points(self.values, (len(times),)))
@@ -181,7 +173,7 @@ class StepCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = _check_times(self.breakpoints, "breakpoints")
+        bp = check_times(self.breakpoints, "breakpoints")
         if len(bp) < 2:
             raise ValidationError("a step curve needs at least two breakpoints")
         if len(self.values) != len(bp) - 1:
@@ -225,22 +217,60 @@ def variation(c, subinterval: tuple[float, float] | None = None) -> float:
     For a step curve this is the sum of jump distances at breakpoints
     strictly inside the subinterval.  For a sampled curve it is the chordal
     length over the sample segments wholly contained in the subinterval's
-    closure.
+    closure.  This is :func:`variations` on a batch of one subinterval.
     """
+    return float(variations(c, [subinterval])[0])
+
+
+def variations(c, subintervals) -> np.ndarray:
+    """:func:`variation` over each ``(s, t)`` of ``subintervals`` (``None``
+    for the whole interval), in input order.
+
+    The curve's table of jumps (a step curve) or segment lengths (a sampled
+    curve) is computed once, with one ``distances`` call; each variation is
+    a masked sum over it, added in ascending time order.
+    """
+    inside = _variation_masks(c, subintervals)
+    if isinstance(c, StepCurve):
+        table = c.space.distances(c.values[:-1], c.values[1:])
+    else:
+        table = c.segment_lengths()
+    return _ascending_sums(table, inside)
+
+
+def _variation_masks(c, subintervals) -> np.ndarray:
+    """``inside[k, i]``: whether jump (or segment) ``i`` of ``c`` counts
+    towards the variation over subinterval ``k``."""
     if not isinstance(c, (StepCurve, SampledCurve)):
         raise ValidationError(
             f"variation expects a StepCurve or SampledCurve, got {type(c).__name__}")
     if isinstance(c, SampledCurve):
         _require_multinode(c, "variation")
-    a, b = c.interval
-    s, t = (a, b) if subinterval is None else map(float, subinterval)
-    if t < s:
-        raise ValidationError(f"empty subinterval ({s!r}, {t!r})")
+    bounds = []
+    for sub in subintervals:
+        s, t = c.interval if sub is None else map(float, sub)
+        if t < s:
+            raise ValidationError(f"empty subinterval ({s!r}, {t!r})")
+        bounds.append((s, t))
+    s, t = np.array(bounds, dtype=float).reshape(-1, 2, 1).swapaxes(0, 1)
     if isinstance(c, StepCurve):
-        return float(sum(jump for at, jump in c.jumps() if s < at < t))
-    return float(sum(
-        seg for seg, lo, hi in zip(c.segment_lengths(), c.times, c.times[1:])
-        if lo >= s and hi <= t))
+        at = np.array(c.breakpoints[1:-1])
+        return (s < at) & (at < t)
+    times = c.times_array
+    return (times[:-1] >= s) & (times[1:] <= t)
+
+
+def _ascending_sums(table: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """``sum_i table[i]`` over the ``i`` with ``inside[k, i]``, for every
+    row ``k``: shape ``(k, *table.shape[1:])``.
+
+    The terms are added one at a time in ascending ``i``, as Python's
+    ``sum`` adds a list, and a term left out adds an exact zero.
+    """
+    mask = inside.reshape(inside.shape + (1,) * (table.ndim - 1))
+    terms = np.where(mask, table, 0.0)
+    start = np.zeros_like(terms[:, :1])
+    return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,35 @@ def check_p(p, *, allow_inf: bool = True) -> float:
     return p
 
 
+def check_times(times, what: str) -> tuple[float, ...]:
+    """Validate a sequence of times; returns it as a tuple of floats.
+
+    The first bad entry is named by its index and value: one that is not a
+    real number, is not finite, or does not exceed its predecessor.
+    """
+    try:
+        entries = tuple(times)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be a sequence of numbers, got "
+            f"{type(times).__name__}") from None
+    out = []
+    for i, t in enumerate(entries):
+        try:
+            x = float(t)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{what}[{i}] must be a real number, got {t!r}") from None
+        if not math.isfinite(x):
+            raise ValidationError(f"{what}[{i}] must be finite, got {x!r}")
+        if out and x <= out[-1]:
+            raise ValidationError(
+                f"{what} must be strictly increasing, got {what}[{i}] = "
+                f"{x!r} after {out[-1]!r}")
+        out.append(x)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
     """Ordered named atoms with nonnegative weights."""
@@ -352,13 +381,9 @@ class TimeGrid:
     rule: str = "trapezoid"
 
     def __post_init__(self):
-        nodes = tuple(float(t) for t in self.nodes)
+        nodes = check_times(self.nodes, "time nodes")
         if len(nodes) < 2:
             raise ValidationError("a time grid needs at least two nodes")
-        if not all(math.isfinite(t) for t in nodes):
-            raise ValidationError("time nodes must be finite")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ValidationError("time nodes must be strictly increasing")
         if self.rule not in GRID_RULES:
             raise ValidationError(
                 f"unknown grid rule {self.rule!r}; expected one of {GRID_RULES}")

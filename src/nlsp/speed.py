@@ -12,6 +12,12 @@ metric derivative; :func:`speed_identity_residual` measures the gap, which
 shrinks linearly with the time step because the bundle norm is a one-sided
 quotient while the metric derivative is centered.
 
+:func:`batch_speeds` and :func:`atomwise_consistency_gaps` evaluate many
+curves on one time grid, stacked as a ``(node, curve, atom,
+*point_shape)`` batch, through the same array helpers as the single-curve
+functions: one log-map call, one tangent-norm call and one per-atom
+distance call for the whole batch.
+
 Targets without a tangent chart (metric trees) are refused: their curves
 still have metric derivatives, but no velocity vectors.
 """
@@ -22,10 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import metric_derivative
+from .curves import metric_derivative, metric_speeds
 from .errors import UnsupportedOperationError, ValidationError
 from .mappings import _weighted_norm, check_p
-from .transport import TransportDecomposition, per_atom_derivatives
+from .transport import (
+    TransportDecomposition,
+    _batch_parts,
+    curve_speeds,
+    weighted_speed_powers,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +75,7 @@ def compute_speed(d: TransportDecomposition) -> SpeedField:
         raise ValidationError(
             f"compute_speed expects a TransportDecomposition, got "
             f"{type(d).__name__}")
-    tgt = d.source.space.family.target
-    if not tgt.has_chart:
-        raise UnsupportedOperationError(
-            f"{tgt.kind} target has no tangent chart: curve speed exists "
-            "only as a metric derivative, not as velocity vectors")
+    tgt = _charted(d.source.space.family.target)
     p = check_p(d.p, allow_inf=False)
     if p <= 1.0:
         raise ValidationError(f"compute_speed requires p > 1, got {p!r}")
@@ -78,10 +85,63 @@ def compute_speed(d: TransportDecomposition) -> SpeedField:
     if n < 2:
         raise ValidationError("compute_speed needs at least two time nodes")
     bases = d.source.values
+    return SpeedField(decomposition=d, bases=bases,
+                      vectors=_velocities(tgt, bases, times), p=p)
+
+
+def _charted(target):
+    """The target, if it has a tangent chart."""
+    if not target.has_chart:
+        raise UnsupportedOperationError(
+            f"{target.kind} target has no tangent chart: curve speed exists "
+            "only as a metric derivative, not as velocity vectors")
+    return target
+
+
+def _velocities(target, bases: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Forward-difference log-map velocities along the first (node) axis of
+    a batch, with one ``log_maps`` call; the final node uses the backward
+    pair, rescaled to keep the forward orientation."""
+    n = len(times)
     dst = np.append(np.arange(1, n), n - 2)
     step = (1.0 / (times[dst] - times)).reshape((n,) + (1,) * (bases.ndim - 1))
-    vectors = tgt.log_maps(bases, bases[dst]) * step
-    return SpeedField(decomposition=d, bases=bases, vectors=vectors, p=p)
+    return target.log_maps(bases, bases[dst]) * step
+
+
+def _bundle_norms(target, bases, vectors, weights, p: float) -> np.ndarray:
+    """Weighted p-norm over the atom axis of the tangent norms, with one
+    ``tangent_norms`` call: shape ``(node, *batch)`` for weights of shape
+    ``(*batch, atom)``."""
+    return _weighted_norm(target.tangent_norms(bases, vectors), weights, p)
+
+
+def batch_speeds(spaces, values, times) -> tuple[np.ndarray, np.ndarray]:
+    """Metric derivatives and bundle norms of every curve of a batch
+    ``(node, curve, atom, *point_shape)`` sharing one time grid; each of
+    shape ``(curve, node)``.
+
+    The velocities take one ``log_maps`` call and their norms one
+    ``tangent_norms`` call over the whole batch; the metric derivatives
+    take one ``LpSpace.distances`` call per curve.
+    """
+    target, weights, p = _batch_parts(spaces, values)
+    _charted(target)
+    vectors = _velocities(target, values, times)
+    bundle = _bundle_norms(target, values, vectors, weights, p).T
+    return curve_speeds(spaces, values, times), bundle
+
+
+def atomwise_consistency_gaps(spaces, values, times,
+                              bundle: np.ndarray) -> np.ndarray:
+    """:func:`atomwise_consistency_gap` of every curve of a batch, given its
+    bundle norms ``(curve, node)``; the per-atom speeds take one target
+    ``distances`` call over the whole batch."""
+    target, weights, p = _batch_parts(spaces, values)
+    rhs = weighted_speed_powers(metric_speeds(target, values, times),
+                                weights, p)[:, 1:-1]
+    lhs = bundle[:, 1:-1] ** p
+    denom = np.maximum(np.abs(rhs), 1e-300)
+    return np.max(np.abs(lhs - rhs) / denom, axis=1)
 
 
 def _require_speed_field(s) -> None:
@@ -111,8 +171,8 @@ def bundle_norms(s: SpeedField) -> np.ndarray:
     """Bundle norm at every time node."""
     _require_speed_field(s)
     family = s.curve.space.family
-    return _weighted_norm(family.target.tangent_norms(s.bases, s.vectors),
-                          family.base_space.weights_array, s.p)
+    return _bundle_norms(family.target, s.bases, s.vectors,
+                         family.base_space.weights_array, s.p)
 
 
 def speed_identity_residual(s: SpeedField) -> np.ndarray:
@@ -132,12 +192,11 @@ def atomwise_consistency_gap(s: SpeedField) -> float:
 
     Compares ``bundle_norm(t_i)^p`` against
     ``sum_j w_j |f_j'|(t_i)^p`` (centered per-atom metric derivatives) at
-    interior nodes and returns the worst relative mismatch.
+    interior nodes and returns the worst relative mismatch.  This is
+    :func:`atomwise_consistency_gaps` on a batch of one.
     """
     _require_speed_field(s)
-    w = s.decomposition.source.space.family.base_space.weights_array
-    rhs = w @ (per_atom_derivatives(s.decomposition) ** s.p)
-    lhs = bundle_norms(s) ** s.p
-    interior = slice(1, -1)
-    denom = np.maximum(np.abs(rhs[interior]), 1e-300)
-    return float(np.max(np.abs(lhs[interior] - rhs[interior]) / denom))
+    source = s.decomposition.source
+    return float(atomwise_consistency_gaps(
+        [source.space], source.values[:, None], source.times_array,
+        bundle_norms(s)[None])[0])

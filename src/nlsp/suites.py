@@ -29,11 +29,10 @@ from .curves import (
     SampledCurve,
     StepCurve,
     length,
-    metric_derivative,
     skorokhod_distance,
     skorokhod_distances,
-    variation,
     variation_measure,
+    variations,
 )
 from .errors import ConfigError, ValidationError
 from .geometry import (
@@ -56,20 +55,14 @@ from .mappings import (
 )
 from .rng import trial_rng, worst_trial
 from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
-from .speed import (
-    atomwise_consistency_gap,
-    bundle_norms,
-    compute_speed,
-    speed_identity_residual,
-)
+from .speed import atomwise_consistency_gaps, batch_speeds
 from .targets import Euclidean, MetricTree, Spd, Sphere, TargetSpace
 from .transport import (
     CSV_HEADER_COUNTEREXAMPLE,
     counterexample_p1,
-    decompose_ac,
     decompose_bv,
-    derivative_identity_residual,
-    variation_identity_residual,
+    derivative_identity_residuals,
+    variation_identity_residuals,
 )
 
 #: Residual maxima below this floor are treated as exactly converged when
@@ -184,13 +177,35 @@ class SmoothLpPath:
                 + amp * np.sin(2.0 * math.pi * t + phase) / (2.0 * math.pi))
 
     def materialize(self, n_nodes: int) -> SampledCurve:
-        """Sample the path at ``n_nodes`` uniform times on [0, 1]."""
-        times = np.linspace(0.0, 1.0, int(n_nodes))
-        fractions = self.warp(times)
-        ys, zs = (np.array(ends) for ends in zip(*self.anchors))
-        nodes = self.family.target.geodesic_points(ys, zs, fractions)
+        """Sample the path at ``n_nodes`` uniform times on [0, 1]: the
+        sweep of :func:`sweep_smooth_paths` on a batch of one path."""
+        times, values = sweep_smooth_paths([self], n_nodes)
         return SampledCurve(LpSpace(self.family, self.p),
-                            tuple(float(t) for t in times), nodes)
+                            tuple(float(t) for t in times), values[:, 0])
+
+
+def sweep_smooth_paths(paths, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample smooth paths at ``n_nodes`` uniform times on [0, 1].
+
+    The paths must share one target object and one atom count.  Returns
+    the times and one batch of shape ``(node, path, atom, *point_shape)``:
+    one ``warp`` per path, then one ``geodesic_points`` and one
+    ``as_points`` call for all of them.
+    """
+    paths = list(paths)
+    target = paths[0].family.target if paths else None
+    if not paths or any(path.family.target is not target
+                        or len(path.anchors) != len(paths[0].anchors)
+                        for path in paths):
+        raise ValidationError(
+            "a sweep needs at least one path, and its paths must share one "
+            "target object and one atom count")
+    times = np.linspace(0.0, 1.0, int(n_nodes))
+    fractions = np.stack([path.warp(times) for path in paths], axis=1)
+    ys, zs = (np.array([[ends[e] for ends in path.anchors] for path in paths])
+              for e in (0, 1))
+    values = target.geodesic_points(ys, zs, fractions)
+    return times, target.as_points(values, fractions.shape)
 
 
 def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
@@ -212,6 +227,15 @@ def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
                         float(rng.uniform(0.0, 2.0 * math.pi))))
     return SmoothLpPath(family=family, p=float(p), anchors=tuple(anchors),
                         wiggles=tuple(wiggles))
+
+
+def _draw_smooth_paths(seed: int, stream: str, target: TargetSpace,
+                       curves: int, p: float) -> tuple[list, list]:
+    """The draw step of the smooth-path batteries: path ``ci`` from stream
+    ``(seed, stream, ci)``, in index order, and the ``LpSpace`` of each."""
+    paths = map_trials(lambda ci: sample_smooth_path(
+        target, trial_rng(seed, stream, ci), p=p), int(curves))
+    return paths, [LpSpace(path.family, p) for path in paths]
 
 
 def _nonuniform_times(rng: np.random.Generator, n_nodes: int,
@@ -381,6 +405,15 @@ def run_transport(seed: int = 7, curves: int = 20,
     converged).  Random step curves are sliced the same way and the jump
     variation must match the weighted per-atom variations on every tested
     subinterval.
+
+    Both halves run in two steps.  The draw step reads each curve from its
+    own stream ``(seed, "transport/<kind>", curve)`` or ``(seed,
+    "transport/bv", curve)``, in index order.  The compute step sweeps all
+    smooth paths of one target on one grid as a single ``(node, curve,
+    atom, *point_shape)`` batch, whose per-atom speeds take one target call;
+    each step curve builds its jump table once, and the whole interval and
+    the drawn subintervals are masked sums over it.  A failed residual
+    check names the stream key of its worst curve.
     """
     grids = tuple(int(n) for n in grids)
     targets = (Sphere(3), Spd(2))
@@ -390,25 +423,22 @@ def run_transport(seed: int = 7, curves: int = 20,
 
     p = float(p)
     for target in targets:
-        def one_curve(ci: int, _target=target):
-            path = sample_smooth_path(
-                _target, trial_rng(seed, f"transport/{_target.kind}", ci), p=p)
-            maxima = []
-            for n in grids:
-                curve = path.materialize(n)
-                dec = decompose_ac(curve, p)
-                res = derivative_identity_residual(dec)
-                maxima.append(float(np.max(np.abs(res[1:-1]))))
-            return maxima
-
-        per_curve = map_trials(one_curve, int(curves))
-        grid_maxima = [max(m[k] for m in per_curve) for k in range(len(grids))]
+        stream = f"transport/{target.kind}"
+        paths, spaces = _draw_smooth_paths(seed, stream, target, curves, p)
+        # per_grid[k][ci]: the largest interior residual of curve ci on
+        # grid k.  One target and one grid are stacked at a time.
+        per_grid = []
+        for n in grids:
+            times, values = sweep_smooth_paths(paths, n)
+            res = derivative_identity_residuals(spaces, values, times)
+            per_grid.append(np.max(np.abs(res[:, 1:-1]), axis=1))
+        grid_maxima = [float(m.max()) for m in per_grid]
         order = decay_order(grid_maxima)
         at_floor = max(grid_maxima) <= CONVERGENCE_FLOOR
         for n, m in zip(grids, grid_maxima):
             csv_identity.append([target.kind, n, m])
         ac_metrics[target.kind] = {
-            "residual_maxima": [float(m) for m in grid_maxima],
+            "residual_maxima": grid_maxima,
             "order": order_jsonable(order),
             "at_roundoff_floor": bool(at_floor),
         }
@@ -417,44 +447,51 @@ def run_transport(seed: int = 7, curves: int = 20,
                 f"derivative_identity_residual[{target.kind}]: max interior "
                 f"residual {grid_maxima[-1]!r} at the finest grid exceeds "
                 f"{residual_tol!r}; slicing must preserve the weighted "
-                "speed-power identity")
+                f"speed-power identity{worst_trial(stream, per_grid[-1])}")
         if order < order_min:
             failures.append(
                 f"derivative_identity_order[{target.kind}]: empirical decay "
                 f"order {order!r} is below {order_min!r} across grids "
                 f"{list(grids)}")
 
-    def one_bv(i: int):
+    def draw_bv(i: int):
         rng = trial_rng(seed, "transport/bv", i)
         target = Euclidean(2) if i % 2 == 0 else default_tree()
         family = random_family(target, rng, 3 + i % 3, zero_atom=(i % 5 == 0))
         space = LpSpace(family, 1.0)
         curve = random_step_curve(
             space, lambda: family.random_mapping(rng), rng, pieces=3 + i % 4)
-        dec = decompose_bv(curve)
-        worst = abs(variation_identity_residual(dec))
-        vm = variation_measure(curve)
-        measure_gap = 0.0
-        for _ in range(10):
-            s, t = sorted(rng.uniform(0.0, 1.0, 2))
-            worst = max(worst, abs(variation_identity_residual(dec, (s, t))))
-            measure_gap = max(measure_gap, abs(
-                vm.of_open_interval(s, t) - variation(curve, (s, t))))
-        return float(worst), float(measure_gap)
+        subintervals = [tuple(sorted(rng.uniform(0.0, 1.0, 2)))
+                        for _ in range(10)]
+        return curve, subintervals
 
-    bv_results = map_trials(one_bv, int(bv_curves))
-    bv_max = max(r[0] for r in bv_results)
-    measure_max = max(r[1] for r in bv_results)
+    def one_bv(curve: StepCurve, subintervals: list):
+        # The whole interval first, then the drawn subintervals.
+        residuals = variation_identity_residuals(
+            decompose_bv(curve), [None, *subintervals])
+        vm = variation_measure(curve)
+        direct = variations(curve, subintervals)
+        measure_gap = max([0.0] + [
+            abs(vm.of_open_interval(s, t) - v)
+            for (s, t), v in zip(subintervals, direct)])
+        return float(np.max(np.abs(residuals))), float(measure_gap)
+
+    drawn = map_trials(draw_bv, int(bv_curves))
+    bv_results = [one_bv(curve, subs) for curve, subs in drawn]
+    bv_worst, measure_gaps = zip(*bv_results)
+    bv_max, measure_max = max(bv_worst), max(measure_gaps)
     if bv_max > variation_tol:
         failures.append(
             f"variation_identity_residual: worst residual {bv_max!r} exceeds "
             f"{variation_tol!r}; jump variation must equal the weighted sum "
-            "of per-atom variations on every subinterval")
+            "of per-atom variations on every subinterval"
+            f"{worst_trial('transport/bv', bv_worst)}")
     if measure_max > 0.0:
         failures.append(
             f"variation_measure_consistency: the jump measure differed from "
             f"direct variation by {measure_max!r}; open intervals of the "
-            "measure must reproduce the variation exactly")
+            "measure must reproduce the variation exactly"
+            f"{worst_trial('transport/bv', measure_gaps)}")
 
     csv_bv = [["curve", "max_identity_residual", "max_measure_gap"]]
     csv_bv += [[i, r[0], r[1]] for i, r in enumerate(bv_results)]
@@ -791,6 +828,15 @@ def run_speed(seed: int = 7, curves: int = 6,
     the interior gap between the two speeds must shrink at first order in
     the time step, and the bundle norm power must agree with the weighted
     per-atom speed powers.
+
+    The draw step reads each curve's path from its own stream ``(seed,
+    "speed/<kind>", curve)``, in index order.  The compute step sweeps all
+    paths of one target on one grid as a single ``(node, curve, atom,
+    *point_shape)`` batch: one log-map call for the velocities, one
+    tangent-norm call for the bundle norms, and one target distance call
+    for the per-atom speeds of the consistency check; the metric
+    derivative takes one ``d_p`` call per curve.  A failed gap check names
+    the stream key of its worst curve.
     """
     grids = tuple(int(n) for n in grids)
     mid_grid = grids[len(grids) // 2]
@@ -801,46 +847,34 @@ def run_speed(seed: int = 7, curves: int = 6,
     trace_rows = [["t", "metric_derivative", "bundle_norm", "residual"]]
 
     for target in targets:
-        def one_curve(ci: int, _target=target):
-            path = sample_smooth_path(
-                _target, trial_rng(seed, f"speed/{_target.kind}", ci), p=p)
-            maxima = []
-            consistency = 0.0
-            trace = None
-            for n in grids:
-                curve = path.materialize(n)
-                dec = decompose_ac(curve, p)
-                sf = compute_speed(dec)
-                res = speed_identity_residual(sf)
-                maxima.append(float(np.max(res[1:-1])))
-                if n == mid_grid:
-                    consistency = atomwise_consistency_gap(sf)
-                if ci == 0 and _target.kind == "spd" and n == grids[-1]:
-                    md = metric_derivative(curve)
-                    bn = bundle_norms(sf)
-                    trace = [[t, float(md[k]), float(bn[k]), float(res[k])]
-                             for k, t in enumerate(curve.times)]
-            return maxima, float(consistency), trace
-
-        per_curve = map_trials(one_curve, int(curves))
-        grid_maxima = [max(r[0][k] for r in per_curve)
-                       for k in range(len(grids))]
-        cons_max = max(r[1] for r in per_curve)
+        stream = f"speed/{target.kind}"
+        paths, spaces = _draw_smooth_paths(seed, stream, target, curves, p)
+        per_grid = []
+        for n in grids:
+            times, values = sweep_smooth_paths(paths, n)
+            md, bundle = batch_speeds(spaces, values, times)
+            res = np.abs(md - bundle)
+            per_grid.append(np.max(res[:, 1:-1], axis=1))
+            if n == mid_grid:
+                gaps = atomwise_consistency_gaps(spaces, values, times, bundle)
+            if target.kind == "spd" and n == grids[-1]:
+                trace_rows += [
+                    [float(t), float(md[0, k]), float(bundle[0, k]),
+                     float(res[0, k])] for k, t in enumerate(times)]
+        grid_maxima = [float(m.max()) for m in per_grid]
+        cons_max = float(gaps.max())
         order = decay_order(grid_maxima)
-        for r in per_curve:
-            if r[2] is not None:
-                trace_rows.extend(r[2])
         metrics["targets"][target.kind] = {
-            "residual_maxima": [float(m) for m in grid_maxima],
+            "residual_maxima": grid_maxima,
             "order": order_jsonable(order),
-            "consistency_rel_max": float(cons_max),
+            "consistency_rel_max": cons_max,
         }
         if grid_maxima[-1] > residual_tol:
             failures.append(
                 f"speed_identity_residual[{target.kind}]: max interior gap "
                 f"{grid_maxima[-1]!r} at the finest grid exceeds "
                 f"{residual_tol!r}; the bundle norm must converge to the "
-                "metric derivative")
+                f"metric derivative{worst_trial(stream, per_grid[-1])}")
         if order < order_min:
             failures.append(
                 f"speed_identity_order[{target.kind}]: empirical decay order "
@@ -849,7 +883,8 @@ def run_speed(seed: int = 7, curves: int = 6,
             failures.append(
                 f"bundle_consistency[{target.kind}]: relative gap "
                 f"{cons_max!r} between the bundle norm power and the "
-                f"weighted per-atom speed powers exceeds {consistency_tol!r}")
+                f"weighted per-atom speed powers exceeds {consistency_tol!r}"
+                f"{worst_trial(stream, gaps)}")
 
     return SuiteResult(
         name="speed",

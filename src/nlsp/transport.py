@@ -19,6 +19,16 @@ A curve of mappings holds one float batch of shape ``(node, atom,
 second, through ``swapaxes(0, 1)``, it is the atom slices.  The slices are
 views of the curve's batch, so every slice value is bitwise equal to the
 source value it was read from.
+
+Both identities also come in batch form, and the single-curve functions
+are the batch of one.  :func:`derivative_identity_residuals` takes many
+curves on one time grid as a ``(node, curve, atom, *point_shape)`` batch:
+the per-atom side is one target ``distances`` call over all of it, and the
+``L^p`` side one ``LpSpace.distances`` call per curve, since each curve has
+its own weights.  :func:`variation_identity_residuals` builds a step
+curve's jump table once — the ``L^1`` jumps between consecutive pieces and
+every atom's target jumps — and reads the variation over each subinterval
+off it as a masked sum, added in ascending time order.
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ import numpy as np
 from .curves import (
     SampledCurve,
     StepCurve,
-    metric_derivative,
+    _ascending_sums,
+    _variation_masks,
     metric_speeds,
     variation,
 )
@@ -108,19 +119,83 @@ def per_atom_derivatives(d: TransportDecomposition) -> np.ndarray:
                          source.times_array).T
 
 
+def weighted_speed_powers(speeds: np.ndarray, weights: np.ndarray,
+                          p: float) -> np.ndarray:
+    """``sum_j w_j s_j^p`` for atom speeds ``s`` of shape ``(node, *batch,
+    atom)`` and weights of shape ``(*batch, atom)``; shape ``(*batch,
+    node)``.
+
+    One stacked matrix product, which rounds for every curve of a batch as
+    ``w @ s.T ** p`` does for that curve alone.
+    """
+    return np.matmul(weights[..., None, :],
+                     np.moveaxis(speeds ** p, 0, -1))[..., 0, :]
+
+
+def _batch_parts(spaces, values) -> tuple[object, np.ndarray, float]:
+    """The shared target, the stacked ``(curve, atom)`` weights and the
+    shared exponent of a batch of curves of mappings.
+
+    ``values`` has shape ``(node, curve, atom, *point_shape)``: curve ``k``
+    lives in ``spaces[k]``, and every space must share one target object
+    and one exponent.
+    """
+    spaces = list(spaces)
+    if not spaces or not all(isinstance(s, LpSpace) for s in spaces):
+        raise ValidationError(
+            "a batch of curves needs one LpSpace per curve")
+    target, p = spaces[0].family.target, spaces[0].p
+    if any(s.family.target is not target or s.p != p for s in spaces):
+        raise ValidationError(
+            "the curves of a batch must share one target object and one "
+            "exponent")
+    if np.ndim(values) < 3 or np.shape(values)[1] != len(spaces):
+        raise ValidationError(
+            f"expected values of shape (node, {len(spaces)}, atom, ...), got "
+            f"{np.shape(values)}")
+    weights = np.stack([s.family.base_space.weights_array for s in spaces])
+    return target, weights, p
+
+
+def curve_speeds(spaces, values, times) -> np.ndarray:
+    """Metric derivatives of a batch of curves of mappings; shape
+    ``(curve, node)``.
+
+    Each curve has its own weights, so each takes one ``LpSpace.distances``
+    call, on its view ``values[:, k]`` of the batch.
+    """
+    return np.stack([metric_speeds(space, values[:, k], times)
+                     for k, space in enumerate(spaces)])
+
+
 def derivative_identity_residual(d: TransportDecomposition) -> np.ndarray:
     """Node-wise residual ``|c'|_p^p - sum_j w_j |f_j'|^p``.
 
     Both sides are centered difference quotients over the same node pairs,
     so the residual is pure roundoff whenever the weighted-sum identity
     holds — which it does for every curve in an ``L^p`` mapping space.
+    This is :func:`derivative_identity_residuals` on a batch of one.
     """
     if not isinstance(d, TransportDecomposition):
         raise ValidationError(
             f"expected a TransportDecomposition, got {type(d).__name__}")
-    w = d.source.space.family.base_space.weights_array
-    lhs = metric_derivative(d.source) ** d.p
-    rhs = w @ (per_atom_derivatives(d) ** d.p)
+    source = d.source
+    return derivative_identity_residuals(
+        [source.space], source.values[:, None], source.times_array)[0]
+
+
+def derivative_identity_residuals(spaces, values, times) -> np.ndarray:
+    """:func:`derivative_identity_residual` of every curve of a batch
+    ``(node, curve, atom, *point_shape)`` sharing one time grid; shape
+    ``(curve, node)``.
+
+    The ``L^p`` side takes one ``LpSpace.distances`` call per curve; the
+    per-atom side is one target ``distances`` call over the whole batch.
+    """
+    target, weights, p = _batch_parts(spaces, values)
+    lhs = curve_speeds(spaces, values, times) ** p
+    rhs = weighted_speed_powers(metric_speeds(target, values, times),
+                                weights, p)
     return lhs - rhs
 
 
@@ -160,15 +235,31 @@ def variation_identity_residual(d: BVTransportDecomposition,
 
     Both sides sum the same jumps (the ``L^1`` jump distance is itself the
     weighted sum of atom jump distances), so the residual is pure roundoff.
+    This is :func:`variation_identity_residuals` on a batch of one.
+    """
+    return float(variation_identity_residuals(d, [subinterval])[0])
+
+
+def variation_identity_residuals(d: BVTransportDecomposition,
+                                 subintervals) -> np.ndarray:
+    """:func:`variation_identity_residual` over each of ``subintervals``
+    (``None`` for the whole interval), in input order.
+
+    The jump table is built once: the ``L^1`` jumps between consecutive
+    pieces (one ``LpSpace.distances`` call) and every atom's target jumps
+    (one target ``distances`` call over ``(jump, atom)``).  Each variation
+    is a masked sum over it, added in ascending time order.
     """
     if not isinstance(d, BVTransportDecomposition):
         raise ValidationError(
             f"expected a BVTransportDecomposition, got {type(d).__name__}")
-    w = d.source.space.family.base_space.weights_array
-    lhs = variation(d.source, subinterval)
-    rhs = float(np.dot(w, [variation(curve, subinterval)
-                           for curve in d.per_atom_curves]))
-    return lhs - rhs
+    source = d.source
+    inside = _variation_masks(source, subintervals)
+    before, after = source.values[:-1], source.values[1:]
+    lhs = _ascending_sums(source.space.distances(before, after), inside)
+    atoms = _ascending_sums(
+        source.space.family.target.distances(before, after), inside)
+    return lhs - np.vecdot(atoms, source.space.family.base_space.weights_array)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,30 @@ def test_step_curve_validation():
         StepCurve(E1, (0.0, 0.6, 0.4, 1.0), (np.zeros(1),) * 3)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: SampledCurve(E1, ("a", 1.0), (np.zeros(1),) * 2),
+     r"curve times\[0\] must be a real number, got 'a'"),
+    (lambda: SampledCurve(E1, (None, 1.0), (np.zeros(1),) * 2),
+     r"curve times\[0\] must be a real number, got None"),
+    (lambda: SampledCurve(E1, (0.0, math.inf), (np.zeros(1),) * 2),
+     r"curve times\[1\] must be finite, got inf"),
+    (lambda: SampledCurve(E1, (0.0, 0.5, 0.5), (np.zeros(1),) * 3),
+     r"strictly increasing, got curve times\[2\] = 0.5 after 0.5"),
+    (lambda: StepCurve(E1, (0.0, "x"), (np.zeros(1),)),
+     r"breakpoints\[1\] must be a real number, got 'x'"),
+    (lambda: StepCurve(E1, (0.0, math.nan, 1.0), (np.zeros(1),) * 2),
+     r"breakpoints\[1\] must be finite, got nan"),
+    (lambda: SampledCurve(E1, 3.0, (np.zeros(1),)),
+     r"curve times must be a sequence of numbers, got float"),
+], ids=["string", "none", "infinite", "repeated", "step-string", "step-nan",
+        "not-a-sequence"])
+def test_bad_times_name_the_first_bad_entry(build, match):
+    """A non-numeric, non-finite or non-increasing time is refused with a
+    ValidationError naming its index and value."""
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
 def test_variation_of_up_down_step_is_two():
     """Jumping 0 -> 1 -> 0 accumulates variation 2."""
     c = scalar_step((0.0, 0.3, 0.7, 1.0), (0.0, 1.0, 0.0))

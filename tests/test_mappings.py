@@ -250,6 +250,19 @@ def test_time_grid_validation():
         TimeGrid((0.0, 1.0), rule="simpson")
 
 
+@pytest.mark.parametrize("nodes, match", [
+    (("a", 1.0), r"time nodes\[0\] must be a real number, got 'a'"),
+    ((0.0, None), r"time nodes\[1\] must be a real number, got None"),
+    ((0.0, math.inf), r"time nodes\[1\] must be finite, got inf"),
+    ((0.0, 0.5, 0.25), r"time nodes\[2\] = 0.25 after 0.5"),
+], ids=["string", "none", "infinite", "decreasing"])
+def test_time_grid_names_the_first_bad_node(nodes, match):
+    """TimeGrid shares the curves' time check: the first bad node is named
+    by its index and value, and the error is a ValidationError."""
+    with pytest.raises(ValidationError, match=match):
+        TimeGrid(nodes)
+
+
 def test_time_grid_node_weights():
     """Trapezoid weights integrate to the interval length; left_cells
     puts each cell's full length on its left node."""

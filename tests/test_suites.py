@@ -16,14 +16,22 @@ import pytest
 from nlsp import (
     DEFAULT_TOLERANCES,
     CurveOfMappings,
+    Euclidean,
+    LpSpace,
     MappingOfCurves,
     MetricTree,
     Spd,
     Sphere,
     ValidationError,
+    VariationMeasure,
+    atomwise_consistency_gap,
+    compute_speed,
     decay_order,
+    decompose_ac,
     default_tree,
+    derivative_identity_residual,
     sample_smooth_path,
+    speed_identity_residual,
     trial_rng,
 )
 from nlsp import curves, suites
@@ -216,6 +224,13 @@ def _reverse_nodes_of_sec_time(monkeypatch):
     monkeypatch.setattr(suites, "sec_time", reversed_nodes)
 
 
+def _lp_distances_one_ppm_long(monkeypatch):
+    real = LpSpace.distances
+    monkeypatch.setattr(
+        LpSpace, "distances",
+        lambda self, fs, gs: (1.0 + 1e-6) * real(self, fs, gs))
+
+
 #: (mutation, battery run, {check that must fail: stream key its failure
 #: names as the worst trial, or None for a check on fixed examples}).
 MUTATIONS = [
@@ -246,6 +261,13 @@ MUTATIONS = [
         lambda: suites.run_fubini(seed=7, trials=4),
         {"iterated_norm_time_major": "fubini", "transpose_roundtrip": "fubini"},
         id="fubini-time-order"),
+    pytest.param(
+        _lp_distances_one_ppm_long,
+        lambda: suites.run_transport(seed=7, curves=4, bv_curves=10),
+        {"derivative_identity_order[sphere]": None,
+         "derivative_identity_order[spd]": None,
+         "variation_identity_residual": "transport/bv"},
+        id="transport-lp-distance-scale"),
 ]
 
 
@@ -264,3 +286,53 @@ def test_battery_fails_on_a_mutated_primitive(monkeypatch, mutate, battery,
         if stream is not None:
             assert re.search(rf"\(worst: {re.escape(stream)} trial \d+\)$",
                              failed[name]), failed[name]
+
+
+def _worst_key(stream: str, scores) -> str:
+    return f"(worst: {stream} trial {int(np.argmax(scores))})"
+
+
+def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
+    """With every residual bound below zero, each residual failure of the
+    transport and speed batteries ends with the stream key of the curve
+    whose single-curve residual is largest."""
+    transport = suites.run_transport(seed=7, curves=3, bv_curves=6,
+                                     residual_tol=-1.0, variation_tol=-1.0)
+    speed = suites.run_speed(seed=7, curves=2, grids=(65, 129),
+                             residual_tol=-1.0, consistency_tol=-1.0)
+    failed = {f.split(":")[0]: f
+              for f in transport.failures + speed.failures}
+    for target in (Sphere(3), Spd(2)):
+        stream = f"transport/{target.kind}"
+        scores = []
+        for ci in range(3):
+            curve = sample_smooth_path(
+                target, trial_rng(7, stream, ci)).materialize(257)
+            res = derivative_identity_residual(decompose_ac(curve, 2.0))
+            scores.append(np.max(np.abs(res[1:-1])))
+        assert failed[f"derivative_identity_residual[{target.kind}]"] \
+            .endswith(_worst_key(stream, scores))
+    bv_scores = [float(row[1]) for row in transport.csv["transport_bv"][1:]]
+    assert failed["variation_identity_residual"].endswith(
+        _worst_key("transport/bv", bv_scores))
+    for target in (Euclidean(2), Sphere(3), Spd(2)):
+        stream = f"speed/{target.kind}"
+        gaps, gap_scores = [], []
+        for ci in range(2):
+            path = sample_smooth_path(target, trial_rng(7, stream, ci))
+            sf = compute_speed(decompose_ac(path.materialize(129), 2.0))
+            gaps.append(np.max(speed_identity_residual(sf)[1:-1]))
+            gap_scores.append(atomwise_consistency_gap(sf))
+        assert failed[f"speed_identity_residual[{target.kind}]"].endswith(
+            _worst_key(stream, gaps))
+        assert failed[f"bundle_consistency[{target.kind}]"].endswith(
+            _worst_key(stream, gap_scores))
+
+    real = VariationMeasure.of_open_interval
+    monkeypatch.setattr(
+        VariationMeasure, "of_open_interval",
+        lambda self, s, t: real(self, s, t) * (1.0 + 1e-9) + 1e-12)
+    result = suites.run_transport(seed=7, curves=2, bv_curves=6)
+    gaps = {f.split(":")[0]: f for f in result.failures}
+    assert re.search(r"\(worst: transport/bv trial \d+\)$",
+                     gaps["variation_measure_consistency"])

@@ -9,6 +9,7 @@ slicing construction genuinely fails.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,24 +24,39 @@ from nlsp import (
     MetricMapping,
     ProductGridMapping,
     SampledCurve,
+    Spd,
     Sphere,
     StepCurve,
     TimeGrid,
     ValidationError,
+    atomwise_consistency_gap,
+    atomwise_consistency_gaps,
+    batch_speeds,
+    bundle_norms,
+    compute_speed,
     counterexample_curve,
     counterexample_p1,
     d_pp,
     decompose_ac,
     decompose_bv,
     derivative_identity_residual,
+    derivative_identity_residuals,
     per_atom_derivatives,
+    sample_smooth_path,
     sec_atom,
     sec_time,
+    speed_identity_residual,
+    sweep_smooth_paths,
     trial_rng,
     variation,
     variation_identity_residual,
+    variation_identity_residuals,
+    variation_measure,
+    variations,
 )
-from nlsp.suites import default_tree
+from nlsp.curves import metric_speeds
+from nlsp.mappings import _weighted_norm
+from nlsp.suites import default_tree, random_family, random_step_curve
 
 
 def lp_curve(times, mapping_rows, fam, p=2.0):
@@ -231,6 +247,182 @@ def test_variation_identity_on_random_step_curves():
             if s < t:
                 assert variation_identity_residual(
                     bv, (float(s), float(t))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Batched batteries against the curve-by-curve loop
+# ---------------------------------------------------------------------------
+#
+# The reference below is the curve-by-curve code the batched helpers
+# replaced, kept here on the target kernels alone: the batched results
+# must equal it bit for bit.
+
+
+def _loop_materialize(path, n):
+    times = np.linspace(0.0, 1.0, n)
+    ys, zs = (np.array(ends) for ends in zip(*path.anchors))
+    nodes = path.family.target.geodesic_points(ys, zs, path.warp(times))
+    return SampledCurve(LpSpace(path.family, path.p),
+                        tuple(float(t) for t in times), nodes)
+
+
+def _loop_atom_powers(curve, p):
+    family = curve.space.family
+    atoms = metric_speeds(family.target, curve.values, curve.times_array).T
+    return family.base_space.weights_array @ (atoms ** p)
+
+
+def _loop_derivative_residual(curve, p):
+    lhs = metric_speeds(curve.space, curve.values, curve.times_array) ** p
+    return lhs - _loop_atom_powers(curve, p)
+
+
+def _loop_speed(curve, p):
+    """Metric derivative, bundle norm and consistency gap of one curve."""
+    family = curve.space.family
+    times, bases = curve.times_array, curve.values
+    n = len(times)
+    dst = np.append(np.arange(1, n), n - 2)
+    step = (1.0 / (times[dst] - times)).reshape((n,) + (1,) * (bases.ndim - 1))
+    vectors = family.target.log_maps(bases, bases[dst]) * step
+    bundle = _weighted_norm(family.target.tangent_norms(bases, vectors),
+                            family.base_space.weights_array, p)
+    rhs = _loop_atom_powers(curve, p)[1:-1]
+    gap = float(np.max(np.abs(bundle[1:-1] ** p - rhs)
+                       / np.maximum(np.abs(rhs), 1e-300)))
+    return metric_speeds(curve.space, bases, times), bundle, gap
+
+
+def _loop_variation(c, sub):
+    s, t = c.interval if sub is None else sub
+    return float(sum(jump for at, jump in c.jumps() if s < at < t))
+
+
+def _loop_variation_residual(d, sub):
+    w = d.source.space.family.base_space.weights_array
+    return _loop_variation(d.source, sub) - float(np.dot(
+        w, [_loop_variation(curve, sub) for curve in d.per_atom_curves]))
+
+
+def _zero_weight_atom(path, atom):
+    """The same path with one atom's weight set to zero."""
+    base = path.family.base_space
+    weights = list(base.weights)
+    weights[atom] = 0.0
+    family = MappingFamily(FiniteMeasureSpace(base.atom_ids, tuple(weights)),
+                           path.family.target, path.family.base_values)
+    return dataclasses.replace(path, family=family)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("target", [Euclidean(2), Sphere(3), Spd(2)],
+                         ids=["euclidean", "sphere", "spd"])
+def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
+    """One stacked sweep per grid gives every path's samples, derivative
+    residuals, metric derivatives, bundle norms and consistency gaps bit for
+    bit as the curve-by-curve loop does, zero-weight atoms included; and
+    ``materialize`` is its path's column of the sweep."""
+    paths = [sample_smooth_path(target, trial_rng(3, "test/sweep", ci))
+             for ci in range(4)]
+    paths[1] = _zero_weight_atom(paths[1], 2)
+    spaces = [LpSpace(path.family, 2.0) for path in paths]
+    for n in (9, 33):
+        times, values = sweep_smooth_paths(paths, n)
+        residuals = derivative_identity_residuals(spaces, values, times)
+        md, bundle = batch_speeds(spaces, values, times)
+        gaps = atomwise_consistency_gaps(spaces, values, times, bundle)
+        for k, path in enumerate(paths):
+            curve = _loop_materialize(path, n)
+            assert _same_bits(values[:, k], curve.values)
+            assert _same_bits(path.materialize(n).values, curve.values)
+            expected = _loop_derivative_residual(curve, 2.0)
+            assert _same_bits(residuals[k], expected)
+            dec = decompose_ac(curve, 2.0)
+            assert _same_bits(derivative_identity_residual(dec), expected)
+            loop_md, loop_bundle, loop_gap = _loop_speed(curve, 2.0)
+            assert _same_bits(md[k], loop_md)
+            assert _same_bits(bundle[k], loop_bundle)
+            assert gaps[k] == loop_gap
+            sf = compute_speed(dec)
+            assert _same_bits(bundle_norms(sf), loop_bundle)
+            assert _same_bits(speed_identity_residual(sf),
+                              np.abs(loop_md - loop_bundle))
+            assert atomwise_consistency_gap(sf) == loop_gap
+
+
+def test_stacked_tree_curves_equal_the_curve_loop_bit_for_bit():
+    """The derivative identity needs no chart: a stacked batch of tree
+    curves, one with a zero-weight atom, matches the loop bit for bit."""
+    tree = default_tree()
+    rng = trial_rng(3, "test/tree-sweep", 0)
+    families = [random_family(tree, rng, 3, zero_atom=(k == 0))
+                for k in range(3)]
+    ys, zs = (tree.random_points(rng, 9).reshape(3, 3, 2) for _ in range(2))
+    times = np.linspace(0.0, 1.0, 17)
+    values = tree.geodesic_points(ys, zs, np.broadcast_to(
+        times[:, None, None], (17, 3, 3)))
+    spaces = [LpSpace(family, 1.5) for family in families]
+    residuals = derivative_identity_residuals(spaces, values, times)
+    for k, space in enumerate(spaces):
+        curve = SampledCurve(space, tuple(times), values[:, k])
+        assert _same_bits(residuals[k],
+                          _loop_derivative_residual(curve, 1.5))
+
+
+@pytest.mark.parametrize("target", [Euclidean(2), Sphere(3), Spd(2),
+                                    default_tree()],
+                         ids=["euclidean", "sphere", "spd", "tree"])
+def test_jump_table_sums_equal_the_subinterval_loop_bit_for_bit(target):
+    """Variations and variation residuals read off one jump table equal
+    the per-subinterval loop bit for bit: on the whole interval, on random
+    subintervals, on one whose endpoints are breakpoints (their jumps lie
+    outside the open interval) and on ones holding no jump at all."""
+    for trial in range(4):
+        rng = trial_rng(3, f"test/jump-table/{target.kind}", trial)
+        family = random_family(target, rng, 4, zero_atom=(trial % 2 == 0))
+        curve = random_step_curve(LpSpace(family, 1.0),
+                                  lambda: family.random_mapping(rng), rng,
+                                  pieces=5)
+        bp = curve.breakpoints
+        subs = [None, (bp[1], bp[3]), (bp[1], bp[1]), (0.0, bp[1]),
+                (0.5 * (bp[1] + bp[2]), 0.5 * (bp[1] + bp[2]))]
+        subs += [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(6)]
+        d = decompose_bv(curve)
+        residuals = variation_identity_residuals(d, subs)
+        direct = variations(curve, subs)
+        vm = variation_measure(curve)
+        for k, sub in enumerate(subs):
+            expected = _loop_variation_residual(d, sub)
+            assert _same_bits(residuals[k], expected)
+            assert _same_bits(variation_identity_residual(d, sub), expected)
+            assert _same_bits(direct[k], _loop_variation(curve, sub))
+            assert _same_bits(variation(curve, sub), direct[k])
+            if sub is not None:
+                assert vm.of_open_interval(*sub) == direct[k]
+        # The open-interval rule: only the jump at bp[2] lies in (bp[1], bp[3]).
+        assert direct[1] == curve.jumps()[1][1]
+        assert direct[2] == direct[3] == direct[4] == 0.0
+    assert variations(curve, []).shape == (0,)
+
+
+def test_sampled_variations_equal_the_segment_loop_bit_for_bit():
+    """For a sampled curve each variation is the sum, in time order, of the
+    segments inside the subinterval's closure."""
+    rng = trial_rng(3, "test/sampled-variations", 0)
+    times = tuple(np.sort(rng.uniform(0.0, 1.0, 12)))
+    curve = SampledCurve(Euclidean(2), times, rng.standard_normal((12, 2)))
+    subs = [None, (times[2], times[7]), (times[3], times[3]), (0.0, 1.0),
+            (0.5 * (times[4] + times[5]), times[9])]
+    segs = curve.segment_lengths()
+    for sub, got in zip(subs, variations(curve, subs)):
+        s, t = curve.interval if sub is None else sub
+        expected = float(sum(seg for seg, lo, hi in zip(segs, times, times[1:])
+                             if lo >= s and hi <= t))
+        assert _same_bits(got, expected)
 
 
 # ---------------------------------------------------------------------------
