@@ -9,7 +9,9 @@ sign: :func:`curvature_comparison_suite` measures the squared-distance
 comparison residual on random quadruples and checks the sign demanded by
 the target's curvature class, including the converse direction through the
 constant-mapping embedding.  :func:`length_space_check` certifies the
-energy/length inequality and its equality on geodesics.
+energy/length inequality and its equality on geodesics.  Both return a
+report whose pass flag and failure lines are read off its
+:class:`~nlsp.checks.Check` records.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import MAX, MIN, Check, Judged, reading
 from .config import DEFAULT_TOLERANCES
 from .curves import (
     SampledCurve,
@@ -37,7 +40,7 @@ from .mappings import (
     check_p,
     d_p,
 )
-from .rng import trial_rng, worst_trial
+from .rng import trial_rng
 from .targets import (
     FLAT,
     GLOBAL_NNC,
@@ -164,15 +167,15 @@ def constant_speed_residual(geo: LpGeodesic) -> float:
     t = curve.times_array
     a, b = geo.interval
     total = geo.endpoint_distance()
-    worst = 0.0
+    worst = [0.0]
     # One start node per batched call: all node pairs at once would hold
     # nodes^2 / 2 copies of a mapping's atoms in memory.
     for i in range(len(t) - 1):
         expected = (t[i + 1:] - t[i]) / (b - a) * total
         gaps = np.abs(curve.space.distances(curve.values[i:i + 1],
                                             curve.values[i + 1:]) - expected)
-        worst = max(worst, float(gaps.max()))
-    return worst
+        worst.append(float(gaps.max()))
+    return reading(worst)
 
 
 def start_aligned_residuals(geo: LpGeodesic) -> np.ndarray:
@@ -236,7 +239,7 @@ def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
 
 
 @dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(Judged):
     """Outcome of the curvature-comparison battery on one target."""
 
     target_kind: str
@@ -247,17 +250,17 @@ class CurvatureReport:
     embedded_min: float
     embedded_max: float
     embedded_transfer_max: float
-    passed: bool
-    failures: tuple[str, ...]
+    checks: tuple[Check, ...]
     rows: tuple[tuple, ...]  # (trial, t, residual, embedded_residual)
 
 
+#: The sign rule of each curvature class: the check-name suffix, and why.
 _SIGN_CHECKS = {
-    GLOBAL_NPC: "<= tolerance (thin-triangle targets keep the residual "
-                "nonpositive)",
-    GLOBAL_NNC: ">= -tolerance (fat-triangle targets keep the residual "
-                "nonnegative)",
-    FLAT: "within the flat tolerance of zero",
+    GLOBAL_NPC: ("npc", "thin-triangle targets keep the residual "
+                        "nonpositive"),
+    GLOBAL_NNC: ("nnc", "fat-triangle targets keep the residual "
+                        "nonnegative"),
+    FLAT: ("flat", "flat targets keep the residual at zero"),
 }
 
 
@@ -336,49 +339,32 @@ def curvature_comparison_suite(
     transfer = np.abs(
         embedded - mass * _comparison_residuals(target_dists, t0s))
 
-    res_min, res_max = float(residuals.min()), float(residuals.max())
-    emb_min, emb_max = float(embedded.min()), float(embedded.max())
-    failures = []
     cls = target.curvature_class
+    suffix, why = _SIGN_CHECKS[cls]
+    checks = []
     for label, values in (("comparison_sign", residuals),
                           ("embedded_comparison_sign", embedded)):
-        lo, hi = float(values.min()), float(values.max())
-        if cls == GLOBAL_NPC and hi > sign_tol:
-            failures.append(
-                f"{label}_npc: max residual {hi!r} exceeds {sign_tol!r}; "
-                f"expected residual {_SIGN_CHECKS[cls]}"
-                f"{worst_trial(stream, values)}")
-        elif cls == GLOBAL_NNC and lo < -sign_tol:
-            failures.append(
-                f"{label}_nnc: min residual {lo!r} below {-sign_tol!r}; "
-                f"expected residual {_SIGN_CHECKS[cls]}"
-                f"{worst_trial(stream, -values)}")
-        elif cls == FLAT and max(abs(lo), abs(hi)) > flat_tol:
-            failures.append(
-                f"{label}_flat: |residual| reaches "
-                f"{max(abs(lo), abs(hi))!r}, exceeding {flat_tol!r}; "
-                f"expected residual {_SIGN_CHECKS[cls]}"
-                f"{worst_trial(stream, np.abs(values))}")
-    transfer_max = float(transfer.max())
-    transfer_tol = 1e-10 * max(1.0, mass)
-    if transfer_max > transfer_tol:
-        failures.append(
-            f"embedding_rescale: |embedded - mass * target| reaches "
-            f"{transfer_max!r}, exceeding {transfer_tol!r}; the constant "
-            "embedding must rescale comparison residuals by the total mass"
-            f"{worst_trial(stream, transfer)}")
+        observed, bound, sense, what = {
+            GLOBAL_NPC: (values, sign_tol, MAX, "max residual"),
+            GLOBAL_NNC: (values, -sign_tol, MIN, "min residual"),
+            FLAT: (np.abs(values), flat_tol, MAX, "max |residual|")}[cls]
+        checks.append(Check(f"{label}_{suffix}", observed, bound, sense,
+                            what, why, stream))
+    checks.append(Check(
+        "embedding_rescale", transfer, 1e-10 * max(1.0, mass), MAX,
+        "|embedded - mass * target|", "the constant embedding must rescale "
+        "comparison residuals by the total mass", stream))
 
     return CurvatureReport(
         target_kind=target.kind,
         curvature_class=cls,
         n_trials=int(trials),
-        residual_min=res_min,
-        residual_max=res_max,
-        embedded_min=emb_min,
-        embedded_max=emb_max,
-        embedded_transfer_max=transfer_max,
-        passed=not failures,
-        failures=tuple(failures),
+        residual_min=float(residuals.min()),
+        residual_max=float(residuals.max()),
+        embedded_min=float(embedded.min()),
+        embedded_max=float(embedded.max()),
+        embedded_transfer_max=float(transfer.max()),
+        checks=tuple(checks),
         rows=tuple(zip(range(trials), ts.tolist(), residuals.tolist(),
                        embedded.tolist())),
     )
@@ -390,7 +376,7 @@ def curvature_comparison_suite(
 
 
 @dataclass(frozen=True)
-class LengthReport:
+class LengthReport(Judged):
     """Outcome of the energy/length certification on one target."""
 
     target_kind: str
@@ -398,8 +384,7 @@ class LengthReport:
     n_trials: int
     max_upper_excess: float
     max_equality_gap_rel: float
-    passed: bool
-    failures: tuple[str, ...]
+    checks: tuple[Check, ...]
     rows: tuple[tuple, ...]  # (trial, scaled_energy, distance_power)
 
 
@@ -443,9 +428,6 @@ def length_space_check(target: TargetSpace,
                            target.random_points(setup, len(base_space)))
 
     rows = []
-    upper_excess = []
-    equality_gaps = []
-    failures = []
     for trial in range(int(trials)):
         rng = trial_rng(seed, f"length/{target.kind}/p={p!r}", trial)
         f, g = geodesic_safe_mapping_pair(family, rng)
@@ -454,32 +436,25 @@ def length_space_check(target: TargetSpace,
         scaled_energy = (b - a) ** (p - 1.0) * energy(geo.curve, p)
         dist_power = d_p(f, g, p) ** p
         rows.append((trial, scaled_energy, dist_power))
-        upper_excess.append(scaled_energy - kappa ** p * dist_power)
-        denom = max(dist_power, 1e-300)
-        equality_gaps.append(abs(scaled_energy - dist_power) / denom)
-
-    max_excess = max(upper_excess)
-    max_gap = max(equality_gaps)
-    slack = 1e-12 * max(1.0, max(r[2] for r in rows))
-    if max_excess > slack:
-        failures.append(
-            f"energy_length_upper: scaled energy exceeds kappa^p * D_p^p by "
-            f"{max_excess!r} (> {slack!r}); the energy of any curve joining "
-            "two mappings must control their distance power")
-    if max_gap > equality_tol:
-        failures.append(
-            f"geodesic_energy_equality: relative gap {max_gap!r} exceeds "
-            f"{equality_tol!r}; on geodesics the scaled energy must equal "
-            "the endpoint distance power")
-
+    _, scaled, powers = np.array(rows).T
+    upper_excess = scaled - kappa ** p * powers
+    equality_gaps = np.abs(scaled - powers) / np.maximum(powers, 1e-300)
+    slack = 1e-12 * max(1.0, reading(powers))
     return LengthReport(
         target_kind=target.kind,
         p=float(p),
         n_trials=int(trials),
-        max_upper_excess=float(max_excess),
-        max_equality_gap_rel=float(max_gap),
-        passed=not failures,
-        failures=tuple(failures),
+        max_upper_excess=reading(upper_excess),
+        max_equality_gap_rel=reading(equality_gaps),
+        checks=(
+            Check("energy_length_upper", upper_excess, slack, MAX,
+                  "scaled energy - kappa^p * D_p^p",
+                  "the energy of any curve joining two mappings must "
+                  "control their distance power"),
+            Check("geodesic_energy_equality", equality_gaps, equality_tol,
+                  MAX, "relative gap", "on geodesics the scaled energy must "
+                  "equal the endpoint distance power"),
+        ),
         rows=tuple(rows),
     )
 

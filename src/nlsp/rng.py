@@ -36,9 +36,3 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=(suite_key(suite), int(trial)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def worst_trial(suite: str, scores) -> str:
-    """The stream key of the trial with the largest score, as a note for a
-    failure message: `` (worst: <suite> trial <index>)``."""
-    return f" (worst: {suite} trial {int(np.argmax(scores))})"

@@ -1,8 +1,9 @@
 """Deterministic experiment suites.
 
-Each ``run_*`` function executes one battery of checks and returns a
-:class:`SuiteResult` with JSON-able metrics, a pass flag, the names of any
-failed invariants, and CSV-ready tables.  All randomness flows through
+Each ``run_*`` function executes one battery and returns a
+:class:`SuiteResult` with JSON-able metrics, CSV-ready tables, and the
+battery's gates as :class:`~nlsp.checks.Check` records, which alone
+decide its pass flag and failure lines.  All randomness flows through
 counter-based streams keyed by ``(seed, suite name, trial index)``
 (:func:`nlsp.rng.trial_rng`), and trial results are collected in index
 order, so every suite produces byte-identical output for a fixed seed.
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import MAX, MIN, Check, Judged, reading
 from .config import (
     DEFAULT_TOLERANCES,
     base_space_from_config,
@@ -53,7 +55,7 @@ from .mappings import (
     TimeGrid,
     product_lp_norm,
 )
-from .rng import trial_rng, worst_trial
+from .rng import trial_rng
 from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
 from .speed import atomwise_consistency_gaps, batch_speeds
 from .targets import Euclidean, MetricTree, Spd, Sphere, TargetSpace
@@ -72,13 +74,13 @@ CONVERGENCE_FLOOR = 1e-12
 
 
 @dataclass
-class SuiteResult:
-    """Outcome of one experiment suite."""
+class SuiteResult(Judged):
+    """Outcome of one experiment suite; ``passed`` and ``failures`` are
+    read off its ``checks``."""
 
     name: str
-    passed: bool
     metrics: dict
-    failures: list[str] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     csv: dict[str, list[list]] = field(default_factory=dict)
 
 
@@ -97,17 +99,25 @@ def decay_order(maxima, floor: float = CONVERGENCE_FLOOR) -> float:
     maxima = [float(m) for m in maxima]
     if len(maxima) < 2:
         raise ValidationError("decay_order needs at least two grid maxima")
-    if max(maxima) <= floor:
+    if reading(maxima) <= floor:
         return math.inf
-    orders = []
-    for coarse, fine in zip(maxima, maxima[1:]):
-        if fine <= 0.0:
-            orders.append(math.inf)
-        elif coarse <= 0.0:
-            orders.append(-math.inf)
-        else:
-            orders.append(math.log2(coarse / fine))
-    return min(orders)
+    return reading([math.inf if fine <= 0.0 else -math.inf if coarse <= 0.0
+                    else math.log2(coarse / fine)
+                    for coarse, fine in zip(maxima, maxima[1:])], MIN)
+
+
+def _convergence_checks(gate: str, kind: str, stream: str, per_grid, grids,
+                        residual_tol: float, order_min: float, what: str,
+                        why: str) -> tuple[list[float], float, list[Check]]:
+    """Grid maxima, decay order, and the checks of both, for a residual
+    whose ``per_grid[k]`` holds each curve's largest value on grid ``k``."""
+    grid_maxima = [float(m.max()) for m in per_grid]
+    order = decay_order(grid_maxima)
+    return grid_maxima, order, [
+        Check(f"{gate}_residual[{kind}]", per_grid[-1], residual_tol, MAX,
+              f"{what} at the finest grid", why, stream),
+        Check(f"{gate}_order[{kind}]", order, order_min, MIN,
+              f"empirical decay order across grids {list(grids)}", why)]
 
 
 def order_jsonable(order: float):
@@ -332,54 +342,41 @@ def run_fubini(seed: int = 7, trials: int = 100,
                         "trapezoid" if i % 2 == 0 else "left_cells")
         c1, c2 = (ProductGridMapping(grid, family, target.random_points(
             rng, 8 * len(grid)).reshape(len(grid), 8, -1)) for _ in range(2))
-        worst_time = worst_atom = 0.0
+        gaps = []
         for p in p_values:
             joint = product_lp_norm(c1, c2, p)
-            time_major = d_pp(sec_time(c1), sec_time(c2), p)
-            atom_major = D_pp(sec_atom(c1), sec_atom(c2), p)
-            denom = max(joint, 1e-300)
-            worst_time = max(worst_time, abs(time_major - joint) / denom)
-            worst_atom = max(worst_atom, abs(atom_major - joint) / denom)
+            gaps.append(np.abs([d_pp(sec_time(c1), sec_time(c2), p) - joint,
+                                D_pp(sec_atom(c1), sec_atom(c2), p) - joint])
+                        / max(joint, 1e-300))
+        time_gap, atom_gap = (reading(g) for g in zip(*gaps))
         back = transpose_inverse(transpose(sec_time(c1)))
-        roundtrip = back.values.tobytes() == c1.values.tobytes()
-        return worst_time, worst_atom, roundtrip
+        return time_gap, atom_gap, back.values.tobytes() != c1.values.tobytes()
 
     results = map_trials(one_trial, int(trials))
-    time_gaps, atom_gaps, roundtrips = zip(*results)
-    max_time, max_atom = max(time_gaps), max(atom_gaps)
-    roundtrip_ok = all(roundtrips)
-
-    failures = []
-    if max_time > rel_tol:
-        failures.append(
-            f"iterated_norm_time_major: relative gap {max_time!r} exceeds "
-            f"{rel_tol!r}; integrating time outside atoms must reproduce "
-            f"the joint product norm{worst_trial('fubini', time_gaps)}")
-    if max_atom > rel_tol:
-        failures.append(
-            f"iterated_norm_atom_major: relative gap {max_atom!r} exceeds "
-            f"{rel_tol!r}; integrating atoms outside time must reproduce "
-            f"the joint product norm{worst_trial('fubini', atom_gaps)}")
-    if not roundtrip_ok:
-        # argmax over "failed" flags names the first failed trial.
-        failures.append(
-            "transpose_roundtrip: transposing to the atom-major reading and "
-            "back must reproduce every value bit for bit"
-            f"{worst_trial('fubini', [not ok for ok in roundtrips])}")
+    time_gaps, atom_gaps, changed = zip(*results)
+    why = "integrating {} outside {} must reproduce the joint product norm"
 
     csv_rows = [["trial", "rel_gap_time_major", "rel_gap_atom_major"]]
     csv_rows += [[i, r[0], r[1]] for i, r in enumerate(results)]
     return SuiteResult(
         name="fubini",
-        passed=not failures,
         metrics={
             "trials": int(trials),
             "p_values": [order_jsonable(p) for p in p_values],
-            "max_rel_gap_time_major": float(max_time),
-            "max_rel_gap_atom_major": float(max_atom),
-            "transpose_roundtrip_exact": bool(roundtrip_ok),
+            "max_rel_gap_time_major": reading(time_gaps),
+            "max_rel_gap_atom_major": reading(atom_gaps),
+            "transpose_roundtrip_exact": not any(changed),
         },
-        failures=failures,
+        checks=[
+            Check("iterated_norm_time_major", time_gaps, rel_tol, MAX,
+                  "relative gap", why.format("time", "atoms"), "fubini"),
+            Check("iterated_norm_atom_major", atom_gaps, rel_tol, MAX,
+                  "relative gap", why.format("atoms", "time"), "fubini"),
+            Check("transpose_roundtrip", changed, 0.0, MAX,
+                  "changed-bits flag", "transposing to the atom-major "
+                  "reading and back must reproduce every value bit for bit",
+                  "fubini"),
+        ],
         csv={"fubini_trials": csv_rows},
     )
 
@@ -418,7 +415,7 @@ def run_transport(seed: int = 7, curves: int = 20,
     grids = tuple(int(n) for n in grids)
     targets = (Sphere(3), Spd(2))
     ac_metrics = {}
-    failures = []
+    checks = []
     csv_identity = [["target", "grid", "max_interior_residual"]]
 
     p = float(p)
@@ -432,27 +429,18 @@ def run_transport(seed: int = 7, curves: int = 20,
             times, values = sweep_smooth_paths(paths, n)
             res = derivative_identity_residuals(spaces, values, times)
             per_grid.append(np.max(np.abs(res[:, 1:-1]), axis=1))
-        grid_maxima = [float(m.max()) for m in per_grid]
-        order = decay_order(grid_maxima)
-        at_floor = max(grid_maxima) <= CONVERGENCE_FLOOR
+        grid_maxima, order, gates = _convergence_checks(
+            "derivative_identity", target.kind, stream, per_grid, grids,
+            residual_tol, order_min, "max interior residual",
+            "slicing must preserve the weighted speed-power identity")
+        checks += gates
         for n, m in zip(grids, grid_maxima):
             csv_identity.append([target.kind, n, m])
         ac_metrics[target.kind] = {
             "residual_maxima": grid_maxima,
             "order": order_jsonable(order),
-            "at_roundoff_floor": bool(at_floor),
+            "at_roundoff_floor": reading(grid_maxima) <= CONVERGENCE_FLOOR,
         }
-        if grid_maxima[-1] > residual_tol:
-            failures.append(
-                f"derivative_identity_residual[{target.kind}]: max interior "
-                f"residual {grid_maxima[-1]!r} at the finest grid exceeds "
-                f"{residual_tol!r}; slicing must preserve the weighted "
-                f"speed-power identity{worst_trial(stream, per_grid[-1])}")
-        if order < order_min:
-            failures.append(
-                f"derivative_identity_order[{target.kind}]: empirical decay "
-                f"order {order!r} is below {order_min!r} across grids "
-                f"{list(grids)}")
 
     def draw_bv(i: int):
         rng = trial_rng(seed, "transport/bv", i)
@@ -471,42 +459,37 @@ def run_transport(seed: int = 7, curves: int = 20,
             decompose_bv(curve), [None, *subintervals])
         vm = variation_measure(curve)
         direct = variations(curve, subintervals)
-        measure_gap = max([0.0] + [
+        measure_gap = reading([0.0] + [
             abs(vm.of_open_interval(s, t) - v)
             for (s, t), v in zip(subintervals, direct)])
-        return float(np.max(np.abs(residuals))), float(measure_gap)
+        return float(np.max(np.abs(residuals))), measure_gap
 
     drawn = map_trials(draw_bv, int(bv_curves))
     bv_results = [one_bv(curve, subs) for curve, subs in drawn]
     bv_worst, measure_gaps = zip(*bv_results)
-    bv_max, measure_max = max(bv_worst), max(measure_gaps)
-    if bv_max > variation_tol:
-        failures.append(
-            f"variation_identity_residual: worst residual {bv_max!r} exceeds "
-            f"{variation_tol!r}; jump variation must equal the weighted sum "
-            "of per-atom variations on every subinterval"
-            f"{worst_trial('transport/bv', bv_worst)}")
-    if measure_max > 0.0:
-        failures.append(
-            f"variation_measure_consistency: the jump measure differed from "
-            f"direct variation by {measure_max!r}; open intervals of the "
-            "measure must reproduce the variation exactly"
-            f"{worst_trial('transport/bv', measure_gaps)}")
+    checks += [
+        Check("variation_identity_residual", bv_worst, variation_tol, MAX,
+              "worst residual", "jump variation must equal the weighted sum "
+              "of per-atom variations on every subinterval", "transport/bv"),
+        Check("variation_measure_consistency", measure_gaps, 0.0, MAX,
+              "gap between the jump measure and direct variation",
+              "open intervals of the measure must reproduce the variation "
+              "exactly", "transport/bv"),
+    ]
 
     csv_bv = [["curve", "max_identity_residual", "max_measure_gap"]]
     csv_bv += [[i, r[0], r[1]] for i, r in enumerate(bv_results)]
     return SuiteResult(
         name="transport",
-        passed=not failures,
         metrics={
             "curves": int(curves),
             "grids": list(grids),
             "derivative_identity": ac_metrics,
             "bv_curves": int(bv_curves),
-            "max_variation_residual": float(bv_max),
-            "max_measure_gap": float(measure_max),
+            "max_variation_residual": reading(bv_worst),
+            "max_measure_gap": reading(measure_gaps),
         },
-        failures=failures,
+        checks=checks,
         csv={"transport_identity": csv_identity, "transport_bv": csv_bv},
     )
 
@@ -527,44 +510,46 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
     weighted jump variation 1.
     """
     del seed  # the construction is fully deterministic
-    failures = []
+    checks = []
     rows = [list(CSV_HEADER_COUNTEREXAMPLE)]
     reports = []
+    lipschitz = ("the indicator curve must be uniformly Lipschitz in the "
+                 "mean distance")
     for n in sizes:
         rep = counterexample_p1(int(n), refinements)
         reports.append(rep)
         rows.append(rep.csv_row())
-        lo_bound, hi_bound = 1.0 - 2.0 / n, 1.0 + 2.0 / n
-        if not (lo_bound <= rep.lipschitz_lo and rep.lipschitz_hi <= hi_bound):
-            failures.append(
-                f"counterexample_lipschitz[n={n}]: difference quotients "
-                f"[{rep.lipschitz_lo!r}, {rep.lipschitz_hi!r}] leave "
-                f"[{lo_bound!r}, {hi_bound!r}]; the indicator curve must be "
-                "uniformly Lipschitz in the mean distance")
-        for r, modulus in rep.atom_moduli:
-            if abs(modulus - 1.0) > 1e-12:
-                failures.append(
-                    f"counterexample_modulus[n={n},refine={r}]: per-atom "
-                    f"modulus {modulus!r} differs from 1; refining the grid "
-                    "must never shrink the unit atom jumps")
-        if abs(rep.total_variation - 1.0) > tv_tol:
-            failures.append(
-                f"counterexample_variation[n={n}]: weighted jump variation "
-                f"{rep.total_variation!r} differs from 1 beyond {tv_tol!r}")
+        checks += [
+            Check(f"counterexample_lipschitz[n={n}]", rep.lipschitz_lo,
+                  1.0 - 2.0 / n, MIN, "smallest difference quotient",
+                  lipschitz),
+            Check(f"counterexample_lipschitz[n={n}]", rep.lipschitz_hi,
+                  1.0 + 2.0 / n, MAX, "largest difference quotient",
+                  lipschitz),
+            *(Check(f"counterexample_modulus[n={n},refine={r}]",
+                    abs(modulus - 1.0), 1e-12, MAX,
+                    "|per-atom modulus - 1|", "refining the grid must "
+                    "never shrink the unit atom jumps")
+              for r, modulus in rep.atom_moduli),
+            Check(f"counterexample_variation[n={n}]",
+                  abs(rep.total_variation - 1.0), tv_tol, MAX,
+                  "|weighted jump variation - 1|", "the unit jumps "
+                  "of all atoms, weighted by their masses, must add up to 1"),
+        ]
 
     return SuiteResult(
         name="counterexample",
-        passed=not failures,
         metrics={
             "sizes": [int(n) for n in sizes],
             "refinements": [int(r) for r in refinements],
-            "lipschitz_lo": min(r.lipschitz_lo for r in reports),
-            "lipschitz_hi": max(r.lipschitz_hi for r in reports),
-            "max_atom_modulus": max(r.max_atom_modulus for r in reports),
-            "total_variation_max_gap": max(
-                abs(r.total_variation - 1.0) for r in reports),
+            "lipschitz_lo": reading([r.lipschitz_lo for r in reports], MIN),
+            "lipschitz_hi": reading([r.lipschitz_hi for r in reports]),
+            "max_atom_modulus": reading(
+                [r.max_atom_modulus for r in reports]),
+            "total_variation_max_gap": reading(
+                [abs(r.total_variation - 1.0) for r in reports]),
         },
-        failures=failures,
+        checks=checks,
         csv={"counterexample_p1": rows},
     )
 
@@ -592,8 +577,6 @@ def run_geodesic(seed: int = 7, trials: int = 3,
     if base_space is None:
         base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (1.0, 2.0, 1.0))
     combos = [(t, p) for t in targets for p in p_values]
-    failures = []
-    worst = {"constant_speed": 0.0, "atom_speed": 0.0, "length_rel": 0.0}
     trace_rows = [["t", "distance_from_start", "constant_speed_residual"]]
 
     def one_combo(idx: int):
@@ -613,12 +596,10 @@ def run_geodesic(seed: int = 7, trials: int = 3,
             out.append((csr, atom_dev, len_rel))
         return out
 
-    all_results = map_trials(one_combo, len(combos))
-    for (target, p), results in zip(combos, all_results):
-        for csr, atom_dev, len_rel in results:
-            worst["constant_speed"] = max(worst["constant_speed"], csr)
-            worst["atom_speed"] = max(worst["atom_speed"], atom_dev)
-            worst["length_rel"] = max(worst["length_rel"], len_rel)
+    # One score per (combo, trial) pair, in order, for each check.
+    csr, atom_dev, len_rel = zip(*(
+        scores for results in map_trials(one_combo, len(combos))
+        for scores in results))
 
     # Representative trace for the CSV artifact (first target, p = 2).
     setup = trial_rng(seed, "geodesic/trace/setup", 0)
@@ -631,35 +612,28 @@ def run_geodesic(seed: int = 7, trials: int = 3,
     trace_rows += [[t, float(d), float(r)] for t, d, r in zip(
         geo.curve.times, from_start, start_aligned_residuals(geo))]
 
-    if worst["constant_speed"] > residual_tol:
-        failures.append(
-            f"geodesic_constant_speed: node-pair linearity residual "
-            f"{worst['constant_speed']!r} exceeds {residual_tol!r}; the "
-            "mapping distance along a geodesic must be affine in time")
-    if worst["atom_speed"] > residual_tol:
-        failures.append(
-            f"geodesic_atom_speed: per-atom speed deviation "
-            f"{worst['atom_speed']!r} exceeds {residual_tol!r}; every atom "
-            "must traverse its target geodesic at constant speed")
-    if worst["length_rel"] > residual_tol:
-        failures.append(
-            f"geodesic_length: relative length gap {worst['length_rel']!r} "
-            f"exceeds {residual_tol!r}; geodesic length must equal the "
-            "endpoint distance")
-
     return SuiteResult(
         name="geodesic",
-        passed=not failures,
         metrics={
             "targets": [t.kind for t in targets],
             "p_values": [float(p) for p in p_values],
             "trials": int(trials),
             "n_nodes": int(n_nodes),
-            "max_constant_speed_residual": float(worst["constant_speed"]),
-            "max_atom_speed_deviation": float(worst["atom_speed"]),
-            "max_length_rel_gap": float(worst["length_rel"]),
+            "max_constant_speed_residual": reading(csr),
+            "max_atom_speed_deviation": reading(atom_dev),
+            "max_length_rel_gap": reading(len_rel),
         },
-        failures=failures,
+        checks=[
+            Check("geodesic_constant_speed", csr, residual_tol, MAX,
+                  "node-pair linearity residual", "the mapping distance "
+                  "along a geodesic must be affine in time"),
+            Check("geodesic_atom_speed", atom_dev, residual_tol, MAX,
+                  "per-atom speed deviation", "every atom must traverse its "
+                  "target geodesic at constant speed"),
+            Check("geodesic_length", len_rel, residual_tol, MAX,
+                  "relative length gap",
+                  "geodesic length must equal the endpoint distance"),
+        ],
         csv={"geodesic_trace": trace_rows},
     )
 
@@ -696,10 +670,8 @@ def run_curvature(seed: int = 7, trials: int = 500,
             sign_tol=sign_tol, flat_tol=flat_tol),
         len(targets))
 
-    failures = []
     metrics = {"trials": int(trials), "targets": {}}
     csv_rows = [["target", "trial", "t", "residual", "embedded_residual"]]
-    abs_max = 0.0
     for report in reports:
         metrics["targets"][report.target_kind] = {
             "curvature_class": report.curvature_class,
@@ -709,19 +681,18 @@ def run_curvature(seed: int = 7, trials: int = 500,
             "embedded_max": report.embedded_max,
             "embedded_transfer_max": report.embedded_transfer_max,
         }
-        abs_max = max(abs_max, abs(report.residual_min),
-                      abs(report.residual_max))
-        failures.extend(f"{report.target_kind}.{f}" for f in report.failures)
         for trial, t, res, emb in report.rows:
             csv_rows.append([report.target_kind, trial, t, res, emb])
-    metrics["residual_max"] = float(max(r.residual_max for r in reports))
-    metrics["residual_abs_max"] = float(abs_max)
+    metrics["residual_max"] = reading([r.residual_max for r in reports])
+    metrics["residual_abs_max"] = reading(
+        [abs(r.residual_min) for r in reports]
+        + [abs(r.residual_max) for r in reports])
 
     return SuiteResult(
         name="curvature",
-        passed=not failures,
         metrics=metrics,
-        failures=failures,
+        checks=[replace(c, name=f"{report.target_kind}.{c.name}")
+                for report in reports for c in report.checks],
         csv={"curvature_residuals": csv_rows},
     )
 
@@ -750,7 +721,7 @@ def run_length(seed: int = 7, trials: int = 12,
             n_nodes=int(n_nodes), equality_tol=equality_tol),
         len(combos))
 
-    failures = []
+    checks = []
     metrics = {"trials": int(trials), "targets": {}, "p_values": list(p_values)}
     csv_rows = [["target", "p", "trial", "scaled_energy", "distance_power"]]
     for (target, p), report in zip(combos, reports):
@@ -759,7 +730,7 @@ def run_length(seed: int = 7, trials: int = 12,
             "max_upper_excess": report.max_upper_excess,
             "max_equality_gap_rel": report.max_equality_gap_rel,
         }
-        failures.extend(f"{key}.{f}" for f in report.failures)
+        checks += [replace(c, name=f"{key}.{c.name}") for c in report.checks]
         for trial, se, dp_pow in report.rows:
             csv_rows.append([report.target_kind, p, trial, se, dp_pow])
 
@@ -779,34 +750,30 @@ def run_length(seed: int = 7, trials: int = 12,
         if total < 1.0:  # pragma: no cover - legs guarantee length >= 1.5
             raise ValidationError(
                 f"reparam battery sampled a curve of length {total!r} < 1")
-        worst_excess = max(ratio - (1.0 + eps) ** p
-                           for ratio, p in zip(ratios, p_values))
-        return float(worst_excess), float(abs(length(re) - total))
+        worst_excess = reading([ratio - (1.0 + eps) ** p
+                                for ratio, p in zip(ratios, p_values)])
+        return worst_excess, float(abs(length(re) - total))
 
-    reparam_results = map_trials(one_reparam, int(reparam_curves))
-    max_excess = max(r[0] for r in reparam_results)
-    max_len_gap = max(r[1] for r in reparam_results)
-    if max_excess > 1e-12:
-        failures.append(
-            f"reparam_energy_budget: scaled energy over length-power exceeds "
-            f"(1 + eps)^p by {max_excess!r}; constant-speed retiming must "
-            "drive the energy to the length bound")
-    if max_len_gap > 1e-10:
-        failures.append(
-            f"reparam_length_invariance: length changed by {max_len_gap!r} "
-            "under retiming; reparametrization must not move the values")
+    excess, len_gaps = zip(*map_trials(one_reparam, int(reparam_curves)))
+    checks += [
+        Check("reparam_energy_budget", excess, 1e-12, MAX,
+              "scaled energy / length^p - (1 + eps)^p", "constant-speed "
+              "retiming must drive the energy to the length bound"),
+        Check("reparam_length_invariance", len_gaps, 1e-10, MAX,
+              "length change under retiming",
+              "reparametrization must not move the values"),
+    ]
 
     metrics["reparam"] = {
         "curves": int(reparam_curves),
         "eps": float(eps),
-        "max_budget_excess": float(max_excess),
-        "max_length_gap": float(max_len_gap),
+        "max_budget_excess": reading(excess),
+        "max_length_gap": reading(len_gaps),
     }
     return SuiteResult(
         name="length",
-        passed=not failures,
         metrics=metrics,
-        failures=failures,
+        checks=checks,
         csv={"length_check": csv_rows},
     )
 
@@ -841,7 +808,7 @@ def run_speed(seed: int = 7, curves: int = 6,
     grids = tuple(int(n) for n in grids)
     mid_grid = grids[len(grids) // 2]
     targets = (Euclidean(2), Sphere(3), Spd(2))
-    failures = []
+    checks = []
     p = float(p)
     metrics = {"curves": int(curves), "grids": list(grids), "targets": {}}
     trace_rows = [["t", "metric_derivative", "bundle_norm", "residual"]]
@@ -861,36 +828,24 @@ def run_speed(seed: int = 7, curves: int = 6,
                 trace_rows += [
                     [float(t), float(md[0, k]), float(bundle[0, k]),
                      float(res[0, k])] for k, t in enumerate(times)]
-        grid_maxima = [float(m.max()) for m in per_grid]
-        cons_max = float(gaps.max())
-        order = decay_order(grid_maxima)
+        grid_maxima, order, gates = _convergence_checks(
+            "speed_identity", target.kind, stream, per_grid, grids,
+            residual_tol, order_min, "max interior gap",
+            "the bundle norm must converge to the metric derivative")
+        checks += [*gates, Check(
+            f"bundle_consistency[{target.kind}]", gaps, consistency_tol, MAX,
+            "relative gap", "the bundle norm power must equal the weighted "
+            "per-atom speed powers", stream)]
         metrics["targets"][target.kind] = {
             "residual_maxima": grid_maxima,
             "order": order_jsonable(order),
-            "consistency_rel_max": cons_max,
+            "consistency_rel_max": float(gaps.max()),
         }
-        if grid_maxima[-1] > residual_tol:
-            failures.append(
-                f"speed_identity_residual[{target.kind}]: max interior gap "
-                f"{grid_maxima[-1]!r} at the finest grid exceeds "
-                f"{residual_tol!r}; the bundle norm must converge to the "
-                f"metric derivative{worst_trial(stream, per_grid[-1])}")
-        if order < order_min:
-            failures.append(
-                f"speed_identity_order[{target.kind}]: empirical decay order "
-                f"{order!r} is below {order_min!r} across grids {list(grids)}")
-        if cons_max > consistency_tol:
-            failures.append(
-                f"bundle_consistency[{target.kind}]: relative gap "
-                f"{cons_max!r} between the bundle norm power and the "
-                f"weighted per-atom speed powers exceeds {consistency_tol!r}"
-                f"{worst_trial(stream, gaps)}")
 
     return SuiteResult(
         name="speed",
-        passed=not failures,
         metrics=metrics,
-        failures=failures,
+        checks=checks,
         csv={"speed_trace": trace_rows},
     )
 
@@ -927,17 +882,6 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
         "shifted_jump_upper": b_shift.upper,
         "shifted_jump_expected": shift_expected,
     }
-    failures = []
-    if b_self.upper > example_tol or b_same.upper > example_tol:
-        failures.append(
-            f"skorokhod_zero_examples: self/identical distances "
-            f"({b_self.upper!r}, {b_same.upper!r}) exceed {example_tol!r}; "
-            "equal functions must be at Skorokhod distance zero")
-    if abs(b_shift.upper - shift_expected) > example_tol:
-        failures.append(
-            f"skorokhod_shifted_jump: upper bound {b_shift.upper!r} misses "
-            f"the known value {shift_expected!r} beyond {example_tol!r}")
-
     drawn = []
     for i in range(int(pairs)):
         rng = trial_rng(seed, "skorokhod/pairs", i)
@@ -948,36 +892,41 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
         drawn.append((c, g))
     coarse = skorokhod_distances(drawn, warp_grid=int(warp_grid))
     fine = skorokhod_distances(drawn, warp_grid=2 * int(warp_grid))
-    sandwich = [max(c.lower - c.upper, f.lower - f.upper)
+    sandwich = [reading([c.lower - c.upper, f.lower - f.upper])
                 for c, f in zip(coarse, fine)]
     monotone = [f.upper - c.upper for c, f in zip(coarse, fine)]
-    sandwich_max = max(sandwich)
-    monotone_max = max(monotone)
-    if sandwich_max > 1e-12:
-        failures.append(
-            f"skorokhod_sandwich: a lower bound exceeded its upper bound by "
-            f"{sandwich_max!r}; the value-set mismatch can never beat an "
-            f"achievable warp{worst_trial('skorokhod/pairs', sandwich)}")
-    if monotone_max > 1e-12:
-        failures.append(
-            f"skorokhod_monotone: doubling the warp grid raised an upper "
-            f"bound by {monotone_max!r}; refinement only enlarges the warp "
-            f"family{worst_trial('skorokhod/pairs', monotone)}")
 
     csv_rows = [["pair", "lower", "upper", "upper_refined"]]
     csv_rows += [[i, c.lower, c.upper, f.upper]
                  for i, (c, f) in enumerate(zip(coarse, fine))]
     return SuiteResult(
         name="skorokhod",
-        passed=not failures,
         metrics={
             "pairs": int(pairs),
             "warp_grid": int(warp_grid),
             "examples": {k: float(v) for k, v in examples.items()},
-            "max_sandwich_violation": float(sandwich_max),
-            "max_monotonicity_violation": float(monotone_max),
+            "max_sandwich_violation": reading(sandwich),
+            "max_monotonicity_violation": reading(monotone),
         },
-        failures=failures,
+        checks=[
+            Check("skorokhod_zero_examples", (b_self.upper, b_same.upper),
+                  example_tol, MAX,
+                  "larger of the self and identical-function distances",
+                  "equal functions must be at Skorokhod distance zero"),
+            Check("skorokhod_shifted_jump",
+                  abs(b_shift.upper - shift_expected), example_tol, MAX,
+                  "|upper bound - log(1.25)|",
+                  "a unit jump moved from 1/2 to 3/5 is at Skorokhod "
+                  "distance log(5/4)"),
+            Check("skorokhod_sandwich", sandwich, 1e-12, MAX,
+                  "excess of a lower bound over its upper bound",
+                  "the value-set mismatch can never beat an achievable warp",
+                  "skorokhod/pairs"),
+            Check("skorokhod_monotone", monotone, 1e-12, MAX,
+                  "rise of an upper bound on doubling the warp grid",
+                  "refinement only enlarges the warp family",
+                  "skorokhod/pairs"),
+        ],
         csv={"skorokhod_pairs": csv_rows},
     )
 

@@ -547,7 +547,9 @@ class Spd(TargetSpace):
     ``A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}``.  All matrix functions go
     through a stacked eigendecomposition and every result is symmetrized
     before it is returned, so chains of operations cannot drift away from
-    symmetry.
+    symmetry.  ``distances`` and ``geodesic_points`` expect validated
+    points, which ``_constrain`` leaves exactly symmetric, and do not copy
+    them into symmetric form again.
     """
 
     kind = "spd"
@@ -578,8 +580,8 @@ class Spd(TargetSpace):
         return arr
 
     def distances(self, ys, zs) -> np.ndarray:
-        ys = _sym(np.asarray(ys, float))
-        zs = _sym(np.asarray(zs, float))
+        ys = np.asarray(ys, float)
+        zs = np.asarray(zs, float)
         (isqrt,) = _eig_apply(ys, _inv_sqrt)
         logs = np.log(np.linalg.eigvalsh(_sym(isqrt @ zs @ isqrt)))
         # Self-distance is exactly zero, not eigensolver dust.
@@ -588,7 +590,7 @@ class Spd(TargetSpace):
     def geodesic_points(self, ys, zs, t) -> np.ndarray:
         t = _check_fractions(t)[..., None]
         sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
-        (powed,) = _eig_apply(isqrt @ _sym(np.asarray(zs, float)) @ isqrt,
+        (powed,) = _eig_apply(isqrt @ np.asarray(zs, float) @ isqrt,
                               lambda w: np.power(w, t))
         return _sym(sqrt @ powed @ sqrt)
 

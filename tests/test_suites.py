@@ -146,6 +146,75 @@ def test_battery_call_resolves_the_module_attribute(monkeypatch):
     assert seen == [{"seed": 3, "pairs": 2, "example_tol": 0.5}]
 
 
+#: Per battery: small-scale keyword arguments, and every failure that its
+#: forcing tolerances cause, by name, with the worst-trial note that ends
+#: it (None: its line has no note).
+FORCED = {
+    "fubini": ({"trials": 2}, {
+        "iterated_norm_time_major": "(worst: fubini trial 0)",
+        "iterated_norm_atom_major": "(worst: fubini trial 0)"}),
+    "transport": ({"curves": 2, "grids": (65, 129), "bv_curves": 4}, {
+        "derivative_identity_residual[sphere]":
+            "(worst: transport/sphere trial 0)",
+        "derivative_identity_residual[spd]": "(worst: transport/spd trial 1)",
+        "variation_identity_residual": "(worst: transport/bv trial 2)"}),
+    "counterexample": ({"sizes": (4,)}, {
+        "counterexample_variation[n=4]": None}),
+    "geodesic": ({"trials": 1, "n_nodes": 5}, {
+        "geodesic_constant_speed": None, "geodesic_atom_speed": None,
+        "geodesic_length": None}),
+    "curvature": ({"trials": 5}, {
+        "spd.comparison_sign_npc": "(worst: curvature/spd trial 0)",
+        "spd.embedded_comparison_sign_npc": "(worst: curvature/spd trial 4)",
+        "sphere.comparison_sign_nnc": "(worst: curvature/sphere trial 0)",
+        "sphere.embedded_comparison_sign_nnc":
+            "(worst: curvature/sphere trial 0)",
+        "euclidean.comparison_sign_flat":
+            "(worst: curvature/euclidean trial 3)",
+        "euclidean.embedded_comparison_sign_flat":
+            "(worst: curvature/euclidean trial 0)"}),
+    "length": ({"trials": 1, "reparam_curves": 3, "n_nodes": 5}, {
+        f"{kind}/p={p}.geodesic_energy_equality": None
+        for kind in ("euclidean", "sphere", "spd", "metric_tree")
+        for p in (1.5, 2.0, 3.0)}),
+    "speed": ({"curves": 2, "grids": (65, 129)}, {
+        "speed_identity_residual[euclidean]":
+            "(worst: speed/euclidean trial 1)",
+        "speed_identity_order[euclidean]": None,
+        "bundle_consistency[euclidean]": "(worst: speed/euclidean trial 1)",
+        "speed_identity_residual[sphere]": "(worst: speed/sphere trial 0)",
+        "speed_identity_order[sphere]": None,
+        "bundle_consistency[sphere]": "(worst: speed/sphere trial 0)",
+        "speed_identity_residual[spd]": "(worst: speed/spd trial 1)",
+        "speed_identity_order[spd]": None,
+        "bundle_consistency[spd]": "(worst: speed/spd trial 0)"}),
+    "skorokhod": ({"pairs": 3}, {
+        "skorokhod_zero_examples": None, "skorokhod_shifted_jump": None}),
+}
+
+
+@pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
+def test_forcing_tolerances_fail_exactly_the_named_checks(battery):
+    """Every tolerance a battery reads, set so that it must fail (an
+    infinite minimum decay order, a negative bound otherwise), fails
+    exactly the pinned checks, each with its pinned worst-trial note.
+    Transport's derivative identity sits at the roundoff floor, where the
+    decay order is infinite and meets even an infinite minimum."""
+    kwargs, expected = FORCED[battery.name]
+    tolerances = {name: math.inf if name == "order_min" else -1.0
+                  for name in battery.tolerances}
+    result = battery(7, tolerances, **kwargs)
+    failed = {f.split(":")[0]: f for f in result.failures}
+    assert not result.passed
+    assert len(failed) == len(result.failures)
+    assert set(failed) == set(expected)
+    for name, note in expected.items():
+        if note is None:
+            assert "(worst:" not in failed[name], failed[name]
+        else:
+            assert failed[name].endswith(note), failed[name]
+
+
 def test_speed_gate_fails_when_the_sphere_log_map_is_one_percent_long(
         monkeypatch):
     """Velocities 1 % too long move the bundle norm away from the metric
@@ -231,6 +300,18 @@ def _lp_distances_one_ppm_long(monkeypatch):
         lambda self, fs, gs: (1.0 + 1e-6) * real(self, fs, gs))
 
 
+def _sphere_log_maps_nan(monkeypatch):
+    real = Sphere.log_maps
+    monkeypatch.setattr(Sphere, "log_maps",
+                        lambda self, ys, zs: real(self, ys, zs) * math.nan)
+
+
+def _euclidean_distances_nan(monkeypatch):
+    real = Euclidean.distances
+    monkeypatch.setattr(Euclidean, "distances",
+                        lambda self, ys, zs: real(self, ys, zs) * math.nan)
+
+
 #: (mutation, battery run, {check that must fail: stream key its failure
 #: names as the worst trial, or None for a check on fixed examples}).
 MUTATIONS = [
@@ -268,6 +349,21 @@ MUTATIONS = [
          "derivative_identity_order[spd]": None,
          "variation_identity_residual": "transport/bv"},
         id="transport-lp-distance-scale"),
+    # NaN readings: a comparison with NaN is False and Python's max drops
+    # NaN, so each gate must let NaN through and fail on it.
+    pytest.param(
+        _sphere_log_maps_nan,
+        lambda: suites.run_speed(seed=7, curves=2, grids=(65, 129)),
+        {"speed_identity_residual[sphere]": "speed/sphere",
+         "speed_identity_order[sphere]": None,
+         "bundle_consistency[sphere]": "speed/sphere"},
+        id="speed-sphere-log-map-nan"),
+    pytest.param(
+        _euclidean_distances_nan,
+        lambda: suites.run_geodesic(seed=7, targets=(Euclidean(2),)),
+        {"geodesic_constant_speed": None, "geodesic_atom_speed": None,
+         "geodesic_length": None},
+        id="geodesic-euclidean-distance-nan"),
 ]
 
 
