@@ -40,7 +40,7 @@ from .mappings import (
     check_p,
     d_p,
 )
-from .rng import trial_rng
+from .rng import trial_rng, trial_rngs, uniforms
 from .targets import (
     FLAT,
     GLOBAL_NNC,
@@ -280,10 +280,14 @@ def curvature_comparison_suite(
     sign.  A target whose curvature class is not declared flat / NPC / NNC
     is refused rather than guessed at.
 
-    The battery runs in two steps.  The draw step reads each trial's
+    The battery runs in two steps.  The draw step takes each trial's
     points and times from the trial's own stream ``(seed,
-    "curvature/<kind>", trial)`` and stacks them into ``(trial, atom)`` and
-    ``(trial,)`` batches, each validated once.  The compute step evaluates
+    "curvature/<kind>", trial)``, one kind of draw at a time for all
+    trials: it reads every trial's variates, in the order of a one-trial
+    draw, then forms the points of all trials in one kernel call, so each
+    trial's points have the bytes of a draw of that trial alone.  The
+    ``(trial, atom)`` and ``(trial,)`` batches are each validated once.
+    The compute step evaluates
     every trial at once: one geodesic call and four distance calls for the
     mapping residuals, the same for the target quadruples, whose distances,
     broadcast over the atoms of a constant mapping, also give the embedded
@@ -303,29 +307,19 @@ def curvature_comparison_suite(
     trials = int(trials)
     stream = f"curvature/{target.kind}"
 
-    # Draw step: one stream per trial, read in the order of the
-    # single-trial battery.  Each kind of draw goes into one preallocated
-    # (trial, atom) or (trial,) batch, validated once.
-    draws = {}
-    for trial in range(trials):
-        rng = trial_rng(seed, stream, trial)
-        f, g = target.random_geodesic_pairs(rng, len(base_space))
-        z = target.random_points(rng, len(base_space))
-        t = rng.uniform(0.0, 1.0)
-        (y0,), (y1,) = target.random_geodesic_pairs(rng, 1)
-        w0 = target.random_point(rng)
-        t0 = rng.uniform(0.0, 1.0)
-        for name, value in (("f", f), ("g", g), ("z", z), ("t", t),
-                            ("y0", y0), ("y1", y1), ("w0", w0), ("t0", t0)):
-            value = np.asarray(value)
-            if name not in draws:
-                draws[name] = np.empty((trials,) + value.shape, value.dtype)
-            draws[name][trial, ...] = value
-    fs, gs, zs = (target.as_points(draws[k], (trials, len(base_space)))
-                  for k in ("f", "g", "z"))
-    y0s, y1s, w0s = (target.as_points(draws[k], (trials,))
-                     for k in ("y0", "y1", "w0"))
-    ts, t0s = draws["t"], draws["t0"]
+    # Draw step: one stream per trial, every kind of draw taken from all
+    # streams at once, in the order of the single-trial battery.  Each
+    # (trial, atom) or (trial,) batch is validated once.
+    rngs = trial_rngs(seed, stream, range(trials))
+    n = len(base_space)
+    fs, gs = target.draw_geodesic_pairs(rngs, n)
+    zs = target.draw_points(rngs, n)
+    ts = uniforms(rngs, 0.0, 1.0)
+    y0s, y1s = (ends[:, 0] for ends in target.draw_geodesic_pairs(rngs, 1))
+    w0s = target.draw_points(rngs, 1)[:, 0]
+    t0s = uniforms(rngs, 0.0, 1.0)
+    fs, gs, zs = (target.as_points(a, (trials, n)) for a in (fs, gs, zs))
+    y0s, y1s, w0s = (target.as_points(a, (trials,)) for a in (y0s, y1s, w0s))
 
     # Compute step: every trial at once, one kernel call per distance.
     residuals = _comparison_residuals(
@@ -427,10 +421,12 @@ def length_space_check(target: TargetSpace,
     family = MappingFamily(base_space, target,
                            target.random_points(setup, len(base_space)))
 
+    stream = f"length/{target.kind}/p={p!r}"
     rows = []
-    for trial in range(int(trials)):
-        rng = trial_rng(seed, f"length/{target.kind}/p={p!r}", trial)
-        f, g = geodesic_safe_mapping_pair(family, rng)
+    ends = target.draw_geodesic_pairs(
+        trial_rngs(seed, stream, range(int(trials))), len(base_space))
+    for trial, (fv, gv) in enumerate(zip(*ends)):
+        f, g = MetricMapping(family, fv), MetricMapping(family, gv)
         geo = lp_geodesic(f, g, p, n_nodes=n_nodes)
         a, b = geo.interval
         scaled_energy = (b - a) ** (p - 1.0) * energy(geo.curve, p)
@@ -450,10 +446,10 @@ def length_space_check(target: TargetSpace,
             Check("energy_length_upper", upper_excess, slack, MAX,
                   "scaled energy - kappa^p * D_p^p",
                   "the energy of any curve joining two mappings must "
-                  "control their distance power"),
+                  "control their distance power", stream),
             Check("geodesic_energy_equality", equality_gaps, equality_tol,
                   MAX, "relative gap", "on geodesics the scaled energy must "
-                  "equal the endpoint distance power"),
+                  "equal the endpoint distance power", stream),
         ),
         rows=tuple(rows),
     )

@@ -131,10 +131,6 @@ class FiniteMeasureSpace:
         """Indices of atoms with strictly positive weight, ascending."""
         return tuple(int(j) for j in np.nonzero(self.weights_array > 0.0)[0])
 
-    def is_null(self, indices) -> bool:
-        """Whether the given atom subset has measure zero."""
-        return all(self.weights[int(j)] == 0.0 for j in indices)
-
 
 def uniform_space(n: int, mass: float = 1.0, prefix: str = "x") -> FiniteMeasureSpace:
     """``n`` atoms of equal weight summing to ``mass``."""
@@ -176,20 +172,9 @@ class MappingFamily:
         """The base mapping ``h`` itself, as a member of the family."""
         return MetricMapping(self, self.base_values)
 
-    def constant_mapping(self, y) -> "MetricMapping":
-        """The embedding of a single target point as a constant mapping."""
-        y = self.target.as_point(y)
-        return MetricMapping(self, (y,) * len(self.base_space))
-
     def random_mapping(self, rng: np.random.Generator) -> "MetricMapping":
         return MetricMapping(
             self, self.target.random_points(rng, len(self.base_space)))
-
-
-def mapping_family(base_space: FiniteMeasureSpace, target: TargetSpace,
-                   base_values) -> MappingFamily:
-    """Convenience constructor accepting any point-coercible base values."""
-    return MappingFamily(base_space, target, tuple(base_values))
 
 
 def constant_family(base_space: FiniteMeasureSpace, target: TargetSpace,

@@ -51,11 +51,12 @@ from .mappings import (
     FiniteMeasureSpace,
     LpSpace,
     MappingFamily,
+    MetricMapping,
     ProductGridMapping,
     TimeGrid,
     product_lp_norm,
 )
-from .rng import trial_rng
+from .rng import trial_rng, trial_rngs, uniforms
 from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
 from .speed import atomwise_consistency_gaps, batch_speeds
 from .targets import Euclidean, MetricTree, Spd, Sphere, TargetSpace
@@ -156,10 +157,36 @@ def random_base_space(rng: np.random.Generator, n_atoms: int,
         tuple(float(w) for w in weights))
 
 
+def random_families(target: TargetSpace, rngs, n_atoms: int,
+                    zero_atoms=None) -> list[MappingFamily]:
+    """A random family per stream: each stream reads its weights (with a
+    zero-weight atom where ``zero_atoms`` says so), then one draw forms the
+    base points of every stream."""
+    if zero_atoms is None:
+        zero_atoms = [False] * len(rngs)
+    spaces = [random_base_space(rng, n_atoms, zero)
+              for rng, zero in zip(rngs, zero_atoms)]
+    bases = target.draw_points(rngs, n_atoms)
+    return [MappingFamily(space, target, base)
+            for space, base in zip(spaces, bases)]
+
+
 def random_family(target: TargetSpace, rng: np.random.Generator,
                   n_atoms: int, zero_atom: bool = False) -> MappingFamily:
-    space = random_base_space(rng, n_atoms, zero_atom)
-    return MappingFamily(space, target, target.random_points(rng, n_atoms))
+    return random_families(target, [rng], n_atoms, [zero_atom])[0]
+
+
+def _draw_by_kind(seed: int, stream: str, trials: int, draws) -> list:
+    """Trial ``i`` drawn from its stream ``(seed, stream, i)`` by
+    ``draws[i % len(draws)](rngs, indices)``, which draws all trials of
+    its kind at once; returned in trial order."""
+    out = [None] * int(trials)
+    for kind, draw in enumerate(draws):
+        indices = range(kind, int(trials), len(draws))
+        if len(indices):
+            out[kind::len(draws)] = draw(
+                trial_rngs(seed, stream, indices), indices)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,18 +198,21 @@ class SmoothLpPath:
     a_j sin(2 pi t + theta_j) / (2 pi)``; the warp stays inside ``(0, 1)``
     and its small amplitude keeps the one-sided/centered difference gap
     well inside the tolerances that the convergence batteries certify.
+    Atom ``j``'s geodesic has length ``legs[j]``, so the path's speed has
+    the closed form ``(sum_j w_j (legs[j] phi_j'(t))^p)^(1/p)``.
     """
 
     family: MappingFamily
     p: float
-    anchors: tuple  # per atom: (start point, end point)
-    wiggles: tuple[tuple[float, float], ...]  # per atom: (amplitude, phase)
+    anchors: np.ndarray  # (atom, 2, *point_shape): start and end points
+    wiggles: np.ndarray  # (atom, 2): amplitude and phase
+    legs: np.ndarray  # (atom,): the target distance from start to end
     delta: float = 0.05
 
     def warp(self, t) -> np.ndarray:
         """Every atom's warp at the times ``t``: shape ``(*t.shape, atom)``."""
         t = np.asarray(t, float)[..., None]
-        amp, phase = np.array(self.wiggles).T
+        amp, phase = self.wiggles.T
         return (self.delta + (1.0 - 2.0 * self.delta) * t
                 + amp * np.sin(2.0 * math.pi * t + phase) / (2.0 * math.pi))
 
@@ -212,68 +242,79 @@ def sweep_smooth_paths(paths, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
             "target object and one atom count")
     times = np.linspace(0.0, 1.0, int(n_nodes))
     fractions = np.stack([path.warp(times) for path in paths], axis=1)
-    ys, zs = (np.array([[ends[e] for ends in path.anchors] for path in paths])
-              for e in (0, 1))
+    ys, zs = (np.array([path.anchors[:, e] for path in paths]) for e in (0, 1))
     values = target.geodesic_points(ys, zs, fractions)
     return times, target.as_points(values, fractions.shape)
+
+
+def sample_smooth_paths(target: TargetSpace, rngs, p: float = 2.0,
+                        n_atoms: int = 4) -> list[SmoothLpPath]:
+    """Draw a smooth random path of mappings (one geodesic leg per atom)
+    from each stream.
+
+    Each stream reads its weights and base points, then, atom by atom, a
+    start point, a leg length, a tangent of that length and the wiggle;
+    every read is formed for all streams at once, and one ``exp_maps``
+    call gives every end point.
+    """
+    ids = tuple(f"x{j}" for j in range(n_atoms))
+    weights = uniforms(rngs, 0.5, 1.5, n_atoms) / n_atoms
+    bases = target.draw_points(rngs, n_atoms)
+    starts, tangents, legs, wiggles = [], [], [], []
+    for _ in range(n_atoms):
+        starts.append(target.draw_points(rngs, 1)[:, 0])
+        legs.append(uniforms(rngs, 0.4, 0.8))
+        tangents.append(target.draw_tangents(rngs, starts[-1], legs[-1]))
+        wiggles.append(np.stack([uniforms(rngs, 0.04, 0.06),
+                                 uniforms(rngs, 0.0, 2.0 * math.pi)], axis=-1))
+    starts = np.stack(starts, axis=1)
+    ends = target.exp_maps(starts, np.stack(tangents, axis=1))
+    return [SmoothLpPath(
+        family=MappingFamily(FiniteMeasureSpace(ids, tuple(w.tolist())),
+                             target, base),
+        p=float(p), anchors=anchors, wiggles=wiggle, legs=leg)
+        for w, base, anchors, wiggle, leg in zip(
+            weights, bases, np.stack([starts, ends], axis=2),
+            np.stack(wiggles, axis=1), np.stack(legs, axis=1))]
 
 
 def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
                        p: float = 2.0, n_atoms: int = 4) -> SmoothLpPath:
     """Draw a smooth random path of mappings (one geodesic leg per atom)."""
-    space = FiniteMeasureSpace(
-        tuple(f"x{j}" for j in range(n_atoms)),
-        tuple(float(w) for w in rng.uniform(0.5, 1.5, n_atoms) / n_atoms))
-    base = tuple(target.random_point(rng) for _ in range(n_atoms))
-    family = MappingFamily(space, target, base)
-    anchors = []
-    wiggles = []
-    for _ in range(n_atoms):
-        y = target.random_point(rng)
-        leg = float(rng.uniform(0.4, 0.8))
-        z = target.exp_map(y, target.random_tangent(y, rng, norm=leg))
-        anchors.append((y, z))
-        wiggles.append((float(rng.uniform(0.04, 0.06)),
-                        float(rng.uniform(0.0, 2.0 * math.pi))))
-    return SmoothLpPath(family=family, p=float(p), anchors=tuple(anchors),
-                        wiggles=tuple(wiggles))
+    return sample_smooth_paths(target, [rng], p, n_atoms)[0]
 
 
 def _draw_smooth_paths(seed: int, stream: str, target: TargetSpace,
                        curves: int, p: float) -> tuple[list, list]:
     """The draw step of the smooth-path batteries: path ``ci`` from stream
-    ``(seed, stream, ci)``, in index order, and the ``LpSpace`` of each."""
-    paths = map_trials(lambda ci: sample_smooth_path(
-        target, trial_rng(seed, stream, ci), p=p), int(curves))
+    ``(seed, stream, ci)``, all paths at once, and the ``LpSpace`` of each."""
+    paths = sample_smooth_paths(
+        target, trial_rngs(seed, stream, range(int(curves))), p=p)
     return paths, [LpSpace(path.family, p) for path in paths]
 
 
-def _nonuniform_times(rng: np.random.Generator, n_nodes: int,
-                      a: float = 0.0, b: float = 1.0) -> tuple[float, ...]:
-    incr = rng.uniform(0.5, 1.5, n_nodes - 1)
-    cum = np.concatenate([[0.0], np.cumsum(incr)])
-    cum = a + (b - a) * cum / cum[-1]
-    cum[0], cum[-1] = a, b
-    return tuple(float(t) for t in cum)
+def _nonuniform_times(rngs, n_nodes: int, a: float = 0.0,
+                      b: float = 1.0) -> list[tuple[float, ...]]:
+    """Each stream's times from ``a`` to ``b``, with increments drawn on
+    ``[0.5, 1.5)`` and rescaled."""
+    incr = uniforms(rngs, 0.5, 1.5, n_nodes - 1)
+    cum = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=-1)],
+                         axis=-1)
+    cum = a + (b - a) * cum / cum[:, -1:]
+    cum[:, 0], cum[:, -1] = a, b
+    return [tuple(row) for row in cum.tolist()]
 
 
-def polyline_curve(target: TargetSpace, rng: np.random.Generator,
-                   legs: int = 3, n_nodes: int = 33) -> SampledCurve:
-    """Piecewise-geodesic curve through random waypoints, nonuniform times.
-
-    Consecutive waypoints are a geodesic leg of length 0.5 to 0.9 apart,
-    so the curve's chordal length is at least ``legs / 2``.
-    """
-    waypoints = [target.random_point(rng)]
+def _polyline_waypoints(target: TargetSpace, rngs, legs: int) -> np.ndarray:
+    """Each stream's waypoints, shape ``(stream, waypoint, *point_shape)``:
+    a point, then per leg a length of 0.5 to 0.9 and a tangent of that
+    length at the last waypoint, whose exp map is the next waypoint."""
+    ways = [target.draw_points(rngs, 1)[:, 0]]
     for _ in range(legs):
-        step = float(rng.uniform(0.5, 0.9))
-        waypoints.append(target.exp_map(
-            waypoints[-1], target.random_tangent(waypoints[-1], rng, norm=step)))
-    times = _nonuniform_times(rng, n_nodes)
-    leg, fraction = _polyline_legs(legs, n_nodes)
-    ways = np.array(waypoints)
-    return SampledCurve(target, times, target.geodesic_points(
-        ways[leg], ways[leg + 1], fraction))
+        steps = uniforms(rngs, 0.5, 0.9)
+        ways.append(target.exp_maps(
+            ways[-1], target.draw_tangents(rngs, ways[-1], steps)))
+    return np.stack(ways, axis=1)
 
 
 def _polyline_legs(legs: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,29 +324,51 @@ def _polyline_legs(legs: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(leg), np.array([x - j for x, j in zip(u, leg)])
 
 
-def polyline_mapping_curve(target: TargetSpace, rng: np.random.Generator,
-                           n_atoms: int = 3, p: float = 2.0, legs: int = 3,
-                           n_nodes: int = 33) -> SampledCurve:
-    """Piecewise-geodesic curve of mappings (same waypoint scheme per atom)."""
-    family = random_family(target, rng, n_atoms)
-    atom_ways = []
-    for j in range(n_atoms):
-        pts = [target.random_point(rng)]
-        for _ in range(legs):
-            step = float(rng.uniform(0.5, 0.9))
-            pts.append(target.exp_map(
-                pts[-1], target.random_tangent(pts[-1], rng, norm=step)))
-        atom_ways.append(pts)
-    times = _nonuniform_times(rng, n_nodes)
+def _polyline_nodes(target: TargetSpace, ways: np.ndarray, legs: int,
+                    n_nodes: int) -> np.ndarray:
+    """The nodes of every polyline, ``(stream, node, ...)``, in one
+    geodesic call over ``ways`` of shape ``(stream, waypoint, ...)``."""
     leg, fraction = _polyline_legs(legs, n_nodes)
-    ways = np.array(atom_ways).swapaxes(0, 1)  # (waypoint, atom, ...)
-    nodes = target.geodesic_points(ways[leg], ways[leg + 1], fraction[:, None])
-    return SampledCurve(LpSpace(family, p), times, nodes)
+    shape = fraction.shape + (1,) * (ways.ndim - 2 - len(target.point_shape))
+    return target.geodesic_points(ways[:, leg], ways[:, leg + 1],
+                                  fraction.reshape(shape))
 
 
-def random_step_curve(space, value_sampler, rng: np.random.Generator,
+def polyline_curves(target: TargetSpace, rngs, legs: int = 3,
+                    n_nodes: int = 33) -> list[SampledCurve]:
+    """Piecewise-geodesic curve through random waypoints, nonuniform times,
+    from each stream.
+
+    Consecutive waypoints are a geodesic leg of length 0.5 to 0.9 apart,
+    so each curve's chordal length is at least ``legs / 2``.
+    """
+    nodes = _polyline_nodes(target, _polyline_waypoints(target, rngs, legs),
+                            legs, n_nodes)
+    return [SampledCurve(target, times, values) for times, values in
+            zip(_nonuniform_times(rngs, n_nodes), nodes)]
+
+
+def polyline_mapping_curves(target: TargetSpace, rngs, n_atoms: int = 3,
+                            p: float = 2.0, legs: int = 3,
+                            n_nodes: int = 33) -> list[SampledCurve]:
+    """Piecewise-geodesic curve of mappings (same waypoint scheme per atom)
+    from each stream: atom after atom, every stream's waypoints at once."""
+    families = random_families(target, rngs, n_atoms)
+    ways = np.stack([_polyline_waypoints(target, rngs, legs)
+                     for _ in range(n_atoms)], axis=2)
+    nodes = _polyline_nodes(target, ways, legs, n_nodes)
+    return [SampledCurve(LpSpace(family, p), times, values)
+            for family, times, values in zip(
+                families, _nonuniform_times(rngs, n_nodes), nodes)]
+
+
+def random_step_curve(space, draw_values, rng: np.random.Generator,
                       pieces: int) -> StepCurve:
-    """Step curve on [0, 1] with random interior breakpoints and values."""
+    """Step curve on [0, 1] with random interior breakpoints and values.
+
+    The stream is read for the breakpoints first; then ``draw_values(k)``
+    reads the values of all ``k`` pieces and forms them as one batch.
+    """
     if pieces < 1:
         raise ValidationError(f"need at least one piece, got {pieces}")
     while True:
@@ -314,12 +377,25 @@ def random_step_curve(space, value_sampler, rng: np.random.Generator,
                 [[0.0], interior, [1.0]]))) >= 0.02:
             break
     breaks = (0.0, *(float(t) for t in interior), 1.0)
-    return StepCurve(space, breaks, tuple(value_sampler() for _ in range(pieces)))
+    return StepCurve(space, breaks, draw_values(pieces))
 
 
 # ---------------------------------------------------------------------------
 # Suite: product-norm consistency (time-major vs atom-major vs joint)
 # ---------------------------------------------------------------------------
+
+
+def _product_pairs(target: TargetSpace, rule: str, rngs, trials) -> list:
+    """The fubini draw from each stream: a family of 8 atoms (one of zero
+    weight on trials divisible by 4), a 16-node grid with the given rule,
+    and two product mappings on it."""
+    families = random_families(target, rngs, 8, [i % 4 == 0 for i in trials])
+    grids = [TimeGrid(times, rule) for times in _nonuniform_times(rngs, 16)]
+    c1, c2 = (target.draw_points(rngs, 8 * 16).reshape(len(rngs), 16, 8, -1)
+              for _ in range(2))
+    return [(ProductGridMapping(grid, family, a),
+             ProductGridMapping(grid, family, b))
+            for grid, family, a, b in zip(grids, families, c1, c2)]
 
 
 def run_fubini(seed: int = 7, trials: int = 100,
@@ -334,14 +410,15 @@ def run_fubini(seed: int = 7, trials: int = 100,
     """
     p_values = tuple(float(p) for p in p_values)
 
+    # Even trials map into the sphere, odd ones into the plane; each kind
+    # draws all its trials at once.
+    drawn = _draw_by_kind(seed, "fubini", trials, (
+        lambda rngs, idx: _product_pairs(Sphere(3), "trapezoid", rngs, idx),
+        lambda rngs, idx: _product_pairs(Euclidean(2), "left_cells", rngs,
+                                         idx)))
+
     def one_trial(i: int):
-        rng = trial_rng(seed, "fubini", i)
-        target = Sphere(3) if i % 2 == 0 else Euclidean(2)
-        family = random_family(target, rng, 8, zero_atom=(i % 4 == 0))
-        grid = TimeGrid(_nonuniform_times(rng, 16),
-                        "trapezoid" if i % 2 == 0 else "left_cells")
-        c1, c2 = (ProductGridMapping(grid, family, target.random_points(
-            rng, 8 * len(grid)).reshape(len(grid), 8, -1)) for _ in range(2))
+        c1, c2 = drawn[i]
         gaps = []
         for p in p_values:
             joint = product_lp_norm(c1, c2, p)
@@ -405,7 +482,9 @@ def run_transport(seed: int = 7, curves: int = 20,
 
     Both halves run in two steps.  The draw step reads each curve from its
     own stream ``(seed, "transport/<kind>", curve)`` or ``(seed,
-    "transport/bv", curve)``, in index order.  The compute step sweeps all
+    "transport/bv", curve)``; the smooth paths of one target are formed
+    all at once, and each step curve forms its values as one batch.  The
+    compute step sweeps all
     smooth paths of one target on one grid as a single ``(node, curve,
     atom, *point_shape)`` batch, whose per-atom speeds take one target call;
     each step curve builds its jump table once, and the whole interval and
@@ -442,15 +521,18 @@ def run_transport(seed: int = 7, curves: int = 20,
             "at_roundoff_floor": reading(grid_maxima) <= CONVERGENCE_FLOOR,
         }
 
-    def draw_bv(i: int):
-        rng = trial_rng(seed, "transport/bv", i)
-        target = Euclidean(2) if i % 2 == 0 else default_tree()
-        family = random_family(target, rng, 3 + i % 3, zero_atom=(i % 5 == 0))
-        space = LpSpace(family, 1.0)
+    bv_targets = (Euclidean(2), default_tree())
+
+    def draw_bv(rng: np.random.Generator, i: int):
+        target = bv_targets[i % 2]
+        n_atoms = 3 + i % 3
+        family = random_family(target, rng, n_atoms, zero_atom=(i % 5 == 0))
         curve = random_step_curve(
-            space, lambda: family.random_mapping(rng), rng, pieces=3 + i % 4)
-        subintervals = [tuple(sorted(rng.uniform(0.0, 1.0, 2)))
-                        for _ in range(10)]
+            LpSpace(family, 1.0), lambda k: target.random_points(
+                rng, k * n_atoms).reshape(k, n_atoms, *target.point_shape),
+            rng, pieces=3 + i % 4)
+        subintervals = [tuple(ends) for ends in
+                        np.sort(rng.uniform(0.0, 1.0, (10, 2)), axis=1)]
         return curve, subintervals
 
     def one_bv(curve: StepCurve, subintervals: list):
@@ -464,7 +546,8 @@ def run_transport(seed: int = 7, curves: int = 20,
             for (s, t), v in zip(subintervals, direct)])
         return float(np.max(np.abs(residuals))), measure_gap
 
-    drawn = map_trials(draw_bv, int(bv_curves))
+    drawn = [draw_bv(rng, i) for i, rng in enumerate(
+        trial_rngs(seed, "transport/bv", range(int(bv_curves))))]
     bv_results = [one_bv(curve, subs) for curve, subs in drawn]
     bv_worst, measure_gaps = zip(*bv_results)
     checks += [
@@ -585,10 +668,13 @@ def run_geodesic(seed: int = 7, trials: int = 3,
         family = MappingFamily(
             base_space, target, target.random_points(setup, len(base_space)))
         out = []
-        for trial in range(int(trials)):
-            rng = trial_rng(seed, f"geodesic/{target.kind}/p={p!r}", trial)
-            f, g = geodesic_safe_mapping_pair(family, rng)
-            geo = lp_geodesic(f, g, p, n_nodes=int(n_nodes))
+        ends = target.draw_geodesic_pairs(trial_rngs(
+            seed, f"geodesic/{target.kind}/p={p!r}", range(int(trials))),
+            len(base_space))
+        for fv, gv in zip(*ends):
+            geo = lp_geodesic(MetricMapping(family, fv),
+                              MetricMapping(family, gv), p,
+                              n_nodes=int(n_nodes))
             csr = constant_speed_residual(geo)
             atom_dev = geodesic_speed_check(geo)
             total = geo.endpoint_distance()
@@ -737,15 +823,13 @@ def run_length(seed: int = 7, trials: int = 12,
     # Reparametrization battery: mixed plain-target and mapping-space
     # curves, all of length >= 1 so the additive slack eps stays within the
     # multiplicative budget (1 + eps)^p.
+    drawn = _draw_by_kind(seed, "length/reparam", reparam_curves, (
+        lambda rngs, _: polyline_curves(Euclidean(2), rngs),
+        lambda rngs, _: polyline_curves(Sphere(3), rngs),
+        lambda rngs, _: polyline_mapping_curves(Sphere(3), rngs)))
+
     def one_reparam(i: int):
-        rng = trial_rng(seed, "length/reparam", i)
-        kind = i % 3
-        if kind == 0:
-            curve = polyline_curve(Euclidean(2), rng)
-        elif kind == 1:
-            curve = polyline_curve(Sphere(3), rng)
-        else:
-            curve = polyline_mapping_curve(Sphere(3), rng)
+        curve = drawn[i]
         re, total, ratios = reparam_energy_ratios(curve, p_values, eps)
         if total < 1.0:  # pragma: no cover - legs guarantee length >= 1.5
             raise ValidationError(
@@ -758,10 +842,11 @@ def run_length(seed: int = 7, trials: int = 12,
     checks += [
         Check("reparam_energy_budget", excess, 1e-12, MAX,
               "scaled energy / length^p - (1 + eps)^p", "constant-speed "
-              "retiming must drive the energy to the length bound"),
+              "retiming must drive the energy to the length bound",
+              "length/reparam"),
         Check("reparam_length_invariance", len_gaps, 1e-10, MAX,
               "length change under retiming",
-              "reparametrization must not move the values"),
+              "reparametrization must not move the values", "length/reparam"),
     ]
 
     metrics["reparam"] = {
@@ -797,7 +882,8 @@ def run_speed(seed: int = 7, curves: int = 6,
     per-atom speed powers.
 
     The draw step reads each curve's path from its own stream ``(seed,
-    "speed/<kind>", curve)``, in index order.  The compute step sweeps all
+    "speed/<kind>", curve)`` and forms the paths of one target all at
+    once.  The compute step sweeps all
     paths of one target on one grid as a single ``(node, curve, atom,
     *point_shape)`` batch: one log-map call for the velocities, one
     tangent-norm call for the bundle norms, and one target distance call
@@ -882,14 +968,11 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
         "shifted_jump_upper": b_shift.upper,
         "shifted_jump_expected": shift_expected,
     }
-    drawn = []
-    for i in range(int(pairs)):
-        rng = trial_rng(seed, "skorokhod/pairs", i)
-        c = random_step_curve(target, lambda: pt(rng.uniform(0.0, 2.0)),
-                              rng, pieces=2 + i % 3)
-        g = random_step_curve(target, lambda: pt(rng.uniform(0.0, 2.0)),
-                              rng, pieces=2 + (i + 1) % 3)
-        drawn.append((c, g))
+    drawn = [tuple(random_step_curve(
+        target, lambda k: rng.uniform(0.0, 2.0, (k, 1)), rng,
+        pieces=2 + (i + shift) % 3) for shift in (0, 1))
+        for i, rng in enumerate(
+            trial_rngs(seed, "skorokhod/pairs", range(int(pairs))))]
     coarse = skorokhod_distances(drawn, warp_grid=int(warp_grid))
     fine = skorokhod_distances(drawn, warp_grid=2 * int(warp_grid))
     sandwich = [reading([c.lower - c.upper, f.lower - f.upper])

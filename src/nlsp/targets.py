@@ -7,9 +7,13 @@ affine-invariant metric, and finite metric trees.  Every space provides
 
 A point of every space is a float array of shape ``point_shape``, and a
 batch of points is one float array of shape ``(..., *point_shape)``:
-``as_points``, ``distances``, ``geodesic_points`` and ``random_points`` take
-points stacked over any leading batch axes (none included) and broadcast
-them together.  Each space writes each formula once, as a numpy kernel
+``as_points``, ``distances`` and ``geodesic_points`` take points stacked
+over any leading batch axes (none included) and broadcast them together.
+Draws take a batch of random streams, one per trial, and return a batch
+with the stream axis in front (``draw_points``, ``draw_geodesic_pairs``,
+``draw_tangents``): each stream's variates are read in turn, then formed
+into points in one kernel call, with the bytes of that stream's own draw
+(see :mod:`nlsp.rng`).  Each space writes each formula once, as a numpy kernel
 over the batch axes.  SPD matrices go through stacked ``eigh`` /
 ``eigvalsh`` on ``(..., n, n)`` with the affine-invariant formulas of
 Pennec, Fillard and Ayache (IJCV 2006).  A metric-tree point is the pair
@@ -50,6 +54,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
+from .rng import normals, uniforms
 
 FLAT = "flat"
 GLOBAL_NPC = "global_npc"
@@ -151,9 +156,10 @@ class TargetSpace(ABC):
 
     A point is a float array of shape ``point_shape`` and a batch is a
     float array of shape ``(..., *point_shape)``.  Subclasses write
-    ``distances``, ``geodesic_points`` and ``random_points`` as kernels
-    over the batch axes, plus their own point constraints; the scalar
-    primitives here are those kernels at zero batch axes.
+    ``distances`` and ``geodesic_points`` as kernels over the batch axes,
+    the read and form phases of their draws, and their own point
+    constraints; the scalar primitives here are those kernels at zero
+    batch axes, and the one-stream draws are the draws on one stream.
     """
 
     kind: str = ""
@@ -259,21 +265,23 @@ class TargetSpace(ABC):
         :class:`GeodesicError` with an ``undefined`` mask marking them.
         """
 
-    @abstractmethod
     def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` points, drawn from ``rng`` exactly as ``n`` successive
-        :meth:`random_point` calls draw them."""
+        :meth:`random_point` calls draw them.
+
+        This is :meth:`draw_points` on a batch of one stream: the read
+        phase takes the stream's raw variates, the form phase makes the
+        points from them.  A batch of streams gives each stream the bytes
+        of its own one-stream draw.
+        """
+        return self.draw_points([rng], n)[0]
 
     def random_geodesic_pairs(self, rng: np.random.Generator,
                               n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` pairs of points joined by unique geodesics, as two batches,
-        drawn pair after pair.
-
-        Where every geodesic is unique, as here by default, the ``2 n``
-        points are independent: one batched draw, taken alternately.
-        """
-        points = self.random_points(rng, 2 * n)
-        return points[0::2], points[1::2]
+        drawn pair after pair: :meth:`draw_geodesic_pairs` on one stream."""
+        ys, zs = self.draw_geodesic_pairs([rng], n)
+        return ys[0], zs[0]
 
     # -- charts ------------------------------------------------------------
     #
@@ -318,26 +326,77 @@ class TargetSpace(ABC):
         return float(self.tangent_norms(self.as_point(y), self._as_tangent(v)))
 
     # -- sampling ----------------------------------------------------------
+    #
+    # A draw takes one stream per trial and runs in the two phases of
+    # :mod:`nlsp.rng`: ``_read_points`` reads each stream's raw variates in
+    # turn, and ``_form_points`` makes every stream's points from the
+    # stacked variates in one kernel call.  Draws whose reads depend on
+    # formed values go round by round.  The one-stream methods are these
+    # draws on a batch of one.
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point; deterministic in the supplied generator."""
         return self.random_points(rng, 1)[0]
 
+    def _read_points(self, rngs, n: int) -> np.ndarray:
+        """Read phase: the raw variates of ``n`` points from each stream,
+        standard normals of the point shape unless a space says otherwise."""
+        return normals(rngs, (n, *self.point_shape))
+
+    def _form_points(self, raw: np.ndarray) -> np.ndarray:
+        """Form phase: the points of a ``(stream, n, ...)`` stack of raw
+        variates, in one kernel call."""
+        return raw
+
+    def draw_points(self, rngs, n: int) -> np.ndarray:
+        """``n`` points from each stream, shape ``(stream, n,
+        *point_shape)``; row ``i`` equals ``random_points(rngs[i], n)``."""
+        return self._form_points(self._read_points(rngs, int(n)))
+
+    def draw_geodesic_pairs(self, rngs, n: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` pairs per stream joined by unique geodesics, as two batches
+        of shape ``(stream, n, *point_shape)``, drawn pair after pair.
+
+        Where every geodesic is unique, as here by default, the ``2 n``
+        points are independent: one draw, taken alternately.
+        """
+        points = self.draw_points(rngs, 2 * int(n))
+        return points[:, 0::2], points[:, 1::2]
+
     def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The tangent part at ``base`` of an ambient array ``g``."""
+        """The tangent part at ``base`` of an ambient array ``g``, over
+        batch axes."""
         return g
+
+    def draw_tangents(self, rngs, bases: np.ndarray, norms) -> np.ndarray:
+        """One tangent vector per stream, at ``bases[i]`` with norm
+        ``norms[i]``; shape ``(stream, *point_shape)``.
+
+        Each stream reads one normal, and the tangent parts and their norms
+        are formed for all streams at once.  A stream whose tangent part
+        has norm below 1e-12 reads another normal in this round, until one
+        does not.
+        """
+        if not self.has_chart:
+            raise self._no_chart("random_tangent")
+        shape = self.point_shape
+        g = self._tangent_part(bases, normals(rngs, shape))
+        cur = self.tangent_norms(bases, g)
+        for i in np.flatnonzero(cur < 1e-12):
+            while cur[i] < 1e-12:  # redraw: astronomically unlikely
+                g[i] = self._tangent_part(bases[i],
+                                          rngs[i].standard_normal(shape))
+                cur[i] = self.tangent_norms(bases[i], g[i])
+        scale = np.asarray(norms, float) / cur
+        return g * scale.reshape(scale.shape + (1,) * len(shape))
 
     def random_tangent(self, base, rng: np.random.Generator,
                        norm: float = 1.0) -> np.ndarray:
-        """Draw a tangent vector at ``base`` with the requested norm."""
-        if not self.has_chart:
-            raise self._no_chart("random_tangent")
-        base = self.as_point(base)
-        while True:
-            g = self._tangent_part(base, rng.standard_normal(self.point_shape))
-            cur = float(self.tangent_norms(base, g))
-            if cur >= 1e-12:  # else redraw: astronomically unlikely
-                return g * (float(norm) / cur)
+        """Draw a tangent vector at ``base`` with the requested norm:
+        :meth:`draw_tangents` on one stream."""
+        return self.draw_tangents([rng], self.as_point(base)[None],
+                                  [float(norm)])[0]
 
     # -- serialization -------------------------------------------------------
 
@@ -390,9 +449,6 @@ class Euclidean(TargetSpace):
     def tangent_norms(self, ys, vs) -> np.ndarray:
         _, vs = np.broadcast_arrays(np.asarray(ys, float), np.asarray(vs, float))
         return _dot_norms(vs)
-
-    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.dim))
 
     def to_config(self) -> dict:
         return {"kind": "euclidean", "dim": self.dim}
@@ -488,32 +544,38 @@ class Sphere(TargetSpace):
                 f"{float(inner[off].flat[0])!r}")
         return nrm
 
-    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        g = rng.standard_normal((n, self.dim))
-        nrm = _norms(g)
-        while (nrm < 1e-12).any():  # pragma: no cover - astronomically unlikely
-            # Point by point, a degenerate draw is redrawn at once; dropping
-            # it and drawing one more at the end reads the same stream.
-            keep = nrm >= 1e-12
-            g = np.concatenate([
-                g[keep], rng.standard_normal((n - int(keep.sum()), self.dim))])
-            nrm = _norms(g)
-        return g / nrm[:, None]
+    def _read_points(self, rngs, n: int) -> np.ndarray:
+        g = normals(rngs, (n, self.dim))
+        # A stream with a degenerate normal redraws it in this round.  Point
+        # by point, a degenerate draw is redrawn at once; dropping it and
+        # drawing one more at the end reads the same stream.
+        for i in np.flatnonzero((_norms(g) < 1e-12).any(axis=-1)):
+            row = g[i]
+            while (keep := _norms(row) >= 1e-12).sum() < n:
+                row = np.concatenate([row[keep], rngs[i].standard_normal(
+                    (n - int(keep.sum()), self.dim))])
+            g[i] = row
+        return g
 
-    def random_geodesic_pairs(self, rng: np.random.Generator,
-                              n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _form_points(self, raw: np.ndarray) -> np.ndarray:
+        return raw / _norms(raw)[..., None]
+
+    def draw_geodesic_pairs(self, rngs, n: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
         """Each second point is reached through the exponential map at an
         angle in :data:`SPHERE_SAFE_RADIUS`, so every pair interleaves a
-        point, an angle and a tangent draw, and is drawn on its own."""
+        point, an angle and a tangent read: one round per pair, then one
+        ``exp_maps`` call for every pair of every stream."""
         ys, vs = [], []
-        for _ in range(n):
-            ys.append(self.random_point(rng))
-            radius = float(rng.uniform(*SPHERE_SAFE_RADIUS))
-            vs.append(self.random_tangent(ys[-1], rng, norm=radius))
-        return np.array(ys), self.exp_maps(np.array(ys), np.array(vs))
+        for _ in range(int(n)):
+            ys.append(self.draw_points(rngs, 1)[:, 0])
+            vs.append(self.draw_tangents(
+                rngs, ys[-1], uniforms(rngs, *SPHERE_SAFE_RADIUS)))
+        ys = np.stack(ys, axis=1)
+        return ys, self.exp_maps(ys, np.stack(vs, axis=1))
 
     def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return g - float(np.dot(g, base)) * base
+        return g - np.vecdot(g, base)[..., None] * base
 
     def to_config(self) -> dict:
         return {"kind": "sphere", "dim": self.dim}
@@ -614,9 +676,8 @@ class Spd(TargetSpace):
         scaled = isqrt @ _sym(np.asarray(vs, float)) @ isqrt
         return _dot_norms(scaled.reshape(scaled.shape[:-2] + (-1,)))
 
-    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        g = rng.standard_normal((n, self.matrix_dim, self.matrix_dim))
-        return _eig_apply(0.6 * _sym(g), np.exp)[0]
+    def _form_points(self, raw: np.ndarray) -> np.ndarray:
+        return _eig_apply(0.6 * _sym(raw), np.exp)[0]
 
     def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
         return _sym(g)
@@ -846,8 +907,10 @@ class MetricTree(TargetSpace):
         out[same, 1] = oy[same] + (oz[same] - oy[same]) * t[same]
         return out.reshape(shape + (2,))
 
-    def random_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rng.uniform(0.0, self.total_length, n)
+    def _read_points(self, rngs, n: int) -> np.ndarray:
+        return uniforms(rngs, 0.0, self.total_length, n)
+
+    def _form_points(self, x: np.ndarray) -> np.ndarray:
         k = np.searchsorted(self._cum_length, x, side="right") - 1
         k = np.minimum(np.maximum(k, 0), len(self.edges) - 1)
         return self._clamped(k, x - self._cum_length[k])

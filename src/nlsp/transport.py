@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,11 +205,17 @@ class BVTransportDecomposition:
     """A step curve of mappings with its per-atom step curves.
 
     All curves share the breakpoint tuple by reference, and the atom slices
-    hold values bitwise equal to the source's.
+    hold values bitwise equal to the source's.  The slices are built on
+    first read: the variation identity reads the source's jump table alone.
     """
 
     source: StepCurve
-    per_atom_curves: tuple[StepCurve, ...]
+
+    @cached_property
+    def per_atom_curves(self) -> tuple[StepCurve, ...]:
+        c = self.source
+        return tuple(StepCurve(c.space.family.target, c.breakpoints, values)
+                     for values in c.values.swapaxes(0, 1))
 
 
 def decompose_bv(c: StepCurve) -> BVTransportDecomposition:
@@ -222,10 +229,7 @@ def decompose_bv(c: StepCurve) -> BVTransportDecomposition:
     if c.space.p != 1.0:
         raise ValidationError(
             f"decompose_bv is the p = 1 route, got ambient p = {c.space.p!r}")
-    tgt = c.space.family.target
-    per_atom = tuple(StepCurve(tgt, c.breakpoints, values)
-                     for values in c.values.swapaxes(0, 1))
-    return BVTransportDecomposition(source=c, per_atom_curves=per_atom)
+    return BVTransportDecomposition(source=c)
 
 
 def variation_identity_residual(d: BVTransportDecomposition,

@@ -29,6 +29,7 @@ from nlsp import (
     bundle_norm,
     bundle_norms,
     compute_speed,
+    decay_order,
     decompose_ac,
     default_tree,
     sample_smooth_path,
@@ -36,6 +37,7 @@ from nlsp import (
     tangent_norms,
     trial_rng,
 )
+from nlsp.curves import metric_speeds
 
 
 def plane_family(weights=(1.0, 3.0)):
@@ -120,6 +122,37 @@ def test_speed_identity_residual_decays_linearly():
     assert coarse < 1e-3
     assert fine <= 0.65 * coarse
     assert max(res[129][0], res[129][-1]) < 1e-12
+
+
+@pytest.mark.parametrize("target", [Sphere(3), Spd(2)], ids=["sphere", "spd"])
+def test_smooth_path_speed_meets_its_closed_form(target):
+    """Atom ``j`` of a smooth path covers a geodesic of length ``legs[j]``
+    at the rate ``phi_j'(t) = (1 - 2 delta) + a_j cos(2 pi t + theta_j)``,
+    so the path's speed is ``(sum_j w_j (legs[j] phi_j'(t))^p)^(1/p)``, a
+    closed form that calls no distance.  On the transport battery's own
+    paths the drawn legs equal the anchors' target distances, and the
+    centred difference quotients of ``metric_speeds`` meet the closed form
+    at second order in the step."""
+    p = 2.0
+    for ci in range(3):
+        path = sample_smooth_path(
+            target, trial_rng(7, f"transport/{target.kind}", ci), p=p)
+        legs = target.distances(path.anchors[:, 0], path.anchors[:, 1])
+        assert np.max(np.abs(legs - path.legs)) <= 1e-12
+        w = path.family.base_space.weights_array
+        amp, phase = path.wiggles.T
+        gaps = []
+        for n in (65, 129, 257, 513):
+            curve = path.materialize(n)
+            t = curve.times_array[:, None]
+            rate = (1.0 - 2.0 * path.delta) + amp * np.cos(
+                2.0 * math.pi * t + phase)
+            exact = np.sum(w * (path.legs * rate) ** p, axis=-1) ** (1.0 / p)
+            quotients = metric_speeds(curve.space, curve.values,
+                                      curve.times_array)
+            gaps.append(float(np.max(np.abs(quotients - exact)[1:-1])))
+        assert gaps[-1] <= 1e-6
+        assert decay_order(gaps) >= 1.9
 
 
 @pytest.mark.parametrize("target", [Euclidean(3), Sphere(3), Spd(2)],

@@ -174,7 +174,8 @@ FORCED = {
         "euclidean.embedded_comparison_sign_flat":
             "(worst: curvature/euclidean trial 0)"}),
     "length": ({"trials": 1, "reparam_curves": 3, "n_nodes": 5}, {
-        f"{kind}/p={p}.geodesic_energy_equality": None
+        f"{kind}/p={p}.geodesic_energy_equality":
+            f"(worst: length/{kind}/p={p} trial 0)"
         for kind in ("euclidean", "sphere", "spd", "metric_tree")
         for p in (1.5, 2.0, 3.0)}),
     "speed": ({"curves": 2, "grids": (65, 129)}, {

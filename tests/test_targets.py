@@ -400,6 +400,132 @@ def test_comparison_residual_vanishes_at_endpoints():
 
 
 # ---------------------------------------------------------------------------
+# Two-phase draws: a batch of streams reads and forms like one at a time
+# ---------------------------------------------------------------------------
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _streams(space, name: str, k: int = 4):
+    return [trial_rng(11, f"test/two-phase/{name}/{space.kind}", i)
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=SPACE_IDS)
+def test_a_batch_of_streams_draws_the_bytes_of_each_stream_alone(space):
+    """Points, geodesic pairs and tangents drawn from ``k`` streams as one
+    stacked batch equal, byte for byte, ``k`` one-stream draws of
+    ``random_points``, ``random_geodesic_pairs`` and ``random_tangent``,
+    and leave every stream in the same state."""
+    batched, single = _streams(space, "draws"), _streams(space, "draws")
+    points = space.draw_points(batched, 3)
+    ys, zs = space.draw_geodesic_pairs(batched, 2)
+    assert points.shape == (4, 3) + space.point_shape
+    assert ys.shape == zs.shape == (4, 2) + space.point_shape
+    for i, rng in enumerate(single):
+        assert _same_bytes(points[i], space.random_points(rng, 3))
+        y, z = space.random_geodesic_pairs(rng, 2)
+        assert _same_bytes(ys[i], y) and _same_bytes(zs[i], z)
+    if space.has_chart:
+        norms = np.array([0.5, 1.0, 1.5, 2.5])
+        tangents = space.draw_tangents(batched, points[:, 0], norms)
+        for i, rng in enumerate(single):
+            assert _same_bytes(tangents[i], space.random_tangent(
+                points[i, 0], rng, norm=norms[i]))
+    for a, b in zip(batched, single):
+        assert a.random() == b.random()
+
+
+class _ScriptedStream:
+    """A real stream whose ``k``-th normal read is replaced by
+    ``script[k](values, earlier reads)``; it counts every variate read."""
+
+    def __init__(self, rng, script):
+        self.rng, self.script = rng, script
+        self.normal_reads, self.variates = [], 0
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        k = len(self.normal_reads)
+        if k in self.script:
+            out = self.script[k](out, self.normal_reads)
+        self.normal_reads.append(out)
+        self.variates += out.size
+        return out
+
+    def uniform(self, low, high, size=None):
+        out = self.rng.uniform(low, high, size)
+        self.variates += np.size(out)
+        return out
+
+
+def _forced_redraw_both_ways(space, name, script, draw):
+    """``draw(streams)`` on three streams, the middle one scripted, as one
+    batch and one stream at a time: the values and the scripted stream's
+    variate count must agree.  Returns that count."""
+    def streams():
+        rngs = _streams(space, name, 3)
+        rngs[1] = _ScriptedStream(rngs[1], script)
+        return rngs
+
+    batch, singles = streams(), streams()
+    together = draw(batch)
+    for i, rng in enumerate(singles):
+        for a, b in zip(together, draw([rng])):
+            assert _same_bytes(a[i], b[0])
+    assert batch[1].variates == singles[1].variates
+    return batch[1].variates
+
+
+def test_a_degenerate_sphere_normal_is_redrawn_alike_in_a_batch():
+    """A sphere normal of norm below 1e-12 is redrawn from its own stream,
+    in its own round, whether the stream is drawn alone or in a batch."""
+    sphere = Sphere(3)
+
+    def shrink_second_row(out, _):
+        out = out.copy()
+        out[1] *= 1e-14
+        return out
+
+    variates = _forced_redraw_both_ways(
+        sphere, "degenerate-normal", {0: shrink_second_row},
+        lambda rngs: (sphere.draw_points(rngs, 3),))
+    assert variates == 3 * 3 + 3  # one point redrawn
+
+
+def test_a_degenerate_tangent_projection_is_redrawn_alike_in_a_batch():
+    """A tangent normal parallel to its sphere base projects to a vector of
+    norm below 1e-12 and is redrawn in its round, alone or in a batch."""
+    sphere = Sphere(3)
+
+    def parallel_to_base(_, reads):
+        return 2.0 * reads[0][0]
+
+    variates = _forced_redraw_both_ways(
+        sphere, "degenerate-tangent", {1: parallel_to_base},
+        lambda rngs: sphere.draw_geodesic_pairs(rngs, 2))
+    # Two pairs: a point, an angle and a tangent each, plus one redraw.
+    assert variates == 2 * (3 + 1 + 3) + 3
+
+
+@pytest.mark.parametrize("space", chart_spaces(), ids=CHART_IDS)
+def test_a_vanishing_tangent_is_redrawn_alike_in_a_batch(space):
+    """A zero tangent normal is redrawn on every chart space."""
+    size = int(np.prod(space.point_shape))
+
+    def draw(rngs):
+        bases = space.draw_points(rngs, 1)[:, 0]
+        return bases, space.draw_tangents(rngs, bases, np.ones(len(rngs)))
+
+    variates = _forced_redraw_both_ways(
+        space, "vanishing-tangent", {1: lambda out, _: 0.0 * out}, draw)
+    assert variates == 3 * size
+
+
+# ---------------------------------------------------------------------------
 # Property-based checks
 # ---------------------------------------------------------------------------
 

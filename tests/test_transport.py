@@ -384,9 +384,9 @@ def test_jump_table_sums_equal_the_subinterval_loop_bit_for_bit(target):
     for trial in range(4):
         rng = trial_rng(3, f"test/jump-table/{target.kind}", trial)
         family = random_family(target, rng, 4, zero_atom=(trial % 2 == 0))
-        curve = random_step_curve(LpSpace(family, 1.0),
-                                  lambda: family.random_mapping(rng), rng,
-                                  pieces=5)
+        curve = random_step_curve(
+            LpSpace(family, 1.0), lambda k: target.random_points(
+                rng, 4 * k).reshape(k, 4, *target.point_shape), rng, pieces=5)
         bp = curve.breakpoints
         subs = [None, (bp[1], bp[3]), (bp[1], bp[1]), (0.0, bp[1]),
                 (0.5 * (bp[1] + bp[2]), 0.5 * (bp[1] + bp[2]))]
