@@ -1,9 +1,9 @@
 """Check records: every battery gate as data, judged in one place.
 
-A battery states each inequality it certifies as a :class:`Check`; the
-record that holds its checks reads ``failures`` and ``passed`` off them
-through :class:`Judged`, the one place where either is decided.  Every
-failure line takes one form::
+Every battery states each inequality it certifies as a :class:`Check`
+in :mod:`nlsp.suites`; :class:`~nlsp.suites.SuiteResult` reads
+``failures`` and ``passed`` off its checks through :class:`Judged`, the
+one place where either is decided.  Every failure line takes one form::
 
     name: what observed exceeds|is below bound; why (worst: <stream> trial <i>)
 

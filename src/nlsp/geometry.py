@@ -3,26 +3,25 @@
 Geodesics between two mappings are assembled atom by atom from target
 geodesics (:func:`lp_geodesic`); the assembled curve is constant-speed and
 satisfies ``D_p(c(s), c(t)) = |t - s|/(b - a) * D_p(f, g)`` at all node
-pairs, which :func:`constant_speed_residual` certifies.  Curvature
+pairs, which :func:`constant_speed_residual` measures.  Curvature
 comparison transfers from the target to the mapping space with the same
 sign: :func:`curvature_comparison_suite` measures the squared-distance
-comparison residual on random quadruples and checks the sign demanded by
-the target's curvature class, including the converse direction through the
-constant-mapping embedding.  :func:`length_space_check` certifies the
-energy/length inequality and its equality on geodesics.  Both return a
-report whose pass flag and failure lines are read off its
-:class:`~nlsp.checks.Check` records.
+comparison residual on random quadruples, and the converse direction
+through the constant-mapping embedding.  :func:`length_space_check`
+measures the scaled energy of geodesics against their endpoint distance
+power.  Both return per-trial arrays; the checks that judge them, with
+their tolerances, are built by the batteries in :mod:`nlsp.suites`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .checks import MAX, MIN, Check, Judged, reading
-from .config import DEFAULT_TOLERANCES
+from .checks import reading
 from .curves import (
     SampledCurve,
     constant_speed_reparam,
@@ -79,14 +78,20 @@ class LpGeodesic:
 
     ``curve`` lives in the ``LpSpace`` ambient and holds one batch of shape
     ``(node, atom, *point_shape)``; ``per_atom_curves[j]`` reads atom ``j``
-    of it, so both are views of one array of target points.
+    of it, so both are views of one array of target points.  The slices
+    are built on first read: the batteries read ``curve`` alone.
     """
 
     start: MetricMapping
     end: MetricMapping
     p: float
     curve: SampledCurve
-    per_atom_curves: tuple[SampledCurve, ...]
+
+    @cached_property
+    def per_atom_curves(self) -> tuple[SampledCurve, ...]:
+        c = self.curve
+        return tuple(SampledCurve(self.family.target, c.times, series)
+                     for series in c.values.swapaxes(0, 1))
 
     @property
     def family(self) -> MappingFamily:
@@ -148,11 +153,8 @@ def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
         zs = np.where(undefined.reshape((-1,) + (1,) * (ys.ndim - 1)), ys, zs)
         nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
 
-    curve = SampledCurve(LpSpace(family, p), times, nodes)
-    per_atom = tuple(SampledCurve(tgt, times, series)
-                     for series in nodes.swapaxes(0, 1))
-    return LpGeodesic(start=f, end=g, p=p, curve=curve,
-                      per_atom_curves=per_atom)
+    return LpGeodesic(start=f, end=g, p=p,
+                      curve=SampledCurve(LpSpace(family, p), times, nodes))
 
 
 def constant_speed_residual(geo: LpGeodesic) -> float:
@@ -238,47 +240,23 @@ def mapping_comparison_residual(z: MetricMapping, f: MetricMapping,
         [_l2_over_atoms(d, weights) for d in dists], t))
 
 
-@dataclass(frozen=True)
-class CurvatureReport(Judged):
-    """Outcome of the curvature-comparison battery on one target."""
-
-    target_kind: str
-    curvature_class: str
-    n_trials: int
-    residual_min: float
-    residual_max: float
-    embedded_min: float
-    embedded_max: float
-    embedded_transfer_max: float
-    checks: tuple[Check, ...]
-    rows: tuple[tuple, ...]  # (trial, t, residual, embedded_residual)
-
-
-#: The sign rule of each curvature class: the check-name suffix, and why.
-_SIGN_CHECKS = {
-    GLOBAL_NPC: ("npc", "thin-triangle targets keep the residual "
-                        "nonpositive"),
-    GLOBAL_NNC: ("nnc", "fat-triangle targets keep the residual "
-                        "nonnegative"),
-    FLAT: ("flat", "flat targets keep the residual at zero"),
-}
-
-
 def curvature_comparison_suite(
         target: TargetSpace, base_space: FiniteMeasureSpace, trials: int,
-        seed: int = 0,
-        sign_tol: float = DEFAULT_TOLERANCES["curvature_sign"],
-        flat_tol: float = DEFAULT_TOLERANCES["curvature_flat"]
-) -> CurvatureReport:
-    """Random quadruple battery for the comparison-sign transfer.
+        seed: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The comparison-sign transfer, measured on random quadruples.
 
     Each trial draws a witness mapping ``z``, geodesic endpoints ``f, g``
     and an interior time ``t``, and evaluates the ``L^2`` comparison
     residual; alongside, a target-level quadruple is evaluated both in the
-    target and embedded through constant mappings, certifying that the
-    embedding rescales the residual by the total mass without changing its
-    sign.  A target whose curvature class is not declared flat / NPC / NNC
-    is refused rather than guessed at.
+    target and embedded through constant mappings, which must rescale the
+    residual by the total mass without changing its sign.  Returns the
+    per-trial arrays ``(ts, residuals, embedded, transfer)``: the times,
+    the mapping residuals, the embedded residuals and
+    ``|embedded - mass * target residual|``.  The signs they must keep are
+    judged by :func:`nlsp.suites.run_curvature`.  A target whose curvature
+    class is not declared flat / NPC / NNC is refused rather than guessed
+    at.
 
     The battery runs in two steps.  The draw step takes each trial's
     points and times from the trial's own stream ``(seed,
@@ -291,13 +269,14 @@ def curvature_comparison_suite(
     every trial at once: one geodesic call and four distance calls for the
     mapping residuals, the same for the target quadruples, whose distances,
     broadcast over the atoms of a constant mapping, also give the embedded
-    residuals.  A failed check names the stream key of its worst trial.
+    residuals.
     """
-    if target.curvature_class not in _SIGN_CHECKS:
+    classes = (FLAT, GLOBAL_NNC, GLOBAL_NPC)
+    if target.curvature_class not in classes:
         raise ValidationError(
             f"target {target.kind!r} declares curvature class "
             f"{target.curvature_class!r}; expected one of "
-            f"{sorted(_SIGN_CHECKS)} — refusing to guess a comparison sign")
+            f"{sorted(classes)} — refusing to guess a comparison sign")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     _require_positive_mass(base_space, "curvature_comparison_suite")
@@ -333,35 +312,7 @@ def curvature_comparison_suite(
     transfer = np.abs(
         embedded - mass * _comparison_residuals(target_dists, t0s))
 
-    cls = target.curvature_class
-    suffix, why = _SIGN_CHECKS[cls]
-    checks = []
-    for label, values in (("comparison_sign", residuals),
-                          ("embedded_comparison_sign", embedded)):
-        observed, bound, sense, what = {
-            GLOBAL_NPC: (values, sign_tol, MAX, "max residual"),
-            GLOBAL_NNC: (values, -sign_tol, MIN, "min residual"),
-            FLAT: (np.abs(values), flat_tol, MAX, "max |residual|")}[cls]
-        checks.append(Check(f"{label}_{suffix}", observed, bound, sense,
-                            what, why, stream))
-    checks.append(Check(
-        "embedding_rescale", transfer, 1e-10 * max(1.0, mass), MAX,
-        "|embedded - mass * target|", "the constant embedding must rescale "
-        "comparison residuals by the total mass", stream))
-
-    return CurvatureReport(
-        target_kind=target.kind,
-        curvature_class=cls,
-        n_trials=int(trials),
-        residual_min=float(residuals.min()),
-        residual_max=float(residuals.max()),
-        embedded_min=float(embedded.min()),
-        embedded_max=float(embedded.max()),
-        embedded_transfer_max=float(transfer.max()),
-        checks=tuple(checks),
-        rows=tuple(zip(range(trials), ts.tolist(), residuals.tolist(),
-                       embedded.tolist())),
-    )
+    return ts, residuals, embedded, transfer
 
 
 # ---------------------------------------------------------------------------
@@ -369,90 +320,41 @@ def curvature_comparison_suite(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthReport(Judged):
-    """Outcome of the energy/length certification on one target."""
+def length_space_check(target: TargetSpace, base_space: FiniteMeasureSpace,
+                       p, trials: int, seed: int = 0, n_nodes: int = 33
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of ``(b - a)^{p-1} E_p(c) <= D_p(f, g)^p`` on random
+    geodesics, which attain it.
 
-    target_kind: str
-    p: float
-    n_trials: int
-    max_upper_excess: float
-    max_equality_gap_rel: float
-    checks: tuple[Check, ...]
-    rows: tuple[tuple, ...]  # (trial, scaled_energy, distance_power)
-
-
-def default_equality_tol(target: TargetSpace) -> float:
-    """Relative tolerance for energy = distance-power on geodesics."""
-    if target.curvature_class == FLAT:
-        return 1e-12
-    if not target.has_chart:  # metric trees: exact path arithmetic
-        return 1e-9
-    return 1e-8
-
-
-def length_space_check(target: TargetSpace,
-                       base_space: FiniteMeasureSpace,
-                       p,
-                       trials: int,
-                       seed: int = 0,
-                       kappa: float = 1.0 + 1e-6,
-                       n_nodes: int = 33,
-                       equality_tol: float | None = None) -> LengthReport:
-    """Certify ``(b - a)^{p-1} E_p(c) <= kappa^p D_p(f, g)^p`` on geodesics,
-    with equality up to a relative tolerance.
-
-    ``p`` must be finite with ``p > 1`` (the scaling ``(b - a)^{p-1}`` is
-    vacuous at ``p = 1`` and the energy is undefined at ``p = inf``).
+    Returns the per-trial arrays ``(scaled_energy, distance_power)``; trial
+    ``i`` joins two mappings drawn from the stream ``(seed,
+    "length/<kind>/p=<p>", i)``.  The bound and its equality are judged by
+    :func:`nlsp.suites.run_length`.  ``p`` must be finite with ``p > 1``
+    (the scaling ``(b - a)^{p-1}`` is vacuous at ``p = 1`` and the energy
+    is undefined at ``p = inf``).
     """
     p = check_p(p, allow_inf=False)
     if p <= 1.0:
         raise ValidationError(f"length_space_check requires p > 1, got {p!r}")
-    kappa = float(kappa)
-    if kappa <= 1.0:
-        raise ValidationError(f"kappa must exceed 1, got {kappa!r}")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     _require_positive_mass(base_space, "length_space_check")
-    if equality_tol is None:
-        equality_tol = default_equality_tol(target)
 
     setup = trial_rng(seed, f"length/{target.kind}/setup", 0)
     family = MappingFamily(base_space, target,
                            target.random_points(setup, len(base_space)))
 
-    stream = f"length/{target.kind}/p={p!r}"
     rows = []
     ends = target.draw_geodesic_pairs(
-        trial_rngs(seed, stream, range(int(trials))), len(base_space))
-    for trial, (fv, gv) in enumerate(zip(*ends)):
+        trial_rngs(seed, f"length/{target.kind}/p={p!r}", range(int(trials))),
+        len(base_space))
+    for fv, gv in zip(*ends):
         f, g = MetricMapping(family, fv), MetricMapping(family, gv)
         geo = lp_geodesic(f, g, p, n_nodes=n_nodes)
         a, b = geo.interval
-        scaled_energy = (b - a) ** (p - 1.0) * energy(geo.curve, p)
-        dist_power = d_p(f, g, p) ** p
-        rows.append((trial, scaled_energy, dist_power))
-    _, scaled, powers = np.array(rows).T
-    upper_excess = scaled - kappa ** p * powers
-    equality_gaps = np.abs(scaled - powers) / np.maximum(powers, 1e-300)
-    slack = 1e-12 * max(1.0, reading(powers))
-    return LengthReport(
-        target_kind=target.kind,
-        p=float(p),
-        n_trials=int(trials),
-        max_upper_excess=reading(upper_excess),
-        max_equality_gap_rel=reading(equality_gaps),
-        checks=(
-            Check("energy_length_upper", upper_excess, slack, MAX,
-                  "scaled energy - kappa^p * D_p^p",
-                  "the energy of any curve joining two mappings must "
-                  "control their distance power", stream),
-            Check("geodesic_energy_equality", equality_gaps, equality_tol,
-                  MAX, "relative gap", "on geodesics the scaled energy must "
-                  "equal the endpoint distance power", stream),
-        ),
-        rows=tuple(rows),
-    )
+        rows.append(((b - a) ** (p - 1.0) * energy(geo.curve, p),
+                     d_p(f, g, p) ** p))
+    return tuple(np.array(rows).T)
 
 
 def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .curves import (
 )
 from .errors import ConfigError, ValidationError
 from .geometry import (
-    curvature_comparison_suite,
     constant_speed_residual,
+    curvature_comparison_suite,
     geodesic_safe_mapping_pair,
     geodesic_speed_check,
     length_space_check,
@@ -59,9 +59,9 @@ from .mappings import (
 from .rng import trial_rng, trial_rngs, uniforms
 from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
 from .speed import atomwise_consistency_gaps, batch_speeds
-from .targets import Euclidean, MetricTree, Spd, Sphere, TargetSpace
+from .targets import (FLAT, GLOBAL_NNC, GLOBAL_NPC, Euclidean, MetricTree,
+                      Spd, Sphere, TargetSpace)
 from .transport import (
-    CSV_HEADER_COUNTEREXAMPLE,
     counterexample_p1,
     decompose_bv,
     derivative_identity_residuals,
@@ -419,14 +419,14 @@ def run_fubini(seed: int = 7, trials: int = 100,
 
     def one_trial(i: int):
         c1, c2 = drawn[i]
+        t1, t2, a1, a2 = sec_time(c1), sec_time(c2), sec_atom(c1), sec_atom(c2)
         gaps = []
         for p in p_values:
             joint = product_lp_norm(c1, c2, p)
-            gaps.append(np.abs([d_pp(sec_time(c1), sec_time(c2), p) - joint,
-                                D_pp(sec_atom(c1), sec_atom(c2), p) - joint])
-                        / max(joint, 1e-300))
+            gaps.append(np.abs([d_pp(t1, t2, p) - joint,
+                                D_pp(a1, a2, p) - joint]) / max(joint, 1e-300))
         time_gap, atom_gap = (reading(g) for g in zip(*gaps))
-        back = transpose_inverse(transpose(sec_time(c1)))
+        back = transpose_inverse(transpose(t1))
         return time_gap, atom_gap, back.values.tobytes() != c1.values.tobytes()
 
     results = map_trials(one_trial, int(trials))
@@ -594,14 +594,16 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
     """
     del seed  # the construction is fully deterministic
     checks = []
-    rows = [list(CSV_HEADER_COUNTEREXAMPLE)]
+    rows = [["n", "lipschitz_lo", "lipschitz_hi", "max_atom_modulus",
+             "total_variation"]]
     reports = []
     lipschitz = ("the indicator curve must be uniformly Lipschitz in the "
                  "mean distance")
     for n in sizes:
         rep = counterexample_p1(int(n), refinements)
         reports.append(rep)
-        rows.append(rep.csv_row())
+        rows.append([rep.n, rep.lipschitz_lo, rep.lipschitz_hi,
+                     rep.max_atom_modulus, rep.total_variation])
         checks += [
             Check(f"counterexample_lipschitz[n={n}]", rep.lipschitz_lo,
                   1.0 - 2.0 / n, MIN, "smallest difference quotient",
@@ -652,25 +654,28 @@ def run_geodesic(seed: int = 7, trials: int = 3,
 
     Spherical, SPD and tree targets (or the configured target), several
     exponents; checks the node-pair linearity of the mapping distance, the
-    per-atom speed deviation, and length against endpoint distance.
+    per-atom speed deviation, and length against endpoint distance, per
+    target and exponent, whose trials come from the stream ``(seed,
+    "geodesic/<kind>/p=<p>", trial)``.  A failed check names its worst
+    trial; the metrics pool every target and exponent.
     """
     trace_target = Spd(2) if targets is None else targets[0]
     if targets is None:
         targets = (Sphere(3), Spd(2), default_tree())
     if base_space is None:
         base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (1.0, 2.0, 1.0))
-    combos = [(t, p) for t in targets for p in p_values]
+    combos = [(t, p, f"geodesic/{t.kind}/p={p!r}")
+              for t in targets for p in p_values]
     trace_rows = [["t", "distance_from_start", "constant_speed_residual"]]
 
     def one_combo(idx: int):
-        target, p = combos[idx]
-        setup = trial_rng(seed, f"geodesic/{target.kind}/p={p!r}/setup", 0)
+        target, p, stream = combos[idx]
+        setup = trial_rng(seed, f"{stream}/setup", 0)
         family = MappingFamily(
             base_space, target, target.random_points(setup, len(base_space)))
         out = []
-        ends = target.draw_geodesic_pairs(trial_rngs(
-            seed, f"geodesic/{target.kind}/p={p!r}", range(int(trials))),
-            len(base_space))
+        ends = target.draw_geodesic_pairs(
+            trial_rngs(seed, stream, range(int(trials))), len(base_space))
         for fv, gv in zip(*ends):
             geo = lp_geodesic(MetricMapping(family, fv),
                               MetricMapping(family, gv), p,
@@ -682,10 +687,22 @@ def run_geodesic(seed: int = 7, trials: int = 3,
             out.append((csr, atom_dev, len_rel))
         return out
 
-    # One score per (combo, trial) pair, in order, for each check.
-    csr, atom_dev, len_rel = zip(*(
-        scores for results in map_trials(one_combo, len(combos))
-        for scores in results))
+    gates = (
+        ("geodesic_constant_speed", "node-pair linearity residual",
+         "the mapping distance along a geodesic must be affine in time"),
+        ("geodesic_atom_speed", "per-atom speed deviation",
+         "every atom must traverse its target geodesic at constant speed"),
+        ("geodesic_length", "relative length gap",
+         "geodesic length must equal the endpoint distance"))
+    # A check per combo and gate; each metric pools all scores, in order.
+    checks, csr, atom_dev, len_rel = [], [], [], []
+    for (target, p, stream), results in zip(
+            combos, map_trials(one_combo, len(combos))):
+        for (name, what, why), scores, pool in zip(
+                gates, zip(*results), (csr, atom_dev, len_rel)):
+            pool += scores
+            checks.append(Check(f"{target.kind}/p={p}.{name}", scores,
+                                residual_tol, MAX, what, why, stream))
 
     # Representative trace for the CSV artifact (first target, p = 2).
     setup = trial_rng(seed, "geodesic/trace/setup", 0)
@@ -709,17 +726,7 @@ def run_geodesic(seed: int = 7, trials: int = 3,
             "max_atom_speed_deviation": reading(atom_dev),
             "max_length_rel_gap": reading(len_rel),
         },
-        checks=[
-            Check("geodesic_constant_speed", csr, residual_tol, MAX,
-                  "node-pair linearity residual", "the mapping distance "
-                  "along a geodesic must be affine in time"),
-            Check("geodesic_atom_speed", atom_dev, residual_tol, MAX,
-                  "per-atom speed deviation", "every atom must traverse its "
-                  "target geodesic at constant speed"),
-            Check("geodesic_length", len_rel, residual_tol, MAX,
-                  "relative length gap",
-                  "geodesic length must equal the endpoint distance"),
-        ],
+        checks=checks,
         csv={"geodesic_trace": trace_rows},
     )
 
@@ -729,6 +736,15 @@ def run_geodesic(seed: int = 7, trials: int = 3,
 # ---------------------------------------------------------------------------
 
 _DEFAULT_CURVATURE_BASE = (("x0", 0.5), ("x1", 1.0), ("x2", 0.25))
+
+#: The sign rule of each curvature class: the check-name suffix, and why.
+_SIGN_CHECKS = {
+    GLOBAL_NPC: ("npc", "thin-triangle targets keep the residual "
+                        "nonpositive"),
+    GLOBAL_NNC: ("nnc", "fat-triangle targets keep the residual "
+                        "nonnegative"),
+    FLAT: ("flat", "flat targets keep the residual at zero"),
+}
 
 
 def run_curvature(seed: int = 7, trials: int = 500,
@@ -741,7 +757,8 @@ def run_curvature(seed: int = 7, trials: int = 500,
     SPD targets must keep the squared-distance comparison residual
     nonpositive, spheres nonnegative, flat targets at zero, and the
     constant-mapping embedding must rescale target residuals by the total
-    mass without changing signs.
+    mass without changing signs.  A failed check names its worst trial of
+    the stream ``(seed, "curvature/<kind>", trial)``.
     """
     if targets is None:
         targets = (Spd(2), Sphere(3), Euclidean(2))
@@ -750,35 +767,48 @@ def run_curvature(seed: int = 7, trials: int = 500,
             tuple(a for a, _ in _DEFAULT_CURVATURE_BASE),
             tuple(w for _, w in _DEFAULT_CURVATURE_BASE))
 
-    reports = map_trials(
-        lambda i: curvature_comparison_suite(
-            targets[i], base_space, int(trials), seed=seed,
-            sign_tol=sign_tol, flat_tol=flat_tol),
-        len(targets))
-
+    checks, lows, highs = [], [], []
     metrics = {"trials": int(trials), "targets": {}}
     csv_rows = [["target", "trial", "t", "residual", "embedded_residual"]]
-    for report in reports:
-        metrics["targets"][report.target_kind] = {
-            "curvature_class": report.curvature_class,
-            "residual_min": report.residual_min,
-            "residual_max": report.residual_max,
-            "embedded_min": report.embedded_min,
-            "embedded_max": report.embedded_max,
-            "embedded_transfer_max": report.embedded_transfer_max,
+    for target in targets:
+        ts, residuals, embedded, transfer = curvature_comparison_suite(
+            target, base_space, int(trials), seed=seed)
+        kind, cls = target.kind, target.curvature_class
+        stream = f"curvature/{kind}"
+        suffix, why = _SIGN_CHECKS[cls]
+        for label, values in (("comparison_sign", residuals),
+                              ("embedded_comparison_sign", embedded)):
+            observed, bound, sense, what = {
+                GLOBAL_NPC: (values, sign_tol, MAX, "max residual"),
+                GLOBAL_NNC: (values, -sign_tol, MIN, "min residual"),
+                FLAT: (np.abs(values), flat_tol, MAX, "max |residual|")}[cls]
+            checks.append(Check(f"{kind}.{label}_{suffix}", observed, bound,
+                                sense, what, why, stream))
+        checks.append(Check(
+            f"{kind}.embedding_rescale", transfer,
+            1e-10 * max(1.0, base_space.total_mass), MAX,
+            "|embedded - mass * target|", "the constant embedding must "
+            "rescale comparison residuals by the total mass", stream))
+        lows.append(float(residuals.min()))
+        highs.append(float(residuals.max()))
+        metrics["targets"][kind] = {
+            "curvature_class": cls,
+            "residual_min": lows[-1],
+            "residual_max": highs[-1],
+            "embedded_min": float(embedded.min()),
+            "embedded_max": float(embedded.max()),
+            "embedded_transfer_max": float(transfer.max()),
         }
-        for trial, t, res, emb in report.rows:
-            csv_rows.append([report.target_kind, trial, t, res, emb])
-    metrics["residual_max"] = reading([r.residual_max for r in reports])
-    metrics["residual_abs_max"] = reading(
-        [abs(r.residual_min) for r in reports]
-        + [abs(r.residual_max) for r in reports])
+        csv_rows += [[kind, trial, t, res, emb] for trial, (t, res, emb) in
+                     enumerate(zip(ts.tolist(), residuals.tolist(),
+                                   embedded.tolist()))]
+    metrics["residual_max"] = reading(highs)
+    metrics["residual_abs_max"] = reading([abs(v) for v in lows + highs])
 
     return SuiteResult(
         name="curvature",
         metrics=metrics,
-        checks=[replace(c, name=f"{report.target_kind}.{c.name}")
-                for report in reports for c in report.checks],
+        checks=checks,
         csv={"curvature_residuals": csv_rows},
     )
 
@@ -786,6 +816,18 @@ def run_curvature(seed: int = 7, trials: int = 500,
 # ---------------------------------------------------------------------------
 # Suite: length-space structure and reparametrization
 # ---------------------------------------------------------------------------
+
+#: The scaled energy of a curve may reach ``LENGTH_KAPPA^p D_p^p``.
+LENGTH_KAPPA = 1.0 + 1e-6
+
+
+def default_equality_tol(target: TargetSpace) -> float:
+    """Relative tolerance for energy = distance-power on geodesics."""
+    if target.curvature_class == FLAT:
+        return 1e-12
+    if not target.has_chart:  # metric trees: exact path arithmetic
+        return 1e-9
+    return 1e-8
 
 
 def run_length(seed: int = 7, trials: int = 12,
@@ -795,30 +837,44 @@ def run_length(seed: int = 7, trials: int = 12,
                equality_tol: float | None = DEFAULT_TOLERANCES["length_equality"]
                ) -> SuiteResult:
     """Energy controls distance, geodesics saturate it, reparametrization
-    reaches the bound within ``(1 + eps)^p``.
+    reaches the bound within ``(1 + eps)^p``.  ``equality_tol`` unset means
+    :func:`default_equality_tol` of each target.
     """
     targets = (Euclidean(2), Sphere(3), Spd(2), default_tree())
     base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (0.75, 1.25, 0.5))
-    combos = [(t, p) for t in targets for p in p_values]
-
-    reports = map_trials(
-        lambda i: length_space_check(
-            combos[i][0], base_space, combos[i][1], int(trials), seed=seed,
-            n_nodes=int(n_nodes), equality_tol=equality_tol),
-        len(combos))
 
     checks = []
     metrics = {"trials": int(trials), "targets": {}, "p_values": list(p_values)}
     csv_rows = [["target", "p", "trial", "scaled_energy", "distance_power"]]
-    for (target, p), report in zip(combos, reports):
-        key = f"{report.target_kind}/p={p}"
-        metrics["targets"][key] = {
-            "max_upper_excess": report.max_upper_excess,
-            "max_equality_gap_rel": report.max_equality_gap_rel,
-        }
-        checks += [replace(c, name=f"{key}.{c.name}") for c in report.checks]
-        for trial, se, dp_pow in report.rows:
-            csv_rows.append([report.target_kind, p, trial, se, dp_pow])
+    for target in targets:
+        for p in p_values:
+            scaled, powers = length_space_check(
+                target, base_space, p, int(trials), seed=seed,
+                n_nodes=int(n_nodes))
+            key = f"{target.kind}/p={p}"
+            stream = f"length/{target.kind}/p={float(p)!r}"
+            upper_excess = scaled - LENGTH_KAPPA ** float(p) * powers
+            equality_gaps = (np.abs(scaled - powers)
+                             / np.maximum(powers, 1e-300))
+            metrics["targets"][key] = {
+                "max_upper_excess": reading(upper_excess),
+                "max_equality_gap_rel": reading(equality_gaps),
+            }
+            checks += [
+                Check(f"{key}.energy_length_upper", upper_excess,
+                      1e-12 * max(1.0, reading(powers)), MAX,
+                      "scaled energy - kappa^p * D_p^p",
+                      "the energy of any curve joining two mappings must "
+                      "control their distance power", stream),
+                Check(f"{key}.geodesic_energy_equality", equality_gaps,
+                      default_equality_tol(target) if equality_tol is None
+                      else equality_tol, MAX, "relative gap",
+                      "on geodesics the scaled energy must equal the "
+                      "endpoint distance power", stream),
+            ]
+            csv_rows += [[target.kind, p, trial, se, dp]
+                         for trial, (se, dp) in enumerate(zip(
+                             scaled.tolist(), powers.tolist()))]
 
     # Reparametrization battery: mixed plain-target and mapping-space
     # curves, all of length >= 1 so the additive slack eps stays within the

@@ -62,12 +62,18 @@ class TransportDecomposition:
 
     ``per_atom_curves[j].values[i]`` is bitwise equal to
     ``source.values[i, j]``: evaluation consistency is exact, not within a
-    tolerance.
+    tolerance.  The slices are built on first read: the batteries read the
+    source alone.
     """
 
     source: SampledCurve
-    per_atom_curves: tuple[SampledCurve, ...]
     p: float
+
+    @cached_property
+    def per_atom_curves(self) -> tuple[SampledCurve, ...]:
+        c = self.source
+        return tuple(SampledCurve(c.space.family.target, c.times, values)
+                     for values in c.values.swapaxes(0, 1))
 
 
 def _require_lp_curve(c: SampledCurve, op: str) -> LpSpace:
@@ -107,10 +113,7 @@ def decompose_ac(c: SampledCurve, p) -> TransportDecomposition:
         raise ValidationError(
             f"curve ambient uses p = {space.p!r} but decompose_ac was asked "
             f"for p = {p!r}")
-    tgt = space.family.target
-    per_atom = tuple(SampledCurve(tgt, c.times, values)
-                     for values in c.values.swapaxes(0, 1))
-    return TransportDecomposition(source=c, per_atom_curves=per_atom, p=p)
+    return TransportDecomposition(source=c, p=p)
 
 
 def per_atom_derivatives(d: TransportDecomposition) -> np.ndarray:
@@ -293,14 +296,6 @@ class CounterexampleReport:
     @property
     def max_atom_modulus(self) -> float:
         return max(m for _, m in self.atom_moduli)
-
-    def csv_row(self) -> list:
-        return [self.n, self.lipschitz_lo, self.lipschitz_hi,
-                self.max_atom_modulus, self.total_variation]
-
-
-CSV_HEADER_COUNTEREXAMPLE = [
-    "n", "lipschitz_lo", "lipschitz_hi", "max_atom_modulus", "total_variation"]
 
 
 def counterexample_family(n: int) -> MappingFamily:

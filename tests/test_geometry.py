@@ -20,11 +20,13 @@ from nlsp import (
     GeodesicError,
     MappingFamily,
     MetricMapping,
+    SampledCurve,
     Spd,
     Sphere,
     ValidationError,
     constant_speed_residual,
     curvature_comparison_suite,
+    decompose_ac,
     default_equality_tol,
     default_tree,
     geodesic_safe_mapping_pair,
@@ -35,9 +37,11 @@ from nlsp import (
     lp_geodesic,
     mapping_comparison_residual,
     reparam_length_certificate,
+    run_curvature,
     start_aligned_residuals,
     trial_rng,
 )
+from nlsp.suites import LENGTH_KAPPA
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -118,6 +122,29 @@ def test_per_atom_speed_bound_scales_with_total_mass():
             step = target.distance(per_atom.values[i], per_atom.values[i + 1])
             dev = abs(step - (times[i + 1] - times[i]) * d_total)
             assert dev <= tau * mass ** (-1.0 / p) + 1e-12
+
+
+def test_atom_slices_are_built_on_first_read(monkeypatch):
+    """lp_geodesic and decompose_ac build no atom slice until one is read;
+    the slices then read ``curve.values[:, j]`` bit for bit."""
+    rng = trial_rng(0, "test/geo-lazy-slices", 0)
+    fam = three_atom_family(Sphere(3), rng)
+    f, g = geodesic_safe_mapping_pair(fam, rng)
+    built = []
+    real = SampledCurve.__post_init__
+    monkeypatch.setattr(SampledCurve, "__post_init__",
+                        lambda self: (built.append(self), real(self))[1])
+    geo = lp_geodesic(f, g, 2.0, n_nodes=9)
+    assert built == [geo.curve]
+    decomposition = decompose_ac(geo.curve, 2.0)
+    assert built == [geo.curve]
+    for slices in (geo.per_atom_curves, decomposition.per_atom_curves):
+        assert len(slices) == 3
+        for j, atom in enumerate(slices):
+            assert atom.times == geo.curve.times
+            assert atom.values.tobytes() == geo.curve.values[:, j].tobytes()
+    assert len(built) == 1 + 2 * 3
+    assert geo.per_atom_curves is geo.per_atom_curves
 
 
 def test_antipodal_positive_weight_atom_is_rejected_by_name():
@@ -235,34 +262,43 @@ def small_base():
     return FiniteMeasureSpace(("x0", "x1", "x2"), (0.5, 1.0, 0.25))
 
 
+def curvature_metrics(target):
+    """The curvature battery on ``target`` alone, 100 trials of seed 0: it
+    must pass, and its per-target metrics are returned."""
+    result = run_curvature(seed=0, trials=100, targets=(target,),
+                           base_space=small_base())
+    assert result.passed, result.failures
+    return result.metrics["targets"][target.kind]
+
+
 def test_curvature_suite_flat_target():
     """Flat targets transfer to flat mapping spaces within 1e-10."""
-    report = curvature_comparison_suite(Euclidean(2), small_base(), trials=100)
-    assert report.passed
-    assert report.curvature_class == "flat"
-    assert max(abs(report.residual_min), abs(report.residual_max)) < 1e-10
-    assert max(abs(report.embedded_min), abs(report.embedded_max)) < 1e-10
-    assert report.n_trials == 100
-    assert len(report.rows) == 100
+    arrays = curvature_comparison_suite(Euclidean(2), small_base(), trials=100)
+    assert [a.shape for a in arrays] == [(100,)] * 4
+    ts, residuals, embedded, _ = arrays
+    assert np.all((ts >= 0.0) & (ts <= 1.0))
+    assert np.max(np.abs(residuals)) < 1e-10
+    assert np.max(np.abs(embedded)) < 1e-10
+    assert curvature_metrics(Euclidean(2))["curvature_class"] == "flat"
 
 
 def test_curvature_suite_npc_target():
     """Nonpositive curvature transfers: residuals stay nonpositive."""
-    report = curvature_comparison_suite(Spd(2), small_base(), trials=100)
-    assert report.passed
-    assert report.curvature_class == "global_npc"
-    assert report.residual_max <= 1e-8
-    assert report.embedded_max <= 1e-8
-    assert report.embedded_transfer_max <= 1e-12
+    _, residuals, embedded, transfer = curvature_comparison_suite(
+        Spd(2), small_base(), trials=100)
+    assert residuals.max() <= 1e-8
+    assert embedded.max() <= 1e-8
+    assert transfer.max() <= 1e-12
+    assert curvature_metrics(Spd(2))["curvature_class"] == "global_npc"
 
 
 def test_curvature_suite_nnc_target():
     """Nonnegative curvature transfers: residuals stay nonnegative."""
-    report = curvature_comparison_suite(Sphere(3), small_base(), trials=100)
-    assert report.passed
-    assert report.curvature_class == "global_nnc"
-    assert report.residual_min >= -1e-8
-    assert report.embedded_min >= -1e-8
+    _, residuals, embedded, _ = curvature_comparison_suite(
+        Sphere(3), small_base(), trials=100)
+    assert residuals.min() >= -1e-8
+    assert embedded.min() >= -1e-8
+    assert curvature_metrics(Sphere(3))["curvature_class"] == "global_nnc"
 
 
 def test_curvature_suite_rejects_unknown_class():
@@ -285,22 +321,21 @@ def test_length_space_check_passes_on_all_targets(target_name):
     """Energy never beats the scaled distance power and geodesics attain it."""
     target = {"euclidean": Euclidean(2), "sphere": Sphere(3), "spd": Spd(2),
               "metric_tree": default_tree()}[target_name]
-    report = length_space_check(target, small_base(), 2.0, trials=4, seed=3)
-    assert report.passed
-    assert report.max_upper_excess <= 1e-12
-    assert report.max_equality_gap_rel <= default_equality_tol(target)
-    assert not report.failures
+    scaled, powers = length_space_check(target, small_base(), 2.0, trials=4,
+                                        seed=3)
+    assert scaled.shape == powers.shape == (4,)
+    assert np.max(scaled - LENGTH_KAPPA ** 2 * powers) <= 1e-12
+    assert np.max(np.abs(scaled - powers) / powers) \
+        <= default_equality_tol(target)
 
 
 def test_length_space_check_validates_parameters():
-    """Exponent and slack factor are both validated."""
+    """The exponent must be finite and above one."""
     base = FiniteMeasureSpace(("a",), (1.0,))
     with pytest.raises(ValidationError, match="p > 1"):
         length_space_check(Euclidean(2), base, 1.0, trials=2)
     with pytest.raises(ValidationError, match="not allowed"):
         length_space_check(Euclidean(2), base, math.inf, trials=2)
-    with pytest.raises(ValidationError, match="kappa"):
-        length_space_check(Euclidean(2), base, 2.0, trials=2, kappa=1.0)
 
 
 def test_default_equality_tol_by_target_class():

@@ -161,8 +161,10 @@ FORCED = {
     "counterexample": ({"sizes": (4,)}, {
         "counterexample_variation[n=4]": None}),
     "geodesic": ({"trials": 1, "n_nodes": 5}, {
-        "geodesic_constant_speed": None, "geodesic_atom_speed": None,
-        "geodesic_length": None}),
+        f"{kind}/p={p}.{check}": f"(worst: geodesic/{kind}/p={p} trial 0)"
+        for kind in ("sphere", "spd", "metric_tree") for p in (1.5, 2.0, 3.0)
+        for check in ("geodesic_constant_speed", "geodesic_atom_speed",
+                      "geodesic_length")}),
     "curvature": ({"trials": 5}, {
         "spd.comparison_sign_npc": "(worst: curvature/spd trial 0)",
         "spd.embedded_comparison_sign_npc": "(worst: curvature/spd trial 4)",
@@ -325,8 +327,17 @@ MUTATIONS = [
     pytest.param(
         _tree_fractions_to_the_1_01,
         lambda: suites.run_geodesic(seed=7, targets=(default_tree(),)),
-        {"geodesic_constant_speed": None, "geodesic_atom_speed": None},
+        {f"metric_tree/p={p}.{check}": f"geodesic/metric_tree/p={p}"
+         for p in (1.5, 2.0, 3.0)
+         for check in ("geodesic_constant_speed", "geodesic_atom_speed")},
         id="tree-fraction-power"),
+    pytest.param(
+        _tree_fractions_to_the_1_01,
+        lambda: suites.run_length(seed=7, trials=4, reparam_curves=3),
+        {f"metric_tree/p={p}.{check}": f"length/metric_tree/p={p}"
+         for p in (1.5, 2.0, 3.0)
+         for check in ("energy_length_upper", "geodesic_energy_equality")},
+        id="length-tree-fraction-power"),
     pytest.param(
         _warp_knots_on_the_uniform_grid_only,
         lambda: suites.run_skorokhod(seed=7, pairs=10),
@@ -362,8 +373,10 @@ MUTATIONS = [
     pytest.param(
         _euclidean_distances_nan,
         lambda: suites.run_geodesic(seed=7, targets=(Euclidean(2),)),
-        {"geodesic_constant_speed": None, "geodesic_atom_speed": None,
-         "geodesic_length": None},
+        {f"euclidean/p={p}.{check}": f"geodesic/euclidean/p={p}"
+         for p in (1.5, 2.0, 3.0)
+         for check in ("geodesic_constant_speed", "geodesic_atom_speed",
+                       "geodesic_length")},
         id="geodesic-euclidean-distance-nan"),
 ]
 
