@@ -14,8 +14,9 @@ with the stream axis in front (``draw_points``, ``draw_geodesic_pairs``,
 ``draw_tangents``): each stream's variates are read in turn, then formed
 into points in one kernel call, with the bytes of that stream's own draw
 (see :mod:`nlsp.rng`).  Each space writes each formula once, as a numpy kernel
-over the batch axes.  SPD matrices go through stacked ``eigh`` /
-``eigvalsh`` on ``(..., n, n)`` with the affine-invariant formulas of
+over the batch axes.  SPD matrices go through the stacked eigensolvers
+``_eigh`` / ``_eigvalsh`` on ``(..., n, n)`` (a batched Jacobi iteration
+for ``n = 3``, LAPACK otherwise) with the affine-invariant formulas of
 Pennec, Fillard and Ayache (IJCV 2006).  A metric-tree point is the pair
 ``(edge, offset)`` of shape ``(2,)``, the edge-offset coordinates of a
 metric graph (Bridson and Haefliger, *Metric Spaces of Non-Positive
@@ -75,6 +76,10 @@ ANTIPODAL_MARGIN = 1e-9
 #: Random sphere pairs are drawn at angles in this range, keeping a wide
 #: margin from the antipodal degeneracy.
 SPHERE_SAFE_RADIUS = (0.3, 2.5)
+#: Witnesses per part of :func:`_comparison_distances`.  A part stacks
+#: three batches of points; for SPD(3) that is 0.44 MB, and larger parts
+#: raised the peak resident memory of the ``wide_spd`` benchmark.
+_COMPARISON_PART = 2048
 
 
 def _check_fractions(t) -> np.ndarray:
@@ -97,10 +102,22 @@ def _comparison_distances(target: TargetSpace, zs, fs, gs, t):
     """The four target distances of the comparison residual over batch
     axes: ``d(z, c(t))``, ``d(z, f)``, ``d(z, g)`` and ``d(f, g)``, where
     ``c`` is the geodesic from ``f`` to ``g`` and ``t`` broadcasts with the
-    batches.  Each is one kernel call."""
-    return (target.distances(zs, target.geodesic_points(fs, gs, t)),
-            target.distances(zs, fs), target.distances(zs, gs),
-            target.distances(fs, gs))
+    batches.  The three distances from ``z`` are one kernel call, so each
+    witness ``z`` is decomposed once; it runs on parts of the leading batch
+    axis of about :data:`_COMPARISON_PART` points each, which bounds the
+    stacked temporaries."""
+    zb, *ends = np.broadcast_arrays(
+        zs, target.geodesic_points(fs, gs, t), fs, gs)
+    batch = zb.shape[:zb.ndim - len(target.point_shape)]
+    dists = np.empty((4,) + batch)
+    rows = max(1, _COMPARISON_PART // max(1, math.prod(batch[1:])))
+    parts = ([slice(lo, lo + rows) for lo in range(0, batch[0], rows)]
+             if batch else [...])
+    for part in parts:
+        dists[:3, part] = target.distances(
+            zb[part][None], np.stack([e[part] for e in ends]))
+    dists[3] = target.distances(fs, gs)
+    return tuple(dists)
 
 
 def _comparison_residuals(dists, t) -> np.ndarray:
@@ -583,23 +600,178 @@ class Sphere(TargetSpace):
 
 def _sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of every matrix in a stack."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    s = a + a.swapaxes(-1, -2)
+    s *= 0.5
+    return s
+
+
+#: Matrices per chunk of the 3x3 Jacobi kernel, which holds about 25
+#: doubles of working memory per matrix; chosen by timing 2,048, 4,096 and
+#: 8,192 on the ``wide_spd`` benchmark.
+_JACOBI_CHUNK = 4096
+#: Sweep bound of the Jacobi kernel.  Random symmetric and SPD 3x3 matrices,
+#: spreads of 1e30 and repeated eigenvalues included, converge in at most
+#: four sweeps; a NaN matrix never does.
+_JACOBI_SWEEPS = 8
+#: The off-diagonal entry ``off[k]`` of the kernel sits opposite index
+#: ``k``: at ``(i, j)`` with ``{i, j, k} = {0, 1, 2}``.
+_OPPOSITE_I, _OPPOSITE_J = [1, 0, 0], [2, 2, 1]
+#: Each rotation ``(p, q)`` of a cyclic sweep, with ``r`` the third index.
+_JACOBI_PIVOTS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues, and the eigenvectors as matching columns, of
+    each symmetric matrix of a stack, read from its lower triangle: 3x3
+    stacks by :func:`_jacobi3`, every other size by LAPACK."""
+    if a.shape[-1] == 3:
+        return _jacobi3(a, vectors=True)
+    return np.linalg.eigh(a)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of :func:`_eigh` alone."""
+    if a.shape[-1] == 3:
+        return _jacobi3(a, vectors=False)[0]
+    return np.linalg.eigvalsh(a)
+
+
+def _jacobi3(a: np.ndarray, vectors: bool):
+    """Cyclic Jacobi eigendecomposition of a stack of symmetric 3x3
+    matrices: ``(w, v)``, with ``v`` None unless ``vectors``.
+
+    Each chunk of :data:`_JACOBI_CHUNK` matrices runs Rutishauser's
+    rotations (Numer. Math. 9, 1966) on all its matrices at once, in the
+    order (0, 1), (0, 2), (1, 2).  Each matrix is first scaled by the power
+    of two that brings its largest entry into [0.5, 1), which is exact.
+    After each sweep an off-diagonal entry at or below ``eps * sqrt(|a_ii *
+    a_jj|)`` is set to zero, and a zero entry gives the null rotation ``t =
+    0``: a converged matrix never changes again, so each matrix's result is
+    the same bit for bit whatever batch or chunk it is in.  A chunk stops
+    when every off-diagonal entry is zero, or after :data:`_JACOBI_SWEEPS`
+    sweeps; a NaN matrix comes out NaN.  On
+    SPD matrices Jacobi is at least as accurate as QR (Demmel and Veselic,
+    SIAM J. Matrix Anal. Appl. 13, 1992).
+    """
+    a = np.asarray(a, float)
+    flat = a.reshape(-1, 3, 3)
+    w = np.empty((len(flat), 3))
+    v = np.empty((len(flat), 3, 3)) if vectors else None
+    for lo in range(0, len(flat), _JACOBI_CHUNK):
+        hi = lo + _JACOBI_CHUNK
+        _jacobi3_chunk(flat[lo:hi], w[lo:hi], None if v is None else v[lo:hi])
+    return (w.reshape(a.shape[:-1]),
+            None if v is None else v.reshape(a.shape))
+
+
+def _jacobi3_chunk(a, w_out, v_out) -> None:
+    """One chunk of :func:`_jacobi3`, written into ``w_out`` and ``v_out``.
+    The entries of its ``m`` matrices are rows of ``(3, m)`` arrays."""
+    m = len(a)
+    entries = a.reshape(m, 9).T[[0, 4, 8, 7, 6, 3]]
+    scale = np.ldexp(1.0, -np.frexp(np.abs(entries).max(axis=0))[1])
+    entries *= scale
+    diag, off = entries[:3], entries[3:]
+    cols = None
+    if v_out is not None:
+        cols = np.zeros((3, 3, m))  # cols[j]: the eigenvector column j
+        cols[0, 0] = cols[1, 1] = cols[2, 2] = 1.0
+    _jacobi3_sweeps(diag, off, cols)
+    diag /= scale
+    for j, rows in enumerate(np.argsort(diag, axis=0, kind="stable")):
+        w_out[:, j] = np.take_along_axis(diag, rows[None], axis=0)[0]
+        if cols is not None:
+            v_out[:, :, j] = np.take_along_axis(
+                cols, rows[None, None], axis=0)[0].T
+
+
+def _jacobi3_sweeps(diag, off, cols) -> None:
+    """The sweeps of :func:`_jacobi3` on one chunk, in place: ``diag[i]``
+    and ``off[k]`` (opposite ``k``) hold the entries and ``cols`` (None:
+    not wanted) the eigenvector columns.  Every update is written into
+    a preallocated row."""
+    m = diag.shape[1]
+    t, c, x, y = np.empty((4, m))
+    rot = np.empty((2, 3, m))
+    zero = np.empty(m, bool)
+    for _ in range(_JACOBI_SWEEPS):
+        for p, q, r in _JACOBI_PIVOTS:
+            app, aqq, apq = diag[p], diag[q], off[r]
+            # t = 2 a_pq / (d + sign(d) sqrt(d^2 + 4 a_pq^2)), d = a_qq - a_pp:
+            # the smaller root, 0 when a_pq is (``zero`` makes 0/0 into 0/1).
+            np.subtract(aqq, app, out=x)
+            np.multiply(apq, 2.0, out=y)
+            np.multiply(x, x, out=c)
+            np.multiply(y, y, out=t)
+            c += t
+            np.sqrt(c, out=c)
+            np.copysign(c, x, out=c)
+            c += x
+            np.equal(c, 0.0, out=zero)
+            c += zero
+            np.divide(y, c, out=t)
+            np.multiply(t, apq, out=x)
+            app -= x
+            aqq += x
+            apq.fill(0.0)
+            # s = t / sqrt(1 + t^2) into y, tau = s / (1 + c) into x.
+            np.multiply(t, t, out=c)
+            c += 1.0
+            np.sqrt(c, out=c)
+            np.divide(t, c, out=y)
+            c += 1.0
+            np.divide(t, c, out=x)
+            pairs = [(off[q], off[p])]  # (a_rp, a_rq)
+            if cols is not None:
+                pairs.append((cols[p], cols[q]))
+            for g, h in pairs:
+                gx, hx = rot if g.ndim == 2 else rot[:, 0]
+                np.multiply(g, x, out=gx)
+                gx += h
+                gx *= y
+                np.multiply(h, x, out=hx)
+                np.subtract(g, hx, out=hx)
+                hx *= y
+                g -= gx
+                h += hx
+        bound, mag = rot
+        np.multiply(diag[_OPPOSITE_I], diag[_OPPOSITE_J], out=bound)
+        np.abs(bound, out=bound)
+        bound *= np.finfo(float).eps ** 2
+        np.multiply(off, off, out=mag)
+        off *= mag > bound
+        if not off.any():
+            return
 
 
 def _eig_apply(a: np.ndarray, *fns) -> tuple[np.ndarray, ...]:
     """``f(a)`` for each scalar function ``f``, per matrix of a stack.
 
-    One stacked ``eigh`` serves every ``f``, and each result is
+    One stacked :func:`_eigh` serves every ``f``, and each result is
     symmetrized.  An ``f`` may broadcast the eigenvalues against extra
     leading axes, such as a batch of geodesic fractions.
     """
-    w, v = np.linalg.eigh(_sym(a))
+    w, v = _eigh(_sym(a))
     vt = v.swapaxes(-1, -2)
     return tuple(_sym((v * f(w)[..., None, :]) @ vt) for f in fns)
 
 
 def _inv_sqrt(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(w)
+
+
+def _whitened_spectra(w: np.ndarray) -> np.ndarray:
+    """``w``, the eigenvalues of whitened pairs ``A^{-1/2} B A^{-1/2}``,
+    once every one is positive.  Near the eigenvalue floor, roundoff can
+    make a whitened matrix indefinite, and its log or power meaningless:
+    the first such pair is refused by its batch index."""
+    bad = (w <= 0.0).any(axis=-1)
+    if bad.any():
+        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise ValidationError(
+            f"spd pair at batch index {i} is too ill-conditioned: its "
+            f"whitened matrix has eigenvalue {float(w[i].min())!r} <= 0")
+    return w
 
 
 class Spd(TargetSpace):
@@ -609,9 +781,15 @@ class Spd(TargetSpace):
     ``A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}``.  All matrix functions go
     through a stacked eigendecomposition and every result is symmetrized
     before it is returned, so chains of operations cannot drift away from
-    symmetry.  ``distances`` and ``geodesic_points`` expect validated
+    symmetry.  For ``matrix_dim = 3`` the decomposition is the cyclic
+    Jacobi iteration of :func:`_jacobi3`, whose result for each matrix is
+    the same bit for bit whatever batch it comes in; other sizes go to
+    LAPACK.  ``distances`` and ``geodesic_points`` expect validated
     points, which ``_constrain`` leaves exactly symmetric, and do not copy
-    them into symmetric form again.
+    them into symmetric form again.  A pair of valid points whose whitened
+    matrix ``A^{-1/2} B A^{-1/2}`` has an eigenvalue <= 0 in floating
+    point (both near the eigenvalue floor) is refused with
+    :class:`~nlsp.errors.ValidationError`.
     """
 
     kind = "spd"
@@ -634,7 +812,7 @@ class Spd(TargetSpace):
                 f"max asymmetry {asym!r}")
         if asym > 0.0:
             arr = _sym(arr)
-        min_eig = float(np.linalg.eigvalsh(arr).min(initial=np.inf))
+        min_eig = float(_eigvalsh(arr).min(initial=np.inf))
         if min_eig <= SPD_MIN_EIG:
             raise ValidationError(
                 f"spd point must have eigenvalues above {SPD_MIN_EIG}, got "
@@ -645,7 +823,7 @@ class Spd(TargetSpace):
         ys = np.asarray(ys, float)
         zs = np.asarray(zs, float)
         (isqrt,) = _eig_apply(ys, _inv_sqrt)
-        logs = np.log(np.linalg.eigvalsh(_sym(isqrt @ zs @ isqrt)))
+        logs = np.log(_whitened_spectra(_eigvalsh(_sym(isqrt @ zs @ isqrt))))
         # Self-distance is exactly zero, not eigensolver dust.
         return np.where((ys == zs).all(axis=(-2, -1)), 0.0, _norms(logs))
 
@@ -653,14 +831,15 @@ class Spd(TargetSpace):
         t = _check_fractions(t)[..., None]
         sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
         (powed,) = _eig_apply(isqrt @ np.asarray(zs, float) @ isqrt,
-                              lambda w: np.power(w, t))
+                              lambda w: np.power(_whitened_spectra(w), t))
         return _sym(sqrt @ powed @ sqrt)
 
     def log_maps(self, ys, zs) -> np.ndarray:
         ys = np.asarray(ys, float)
         zs = np.asarray(zs, float)
         sqrt, isqrt = _eig_apply(ys, np.sqrt, _inv_sqrt)
-        (logm,) = _eig_apply(isqrt @ zs @ isqrt, np.log)
+        (logm,) = _eig_apply(isqrt @ zs @ isqrt,
+                             lambda w: np.log(_whitened_spectra(w)))
         # The log of a point at itself is exactly zero, not eigensolver dust.
         same = (ys == zs).all(axis=(-2, -1))[..., None, None]
         return np.where(same, 0.0, _sym(sqrt @ logm @ sqrt))

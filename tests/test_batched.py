@@ -582,6 +582,57 @@ def test_spd_eigenvalue_floor_inside_a_batch(factor, accepted):
             spd.as_points(batch)
 
 
+def _embedded(m: np.ndarray, d: float) -> np.ndarray:
+    """The 3x3 block-diagonal matrix ``diag(m, d)``."""
+    out = np.zeros((3, 3))
+    out[:2, :2] = m
+    out[2, 2] = d
+    return out
+
+
+#: Pairs that pass validation but whose whitened matrices come out
+#: indefinite in floating point: the first pair is fine, the second is not.
+#: ``(space, ys, zs, distance of the first pair)``.
+_INDEFINITE_WHITENED = {
+    "spd2_1e-9": (Spd(2),
+                  [_rotated((1.0, 1e-9), a) for a in (0.1, 0.7, 1.3)],
+                  [_rotated((2.0, 3e-9), b) for b in (0.4, 0.2, 2.9)],
+                  25.606335550785722),
+    "spd2_5e-10": (Spd(2),
+                   [_rotated((1.0, 5e-10), a) for a in (0.1, 0.7, 1.3)],
+                   [_rotated((2.0, 1.5e-9), b) for b in (0.4, 0.2, 2.9)],
+                   26.65796168901385),
+    "spd3_1e-9": (Spd(3),
+                  [_embedded(_rotated((1.0, 1e-9), a), 0.5)
+                   for a in (0.1, 0.7, 1.3)],
+                  [_embedded(_rotated((2.0, 3e-9), b), 1.0)
+                   for b in (0.4, 0.2, 2.9)],
+                  None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INDEFINITE_WHITENED))
+def test_spd_pair_with_an_indefinite_whitened_matrix_is_refused(case):
+    """Both points of each pair clear the eigenvalue floor, yet roundoff
+    leaves the second pair's ``A^{-1/2} B A^{-1/2}`` with an eigenvalue
+    <= 0: distance, geodesic and log refuse it by its batch index instead
+    of returning inf or NaN, and the first pair alone keeps its value."""
+    spd, ys, zs, first = _INDEFINITE_WHITENED[case]
+    ys, zs = spd.as_points(ys), spd.as_points(zs)
+    for kernel in (spd.distances, spd.log_maps,
+                   lambda a, b: spd.geodesic_points(a, b, 0.5)):
+        with pytest.raises(ValidationError,
+                           match=r"pair at batch index \(1,\) is too "
+                                 r"ill-conditioned.* <= 0"):
+            kernel(ys, zs)
+    alone = spd.distances(ys[:1], zs[:1])
+    assert np.all(np.isfinite(alone))
+    if first is not None:
+        assert alone[0] == pytest.approx(first, rel=1e-12)
+    assert np.all(np.isfinite(spd.geodesic_points(ys[:1], zs[:1], 0.5)))
+    assert np.all(np.isfinite(spd.log_maps(ys[:1], zs[:1])))
+
+
 def test_spd_batch_symmetrizes_only_within_tolerance():
     spd = Spd(2)
     nearly = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])

@@ -600,3 +600,154 @@ def test_plane_geodesic_is_distance_affine(a, b, s, t):
     gt = space.geodesic_point(a, b, t)
     expected = abs(t - s) * space.distance(a, b)
     assert space.distance(gs, gt) == pytest.approx(expected, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The 3x3 Jacobi eigensolver behind every SPD(3) matrix function
+# ---------------------------------------------------------------------------
+
+
+def _rotations(rng, n: int) -> np.ndarray:
+    """``n`` random rotation matrices (Haar, through a sign-fixed QR)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _random_stacks(rng, n: int) -> dict:
+    g = rng.standard_normal((n, 3, 3))
+    return {"spd": g @ g.swapaxes(-1, -2), "symmetric": g + g.swapaxes(-1, -2)}
+
+
+#: Known spectra: a spread of 1e8, repeated and nearly repeated values,
+#: an indefinite one and a triple eigenvalue.
+_SPECTRA = np.array([[1e-8, 0.5, 1.0], [1.0, 1.0, 2.0], [0.25, 2.0, 7.5],
+                     [1.0, 1.0 + 1e-12, 4.0], [-2.0, -2.0, 5.0],
+                     [-1.0, 0.0, 1.0], [3.0, 3.0, 3.0]])
+
+
+def test_jacobi_meets_an_oracle_of_known_spectra():
+    """``R diag(lam) R^T`` for random rotations ``R`` and known ``lam``:
+    the eigenvalues come back ascending within 1e-13 max|lam|, the
+    eigenvectors are orthonormal and reconstruct the matrix within 1e-15
+    (relative to max|lam|), and ``_eigvalsh`` returns ``_eigh``'s values."""
+    from nlsp.targets import _eigh, _eigvalsh
+    rng = np.random.default_rng(20261018)
+    lam = np.repeat(_SPECTRA, 300, axis=0)
+    r = _rotations(rng, len(lam))
+    a = _symmetric((r * lam[:, None, :]) @ r.swapaxes(-1, -2))
+    w, v = _eigh(a)
+    scale = np.abs(lam).max(axis=-1)
+    assert np.all(np.abs(w - lam).max(axis=-1) <= 1e-13 * scale)
+    assert np.all(np.diff(w, axis=-1) >= 0.0)
+    recon = (v * w[:, None, :]) @ v.swapaxes(-1, -2)
+    assert np.all(np.abs(recon - a).max(axis=(-2, -1)) <= 1e-15 * scale)
+    assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(3)).max() <= 1e-15
+    assert np.array_equal(_eigvalsh(a), w)
+
+
+@pytest.mark.parametrize("kind", ["spd", "symmetric"])
+def test_jacobi_agrees_with_lapack(kind):
+    """On 10,000 random SPD(3) and symmetric 3x3 matrices, eigenvalues
+    agree with LAPACK within 1e-12 ||A||, and each eigenvector, with its
+    sign matched, within 1e-12 ||A|| / (its eigenvalue's gap)."""
+    from nlsp.targets import _eigh, _eigvalsh
+    a = _random_stacks(np.random.default_rng(7), 10_000)[kind]
+    w, v = _eigh(a)
+    w_ref, v_ref = np.linalg.eigh(a)
+    norm = np.linalg.norm(a, 2, axis=(-2, -1))[:, None]
+    assert np.all(np.abs(w - w_ref) <= 1e-12 * norm)
+    assert np.all(np.abs(_eigvalsh(a) - np.linalg.eigvalsh(a)) <= 1e-12 * norm)
+    gaps = np.minimum(
+        np.diff(w_ref, axis=-1, prepend=-np.inf),
+        np.diff(w_ref, axis=-1, append=np.inf))
+    sign = np.sign(np.einsum("nij,nij->nj", v, v_ref))
+    err = np.abs(v * sign[:, None, :] - v_ref).max(axis=-2)
+    assert np.all(err * gaps <= 1e-12 * norm)
+
+
+def test_jacobi_results_do_not_depend_on_the_batch(monkeypatch):
+    """A matrix alone, in a slice of a batch, or across a chunk boundary
+    (the batch spans two chunks, then chunks of 7) decomposes to the same
+    bits: a converged matrix is never rotated again."""
+    import nlsp.targets as targets
+    rng = np.random.default_rng(11)
+    stacks = _random_stacks(rng, targets._JACOBI_CHUNK + 8)
+    batch = np.concatenate([stacks["spd"][:-8], [np.eye(3)],
+                            stacks["symmetric"][-7:]])
+    w, v = targets._eigh(batch)
+    values = targets._eigvalsh(batch)
+    edge = targets._JACOBI_CHUNK
+    for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(batch) - 1):
+        wi, vi = targets._eigh(batch[i])
+        assert np.array_equal(wi, w[i]) and np.array_equal(vi, v[i])
+        assert np.array_equal(targets._eigvalsh(batch[i]), values[i])
+    ws, vs = targets._eigh(batch[edge - 3:edge + 3])
+    assert np.array_equal(ws, w[edge - 3:edge + 3])
+    assert np.array_equal(vs, v[edge - 3:edge + 3])
+    monkeypatch.setattr(targets, "_JACOBI_CHUNK", 7)
+    w7, v7 = targets._eigh(batch)
+    assert np.array_equal(w7, w) and np.array_equal(v7, v)
+
+
+@pytest.mark.parametrize("matrix,expected", [
+    (np.eye(3), [1.0, 1.0, 1.0]),
+    (np.diag([5.0, -1.0, 2.0]), [-1.0, 2.0, 5.0]),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [-1.0, 0.0, 1.0]),
+    (np.zeros((3, 3)), [0.0, 0.0, 0.0]),
+], ids=["identity", "diagonal", "zero_diagonal_indefinite", "zero"])
+def test_jacobi_edge_matrices(matrix, expected):
+    """Exact spectra, ascending, with orthonormal vectors that reconstruct
+    the matrix; a diagonal matrix comes back as a permuted identity."""
+    from nlsp.targets import _eigh
+    a = np.asarray(matrix, float)
+    w, v = _eigh(a)
+    np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v.T @ v, np.eye(3), rtol=0, atol=1e-15)
+    np.testing.assert_allclose((v * w) @ v.T, a, rtol=0, atol=1e-15)
+    if np.array_equal(a, np.diag(np.diagonal(a))):
+        assert np.array_equal(np.abs(v).T @ np.diagonal(a), w)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0), (1,), (2, 3)])
+def test_jacobi_keeps_the_batch_shape(shape):
+    """Zero batch axes, empty batches and nested batches keep their shape."""
+    from nlsp.targets import _eigh, _eigvalsh
+    a = np.broadcast_to(np.diag([3.0, 1.0, 2.0]), shape + (3, 3))
+    w, v = _eigh(a)
+    assert w.shape == shape + (3,) and v.shape == shape + (3, 3)
+    assert _eigvalsh(a).shape == shape + (3,)
+    if w.size:
+        assert np.all(w == [1.0, 2.0, 3.0])
+
+
+def test_jacobi_returns_nan_for_nan_input_within_the_sweep_bound():
+    """A NaN entry gives NaN eigenvalues after at most ``_JACOBI_SWEEPS``
+    sweeps (LAPACK raises LinAlgError there instead), and leaves the other
+    matrices of its chunk as they are alone."""
+    from nlsp.targets import _eigh, _eigvalsh
+    bad = np.eye(3)
+    bad[1, 0] = bad[0, 1] = np.nan
+    good = _random_stacks(np.random.default_rng(3), 4)["spd"]
+    w, v = _eigh(np.concatenate([good[:2], [bad], good[2:]]))
+    assert np.all(np.isnan(w[2])) and np.all(np.isnan(v[2]))
+    assert np.all(np.isnan(_eigvalsh(bad)))
+    w_good, v_good = _eigh(good)
+    assert np.array_equal(np.delete(w, 2, axis=0), w_good)
+    assert np.array_equal(np.delete(v, 2, axis=0), v_good)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_jacobi_scales_exactly_by_powers_of_two(power):
+    """Entries near 1e180 or 1e-180, whose squares overflow or underflow,
+    decompose to the unscaled result times the same power of two, bit for
+    bit."""
+    from nlsp.targets import _eigh
+    a = _random_stacks(np.random.default_rng(5), 200)["symmetric"]
+    w, v = _eigh(a)
+    w_scaled, v_scaled = _eigh(np.ldexp(a, power))
+    assert np.array_equal(w_scaled, np.ldexp(w, power))
+    assert np.array_equal(v_scaled, v)
