@@ -29,7 +29,8 @@ from nlsp import (
     geodesic_safe_pair,
     trial_rng,
 )
-from nlsp.targets import make_target
+import nlsp.targets as targets
+from nlsp.targets import _eigh, _eigvalsh, make_target
 
 
 def all_spaces():
@@ -634,7 +635,6 @@ def test_jacobi_meets_an_oracle_of_known_spectra():
     the eigenvalues come back ascending within 1e-13 max|lam|, the
     eigenvectors are orthonormal and reconstruct the matrix within 1e-15
     (relative to max|lam|), and ``_eigvalsh`` returns ``_eigh``'s values."""
-    from nlsp.targets import _eigh, _eigvalsh
     rng = np.random.default_rng(20261018)
     lam = np.repeat(_SPECTRA, 300, axis=0)
     r = _rotations(rng, len(lam))
@@ -654,7 +654,6 @@ def test_jacobi_agrees_with_lapack(kind):
     """On 10,000 random SPD(3) and symmetric 3x3 matrices, eigenvalues
     agree with LAPACK within 1e-12 ||A||, and each eigenvector, with its
     sign matched, within 1e-12 ||A|| / (its eigenvalue's gap)."""
-    from nlsp.targets import _eigh, _eigvalsh
     a = _random_stacks(np.random.default_rng(7), 10_000)[kind]
     w, v = _eigh(a)
     w_ref, v_ref = np.linalg.eigh(a)
@@ -673,23 +672,22 @@ def test_jacobi_results_do_not_depend_on_the_batch(monkeypatch):
     """A matrix alone, in a slice of a batch, or across a chunk boundary
     (the batch spans two chunks, then chunks of 7) decomposes to the same
     bits: a converged matrix is never rotated again."""
-    import nlsp.targets as targets
     rng = np.random.default_rng(11)
     stacks = _random_stacks(rng, targets._JACOBI_CHUNK + 8)
     batch = np.concatenate([stacks["spd"][:-8], [np.eye(3)],
                             stacks["symmetric"][-7:]])
-    w, v = targets._eigh(batch)
-    values = targets._eigvalsh(batch)
+    w, v = _eigh(batch)
+    values = _eigvalsh(batch)
     edge = targets._JACOBI_CHUNK
     for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(batch) - 1):
-        wi, vi = targets._eigh(batch[i])
+        wi, vi = _eigh(batch[i])
         assert np.array_equal(wi, w[i]) and np.array_equal(vi, v[i])
-        assert np.array_equal(targets._eigvalsh(batch[i]), values[i])
-    ws, vs = targets._eigh(batch[edge - 3:edge + 3])
+        assert np.array_equal(_eigvalsh(batch[i]), values[i])
+    ws, vs = _eigh(batch[edge - 3:edge + 3])
     assert np.array_equal(ws, w[edge - 3:edge + 3])
     assert np.array_equal(vs, v[edge - 3:edge + 3])
     monkeypatch.setattr(targets, "_JACOBI_CHUNK", 7)
-    w7, v7 = targets._eigh(batch)
+    w7, v7 = _eigh(batch)
     assert np.array_equal(w7, w) and np.array_equal(v7, v)
 
 
@@ -702,7 +700,6 @@ def test_jacobi_results_do_not_depend_on_the_batch(monkeypatch):
 def test_jacobi_edge_matrices(matrix, expected):
     """Exact spectra, ascending, with orthonormal vectors that reconstruct
     the matrix; a diagonal matrix comes back as a permuted identity."""
-    from nlsp.targets import _eigh
     a = np.asarray(matrix, float)
     w, v = _eigh(a)
     np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
@@ -715,7 +712,6 @@ def test_jacobi_edge_matrices(matrix, expected):
 @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (1,), (2, 3)])
 def test_jacobi_keeps_the_batch_shape(shape):
     """Zero batch axes, empty batches and nested batches keep their shape."""
-    from nlsp.targets import _eigh, _eigvalsh
     a = np.broadcast_to(np.diag([3.0, 1.0, 2.0]), shape + (3, 3))
     w, v = _eigh(a)
     assert w.shape == shape + (3,) and v.shape == shape + (3, 3)
@@ -728,7 +724,6 @@ def test_jacobi_returns_nan_for_nan_input_within_the_sweep_bound():
     """A NaN entry gives NaN eigenvalues after at most ``_JACOBI_SWEEPS``
     sweeps (LAPACK raises LinAlgError there instead), and leaves the other
     matrices of its chunk as they are alone."""
-    from nlsp.targets import _eigh, _eigvalsh
     bad = np.eye(3)
     bad[1, 0] = bad[0, 1] = np.nan
     good = _random_stacks(np.random.default_rng(3), 4)["spd"]
@@ -745,7 +740,6 @@ def test_jacobi_scales_exactly_by_powers_of_two(power):
     """Entries near 1e180 or 1e-180, whose squares overflow or underflow,
     decompose to the unscaled result times the same power of two, bit for
     bit."""
-    from nlsp.targets import _eigh
     a = _random_stacks(np.random.default_rng(5), 200)["symmetric"]
     w, v = _eigh(a)
     w_scaled, v_scaled = _eigh(np.ldexp(a, power))
