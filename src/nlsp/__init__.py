@@ -8,6 +8,8 @@ jump-curve variation, and Skorokhod-style warping bounds — plus the
 deterministic experiment suites and CLI that certify the lot.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
@@ -39,16 +41,18 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    GeodesicSweep,
     LpGeodesic,
     constant_speed_residual,
     curvature_comparison_suite,
+    draw_geodesic_sweep,
     geodesic_safe_mapping_pair,
     geodesic_safe_pair,
     geodesic_speed_check,
+    geodesic_sweep,
     length_space_check,
     lp_geodesic,
     mapping_comparison_residual,
-    reparam_length_certificate,
     start_aligned_residuals,
 )
 from .mappings import (
@@ -145,119 +149,7 @@ from .transport import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BVTransportDecomposition",
-    "ConfigError",
-    "CounterexampleReport",
-    "CurveOfMappings",
-    "DEFAULT_TOLERANCES",
-    "DEFAULT_TREE_EDGES",
-    "D_pp",
-    "Euclidean",
-    "ExperimentConfig",
-    "FiniteMeasureSpace",
-    "GeodesicError",
-    "LpGeodesic",
-    "LpSpace",
-    "MappingFamily",
-    "MappingOfCurves",
-    "MetricMapping",
-    "MetricTree",
-    "NlspError",
-    "ProductGridMapping",
-    "RectangleApproximation",
-    "SampledCurve",
-    "SkorokhodBounds",
-    "SmoothLpPath",
-    "SpaceMismatchError",
-    "Spd",
-    "SpeedField",
-    "Sphere",
-    "StepCurve",
-    "SuiteResult",
-    "TargetSpace",
-    "TimeGrid",
-    "TransportDecomposition",
-    "UnsupportedOperationError",
-    "ValidationError",
-    "VariationMeasure",
-    "ae_equal",
-    "approximate_by_rectangles",
-    "atom_distances",
-    "atomwise_consistency_gap",
-    "atomwise_consistency_gaps",
-    "base_curve_of_mappings",
-    "base_mapping_of_curves",
-    "base_space_from_config",
-    "batch_speeds",
-    "build_config",
-    "bundle_norm",
-    "bundle_norms",
-    "check_p",
-    "compute_speed",
-    "constant_family",
-    "constant_in_time",
-    "constant_speed_reparam",
-    "constant_speed_residual",
-    "counterexample_curve",
-    "counterexample_family",
-    "counterexample_p1",
-    "curvature_comparison_suite",
-    "d_p",
-    "d_pp",
-    "decay_order",
-    "decompose_ac",
-    "decompose_bv",
-    "default_equality_tol",
-    "default_tree",
-    "derivative_identity_residual",
-    "derivative_identity_residuals",
-    "energy",
-    "geodesic_safe_mapping_pair",
-    "geodesic_safe_pair",
-    "geodesic_speed_check",
-    "length",
-    "length_space_check",
-    "load_config_file",
-    "lp_geodesic",
-    "map_trials",
-    "mapping_comparison_residual",
-    "mapping_from_jsonable",
-    "mapping_to_jsonable",
-    "metric_derivative",
-    "per_atom_derivatives",
-    "product_lp_norm",
-    "rectangular_simple",
-    "reparam_length_certificate",
-    "run_all",
-    "run_counterexample",
-    "run_curvature",
-    "run_fubini",
-    "run_geodesic",
-    "run_length",
-    "run_skorokhod",
-    "run_speed",
-    "run_transport",
-    "sample_smooth_path",
-    "sec_atom",
-    "sec_atom_inverse",
-    "sec_time",
-    "sec_time_inverse",
-    "skorokhod_distance",
-    "skorokhod_distances",
-    "speed_identity_residual",
-    "start_aligned_residuals",
-    "suite_key",
-    "sweep_smooth_paths",
-    "tangent_norms",
-    "transpose",
-    "transpose_inverse",
-    "trial_rng",
-    "uniform_grid",
-    "uniform_space",
-    "variation",
-    "variation_identity_residual",
-    "variation_identity_residuals",
-    "variation_measure",
-    "variations",
-]
+#: Every public name imported above; the submodules themselves stay out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

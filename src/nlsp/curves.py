@@ -14,8 +14,11 @@ variation and its jump measure; and two-sided bounds for the Skorokhod
 distance between step curves.  :func:`variations` reads the variation over
 many subintervals off one table of jumps or segment lengths.
 
-The Skorokhod upper bound is a dynamic program over pairs of warp knots,
-run for a batch of curve pairs at once (:func:`skorokhod_distances`):
+The Skorokhod upper bound is a dynamic program over pairs of warp knots
+that charges each warp segment every cell between its end knots, so it
+bounds the cost of the warp it returns without always being the cheapest
+such warp.  It runs for a batch of curve pairs at once
+(:func:`skorokhod_distances`):
 pairs with the same number of merged knots share one program, with the
 pairs on a leading axis, and a single pair is a batch of one.  Each cell
 takes the cheapest predecessor, ties resolved to the first in row-major
@@ -110,7 +113,7 @@ def metric_speeds(space, points, times) -> np.ndarray:
 def length(c: SampledCurve) -> float:
     """Chordal length: the sum of consecutive sample distances."""
     _require_multinode(c, "length")
-    return float(c.segment_lengths().sum())
+    return float(lengths(c.space, c.values))
 
 
 def energy(c: SampledCurve, p) -> float:
@@ -120,9 +123,27 @@ def energy(c: SampledCurve, p) -> float:
     """
     p = check_p(p, allow_inf=False)
     _require_multinode(c, "energy")
-    seg = c.segment_lengths()
-    dt = np.diff(c.times_array)
-    return float(np.sum(seg ** p / dt ** (p - 1.0)))
+    return float(energies(c.space, c.values, c.times_array, p))
+
+
+def lengths(space, points) -> np.ndarray:
+    """:func:`length` of a batch of samples along the first axis, with one
+    batched distance call; further batch axes are carried through."""
+    return _time_sums(space.distances(points[:-1], points[1:]))
+
+
+def energies(space, points, times, p: float) -> np.ndarray:
+    """:func:`energy` of a batch of samples along the first axis, for a
+    validated finite ``p``; further batch axes are carried through."""
+    seg = space.distances(points[:-1], points[1:])
+    dt = np.diff(times).reshape((-1,) + (1,) * (seg.ndim - 1))
+    return _time_sums(seg ** p / dt ** (p - 1.0))
+
+
+def _time_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, each over one contiguous row, so that every
+    batch entry is added in the order of a one-curve sum."""
+    return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
 
 
 def constant_speed_reparam(c: SampledCurve, eps: float) -> SampledCurve:
@@ -345,8 +366,8 @@ def variation_measure(c: StepCurve) -> VariationMeasure:
 class SkorokhodBounds:
     """Certified two-sided bounds on the Skorokhod distance.
 
-    ``upper`` is attained by the returned piecewise-linear time warp
-    (``input_knots`` -> ``output_knots``), so it is a true upper bound;
+    ``upper`` bounds the cost of the returned piecewise-linear time warp
+    (``input_knots`` -> ``output_knots``), and through it the distance;
     ``lower`` comes from the value-set mismatch of the two curves, which no
     time warp can repair.
     """
@@ -377,12 +398,16 @@ def skorokhod_distance(c: StepCurve, g: StepCurve,
 
     The distance is the infimum over increasing time warps ``lam`` of
     ``max(||lam||, sup_t d(c(t), g(lam(t))))`` where ``||lam||`` is the
-    largest absolute log-slope of the warp.  The upper bound optimizes
-    exactly over piecewise-linear warps whose knots come from both curves'
-    breakpoints plus a uniform grid with ``warp_grid`` cells, by dynamic
-    programming over knot pairs; doubling ``warp_grid`` only enlarges the
-    warp family, so the upper bound is monotone under refinement.  The
-    lower bound is the two-sided mismatch between the curves' value sets.
+    largest absolute log-slope of the warp.  The upper bound is a dynamic
+    program over piecewise-linear warps whose knots come from both curves'
+    breakpoints plus a uniform grid with ``warp_grid`` cells.  It charges
+    each warp segment the largest piece distance over the whole rectangle
+    of cells between its end knots, not only the cells the segment
+    crosses, so ``upper`` bounds the cost of the returned warp, and through
+    it the distance, but need not be the cheapest such warp.  Doubling
+    ``warp_grid`` only enlarges the warp family, so the upper bound is
+    monotone under refinement.  The lower bound is the two-sided mismatch
+    between the curves' value sets.
 
     This is :func:`skorokhod_distances` on a batch of one pair.
     """

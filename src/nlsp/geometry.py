@@ -1,11 +1,16 @@
 """Geodesics and curvature comparison in mapping spaces.
 
-Geodesics between two mappings are assembled atom by atom from target
-geodesics (:func:`lp_geodesic`); the assembled curve is constant-speed and
-satisfies ``D_p(c(s), c(t)) = |t - s|/(b - a) * D_p(f, g)`` at all node
-pairs, which :func:`constant_speed_residual` measures.  Curvature
-comparison transfers from the target to the mapping space with the same
-sign: :func:`curvature_comparison_suite` measures the squared-distance
+Geodesics between mappings are assembled atom by atom from target
+geodesics, for a batch of trials in one target call
+(:func:`geodesic_sweep`; :func:`draw_geodesic_sweep` draws the endpoints
+first).  Each assembled curve is constant-speed and satisfies
+``D_p(c(s), c(t)) = |t - s|/(b - a) * D_p(f, g)`` at all node pairs; a
+:class:`GeodesicSweep` scores this, and the energy bound, as one array
+over the trial axis per score.  A single geodesic (:func:`lp_geodesic`)
+is a sweep of one trial, whose scores :func:`constant_speed_residual` and
+:func:`geodesic_speed_check` read.  Curvature comparison transfers from
+the target to the mapping space with the same sign:
+:func:`curvature_comparison_suite` measures the squared-distance
 comparison residual on random quadruples, and the converse direction
 through the constant-mapping embedding.  :func:`length_space_check`
 measures the scaled energy of geodesics against their endpoint distance
@@ -21,12 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import reading
 from .curves import (
     SampledCurve,
     constant_speed_reparam,
+    energies,
     energy,
     length,
+    lengths,
     metric_speeds,
 )
 from .errors import GeodesicError, ValidationError
@@ -73,13 +79,152 @@ def _require_positive_mass(base_space: FiniteMeasureSpace, op: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
+class GeodesicSweep:
+    """The atomwise geodesics of a batch of trials: endpoints ``starts`` and
+    ``ends`` of shape ``(trial, atom, *point_shape)``, samples ``nodes`` of
+    shape ``(node, trial, atom, *point_shape)`` at ``times``.  Each score is
+    one array over the trial axis, with one batched call per kind."""
+
+    space: LpSpace
+    times: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    nodes: np.ndarray
+
+    def endpoint_distances(self) -> np.ndarray:
+        """``D_p(f, g)`` of every trial."""
+        return self.space.distances(self.starts, self.ends)
+
+    def constant_speed_residuals(self) -> np.ndarray:
+        """Per trial, ``max_{s<t} | D_p(c(t_s), c(t_t)) - (t_t - t_s)/(b - a)
+        * D |`` over all node pairs, where ``D`` is the endpoint distance."""
+        t, total = self.times, self.endpoint_distances()
+        worst = np.zeros(len(total))
+        # One start node per batched call: all node pairs at once would hold
+        # nodes^2 / 2 copies of every trial's atoms in memory.
+        for i in range(len(t) - 1):
+            expected = ((t[i + 1:] - t[i]) / (t[-1] - t[0]))[:, None] * total
+            gaps = np.abs(self.space.distances(self.nodes[i:i + 1],
+                                               self.nodes[i + 1:]) - expected)
+            worst = np.maximum(worst, gaps.max(axis=0))
+        return worst
+
+    def from_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """``D_p(c(a), c(t))`` per node and trial, and its residual
+        ``|D_p(c(a), c(t)) - (t - a)/(b - a) D|``."""
+        t = self.times
+        expected = ((t - t[0]) / (t[-1] - t[0]))[:, None] \
+            * self.endpoint_distances()
+        dists = self.space.distances(self.nodes[:1], self.nodes)
+        return dists, np.abs(dists - expected)
+
+    def atom_speed_deviations(self) -> np.ndarray:
+        """Per trial, the worst deviation of an atom's discrete metric
+        derivative from its target speed ``d_N(f_j, g_j) / (b - a)``."""
+        t, target = self.times, self.space.family.target
+        speed = target.distances(self.starts, self.ends) / (t[-1] - t[0])
+        md = metric_speeds(target, self.nodes, t)
+        return np.max(np.abs(md - speed), axis=(0, 2), initial=0.0)
+
+    def length_gaps(self) -> np.ndarray:
+        """Per trial, ``|length - D| / D``: length against endpoint distance."""
+        total = self.endpoint_distances()
+        return (np.abs(lengths(self.space, self.nodes) - total)
+                / np.maximum(total, 1e-300))
+
+    def scaled_energies(self) -> np.ndarray:
+        """Per trial, ``(b - a)^{p-1} E_p(c)``, for a finite ``p``."""
+        t, p = self.times, self.space.p
+        return float(t[-1] - t[0]) ** (p - 1.0) * energies(
+            self.space, self.nodes, t, p)
+
+    def distance_powers(self) -> np.ndarray:
+        """Per trial, ``D_p(f, g)^p``, a scalar power as ``d_p(f, g, p) ** p``."""
+        p = self.space.p
+        return np.array([d ** p for d in self.endpoint_distances().tolist()])
+
+
+def geodesic_sweep(family: MappingFamily, p, starts, ends,
+                   n_nodes: int = 33,
+                   interval: tuple[float, float] = (0.0, 1.0)
+                   ) -> GeodesicSweep:
+    """Assemble every trial's geodesic atom by atom from validated
+    ``(trial, atom)`` batches of endpoints.
+
+    Every atom takes the target geodesic between its endpoints, sampled at
+    ``n_nodes`` equally spaced times on ``interval``, all in one target
+    call.  A positive-weight atom without a unique target geodesic
+    (antipodal sphere endpoints) raises :class:`~nlsp.errors.GeodesicError`
+    naming the atom and its trial; a zero-weight one is held at its start,
+    which changes nothing almost everywhere.
+    """
+    space = LpSpace(family, p)
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 2:
+        raise ValidationError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
+    a, b = map(float, interval)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValidationError(f"need a finite interval a < b, got {interval!r}")
+    base, target = family.base_space, family.target
+    _require_positive_mass(base, "geodesic_sweep")
+    batch = starts.shape[:starts.ndim - len(target.point_shape)]
+    if len(batch) != 2 or batch[1] != len(base) or ends.shape != starts.shape:
+        raise ValidationError(
+            f"expected two (trial, atom) batches of {len(base)} atoms, got "
+            f"shapes {starts.shape} and {ends.shape}")
+
+    fractions = np.linspace(0.0, 1.0, int(n_nodes))
+    fractions[0], fractions[-1] = 0.0, 1.0
+    column = fractions.reshape((-1,) + (1,) * len(batch))
+    try:
+        nodes = target.geodesic_points(starts, ends, column)
+    except GeodesicError as exc:
+        undefined = np.broadcast_to(
+            exc.undefined, (len(fractions),) + batch).any(axis=0)
+        blocked = np.argwhere(undefined & (base.weights_array > 0.0))
+        if blocked.size:
+            trial, atom = blocked[0]
+            raise GeodesicError(
+                f"no unique geodesic on positive-weight atom "
+                f"{base.atom_ids[atom]!r} in trial {trial}: {exc}") from exc
+        # Zero-weight atoms travel from their start to their start.
+        held = undefined.reshape(batch + (1,) * len(target.point_shape))
+        nodes = target.geodesic_points(
+            starts, np.where(held, starts, ends), column)
+    return GeodesicSweep(space, a + (b - a) * fractions, starts, ends, nodes)
+
+
+def draw_geodesic_sweep(target: TargetSpace, base_space: FiniteMeasureSpace,
+                        p, seed: int, stream: str, trials: int,
+                        n_nodes: int = 33, setup: str | None = None
+                        ) -> GeodesicSweep:
+    """:func:`geodesic_sweep` of a drawn family and ``trials`` drawn pairs.
+
+    The family's base mapping comes from the stream ``(seed, setup, 0)``,
+    ``setup`` defaulting to ``"<stream>/setup"``; trial ``i`` draws its
+    endpoints from ``(seed, stream, i)``, with the bytes of a draw of that
+    trial alone, and the ``(trial, atom)`` batches are validated once.
+    """
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    trials = int(trials)
+    n = len(base_space)
+    family = MappingFamily(base_space, target, target.random_points(
+        trial_rng(seed, setup or f"{stream}/setup", 0), n))
+    ends = target.draw_geodesic_pairs(
+        trial_rngs(seed, stream, range(trials)), n)
+    return geodesic_sweep(family, p, *(target.as_points(e, (trials, n))
+                                       for e in ends), n_nodes)
+
+
+@dataclass(frozen=True, eq=False)
 class LpGeodesic:
     """A geodesic between two mappings, with its per-atom target geodesics.
 
     ``curve`` lives in the ``LpSpace`` ambient and holds one batch of shape
     ``(node, atom, *point_shape)``; ``per_atom_curves[j]`` reads atom ``j``
     of it, so both are views of one array of target points.  The slices
-    are built on first read: the batteries read ``curve`` alone.
+    and ``sweep``, the geodesic as a sweep of one trial, are built on first
+    read.
     """
 
     start: MetricMapping
@@ -90,16 +235,14 @@ class LpGeodesic:
     @cached_property
     def per_atom_curves(self) -> tuple[SampledCurve, ...]:
         c = self.curve
-        return tuple(SampledCurve(self.family.target, c.times, series)
+        return tuple(SampledCurve(c.space.family.target, c.times, series)
                      for series in c.values.swapaxes(0, 1))
 
-    @property
-    def family(self) -> MappingFamily:
-        return self.start.family
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return self.curve.interval
+    @cached_property
+    def sweep(self) -> GeodesicSweep:
+        c = self.curve
+        return GeodesicSweep(c.space, c.times_array, self.start.values[None],
+                             self.end.values[None], c.values[:, None])
 
     def endpoint_distance(self) -> float:
         return d_p(self.start, self.end, self.p)
@@ -108,100 +251,40 @@ class LpGeodesic:
 def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
                 n_nodes: int = 33,
                 interval: tuple[float, float] = (0.0, 1.0)) -> LpGeodesic:
-    """Assemble the geodesic from ``f`` to ``g`` atom by atom.
-
-    Every atom takes the target geodesic between its endpoints, sampled at
-    ``n_nodes`` equally spaced times on ``interval``; one batched target
-    call covers all atoms and nodes.  A positive-weight atom without a
-    unique target geodesic (antipodal sphere endpoints) is a real
-    obstruction and raises :class:`~nlsp.errors.GeodesicError` naming
-    the atom; a zero-weight atom with the same defect is repaired by
-    holding it constant, which changes nothing almost everywhere.
-    """
+    """The geodesic from ``f`` to ``g``: :func:`geodesic_sweep` of one
+    trial."""
     if not isinstance(f, MetricMapping) or not isinstance(g, MetricMapping):
         raise ValidationError("lp_geodesic expects two MetricMapping endpoints")
     if f.family is not g.family:
         raise ValidationError(
             "geodesic endpoints must come from the same mapping family")
-    p = check_p(p)
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 2:
-        raise ValidationError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
-    a, b = map(float, interval)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValidationError(f"need a finite interval a < b, got {interval!r}")
-    family = f.family
-    _require_positive_mass(family.base_space, "lp_geodesic")
+    sweep = geodesic_sweep(f.family, p, f.values[None], g.values[None],
+                           n_nodes, interval)
+    return LpGeodesic(start=f, end=g, p=sweep.space.p, curve=SampledCurve(
+        sweep.space, sweep.times, sweep.nodes[:, 0]))
 
-    tgt = family.target
-    space = family.base_space
-    fractions = np.linspace(0.0, 1.0, int(n_nodes))
-    fractions[0], fractions[-1] = 0.0, 1.0
-    times = tuple(float(t) for t in a + (b - a) * fractions)
 
-    ys, zs = f.values, g.values
-    try:
-        nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
-    except GeodesicError as exc:
-        undefined = np.broadcast_to(
-            exc.undefined, (len(fractions), len(space))).any(axis=0)
-        blocked = np.flatnonzero(undefined & (space.weights_array > 0.0))
-        if blocked.size:
-            raise GeodesicError(
-                f"no unique geodesic on positive-weight atom "
-                f"{space.atom_ids[blocked[0]]!r}: {exc}") from exc
-        # Zero-weight atoms travel from their start to their start.
-        zs = np.where(undefined.reshape((-1,) + (1,) * (ys.ndim - 1)), ys, zs)
-        nodes = tgt.geodesic_points(ys, zs, fractions[:, None])
-
-    return LpGeodesic(start=f, end=g, p=p,
-                      curve=SampledCurve(LpSpace(family, p), times, nodes))
+def _sweep_of(geo: LpGeodesic) -> GeodesicSweep:
+    if not isinstance(geo, LpGeodesic):
+        raise ValidationError(f"expected an LpGeodesic, got {type(geo).__name__}")
+    return geo.sweep
 
 
 def constant_speed_residual(geo: LpGeodesic) -> float:
-    """Worst deviation from exact linearity of the mapping-space distance.
-
-    Returns ``max_{s<t} | D_p(c(t_s), c(t_t)) - (t_t - t_s)/(b - a) * D |``
-    over all node pairs, where ``D`` is the endpoint distance.
-    """
-    if not isinstance(geo, LpGeodesic):
-        raise ValidationError(f"expected an LpGeodesic, got {type(geo).__name__}")
-    curve = geo.curve
-    t = curve.times_array
-    a, b = geo.interval
-    total = geo.endpoint_distance()
-    worst = [0.0]
-    # One start node per batched call: all node pairs at once would hold
-    # nodes^2 / 2 copies of a mapping's atoms in memory.
-    for i in range(len(t) - 1):
-        expected = (t[i + 1:] - t[i]) / (b - a) * total
-        gaps = np.abs(curve.space.distances(curve.values[i:i + 1],
-                                            curve.values[i + 1:]) - expected)
-        worst.append(float(gaps.max()))
-    return reading(worst)
+    """Worst deviation from exact linearity of the mapping-space distance:
+    :meth:`GeodesicSweep.constant_speed_residuals` of one trial."""
+    return float(_sweep_of(geo).constant_speed_residuals()[0])
 
 
 def start_aligned_residuals(geo: LpGeodesic) -> np.ndarray:
     """Per-node residual against the start: ``|D_p(c(a), c(t)) - s(t) D|``."""
-    curve = geo.curve
-    a, b = geo.interval
-    expected = (curve.times_array - a) / (b - a) * geo.endpoint_distance()
-    return np.abs(curve.space.distances(curve.values[:1], curve.values)
-                  - expected)
+    return _sweep_of(geo).from_start()[1][:, 0]
 
 
 def geodesic_speed_check(geo: LpGeodesic) -> float:
-    """Worst per-atom deviation from the constant target speed.
-
-    Compares each atom curve's discrete metric derivative at every node
-    with ``d_N(f_j, g_j) / (b - a)``.
-    """
-    if not isinstance(geo, LpGeodesic):
-        raise ValidationError(f"expected an LpGeodesic, got {type(geo).__name__}")
-    a, b = geo.interval
-    tgt = geo.family.target
-    speed = tgt.distances(geo.start.values, geo.end.values) / (b - a)
-    md = metric_speeds(tgt, geo.curve.values, geo.curve.times_array)
-    return float(np.max(np.abs(md - speed), initial=0.0))
+    """Worst per-atom deviation from the constant target speed:
+    :meth:`GeodesicSweep.atom_speed_deviations` of one trial."""
+    return float(_sweep_of(geo).atom_speed_deviations()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +411,8 @@ def length_space_check(target: TargetSpace, base_space: FiniteMeasureSpace,
 
     Returns the per-trial arrays ``(scaled_energy, distance_power)``; trial
     ``i`` joins two mappings drawn from the stream ``(seed,
-    "length/<kind>/p=<p>", i)``.  The bound and its equality are judged by
+    "length/<kind>/p=<p>", i)``, all trials in one
+    :func:`draw_geodesic_sweep`.  The bound and its equality are judged by
     :func:`nlsp.suites.run_length`.  ``p`` must be finite with ``p > 1``
     (the scaling ``(b - a)^{p-1}`` is vacuous at ``p = 1`` and the energy
     is undefined at ``p = inf``).
@@ -336,25 +420,10 @@ def length_space_check(target: TargetSpace, base_space: FiniteMeasureSpace,
     p = check_p(p, allow_inf=False)
     if p <= 1.0:
         raise ValidationError(f"length_space_check requires p > 1, got {p!r}")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    _require_positive_mass(base_space, "length_space_check")
-
-    setup = trial_rng(seed, f"length/{target.kind}/setup", 0)
-    family = MappingFamily(base_space, target,
-                           target.random_points(setup, len(base_space)))
-
-    rows = []
-    ends = target.draw_geodesic_pairs(
-        trial_rngs(seed, f"length/{target.kind}/p={p!r}", range(int(trials))),
-        len(base_space))
-    for fv, gv in zip(*ends):
-        f, g = MetricMapping(family, fv), MetricMapping(family, gv)
-        geo = lp_geodesic(f, g, p, n_nodes=n_nodes)
-        a, b = geo.interval
-        rows.append(((b - a) ** (p - 1.0) * energy(geo.curve, p),
-                     d_p(f, g, p) ** p))
-    return tuple(np.array(rows).T)
+    sweep = draw_geodesic_sweep(
+        target, base_space, p, seed, f"length/{target.kind}/p={p!r}", trials,
+        n_nodes, setup=f"length/{target.kind}/setup")
+    return sweep.scaled_energies(), sweep.distance_powers()
 
 
 def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):
@@ -372,17 +441,3 @@ def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):
     a, b = re.interval
     return re, total, [(b - a) ** (p - 1.0) * energy(re, p) / total ** p
                        for p in p_values]
-
-
-def reparam_length_certificate(curve: SampledCurve, p, eps: float
-                               ) -> tuple[float, float]:
-    """Reparametrize and report ``((b-a)^{p-1} E_p / L^p, (1 + eps)^p)``.
-
-    The first component is the achieved energy ratio after constant-speed
-    reparametrization with slack ``eps``; the certification is that it does
-    not exceed the second component (for curves of length not far below 1
-    the additive slack converts to at most this multiplicative budget).
-    """
-    p = check_p(p, allow_inf=False)
-    _, _, (ratio,) = reparam_energy_ratios(curve, (p,), eps)
-    return float(ratio), float((1.0 + float(eps)) ** p)

@@ -38,25 +38,20 @@ from .curves import (
 )
 from .errors import ConfigError, ValidationError
 from .geometry import (
-    constant_speed_residual,
     curvature_comparison_suite,
-    geodesic_safe_mapping_pair,
-    geodesic_speed_check,
+    draw_geodesic_sweep,
     length_space_check,
-    lp_geodesic,
     reparam_energy_ratios,
-    start_aligned_residuals,
 )
 from .mappings import (
     FiniteMeasureSpace,
     LpSpace,
     MappingFamily,
-    MetricMapping,
     ProductGridMapping,
     TimeGrid,
     product_lp_norm,
 )
-from .rng import trial_rng, trial_rngs, uniforms
+from .rng import trial_rngs, uniforms
 from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
 from .speed import atomwise_consistency_gaps, batch_speeds
 from .targets import (FLAT, GLOBAL_NNC, GLOBAL_NPC, Euclidean, MetricTree,
@@ -666,26 +661,13 @@ def run_geodesic(seed: int = 7, trials: int = 3,
         base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (1.0, 2.0, 1.0))
     combos = [(t, p, f"geodesic/{t.kind}/p={p!r}")
               for t in targets for p in p_values]
-    trace_rows = [["t", "distance_from_start", "constant_speed_residual"]]
 
     def one_combo(idx: int):
         target, p, stream = combos[idx]
-        setup = trial_rng(seed, f"{stream}/setup", 0)
-        family = MappingFamily(
-            base_space, target, target.random_points(setup, len(base_space)))
-        out = []
-        ends = target.draw_geodesic_pairs(
-            trial_rngs(seed, stream, range(int(trials))), len(base_space))
-        for fv, gv in zip(*ends):
-            geo = lp_geodesic(MetricMapping(family, fv),
-                              MetricMapping(family, gv), p,
-                              n_nodes=int(n_nodes))
-            csr = constant_speed_residual(geo)
-            atom_dev = geodesic_speed_check(geo)
-            total = geo.endpoint_distance()
-            len_rel = abs(length(geo.curve) - total) / max(total, 1e-300)
-            out.append((csr, atom_dev, len_rel))
-        return out
+        sweep = draw_geodesic_sweep(target, base_space, p, seed, stream,
+                                    int(trials), int(n_nodes))
+        return (sweep.constant_speed_residuals(),
+                sweep.atom_speed_deviations(), sweep.length_gaps())
 
     gates = (
         ("geodesic_constant_speed", "node-pair linearity residual",
@@ -699,27 +681,26 @@ def run_geodesic(seed: int = 7, trials: int = 3,
     for (target, p, stream), results in zip(
             combos, map_trials(one_combo, len(combos))):
         for (name, what, why), scores, pool in zip(
-                gates, zip(*results), (csr, atom_dev, len_rel)):
-            pool += scores
+                gates, results, (csr, atom_dev, len_rel)):
+            pool += scores.tolist()
             checks.append(Check(f"{target.kind}/p={p}.{name}", scores,
                                 residual_tol, MAX, what, why, stream))
 
-    # Representative trace for the CSV artifact (first target, p = 2).
-    setup = trial_rng(seed, "geodesic/trace/setup", 0)
-    family = MappingFamily(
-        base_space, trace_target,
-        trace_target.random_points(setup, len(base_space)))
-    geo = lp_geodesic(*geodesic_safe_mapping_pair(
-        family, trial_rng(seed, "geodesic/trace", 0)), 2.0, n_nodes=int(n_nodes))
-    from_start = geo.curve.space.distances(geo.curve.values[:1], geo.curve.values)
-    trace_rows += [[t, float(d), float(r)] for t, d, r in zip(
-        geo.curve.times, from_start, start_aligned_residuals(geo))]
+    # Representative trace for the CSV artifact (first target, p = 2): the
+    # sweep of one trial.
+    trace = draw_geodesic_sweep(trace_target, base_space, 2.0, seed,
+                                "geodesic/trace", 1, int(n_nodes))
+    from_start, residuals = trace.from_start()
+    trace_rows = [["t", "distance_from_start", "constant_speed_residual"]]
+    trace_rows += [[t, d, r] for t, d, r in zip(
+        trace.times.tolist(), from_start[:, 0].tolist(),
+        residuals[:, 0].tolist())]
 
     return SuiteResult(
         name="geodesic",
         metrics={
             "targets": [t.kind for t in targets],
-            "p_values": [float(p) for p in p_values],
+            "p_values": [order_jsonable(p) for p in p_values],
             "trials": int(trials),
             "n_nodes": int(n_nodes),
             "max_constant_speed_residual": reading(csr),

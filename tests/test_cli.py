@@ -96,6 +96,27 @@ def test_geodesic_subcommand_with_configured_target(runner, tmp_path):
     assert max(residuals) < 1e-9
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("geodesic", {"p": "inf", "trials": 1, "grid": 5}),
+    ("fubini", {"p": "inf", "trials": 1}),
+], ids=["geodesic", "fubini"])
+def test_summary_at_p_inf_is_strict_json(runner, tmp_path, command, settings):
+    """An infinite exponent is written as the string "inf": the summary
+    parses with a parser that refuses Infinity and NaN."""
+    cfg = write_json(tmp_path, "cfg.json", settings)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                         parse_constant=_refuse_constant)
+    assert summary["suites"][command]["metrics"]["p_values"][-1] == "inf"
+
+
 def test_tolerance_flag_can_force_a_failure(runner, tmp_path):
     """An impossible tolerance turns a passing battery into exit 1 and
     the failure names land on stderr and in summary.json."""

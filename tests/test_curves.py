@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsp import curves
+from nlsp.rng import trial_rngs
+from nlsp.suites import random_step_curve
 from nlsp import (
     Euclidean,
     SampledCurve,
@@ -380,6 +382,44 @@ def test_skorokhod_bounds_sandwich_and_refine():
         assert coarse.lower <= coarse.upper + 1e-12
         assert fine.upper <= coarse.upper + 1e-12
         assert fine.lower <= fine.upper + 1e-12
+
+
+def _warp_cost(c: StepCurve, g: StepCurve, xs, ys) -> float:
+    """The exact cost ``max(||lam||, sup_t d(c(t), g(lam(t))))`` of the
+    piecewise-linear warp ``lam`` through the knots ``xs -> ys``.
+
+    On each cell between ``c``'s breakpoints and the preimages of ``g``'s,
+    both ``c`` and ``g(lam)`` are constant; with right-continuous curves
+    the value at a cut is that of the cell to its right."""
+    xs, ys = np.array(xs), np.array(ys)
+    slopes = np.abs(np.log(np.diff(ys) / np.diff(xs)))
+    cuts = np.union1d(c.breakpoints, np.interp(g.breakpoints, ys, xs))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    gaps = c.space.distances(c.value_at(mids),
+                             g.value_at(np.interp(mids, xs, ys)))
+    return float(max(slopes.max(), gaps.max()))
+
+
+def test_skorokhod_upper_bounds_the_cost_of_its_warp():
+    """On the skorokhod battery's 200 pairs (seed 7), ``upper`` bounds the
+    exact cost of the returned warp.  It is not the optimum over warps with
+    the merged knots: the program charges a segment every cell of the
+    rectangle between its end knots, and pair 61's warp through the first
+    inner breakpoints of both curves costs 0.025 less."""
+    drawn = [tuple(random_step_curve(
+        E1, lambda k: rng.uniform(0.0, 2.0, (k, 1)), rng,
+        pieces=2 + (i + shift) % 3) for shift in (0, 1))
+        for i, rng in enumerate(trial_rngs(7, "skorokhod/pairs", range(200)))]
+    bounds = skorokhod_distances(drawn, warp_grid=8)
+    for (c, g), b in zip(drawn, bounds):
+        assert _warp_cost(c, g, b.input_knots, b.output_knots) \
+            <= b.upper + 1e-12
+    c, g = drawn[61]
+    x, y = c.breakpoints[1], g.breakpoints[1]
+    cheaper = _warp_cost(c, g, (0.0, x, 1.0), (0.0, y, 1.0))
+    assert cheaper == pytest.approx(math.log((1.0 - y) / (1.0 - x)),
+                                    abs=1e-12)
+    assert cheaper < bounds[61].upper - 0.02
 
 
 def test_skorokhod_upper_converges_for_three_piece_curves():

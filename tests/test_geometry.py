@@ -1,10 +1,11 @@
 """Tests for geodesics, curvature-sign transfer, and length structure.
 
 Covers atomwise geodesics between mappings (constant speed, length
-equals distance, antipodal handling, interval invariance), the
-quadrilateral comparison residual at the mapping level, the
-curvature-class comparison battery, the energy/length equality check,
-and the reparametrization energy budget.
+equals distance, antipodal handling, interval invariance), the batched
+geodesic sweep against the per-trial path, the quadrilateral comparison
+residual at the mapping level, the curvature-class comparison battery,
+the energy/length equality check, and the reparametrization energy
+budget.
 """
 
 from __future__ import annotations
@@ -26,21 +27,25 @@ from nlsp import (
     ValidationError,
     constant_speed_residual,
     curvature_comparison_suite,
+    d_p,
     decompose_ac,
     default_equality_tol,
     default_tree,
+    draw_geodesic_sweep,
+    energy,
     geodesic_safe_mapping_pair,
     geodesic_safe_pair,
     geodesic_speed_check,
+    geodesic_sweep,
     length,
     length_space_check,
     lp_geodesic,
     mapping_comparison_residual,
-    reparam_length_certificate,
     run_curvature,
     start_aligned_residuals,
     trial_rng,
 )
+from nlsp.geometry import reparam_energy_ratios
 from nlsp.suites import LENGTH_KAPPA
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -198,6 +203,97 @@ def test_zero_mass_base_space_is_rejected():
         curvature_comparison_suite(sphere, base, trials=5)
 
 
+SWEEP_TARGETS = {"euclidean": Euclidean(2), "sphere": Sphere(3),
+                 "spd2": Spd(2), "spd3": Spd(3), "metric_tree": default_tree()}
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.5)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("name", sorted(SWEEP_TARGETS))
+def test_sweep_scores_equal_the_per_trial_path(name, p, interval):
+    """Every score of a drawn sweep of three trials equals, bit for bit,
+    that of the per-trial path: the family and each trial's endpoints
+    drawn alone, one lp_geodesic per trial, then its single-geodesic
+    scores, curve length and energy, and d_p ** p."""
+    target = SWEEP_TARGETS[name]
+    base = FiniteMeasureSpace(("x0", "x1", "x2"), (0.75, 1.25, 0.5))
+    stream, n = f"test/sweep/{name}", len(base)
+    family = MappingFamily(base, target, target.random_points(
+        trial_rng(5, f"{stream}/setup", 0), n))
+    drawn = draw_geodesic_sweep(target, base, p, 5, stream, 3, 9)
+    assert drawn.space.family.base_values.tobytes() \
+        == family.base_values.tobytes()
+    sweep = geodesic_sweep(drawn.space.family, p, drawn.starts, drawn.ends,
+                           9, interval)
+    if interval == (0.0, 1.0):
+        assert sweep.nodes.tobytes() == drawn.nodes.tobytes()
+    scores = {"csr": sweep.constant_speed_residuals(),
+              "atom": sweep.atom_speed_deviations(),
+              "gap": sweep.length_gaps(),
+              "from_start": sweep.from_start()[1]}
+    if math.isfinite(p):
+        scores.update(energy=sweep.scaled_energies(),
+                      power=sweep.distance_powers())
+    assert all(v.shape[-1] == 3 for v in scores.values())
+    a, b = interval
+    for i in range(3):
+        f, g = (MetricMapping(family, e) for e in
+                target.random_geodesic_pairs(trial_rng(5, stream, i), n))
+        assert drawn.starts[i].tobytes() == f.values.tobytes()
+        assert drawn.ends[i].tobytes() == g.values.tobytes()
+        geo = lp_geodesic(f, g, p, n_nodes=9, interval=interval)
+        assert sweep.nodes[:, i].tobytes() == geo.curve.values.tobytes()
+        total = d_p(f, g, p)
+        assert scores["csr"][i] == constant_speed_residual(geo)
+        assert scores["atom"][i] == geodesic_speed_check(geo)
+        assert scores["gap"][i] \
+            == abs(length(geo.curve) - total) / max(total, 1e-300)
+        assert scores["from_start"][:, i].tobytes() \
+            == start_aligned_residuals(geo).tobytes()
+        if math.isfinite(p):
+            assert scores["energy"][i] \
+                == (b - a) ** (p - 1.0) * energy(geo.curve, p)
+            assert scores["power"][i] == total ** p
+
+
+def _antipodal_sweep(weights):
+    """A two-atom sphere sweep of three trials; atom 'a' of trial 1 has
+    antipodal endpoints."""
+    fam = MappingFamily(FiniteMeasureSpace(("a", "b"), weights), Sphere(3),
+                        (E1, E2))
+    starts = np.array([[E1, E2], [E1, E2], [E2, E3]])
+    ends = np.array([[E2, E3], [-E1, E3], [E3, E1]])
+    return fam, starts, ends, geodesic_sweep(fam, 2.0, starts, ends, 5)
+
+
+def test_sweep_holds_a_zero_weight_antipodal_atom_at_its_start():
+    """The weightless antipodal atom stays at its start in its trial; the
+    other trials' nodes are those of a sweep without that trial."""
+    fam, starts, ends, sweep = _antipodal_sweep((0.0, 2.0))
+    assert np.array_equal(sweep.nodes[:, 1, 0],
+                          np.broadcast_to(E1, (5, 3)))
+    others = geodesic_sweep(fam, 2.0, starts[[0, 2]], ends[[0, 2]], 5)
+    assert sweep.nodes[:, [0, 2]].tobytes() == others.nodes.tobytes()
+    assert sweep.nodes[:, 1, 1].tobytes() == geodesic_sweep(
+        fam, 2.0, starts[1:2], ends[1:2], 5).nodes[:, 0, 1].tobytes()
+    assert sweep.constant_speed_residuals().max() < 1e-9
+
+
+def test_sweep_refuses_endpoints_without_a_trial_axis():
+    """One mapping's values are not a batch of trials."""
+    fam, starts, ends, _ = _antipodal_sweep((0.0, 2.0))
+    with pytest.raises(ValidationError, match=r"\(trial, atom\) batches"):
+        geodesic_sweep(fam, 2.0, starts[0], ends[0], 5)
+
+
+def test_sweep_names_a_positive_weight_antipodal_atom():
+    """With weight on it, the same atom has no geodesic, and the error
+    names the atom and its trial."""
+    with pytest.raises(GeodesicError,
+                       match="positive-weight atom 'a' in trial 1"):
+        _antipodal_sweep((1.0, 2.0))
+
+
 def test_geodesic_safe_pairs_avoid_degenerate_endpoints():
     """Safe pairs are distinct and, on the sphere, never antipodal."""
     sphere = Sphere(3)
@@ -346,13 +442,13 @@ def test_default_equality_tol_by_target_class():
     assert default_equality_tol(Spd(2)) == 1e-8
 
 
-def test_reparam_length_certificate_budget():
-    """The certified energy ratio never exceeds its (1 + eps)^p budget."""
+def test_reparam_energy_ratios_meet_the_budget():
+    """The retimed geodesic's energy ratio never exceeds (1 + eps)^p."""
     rng = trial_rng(0, "test/certificate", 0)
     fam = three_atom_family(Spd(2), rng)
     f, g = geodesic_safe_mapping_pair(fam, rng)
     geo = lp_geodesic(f, g, 2.0, n_nodes=17)
-    for p in (1.5, 2.0, 3.0):
-        ratio, budget = reparam_length_certificate(geo.curve, p, 1e-6)
-        assert budget == pytest.approx((1.0 + 1e-6) ** p, abs=1e-12)
-        assert ratio <= budget
+    p_values = (1.5, 2.0, 3.0)
+    _, _, ratios = reparam_energy_ratios(geo.curve, p_values, 1e-6)
+    for p, ratio in zip(p_values, ratios):
+        assert ratio <= (1.0 + 1e-6) ** p

@@ -448,6 +448,8 @@ CONTAINERS = {
     "StepCurve": _step_curve,
     "LpGeodesic": lambda k: lp_geodesic(*_two_plane_mappings(k), 2.0,
                                         n_nodes=3),
+    "GeodesicSweep": lambda k: lp_geodesic(*_two_plane_mappings(k), 2.0,
+                                           n_nodes=3).sweep,
     "TransportDecomposition": lambda k: decompose_ac(_lp_curve(k), 2.0),
     "BVTransportDecomposition": lambda k: decompose_bv(_step_curve(k)),
     "SpeedField": lambda k: compute_speed(decompose_ac(_lp_curve(k), 2.0)),
