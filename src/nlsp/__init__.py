@@ -47,13 +47,11 @@ from .geometry import (
     curvature_comparison_suite,
     draw_geodesic_sweep,
     geodesic_safe_mapping_pair,
-    geodesic_safe_pair,
     geodesic_speed_check,
     geodesic_sweep,
     length_space_check,
     lp_geodesic,
     mapping_comparison_residual,
-    start_aligned_residuals,
 )
 from .mappings import (
     FiniteMeasureSpace,
@@ -82,8 +80,6 @@ from .sections import (
     MappingOfCurves,
     RectangleApproximation,
     approximate_by_rectangles,
-    base_curve_of_mappings,
-    base_mapping_of_curves,
     d_pp,
     sec_atom,
     sec_atom_inverse,
@@ -142,7 +138,6 @@ from .transport import (
     decompose_bv,
     derivative_identity_residual,
     derivative_identity_residuals,
-    per_atom_derivatives,
     variation_identity_residual,
     variation_identity_residuals,
 )

@@ -115,7 +115,7 @@ def _run(cfg: ExperimentConfig, command: str, battery: Battery, **kwargs):
         value = getattr(cfg, name)
         if value is not None:
             kwargs[arg] = convert(value)
-    _finish(cfg, [battery(cfg.seed, cfg.effective_tolerances(), **kwargs)])
+    _finish(cfg, [battery(cfg.seed, cfg.tolerances, **kwargs)])
 
 
 def common_options(fn):
@@ -199,7 +199,7 @@ def transport(cfg: ExperimentConfig, counterexample_p1: bool,
 def all_suites(cfg: ExperimentConfig):
     """Run every suite in canonical order."""
     _reject_unused(cfg, "all")
-    _finish(cfg, run_all(seed=cfg.seed, tolerances=cfg.effective_tolerances()))
+    _finish(cfg, run_all(seed=cfg.seed, tolerances=cfg.tolerances))
 
 
 if __name__ == "__main__":

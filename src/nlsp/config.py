@@ -1,15 +1,18 @@
 """Experiment configuration: defaults, JSON loading, validation.
 
-Configuration files are flat JSON objects.  Unknown keys are rejected, and
-every diagnostic names the offending field and, where recoverable, the line
-in the file.  Command-line flags override file values, which override the
-documented defaults.
+Configuration files are flat JSON objects.  Unknown and duplicate keys are
+rejected, and every diagnostic names the offending field and, where
+recoverable, the line in the file.  Command-line flags override file
+values, which override the documented defaults; both go through the same
+validator of :data:`FIELDS`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,8 +20,9 @@ from .errors import ConfigError, NlspError
 from .mappings import FiniteMeasureSpace, check_p
 from .targets import TargetSpace, make_target
 
-#: Default check tolerances, overridable per run via ``tolerances`` in a
-#: config file or repeated ``--tolerance NAME=VALUE`` flags.  ``None`` means
+#: The one definition of each check tolerance's default.  A run overrides
+#: some by name (``tolerances`` in a config file, ``--tolerance NAME=VALUE``
+#: flags, or a ``run_*`` function's ``tolerances`` mapping).  ``None`` means
 #: the check derives its tolerance from the objects involved (the geodesic
 #: energy-equality tolerance depends on the target's curvature class).
 DEFAULT_TOLERANCES: dict[str, float | None] = {
@@ -36,17 +40,24 @@ DEFAULT_TOLERANCES: dict[str, float | None] = {
     "skorokhod_example": 1e-3,
 }
 
-_ALLOWED_KEYS = ("seed", "target", "base", "p", "grid", "trials",
-                 "tolerances", "output")
+
+def _line_of(text: str, key: str, nth: int = 0) -> int | None:
+    """Best-effort line number of the ``nth`` occurrence of ``key`` as an
+    object key (a quoted name and a colon, never a string value)."""
+    starts = [m.start() for m in re.finditer(
+        re.escape(json.dumps(key)) + r"\s*:", text)]
+    return text.count("\n", 0, starts[nth]) + 1 if nth < len(starts) else None
 
 
-def _line_of(text: str, key: str) -> int | None:
-    """Best-effort line number of a JSON key, for diagnostics."""
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+def _unique_keys(text: str, pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses a key repeated in one object."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate key {key!r}", field=key,
+                              line=_line_of(text, key, 1))
+        out[key] = value
+    return out
 
 
 def _require_int(value, name: str, minimum: int, line: int | None = None) -> int:
@@ -195,6 +206,22 @@ def base_space_from_config(data, line: int | None = None) -> FiniteMeasureSpace:
                               tuple(weights))
 
 
+def _built_then_kept(build):
+    """A validator that builds the object a config form describes, to
+    check it, and keeps the form itself, which the summary echoes."""
+    def validate(value, line: int | None = None):
+        build(value, line)
+        return value
+    return validate
+
+
+def _validate_output(value, line: int | None = None) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"expected a non-empty string, got {value!r}",
+                          field="output", line=line)
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment settings (defaults < file < flags)."""
@@ -209,19 +236,10 @@ class ExperimentConfig:
     output: str = "."
 
     def target_space(self) -> TargetSpace | None:
-        if self.target is None:
-            return None
-        return target_from_config(self.target)
+        return None if self.target is None else target_from_config(self.target)
 
     def base_space(self) -> FiniteMeasureSpace | None:
-        if self.base is None:
-            return None
-        return base_space_from_config(self.base)
-
-    def effective_tolerances(self) -> dict[str, float]:
-        out = {k: v for k, v in DEFAULT_TOLERANCES.items() if v is not None}
-        out.update(self.tolerances)
-        return out
+        return None if self.base is None else base_space_from_config(self.base)
 
     def normalized(self) -> dict:
         """JSON-able echo of the settings that can influence results.
@@ -247,62 +265,55 @@ class ExperimentConfig:
         return out
 
 
+#: The validator of each :class:`ExperimentConfig` field, in field order:
+#: ``validator(value, line)`` returns the field's value or raises
+#: :class:`~nlsp.errors.ConfigError`.  File values and flags alike pass
+#: through it, and a key not in it is refused.
+FIELDS = {
+    "seed": validate_seed,
+    "target": _built_then_kept(target_from_config),
+    "base": _built_then_kept(base_space_from_config),
+    "p": validate_p,
+    "grid": validate_grid,
+    "trials": lambda value, line=None: _require_int(value, "trials", 1, line),
+    "tolerances": validate_tolerances,
+    "output": _validate_output,
+}
+
+
+def _validated(key: str, value, line: int | None = None):
+    if key not in FIELDS:
+        raise ConfigError(f"unknown key {key!r}; allowed keys: {list(FIELDS)}",
+                          field=key, line=line)
+    return FIELDS[key](value, line)
+
+
 def load_config_file(path) -> dict:
     """Read and validate a JSON config file into keyword form."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=functools.partial(
+            _unique_keys, text))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(data, dict):
         raise ConfigError(
             f"top-level value must be an object, got {type(data).__name__}")
-    out = {}
-    for key, value in data.items():
-        line = _line_of(text, key)
-        if key not in _ALLOWED_KEYS:
-            raise ConfigError(
-                f"unknown key {key!r}; allowed keys: {list(_ALLOWED_KEYS)}",
-                field=key, line=line)
-        if key == "seed":
-            out["seed"] = validate_seed(value, line)
-        elif key == "p":
-            out["p"] = validate_p(value, line)
-        elif key == "grid":
-            out["grid"] = validate_grid(value, line)
-        elif key == "trials":
-            out["trials"] = _require_int(value, "trials", 1, line)
-        elif key == "tolerances":
-            out["tolerances"] = validate_tolerances(value, line)
-        elif key == "target":
-            target_from_config(value, line)  # validate eagerly
-            out["target"] = value
-        elif key == "base":
-            base_space_from_config(value, line)  # validate eagerly
-            out["base"] = value
-        elif key == "output":
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"expected a non-empty string, got {value!r}",
-                                  field="output", line=line)
-            out["output"] = value
-    return out
+    return {key: _validated(key, value, _line_of(text, key))
+            for key, value in data.items()}
 
 
 def build_config(config_path=None, **flag_overrides) -> ExperimentConfig:
     """Resolve an :class:`ExperimentConfig` from a file plus flag overrides.
 
-    ``flag_overrides`` entries with value ``None`` are ignored; tolerance
-    overrides merge on top of (rather than replace) file-level tolerances.
+    Flags are validated like file values.  ``flag_overrides`` entries with
+    value ``None`` are ignored; tolerance overrides merge on top of (rather
+    than replace) file-level tolerances.
     """
-    settings: dict = {}
-    if config_path is not None:
-        settings.update(load_config_file(config_path))
-    file_tols = settings.pop("tolerances", {})
-    flag_tols = flag_overrides.pop("tolerances", None) or {}
+    settings = {} if config_path is None else load_config_file(config_path)
     for key, value in flag_overrides.items():
         if value is not None:
-            settings[key] = value
-    merged_tols = dict(file_tols)
-    merged_tols.update(validate_tolerances(flag_tols)
-                       if flag_tols else {})
-    return ExperimentConfig(tolerances=merged_tols, **settings)
+            value = _validated(key, value)
+            settings[key] = ({**settings.get("tolerances", {}), **value}
+                             if key == "tolerances" else value)
+    return ExperimentConfig(**settings)

@@ -56,12 +56,6 @@ from .targets import (
 )
 
 
-def geodesic_safe_pair(target: TargetSpace, rng: np.random.Generator):
-    """Two target points joined by a unique geodesic."""
-    ys, zs = target.random_geodesic_pairs(rng, 1)
-    return ys[0], zs[0]
-
-
 def geodesic_safe_mapping_pair(family: MappingFamily,
                                rng: np.random.Generator
                                ) -> tuple[MetricMapping, MetricMapping]:
@@ -274,11 +268,6 @@ def constant_speed_residual(geo: LpGeodesic) -> float:
     """Worst deviation from exact linearity of the mapping-space distance:
     :meth:`GeodesicSweep.constant_speed_residuals` of one trial."""
     return float(_sweep_of(geo).constant_speed_residuals()[0])
-
-
-def start_aligned_residuals(geo: LpGeodesic) -> np.ndarray:
-    """Per-node residual against the start: ``|D_p(c(a), c(t)) - s(t) D|``."""
-    return _sweep_of(geo).from_start()[1][:, 0]
 
 
 def geodesic_speed_check(geo: LpGeodesic) -> float:

@@ -34,7 +34,6 @@ from .mappings import (
     _check_grid_and_family,
     _weighted_norm,
     check_p,
-    constant_in_time,
     product_lp_norm,
 )
 
@@ -105,16 +104,6 @@ def transpose(cm: CurveOfMappings) -> MappingOfCurves:
 def transpose_inverse(mc: MappingOfCurves) -> CurveOfMappings:
     """Inverse of :func:`transpose`."""
     return CurveOfMappings(mc.grid, mc.family, mc.atom_values.swapaxes(0, 1))
-
-
-def base_curve_of_mappings(grid: TimeGrid, family: MappingFamily) -> CurveOfMappings:
-    """The base mapping held constant in time, read time-major."""
-    return sec_time(constant_in_time(grid, family.base_mapping()))
-
-
-def base_mapping_of_curves(grid: TimeGrid, family: MappingFamily) -> MappingOfCurves:
-    """The base mapping held constant in time, read atom-major."""
-    return sec_atom(constant_in_time(grid, family.base_mapping()))
 
 
 def _require_shared(a, b, kind: str) -> None:

@@ -9,14 +9,15 @@ counter-based streams keyed by ``(seed, suite name, trial index)``
 order, so every suite produces byte-identical output for a fixed seed.
 
 :data:`BATTERIES` holds, for each suite, the facts its callers need: the
-tolerance names it checks and the config fields it accepts.  :func:`run_all`
-and the command-line subcommands are built from it.
+tolerance names it reads and the config fields it accepts.  :func:`run_all`
+and the command-line subcommands are built from it.  Each ``run_*`` takes
+its tolerance overrides by name, in one ``tolerances`` mapping.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,16 @@ class SuiteResult(Judged):
     metrics: dict
     checks: list[Check] = field(default_factory=list)
     csv: dict[str, list[list]] = field(default_factory=dict)
+
+
+def _tolerances(overrides: Mapping | None) -> dict[str, float | None]:
+    """:data:`~nlsp.config.DEFAULT_TOLERANCES` with ``overrides`` by name on
+    top: the one place a run's tolerances are resolved."""
+    overrides = dict(overrides or {})
+    if unknown := sorted(set(overrides) - set(DEFAULT_TOLERANCES)):
+        raise ValidationError(f"unknown tolerances {unknown}; known names: "
+                              f"{sorted(DEFAULT_TOLERANCES)}")
+    return {**DEFAULT_TOLERANCES, **overrides}
 
 
 def map_trials(fn, n: int) -> list:
@@ -394,15 +405,15 @@ def _product_pairs(target: TargetSpace, rule: str, rngs, trials) -> list:
 
 
 def run_fubini(seed: int = 7, trials: int = 100,
-               rel_tol: float = DEFAULT_TOLERANCES["fubini_rel"],
-               p_values: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf)
-               ) -> SuiteResult:
+               p_values: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf),
+               tolerances: Mapping | None = None) -> SuiteResult:
     """Both iterated norms must match the joint product norm exactly.
 
     Random product mappings on a 16-node x 8-atom grid, exponents
     ``{1, 2, 3, inf}`` by default, alternating flat and spherical targets,
     with zero-weight atoms and both grid rules represented.
     """
+    tol = _tolerances(tolerances)
     p_values = tuple(float(p) for p in p_values)
 
     # Even trials map into the sphere, odd ones into the plane; each kind
@@ -440,10 +451,10 @@ def run_fubini(seed: int = 7, trials: int = 100,
             "transpose_roundtrip_exact": not any(changed),
         },
         checks=[
-            Check("iterated_norm_time_major", time_gaps, rel_tol, MAX,
-                  "relative gap", why.format("time", "atoms"), "fubini"),
-            Check("iterated_norm_atom_major", atom_gaps, rel_tol, MAX,
-                  "relative gap", why.format("atoms", "time"), "fubini"),
+            Check("iterated_norm_time_major", time_gaps, tol["fubini_rel"],
+                  MAX, "relative gap", why.format("time", "atoms"), "fubini"),
+            Check("iterated_norm_atom_major", atom_gaps, tol["fubini_rel"],
+                  MAX, "relative gap", why.format("atoms", "time"), "fubini"),
             Check("transpose_roundtrip", changed, 0.0, MAX,
                   "changed-bits flag", "transposing to the atom-major "
                   "reading and back must reproduce every value bit for bit",
@@ -460,11 +471,8 @@ def run_fubini(seed: int = 7, trials: int = 100,
 
 def run_transport(seed: int = 7, curves: int = 20,
                   grids: tuple[int, ...] = (65, 129, 257),
-                  bv_curves: int = 100,
-                  residual_tol: float = DEFAULT_TOLERANCES["transport_residual"],
-                  order_min: float = DEFAULT_TOLERANCES["order_min"],
-                  variation_tol: float = DEFAULT_TOLERANCES["variation_residual"],
-                  p: float = 2.0) -> SuiteResult:
+                  bv_curves: int = 100, p: float = 2.0,
+                  tolerances: Mapping | None = None) -> SuiteResult:
     """Atomwise slicing preserves speed (p > 1) and variation (p = 1).
 
     Smooth random curves of mappings into spherical and SPD targets are
@@ -486,6 +494,7 @@ def run_transport(seed: int = 7, curves: int = 20,
     the drawn subintervals are masked sums over it.  A failed residual
     check names the stream key of its worst curve.
     """
+    tol = _tolerances(tolerances)
     grids = tuple(int(n) for n in grids)
     targets = (Sphere(3), Spd(2))
     ac_metrics = {}
@@ -505,7 +514,8 @@ def run_transport(seed: int = 7, curves: int = 20,
             per_grid.append(np.max(np.abs(res[:, 1:-1]), axis=1))
         grid_maxima, order, gates = _convergence_checks(
             "derivative_identity", target.kind, stream, per_grid, grids,
-            residual_tol, order_min, "max interior residual",
+            tol["transport_residual"], tol["order_min"],
+            "max interior residual",
             "slicing must preserve the weighted speed-power identity")
         checks += gates
         for n, m in zip(grids, grid_maxima):
@@ -546,7 +556,8 @@ def run_transport(seed: int = 7, curves: int = 20,
     bv_results = [one_bv(curve, subs) for curve, subs in drawn]
     bv_worst, measure_gaps = zip(*bv_results)
     checks += [
-        Check("variation_identity_residual", bv_worst, variation_tol, MAX,
+        Check("variation_identity_residual", bv_worst,
+              tol["variation_residual"], MAX,
               "worst residual", "jump variation must equal the weighted sum "
               "of per-atom variations on every subinterval", "transport/bv"),
         Check("variation_measure_consistency", measure_gaps, 0.0, MAX,
@@ -579,7 +590,7 @@ def run_transport(seed: int = 7, curves: int = 20,
 
 def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
                        refinements: tuple[int, ...] = (1, 2, 4),
-                       tv_tol: float = DEFAULT_TOLERANCES["counterexample_tv"]
+                       tolerances: Mapping | None = None
                        ) -> SuiteResult:
     """Lipschitz curve of mappings whose atom slices all jump.
 
@@ -588,6 +599,7 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
     weighted jump variation 1.
     """
     del seed  # the construction is fully deterministic
+    tol = _tolerances(tolerances)
     checks = []
     rows = [["n", "lipschitz_lo", "lipschitz_hi", "max_atom_modulus",
              "total_variation"]]
@@ -612,8 +624,8 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
                     "never shrink the unit atom jumps")
               for r, modulus in rep.atom_moduli),
             Check(f"counterexample_variation[n={n}]",
-                  abs(rep.total_variation - 1.0), tv_tol, MAX,
-                  "|weighted jump variation - 1|", "the unit jumps "
+                  abs(rep.total_variation - 1.0), tol["counterexample_tv"],
+                  MAX, "|weighted jump variation - 1|", "the unit jumps "
                   "of all atoms, weighted by their masses, must add up to 1"),
         ]
 
@@ -642,9 +654,9 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
 def run_geodesic(seed: int = 7, trials: int = 3,
                  p_values: tuple[float, ...] = (1.5, 2.0, 3.0),
                  n_nodes: int = 17,
-                 residual_tol: float = DEFAULT_TOLERANCES["geodesic_residual"],
                  targets: tuple[TargetSpace, ...] | None = None,
-                 base_space: FiniteMeasureSpace | None = None) -> SuiteResult:
+                 base_space: FiniteMeasureSpace | None = None,
+                 tolerances: Mapping | None = None) -> SuiteResult:
     """Atomwise geodesics are constant-speed with length equal to distance.
 
     Spherical, SPD and tree targets (or the configured target), several
@@ -654,6 +666,7 @@ def run_geodesic(seed: int = 7, trials: int = 3,
     "geodesic/<kind>/p=<p>", trial)``.  A failed check names its worst
     trial; the metrics pool every target and exponent.
     """
+    residual_tol = _tolerances(tolerances)["geodesic_residual"]
     trace_target = Spd(2) if targets is None else targets[0]
     if targets is None:
         targets = (Sphere(3), Spd(2), default_tree())
@@ -729,10 +742,9 @@ _SIGN_CHECKS = {
 
 
 def run_curvature(seed: int = 7, trials: int = 500,
-                  sign_tol: float = DEFAULT_TOLERANCES["curvature_sign"],
-                  flat_tol: float = DEFAULT_TOLERANCES["curvature_flat"],
                   targets: tuple[TargetSpace, ...] | None = None,
-                  base_space: FiniteMeasureSpace | None = None) -> SuiteResult:
+                  base_space: FiniteMeasureSpace | None = None,
+                  tolerances: Mapping | None = None) -> SuiteResult:
     """Comparison signs transfer from targets to mapping spaces.
 
     SPD targets must keep the squared-distance comparison residual
@@ -741,6 +753,8 @@ def run_curvature(seed: int = 7, trials: int = 500,
     mass without changing signs.  A failed check names its worst trial of
     the stream ``(seed, "curvature/<kind>", trial)``.
     """
+    tol = _tolerances(tolerances)
+    sign_tol, flat_tol = tol["curvature_sign"], tol["curvature_flat"]
     if targets is None:
         targets = (Spd(2), Sphere(3), Euclidean(2))
     if base_space is None:
@@ -815,12 +829,12 @@ def run_length(seed: int = 7, trials: int = 12,
                p_values: tuple[float, ...] = (1.5, 2.0, 3.0),
                reparam_curves: int = 50, eps: float = 1e-6,
                n_nodes: int = 17,
-               equality_tol: float | None = DEFAULT_TOLERANCES["length_equality"]
-               ) -> SuiteResult:
+               tolerances: Mapping | None = None) -> SuiteResult:
     """Energy controls distance, geodesics saturate it, reparametrization
-    reaches the bound within ``(1 + eps)^p``.  ``equality_tol`` unset means
-    :func:`default_equality_tol` of each target.
+    reaches the bound within ``(1 + eps)^p``.  ``length_equality`` unset
+    means :func:`default_equality_tol` of each target.
     """
+    equality_tol = _tolerances(tolerances)["length_equality"]
     targets = (Euclidean(2), Sphere(3), Spd(2), default_tree())
     base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (0.75, 1.25, 0.5))
 
@@ -906,11 +920,8 @@ def run_length(seed: int = 7, trials: int = 12,
 
 
 def run_speed(seed: int = 7, curves: int = 6,
-              grids: tuple[int, ...] = (65, 129, 257),
-              residual_tol: float = DEFAULT_TOLERANCES["speed_residual"],
-              order_min: float = DEFAULT_TOLERANCES["order_min"],
-              consistency_tol: float = DEFAULT_TOLERANCES["speed_consistency"],
-              p: float = 2.0) -> SuiteResult:
+              grids: tuple[int, ...] = (65, 129, 257), p: float = 2.0,
+              tolerances: Mapping | None = None) -> SuiteResult:
     """The bundle norm of log-map velocities matches the metric derivative.
 
     Smooth random curves into flat, spherical and SPD targets at ``p = 2``;
@@ -928,6 +939,7 @@ def run_speed(seed: int = 7, curves: int = 6,
     derivative takes one ``d_p`` call per curve.  A failed gap check names
     the stream key of its worst curve.
     """
+    tol = _tolerances(tolerances)
     grids = tuple(int(n) for n in grids)
     mid_grid = grids[len(grids) // 2]
     targets = (Euclidean(2), Sphere(3), Spd(2))
@@ -953,10 +965,11 @@ def run_speed(seed: int = 7, curves: int = 6,
                      float(res[0, k])] for k, t in enumerate(times)]
         grid_maxima, order, gates = _convergence_checks(
             "speed_identity", target.kind, stream, per_grid, grids,
-            residual_tol, order_min, "max interior gap",
+            tol["speed_residual"], tol["order_min"], "max interior gap",
             "the bundle norm must converge to the metric derivative")
         checks += [*gates, Check(
-            f"bundle_consistency[{target.kind}]", gaps, consistency_tol, MAX,
+            f"bundle_consistency[{target.kind}]", gaps,
+            tol["speed_consistency"], MAX,
             "relative gap", "the bundle norm power must equal the weighted "
             "per-atom speed powers", stream)]
         metrics["targets"][target.kind] = {
@@ -979,9 +992,9 @@ def run_speed(seed: int = 7, curves: int = 6,
 
 
 def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
-                  example_tol: float = DEFAULT_TOLERANCES["skorokhod_example"]
-                  ) -> SuiteResult:
+                  tolerances: Mapping | None = None) -> SuiteResult:
     """Worked examples hit known values; bounds sandwich and refine monotonically."""
+    example_tol = _tolerances(tolerances)["skorokhod_example"]
     target = Euclidean(1)
 
     def pt(x: float):
@@ -1091,64 +1104,60 @@ def _one_target(spec: dict) -> tuple[TargetSpace]:
 class Battery:
     """One suite as data: its runner, tolerances and config fields.
 
-    ``tolerances`` maps each :data:`~nlsp.config.DEFAULT_TOLERANCES` name
-    the suite checks to the keyword argument of ``run`` it sets.  ``fields``
-    maps each config field the suite accepts to the keyword argument it
-    sets and a converter from the config value, which raises
-    :class:`~nlsp.errors.ConfigError` for a value the suite cannot use.
-    Defaults live in the ``run`` signature only.
+    ``tolerances`` names the :data:`~nlsp.config.DEFAULT_TOLERANCES` entries
+    the suite reads; ``run`` takes overrides of them by name in its
+    ``tolerances`` mapping.  ``fields`` maps each config field the suite
+    accepts to the keyword argument it sets and a converter from the config
+    value, which raises :class:`~nlsp.errors.ConfigError` for a value the
+    suite cannot use.  Defaults live in the ``run`` signature and in
+    :data:`~nlsp.config.DEFAULT_TOLERANCES` only.
     """
 
     name: str
     run: Callable[..., SuiteResult]
-    tolerances: dict[str, str]
+    tolerances: tuple[str, ...]
     fields: dict[str, tuple[str, Callable]]
 
-    def __call__(self, seed: int, tolerances: dict | None = None,
+    def __call__(self, seed: int, tolerances: Mapping | None = None,
                  **kwargs) -> SuiteResult:
         """Run the suite with tolerance overrides by name and ``kwargs``."""
-        tol = tolerances or {}
-        kwargs.update({arg: tol[name] for name, arg in self.tolerances.items()
-                       if name in tol})
         # Resolve the module attribute at call time, so that rebinding it
         # (a tracer, a test double) reaches every caller of the table.
-        return globals()[self.run.__name__](seed=seed, **kwargs)
+        return globals()[self.run.__name__](seed=seed, tolerances=tolerances,
+                                            **kwargs)
 
 
 #: Every suite, in the canonical order of :func:`run_all`.
 BATTERIES = (
-    Battery("fubini", run_fubini, {"fubini_rel": "rel_tol"},
+    Battery("fubini", run_fubini, ("fubini_rel",),
             {"trials": ("trials", int), "p": ("p_values", _one)}),
     Battery("transport", run_transport,
-            {"transport_residual": "residual_tol", "order_min": "order_min",
-             "variation_residual": "variation_tol"},
+            ("transport_residual", "order_min", "variation_residual"),
             {"trials": ("curves", int), "p": ("p", _finite_p_above_one),
              "grid": ("grids", _refining_grids)}),
-    Battery("counterexample", run_counterexample,
-            {"counterexample_tv": "tv_tol"}, {}),
-    Battery("geodesic", run_geodesic, {"geodesic_residual": "residual_tol"},
+    Battery("counterexample", run_counterexample, ("counterexample_tv",), {}),
+    Battery("geodesic", run_geodesic, ("geodesic_residual",),
             {"trials": ("trials", int), "p": ("p_values", _one),
              "grid": ("n_nodes", _single_grid),
              "target": ("targets", _one_target),
              "base": ("base_space", base_space_from_config)}),
-    Battery("curvature", run_curvature,
-            {"curvature_sign": "sign_tol", "curvature_flat": "flat_tol"},
+    Battery("curvature", run_curvature, ("curvature_sign", "curvature_flat"),
             {"trials": ("trials", int), "target": ("targets", _one_target),
              "base": ("base_space", base_space_from_config)}),
-    Battery("length", run_length, {"length_equality": "equality_tol"},
+    Battery("length", run_length, ("length_equality",),
             {"trials": ("trials", int),
              "p": ("p_values", lambda p: (_finite_p_above_one(p),)),
              "grid": ("n_nodes", _single_grid)}),
     Battery("speed", run_speed,
-            {"speed_residual": "residual_tol", "order_min": "order_min",
-             "speed_consistency": "consistency_tol"},
+            ("speed_residual", "order_min", "speed_consistency"),
             {"trials": ("curves", int), "p": ("p", _finite_p_above_one),
              "grid": ("grids", _refining_grids)}),
-    Battery("skorokhod", run_skorokhod, {"skorokhod_example": "example_tol"},
+    Battery("skorokhod", run_skorokhod, ("skorokhod_example",),
             {"trials": ("pairs", int)}),
 )
 
 
-def run_all(seed: int = 7, tolerances: dict | None = None) -> list[SuiteResult]:
+def run_all(seed: int = 7,
+            tolerances: Mapping | None = None) -> list[SuiteResult]:
     """Run every suite in canonical order with optional tolerance overrides."""
     return [battery(seed, tolerances) for battery in BATTERIES]

@@ -46,6 +46,7 @@ residual they must certify.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -80,6 +81,11 @@ SPHERE_SAFE_RADIUS = (0.3, 2.5)
 #: three batches of points; for SPD(3) that is 0.44 MB, and larger parts
 #: raised the peak resident memory of the ``wide_spd`` benchmark.
 _COMPARISON_PART = 2048
+
+
+def _is_integer(value) -> bool:
+    """An ``int`` or numpy integer; a ``bool`` is not a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_fractions(t) -> np.ndarray:
@@ -442,7 +448,7 @@ class Euclidean(TargetSpace):
     curvature_class = FLAT
 
     def __init__(self, dim: int):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not _is_integer(dim) or dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         self.dim = int(dim)
         self.point_shape = (self.dim,)
@@ -483,7 +489,7 @@ class Sphere(TargetSpace):
     curvature_class = GLOBAL_NNC
 
     def __init__(self, dim: int):
-        if not isinstance(dim, (int, np.integer)) or dim < 2:
+        if not _is_integer(dim) or dim < 2:
             raise ValidationError(
                 f"ambient dim must be an integer >= 2, got {dim!r}")
         self.dim = int(dim)
@@ -796,7 +802,7 @@ class Spd(TargetSpace):
     curvature_class = GLOBAL_NPC
 
     def __init__(self, matrix_dim: int):
-        if not isinstance(matrix_dim, (int, np.integer)) or matrix_dim < 1:
+        if not _is_integer(matrix_dim) or matrix_dim < 1:
             raise ValidationError(
                 f"matrix_dim must be a positive integer, got {matrix_dim!r}")
         self.matrix_dim = int(matrix_dim)
@@ -889,6 +895,9 @@ class MetricTree(TargetSpace):
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"edge {k} must be a (node, node, length) triple, got {e!r}")
+            if isinstance(length, bool) or not isinstance(length, numbers.Real):
+                raise ValidationError(
+                    f"edge {k} length must be a number, got {length!r}")
             length = float(length)
             if not math.isfinite(length) or length <= 0.0:
                 raise ValidationError(

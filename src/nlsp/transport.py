@@ -116,13 +116,6 @@ def decompose_ac(c: SampledCurve, p) -> TransportDecomposition:
     return TransportDecomposition(source=c, p=p)
 
 
-def per_atom_derivatives(d: TransportDecomposition) -> np.ndarray:
-    """Metric derivatives of all atom slices; shape (atoms, nodes)."""
-    source = d.source
-    return metric_speeds(source.space.family.target, source.values,
-                         source.times_array).T
-
-
 def weighted_speed_powers(speeds: np.ndarray, weights: np.ndarray,
                           p: float) -> np.ndarray:
     """``sum_j w_j s_j^p`` for atom speeds ``s`` of shape ``(node, *batch,

@@ -151,6 +151,46 @@ def test_invalid_config_file_exits_2(runner, tmp_path):
     assert "seed" in result.stderr
 
 
+#: Inputs refused at the door: (argv, config file text or None, message).
+REFUSED_INPUTS = [
+    (["geodesic", "--seed", str(2 ** 64)], None,
+     "field 'seed': must fit in 64 bits"),
+    (["all", "--seed", str(2 ** 64)], None,
+     "field 'seed': must fit in 64 bits"),
+    (["transport", "--counterexample-p1", "--seed", str(2 ** 64)], None,
+     "field 'seed': must fit in 64 bits"),
+    (["fubini"], '{"seed": 3, "seed": 4}', "duplicate key 'seed'"),
+    (["curvature"], '{"target": {"kind": "euclidean", "dim": true}}',
+     "dim must be a positive integer, got True"),
+    (["curvature"], '{"target": {"kind": "spd", "matrix_dim": true}}',
+     "matrix_dim must be a positive integer, got True"),
+    (["geodesic"],
+     '{"target": {"kind": "metric_tree", "edges": [["a", "b", true]]}}',
+     "edge 0 length must be a number, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,text,message", REFUSED_INPUTS,
+    ids=["seed-geodesic", "seed-all", "seed-counterexample", "duplicate-key",
+         "bool-euclidean-dim", "bool-spd-dim", "bool-tree-edge"])
+def test_refused_inputs_exit_2_without_a_traceback(runner, tmp_path, argv,
+                                                   text, message):
+    """Out-of-range flags, repeated keys and boolean target sizes are
+    configuration errors (exit 2), named on one line, before any run."""
+    if text is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*argv, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("configuration error: ")
+    assert message in result.stderr
+    assert not out.exists()
+
+
 def test_counterexample_size_flag_requires_mode_flag(runner):
     result = runner.invoke(main, ["transport", "--n", "4"])
     assert result.exit_code == 2

@@ -8,6 +8,7 @@ normalized echo used for determinism comparisons.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -24,11 +25,13 @@ from nlsp import (
     load_config_file,
 )
 from nlsp.config import (
+    FIELDS,
     validate_grid,
     validate_p,
     validate_seed,
     validate_tolerances,
 )
+from nlsp.suites import _tolerances
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -69,11 +72,19 @@ def test_default_tolerance_registry():
 
 
 def test_effective_tolerances_merge():
+    """A config holds its overrides only; a run merges them over the
+    defaults, keeping the target-derived None entry."""
     cfg = ExperimentConfig(tolerances={"fubini_rel": 1e-10})
-    eff = cfg.effective_tolerances()
+    assert cfg.tolerances == {"fubini_rel": 1e-10}
+    eff = _tolerances(cfg.tolerances)
     assert eff["fubini_rel"] == 1e-10
     assert eff["curvature_sign"] == 1e-8
-    assert "length_equality" not in eff
+    assert eff["length_equality"] is None
+
+
+def test_validator_table_covers_the_config_fields_in_order():
+    assert list(FIELDS) == [f.name for f in dataclasses.fields(
+        ExperimentConfig)]
 
 
 def test_validate_seed():
@@ -213,6 +224,34 @@ def test_unknown_key_diagnostic_names_line_and_field(tmp_path):
     assert err.value.field == "threads"
 
 
+@pytest.mark.parametrize("text,line,field", [
+    ('{\n  "seed": 3,\n  "seed": 4\n}\n', 3, "seed"),
+    ('{"seed": 3, "seed": 4}', 1, "seed"),
+    ('{\n  "target": {"kind": "sphere",\n             "kind": "spd"}\n}\n',
+     3, "kind"),
+    ('{\n  "tolerances": {"fubini_rel": 1e-9,\n'
+     '                 "fubini_rel": 1e-8}\n}\n', 3, "fubini_rel"),
+], ids=["top", "one-line", "target", "tolerances"])
+def test_duplicate_keys_are_refused_at_any_depth(tmp_path, text, line, field):
+    """A repeated key is an error, not a silent last-one-wins."""
+    path = tmp_path / "dup.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="duplicate key") as err:
+        load_config_file(path)
+    assert err.value.field == field
+    assert err.value.line == line
+
+
+def test_field_lines_point_at_keys_not_values(tmp_path):
+    """An atom named "seed" does not capture the top-level seed's line."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n  "base": {"atoms": [{"id": "seed", "weight": 1}]},\n'
+                    '  "seed": -1\n}\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match=">= 0") as err:
+        load_config_file(path)
+    assert (err.value.line, err.value.field) == (3, "seed")
+
+
 def test_invalid_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "seed": 3,\n}\n', encoding="utf-8")
@@ -267,6 +306,23 @@ def test_build_config_precedence(tmp_path):
     assert cfg.p == 2.0            # file survives the None flag
     assert cfg.trials == 4
     assert cfg.tolerances == {"fubini_rel": 1e-7, "order_min": 0.8}
+
+
+@pytest.mark.parametrize("flags,message", [
+    ({"seed": 2 ** 64}, "field 'seed': must fit in 64 bits"),
+    ({"seed": True}, "field 'seed': expected an integer"),
+    ({"trials": 0}, "field 'trials': must be >= 1"),
+    ({"output": ""}, "field 'output': expected a non-empty string"),
+    ({"tolerances": {"fubini_rel": -1.0}},
+     "field 'tolerances.fubini_rel': expected a positive finite number"),
+    ({"threads": 2}, "field 'threads': unknown key 'threads'"),
+], ids=["seed-65-bits", "seed-bool", "trials", "output", "tolerance",
+        "unknown"])
+def test_flags_pass_the_file_validators(flags, message):
+    """A flag value is checked exactly like the same value in a file."""
+    with pytest.raises(ConfigError) as err:
+        build_config(None, **flags)
+    assert str(err.value).startswith(message)
 
 
 def test_build_config_without_file_uses_defaults():

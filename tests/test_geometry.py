@@ -34,7 +34,6 @@ from nlsp import (
     draw_geodesic_sweep,
     energy,
     geodesic_safe_mapping_pair,
-    geodesic_safe_pair,
     geodesic_speed_check,
     geodesic_sweep,
     length,
@@ -42,7 +41,6 @@ from nlsp import (
     lp_geodesic,
     mapping_comparison_residual,
     run_curvature,
-    start_aligned_residuals,
     trial_rng,
 )
 from nlsp.geometry import reparam_energy_ratios
@@ -82,7 +80,7 @@ def test_single_atom_geodesic_matches_target_geodesic():
     rng = trial_rng(0, "test/geo-single", 0)
     base = FiniteMeasureSpace(("only",), (1.0,))
     fam = MappingFamily(base, target, (target.random_point(rng),))
-    a, b = geodesic_safe_pair(target, rng)
+    a, b = (e[0] for e in target.random_geodesic_pairs(rng, 1))
     geo = lp_geodesic(MetricMapping(fam, (a,)), MetricMapping(fam, (b,)),
                       2.0, n_nodes=9)
     for i, t in enumerate(np.linspace(0.0, 1.0, 9)):
@@ -103,7 +101,7 @@ def test_geodesic_is_constant_speed_with_matching_length(target_name, p):
     geo = lp_geodesic(f, g, p, n_nodes=17)
     assert constant_speed_residual(geo) < 1e-9
     assert geodesic_speed_check(geo) < 1e-9
-    assert float(np.max(start_aligned_residuals(geo))) < 1e-9
+    assert float(np.max(geo.sweep.from_start()[1])) < 1e-9
     total = geo.endpoint_distance()
     assert abs(length(geo.curve) - total) <= 1e-9 * max(total, 1.0)
 
@@ -249,7 +247,7 @@ def test_sweep_scores_equal_the_per_trial_path(name, p, interval):
         assert scores["gap"][i] \
             == abs(length(geo.curve) - total) / max(total, 1e-300)
         assert scores["from_start"][:, i].tobytes() \
-            == start_aligned_residuals(geo).tobytes()
+            == geo.sweep.from_start()[1][:, 0].tobytes()
         if math.isfinite(p):
             assert scores["energy"][i] \
                 == (b - a) ** (p - 1.0) * energy(geo.curve, p)
@@ -299,7 +297,7 @@ def test_geodesic_safe_pairs_avoid_degenerate_endpoints():
     sphere = Sphere(3)
     for trial in range(50):
         rng = trial_rng(0, "test/safe-pair", trial)
-        a, b = geodesic_safe_pair(sphere, rng)
+        a, b = (e[0] for e in sphere.random_geodesic_pairs(rng, 1))
         d = sphere.distance(a, b)
         assert 0.0 < d < math.pi - 1e-6
 

@@ -29,8 +29,6 @@ from nlsp import (
     TimeGrid,
     ValidationError,
     approximate_by_rectangles,
-    base_curve_of_mappings,
-    base_mapping_of_curves,
     constant_in_time,
     d_pp,
     default_tree,
@@ -116,8 +114,8 @@ def test_base_sections_transpose_to_each_other():
     grid = uniform_grid(0.0, 1.0, 5)
     base = FiniteMeasureSpace(("u", "v"), (1.0, 2.0))
     fam = MappingFamily(base, Euclidean(1), (np.zeros(1), np.ones(1)))
-    bc = base_curve_of_mappings(grid, fam)
-    bm = base_mapping_of_curves(grid, fam)
+    held = constant_in_time(grid, fam.base_mapping())
+    bc, bm = sec_time(held), sec_atom(held)
     swapped = transpose(bc)
     assert bitwise_equal(swapped.atom_values, bm.atom_values)
     assert np.shares_memory(bm.atom_values, fam.base_values)

@@ -34,7 +34,7 @@ from nlsp import (
     speed_identity_residual,
     trial_rng,
 )
-from nlsp import curves, suites
+from nlsp import curves, geometry, suites
 from nlsp.suites import BATTERIES, order_jsonable, random_base_space
 
 
@@ -126,13 +126,42 @@ def test_every_default_tolerance_is_read_by_a_battery():
 
 @pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
 def test_battery_arguments_match_the_run_signature(battery):
-    """Each tolerance and config field sets a real keyword argument, and a
-    tolerance's signature default is its DEFAULT_TOLERANCES value."""
+    """Each config field sets a real keyword argument."""
     params = inspect.signature(battery.run).parameters
-    for name, arg in battery.tolerances.items():
-        assert params[arg].default == DEFAULT_TOLERANCES[name], name
     for name, (arg, convert) in battery.fields.items():
         assert arg in params and callable(convert), name
+
+
+@pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
+def test_each_battery_reads_exactly_the_tolerances_it_lists(monkeypatch,
+                                                            battery):
+    """A small run reads, by name, every tolerance of its row and no
+    other, and its runner takes no other tolerance argument."""
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, name):
+            read.add(name)
+            return super().__getitem__(name)
+
+    real = suites._tolerances
+    monkeypatch.setattr(suites, "_tolerances",
+                        lambda overrides: Recording(real(overrides)))
+    battery(7, None, **FORCED[battery.name][0])
+    assert read == set(battery.tolerances)
+    params = inspect.signature(battery.run).parameters
+    assert params["tolerances"].default is None
+    assert not [name for name in params if name.endswith("_tol")]
+
+
+def test_tolerance_overrides_go_by_known_names():
+    """Overrides merge over the defaults by name; a misspelt name is
+    refused rather than ignored."""
+    assert suites._tolerances(None) == DEFAULT_TOLERANCES
+    merged = suites._tolerances({"speed_residual": 1e-3})
+    assert merged == {**DEFAULT_TOLERANCES, "speed_residual": 1e-3}
+    with pytest.raises(ValidationError, match="speed_residul"):
+        suites.run_speed(tolerances={"speed_residul": 1e-3})
 
 
 def test_battery_call_resolves_the_module_attribute(monkeypatch):
@@ -142,8 +171,9 @@ def test_battery_call_resolves_the_module_attribute(monkeypatch):
     monkeypatch.setattr(suites, "run_skorokhod",
                         lambda **kwargs: seen.append(kwargs))
     skorokhod = BATTERIES[-1]
-    skorokhod(3, {"skorokhod_example": 0.5, "fubini_rel": 1.0}, pairs=2)
-    assert seen == [{"seed": 3, "pairs": 2, "example_tol": 0.5}]
+    tolerances = {"skorokhod_example": 0.5, "fubini_rel": 1.0}
+    skorokhod(3, tolerances, pairs=2)
+    assert seen == [{"seed": 3, "pairs": 2, "tolerances": tolerances}]
 
 
 #: Per battery: small-scale keyword arguments, and every failure that its
@@ -406,10 +436,12 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     """With every residual bound below zero, each residual failure of the
     transport and speed batteries ends with the stream key of the curve
     whose single-curve residual is largest."""
-    transport = suites.run_transport(seed=7, curves=3, bv_curves=6,
-                                     residual_tol=-1.0, variation_tol=-1.0)
-    speed = suites.run_speed(seed=7, curves=2, grids=(65, 129),
-                             residual_tol=-1.0, consistency_tol=-1.0)
+    transport = suites.run_transport(
+        seed=7, curves=3, bv_curves=6,
+        tolerances={"transport_residual": -1.0, "variation_residual": -1.0})
+    speed = suites.run_speed(
+        seed=7, curves=2, grids=(65, 129),
+        tolerances={"speed_residual": -1.0, "speed_consistency": -1.0})
     failed = {f.split(":")[0]: f
               for f in transport.failures + speed.failures}
     for target in (Sphere(3), Spd(2)):
@@ -446,3 +478,27 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     gaps = {f.split(":")[0]: f for f in result.failures}
     assert re.search(r"\(worst: transport/bv trial \d+\)$",
                      gaps["variation_measure_consistency"])
+
+
+@pytest.mark.parametrize("name", ["curvature", "length"])
+def test_curvature_and_length_failures_name_a_drawn_stream(monkeypatch,
+                                                           name):
+    """Each worst-trial note of a forced curvature or length failure names
+    a stream that the battery's draw really read: the stream key is spelt
+    once in the draw and once in the check."""
+    drawn = set()
+    real = geometry.trial_rngs
+
+    def recording(seed, suite, indices):
+        drawn.add(suite)
+        return real(seed, suite, indices)
+
+    monkeypatch.setattr(geometry, "trial_rngs", recording)
+    (battery,) = (b for b in BATTERIES if b.name == name)
+    kwargs, expected = FORCED[name]
+    tolerances = {tol: -1.0 for tol in battery.tolerances}
+    result = battery(7, tolerances, **kwargs)
+    notes = [re.search(r"\(worst: (\S+) trial \d+\)$", f)
+             for f in result.failures]
+    assert len(notes) == len(expected) and all(notes), result.failures
+    assert {note.group(1) for note in notes} <= drawn

@@ -26,7 +26,6 @@ from nlsp import (
     UnsupportedOperationError,
     ValidationError,
     default_tree,
-    geodesic_safe_pair,
     trial_rng,
 )
 import nlsp.targets as targets
@@ -290,6 +289,20 @@ def test_make_target_roundtrip_and_errors():
         make_target({"kind": "spd"})
 
 
+@pytest.mark.parametrize("config", [
+    {"kind": "euclidean", "dim": True},
+    {"kind": "sphere", "dim": True},
+    {"kind": "spd", "matrix_dim": True},
+    {"kind": "metric_tree", "edges": [["a", "b", True]]},
+    {"kind": "metric_tree", "edges": [["a", "b", "1.5"]]},
+], ids=["euclidean", "sphere", "spd", "tree-bool", "tree-string"])
+def test_make_target_refuses_non_numeric_sizes(config):
+    """``True`` is no dimension and no edge length, although Python counts
+    it as the integer 1; a string is no edge length either."""
+    with pytest.raises(ValidationError, match="got (True|'1.5')"):
+        make_target(config)
+
+
 # ---------------------------------------------------------------------------
 # Identity preservation and serialization
 # ---------------------------------------------------------------------------
@@ -336,7 +349,7 @@ def test_geodesic_constant_speed_battery(space):
     worst = 0.0
     for trial in range(100):
         rng = trial_rng(0, f"test/geodesic-speed/{space.kind}", trial)
-        a, b = geodesic_safe_pair(space, rng)
+        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
         total = space.distance(a, b)
         points = [space.geodesic_point(a, b, float(t)) for t in times]
         for i in range(1, len(times)):
@@ -353,7 +366,7 @@ def test_exp_log_roundtrip_battery(space):
     worst = 0.0
     for trial in range(500):
         rng = trial_rng(0, f"test/exp-log/{space.kind}", trial)
-        a, b = geodesic_safe_pair(space, rng)
+        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
         back = space.exp_map(a, space.log_map(a, b))
         worst = max(worst, space.distance(back, b))
         assert space.tangent_norm(a, space.log_map(a, b)) == pytest.approx(
@@ -377,7 +390,7 @@ def test_comparison_sign_battery(space):
     for trial in range(1000):
         rng = trial_rng(0, f"test/comparison/{space.kind}", trial)
         z = space.random_point(rng)
-        a, b = geodesic_safe_pair(space, rng)
+        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
         t = float(rng.uniform(0.05, 0.95))
         res = space.comparison_residual(z, a, b, t)
         lo, hi = min(lo, res), max(hi, res)
@@ -395,7 +408,7 @@ def test_comparison_residual_vanishes_at_endpoints():
     for space in all_spaces():
         rng = trial_rng(0, f"test/comparison-ends/{space.kind}", 0)
         z = space.random_point(rng)
-        a, b = geodesic_safe_pair(space, rng)
+        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
         assert abs(space.comparison_residual(z, a, b, 0.0)) < 1e-12
         assert abs(space.comparison_residual(z, a, b, 1.0)) < 1e-12
 

@@ -41,7 +41,7 @@ from nlsp import (
     decompose_bv,
     derivative_identity_residual,
     derivative_identity_residuals,
-    per_atom_derivatives,
+    metric_derivative,
     sample_smooth_path,
     sec_atom,
     sec_time,
@@ -117,7 +117,8 @@ def test_derivative_identity_is_exact_for_constant_curves():
     c = lp_curve(times, [pts] * 7, fam)
     d = decompose_ac(c, 2.0)
     assert np.all(derivative_identity_residual(d) == 0.0)
-    assert np.all(per_atom_derivatives(d) == 0.0)
+    assert all(np.all(metric_derivative(a) == 0.0)
+               for a in d.per_atom_curves)
 
 
 def test_derivative_identity_on_distinct_speed_great_circles():
@@ -146,9 +147,8 @@ def test_derivative_identity_on_distinct_speed_great_circles():
     assert float(np.max(residual[1:-1])) < 1e-3
     assert float(np.max(residual)) <= 1e-12
     # Per-atom speeds recover each circle's angular speed.
-    derivs = per_atom_derivatives(d)
-    for j, omega in enumerate(omegas):
-        assert np.allclose(derivs[j, 1:-1], omega, atol=1e-6)
+    for atom, omega in zip(d.per_atom_curves, omegas):
+        assert np.allclose(metric_derivative(atom)[1:-1], omega, atol=1e-6)
 
 
 def test_lp_curve_and_bundle_distances_agree():
