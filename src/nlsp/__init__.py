@@ -49,7 +49,6 @@ from .geometry import (
     geodesic_safe_mapping_pair,
     geodesic_speed_check,
     geodesic_sweep,
-    length_space_check,
     lp_geodesic,
     mapping_comparison_residual,
 )

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import functools
 import json
+from collections.abc import Callable
 from pathlib import Path
 
 import click
@@ -63,10 +64,16 @@ def _cell(value):
     return value
 
 
-def _finish(cfg: ExperimentConfig, results: list[SuiteResult]) -> None:
-    """Write summary.json and CSV artifacts, then exit by pass/fail."""
+def _finish(cfg: ExperimentConfig,
+            run: Callable[[], list[SuiteResult]]) -> None:
+    """Make the output directory, run, write artifacts, exit by pass/fail."""
     outdir = Path(cfg.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {cfg.output!r}: "
+                          f"{exc.strerror or exc}", field="output") from exc
+    results = run()
     summary = {
         "config": cfg.normalized(),
         "passed": all(r.passed for r in results),
@@ -115,17 +122,17 @@ def _run(cfg: ExperimentConfig, command: str, battery: Battery, **kwargs):
         value = getattr(cfg, name)
         if value is not None:
             kwargs[arg] = convert(value)
-    _finish(cfg, [battery(cfg.seed, cfg.tolerances, **kwargs)])
+    _finish(cfg, lambda: [battery(cfg.seed, cfg.tolerances, **kwargs)])
 
 
 def common_options(fn):
     @click.option("--config", "config_path",
                   type=click.Path(exists=True, dir_okay=False),
                   default=None, help="JSON config file.")
-    @click.option("--seed", type=click.IntRange(min=0), default=None,
+    @click.option("--seed", type=int, default=None,
                   help="Root seed for all random streams (default 7).")
-    @click.option("--out", "output", type=click.Path(file_okay=False),
-                  default=None, help="Output directory (default '.').")
+    @click.option("--out", "output", default=None,
+                  help="Output directory (default '.').")
     @click.option("--tolerance", "tolerance_flags", multiple=True,
                   metavar="NAME=VALUE",
                   help="Override one check tolerance (repeatable).")
@@ -199,7 +206,7 @@ def transport(cfg: ExperimentConfig, counterexample_p1: bool,
 def all_suites(cfg: ExperimentConfig):
     """Run every suite in canonical order."""
     _reject_unused(cfg, "all")
-    _finish(cfg, run_all(seed=cfg.seed, tolerances=cfg.tolerances))
+    _finish(cfg, lambda: run_all(seed=cfg.seed, tolerances=cfg.tolerances))
 
 
 if __name__ == "__main__":

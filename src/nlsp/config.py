@@ -50,12 +50,14 @@ def _line_of(text: str, key: str, nth: int = 0) -> int | None:
 
 
 def _unique_keys(text: str, pairs: list) -> dict:
-    """``object_pairs_hook`` that refuses a key repeated in one object."""
+    """``object_pairs_hook`` that refuses a key repeated in one object.
+    It sees no positions: only a key found twice in the text has a line."""
     out = {}
     for key, value in pairs:
         if key in out:
+            twice = _line_of(text, key, 2) is None
             raise ConfigError(f"duplicate key {key!r}", field=key,
-                              line=_line_of(text, key, 1))
+                              line=_line_of(text, key, 1) if twice else None)
         out[key] = value
     return out
 
@@ -290,10 +292,12 @@ def _validated(key: str, value, line: int | None = None):
 
 def load_config_file(path) -> dict:
     """Read and validate a JSON config file into keyword form."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         data = json.loads(text, object_pairs_hook=functools.partial(
             _unique_keys, text))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(data, dict):

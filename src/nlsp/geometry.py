@@ -12,10 +12,9 @@ is a sweep of one trial, whose scores :func:`constant_speed_residual` and
 the target to the mapping space with the same sign:
 :func:`curvature_comparison_suite` measures the squared-distance
 comparison residual on random quadruples, and the converse direction
-through the constant-mapping embedding.  :func:`length_space_check`
-measures the scaled energy of geodesics against their endpoint distance
-power.  Both return per-trial arrays; the checks that judge them, with
-their tolerances, are built by the batteries in :mod:`nlsp.suites`.
+through the constant-mapping embedding.  Scores and residuals are
+per-trial arrays; the checks that judge them, with their tolerances, are
+built by the batteries in :mod:`nlsp.suites`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .mappings import (
     MappingFamily,
     MetricMapping,
     _weighted_norm,
-    check_p,
     d_p,
 )
 from .rng import trial_rng, trial_rngs, uniforms
@@ -388,31 +386,8 @@ def curvature_comparison_suite(
 
 
 # ---------------------------------------------------------------------------
-# Length-space certification
+# Reparametrization
 # ---------------------------------------------------------------------------
-
-
-def length_space_check(target: TargetSpace, base_space: FiniteMeasureSpace,
-                       p, trials: int, seed: int = 0, n_nodes: int = 33
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides of ``(b - a)^{p-1} E_p(c) <= D_p(f, g)^p`` on random
-    geodesics, which attain it.
-
-    Returns the per-trial arrays ``(scaled_energy, distance_power)``; trial
-    ``i`` joins two mappings drawn from the stream ``(seed,
-    "length/<kind>/p=<p>", i)``, all trials in one
-    :func:`draw_geodesic_sweep`.  The bound and its equality are judged by
-    :func:`nlsp.suites.run_length`.  ``p`` must be finite with ``p > 1``
-    (the scaling ``(b - a)^{p-1}`` is vacuous at ``p = 1`` and the energy
-    is undefined at ``p = inf``).
-    """
-    p = check_p(p, allow_inf=False)
-    if p <= 1.0:
-        raise ValidationError(f"length_space_check requires p > 1, got {p!r}")
-    sweep = draw_geodesic_sweep(
-        target, base_space, p, seed, f"length/{target.kind}/p={p!r}", trials,
-        n_nodes, setup=f"length/{target.kind}/setup")
-    return sweep.scaled_energies(), sweep.distance_powers()
 
 
 def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):

@@ -11,7 +11,9 @@ order, so every suite produces byte-identical output for a fixed seed.
 :data:`BATTERIES` holds, for each suite, the facts its callers need: the
 tolerance names it reads and the config fields it accepts.  :func:`run_all`
 and the command-line subcommands are built from it.  Each ``run_*`` takes
-its tolerance overrides by name, in one ``tolerances`` mapping.
+its tolerance overrides by name, in one ``tolerances`` mapping, the seed,
+and what its config fields set (and ``bv_curves``, ``reparam_curves`` or
+``sizes``); every other input is a module constant.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from .errors import ConfigError, ValidationError
 from .geometry import (
     curvature_comparison_suite,
     draw_geodesic_sweep,
-    length_space_check,
     reparam_energy_ratios,
 )
 from .mappings import (
@@ -50,6 +52,7 @@ from .mappings import (
     MappingFamily,
     ProductGridMapping,
     TimeGrid,
+    check_p,
     product_lp_norm,
 )
 from .rng import trial_rngs, uniforms
@@ -68,6 +71,29 @@ from .transport import (
 #: estimating empirical decay orders: the measured quantity is identically
 #: zero and only arithmetic noise remains.
 CONVERGENCE_FLOOR = 1e-12
+
+#: The scaled energy of a curve may reach ``LENGTH_KAPPA^p D_p^p``.
+LENGTH_KAPPA = 1.0 + 1e-6
+
+#: Grid refinements at which the p = 1 counterexample measures atom moduli.
+COUNTEREXAMPLE_REFINEMENTS = (1, 2, 4)
+
+#: Time slack of the constant-speed retiming in the length battery: a curve
+#: of length >= 1 reaches the energy bound within ``(1 + REPARAM_EPS)^p``.
+REPARAM_EPS = 1e-6
+
+#: Warp grid of the coarse Skorokhod pair bounds; the refined ones double it.
+SKOROKHOD_WARP_GRID = 8
+
+#: Atoms of a smooth random path.
+SMOOTH_PATH_ATOMS = 4
+
+#: A random polyline: its geodesic legs and its nodes; a polyline curve of
+#: mappings has ``POLYLINE_ATOMS`` atoms and lives in ``L^POLYLINE_P``.
+POLYLINE_LEGS = 3
+POLYLINE_NODES = 33
+POLYLINE_ATOMS = 3
+POLYLINE_P = 2.0
 
 
 @dataclass
@@ -96,17 +122,17 @@ def map_trials(fn, n: int) -> list:
     return [fn(i) for i in range(n)]
 
 
-def decay_order(maxima, floor: float = CONVERGENCE_FLOOR) -> float:
+def decay_order(maxima) -> float:
     """Smallest log2 decay rate between successive grid maxima.
 
-    Returns ``inf`` when all maxima sit below ``floor``: the residual is
-    already at the roundoff level of an exact identity, so there is nothing
-    left to decay.
+    Returns ``inf`` when all maxima sit below :data:`CONVERGENCE_FLOOR`:
+    the residual is already at the roundoff level of an exact identity, so
+    there is nothing left to decay.
     """
     maxima = [float(m) for m in maxima]
     if len(maxima) < 2:
         raise ValidationError("decay_order needs at least two grid maxima")
-    if reading(maxima) <= floor:
+    if reading(maxima) <= CONVERGENCE_FLOOR:
         return math.inf
     return reading([math.inf if fine <= 0.0 else -math.inf if coarse <= 0.0
                     else math.log2(coarse / fine)
@@ -152,14 +178,13 @@ def default_tree() -> MetricTree:
 
 
 def random_base_space(rng: np.random.Generator, n_atoms: int,
-                      zero_atom: bool = False,
-                      prefix: str = "x") -> FiniteMeasureSpace:
+                      zero_atom: bool = False) -> FiniteMeasureSpace:
     """Random positive weights, optionally with one zero-weight atom."""
     weights = rng.uniform(0.25, 1.0, n_atoms)
     if zero_atom and n_atoms > 1:
         weights[int(rng.integers(n_atoms))] = 0.0
     return FiniteMeasureSpace(
-        tuple(f"{prefix}{j}" for j in range(n_atoms)),
+        tuple(f"x{j}" for j in range(n_atoms)),
         tuple(float(w) for w in weights))
 
 
@@ -213,7 +238,7 @@ class SmoothLpPath:
     anchors: np.ndarray  # (atom, 2, *point_shape): start and end points
     wiggles: np.ndarray  # (atom, 2): amplitude and phase
     legs: np.ndarray  # (atom,): the target distance from start to end
-    delta: float = 0.05
+    delta: ClassVar[float] = 0.05
 
     def warp(self, t) -> np.ndarray:
         """Every atom's warp at the times ``t``: shape ``(*t.shape, atom)``."""
@@ -253,8 +278,8 @@ def sweep_smooth_paths(paths, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return times, target.as_points(values, fractions.shape)
 
 
-def sample_smooth_paths(target: TargetSpace, rngs, p: float = 2.0,
-                        n_atoms: int = 4) -> list[SmoothLpPath]:
+def sample_smooth_paths(target: TargetSpace, rngs,
+                        p: float = 2.0) -> list[SmoothLpPath]:
     """Draw a smooth random path of mappings (one geodesic leg per atom)
     from each stream.
 
@@ -263,11 +288,11 @@ def sample_smooth_paths(target: TargetSpace, rngs, p: float = 2.0,
     every read is formed for all streams at once, and one ``exp_maps``
     call gives every end point.
     """
-    ids = tuple(f"x{j}" for j in range(n_atoms))
-    weights = uniforms(rngs, 0.5, 1.5, n_atoms) / n_atoms
-    bases = target.draw_points(rngs, n_atoms)
+    ids = tuple(f"x{j}" for j in range(SMOOTH_PATH_ATOMS))
+    weights = uniforms(rngs, 0.5, 1.5, SMOOTH_PATH_ATOMS) / SMOOTH_PATH_ATOMS
+    bases = target.draw_points(rngs, SMOOTH_PATH_ATOMS)
     starts, tangents, legs, wiggles = [], [], [], []
-    for _ in range(n_atoms):
+    for _ in range(SMOOTH_PATH_ATOMS):
         starts.append(target.draw_points(rngs, 1)[:, 0])
         legs.append(uniforms(rngs, 0.4, 0.8))
         tangents.append(target.draw_tangents(rngs, starts[-1], legs[-1]))
@@ -285,9 +310,9 @@ def sample_smooth_paths(target: TargetSpace, rngs, p: float = 2.0,
 
 
 def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
-                       p: float = 2.0, n_atoms: int = 4) -> SmoothLpPath:
+                       p: float = 2.0) -> SmoothLpPath:
     """Draw a smooth random path of mappings (one geodesic leg per atom)."""
-    return sample_smooth_paths(target, [rng], p, n_atoms)[0]
+    return sample_smooth_paths(target, [rng], p)[0]
 
 
 def _draw_smooth_paths(seed: int, stream: str, target: TargetSpace,
@@ -299,73 +324,61 @@ def _draw_smooth_paths(seed: int, stream: str, target: TargetSpace,
     return paths, [LpSpace(path.family, p) for path in paths]
 
 
-def _nonuniform_times(rngs, n_nodes: int, a: float = 0.0,
-                      b: float = 1.0) -> list[tuple[float, ...]]:
-    """Each stream's times from ``a`` to ``b``, with increments drawn on
+def _nonuniform_times(rngs, n_nodes: int) -> list[tuple[float, ...]]:
+    """Each stream's times from 0 to 1, with increments drawn on
     ``[0.5, 1.5)`` and rescaled."""
     incr = uniforms(rngs, 0.5, 1.5, n_nodes - 1)
     cum = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=-1)],
                          axis=-1)
-    cum = a + (b - a) * cum / cum[:, -1:]
-    cum[:, 0], cum[:, -1] = a, b
+    cum = cum / cum[:, -1:]
     return [tuple(row) for row in cum.tolist()]
 
 
-def _polyline_waypoints(target: TargetSpace, rngs, legs: int) -> np.ndarray:
+def _polyline_waypoints(target: TargetSpace, rngs) -> np.ndarray:
     """Each stream's waypoints, shape ``(stream, waypoint, *point_shape)``:
     a point, then per leg a length of 0.5 to 0.9 and a tangent of that
     length at the last waypoint, whose exp map is the next waypoint."""
     ways = [target.draw_points(rngs, 1)[:, 0]]
-    for _ in range(legs):
+    for _ in range(POLYLINE_LEGS):
         steps = uniforms(rngs, 0.5, 0.9)
         ways.append(target.exp_maps(
             ways[-1], target.draw_tangents(rngs, ways[-1], steps)))
     return np.stack(ways, axis=1)
 
 
-def _polyline_legs(legs: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per node of a polyline, its leg and the fraction of the leg done."""
-    u = [k / (n_nodes - 1) * legs for k in range(n_nodes)]
-    leg = [min(int(x), legs - 1) for x in u]
-    return np.array(leg), np.array([x - j for x, j in zip(u, leg)])
-
-
-def _polyline_nodes(target: TargetSpace, ways: np.ndarray, legs: int,
-                    n_nodes: int) -> np.ndarray:
+def _polyline_nodes(target: TargetSpace, ways: np.ndarray) -> np.ndarray:
     """The nodes of every polyline, ``(stream, node, ...)``, in one
     geodesic call over ``ways`` of shape ``(stream, waypoint, ...)``."""
-    leg, fraction = _polyline_legs(legs, n_nodes)
+    u = np.arange(POLYLINE_NODES) / (POLYLINE_NODES - 1) * POLYLINE_LEGS
+    leg = np.minimum(u.astype(int), POLYLINE_LEGS - 1)
+    fraction = u - leg
     shape = fraction.shape + (1,) * (ways.ndim - 2 - len(target.point_shape))
     return target.geodesic_points(ways[:, leg], ways[:, leg + 1],
                                   fraction.reshape(shape))
 
 
-def polyline_curves(target: TargetSpace, rngs, legs: int = 3,
-                    n_nodes: int = 33) -> list[SampledCurve]:
+def polyline_curves(target: TargetSpace, rngs) -> list[SampledCurve]:
     """Piecewise-geodesic curve through random waypoints, nonuniform times,
     from each stream.
 
     Consecutive waypoints are a geodesic leg of length 0.5 to 0.9 apart,
-    so each curve's chordal length is at least ``legs / 2``.
+    so each curve's chordal length is at least ``POLYLINE_LEGS / 2``.
     """
-    nodes = _polyline_nodes(target, _polyline_waypoints(target, rngs, legs),
-                            legs, n_nodes)
+    nodes = _polyline_nodes(target, _polyline_waypoints(target, rngs))
     return [SampledCurve(target, times, values) for times, values in
-            zip(_nonuniform_times(rngs, n_nodes), nodes)]
+            zip(_nonuniform_times(rngs, POLYLINE_NODES), nodes)]
 
 
-def polyline_mapping_curves(target: TargetSpace, rngs, n_atoms: int = 3,
-                            p: float = 2.0, legs: int = 3,
-                            n_nodes: int = 33) -> list[SampledCurve]:
+def polyline_mapping_curves(target: TargetSpace, rngs) -> list[SampledCurve]:
     """Piecewise-geodesic curve of mappings (same waypoint scheme per atom)
     from each stream: atom after atom, every stream's waypoints at once."""
-    families = random_families(target, rngs, n_atoms)
-    ways = np.stack([_polyline_waypoints(target, rngs, legs)
-                     for _ in range(n_atoms)], axis=2)
-    nodes = _polyline_nodes(target, ways, legs, n_nodes)
-    return [SampledCurve(LpSpace(family, p), times, values)
+    families = random_families(target, rngs, POLYLINE_ATOMS)
+    ways = np.stack([_polyline_waypoints(target, rngs)
+                     for _ in range(POLYLINE_ATOMS)], axis=2)
+    nodes = _polyline_nodes(target, ways)
+    return [SampledCurve(LpSpace(family, POLYLINE_P), times, values)
             for family, times, values in zip(
-                families, _nonuniform_times(rngs, n_nodes), nodes)]
+                families, _nonuniform_times(rngs, POLYLINE_NODES), nodes)]
 
 
 def random_step_curve(space, draw_values, rng: np.random.Generator,
@@ -589,14 +602,12 @@ def run_transport(seed: int = 7, curves: int = 20,
 
 
 def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
-                       refinements: tuple[int, ...] = (1, 2, 4),
-                       tolerances: Mapping | None = None
-                       ) -> SuiteResult:
+                       tolerances: Mapping | None = None) -> SuiteResult:
     """Lipschitz curve of mappings whose atom slices all jump.
 
     For each size the moving-indicator curve must have difference quotients
-    within ``2/n`` of 1, per-atom moduli exactly 1 at every refinement, and
-    weighted jump variation 1.
+    within ``2/n`` of 1, per-atom moduli exactly 1 at every refinement of
+    :data:`COUNTEREXAMPLE_REFINEMENTS`, and weighted jump variation 1.
     """
     del seed  # the construction is fully deterministic
     tol = _tolerances(tolerances)
@@ -607,7 +618,7 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
     lipschitz = ("the indicator curve must be uniformly Lipschitz in the "
                  "mean distance")
     for n in sizes:
-        rep = counterexample_p1(int(n), refinements)
+        rep = counterexample_p1(int(n), COUNTEREXAMPLE_REFINEMENTS)
         reports.append(rep)
         rows.append([rep.n, rep.lipschitz_lo, rep.lipschitz_hi,
                      rep.max_atom_modulus, rep.total_variation])
@@ -633,7 +644,7 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
         name="counterexample",
         metrics={
             "sizes": [int(n) for n in sizes],
-            "refinements": [int(r) for r in refinements],
+            "refinements": list(COUNTEREXAMPLE_REFINEMENTS),
             "lipschitz_lo": reading([r.lipschitz_lo for r in reports], MIN),
             "lipschitz_hi": reading([r.lipschitz_hi for r in reports]),
             "max_atom_modulus": reading(
@@ -812,10 +823,6 @@ def run_curvature(seed: int = 7, trials: int = 500,
 # Suite: length-space structure and reparametrization
 # ---------------------------------------------------------------------------
 
-#: The scaled energy of a curve may reach ``LENGTH_KAPPA^p D_p^p``.
-LENGTH_KAPPA = 1.0 + 1e-6
-
-
 def default_equality_tol(target: TargetSpace) -> float:
     """Relative tolerance for energy = distance-power on geodesics."""
     if target.curvature_class == FLAT:
@@ -827,13 +834,17 @@ def default_equality_tol(target: TargetSpace) -> float:
 
 def run_length(seed: int = 7, trials: int = 12,
                p_values: tuple[float, ...] = (1.5, 2.0, 3.0),
-               reparam_curves: int = 50, eps: float = 1e-6,
-               n_nodes: int = 17,
+               reparam_curves: int = 50, n_nodes: int = 17,
                tolerances: Mapping | None = None) -> SuiteResult:
     """Energy controls distance, geodesics saturate it, reparametrization
-    reaches the bound within ``(1 + eps)^p``.  ``length_equality`` unset
-    means :func:`default_equality_tol` of each target.
+    reaches the bound within ``(1 + REPARAM_EPS)^p``.  Each target and
+    finite ``p > 1`` sweeps its geodesics from the stream ``(seed,
+    "length/<kind>/p=<p>", trial)``.  ``length_equality`` unset means
+    :func:`default_equality_tol` of each target.
     """
+    for p in p_values:
+        if check_p(p, allow_inf=False) <= 1.0:
+            raise ValidationError(f"the length battery needs p > 1, got {p!r}")
     equality_tol = _tolerances(tolerances)["length_equality"]
     targets = (Euclidean(2), Sphere(3), Spd(2), default_tree())
     base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (0.75, 1.25, 0.5))
@@ -843,11 +854,12 @@ def run_length(seed: int = 7, trials: int = 12,
     csv_rows = [["target", "p", "trial", "scaled_energy", "distance_power"]]
     for target in targets:
         for p in p_values:
-            scaled, powers = length_space_check(
-                target, base_space, p, int(trials), seed=seed,
-                n_nodes=int(n_nodes))
             key = f"{target.kind}/p={p}"
             stream = f"length/{target.kind}/p={float(p)!r}"
+            sweep = draw_geodesic_sweep(
+                target, base_space, float(p), seed, stream, int(trials),
+                int(n_nodes), setup=f"length/{target.kind}/setup")
+            scaled, powers = sweep.scaled_energies(), sweep.distance_powers()
             upper_excess = scaled - LENGTH_KAPPA ** float(p) * powers
             equality_gaps = (np.abs(scaled - powers)
                              / np.maximum(powers, 1e-300))
@@ -872,8 +884,8 @@ def run_length(seed: int = 7, trials: int = 12,
                              scaled.tolist(), powers.tolist()))]
 
     # Reparametrization battery: mixed plain-target and mapping-space
-    # curves, all of length >= 1 so the additive slack eps stays within the
-    # multiplicative budget (1 + eps)^p.
+    # curves, all of length >= 1 so the additive slack REPARAM_EPS stays
+    # within the multiplicative budget (1 + REPARAM_EPS)^p.
     drawn = _draw_by_kind(seed, "length/reparam", reparam_curves, (
         lambda rngs, _: polyline_curves(Euclidean(2), rngs),
         lambda rngs, _: polyline_curves(Sphere(3), rngs),
@@ -881,11 +893,11 @@ def run_length(seed: int = 7, trials: int = 12,
 
     def one_reparam(i: int):
         curve = drawn[i]
-        re, total, ratios = reparam_energy_ratios(curve, p_values, eps)
+        re, total, ratios = reparam_energy_ratios(curve, p_values, REPARAM_EPS)
         if total < 1.0:  # pragma: no cover - legs guarantee length >= 1.5
             raise ValidationError(
                 f"reparam battery sampled a curve of length {total!r} < 1")
-        worst_excess = reading([ratio - (1.0 + eps) ** p
+        worst_excess = reading([ratio - (1.0 + REPARAM_EPS) ** p
                                 for ratio, p in zip(ratios, p_values)])
         return worst_excess, float(abs(length(re) - total))
 
@@ -902,7 +914,7 @@ def run_length(seed: int = 7, trials: int = 12,
 
     metrics["reparam"] = {
         "curves": int(reparam_curves),
-        "eps": float(eps),
+        "eps": REPARAM_EPS,
         "max_budget_excess": reading(excess),
         "max_length_gap": reading(len_gaps),
     }
@@ -991,7 +1003,7 @@ def run_speed(seed: int = 7, curves: int = 6,
 # ---------------------------------------------------------------------------
 
 
-def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
+def run_skorokhod(seed: int = 7, pairs: int = 200,
                   tolerances: Mapping | None = None) -> SuiteResult:
     """Worked examples hit known values; bounds sandwich and refine monotonically."""
     example_tol = _tolerances(tolerances)["skorokhod_example"]
@@ -1023,8 +1035,8 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
         pieces=2 + (i + shift) % 3) for shift in (0, 1))
         for i, rng in enumerate(
             trial_rngs(seed, "skorokhod/pairs", range(int(pairs))))]
-    coarse = skorokhod_distances(drawn, warp_grid=int(warp_grid))
-    fine = skorokhod_distances(drawn, warp_grid=2 * int(warp_grid))
+    coarse = skorokhod_distances(drawn, warp_grid=SKOROKHOD_WARP_GRID)
+    fine = skorokhod_distances(drawn, warp_grid=2 * SKOROKHOD_WARP_GRID)
     sandwich = [reading([c.lower - c.upper, f.lower - f.upper])
                 for c, f in zip(coarse, fine)]
     monotone = [f.upper - c.upper for c, f in zip(coarse, fine)]
@@ -1036,7 +1048,7 @@ def run_skorokhod(seed: int = 7, pairs: int = 200, warp_grid: int = 8,
         name="skorokhod",
         metrics={
             "pairs": int(pairs),
-            "warp_grid": int(warp_grid),
+            "warp_grid": SKOROKHOD_WARP_GRID,
             "examples": {k: float(v) for k, v in examples.items()},
             "max_sandwich_violation": reading(sandwich),
             "max_monotonicity_violation": reading(monotone),

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from nlsp import suites
 from nlsp.cli import main
+from nlsp.suites import BATTERIES
 
 
 @pytest.fixture()
@@ -159,7 +161,9 @@ REFUSED_INPUTS = [
      "field 'seed': must fit in 64 bits"),
     (["transport", "--counterexample-p1", "--seed", str(2 ** 64)], None,
      "field 'seed': must fit in 64 bits"),
+    (["fubini", "--seed", "-1"], None, "field 'seed': must be >= 0, got -1"),
     (["fubini"], '{"seed": 3, "seed": 4}', "duplicate key 'seed'"),
+    (["fubini"], '{"output": "résultats"}'.encode("latin-1"), "not UTF-8"),
     (["curvature"], '{"target": {"kind": "euclidean", "dim": true}}',
      "dim must be a positive integer, got True"),
     (["curvature"], '{"target": {"kind": "spd", "matrix_dim": true}}',
@@ -172,15 +176,20 @@ REFUSED_INPUTS = [
 
 @pytest.mark.parametrize(
     "argv,text,message", REFUSED_INPUTS,
-    ids=["seed-geodesic", "seed-all", "seed-counterexample", "duplicate-key",
-         "bool-euclidean-dim", "bool-spd-dim", "bool-tree-edge"])
+    ids=["seed-geodesic", "seed-all", "seed-counterexample", "seed-negative",
+         "duplicate-key", "not-utf8", "bool-euclidean-dim", "bool-spd-dim",
+         "bool-tree-edge"])
 def test_refused_inputs_exit_2_without_a_traceback(runner, tmp_path, argv,
                                                    text, message):
-    """Out-of-range flags, repeated keys and boolean target sizes are
-    configuration errors (exit 2), named on one line, before any run."""
+    """Out-of-range flags, repeated keys, files that are not UTF-8 and
+    boolean target sizes are configuration errors (exit 2), named on one
+    line, before any run."""
     if text is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
         argv = [*argv, "--config", str(path)]
     out = tmp_path / "out"
     result = runner.invoke(main, [*argv, "--out", str(out)])
@@ -189,6 +198,33 @@ def test_refused_inputs_exit_2_without_a_traceback(runner, tmp_path, argv,
     assert result.stderr.startswith("configuration error: ")
     assert message in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fubini", "all"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_an_output_path_that_is_a_file_is_refused_before_any_run(
+        runner, tmp_path, monkeypatch, command, source):
+    """An output path naming an existing file, given by ``--out`` or in a
+    config file, is a configuration error (exit 2) on one line, and no
+    battery runs."""
+    ran = []
+    for battery in BATTERIES:
+        monkeypatch.setattr(suites, battery.run.__name__,
+                            lambda **kwargs: ran.append(kwargs))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    if source == "flag":
+        argv = [command, "--out", str(afile)]
+    else:
+        cfg = write_json(tmp_path, "cfg.json", {"output": str(afile)})
+        argv = [command, "--config", str(cfg)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("configuration error: field 'output': ")
+    assert len(result.stderr.splitlines()) == 1
+    assert ran == []
+    assert afile.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_counterexample_size_flag_requires_mode_flag(runner):

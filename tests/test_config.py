@@ -231,7 +231,13 @@ def test_unknown_key_diagnostic_names_line_and_field(tmp_path):
      3, "kind"),
     ('{\n  "tolerances": {"fubini_rel": 1e-9,\n'
      '                 "fubini_rel": 1e-8}\n}\n', 3, "fubini_rel"),
-], ids=["top", "one-line", "target", "tolerances"])
+    # "weight" occurs three times, so the hook cannot tell that the repeat
+    # sits on line 5; it names no line rather than a wrong one.
+    ('{\n  "base": {"atoms": [{"id": "a", "weight": 1},\n'
+     '                     {"id": "b",\n'
+     '                      "weight": 1,\n'
+     '                      "weight": 2}]}\n}\n', None, "weight"),
+], ids=["top", "one-line", "target", "tolerances", "key-of-an-earlier-object"])
 def test_duplicate_keys_are_refused_at_any_depth(tmp_path, text, line, field):
     """A repeated key is an error, not a silent last-one-wins."""
     path = tmp_path / "dup.json"
@@ -310,14 +316,15 @@ def test_build_config_precedence(tmp_path):
 
 @pytest.mark.parametrize("flags,message", [
     ({"seed": 2 ** 64}, "field 'seed': must fit in 64 bits"),
+    ({"seed": -1}, "field 'seed': must be >= 0, got -1"),
     ({"seed": True}, "field 'seed': expected an integer"),
     ({"trials": 0}, "field 'trials': must be >= 1"),
     ({"output": ""}, "field 'output': expected a non-empty string"),
     ({"tolerances": {"fubini_rel": -1.0}},
      "field 'tolerances.fubini_rel': expected a positive finite number"),
     ({"threads": 2}, "field 'threads': unknown key 'threads'"),
-], ids=["seed-65-bits", "seed-bool", "trials", "output", "tolerance",
-        "unknown"])
+], ids=["seed-65-bits", "seed-negative", "seed-bool", "trials", "output",
+        "tolerance", "unknown"])
 def test_flags_pass_the_file_validators(flags, message):
     """A flag value is checked exactly like the same value in a file."""
     with pytest.raises(ConfigError) as err:

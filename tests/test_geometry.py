@@ -37,10 +37,10 @@ from nlsp import (
     geodesic_speed_check,
     geodesic_sweep,
     length,
-    length_space_check,
     lp_geodesic,
     mapping_comparison_residual,
     run_curvature,
+    run_length,
     trial_rng,
 )
 from nlsp.geometry import reparam_energy_ratios
@@ -415,8 +415,9 @@ def test_length_space_check_passes_on_all_targets(target_name):
     """Energy never beats the scaled distance power and geodesics attain it."""
     target = {"euclidean": Euclidean(2), "sphere": Sphere(3), "spd": Spd(2),
               "metric_tree": default_tree()}[target_name]
-    scaled, powers = length_space_check(target, small_base(), 2.0, trials=4,
-                                        seed=3)
+    sweep = draw_geodesic_sweep(target, small_base(), 2.0, 3,
+                                f"test/length/{target_name}", 4)
+    scaled, powers = sweep.scaled_energies(), sweep.distance_powers()
     assert scaled.shape == powers.shape == (4,)
     assert np.max(scaled - LENGTH_KAPPA ** 2 * powers) <= 1e-12
     assert np.max(np.abs(scaled - powers) / powers) \
@@ -424,12 +425,12 @@ def test_length_space_check_passes_on_all_targets(target_name):
 
 
 def test_length_space_check_validates_parameters():
-    """The exponent must be finite and above one."""
-    base = FiniteMeasureSpace(("a",), (1.0,))
+    """The length battery refuses, before any draw, an exponent that is
+    not finite and above one."""
     with pytest.raises(ValidationError, match="p > 1"):
-        length_space_check(Euclidean(2), base, 1.0, trials=2)
+        run_length(p_values=(1.0,))
     with pytest.raises(ValidationError, match="not allowed"):
-        length_space_check(Euclidean(2), base, math.inf, trials=2)
+        run_length(p_values=(math.inf,))
 
 
 def test_default_equality_tol_by_target_class():

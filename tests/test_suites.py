@@ -132,6 +132,25 @@ def test_battery_arguments_match_the_run_signature(battery):
         assert arg in params and callable(convert), name
 
 
+#: The runner settings that no config field sets: the Tier-1 tests shrink
+#: the two curve counts, on which the worst-trial notes of FORCED and
+#: MUTATIONS depend, and ``--n`` sets the counterexample sizes.
+UNFIELDED_SETTINGS = {"transport": {"bv_curves"},
+                      "length": {"reparam_curves"},
+                      "counterexample": {"sizes"}}
+
+
+@pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
+def test_every_battery_setting_is_a_config_field(battery):
+    """A runner takes the seed, its tolerances and the keyword arguments
+    its config fields set, besides the listed exceptions: a value that no
+    caller sets is a named constant of the module, not a parameter."""
+    params = set(inspect.signature(battery.run).parameters)
+    fielded = {arg for arg, _ in battery.fields.values()}
+    assert params - {"seed", "tolerances"} - fielded \
+        == UNFIELDED_SETTINGS.get(battery.name, set())
+
+
 @pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
 def test_each_battery_reads_exactly_the_tolerances_it_lists(monkeypatch,
                                                             battery):
