@@ -129,13 +129,24 @@ def energy(c: SampledCurve, p) -> float:
 def lengths(space, points) -> np.ndarray:
     """:func:`length` of a batch of samples along the first axis, with one
     batched distance call; further batch axes are carried through."""
-    return _time_sums(space.distances(points[:-1], points[1:]))
+    return table_lengths(space.distances(points[:-1], points[1:]))
 
 
 def energies(space, points, times, p: float) -> np.ndarray:
     """:func:`energy` of a batch of samples along the first axis, for a
     validated finite ``p``; further batch axes are carried through."""
-    seg = space.distances(points[:-1], points[1:])
+    return table_energies(space.distances(points[:-1], points[1:]), times, p)
+
+
+def table_lengths(seg: np.ndarray) -> np.ndarray:
+    """:func:`lengths` read off ``seg``, the distances of consecutive
+    samples along the first axis."""
+    return _time_sums(seg)
+
+
+def table_energies(seg: np.ndarray, times, p: float) -> np.ndarray:
+    """:func:`energies` read off ``seg``, the distances of consecutive
+    samples along the first axis, at sample times ``times``."""
     dt = np.diff(times).reshape((-1,) + (1,) * (seg.ndim - 1))
     return _time_sums(seg ** p / dt ** (p - 1.0))
 
@@ -159,13 +170,20 @@ def constant_speed_reparam(c: SampledCurve, eps: float) -> SampledCurve:
     constant-speed the times are reproduced (up to roundoff far below any
     meaningful tolerance).
     """
+    _require_multinode(c, "constant_speed_reparam")
+    return retimed(c, c.segment_lengths(), eps)
+
+
+def retimed(c: SampledCurve, seg: np.ndarray, eps: float) -> SampledCurve:
+    """:func:`constant_speed_reparam` of ``c``, given ``seg``, its segment
+    distances.  The retimed curve keeps the values, so ``seg`` is its table
+    too."""
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValidationError(f"eps must be a positive real, got {eps!r}")
-    _require_multinode(c, "constant_speed_reparam")
     a, b = c.interval
     span = b - a
-    cum = np.concatenate([[0.0], np.cumsum(c.segment_lengths())])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = float(cum[-1])
     t = c.times_array
     tau = a + (cum + (t - a) * (eps / span)) * (span / (total + eps))
@@ -493,11 +511,12 @@ def _warp_program(knots: np.ndarray, pieces: np.ndarray
     # logs[k][b, m] = log(knots[b, k] - knots[b, m]) for m < k.
     logs = [np.log(knots[:, k, None] - knots[:, :k]) for k in range(n)]
     # rows[b, i, l]: max of pieces[b, i:i2, l], the cells the segment from
-    # row i to row i2 crosses; rect[b, i, j]: max of rows[b, i, j:j2].
-    # Maxima are exact, so growing them one row or column at a time gives
-    # the same numbers as any other order.
+    # row i to row i2 crosses; rv[b, i, j]: max of rows[b, i, j:j2] and of
+    # value[b, i, j], which is final for every i < i2.  Maxima are exact, so
+    # growing them one row or column at a time gives the same numbers as
+    # any other order.
     rows = np.empty_like(pieces)
-    rect = np.empty_like(pieces)
+    rv = np.empty_like(pieces)
     cand = np.empty(batch * (n - 1) * (n - 1))
     for i2 in range(1, n):
         np.maximum(rows[:, :i2 - 1], pieces[:, i2 - 1:i2],
@@ -505,14 +524,14 @@ def _warp_program(knots: np.ndarray, pieces: np.ndarray
         rows[:, i2 - 1] = pieces[:, i2 - 1]
         log_in = logs[i2][:, :, None]
         for j2 in range(1, n):
-            np.maximum(rect[:, :i2, :j2 - 1], rows[:, :i2, j2 - 1:j2],
-                       out=rect[:, :i2, :j2 - 1])
-            rect[:, :i2, j2 - 1] = rows[:, :i2, j2 - 1]
+            np.maximum(rv[:, :i2, :j2 - 1], rows[:, :i2, j2 - 1:j2],
+                       out=rv[:, :i2, :j2 - 1])
+            np.maximum(rows[:, :i2, j2 - 1], value[:, :i2, j2 - 1],
+                       out=rv[:, :i2, j2 - 1])
             block = cand[:batch * i2 * j2].reshape(batch, i2, j2)
             np.subtract(logs[j2][:, None, :], log_in, out=block)
             np.abs(block, out=block)
-            np.maximum(block, rect[:, :i2, :j2], out=block)
-            np.maximum(block, value[:, :i2, :j2], out=block)
+            np.maximum(block, rv[:, :i2, :j2], out=block)
             flat = block.reshape(batch, -1).argmin(axis=1)
             value[:, i2, j2] = block.reshape(batch, -1)[every, flat]
             pred[:, i2, j2] = flat

@@ -27,12 +27,12 @@ import numpy as np
 
 from .curves import (
     SampledCurve,
-    constant_speed_reparam,
     energies,
-    energy,
-    length,
     lengths,
     metric_speeds,
+    retimed,
+    table_energies,
+    table_lengths,
 )
 from .errors import GeodesicError, ValidationError
 from .mappings import (
@@ -41,6 +41,7 @@ from .mappings import (
     MappingFamily,
     MetricMapping,
     _weighted_norm,
+    check_p,
     d_p,
 )
 from .rng import trial_rng, trial_rngs, uniforms
@@ -393,15 +394,21 @@ def curvature_comparison_suite(
 def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):
     """Retime ``curve`` once at constant speed and score it per exponent.
 
-    Returns the retimed curve, the length ``L`` of ``curve`` and, for each
-    ``p`` in ``p_values``, the energy ratio ``(b-a)^{p-1} E_p / L^p`` of the
-    retimed curve.
+    Returns the length of the retimed curve, the length ``L`` of ``curve``
+    and, for each ``p`` in ``p_values``, the energy ratio ``(b-a)^{p-1} E_p
+    / L^p`` of the retimed curve.  Retiming moves only the times, so one
+    table of segment distances serves both curves, each reading summed as
+    :func:`~nlsp.curves.length` and :func:`~nlsp.curves.energy` sum it; the
+    two lengths are therefore the same number.
     """
-    total = length(curve)
+    seg = curve.segment_lengths()
+    total = float(table_lengths(seg))
     if total <= 0.0:
         raise ValidationError(
             "reparametrization certificates need a curve of positive length")
-    re = constant_speed_reparam(curve, eps)
+    re = retimed(curve, seg, eps)
     a, b = re.interval
-    return re, total, [(b - a) ** (p - 1.0) * energy(re, p) / total ** p
-                       for p in p_values]
+    return total, total, [
+        (b - a) ** (p - 1.0) * float(table_energies(
+            seg, re.times_array, check_p(p, allow_inf=False))) / total ** p
+        for p in p_values]

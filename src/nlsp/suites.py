@@ -34,7 +34,6 @@ from .config import (
 from .curves import (
     SampledCurve,
     StepCurve,
-    length,
     skorokhod_distance,
     skorokhod_distances,
     variation_measure,
@@ -678,6 +677,7 @@ def run_geodesic(seed: int = 7, trials: int = 3,
     trial; the metrics pool every target and exponent.
     """
     residual_tol = _tolerances(tolerances)["geodesic_residual"]
+    p_values = tuple(check_p(p) for p in p_values)
     trace_target = Spd(2) if targets is None else targets[0]
     if targets is None:
         targets = (Sphere(3), Spd(2), default_tree())
@@ -842,8 +842,9 @@ def run_length(seed: int = 7, trials: int = 12,
     "length/<kind>/p=<p>", trial)``.  ``length_equality`` unset means
     :func:`default_equality_tol` of each target.
     """
+    p_values = tuple(check_p(p, allow_inf=False) for p in p_values)
     for p in p_values:
-        if check_p(p, allow_inf=False) <= 1.0:
+        if p <= 1.0:
             raise ValidationError(f"the length battery needs p > 1, got {p!r}")
     equality_tol = _tolerances(tolerances)["length_equality"]
     targets = (Euclidean(2), Sphere(3), Spd(2), default_tree())
@@ -855,12 +856,12 @@ def run_length(seed: int = 7, trials: int = 12,
     for target in targets:
         for p in p_values:
             key = f"{target.kind}/p={p}"
-            stream = f"length/{target.kind}/p={float(p)!r}"
+            stream = f"length/{target.kind}/p={p!r}"
             sweep = draw_geodesic_sweep(
-                target, base_space, float(p), seed, stream, int(trials),
+                target, base_space, p, seed, stream, int(trials),
                 int(n_nodes), setup=f"length/{target.kind}/setup")
             scaled, powers = sweep.scaled_energies(), sweep.distance_powers()
-            upper_excess = scaled - LENGTH_KAPPA ** float(p) * powers
+            upper_excess = scaled - LENGTH_KAPPA ** p * powers
             equality_gaps = (np.abs(scaled - powers)
                              / np.maximum(powers, 1e-300))
             metrics["targets"][key] = {
@@ -893,13 +894,14 @@ def run_length(seed: int = 7, trials: int = 12,
 
     def one_reparam(i: int):
         curve = drawn[i]
-        re, total, ratios = reparam_energy_ratios(curve, p_values, REPARAM_EPS)
+        re_total, total, ratios = reparam_energy_ratios(
+            curve, p_values, REPARAM_EPS)
         if total < 1.0:  # pragma: no cover - legs guarantee length >= 1.5
             raise ValidationError(
                 f"reparam battery sampled a curve of length {total!r} < 1")
         worst_excess = reading([ratio - (1.0 + REPARAM_EPS) ** p
                                 for ratio, p in zip(ratios, p_values)])
-        return worst_excess, float(abs(length(re) - total))
+        return worst_excess, float(abs(re_total - total))
 
     excess, len_gaps = zip(*map_trials(one_reparam, int(reparam_curves)))
     checks += [

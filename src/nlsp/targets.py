@@ -15,8 +15,8 @@ with the stream axis in front (``draw_points``, ``draw_geodesic_pairs``,
 into points in one kernel call, with the bytes of that stream's own draw
 (see :mod:`nlsp.rng`).  Each space writes each formula once, as a numpy kernel
 over the batch axes.  SPD matrices go through the stacked eigensolvers
-``_eigh`` / ``_eigvalsh`` on ``(..., n, n)`` (a batched Jacobi iteration
-for ``n = 3``, LAPACK otherwise) with the affine-invariant formulas of
+``_eigh`` / ``_eigvalsh`` on ``(..., n, n)`` (2x2 in closed form, 3x3 by
+Jacobi, LAPACK otherwise) with the affine-invariant formulas of
 Pennec, Fillard and Ayache (IJCV 2006).  A metric-tree point is the pair
 ``(edge, offset)`` of shape ``(2,)``, the edge-offset coordinates of a
 metric graph (Bridson and Haefliger, *Metric Spaces of Non-Positive
@@ -626,20 +626,195 @@ _OPPOSITE_I, _OPPOSITE_J = [1, 0, 0], [2, 2, 1]
 _JACOBI_PIVOTS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
+#: LAPACK's unit roundoff (``dlamch("E")``) and safe minimum.
+_EPS = 2.0 ** -53
+_SAFMIN = np.finfo(float).tiny
+#: The range of a 2x2 matrix's largest lower-triangle magnitude in which
+#: LAPACK decomposes it without rescaling: ``dsteqr`` and ``dsterf``
+#: rescale below ``sqrt(safmin) / eps^2 = 2^-405``, ``dsyevd`` above
+#: ``sqrt(2 eps / safmin) = 2^485``.
+_EIG2_RANGE = (2.0 ** -405, 2.0 ** 485)
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues, and the eigenvectors as matching columns, of
-    each symmetric matrix of a stack, read from its lower triangle: 3x3
-    stacks by :func:`_jacobi3`, every other size by LAPACK."""
-    if a.shape[-1] == 3:
+    each symmetric matrix of a stack, read from its lower triangle: 2x2
+    stacks in closed form (:func:`_eig2`), 3x3 by Jacobi
+    (:func:`_jacobi3`), LAPACK otherwise."""
+    n = a.shape[-1]
+    if n == 3:
         return _jacobi3(a, vectors=True)
+    if n == 2 and (wv := _eig2(a, vectors=True)) is not None:
+        return wv
     return np.linalg.eigh(a)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of :func:`_eigh` alone."""
-    if a.shape[-1] == 3:
+    n = a.shape[-1]
+    if n == 3:
         return _jacobi3(a, vectors=False)[0]
+    if n == 2 and (wv := _eig2(a, vectors=False)) is not None:
+        return wv[0]
     return np.linalg.eigvalsh(a)
+
+
+def _eig2(a: np.ndarray, vectors: bool):
+    """Closed-form eigendecomposition of a stack of symmetric 2x2 matrices,
+    read from the lower triangle: ``(w, v)`` as :func:`_eigh` gives them,
+    with ``v`` None unless ``vectors``; None for the whole stack if some
+    matrix's largest entry lies outside :data:`_EIG2_RANGE` or is NaN.
+
+    It is the step LAPACK takes on a 2x2 matrix (Anderson et al., *LAPACK
+    Users' Guide*, 3rd ed., SIAM 1999), transcribed for a stack.
+    numpy's ``eigh`` runs ``dsyevd``, whose ``dsteqr`` keeps the diagonal
+    when ``|e| <= sqrt|d1| sqrt|d2| eps`` or ``e^2 <= eps^2 min|d| max|d| +
+    safmin`` and otherwise rotates the identity by ``dlaev2``'s eigenpair,
+    then sorts ascending; numpy's ``eigvalsh`` runs ``dsterf``, which
+    keeps the diagonal when ``|e|`` passes the same first test or ``e^2 <=
+    eps^2 |d1 d2|`` and otherwise takes ``dlae2`` of ``sqrt(e^2)``.  Every
+    result is LAPACK's bit for bit, signed zeros included, so each
+    matrix's result does not depend on its batch.  Chunks of
+    :data:`_JACOBI_CHUNK` matrices run branch-free; in lanes whose
+    off-diagonal entry is zero, 0/0 fills results the kept diagonal
+    replaces.
+    """
+    a = np.asarray(a, float)
+    flat = a.reshape(-1, 2, 2)
+    w = np.empty((len(flat), 2))
+    v = np.empty((len(flat), 2, 2)) if vectors else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(flat), _JACOBI_CHUNK):
+            hi = lo + _JACOBI_CHUNK
+            if not _eig2_chunk(flat[lo:hi], w[lo:hi],
+                               None if v is None else v[lo:hi]):
+                return None
+    return (w.reshape(a.shape[:-1]),
+            None if v is None else v.reshape(a.shape))
+
+
+def _eig2_chunk(a, w_out, v_out) -> bool:
+    """One chunk of :func:`_eig2`, written into ``w_out`` and ``v_out``;
+    False, before anything is written, if a matrix is out of range.  The
+    entries of its ``m`` matrices are rows of ``(m,)`` arrays, and every
+    step writes into a preallocated row where it can."""
+    m = len(a)
+    x = a.reshape(m, 4).T.copy()
+    d1, b, e, d2 = x  # b: the off-diagonal entry dlae2 is given, set below
+    ax = np.abs(x)
+    ad1, mag, ae, ad2 = ax  # mag: each matrix's largest magnitude, set below
+    sm, df, tb, ab, rt, rt1, rt2, t, u = np.empty((9, m))
+    keep, flag, sw = np.empty((3, m), bool)
+    np.maximum(ad1, ad2, out=rt)
+    np.maximum(rt, ae, out=mag)
+    if not (_EIG2_RANGE[0] <= np.minimum.reduce(mag)
+            and np.maximum.reduce(mag) <= _EIG2_RANGE[1]):
+        return False
+    # keep: the diagonal is the spectrum.  First the split test of dsteqr
+    # and dsterf, |e| <= sqrt|d1| sqrt|d2| eps, ...
+    np.sqrt(ad1, out=t)
+    np.sqrt(ad2, out=u)
+    t *= u
+    t *= _EPS
+    np.less_equal(ae, t, out=keep)
+    np.multiply(e, e, out=u)
+    if v_out is not None:
+        # ... then dsteqr's e^2 <= (eps^2 min|d|) max|d| + safmin, ...
+        np.minimum(ad1, ad2, out=t)
+        t *= _EPS * _EPS
+        t *= rt
+        t += _SAFMIN
+        b = e
+    else:
+        # ... or dsterf's e^2 <= eps^2 |d1 d2|, which goes on with sqrt(e^2).
+        # (Its QR branch swaps d1 and d2 in dlae2, which changes nothing:
+        # it runs only when |d1| > |d2|, and the pair is sorted after.)
+        np.multiply(d1, d2, out=t)
+        np.abs(t, out=t)
+        t *= _EPS * _EPS
+        np.sqrt(u, out=b)
+    np.less_equal(u, t, out=flag)
+    keep |= flag
+    # dlae2: rt = |(df, 2b)|, rt1 = (sm + sign(sm) rt) / 2 with -0 counted
+    # as positive, rt2 = (acmx / rt1) acmn - (b / rt1) b, or -rt1 if sm = 0.
+    np.add(d1, d2, out=sm)
+    sm += 0.0
+    np.subtract(d1, d2, out=df)
+    df += 0.0
+    np.add(b, b, out=tb)
+    np.abs(tb, out=ab)
+    np.abs(df, out=t)
+    np.maximum(t, ab, out=rt)
+    np.minimum(t, ab, out=u)
+    u /= rt
+    u *= u
+    u += 1.0
+    np.sqrt(u, out=u)
+    rt *= u
+    np.copysign(rt, sm, out=rt1)
+    rt1 += sm
+    rt1 *= 0.5
+    np.greater(ad1, ad2, out=flag)
+    acmx = np.where(flag, d1, d2)
+    acmx /= rt1
+    acmx *= np.where(flag, d2, d1)
+    np.divide(b, rt1, out=rt2)
+    rt2 *= b
+    np.subtract(acmx, rt2, out=rt2)
+    np.negative(rt1, out=u)
+    rt2 = np.where(sm == 0.0, u, rt2)
+    rt1 = np.where(keep, d1, rt1)
+    rt2 = np.where(keep, d2, rt2)
+    np.minimum(rt1, rt2, out=w_out[:, 0])
+    np.maximum(rt1, rt2, out=w_out[:, 1])
+    if v_out is None:
+        return True
+    # dlaev2's eigenvector (cs1, sn1) of rt1, with cs = df + sign(df) rt:
+    # (ct r, r) with ct = -tb / cs and r = 1 / sqrt(1 + ct^2) if |cs| >
+    # |tb|, else (r, tn r) with tn = -cs / tb.  As |cs| >= rt >= |tb|, the
+    # second branch has |cs| = |tb| and tn = ct = +-1, where (r, ct r) is
+    # (ct r, r) negated if ct = -1: so (cs1, sn1) = (y, r), y = ct r, with
+    # r negative where ct = -1.
+    np.copysign(rt, df, out=t)
+    t += df
+    ct = np.divide(tb, t, out=t)
+    np.negative(ct, out=ct)
+    np.multiply(ct, ct, out=u)
+    u += 1.0
+    np.sqrt(u, out=u)
+    r = np.divide(1.0, u, out=u)
+    np.equal(ct, -1.0, out=flag)
+    # dlaev2 turns (c, s) into (-s, c) where sm and df have the same sign
+    # ("same").  dsteqr rotates the identity into [[c, -s], [s, c]], exact
+    # since no c or s is zero outside the kept lanes, then swaps its columns
+    # where rt2 < rt1 ("sw"): [[p, -q], [q, p]] with (p, q) = (c, s), or
+    # [[p, q], [q, -p]] with (p, q) = (-s, c) where they swap.  Both turns
+    # together negate (c, s), which is folded into r's sign.
+    np.multiply(sm, df, out=tb)
+    same = np.signbit(tb)
+    same |= keep
+    np.logical_not(same, out=same)
+    np.less(rt2, rt1, out=sw)
+    flag ^= same & sw
+    np.negative(r, out=ab)
+    r = np.where(flag, ab, r)
+    y = np.multiply(ct, r, out=ct)
+    y[keep] = 1.0
+    r[keep] = 0.0
+    same ^= sw
+    np.negative(r, out=ab)
+    p = np.where(same, ab, y)
+    q = np.where(same, y, r)
+    tau = np.where(sw, -1.0, 1.0)
+    v = v_out.reshape(m, 4)
+    v[:, 0] = p
+    v[:, 2] = q
+    np.multiply(q, tau, out=v[:, 1])
+    np.negative(v[:, 1], out=v[:, 1])
+    np.multiply(p, tau, out=v[:, 3])
+    # The kept lanes hold the identity (or its swap), whose zeros are +0.
+    v += 0.0
+    return True
 
 
 def _jacobi3(a: np.ndarray, vectors: bool):
@@ -787,10 +962,10 @@ class Spd(TargetSpace):
     ``A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}``.  All matrix functions go
     through a stacked eigendecomposition and every result is symmetrized
     before it is returned, so chains of operations cannot drift away from
-    symmetry.  For ``matrix_dim = 3`` the decomposition is the cyclic
-    Jacobi iteration of :func:`_jacobi3`, whose result for each matrix is
-    the same bit for bit whatever batch it comes in; other sizes go to
-    LAPACK.  ``distances`` and ``geodesic_points`` expect validated
+    symmetry.  The decomposition is 2x2 in closed form (:func:`_eig2`,
+    LAPACK's result bit for bit), 3x3 by Jacobi (:func:`_jacobi3`), LAPACK
+    otherwise; each matrix's result is the same bit for bit whatever batch
+    it comes in.  ``distances`` and ``geodesic_points`` expect validated
     points, which ``_constrain`` leaves exactly symmetric, and do not copy
     them into symmetric form again.  A pair of valid points whose whitened
     matrix ``A^{-1/2} B A^{-1/2}`` has an eigenvalue <= 0 in floating

@@ -7,6 +7,7 @@ primitive that a battery must catch.
 from __future__ import annotations
 
 import inspect
+import json
 import math
 import re
 
@@ -521,3 +522,30 @@ def test_curvature_and_length_failures_name_a_drawn_stream(monkeypatch,
              for f in result.failures]
     assert len(notes) == len(expected) and all(notes), result.failures
     assert {note.group(1) for note in notes} <= drawn
+
+
+def _result_bytes(result) -> bytes:
+    """What the CLI writes for a battery result, with every check's name,
+    stream and scores."""
+    from nlsp.cli import _cell
+
+    return json.dumps({
+        "passed": result.passed,
+        "metrics": result.metrics,
+        "failures": list(result.failures),
+        "csv": {name: [[_cell(x) for x in row] for row in rows]
+                for name, rows in result.csv.items()},
+        "checks": [[c.name, c.stream,
+                    np.asarray(c.observed, float).tobytes().hex()]
+                   for c in result.checks],
+    }, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("battery,kwargs", [
+    (suites.run_geodesic, {"trials": 2, "n_nodes": 5}),
+    (suites.run_length, {"trials": 2, "n_nodes": 5, "reparam_curves": 3}),
+], ids=["geodesic", "length"])
+def test_an_integer_exponent_gives_the_bytes_of_its_float(battery, kwargs):
+    """``p = 2`` and ``p = 2.0`` name the same streams, checks and rows."""
+    assert (_result_bytes(battery(p_values=(2,), **kwargs))
+            == _result_bytes(battery(p_values=(2.0,), **kwargs)))

@@ -758,3 +758,145 @@ def test_jacobi_scales_exactly_by_powers_of_two(power):
     w_scaled, v_scaled = _eigh(np.ldexp(a, power))
     assert np.array_equal(w_scaled, np.ldexp(w, power))
     assert np.array_equal(v_scaled, v)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form 2x2 eigensolver behind every SPD(2) matrix function
+# ---------------------------------------------------------------------------
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _agrees_with_lapack(a: np.ndarray) -> None:
+    """The kernel decomposes the stack ``a`` itself, with no fallback, into
+    LAPACK's bits: values, vectors and their sign bits."""
+    w, v = targets._eig2(a, vectors=True)
+    w_ref, v_ref = np.linalg.eigh(a)
+    assert _bits(w) == _bits(w_ref)
+    assert _bits(v) == _bits(v_ref)
+    values, none = targets._eig2(a, vectors=False)
+    assert none is None and _bits(values) == _bits(np.linalg.eigvalsh(a))
+
+
+def _spread_stacks(rng, n: int) -> dict:
+    """Random symmetric 2x2 matrices whose entries, and SPD ones whose
+    factor's columns, are scaled by e^-20 to e^20."""
+    g = rng.standard_normal((n, 2, 2))
+    sym = g * np.exp(rng.uniform(-20.0, 20.0, (n, 2, 2)))
+    h = g * np.exp(rng.uniform(-20.0, 20.0, (n, 1, 2)))
+    return {"symmetric": sym + sym.swapaxes(-1, -2),
+            "spd": h @ h.swapaxes(-1, -2)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["symmetric", "spd"])
+def test_eig2_is_lapack_bit_for_bit(kind):
+    """On 20,000 random matrices of each kind of :func:`_spread_stacks`,
+    the closed form gives LAPACK's eigenvalues and eigenvectors exactly,
+    sign bits included."""
+    _agrees_with_lapack(_spread_stacks(np.random.default_rng(20), 20_000)[kind])
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig2_results_do_not_depend_on_the_batch(monkeypatch):
+    """A matrix alone, in a slice of a batch, or across a chunk boundary
+    (the batch spans two chunks, then chunks of 7) decomposes to the same
+    bits."""
+    stacks = _spread_stacks(np.random.default_rng(12), targets._JACOBI_CHUNK)
+    batch = np.concatenate([stacks["spd"][:-8], [np.eye(2)],
+                            stacks["symmetric"][-16:]])
+    w, v = _eigh(batch)
+    values = _eigvalsh(batch)
+    edge = targets._JACOBI_CHUNK
+    for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(batch) - 1):
+        wi, vi = _eigh(batch[i])
+        assert _bits(wi) == _bits(w[i]) and _bits(vi) == _bits(v[i])
+        assert _bits(_eigvalsh(batch[i])) == _bits(values[i])
+    ws, vs = _eigh(batch[edge - 3:edge + 3])
+    assert _bits(ws) == _bits(w[edge - 3:edge + 3])
+    assert _bits(vs) == _bits(v[edge - 3:edge + 3])
+    monkeypatch.setattr(targets, "_JACOBI_CHUNK", 7)
+    w7, v7 = _eigh(batch)
+    assert _bits(w7) == _bits(w) and _bits(v7) == _bits(v)
+    assert _bits(_eigvalsh(batch)) == _bits(values)
+
+
+#: One matrix per branch of the LAPACK step, as ``(d1, e, d2)``.
+_EIG2_BRANCHES = {
+    "zero_off_diagonal": (3.0, 0.0, -2.0),
+    "zero_off_diagonal_ascending": (-1.0, -0.0, 5.0),
+    "zero_off_diagonal_equal": (2.0, 0.0, 2.0),
+    "a_minus_c_is_2b": (3.0, 1.0, 1.0),
+    "a_plus_c_is_0": (1.5, 0.7, -1.5),
+    "a_equals_c": (2.0, 0.5, 2.0),
+    "a_equals_c_negative_b": (2.0, -0.5, 2.0),
+    "negative_zero_diagonal": (-0.0, 1.0, -0.0),
+    "negative_zero_difference": (-0.0, 1.0, 0.0),
+    # |e| <= sqrt|d1| sqrt|d2| eps: both routines split.
+    "split_at_the_bound": (1.0, 2.0 ** -53, 1.0),
+    "split_below_it": (1.0, 1e-17, 4.0),
+    # Just above it, neither splits nor deflates: a rotation by pi/4
+    # between eigenvalues a few ulp apart.
+    "just_above_the_split": (1.0, math.nextafter(2.0 ** -53, 1.0), 1.0),
+    # e^2 <= safmin: dsteqr deflates, dsterf does not (d1 d2 is too small),
+    # and its dlae2 sees sqrt(e^2) of a subnormal e^2.
+    "deflated_by_safmin": (1e-290, 1e-155, 1.0),
+    "deflated_with_a_zero_diagonal": (0.0, 1e-160, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d1,e,d2", _EIG2_BRANCHES.values(),
+                         ids=_EIG2_BRANCHES.keys())
+def test_eig2_branches_are_lapack_bit_for_bit(d1, e, d2):
+    """Each branch, in one stack with its mirror image, its negation and a
+    random matrix, gives LAPACK's bits."""
+    a = np.array([[d1, e], [e, d2]])
+    rng = np.random.default_rng(1)
+    other = _spread_stacks(rng, 1)["symmetric"][0]
+    _agrees_with_lapack(np.stack([a, a[::-1, ::-1], -a, other]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fill", [np.nan, np.inf, 0.0, 2.0 ** -406,
+                                  2.0 ** 486],
+                         ids=["nan", "inf", "zero", "below", "above"])
+def test_eig2_leaves_what_lapack_would_rescale_to_lapack(fill):
+    """A stack with a NaN, infinite or zero matrix, or one whose largest
+    entry lies outside the range where LAPACK never rescales, goes to
+    LAPACK whole; a stack at the edges of that range does not."""
+    good = _spread_stacks(np.random.default_rng(4), 3)["spd"]
+    bad = np.full((2, 2), fill)
+    bad[1, 0] = bad[0, 1] = 0.5 * fill
+    stack = np.concatenate([good, [bad]])
+    assert targets._eig2(stack, vectors=True) is None
+    assert targets._eig2(stack, vectors=False) is None
+    w, v = _eigh(stack)
+    w_ref, v_ref = np.linalg.eigh(stack)
+    assert _bits(w) == _bits(w_ref) and _bits(v) == _bits(v_ref)
+    assert _bits(_eigvalsh(stack)) == _bits(np.linalg.eigvalsh(stack))
+    lo, hi = targets._EIG2_RANGE
+    edges = good / np.abs(good).max(axis=(-2, -1), keepdims=True)
+    _agrees_with_lapack(np.concatenate([edges * lo, edges * hi]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_small_stack_reaches_lapack_in_run_all(monkeypatch):
+    """``run_all(seed=7)`` decomposes every 2x2 and 3x3 stack in closed
+    form or by Jacobi: none reaches ``np.linalg``."""
+    from nlsp.suites import run_all
+
+    sizes = []
+
+    def recording(solver):
+        def call(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return solver(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    assert all(r.passed for r in run_all(seed=7))
+    assert not {2, 3} & set(sizes)
