@@ -38,6 +38,9 @@ _BATTERY_FIELDS = tuple(
     if any(f.name in b.fields for b in BATTERIES))
 
 _BATTERY = {b.name: b for b in BATTERIES}
+#: Every CSV table a battery writes: a rerun into the same directory
+#: removes those it does not write.
+_TABLES = frozenset(t for b in BATTERIES for t in b.tables)
 
 
 def _parse_tolerance_flags(pairs) -> dict[str, float]:
@@ -66,7 +69,8 @@ def _cell(value):
 
 def _finish(cfg: ExperimentConfig,
             run: Callable[[], list[SuiteResult]]) -> None:
-    """Make the output directory, run, write artifacts, exit by pass/fail."""
+    """Make the output directory, run, write artifacts (removing any
+    battery table the run did not write), exit by pass/fail."""
     outdir = Path(cfg.output)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -95,6 +99,8 @@ def _finish(cfg: ExperimentConfig,
                       encoding="utf-8") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerows([[_cell(x) for x in row] for row in rows])
+    for name in sorted(_TABLES.difference(*(r.csv for r in results))):
+        (outdir / f"{name}.csv").unlink(missing_ok=True)
     if not summary["passed"]:
         for result in results:
             for failure in result.failures:

@@ -1116,7 +1116,7 @@ def _one_target(spec: dict) -> tuple[TargetSpace]:
 
 @dataclass(frozen=True)
 class Battery:
-    """One suite as data: its runner, tolerances and config fields.
+    """One suite as data: its runner, tolerances, config fields and tables.
 
     ``tolerances`` names the :data:`~nlsp.config.DEFAULT_TOLERANCES` entries
     the suite reads; ``run`` takes overrides of them by name in its
@@ -1124,13 +1124,15 @@ class Battery:
     accepts to the keyword argument it sets and a converter from the config
     value, which raises :class:`~nlsp.errors.ConfigError` for a value the
     suite cannot use.  Defaults live in the ``run`` signature and in
-    :data:`~nlsp.config.DEFAULT_TOLERANCES` only.
+    :data:`~nlsp.config.DEFAULT_TOLERANCES` only.  ``tables`` names the
+    CSV tables of its :attr:`SuiteResult.csv`.
     """
 
     name: str
     run: Callable[..., SuiteResult]
     tolerances: tuple[str, ...]
     fields: dict[str, tuple[str, Callable]]
+    tables: tuple[str, ...]
 
     def __call__(self, seed: int, tolerances: Mapping | None = None,
                  **kwargs) -> SuiteResult:
@@ -1144,30 +1146,37 @@ class Battery:
 #: Every suite, in the canonical order of :func:`run_all`.
 BATTERIES = (
     Battery("fubini", run_fubini, ("fubini_rel",),
-            {"trials": ("trials", int), "p": ("p_values", _one)}),
+            {"trials": ("trials", int), "p": ("p_values", _one)},
+            tables=("fubini_trials",)),
     Battery("transport", run_transport,
             ("transport_residual", "order_min", "variation_residual"),
             {"trials": ("curves", int), "p": ("p", _finite_p_above_one),
-             "grid": ("grids", _refining_grids)}),
-    Battery("counterexample", run_counterexample, ("counterexample_tv",), {}),
+             "grid": ("grids", _refining_grids)},
+            tables=("transport_identity", "transport_bv")),
+    Battery("counterexample", run_counterexample, ("counterexample_tv",), {},
+            tables=("counterexample_p1",)),
     Battery("geodesic", run_geodesic, ("geodesic_residual",),
             {"trials": ("trials", int), "p": ("p_values", _one),
              "grid": ("n_nodes", _single_grid),
              "target": ("targets", _one_target),
-             "base": ("base_space", base_space_from_config)}),
+             "base": ("base_space", base_space_from_config)},
+            tables=("geodesic_trace",)),
     Battery("curvature", run_curvature, ("curvature_sign", "curvature_flat"),
             {"trials": ("trials", int), "target": ("targets", _one_target),
-             "base": ("base_space", base_space_from_config)}),
+             "base": ("base_space", base_space_from_config)},
+            tables=("curvature_residuals",)),
     Battery("length", run_length, ("length_equality",),
             {"trials": ("trials", int),
              "p": ("p_values", lambda p: (_finite_p_above_one(p),)),
-             "grid": ("n_nodes", _single_grid)}),
+             "grid": ("n_nodes", _single_grid)},
+            tables=("length_check",)),
     Battery("speed", run_speed,
             ("speed_residual", "order_min", "speed_consistency"),
             {"trials": ("curves", int), "p": ("p", _finite_p_above_one),
-             "grid": ("grids", _refining_grids)}),
+             "grid": ("grids", _refining_grids)},
+            tables=("speed_trace",)),
     Battery("skorokhod", run_skorokhod, ("skorokhod_example",),
-            {"trials": ("pairs", int)}),
+            {"trials": ("pairs", int)}, tables=("skorokhod_pairs",)),
 )
 
 

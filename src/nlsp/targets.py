@@ -14,10 +14,11 @@ with the stream axis in front (``draw_points``, ``draw_geodesic_pairs``,
 ``draw_tangents``): each stream's variates are read in turn, then formed
 into points in one kernel call, with the bytes of that stream's own draw
 (see :mod:`nlsp.rng`).  Each space writes each formula once, as a numpy kernel
-over the batch axes.  SPD matrices go through the stacked eigensolvers
-``_eigh`` / ``_eigvalsh`` on ``(..., n, n)`` (2x2 in closed form, 3x3 by
-Jacobi, LAPACK otherwise) with the affine-invariant formulas of
-Pennec, Fillard and Ayache (IJCV 2006).  A metric-tree point is the pair
+over the batch axes.  SPD base points are factored by a stacked Cholesky
+kernel, and the whitened matrices go through the stacked eigensolvers
+``_eigh`` / ``_eigvalsh`` (2x2 in closed form, 3x3 by Jacobi, LAPACK
+otherwise), in the affine-invariant formulas of Pennec, Fillard and Ayache
+(IJCV 2006).  A metric-tree point is the pair
 ``(edge, offset)`` of shape ``(2,)``, the edge-offset coordinates of a
 metric graph (Bridson and Haefliger, *Metric Spaces of Non-Positive
 Curvature*, 1999, ch. I.1); its kernels index tables of node-to-node
@@ -925,27 +926,68 @@ def _jacobi3_sweeps(diag, off, cols) -> None:
             return
 
 
-def _eig_apply(a: np.ndarray, *fns) -> tuple[np.ndarray, ...]:
-    """``f(a)`` for each scalar function ``f``, per matrix of a stack.
-
-    One stacked :func:`_eigh` serves every ``f``, and each result is
-    symmetrized.  An ``f`` may broadcast the eigenvalues against extra
-    leading axes, such as a batch of geodesic fractions.
-    """
-    w, v = _eigh(_sym(a))
-    vt = v.swapaxes(-1, -2)
-    return tuple(_sym((v * f(w)[..., None, :]) @ vt) for f in fns)
+def _eig_apply(a: np.ndarray, fn) -> np.ndarray:
+    """``fn(a)`` per symmetric matrix of a stack, symmetrized, from one
+    stacked :func:`_eigh`; ``fn`` may broadcast the eigenvalues against
+    extra leading axes, such as a batch of geodesic fractions."""
+    w, v = _eigh(a)
+    # A C-ordered right operand (see _congruence), not held past the product.
+    return _sym(v @ (fn(w)[..., :, None]
+                     * np.ascontiguousarray(v.swapaxes(-1, -2))))
 
 
-def _inv_sqrt(w: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(w)
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor of each SPD matrix of a stack, read from
+    its lower triangle, and its inverse: row by row on ``(m,)`` rows of
+    entries, one closed form for every size, the same bits for a matrix in
+    any batch, and backward stable (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 10).  A matrix whose factor has a pivot
+    <= 0 or no finite inverse is refused by its batch index."""
+    a = np.asarray(a, float)
+    n = a.shape[-1]
+    x = a.reshape(-1, n * n).T.reshape(n, n, -1)
+    l, l_inv = np.zeros((n, n, x.shape[-1])), np.zeros((n, n, x.shape[-1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            for j in range(i + 1):  # the last s is the pivot of row i
+                s = x[i, j].copy()
+                for k in range(j):
+                    s -= l[i, k] * l[j, k]
+                if j < i:
+                    np.divide(s, l[j, j], out=l[i, j])
+            np.sqrt(s, out=l[i, i])
+            np.divide(1.0, l[i, i], out=l_inv[i, i])
+            for j in range(i):  # -sum_k l[i, k] l_inv[k, j] / l[i, i]
+                s = l[i, j] * l_inv[j, j]
+                for k in range(j + 1, i):
+                    s += l[i, k] * l_inv[k, j]
+                np.divide(s, -l[i, i], out=l_inv[i, j])
+    if not np.isfinite(l_inv).all():
+        bad = np.argmin(np.isfinite(l_inv).all(axis=(0, 1)))
+        i = tuple(int(k) for k in np.unravel_index(bad, a.shape[:-2]))
+        raise ValidationError(
+            f"spd point at batch index {i} is too ill-conditioned: its "
+            f"Cholesky factor has a pivot <= 0 or no finite inverse")
+    # Each factor is a view of its transpose, C-ordered (see _congruence);
+    # a buffer is freed once copied, so at most three stacks are alive.
+    lt = np.ascontiguousarray(l.transpose(2, 1, 0)).reshape(a.shape)
+    del l
+    l_inv_t = np.ascontiguousarray(l_inv.transpose(2, 1, 0)).reshape(a.shape)
+    return lt.swapaxes(-1, -2), l_inv_t.swapaxes(-1, -2)
+
+
+def _congruence(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``g m g^T`` per matrix of a stack, symmetrized.  ``g^T`` should be
+    C-ordered: as the right operand, a strided stack makes ``np.matmul``
+    about twice as slow."""
+    return _sym(g @ m @ g.swapaxes(-1, -2))
 
 
 def _whitened_spectra(w: np.ndarray) -> np.ndarray:
-    """``w``, the eigenvalues of whitened pairs ``A^{-1/2} B A^{-1/2}``,
-    once every one is positive.  Near the eigenvalue floor, roundoff can
-    make a whitened matrix indefinite, and its log or power meaningless:
-    the first such pair is refused by its batch index."""
+    """``w``, the eigenvalues of whitened pairs ``L^{-1} B L^{-T}``, once
+    every one is positive.  Near the eigenvalue floor, roundoff can make a
+    whitened matrix indefinite, and its log or power meaningless: the first
+    such pair is refused by its batch index."""
     bad = (w <= 0.0).any(axis=-1)
     if bad.any():
         i = tuple(int(k) for k in np.argwhere(bad)[0])
@@ -958,18 +1000,19 @@ def _whitened_spectra(w: np.ndarray) -> np.ndarray:
 class Spd(TargetSpace):
     """Symmetric positive-definite matrices with the affine-invariant metric.
 
-    ``d(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F`` with geodesics
-    ``A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}``.  All matrix functions go
-    through a stacked eigendecomposition and every result is symmetrized
-    before it is returned, so chains of operations cannot drift away from
-    symmetry.  The decomposition is 2x2 in closed form (:func:`_eig2`,
-    LAPACK's result bit for bit), 3x3 by Jacobi (:func:`_jacobi3`), LAPACK
-    otherwise; each matrix's result is the same bit for bit whatever batch
-    it comes in.  ``distances`` and ``geodesic_points`` expect validated
-    points, which ``_constrain`` leaves exactly symmetric, and do not copy
-    them into symmetric form again.  A pair of valid points whose whitened
-    matrix ``A^{-1/2} B A^{-1/2}`` has an eigenvalue <= 0 in floating
-    point (both near the eigenvalue floor) is refused with
+    ``d(A, B) = || log(L^{-1} B L^{-T}) ||_F`` with geodesics ``L (L^{-1} B
+    L^{-T})^t L^T``, where ``A = L L^T``: any factor of ``A`` gives the same
+    values as ``A^{1/2}`` (Bhatia, *Positive Definite Matrices*, 2007, ch. 4).
+    Base points are factored by Cholesky (:func:`_cholesky`), never
+    eigendecomposed; the eigensolvers see only whitened matrices ``L^{-1}
+    B L^{-T}``: 2x2 in closed form (:func:`_eig2`, LAPACK's result bit for
+    bit), 3x3 by Jacobi (:func:`_jacobi3`), LAPACK otherwise.  Each matrix's
+    result is the same bit for bit whatever batch it comes in, and every
+    result is symmetrized before it is returned, so chains of operations
+    cannot drift away from symmetry.  The kernels expect validated points,
+    which ``_constrain`` leaves exactly symmetric.  A pair of valid points
+    whose whitened matrix has an eigenvalue <= 0 in floating point (both
+    near the eigenvalue floor) is refused with
     :class:`~nlsp.errors.ValidationError`.
     """
 
@@ -1001,43 +1044,38 @@ class Spd(TargetSpace):
         return arr
 
     def distances(self, ys, zs) -> np.ndarray:
-        ys = np.asarray(ys, float)
-        zs = np.asarray(zs, float)
-        (isqrt,) = _eig_apply(ys, _inv_sqrt)
-        logs = np.log(_whitened_spectra(_eigvalsh(_sym(isqrt @ zs @ isqrt))))
+        ys, zs = np.asarray(ys, float), np.asarray(zs, float)
+        white = _congruence(_cholesky(ys)[1], zs)
+        logs = np.log(_whitened_spectra(_eigvalsh(white)))
         # Self-distance is exactly zero, not eigensolver dust.
         return np.where((ys == zs).all(axis=(-2, -1)), 0.0, _norms(logs))
 
     def geodesic_points(self, ys, zs, t) -> np.ndarray:
         t = _check_fractions(t)[..., None]
-        sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
-        (powed,) = _eig_apply(isqrt @ np.asarray(zs, float) @ isqrt,
-                              lambda w: np.power(_whitened_spectra(w), t))
-        return _sym(sqrt @ powed @ sqrt)
+        l, l_inv = _cholesky(ys)
+        return _congruence(l, _eig_apply(
+            _congruence(l_inv, zs),
+            lambda w: np.power(_whitened_spectra(w), t)))
 
     def log_maps(self, ys, zs) -> np.ndarray:
-        ys = np.asarray(ys, float)
-        zs = np.asarray(zs, float)
-        sqrt, isqrt = _eig_apply(ys, np.sqrt, _inv_sqrt)
-        (logm,) = _eig_apply(isqrt @ zs @ isqrt,
-                             lambda w: np.log(_whitened_spectra(w)))
+        ys, zs = np.asarray(ys, float), np.asarray(zs, float)
+        l, l_inv = _cholesky(ys)
+        logm = _eig_apply(_congruence(l_inv, zs),
+                          lambda w: np.log(_whitened_spectra(w)))
         # The log of a point at itself is exactly zero, not eigensolver dust.
         same = (ys == zs).all(axis=(-2, -1))[..., None, None]
-        return np.where(same, 0.0, _sym(sqrt @ logm @ sqrt))
+        return np.where(same, 0.0, _congruence(l, logm))
 
     def exp_maps(self, ys, vs) -> np.ndarray:
-        sqrt, isqrt = _eig_apply(np.asarray(ys, float), np.sqrt, _inv_sqrt)
-        (expm,) = _eig_apply(isqrt @ _sym(np.asarray(vs, float)) @ isqrt,
-                             np.exp)
-        return _sym(sqrt @ expm @ sqrt)
+        l, l_inv = _cholesky(ys)
+        return _congruence(l, _eig_apply(_congruence(l_inv, vs), np.exp))
 
     def tangent_norms(self, ys, vs) -> np.ndarray:
-        (isqrt,) = _eig_apply(np.asarray(ys, float), _inv_sqrt)
-        scaled = isqrt @ _sym(np.asarray(vs, float)) @ isqrt
+        scaled = _congruence(_cholesky(ys)[1], vs)
         return _dot_norms(scaled.reshape(scaled.shape[:-2] + (-1,)))
 
     def _form_points(self, raw: np.ndarray) -> np.ndarray:
-        return _eig_apply(0.6 * _sym(raw), np.exp)[0]
+        return _eig_apply(0.6 * _sym(raw), np.exp)
 
     def _tangent_part(self, base: np.ndarray, g: np.ndarray) -> np.ndarray:
         return _sym(g)

@@ -3,8 +3,8 @@
 Each kernel is checked against a plain per-pair loop of the textbook
 formula (one matrix or vector at a time; on a metric tree, a walk along
 the node path found by breadth-first search), and at the numerical edges:
-near-antipodal sphere pairs, ill-conditioned SPD matrices and the
-eigenvalue floor, identical pairs, non-orthogonal sphere tangents, batches
+near-antipodal sphere pairs, ill-conditioned SPD matrices (against an
+exact closed form) and the eigenvalue floor, identical pairs, non-orthogonal sphere tangents, batches
 of one point and of zero batch axes, the ``p = 1``, ``p -> 1+`` and
 ``p = inf`` mapping distances with a zero-weight atom, degenerate trees
 (one edge, a star) with points at their nodes, and stream-identical
@@ -14,8 +14,10 @@ and ``tangent_norms`` are checked the same way.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -536,15 +538,39 @@ def _rotated(eigenvalues, angle: float) -> np.ndarray:
     return _sym((q * np.asarray(eigenvalues)) @ q.T)
 
 
+def exact_spd2_distance(y, z) -> float:
+    """The affine distance of two SPD(2) matrices from the closed form of
+    their generalised eigenvalues, independent of any eigensolver: the
+    trace and determinant of ``Y^{-1} Z`` exactly, in fractions of the
+    float entries, then the roots and logs in 60-digit decimals, with the
+    small root as ``det / big`` so that it does not cancel."""
+    (a, b), (_, c) = ([Fraction(x) for x in row] for row in y.tolist())
+    (p, q), (_, r) = ([Fraction(x) for x in row] for row in z.tolist())
+    det_y = a * c - b * b
+    trace = (a * r + c * p - 2 * b * q) / det_y
+    det = (p * r - q * q) / det_y
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(x: Fraction) -> decimal.Decimal:
+            return decimal.Decimal(x.numerator) / x.denominator
+
+        big = (dec(trace) + dec(trace * trace - 4 * det).sqrt()) / 2
+        small = dec(det) / big
+        return float((big.ln() ** 2 + small.ln() ** 2).sqrt())
+
+
 def test_spd_condition_number_1e8_matches_the_loop():
+    """Base points of condition number 1e8: every distance is the exact
+    one within 1e-9 relative, and the midpoint halves it."""
     spd = Spd(2)
     ys = np.array([_rotated((1.0, 1e-8), a) for a in (0.1, 0.7, 1.3)])
     zs = np.array([_rotated((2.0, 3e-8), a) for a in (0.4, 0.2, 2.9)])
     spd.as_points(ys)
     got = spd.distances(ys, zs)
     for j in range(3):
-        assert got[j] == pytest.approx(ref_distance(spd, ys[j], zs[j]),
-                                       rel=1e-8)
+        assert got[j] == pytest.approx(exact_spd2_distance(ys[j], zs[j]),
+                                       rel=1e-9)
     mid = spd.geodesic_points(ys, zs, 0.5)
     spd.as_points(mid)
     np.testing.assert_allclose(spd.distances(ys, mid), got / 2, rtol=1e-6)
@@ -592,21 +618,24 @@ def _embedded(m: np.ndarray, d: float) -> np.ndarray:
 
 #: Pairs that pass validation but whose whitened matrices come out
 #: indefinite in floating point: the first pair is fine, the second is not.
-#: ``(space, ys, zs, distance of the first pair)``.
+#: ``(space, ys, zs, exact distance of the first pair)``; the second pair
+#: has eigenvalues near 1e4 and the floor, at nearly orthogonal angles.
 _INDEFINITE_WHITENED = {
     "spd2_1e-9": (Spd(2),
-                  [_rotated((1.0, 1e-9), a) for a in (0.1, 0.7, 1.3)],
-                  [_rotated((2.0, 3e-9), b) for b in (0.4, 0.2, 2.9)],
-                  25.606335550785722),
+                  [_rotated((1.0, 1e-9), 0.1), _rotated((1e4, 2e-10), 1.525)],
+                  [_rotated((2.0, 3e-9), 0.4), _rotated((1e4, 2e-10), 0.05)],
+                  25.60387880070318),
     "spd2_5e-10": (Spd(2),
-                   [_rotated((1.0, 5e-10), a) for a in (0.1, 0.7, 1.3)],
-                   [_rotated((2.0, 1.5e-9), b) for b in (0.4, 0.2, 2.9)],
-                   26.65796168901385),
+                   [_rotated((1.0, 5e-10), 0.1),
+                    _rotated((1e4, 1.5e-10), 1.55)],
+                   [_rotated((2.0, 1.5e-9), 0.4),
+                    _rotated((1e4, 1.5e-10), 0.05)],
+                   26.582980307579973),
     "spd3_1e-9": (Spd(3),
-                  [_embedded(_rotated((1.0, 1e-9), a), 0.5)
-                   for a in (0.1, 0.7, 1.3)],
-                  [_embedded(_rotated((2.0, 3e-9), b), 1.0)
-                   for b in (0.4, 0.2, 2.9)],
+                  [_embedded(_rotated((1.0, 1e-9), 0.1), 0.5),
+                   _embedded(_rotated((1e4, 2e-10), 1.525), 0.5)],
+                  [_embedded(_rotated((2.0, 3e-9), 0.4), 1.0),
+                   _embedded(_rotated((1e4, 2e-10), 0.05), 1.0)],
                   None),
 }
 
@@ -614,9 +643,10 @@ _INDEFINITE_WHITENED = {
 @pytest.mark.parametrize("case", sorted(_INDEFINITE_WHITENED))
 def test_spd_pair_with_an_indefinite_whitened_matrix_is_refused(case):
     """Both points of each pair clear the eigenvalue floor, yet roundoff
-    leaves the second pair's ``A^{-1/2} B A^{-1/2}`` with an eigenvalue
+    leaves the second pair's whitened ``L^{-1} B L^{-T}`` with an eigenvalue
     <= 0: distance, geodesic and log refuse it by its batch index instead
-    of returning inf or NaN, and the first pair alone keeps its value."""
+    of returning inf or NaN, and the first pair alone keeps its value,
+    within 1e-9 relative of the exact one."""
     spd, ys, zs, first = _INDEFINITE_WHITENED[case]
     ys, zs = spd.as_points(ys), spd.as_points(zs)
     for kernel in (spd.distances, spd.log_maps,
@@ -628,7 +658,8 @@ def test_spd_pair_with_an_indefinite_whitened_matrix_is_refused(case):
     alone = spd.distances(ys[:1], zs[:1])
     assert np.all(np.isfinite(alone))
     if first is not None:
-        assert alone[0] == pytest.approx(first, rel=1e-12)
+        assert first == exact_spd2_distance(ys[0], zs[0])
+        assert alone[0] == pytest.approx(first, rel=1e-9)
     assert np.all(np.isfinite(spd.geodesic_points(ys[:1], zs[:1], 0.5)))
     assert np.all(np.isfinite(spd.log_maps(ys[:1], zs[:1])))
 

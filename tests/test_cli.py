@@ -264,6 +264,26 @@ def test_artifacts_are_deterministic_across_runs(runner, tmp_path):
             == (other / artifact).read_bytes()
 
 
+def test_a_reused_output_directory_keeps_only_this_runs_tables(runner,
+                                                                tmp_path):
+    """A second battery run into the same directory removes the first
+    run's battery tables, so every table beside ``summary.json`` is one
+    that the summary accounts for; a CSV no battery writes is kept."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.csv").write_text("kept\n", encoding="utf-8")
+    fubini = runner.invoke(main, ["fubini", "--config", str(write_json(
+        tmp_path, "cfg.json", {"trials": 2})), "--out", str(out)])
+    assert fubini.exit_code == 0, fubini.output
+    assert (out / "fubini_trials.csv").exists()
+    result = runner.invoke(main, ["skorokhod", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert list(read_summary(out)["suites"]) == ["skorokhod"]
+    assert sorted(p.name for p in out.glob("*.csv")) == [
+        "notes.csv", "skorokhod_pairs.csv"]
+    assert (out / "notes.csv").read_text(encoding="utf-8") == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # The config contract of every subcommand
 # ---------------------------------------------------------------------------

@@ -36,7 +36,12 @@ from nlsp import (
     trial_rng,
 )
 from nlsp import curves, geometry, suites
-from nlsp.suites import BATTERIES, order_jsonable, random_base_space
+from nlsp.suites import (
+    BATTERIES,
+    order_jsonable,
+    random_base_space,
+    run_all,
+)
 
 
 def test_decay_order_of_halving_sequence_is_one():
@@ -123,6 +128,16 @@ def test_every_default_tolerance_is_read_by_a_battery():
     assert set(read) == set(DEFAULT_TOLERANCES)
     assert [b.name for b in BATTERIES if "order_min" in b.tolerances] \
         == ["transport", "speed"]
+
+
+def test_every_table_of_run_all_is_declared_on_its_battery_row():
+    """Each battery's CSV tables are the ones its row declares, which the
+    CLI removes from a reused output directory when a run does not write
+    them."""
+    results = run_all(seed=7)
+    assert [r.name for r in results] == [b.name for b in BATTERIES]
+    for battery, result in zip(BATTERIES, results):
+        assert sorted(result.csv) == sorted(battery.tables), battery.name
 
 
 @pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)

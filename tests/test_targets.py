@@ -885,7 +885,8 @@ def test_eig2_leaves_what_lapack_would_rescale_to_lapack(fill):
 @pytest.mark.filterwarnings("error")
 def test_no_small_stack_reaches_lapack_in_run_all(monkeypatch):
     """``run_all(seed=7)`` decomposes every 2x2 and 3x3 stack in closed
-    form or by Jacobi: none reaches ``np.linalg``."""
+    form or by Jacobi, and factors every one in closed form: none reaches
+    ``np.linalg``."""
     from nlsp.suites import run_all
 
     sizes = []
@@ -896,7 +897,106 @@ def test_no_small_stack_reaches_lapack_in_run_all(monkeypatch):
             return solver(a, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    for name in ("eigh", "eigvalsh", "cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name,
+                            recording(getattr(np.linalg, name)))
     assert all(r.passed for r in run_all(seed=7))
     assert not {2, 3} & set(sizes)
+
+
+# ---------------------------------------------------------------------------
+# The Cholesky factor behind every SPD base point
+# ---------------------------------------------------------------------------
+
+
+def _spd_stack(rng, n: int, size: int) -> np.ndarray:
+    g = rng.standard_normal((size, n, n))
+    return g @ g.swapaxes(-1, -2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cholesky_factor_and_inverse_meet_their_targets(n):
+    """On 5,000 random SPD(n) matrices: ``l`` is lower triangular with a
+    positive diagonal, ``l l^T`` is the matrix within ``2 n eps max|a|``,
+    and ``l_inv l`` is the identity within ``n eps cond_2(l)``."""
+    a = _spd_stack(np.random.default_rng(21), n, 5000)
+    l, l_inv = targets._cholesky(a)
+    eps = np.finfo(float).eps
+    assert not np.triu(l, 1).any() and not np.triu(l_inv, 1).any()
+    assert np.all(np.diagonal(l, axis1=-2, axis2=-1) > 0.0)
+    err = np.abs(l @ l.swapaxes(-1, -2) - a).max(axis=(-2, -1))
+    assert np.all(err <= 2 * n * eps * np.abs(a).max(axis=(-2, -1)))
+    cond = (np.linalg.norm(l, 2, axis=(-2, -1))
+            * np.linalg.norm(l_inv, 2, axis=(-2, -1)))
+    err = np.abs(l_inv @ l - np.eye(n)).max(axis=(-2, -1))
+    assert np.all(err <= n * eps * cond)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cholesky_results_do_not_depend_on_the_batch(n):
+    """A matrix alone, in a slice of a batch, or in the batch reshaped to
+    two batch axes factors to the same bits."""
+    a = _spd_stack(np.random.default_rng(22), n, 12)
+    l, l_inv = targets._cholesky(a)
+    for i in (0, 5, 11):
+        li, li_inv = targets._cholesky(a[i])
+        assert _bits(li) == _bits(l[i]) and _bits(li_inv) == _bits(l_inv[i])
+    ls, ls_inv = targets._cholesky(a[3:8])
+    assert _bits(ls) == _bits(l[3:8]) and _bits(ls_inv) == _bits(l_inv[3:8])
+    lr, lr_inv = targets._cholesky(a.reshape(3, 4, n, n))
+    assert _bits(lr) == _bits(l) and _bits(lr_inv) == _bits(l_inv)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spd_kernels_decompose_only_whitened_matrices(monkeypatch, n):
+    """No kernel decomposes its base point: ``distances`` and
+    ``tangent_norms`` make no ``_eigh`` call, and ``geodesic_points``,
+    ``log_maps`` and ``exp_maps`` one each, of the whitened stack."""
+    spd = Spd(n)
+    rng = trial_rng(0, "test/targets/whitened", n)
+    ys, zs = spd.random_points(rng, 6), spd.random_points(rng, 6)
+    vs = spd.log_maps(ys, zs)
+    calls = []
+
+    def counting(name):
+        solver = getattr(targets, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solver(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(targets, "_eigh", counting("_eigh"))
+    monkeypatch.setattr(targets, "_eigvalsh", counting("_eigvalsh"))
+    for kernel, args, expected in [
+            (spd.distances, (ys, zs), ["_eigvalsh"]),
+            (spd.tangent_norms, (ys, vs), []),
+            (spd.geodesic_points, (ys, zs, 0.5), ["_eigh"]),
+            (spd.log_maps, (ys, zs), ["_eigh"]),
+            (spd.exp_maps, (ys, vs), ["_eigh"])]:
+        calls.clear()
+        kernel(*args)
+        assert [name for name, _ in calls] == expected
+        assert all(shape == (6, n, n) for _, shape in calls)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spd_base_point_cholesky_cannot_factor_is_refused():
+    """A point that clears the eigenvalue floor at condition number 5e16,
+    past what a double Cholesky factor can hold, is refused by its batch
+    index in every kernel that factors it, not turned into NaN."""
+    spd = Spd(2)
+    c, s = math.cos(0.4), math.sin(0.4)
+    q = np.array([[c, -s], [s, c]])
+    bad = (q * np.array([1e7, 2e-10])) @ q.T
+    ys = spd.as_points([np.eye(2), 0.5 * (bad + bad.T)])
+    zs = spd.as_points([2.0 * np.eye(2)] * 2)
+    for kernel, other in [(spd.distances, zs), (spd.log_maps, zs),
+                          (spd.tangent_norms, zs), (spd.exp_maps, zs),
+                          (lambda a, b: spd.geodesic_points(a, b, 0.5), zs)]:
+        with pytest.raises(ValidationError,
+                           match=r"point at batch index \(1,\) is too "
+                                 r"ill-conditioned: its Cholesky factor"):
+            kernel(ys, other)
