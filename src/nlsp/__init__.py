@@ -22,9 +22,7 @@ from .curves import (
     SkorokhodBounds,
     StepCurve,
     VariationMeasure,
-    constant_speed_reparam,
     energy,
-    length,
     metric_derivative,
     skorokhod_distance,
     skorokhod_distances,
@@ -46,8 +44,6 @@ from .geometry import (
     constant_speed_residual,
     curvature_comparison_suite,
     draw_geodesic_sweep,
-    geodesic_safe_mapping_pair,
-    geodesic_speed_check,
     geodesic_sweep,
     lp_geodesic,
     mapping_comparison_residual,
@@ -59,16 +55,12 @@ from .mappings import (
     MetricMapping,
     ProductGridMapping,
     TimeGrid,
-    ae_equal,
     atom_distances,
     check_p,
     constant_family,
     constant_in_time,
     d_p,
-    mapping_from_jsonable,
-    mapping_to_jsonable,
     product_lp_norm,
-    rectangular_simple,
     uniform_grid,
     uniform_space,
 )
@@ -77,8 +69,6 @@ from .sections import (
     CurveOfMappings,
     D_pp,
     MappingOfCurves,
-    RectangleApproximation,
-    approximate_by_rectangles,
     d_pp,
     sec_atom,
     sec_atom_inverse,
@@ -89,7 +79,6 @@ from .sections import (
 )
 from .speed import (
     SpeedField,
-    atomwise_consistency_gap,
     atomwise_consistency_gaps,
     batch_speeds,
     bundle_norm,
@@ -115,7 +104,7 @@ from .suites import (
     run_skorokhod,
     run_speed,
     run_transport,
-    sample_smooth_path,
+    sample_smooth_paths,
     sweep_smooth_paths,
 )
 from .targets import (

@@ -1,7 +1,7 @@
 """Curve calculus over an arbitrary metric space.
 
-Works with any ambient exposing ``distance`` and the batched
-``as_points`` / ``distances``: concrete targets and
+Works with any ambient exposing the batched ``as_points`` /
+``distances``: concrete targets and
 :class:`~nlsp.mappings.LpSpace` alike.  Each curve validates its samples
 with one ``as_points`` call and keeps them as one float array, ``values``,
 whose first axis is time, so that sample distances take one batched call
@@ -110,12 +110,6 @@ def metric_speeds(space, points, times) -> np.ndarray:
     return dists / dt.reshape(dt.shape + (1,) * (dists.ndim - 1))
 
 
-def length(c: SampledCurve) -> float:
-    """Chordal length: the sum of consecutive sample distances."""
-    _require_multinode(c, "length")
-    return float(lengths(c.space, c.values))
-
-
 def energy(c: SampledCurve, p) -> float:
     """Discrete p-energy ``sum_i d(c_i, c_{i+1})^p / (t_{i+1} - t_i)^{p-1}``.
 
@@ -127,8 +121,9 @@ def energy(c: SampledCurve, p) -> float:
 
 
 def lengths(space, points) -> np.ndarray:
-    """:func:`length` of a batch of samples along the first axis, with one
-    batched distance call; further batch axes are carried through."""
+    """Chordal lengths, the sums of consecutive sample distances, of a
+    batch of samples along the first axis, with one batched distance call;
+    further batch axes are carried through."""
     return table_lengths(space.distances(points[:-1], points[1:]))
 
 
@@ -157,27 +152,21 @@ def _time_sums(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
 
 
-def constant_speed_reparam(c: SampledCurve, eps: float) -> SampledCurve:
-    """Re-time the samples so the curve moves at (nearly) constant speed.
+def retimed(c: SampledCurve, seg: np.ndarray, eps: float) -> SampledCurve:
+    """Re-time the samples of ``c`` so the curve moves at (nearly) constant
+    speed, given ``seg``, its segment distances.
 
     Node ``i`` is moved to
 
     ``tau_i = a + (S_i + (t_i - a) eps / (b - a)) (b - a) / (L + eps)``
 
     where ``S_i`` is the cumulative chordal length and ``L`` the total; the
-    values are untouched.  The ``eps > 0`` slack keeps the new times strictly
-    increasing across zero-length segments, and when the input is already
-    constant-speed the times are reproduced (up to roundoff far below any
-    meaningful tolerance).
+    values are untouched, so ``seg`` is the retimed curve's table too.  The
+    ``eps > 0`` slack keeps the new times strictly increasing across
+    zero-length segments, and when the input is already constant-speed the
+    times are reproduced (up to roundoff far below any meaningful
+    tolerance).
     """
-    _require_multinode(c, "constant_speed_reparam")
-    return retimed(c, c.segment_lengths(), eps)
-
-
-def retimed(c: SampledCurve, seg: np.ndarray, eps: float) -> SampledCurve:
-    """:func:`constant_speed_reparam` of ``c``, given ``seg``, its segment
-    distances.  The retimed curve keeps the values, so ``seg`` is its table
-    too."""
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValidationError(f"eps must be a positive real, got {eps!r}")
@@ -317,7 +306,7 @@ class VariationMeasure:
     """The purely atomic variation measure of a step curve.
 
     Atoms sit at the curve's interior jump times and carry the jump
-    distances as masses; open intervals and single points are measurable.
+    distances as masses; its open intervals are measured.
     """
 
     interval: tuple[float, float]
@@ -338,10 +327,6 @@ class VariationMeasure:
         object.__setattr__(self, "jump_times", times)
         object.__setattr__(self, "jump_masses", masses)
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.jump_masses))
-
     def of_open_interval(self, s: float, t: float) -> float:
         """Mass of the open interval ``(s, t)``."""
         s, t = float(s), float(t)
@@ -349,16 +334,6 @@ class VariationMeasure:
             raise ValidationError(f"empty interval ({s!r}, {t!r})")
         return float(sum(m for at, m in zip(self.jump_times, self.jump_masses)
                          if s < at < t))
-
-    def of_point(self, t: float, tol: float = 1e-12) -> float:
-        """Mass of the singleton ``{t}``."""
-        t = float(t)
-        return float(sum(m for at, m in zip(self.jump_times, self.jump_masses)
-                         if abs(at - t) <= tol))
-
-    def cumulative(self, t: float) -> float:
-        """Variation accumulated strictly before ``t``."""
-        return self.of_open_interval(self.interval[0], t)
 
 
 def variation_measure(c: StepCurve) -> VariationMeasure:

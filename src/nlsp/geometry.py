@@ -7,8 +7,8 @@ first).  Each assembled curve is constant-speed and satisfies
 ``D_p(c(s), c(t)) = |t - s|/(b - a) * D_p(f, g)`` at all node pairs; a
 :class:`GeodesicSweep` scores this, and the energy bound, as one array
 over the trial axis per score.  A single geodesic (:func:`lp_geodesic`)
-is a sweep of one trial, whose scores :func:`constant_speed_residual` and
-:func:`geodesic_speed_check` read.  Curvature comparison transfers from
+is a sweep of one trial, whose score :func:`constant_speed_residual`
+reads.  Curvature comparison transfers from
 the target to the mapping space with the same sign:
 :func:`curvature_comparison_suite` measures the squared-distance
 comparison residual on random quadruples, and the converse direction
@@ -42,7 +42,6 @@ from .mappings import (
     MetricMapping,
     _weighted_norm,
     check_p,
-    d_p,
 )
 from .rng import trial_rng, trial_rngs, uniforms
 from .targets import (
@@ -53,14 +52,6 @@ from .targets import (
     _comparison_distances,
     _comparison_residuals,
 )
-
-
-def geodesic_safe_mapping_pair(family: MappingFamily,
-                               rng: np.random.Generator
-                               ) -> tuple[MetricMapping, MetricMapping]:
-    """Two mappings of the family with a unique per-atom geodesic."""
-    ys, zs = family.target.random_geodesic_pairs(rng, len(family.base_space))
-    return MetricMapping(family, ys), MetricMapping(family, zs)
 
 
 def _require_positive_mass(base_space: FiniteMeasureSpace, op: str) -> None:
@@ -211,13 +202,12 @@ def draw_geodesic_sweep(target: TargetSpace, base_space: FiniteMeasureSpace,
 
 @dataclass(frozen=True, eq=False)
 class LpGeodesic:
-    """A geodesic between two mappings, with its per-atom target geodesics.
+    """A geodesic between two mappings.
 
     ``curve`` lives in the ``LpSpace`` ambient and holds one batch of shape
-    ``(node, atom, *point_shape)``; ``per_atom_curves[j]`` reads atom ``j``
-    of it, so both are views of one array of target points.  The slices
-    and ``sweep``, the geodesic as a sweep of one trial, are built on first
-    read.
+    ``(node, atom, *point_shape)``, whose atom ``j`` is the target geodesic
+    of that atom.  ``sweep``, the geodesic as a sweep of one trial, is
+    built on first read.
     """
 
     start: MetricMapping
@@ -226,19 +216,10 @@ class LpGeodesic:
     curve: SampledCurve
 
     @cached_property
-    def per_atom_curves(self) -> tuple[SampledCurve, ...]:
-        c = self.curve
-        return tuple(SampledCurve(c.space.family.target, c.times, series)
-                     for series in c.values.swapaxes(0, 1))
-
-    @cached_property
     def sweep(self) -> GeodesicSweep:
         c = self.curve
         return GeodesicSweep(c.space, c.times_array, self.start.values[None],
                              self.end.values[None], c.values[:, None])
-
-    def endpoint_distance(self) -> float:
-        return d_p(self.start, self.end, self.p)
 
 
 def lp_geodesic(f: MetricMapping, g: MetricMapping, p,
@@ -267,12 +248,6 @@ def constant_speed_residual(geo: LpGeodesic) -> float:
     """Worst deviation from exact linearity of the mapping-space distance:
     :meth:`GeodesicSweep.constant_speed_residuals` of one trial."""
     return float(_sweep_of(geo).constant_speed_residuals()[0])
-
-
-def geodesic_speed_check(geo: LpGeodesic) -> float:
-    """Worst per-atom deviation from the constant target speed:
-    :meth:`GeodesicSweep.atom_speed_deviations` of one trial."""
-    return float(_sweep_of(geo).atom_speed_deviations()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +373,7 @@ def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):
     and, for each ``p`` in ``p_values``, the energy ratio ``(b-a)^{p-1} E_p
     / L^p`` of the retimed curve.  Retiming moves only the times, so one
     table of segment distances serves both curves, each reading summed as
-    :func:`~nlsp.curves.length` and :func:`~nlsp.curves.energy` sum it; the
+    :func:`~nlsp.curves.lengths` and :func:`~nlsp.curves.energies` sum it; the
     two lengths are therefore the same number.
     """
     seg = curve.segment_lengths()

@@ -10,8 +10,7 @@ maximum over positive-weight atoms.
 
 :class:`ProductGridMapping` extends this to time-indexed data on a
 :class:`TimeGrid`, with :func:`product_lp_norm` as the product-space
-distance and :func:`rectangular_simple` building piecewise-constant data
-from disjoint rectangles.
+distance.
 
 Every container holds its points as one float batch of the target,
 validated by one ``as_points`` call, with the atoms (after the time nodes,
@@ -33,12 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .targets import (
-    POINT_EQ_TOL,
-    TargetSpace,
-    _check_batch_shape,
-    make_target,
-)
+from .targets import TargetSpace, _check_batch_shape
 
 
 def check_p(p, *, allow_inf: bool = True) -> float:
@@ -125,11 +119,6 @@ class FiniteMeasureSpace:
     @property
     def total_mass(self) -> float:
         return float(self.weights_array.sum())
-
-    @cached_property
-    def positive_atoms(self) -> tuple[int, ...]:
-        """Indices of atoms with strictly positive weight, ascending."""
-        return tuple(int(j) for j in np.nonzero(self.weights_array > 0.0)[0])
 
 
 def uniform_space(n: int, mass: float = 1.0, prefix: str = "x") -> FiniteMeasureSpace:
@@ -257,28 +246,14 @@ def d_p(f: MetricMapping, g: MetricMapping, p) -> float:
                                 f.base_space.weights_array, p))
 
 
-def ae_equal(f: MetricMapping, g: MetricMapping,
-             tol: float = POINT_EQ_TOL) -> bool:
-    """Whether two mappings agree on every positive-weight atom."""
-    _require_same_family(f, g)
-    return _ae_equal(f.family, f.values, g.values, tol)
-
-
-def _ae_equal(family: MappingFamily, fs: np.ndarray, gs: np.ndarray,
-              tol: float) -> bool:
-    tgt = family.target
-    return all(tgt.points_equal(fs[j], gs[j], tol)
-               for j in family.base_space.positive_atoms)
-
-
 class LpSpace:
     """The mappings of one family viewed as a metric space under ``d_p``.
 
-    Provides the interface that curve calculus expects of an ambient space:
-    ``distance`` / ``points_equal`` / ``as_point`` and their batched forms
-    ``distances`` / ``as_points``.  A point is a mapping's values array of
-    shape ``(atom, *point_shape)``, and a batch is one float array of shape
-    ``(..., atom, *point_shape)``; the target validates it in one call.
+    Provides the interface that curve calculus expects of an ambient
+    space: the batched ``distances`` / ``as_points``.  A point is a
+    mapping's values array of shape ``(atom, *point_shape)``, and a batch
+    is one float array of shape ``(..., atom, *point_shape)``; the target
+    validates it in one call.
     """
 
     def __init__(self, family: MappingFamily, p):
@@ -288,48 +263,19 @@ class LpSpace:
         self.family = family
         self.p = check_p(p)
 
-    def distance(self, f, g) -> float:
-        return float(self.distances(f, g))
-
     def distances(self, fs, gs) -> np.ndarray:
         """``d_p`` between two batches of points, broadcast together; one
         target call covers every atom of every pair.  Like the target
-        kernels, it takes validated points (or mappings of the family)."""
-        dists = self.family.target.distances(
-            np.asarray(self._unwrap(fs), float),
-            np.asarray(self._unwrap(gs), float))
+        kernels, it takes validated points."""
+        dists = self.family.target.distances(np.asarray(fs, float),
+                                             np.asarray(gs, float))
         return _weighted_norm(dists, self.family.base_space.weights_array,
                               self.p)
 
-    def points_equal(self, f, g, tol: float = POINT_EQ_TOL) -> bool:
-        return _ae_equal(self.family, self._unwrap(f), self._unwrap(g), tol)
-
-    def _unwrap(self, values):
-        """The values of a mapping of this family, or of a sequence of them
-        stacked; any other input as it is."""
-        if isinstance(values, MetricMapping):
-            return self._values_of(values)
-        if isinstance(values, (list, tuple)) and values \
-                and isinstance(values[0], MetricMapping):
-            return np.stack([self._values_of(f) for f in values])
-        return values
-
-    def _values_of(self, f) -> np.ndarray:
-        if not isinstance(f, MetricMapping):
-            raise ValidationError(
-                f"expected a MetricMapping, got {type(f).__name__}")
-        if f.family is not self.family:
-            raise SpaceMismatchError("mapping belongs to a different family")
-        return f.values
-
-    def as_point(self, f) -> np.ndarray:
-        return self.as_points(f, ())
-
     def as_points(self, values, shape=None) -> np.ndarray:
         """Validate a batch of points: a float array of shape ``(...,
-        atom, *point_shape)``, a mapping of this family, or a sequence of
-        them, whose values are stacked."""
-        points = self.family.target.as_points(self._unwrap(values))
+        atom, *point_shape)``."""
+        points = self.family.target.as_points(values)
         lead = points.ndim - len(self.family.target.point_shape)
         n_atoms = len(self.family.base_space)
         if lead < 1 or points.shape[lead - 1] != n_atoms:
@@ -457,75 +403,6 @@ def constant_in_time(grid: TimeGrid, f: MetricMapping) -> ProductGridMapping:
         f.values, (len(grid),) + f.values.shape))
 
 
-def rectangular_simple(time_grid: TimeGrid, base_space: FiniteMeasureSpace,
-                       rectangles, h: MetricMapping) -> ProductGridMapping:
-    """Piecewise-constant product data from disjoint rectangles over ``h``.
-
-    Each rectangle is ``((t_lo, t_hi), atom_indices, point)``: on grid cells
-    contained in ``[t_lo, t_hi)`` and the listed atoms the result takes the
-    rectangle's point; everywhere else it takes the base mapping's value for
-    that atom.  Rectangle time intervals must start and end on grid nodes,
-    and rectangles must be pairwise disjoint as (cell set) x (atom set)
-    products.  The returned mapping's grid uses the ``left_cells`` rule, so
-    time integration of the step structure is exact, and the value at the
-    final node repeats the last cell (the data is right-continuous in time).
-    """
-    if not isinstance(h, MetricMapping):
-        raise ValidationError(f"h must be a MetricMapping, got {type(h).__name__}")
-    if h.base_space is not base_space:
-        raise SpaceMismatchError(
-            "h must be defined on the same base space object as the rectangles")
-    nodes = time_grid.nodes_array
-    n_cells = len(nodes) - 1
-    tgt = h.target
-
-    def node_index(t: float, what: str) -> int:
-        idx = int(np.searchsorted(nodes, t))
-        if idx >= len(nodes) or abs(nodes[idx] - t) > 1e-12:
-            raise ValidationError(
-                f"{what} {t!r} must coincide with a grid node")
-        return idx
-
-    covered = np.zeros((n_cells, len(base_space)), dtype=bool)
-    # Every cell starts at h's values; the rectangles paint over them.
-    cells = np.repeat(h.values[None], n_cells, axis=0)
-    for r, rect in enumerate(rectangles):
-        try:
-            (t_lo, t_hi), atoms, point = rect
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"rectangle {r} must be ((t_lo, t_hi), atom_indices, point), "
-                f"got {rect!r}")
-        lo = node_index(float(t_lo), f"rectangle {r} start")
-        hi = node_index(float(t_hi), f"rectangle {r} end")
-        if hi <= lo:
-            raise ValidationError(
-                f"rectangle {r} has empty time interval [{t_lo!r}, {t_hi!r})")
-        atoms = [int(j) for j in atoms]
-        if not atoms:
-            raise ValidationError(f"rectangle {r} lists no atoms")
-        for j in atoms:
-            if not 0 <= j < len(base_space):
-                raise ValidationError(
-                    f"rectangle {r} names atom index {j} outside "
-                    f"[0, {len(base_space)})")
-        if len(set(atoms)) != len(atoms):
-            raise ValidationError(f"rectangle {r} lists an atom twice")
-        point = tgt.as_point(point)
-        hits = np.argwhere(covered[lo:hi, atoms])
-        if len(hits):
-            i, k = hits[0]
-            raise ValidationError(
-                f"rectangle {r} overlaps an earlier rectangle at cell "
-                f"{lo + i}, atom {base_space.atom_ids[atoms[k]]!r}")
-        covered[lo:hi, atoms] = True
-        cells[lo:hi, atoms] = point
-
-    grid = TimeGrid(time_grid.nodes, "left_cells")
-    return ProductGridMapping(grid, h.family,
-                              np.concatenate([cells, cells[-1:]]))
-
-
 def _require_same_product(c1: ProductGridMapping, c2: ProductGridMapping) -> None:
     if not isinstance(c1, ProductGridMapping) or not isinstance(c2, ProductGridMapping):
         raise ValidationError("both arguments must be ProductGridMapping instances")
@@ -548,44 +425,3 @@ def product_lp_norm(c1: ProductGridMapping, c2: ProductGridMapping, p) -> float:
     dists = c1.family.target.distances(c1.values, c2.values)
     weights = np.outer(c1.grid.node_weights, c1.family.base_space.weights_array)
     return float(_weighted_norm(dists.ravel(), weights.ravel(), p))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def mapping_to_jsonable(f: MetricMapping) -> dict:
-    """JSON-able encoding of a mapping together with its family."""
-    tgt = f.target
-    return {
-        "atoms": [{"id": a, "weight": float(w)}
-                  for a, w in zip(f.base_space.atom_ids, f.base_space.weights)],
-        "target": tgt.to_config(),
-        "values": [tgt.point_to_jsonable(v) for v in f.values],
-        "base": [tgt.point_to_jsonable(v) for v in f.family.base_values],
-    }
-
-
-def mapping_from_jsonable(data: dict) -> MetricMapping:
-    """Rebuild a mapping (and a fresh family) from its encoding."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"expected a dict, got {type(data).__name__}")
-    missing = {"atoms", "target", "values", "base"} - set(data)
-    if missing:
-        raise ValidationError(f"mapping encoding is missing keys {sorted(missing)}")
-    ids, weights = [], []
-    for k, atom in enumerate(data["atoms"]):
-        try:
-            ids.append(atom["id"])
-            weights.append(atom["weight"])
-        except (KeyError, TypeError, IndexError):
-            raise ValidationError(
-                f"atom {k} must be a dict with 'id' and 'weight' keys, got "
-                f"{atom!r}") from None
-    space = FiniteMeasureSpace(tuple(ids), tuple(weights))
-    tgt = make_target(data["target"])
-    base = tuple(tgt.point_from_jsonable(v) for v in data["base"])
-    family = MappingFamily(space, tgt, base)
-    values = tuple(tgt.point_from_jsonable(v) for v in data["values"])
-    return MetricMapping(family, values)

@@ -13,14 +13,10 @@ Both readings are views of one array, the product data's batch of shape
 :func:`sec_atom` holds its ``swapaxes(0, 1)``.  Both inverses and both
 directions of the transpose are views as well, so every reading and every
 round trip shares the source's memory and is bitwise equal to it.
-
-:func:`approximate_by_rectangles` greedily compresses product data into
-rectangles, reporting the product-norm error actually achieved.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +30,6 @@ from .mappings import (
     _check_grid_and_family,
     _weighted_norm,
     check_p,
-    product_lp_norm,
 )
 
 
@@ -140,76 +135,3 @@ def D_pp(m1: MappingOfCurves, m2: MappingOfCurves, p) -> float:
     dists = m1.family.target.distances(m1.atom_values, m2.atom_values)
     atom_norms = _weighted_norm(dists, m1.grid.node_weights, p)
     return float(_weighted_norm(atom_norms, m1.family.base_space.weights_array, p))
-
-
-# ---------------------------------------------------------------------------
-# Rectangle compression
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RectangleApproximation:
-    """Result of greedy rectangle compression of product data."""
-
-    approximation: ProductGridMapping
-    n_rectangles: int
-    error: float
-
-
-def approximate_by_rectangles(pm: ProductGridMapping, p, tol: float,
-                              max_rectangles: int | None = None
-                              ) -> RectangleApproximation:
-    """Greedily split node-range x atom-range rectangles until the product
-    norm error drops to ``tol`` (or the rectangle budget runs out).
-
-    Each rectangle is represented by its first value; the worst rectangle
-    (largest weighted error contribution) is halved along its longer
-    extent first.  The reported error is the exact product norm between the
-    input and its rectangular approximation.
-    """
-    p = check_p(p, allow_inf=False)
-    tol = float(tol)
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
-    if max_rectangles is not None and (
-            not isinstance(max_rectangles, (int, np.integer)) or max_rectangles < 1):
-        raise ValidationError(
-            f"max_rectangles must be a positive integer, got {max_rectangles!r}")
-
-    weights = np.outer(pm.grid.node_weights, pm.family.base_space.weights_array)
-    n_nodes, n_atoms = weights.shape
-
-    def make(nodes: range, atoms: range):
-        block = np.ix_(nodes, atoms)
-        rep = pm.values[np.ix_(nodes[:1], atoms[:1])]
-        dists = pm.family.target.distances(pm.values[block], rep)
-        return [float(np.sum(weights[block] * dists ** p)), nodes, atoms, rep]
-
-    rects = [make(range(n_nodes), range(n_atoms))]
-    budget = math.inf if max_rectangles is None else int(max_rectangles)
-    while len(rects) < budget:
-        errors = [r[0] for r in rects]
-        if sum(errors) ** (1.0 / p) <= tol:
-            break
-        k = int(np.argmax(errors))
-        _, nodes, atoms, _ = rects[k]
-        if len(nodes) >= 2:
-            mid = nodes.start + len(nodes) // 2
-            parts = [(range(nodes.start, mid), atoms),
-                     (range(mid, nodes.stop), atoms)]
-        elif len(atoms) >= 2:
-            half = len(atoms) // 2
-            parts = [(nodes, atoms[:half]), (nodes, atoms[half:])]
-        else:
-            break  # single cell: representative equals the value, error 0
-        rects[k:k + 1] = [make(nds, ats) for nds, ats in parts]
-
-    painted = np.empty_like(pm.values)
-    for _, nodes, atoms, rep in rects:
-        painted[np.ix_(nodes, atoms)] = rep
-    approx = ProductGridMapping(pm.grid, pm.family, painted)
-    return RectangleApproximation(
-        approximation=approx,
-        n_rectangles=len(rects),
-        error=float(product_lp_norm(pm, approx, p)),
-    )

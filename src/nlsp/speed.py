@@ -133,9 +133,14 @@ def batch_speeds(spaces, values, times) -> tuple[np.ndarray, np.ndarray]:
 
 def atomwise_consistency_gaps(spaces, values, times,
                               bundle: np.ndarray) -> np.ndarray:
-    """:func:`atomwise_consistency_gap` of every curve of a batch, given its
-    bundle norms ``(curve, node)``; the per-atom speeds take one target
-    ``distances`` call over the whole batch."""
+    """Relative gap between the bundle norm and the atomwise speed sum of
+    every curve of a batch, given its bundle norms ``(curve, node)``.
+
+    Compares ``bundle_norm(t_i)^p`` against ``sum_j w_j |f_j'|(t_i)^p``
+    (centered per-atom metric derivatives) at interior nodes and returns
+    each curve's worst relative mismatch.  The per-atom speeds take one
+    target ``distances`` call over the whole batch.
+    """
     target, weights, p = _batch_parts(spaces, values)
     rhs = weighted_speed_powers(metric_speeds(target, values, times),
                                 weights, p)[:, 1:-1]
@@ -185,18 +190,3 @@ def speed_identity_residual(s: SpeedField) -> np.ndarray:
     _require_speed_field(s)
     md = metric_derivative(s.decomposition.source)
     return np.abs(md - bundle_norms(s))
-
-
-def atomwise_consistency_gap(s: SpeedField) -> float:
-    """Relative gap between the bundle norm and the atomwise speed sum.
-
-    Compares ``bundle_norm(t_i)^p`` against
-    ``sum_j w_j |f_j'|(t_i)^p`` (centered per-atom metric derivatives) at
-    interior nodes and returns the worst relative mismatch.  This is
-    :func:`atomwise_consistency_gaps` on a batch of one.
-    """
-    _require_speed_field(s)
-    source = s.decomposition.source
-    return float(atomwise_consistency_gaps(
-        [source.space], source.values[:, None], source.times_array,
-        bundle_norms(s)[None])[0])

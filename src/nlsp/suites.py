@@ -246,13 +246,6 @@ class SmoothLpPath:
         return (self.delta + (1.0 - 2.0 * self.delta) * t
                 + amp * np.sin(2.0 * math.pi * t + phase) / (2.0 * math.pi))
 
-    def materialize(self, n_nodes: int) -> SampledCurve:
-        """Sample the path at ``n_nodes`` uniform times on [0, 1]: the
-        sweep of :func:`sweep_smooth_paths` on a batch of one path."""
-        times, values = sweep_smooth_paths([self], n_nodes)
-        return SampledCurve(LpSpace(self.family, self.p),
-                            tuple(float(t) for t in times), values[:, 0])
-
 
 def sweep_smooth_paths(paths, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample smooth paths at ``n_nodes`` uniform times on [0, 1].
@@ -306,12 +299,6 @@ def sample_smooth_paths(target: TargetSpace, rngs,
         for w, base, anchors, wiggle, leg in zip(
             weights, bases, np.stack([starts, ends], axis=2),
             np.stack(wiggles, axis=1), np.stack(legs, axis=1))]
-
-
-def sample_smooth_path(target: TargetSpace, rng: np.random.Generator,
-                       p: float = 2.0) -> SmoothLpPath:
-    """Draw a smooth random path of mappings (one geodesic leg per atom)."""
-    return sample_smooth_paths(target, [rng], p)[0]
 
 
 def _draw_smooth_paths(seed: int, stream: str, target: TargetSpace,

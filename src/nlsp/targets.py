@@ -3,7 +3,8 @@
 Four concrete geometries share one small interface: flat Euclidean space,
 the round unit sphere, symmetric positive-definite matrices under the
 affine-invariant metric, and finite metric trees.  Every space provides
-``distance``, ``geodesic_point`` and ``comparison_residual``.
+the ``distances`` and ``geodesic_points`` kernels, and every space but the
+tree a tangent chart.
 
 A point of every space is a float array of shape ``point_shape``, and a
 batch of points is one float array of shape ``(..., *point_shape)``:
@@ -63,8 +64,6 @@ FLAT = "flat"
 GLOBAL_NPC = "global_npc"
 GLOBAL_NNC = "global_nnc"
 
-#: Two points closer than this (in the native chart / metric) are "equal".
-POINT_EQ_TOL = 1e-12
 #: Sphere points must be unit vectors to this tolerance.
 SPHERE_UNIT_TOL = 1e-12
 #: Sphere tangent vectors must be orthogonal to the base to this tolerance.
@@ -98,11 +97,6 @@ def _check_fractions(t) -> np.ndarray:
             f"geodesic parameter must lie in [0, 1], got "
             f"{float(t[~inside].flat[0])!r}")
     return np.minimum(np.maximum(t, 0.0), 1.0)
-
-
-def _check_fraction(t: float) -> float:
-    """Validate one geodesic parameter in [0, 1]."""
-    return float(_check_fractions(t))
 
 
 def _comparison_distances(target: TargetSpace, zs, fs, gs, t):
@@ -245,35 +239,12 @@ class TargetSpace(ABC):
         """Geodesic distance between two points."""
         return float(self.distances(self.as_point(y), self.as_point(z)))
 
-    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
-        """Whether two points coincide within ``tol``."""
-        diff = np.abs(np.asarray(y, float) - np.asarray(z, float))
-        return bool(np.max(diff) <= tol)
-
     # -- geodesics ---------------------------------------------------------
 
     def geodesic_point(self, y, z, t: float) -> np.ndarray:
         """The point a fraction ``t`` of the way along the unique
         constant-speed geodesic from ``y`` to ``z``."""
         return self.geodesic_points(self.as_point(y), self.as_point(z), t)
-
-    def comparison_residual(self, z, a, b, t: float) -> float:
-        """Deficit of the squared-distance interpolation inequality.
-
-        For the geodesic ``gamma`` from ``a`` to ``b`` this returns
-
-        ``d(z, gamma(t))^2 - [(1-t) d(z,a)^2 + t d(z,b)^2 - (1-t) t d(a,b)^2]``
-
-        which is ``<= 0`` on NPC spaces, ``>= 0`` on NNC spaces and ``== 0``
-        on flat ones.  At ``t in {0, 1}`` the residual is zero by
-        construction and is returned exactly.
-        """
-        t = _check_fraction(t)
-        if t == 0.0 or t == 1.0:
-            return 0.0
-        z, a, b = (self.as_points([y]) for y in (z, a, b))
-        return float(_comparison_residuals(
-            _comparison_distances(self, z, a, b, t), t)[0])
 
     # -- batches -------------------------------------------------------------
 
@@ -299,13 +270,6 @@ class TargetSpace(ABC):
         of its own one-stream draw.
         """
         return self.draw_points([rng], n)[0]
-
-    def random_geodesic_pairs(self, rng: np.random.Generator,
-                              n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``n`` pairs of points joined by unique geodesics, as two batches,
-        drawn pair after pair: :meth:`draw_geodesic_pairs` on one stream."""
-        ys, zs = self.draw_geodesic_pairs([rng], n)
-        return ys[0], zs[0]
 
     # -- charts ------------------------------------------------------------
     #
@@ -403,7 +367,7 @@ class TargetSpace(ABC):
         does not.
         """
         if not self.has_chart:
-            raise self._no_chart("random_tangent")
+            raise self._no_chart("draw_tangents")
         shape = self.point_shape
         g = self._tangent_part(bases, normals(rngs, shape))
         cur = self.tangent_norms(bases, g)
@@ -415,26 +379,11 @@ class TargetSpace(ABC):
         scale = np.asarray(norms, float) / cur
         return g * scale.reshape(scale.shape + (1,) * len(shape))
 
-    def random_tangent(self, base, rng: np.random.Generator,
-                       norm: float = 1.0) -> np.ndarray:
-        """Draw a tangent vector at ``base`` with the requested norm:
-        :meth:`draw_tangents` on one stream."""
-        return self.draw_tangents([rng], self.as_point(base)[None],
-                                  [float(norm)])[0]
-
     # -- serialization -------------------------------------------------------
 
     @abstractmethod
     def to_config(self) -> dict:
         """JSON-able description sufficient to rebuild the space."""
-
-    def point_to_jsonable(self, y):
-        """JSON-able encoding of a point (binary64 values kept exactly)."""
-        return self.as_point(y).tolist()
-
-    def point_from_jsonable(self, data):
-        """Inverse of :meth:`point_to_jsonable`."""
-        return self.as_point(data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = {k: v for k, v in self.to_config().items() if k != "kind"}
@@ -456,9 +405,6 @@ class Euclidean(TargetSpace):
 
     def distances(self, ys, zs) -> np.ndarray:
         return _norms(np.asarray(ys, float) - np.asarray(zs, float))
-
-    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
-        return self.distance(y, z) <= tol
 
     def geodesic_points(self, ys, zs, t) -> np.ndarray:
         t = _check_fractions(t)[..., None]
@@ -1150,8 +1096,6 @@ class MetricTree(TargetSpace):
             adj[ui].append((k, vi))
             adj[vi].append((k, ui))
             self._edge_of[ui, vi] = self._edge_of[vi, ui] = k
-        self._adj = adj
-        self._index = index
         self._gates = np.array([[index[u], index[v]] for u, v, _ in self.edges])
         self._lengths = np.array([length for _, _, length in self.edges])
 
@@ -1209,15 +1153,6 @@ class MetricTree(TargetSpace):
         out[..., 1] = clamped
         return out
 
-    def node_point(self, label) -> np.ndarray:
-        """The point ``(edge, offset)`` sitting at a named node."""
-        label = str(label)
-        if label not in self._index:
-            raise ValidationError(f"unknown node {label!r}")
-        k, _ = self._adj[self._index[label]][0]
-        u, _, length = self.edges[k]
-        return np.array([float(k), 0.0 if u == label else length])
-
     def _split(self, points: np.ndarray):
         """Edge indices, offsets, both gate nodes of the edge and the
         distances from the point to them, over the batch axes."""
@@ -1235,9 +1170,6 @@ class MetricTree(TargetSpace):
                + dz[..., None, :])
         best = via.min(axis=(-2, -1))
         return np.where(ey == ez, np.abs(oy - oz), best)
-
-    def points_equal(self, y, z, tol: float = POINT_EQ_TOL) -> bool:
-        return self.distance(y, z) <= tol
 
     def _clamped(self, edge: np.ndarray, off: np.ndarray) -> np.ndarray:
         """Points ``(edge, offset)`` with roundoff past the ends clamped."""
@@ -1319,11 +1251,6 @@ class MetricTree(TargetSpace):
     def to_config(self) -> dict:
         return {"kind": "metric_tree",
                 "edges": [[u, v, float(length)] for u, v, length in self.edges]}
-
-    def point_to_jsonable(self, y):
-        edge, off = self.as_point(y)
-        return [int(edge), float(off)]
-
 
 _TARGET_KINDS = {
     "euclidean": (Euclidean, ("dim",)),

@@ -58,22 +58,15 @@ from .targets import Euclidean
 
 @dataclass(frozen=True, eq=False)
 class TransportDecomposition:
-    """A sampled curve of mappings with its per-atom target curves.
+    """A sampled curve of mappings, sliced atom by atom at exponent ``p``.
 
-    ``per_atom_curves[j].values[i]`` is bitwise equal to
-    ``source.values[i, j]``: evaluation consistency is exact, not within a
-    tolerance.  The slices are built on first read: the batteries read the
-    source alone.
+    Atom ``j``'s slice is the view ``source.values[:, j]``, so every slice
+    value is bitwise equal to the source value: evaluation consistency is
+    exact, not within a tolerance.
     """
 
     source: SampledCurve
     p: float
-
-    @cached_property
-    def per_atom_curves(self) -> tuple[SampledCurve, ...]:
-        c = self.source
-        return tuple(SampledCurve(c.space.family.target, c.times, values)
-                     for values in c.values.swapaxes(0, 1))
 
 
 def _require_lp_curve(c: SampledCurve, op: str) -> LpSpace:

@@ -343,7 +343,7 @@ def test_scalar_chart_calls_validate_their_arguments(space):
     point or tangent vector raises before any kernel runs."""
     rng = trial_rng(0, f"test/batched/chart-validate/{space.kind}", 0)
     y = space.random_point(rng)
-    v = space.random_tangent(y, rng)
+    v, = space.draw_tangents([rng], y[None], [1.0])
     with pytest.raises(ValidationError, match="tangent vector must have shape"):
         space.exp_map(y, np.zeros(7))
     bad = v.copy()
@@ -709,7 +709,8 @@ def test_d_p_with_a_zero_weight_atom_matches_the_loop(space, p):
     else:
         want = sum(wj * d ** p for d, wj in zip(dists, w)) ** (1.0 / p)
     assert d_p(f, g, p) == pytest.approx(want, rel=1e-12)
-    batch = LpSpace(family, p).distances([f, f], [g, f])
+    batch = LpSpace(family, p).distances(np.stack([f.values, f.values]),
+                                         np.stack([g.values, f.values]))
     assert batch[0] == d_p(f, g, p)
     assert batch[1] == 0.0
 

@@ -26,9 +26,7 @@ from nlsp import (
     Sphere,
     StepCurve,
     ValidationError,
-    constant_speed_reparam,
     energy,
-    length,
     metric_derivative,
     skorokhod_distance,
     skorokhod_distances,
@@ -80,12 +78,13 @@ def test_metric_derivative_on_great_circle():
 
 
 def test_metric_derivative_needs_two_nodes():
-    """Derivative and length are undefined on a single sample."""
+    """Derivative and length (the 1-energy) are undefined on a single
+    sample."""
     c = SampledCurve(E1, (0.0,), (np.zeros(1),))
     with pytest.raises(ValidationError, match="at least two"):
         metric_derivative(c)
     with pytest.raises(ValidationError, match="at least two"):
-        length(c)
+        energy(c, 1.0)
 
 
 def test_sampled_curve_validation():
@@ -108,7 +107,7 @@ def test_length_and_energy_of_straight_segment():
     times = tuple([0.0] + [float(t) for t in interior] + [1.0])
     end = np.array([3.0, 4.0])
     c = SampledCurve(E2, times, tuple(t * end for t in times))
-    assert length(c) == pytest.approx(5.0, abs=1e-12)
+    assert curves.lengths(E2, c.values) == pytest.approx(5.0, abs=1e-12)
     assert energy(c, 2.0) == pytest.approx(25.0, abs=1e-10)
     assert energy(c, 1.0) == pytest.approx(5.0, abs=1e-12)
 
@@ -132,22 +131,23 @@ def test_holder_bound_between_length_and_energy():
         vals = tuple(rng.normal(size=2) for _ in range(n))
         c = SampledCurve(E2, times, vals)
         for p in (1.5, 2.0, 3.0):
-            assert length(c) ** p <= energy(c, p) + 1e-10
+            assert curves.lengths(E2, c.values) ** p <= energy(c, p) + 1e-10
 
 
 def test_constant_speed_reparam_flattens_speed():
     """Reparametrizing t -> t^2 equalizes cell speeds to within 1e-4."""
     times = tuple(np.linspace(0.0, 1.0, 65))
     c = SampledCurve(E1, times, tuple(np.array([t * t]) for t in times))
-    re = constant_speed_reparam(c, 1e-6)
+    re = curves.retimed(c, c.segment_lengths(), 1e-6)
     speeds = [float(np.abs(re.values[i + 1] - re.values[i])[0])
               / (re.times[i + 1] - re.times[i])
               for i in range(len(re.times) - 1)]
     spread = max(speeds) / min(speeds) - 1.0
     assert spread <= 1e-4
-    assert length(re) == pytest.approx(length(c), abs=1e-10)
+    total = curves.lengths(E1, c.values)
+    assert curves.lengths(E1, re.values) == pytest.approx(total, abs=1e-10)
     for p in (1.5, 2.0, 3.0):
-        ratio = energy(re, p) / length(c) ** p  # interval length is one
+        ratio = energy(re, p) / total ** p  # interval length is one
         assert ratio <= (1.0 + 1e-6) ** p + 1e-12
 
 
@@ -155,7 +155,7 @@ def test_constant_speed_reparam_keeps_constant_speed_curves():
     """An already-constant-speed curve keeps its time samples."""
     times = tuple(np.linspace(0.0, 1.0, 9))
     c = SampledCurve(E2, times, tuple(np.array([t, 2.0 * t]) for t in times))
-    re = constant_speed_reparam(c, 1e-6)
+    re = curves.retimed(c, c.segment_lengths(), 1e-6)
     assert np.allclose(re.times, times, atol=1e-10)
 
 
@@ -163,9 +163,9 @@ def test_constant_speed_reparam_validates_eps():
     """The speed-slack parameter must be positive and finite."""
     c = SampledCurve(E1, (0.0, 1.0), (np.zeros(1), np.ones(1)))
     with pytest.raises(ValidationError):
-        constant_speed_reparam(c, 0.0)
+        curves.retimed(c, c.segment_lengths(), 0.0)
     with pytest.raises(ValidationError):
-        constant_speed_reparam(c, -1e-3)
+        curves.retimed(c, c.segment_lengths(), -1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +300,8 @@ def test_variation_measure_of_single_jump():
     """A lone jump of size 3 is a point mass of 3 at its jump time."""
     c = scalar_step((0.0, 0.5, 1.0), (0.0, 3.0))
     m = variation_measure(c)
-    assert m.total == 3.0
-    assert m.of_point(0.5) == 3.0
-    assert m.of_point(0.3) == 0.0
+    assert m.jump_times == (0.5,) and m.jump_masses == (3.0,)
+    assert m.of_open_interval(0.0, 1.0) == 3.0
     assert m.of_open_interval(0.0, 0.4) == 0.0
     assert m.of_open_interval(0.4, 0.6) == 3.0
 
@@ -311,7 +310,7 @@ def test_variation_measure_of_constant_curve_is_zero():
     """No jumps, no mass."""
     c = scalar_step((0.0, 1.0), (2.0,))
     m = variation_measure(c)
-    assert m.total == 0.0
+    assert m.of_open_interval(0.0, 1.0) == 0.0
     assert m.jump_times == ()
 
 
@@ -324,7 +323,8 @@ def test_variation_measure_agrees_with_variation():
                        + [1.0])
         c = StepCurve(E2, breaks, tuple(rng.normal(size=2) for _ in range(k)))
         m = variation_measure(c)
-        assert m.total == pytest.approx(variation(c), abs=1e-14)
+        assert m.of_open_interval(0.0, 1.0) == pytest.approx(variation(c),
+                                                             abs=1e-14)
         for _ in range(10):
             s, t = np.sort(rng.uniform(0.0, 1.0, size=2))
             if s == t:

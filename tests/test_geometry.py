@@ -33,17 +33,16 @@ from nlsp import (
     default_tree,
     draw_geodesic_sweep,
     energy,
-    geodesic_safe_mapping_pair,
-    geodesic_speed_check,
     geodesic_sweep,
-    length,
     lp_geodesic,
     mapping_comparison_residual,
     run_curvature,
     run_length,
     trial_rng,
 )
+from nlsp.curves import lengths
 from nlsp.geometry import reparam_energy_ratios
+from nlsp.rng import trial_rngs
 from nlsp.suites import LENGTH_KAPPA
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -68,9 +67,9 @@ def test_geodesic_between_equal_mappings_is_constant():
     fam = three_atom_family(Sphere(3), rng)
     f = MetricMapping(fam, tuple(Sphere(3).random_point(rng) for _ in range(3)))
     geo = lp_geodesic(f, f, 2.0, n_nodes=9)
-    assert geo.endpoint_distance() == 0.0
-    for value in geo.curve.values:
-        assert geo.curve.space.distance(value, f) == 0.0
+    assert d_p(geo.start, geo.end, geo.p) == 0.0
+    space = geo.curve.space
+    assert np.all(space.distances(geo.curve.values, f.values) == 0.0)
     assert constant_speed_residual(geo) == 0.0
 
 
@@ -80,13 +79,11 @@ def test_single_atom_geodesic_matches_target_geodesic():
     rng = trial_rng(0, "test/geo-single", 0)
     base = FiniteMeasureSpace(("only",), (1.0,))
     fam = MappingFamily(base, target, (target.random_point(rng),))
-    a, b = (e[0] for e in target.random_geodesic_pairs(rng, 1))
-    geo = lp_geodesic(MetricMapping(fam, (a,)), MetricMapping(fam, (b,)),
+    a, b = target.draw_geodesic_pairs([rng], 1)
+    geo = lp_geodesic(MetricMapping(fam, a[0]), MetricMapping(fam, b[0]),
                       2.0, n_nodes=9)
-    for i, t in enumerate(np.linspace(0.0, 1.0, 9)):
-        expected = target.geodesic_point(a, b, float(t))
-        assert target.points_equal(geo.curve.values[i, 0], expected,
-                                   tol=1e-12)
+    expected = target.geodesic_points(a, b, np.linspace(0.0, 1.0, 9)[:, None])
+    assert np.max(np.abs(geo.curve.values - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("target_name", ["sphere", "spd", "metric_tree"])
@@ -97,13 +94,15 @@ def test_geodesic_is_constant_speed_with_matching_length(target_name, p):
               "metric_tree": default_tree()}[target_name]
     rng = trial_rng(0, f"test/geo/{target_name}/{p}", 0)
     fam = three_atom_family(target, rng)
-    f, g = geodesic_safe_mapping_pair(fam, rng)
+    f, g = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
     geo = lp_geodesic(f, g, p, n_nodes=17)
     assert constant_speed_residual(geo) < 1e-9
-    assert geodesic_speed_check(geo) < 1e-9
+    assert geo.sweep.atom_speed_deviations()[0] < 1e-9
     assert float(np.max(geo.sweep.from_start()[1])) < 1e-9
-    total = geo.endpoint_distance()
-    assert abs(length(geo.curve) - total) <= 1e-9 * max(total, 1.0)
+    total = d_p(f, g, p)
+    assert abs(lengths(geo.curve.space, geo.curve.values) - total) \
+        <= 1e-9 * max(total, 1.0)
 
 
 def test_per_atom_speed_bound_scales_with_total_mass():
@@ -114,25 +113,26 @@ def test_per_atom_speed_bound_scales_with_total_mass():
     rng = trial_rng(0, "test/geo-atom-bound", 0)
     fam = three_atom_family(target, rng, weights=(0.5, 1.25, 0.75))
     mass = fam.base_space.total_mass
-    f, g = geodesic_safe_mapping_pair(fam, rng)
+    f, g = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
     geo = lp_geodesic(f, g, p, n_nodes=17)
-    tau = max(geodesic_speed_check(geo), 1e-12)
-    times = geo.curve.times
-    for j in range(3):
-        per_atom = geo.per_atom_curves[j]
-        d_total = target.distance(per_atom.values[0], per_atom.values[-1])
-        for i in range(len(times) - 1):
-            step = target.distance(per_atom.values[i], per_atom.values[i + 1])
-            dev = abs(step - (times[i + 1] - times[i]) * d_total)
-            assert dev <= tau * mass ** (-1.0 / p) + 1e-12
+    tau = max(geo.sweep.atom_speed_deviations()[0], 1e-12)
+    # Every atom's steps at once: the atom slices are values[:, j].
+    values = geo.curve.values
+    d_total = target.distances(values[0], values[-1])
+    steps = target.distances(values[:-1], values[1:])
+    dev = np.abs(steps - np.diff(geo.curve.times_array)[:, None] * d_total)
+    assert dev.max() <= tau * mass ** (-1.0 / p) + 1e-12
 
 
 def test_atom_slices_are_built_on_first_read(monkeypatch):
-    """lp_geodesic and decompose_ac build no atom slice until one is read;
-    the slices then read ``curve.values[:, j]`` bit for bit."""
+    """lp_geodesic and decompose_ac build no atom slice: the geodesic is
+    one curve, and the decomposition's atom ``j`` is the view
+    ``curve.values[:, j]``."""
     rng = trial_rng(0, "test/geo-lazy-slices", 0)
     fam = three_atom_family(Sphere(3), rng)
-    f, g = geodesic_safe_mapping_pair(fam, rng)
+    f, g = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
     built = []
     real = SampledCurve.__post_init__
     monkeypatch.setattr(SampledCurve, "__post_init__",
@@ -141,13 +141,7 @@ def test_atom_slices_are_built_on_first_read(monkeypatch):
     assert built == [geo.curve]
     decomposition = decompose_ac(geo.curve, 2.0)
     assert built == [geo.curve]
-    for slices in (geo.per_atom_curves, decomposition.per_atom_curves):
-        assert len(slices) == 3
-        for j, atom in enumerate(slices):
-            assert atom.times == geo.curve.times
-            assert atom.values.tobytes() == geo.curve.values[:, j].tobytes()
-    assert len(built) == 1 + 2 * 3
-    assert geo.per_atom_curves is geo.per_atom_curves
+    assert decomposition.source.values is geo.curve.values
 
 
 def test_antipodal_positive_weight_atom_is_rejected_by_name():
@@ -179,14 +173,15 @@ def test_geodesic_is_invariant_under_interval_rescaling():
     target = Spd(2)
     rng = trial_rng(0, "test/geo-interval", 0)
     fam = three_atom_family(target, rng)
-    f, g = geodesic_safe_mapping_pair(fam, rng)
+    f, g = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
     unit = lp_geodesic(f, g, 2.0, n_nodes=9)
     shifted = lp_geodesic(f, g, 2.0, n_nodes=9, interval=(2.0, 5.0))
     assert shifted.curve.times[0] == 2.0 and shifted.curve.times[-1] == 5.0
     assert abs(constant_speed_residual(unit)
                - constant_speed_residual(shifted)) <= 1e-12
-    for u, s in zip(unit.curve.values, shifted.curve.values):
-        assert unit.curve.space.distance(u, s) <= 1e-12
+    assert unit.curve.space.distances(
+        unit.curve.values, shifted.curve.values).max() <= 1e-12
 
 
 def test_zero_mass_base_space_is_rejected():
@@ -235,17 +230,18 @@ def test_sweep_scores_equal_the_per_trial_path(name, p, interval):
     assert all(v.shape[-1] == 3 for v in scores.values())
     a, b = interval
     for i in range(3):
-        f, g = (MetricMapping(family, e) for e in
-                target.random_geodesic_pairs(trial_rng(5, stream, i), n))
+        f, g = (MetricMapping(family, e[0]) for e in
+                target.draw_geodesic_pairs([trial_rng(5, stream, i)], n))
         assert drawn.starts[i].tobytes() == f.values.tobytes()
         assert drawn.ends[i].tobytes() == g.values.tobytes()
         geo = lp_geodesic(f, g, p, n_nodes=9, interval=interval)
         assert sweep.nodes[:, i].tobytes() == geo.curve.values.tobytes()
         total = d_p(f, g, p)
         assert scores["csr"][i] == constant_speed_residual(geo)
-        assert scores["atom"][i] == geodesic_speed_check(geo)
-        assert scores["gap"][i] \
-            == abs(length(geo.curve) - total) / max(total, 1e-300)
+        assert scores["atom"][i] == geo.sweep.atom_speed_deviations()[0]
+        assert scores["gap"][i] == abs(
+            float(lengths(geo.curve.space, geo.curve.values)) - total) \
+            / max(total, 1e-300)
         assert scores["from_start"][:, i].tobytes() \
             == geo.sweep.from_start()[1][:, 0].tobytes()
         if math.isfinite(p):
@@ -295,11 +291,10 @@ def test_sweep_names_a_positive_weight_antipodal_atom():
 def test_geodesic_safe_pairs_avoid_degenerate_endpoints():
     """Safe pairs are distinct and, on the sphere, never antipodal."""
     sphere = Sphere(3)
-    for trial in range(50):
-        rng = trial_rng(0, "test/safe-pair", trial)
-        a, b = (e[0] for e in sphere.random_geodesic_pairs(rng, 1))
-        d = sphere.distance(a, b)
-        assert 0.0 < d < math.pi - 1e-6
+    rngs = trial_rngs(0, "test/safe-pair", range(50))
+    a, b = (e[:, 0] for e in sphere.draw_geodesic_pairs(rngs, 1))
+    d = sphere.distances(a, b)
+    assert np.all((0.0 < d) & (d < math.pi - 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +306,10 @@ def test_mapping_comparison_residual_vanishes_at_endpoints():
     """At t = 0 and t = 1 the comparison identity is trivial."""
     rng = trial_rng(0, "test/map-comparison-ends", 0)
     fam = three_atom_family(Sphere(3), rng)
-    z, _ = geodesic_safe_mapping_pair(fam, rng)
-    f, g = geodesic_safe_mapping_pair(fam, rng)
+    z, _ = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
+    f, g = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
     assert abs(mapping_comparison_residual(z, f, g, 0.0)) <= 1e-12
     assert abs(mapping_comparison_residual(z, f, g, 1.0)) <= 1e-12
 
@@ -329,7 +326,6 @@ def test_mapping_comparison_residual_ends_skip_antipodal_atoms():
     assert mapping_comparison_residual(z, f, g, 1.0) == 0.0
     with pytest.raises(GeodesicError):
         mapping_comparison_residual(z, f, g, 0.5)
-    assert Sphere(3).comparison_residual(E3, E2, -E2, 1.0) == 0.0
 
 
 def test_mapping_comparison_residual_signs_by_class():
@@ -338,12 +334,16 @@ def test_mapping_comparison_residual_signs_by_class():
         rng = trial_rng(0, "test/map-comparison", trial)
         t = float(rng.uniform(0.1, 0.9))
         flat_fam = three_atom_family(Euclidean(2), rng)
-        z, _ = geodesic_safe_mapping_pair(flat_fam, rng)
-        f, g = geodesic_safe_mapping_pair(flat_fam, rng)
+        z, _ = (MetricMapping(flat_fam, e[0])
+                for e in flat_fam.target.draw_geodesic_pairs([rng], 3))
+        f, g = (MetricMapping(flat_fam, e[0])
+                for e in flat_fam.target.draw_geodesic_pairs([rng], 3))
         assert abs(mapping_comparison_residual(z, f, g, t)) <= 1e-10
         npc_fam = three_atom_family(Spd(2), rng)
-        z2, _ = geodesic_safe_mapping_pair(npc_fam, rng)
-        f2, g2 = geodesic_safe_mapping_pair(npc_fam, rng)
+        z2, _ = (MetricMapping(npc_fam, e[0])
+                 for e in npc_fam.target.draw_geodesic_pairs([rng], 3))
+        f2, g2 = (MetricMapping(npc_fam, e[0])
+                  for e in npc_fam.target.draw_geodesic_pairs([rng], 3))
         assert mapping_comparison_residual(z2, f2, g2, t) <= 1e-8
 
 
@@ -445,7 +445,8 @@ def test_reparam_energy_ratios_meet_the_budget():
     """The retimed geodesic's energy ratio never exceeds (1 + eps)^p."""
     rng = trial_rng(0, "test/certificate", 0)
     fam = three_atom_family(Spd(2), rng)
-    f, g = geodesic_safe_mapping_pair(fam, rng)
+    f, g = (MetricMapping(fam, e[0])
+            for e in fam.target.draw_geodesic_pairs([rng], 3))
     geo = lp_geodesic(f, g, 2.0, n_nodes=17)
     p_values = (1.5, 2.0, 3.0)
     _, _, ratios = reparam_energy_ratios(geo.curve, p_values, 1e-6)

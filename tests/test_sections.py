@@ -3,9 +3,7 @@
 A product-grid mapping can be read as a curve of mappings (time outside)
 or as a mapping of curves (atoms outside).  These tests pin down the
 exactness of both readings, the agreement of the iterated norms with the
-joint product norm, the transpose bijection, greedy rectangular
-approximation, and the diagonal-indicator family that admits no small
-rectangular approximation at any refinement.
+joint product norm, and the transpose bijection.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from nlsp import (
     Sphere,
     TimeGrid,
     ValidationError,
-    approximate_by_rectangles,
     constant_in_time,
     d_pp,
     default_tree,
@@ -181,90 +178,6 @@ def test_readings_reject_a_bad_grid_or_family(reading):
         reading(pm.grid.nodes, pm.family, pm.values)
     with pytest.raises(ValidationError, match="family must be a MappingFamily"):
         reading(pm.grid, "x", pm.values)
-
-
-# ---------------------------------------------------------------------------
-# Rectangular approximation
-# ---------------------------------------------------------------------------
-
-
-def test_rectangle_approximation_recovers_step_structure():
-    """Block-constant data is reproduced exactly with enough rectangles."""
-    grid = TimeGrid(tuple(np.linspace(0.0, 1.0, 9)), rule="left_cells")
-    base = FiniteMeasureSpace(("u", "v", "w"), (1.0, 0.5, 2.0))
-    fam = MappingFamily(base, Euclidean(1), tuple(np.zeros(1) for _ in range(3)))
-    values = tuple(
-        tuple(np.array([1.0 if i < 4 else -2.0]) for _j in range(3))
-        for i in range(9))
-    pm = ProductGridMapping(grid, fam, values)
-    report = approximate_by_rectangles(pm, 2.0, tol=1e-12)
-    assert report.error <= 1e-12
-    recomputed = product_lp_norm(pm, report.approximation, 2.0)
-    assert recomputed == pytest.approx(report.error, abs=1e-15)
-
-
-def test_rectangle_budget_is_respected():
-    """The greedy splitter never exceeds its rectangle budget."""
-    rng = trial_rng(0, "test/rect-budget", 0)
-    pm = random_product_mapping(Euclidean(2), rng, n_nodes=9)
-    report = approximate_by_rectangles(pm, 2.0, tol=0.0, max_rectangles=5)
-    assert report.n_rectangles <= 5
-    assert report.error >= 0.0
-
-
-def test_rectangle_splitter_stops_at_tol_or_budget():
-    """The splitter only reports above-tolerance error on a spent budget."""
-    rng = trial_rng(0, "test/rect-stop", 0)
-    pm = random_product_mapping(Euclidean(2), rng, n_nodes=9)
-    tol = 0.05
-    for budget in (1, 4, 16, 256):
-        report = approximate_by_rectangles(pm, 2.0, tol=tol,
-                                           max_rectangles=budget)
-        if report.error > tol:
-            assert report.n_rectangles == budget
-    unbounded = approximate_by_rectangles(pm, 2.0, tol=tol)
-    assert unbounded.error <= tol
-
-
-def diagonal_indicator(n):
-    """The n x n diagonal family: atom j sits at 1 exactly on cell j.
-
-    Counting-measure weights (one per atom) and unit-length time cells
-    give every diagonal cell product mass one.
-    """
-    grid = TimeGrid(tuple(float(k) for k in range(n + 1)), rule="left_cells")
-    base = FiniteMeasureSpace(tuple(f"x{j}" for j in range(n)), (1.0,) * n)
-    fam = MappingFamily(base, Euclidean(1), tuple(np.zeros(1) for _ in range(n)))
-    values = tuple(
-        tuple(np.array([1.0]) if (i < n and j == i) else np.zeros(1)
-              for j in range(n))
-        for i in range(n + 1))
-    return ProductGridMapping(grid, fam, values)
-
-
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_diagonal_indicator_has_no_small_rectangular_approximation(n):
-    """With fewer rectangles than atoms the error never drops below 1.
-
-    Any rectangle containing two diagonal cells also contains their
-    off-diagonal corners, so with at most n - 1 rectangles the combined
-    miss is at least one unit of product mass -- at every refinement n.
-    The bound does not decay as the family is refined, which is exactly
-    what rules out a small simple approximation in the limit.
-    """
-    pm = diagonal_indicator(n)
-    report = approximate_by_rectangles(pm, 1.0, tol=1e-9,
-                                       max_rectangles=n - 1)
-    assert report.n_rectangles <= n - 1
-    assert report.error >= 1.0 - 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_diagonal_indicator_is_resolved_with_enough_rectangles(n):
-    """With an unbounded budget the greedy splitter resolves the diagonal."""
-    pm = diagonal_indicator(n)
-    report = approximate_by_rectangles(pm, 1.0, tol=1e-12)
-    assert report.error == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,22 @@ from nlsp import (
     FiniteMeasureSpace,
     LpSpace,
     MappingFamily,
-    MetricMapping,
     SampledCurve,
     Spd,
     Sphere,
     UnsupportedOperationError,
     ValidationError,
-    atomwise_consistency_gap,
+    atomwise_consistency_gaps,
+    batch_speeds,
     bundle_norm,
     bundle_norms,
     compute_speed,
     decay_order,
     decompose_ac,
     default_tree,
-    sample_smooth_path,
+    sample_smooth_paths,
     speed_identity_residual,
+    sweep_smooth_paths,
     tangent_norms,
     trial_rng,
 )
@@ -51,9 +52,8 @@ def linear_curve(n_nodes=9):
     """Two atoms moving at velocity 2 along orthogonal axes."""
     fam = plane_family()
     times = tuple(float(t) for t in np.linspace(0.0, 1.0, n_nodes))
-    values = tuple(
-        MetricMapping(fam, (np.array([2.0 * t, 0.0]), np.array([0.0, 2.0 * t])))
-        for t in times)
+    values = tuple((np.array([2.0 * t, 0.0]), np.array([0.0, 2.0 * t]))
+                   for t in times)
     return SampledCurve(LpSpace(fam, 2.0), times, values)
 
 
@@ -62,8 +62,7 @@ def test_constant_curve_has_zero_speed_everywhere():
     fam = plane_family()
     times = tuple(float(t) for t in np.linspace(0.0, 1.0, 9))
     frozen = (np.array([1.0, 1.0]), np.array([0.5, 0.0]))
-    c = SampledCurve(LpSpace(fam, 2.0), times,
-                     tuple(MetricMapping(fam, frozen) for _ in times))
+    c = SampledCurve(LpSpace(fam, 2.0), times, (frozen,) * len(times))
     s = compute_speed(decompose_ac(c, 2.0))
     assert float(np.max(bundle_norms(s))) == 0.0
     assert float(np.max(speed_identity_residual(s))) == 0.0
@@ -72,11 +71,14 @@ def test_constant_curve_has_zero_speed_everywhere():
 def test_linear_motion_gives_exact_bundle_norm():
     """Atom speeds 2 with weights (1, 3) aggregate to
     (1*4 + 3*4)^(1/2) = 4 at every node, exactly."""
-    s = compute_speed(decompose_ac(linear_curve(), 2.0))
+    c = linear_curve()
+    s = compute_speed(decompose_ac(c, 2.0))
     assert np.array_equal(tangent_norms(s, 0), np.array([2.0, 2.0]))
     assert all(bundle_norm(s, i) == 4.0 for i in range(9))
     assert float(np.max(speed_identity_residual(s))) == 0.0
-    assert atomwise_consistency_gap(s) == 0.0
+    gaps = atomwise_consistency_gaps([c.space], c.values[:, None],
+                                     c.times_array, bundle_norms(s)[None])
+    assert gaps.tolist() == [0.0]
 
 
 def test_velocity_vectors_are_anchored_at_curve_values():
@@ -99,8 +101,7 @@ def test_unit_speed_great_circle_recovers_angular_rate():
     omega = 0.6 * math.pi
     times = tuple(float(t) for t in np.linspace(0.0, 1.0, 129))
     values = tuple(
-        MetricMapping(fam, (np.array([math.cos(omega * t),
-                                      math.sin(omega * t), 0.0]),))
+        (np.array([math.cos(omega * t), math.sin(omega * t), 0.0]),)
         for t in times)
     c = SampledCurve(LpSpace(fam, 2.0), times, values)
     s = compute_speed(decompose_ac(c, 2.0))
@@ -113,10 +114,14 @@ def test_speed_identity_residual_decays_linearly():
     boundary nodes compare one-sided quotients over the same pair and sit
     at roundoff."""
     rng = trial_rng(0, "test/speed-decay", 0)
-    path = sample_smooth_path(Spd(2), rng, p=2.0)
-    res = {n: speed_identity_residual(
-        compute_speed(decompose_ac(path.materialize(n), 2.0)))
-        for n in (129, 257)}
+    path, = sample_smooth_paths(Spd(2), [rng], p=2.0)
+    space = LpSpace(path.family, 2.0)
+    res = {}
+    for n in (129, 257):
+        times, values = sweep_smooth_paths([path], n)
+        curve = SampledCurve(space, tuple(times.tolist()), values[:, 0])
+        res[n] = speed_identity_residual(compute_speed(decompose_ac(curve,
+                                                                    2.0)))
     coarse = float(np.max(res[129][1:-1]))
     fine = float(np.max(res[257][1:-1]))
     assert coarse < 1e-3
@@ -135,21 +140,21 @@ def test_smooth_path_speed_meets_its_closed_form(target):
     at second order in the step."""
     p = 2.0
     for ci in range(3):
-        path = sample_smooth_path(
-            target, trial_rng(7, f"transport/{target.kind}", ci), p=p)
+        path, = sample_smooth_paths(
+            target, [trial_rng(7, f"transport/{target.kind}", ci)], p=p)
+        space = LpSpace(path.family, p)
         legs = target.distances(path.anchors[:, 0], path.anchors[:, 1])
         assert np.max(np.abs(legs - path.legs)) <= 1e-12
         w = path.family.base_space.weights_array
         amp, phase = path.wiggles.T
         gaps = []
         for n in (65, 129, 257, 513):
-            curve = path.materialize(n)
-            t = curve.times_array[:, None]
+            times, values = sweep_smooth_paths([path], n)
+            t = times[:, None]
             rate = (1.0 - 2.0 * path.delta) + amp * np.cos(
                 2.0 * math.pi * t + phase)
             exact = np.sum(w * (path.legs * rate) ** p, axis=-1) ** (1.0 / p)
-            quotients = metric_speeds(curve.space, curve.values,
-                                      curve.times_array)
+            quotients = metric_speeds(space, values[:, 0], times)
             gaps.append(float(np.max(np.abs(quotients - exact)[1:-1])))
         assert gaps[-1] <= 1e-6
         assert decay_order(gaps) >= 1.9
@@ -162,9 +167,11 @@ def test_atomwise_consistency_across_targets(target, p):
     """The bundle norm p-th power matches the weighted sum of per-atom
     metric-derivative powers within the documented slack."""
     rng = trial_rng(0, f"test/speed-consistency/{target.kind}/{p}", 0)
-    path = sample_smooth_path(target, rng, p=p)
-    s = compute_speed(decompose_ac(path.materialize(129), p))
-    assert atomwise_consistency_gap(s) <= 5e-3
+    paths = sample_smooth_paths(target, [rng], p=p)
+    spaces = [LpSpace(path.family, p) for path in paths]
+    times, values = sweep_smooth_paths(paths, 129)
+    _, bundle = batch_speeds(spaces, values, times)
+    assert atomwise_consistency_gaps(spaces, values, times, bundle)[0] <= 5e-3
 
 
 def test_tree_curves_decompose_but_have_no_velocity():
@@ -176,12 +183,11 @@ def test_tree_curves_decompose_but_have_no_velocity():
         FiniteMeasureSpace(("a", "b"), (1.0, 1.0)), tree,
         (tree.random_point(rng), tree.random_point(rng)))
     times = tuple(float(t) for t in np.linspace(0.0, 1.0, 5))
-    values = tuple(
-        MetricMapping(fam, (tree.random_point(rng), tree.random_point(rng)))
-        for _ in times)
+    values = tuple((tree.random_point(rng), tree.random_point(rng))
+                   for _ in times)
     c = SampledCurve(LpSpace(fam, 2.0), times, values)
     d = decompose_ac(c, 2.0)
-    assert len(d.per_atom_curves) == 2
+    assert d.source.values.shape[:2] == (5, 2)  # (node, atom)
     with pytest.raises(UnsupportedOperationError, match="no tangent chart"):
         compute_speed(d)
 
@@ -197,5 +203,3 @@ def test_speed_field_accessors_validate_inputs():
         bundle_norm(s, -1)
     with pytest.raises(ValidationError, match="SpeedField"):
         speed_identity_residual("nope")
-    with pytest.raises(ValidationError, match="SpeedField"):
-        atomwise_consistency_gap("nope")

@@ -25,17 +25,17 @@ from nlsp import (
     Sphere,
     ValidationError,
     VariationMeasure,
-    atomwise_consistency_gap,
-    compute_speed,
+    atomwise_consistency_gaps,
+    batch_speeds,
     decay_order,
-    decompose_ac,
     default_tree,
-    derivative_identity_residual,
-    sample_smooth_path,
-    speed_identity_residual,
+    derivative_identity_residuals,
+    sample_smooth_paths,
+    sweep_smooth_paths,
     trial_rng,
 )
 from nlsp import curves, geometry, suites
+from nlsp.rng import trial_rngs
 from nlsp.suites import (
     BATTERIES,
     order_jsonable,
@@ -82,9 +82,9 @@ def test_random_base_space_zero_atom_option():
 @pytest.mark.parametrize("target", [Sphere(3), Spd(2)], ids=["sphere", "spd"])
 def test_smooth_path_warp_is_monotone_inside_unit_interval(target):
     """Each atom's time warp stays strictly inside (0, 1) and strictly
-    increases, so materialized curves never fold back."""
+    increases, so swept curves never fold back."""
     rng = trial_rng(0, "suite/smooth-path", 0)
-    path = sample_smooth_path(target, rng, p=2.0)
+    path, = sample_smooth_paths(target, [rng], p=2.0)
     ts = np.linspace(0.0, 1.0, 257)
     warped = path.warp(ts)
     assert warped.shape == (len(ts), len(path.anchors))
@@ -95,19 +95,18 @@ def test_smooth_path_warp_is_monotone_inside_unit_interval(target):
 
 def test_smooth_path_materializes_on_any_grid():
     rng = trial_rng(0, "suite/smooth-path-grid", 0)
-    path = sample_smooth_path(Sphere(3), rng, p=2.0)
+    paths = sample_smooth_paths(Sphere(3), [rng], p=2.0)
     for n in (17, 33):
-        curve = path.materialize(n)
-        assert len(curve.times) == n
-        assert curve.times[0] == 0.0 and curve.times[-1] == 1.0
-        assert curve.space.family is path.family
-        assert curve.values.shape == (n, 4, 3)
+        times, values = sweep_smooth_paths(paths, n)
+        assert len(times) == n
+        assert times[0] == 0.0 and times[-1] == 1.0
+        assert values.shape == (n, 1, 4, 3)
 
 
 def test_default_tree_is_reusable():
     tree = default_tree()
-    a = tree.node_point("c")
-    b = tree.node_point("e")
+    a = (2, 1.5)  # node c, at the end of edge a-c
+    b = (4, 1.2)  # node e, at the end of edge b-e
     assert tree.distance(a, b) == pytest.approx(1.5 + 1.0 + 2.0 + 1.2,
                                                 abs=1e-12)
 
@@ -470,7 +469,7 @@ def _worst_key(stream: str, scores) -> str:
 def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     """With every residual bound below zero, each residual failure of the
     transport and speed batteries ends with the stream key of the curve
-    whose single-curve residual is largest."""
+    whose residual is largest."""
     transport = suites.run_transport(
         seed=7, curves=3, bv_curves=6,
         tolerances={"transport_residual": -1.0, "variation_residual": -1.0})
@@ -481,12 +480,11 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
               for f in transport.failures + speed.failures}
     for target in (Sphere(3), Spd(2)):
         stream = f"transport/{target.kind}"
-        scores = []
-        for ci in range(3):
-            curve = sample_smooth_path(
-                target, trial_rng(7, stream, ci)).materialize(257)
-            res = derivative_identity_residual(decompose_ac(curve, 2.0))
-            scores.append(np.max(np.abs(res[1:-1])))
+        paths = sample_smooth_paths(target, trial_rngs(7, stream, range(3)))
+        times, values = sweep_smooth_paths(paths, 257)
+        res = derivative_identity_residuals(
+            [LpSpace(path.family, 2.0) for path in paths], values, times)
+        scores = np.max(np.abs(res[:, 1:-1]), axis=1)
         assert failed[f"derivative_identity_residual[{target.kind}]"] \
             .endswith(_worst_key(stream, scores))
     bv_scores = [float(row[1]) for row in transport.csv["transport_bv"][1:]]
@@ -494,12 +492,12 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
         _worst_key("transport/bv", bv_scores))
     for target in (Euclidean(2), Sphere(3), Spd(2)):
         stream = f"speed/{target.kind}"
-        gaps, gap_scores = [], []
-        for ci in range(2):
-            path = sample_smooth_path(target, trial_rng(7, stream, ci))
-            sf = compute_speed(decompose_ac(path.materialize(129), 2.0))
-            gaps.append(np.max(speed_identity_residual(sf)[1:-1]))
-            gap_scores.append(atomwise_consistency_gap(sf))
+        paths = sample_smooth_paths(target, trial_rngs(7, stream, range(2)))
+        spaces = [LpSpace(path.family, 2.0) for path in paths]
+        times, values = sweep_smooth_paths(paths, 129)
+        md, bundle = batch_speeds(spaces, values, times)
+        gaps = np.max(np.abs(md - bundle)[:, 1:-1], axis=1)
+        gap_scores = atomwise_consistency_gaps(spaces, values, times, bundle)
         assert failed[f"speed_identity_residual[{target.kind}]"].endswith(
             _worst_key(stream, gaps))
         assert failed[f"bundle_consistency[{target.kind}]"].endswith(

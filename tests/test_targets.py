@@ -29,7 +29,14 @@ from nlsp import (
     trial_rng,
 )
 import nlsp.targets as targets
-from nlsp.targets import _eigh, _eigvalsh, make_target
+from nlsp.rng import trial_rngs, uniforms
+from nlsp.targets import (
+    _comparison_distances,
+    _comparison_residuals,
+    _eigh,
+    _eigvalsh,
+    make_target,
+)
 
 
 def all_spaces():
@@ -146,11 +153,10 @@ def test_spd_tangent_norm_frozen_value():
 def test_sphere_comparison_residual_frozen_value():
     """Pole against a quarter-turn equator pair gives (pi/2)^2 / 4."""
     space = Sphere(3)
-    res = space.comparison_residual(
-        np.array([0.0, 0.0, 1.0]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        0.5)
+    z, a, b = (space.as_points([y]) for y in (
+        [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+    res, = _comparison_residuals(_comparison_distances(space, z, a, b, 0.5),
+                                 0.5)
     assert res == pytest.approx(0.25 * (math.pi / 2) ** 2, abs=1e-12)
     assert res > 0.0
 
@@ -183,7 +189,7 @@ def test_geodesic_parameter_outside_unit_interval_is_rejected():
 def test_tree_has_no_tangent_chart():
     """Log, exp, and tangent operations are undefined on a metric tree."""
     tree = default_tree()
-    a = tree.node_point("root")
+    a = (0, 0.0)  # the root, at the start of edge root-a
     b = (2, 0.5)
     assert not tree.has_chart
     with pytest.raises(UnsupportedOperationError, match="no tangent chart"):
@@ -191,7 +197,8 @@ def test_tree_has_no_tangent_chart():
     with pytest.raises(UnsupportedOperationError, match="no tangent chart"):
         tree.exp_map(a, np.zeros(1))
     with pytest.raises(UnsupportedOperationError, match="no tangent chart"):
-        tree.random_tangent(a, trial_rng(0, "test/tree-tangent", 0))
+        tree.draw_tangents([trial_rng(0, "test/tree-tangent", 0)],
+                           tree.as_points([a]), [1.0])
 
 
 def test_sphere_tangent_must_be_orthogonal():
@@ -238,7 +245,7 @@ def test_tree_edge_must_be_an_integer_index(point, fault):
     with pytest.raises(ValidationError, match=fault):
         tree.as_points([(0, 0.5), point])
     with pytest.raises(ValidationError, match=fault):
-        tree.point_from_jsonable(list(point))
+        tree.as_point(list(point))
     with pytest.raises(ValidationError, match=fault):
         tree.distance(point, (0, 0.5))
     with pytest.raises(ValidationError, match=fault):
@@ -254,8 +261,6 @@ def test_tree_points_are_edge_offset_arrays():
     assert tree.as_point((0, -1e-13)).tolist() == [0.0, 0.0]
     batch = tree.random_points(trial_rng(0, "test/tree-array", 0), 4)
     assert batch.shape == (4, 2) and tree.as_points(batch) is batch
-    assert tree.point_to_jsonable(y) == [2, 1.5]
-    assert tree.node_point("c").tolist() == [2.0, 1.5]
 
 
 def test_tree_edge_list_validation():
@@ -322,9 +327,8 @@ def test_point_serialization_roundtrip(space):
     rng = trial_rng(0, f"test/serialize/{space.kind}", 0)
     for trial in range(10):
         y = space.random_point(rng)
-        data = json.loads(json.dumps(space.point_to_jsonable(y)))
-        z = space.point_from_jsonable(data)
-        assert space.points_equal(y, z)
+        z = space.as_point(json.loads(json.dumps(y.tolist())))
+        assert _same_bytes(y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -332,45 +336,44 @@ def test_point_serialization_roundtrip(space):
 # ---------------------------------------------------------------------------
 
 
+# Each battery draws trial ``i`` from its own stream ``(0, key, i)``, all
+# trials at once: every stream's points have the bytes of its own draw.
+
+
 @pytest.mark.parametrize("space", all_spaces(), ids=SPACE_IDS)
 def test_triangle_inequality_battery(space):
     """d(a, c) <= d(a, b) + d(b, c) on 1000 random triples."""
-    for trial in range(1000):
-        rng = trial_rng(0, f"test/triangle/{space.kind}", trial)
-        a, b, c = (space.random_point(rng) for _ in range(3))
-        slack = space.distance(a, b) + space.distance(b, c) - space.distance(a, c)
-        assert slack >= -1e-10
+    rngs = trial_rngs(0, f"test/triangle/{space.kind}", range(1000))
+    a, b, c = np.moveaxis(space.draw_points(rngs, 3), 1, 0)
+    slack = (space.distances(a, b) + space.distances(b, c)
+             - space.distances(a, c))
+    assert slack.min() >= -1e-10
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=SPACE_IDS)
 def test_geodesic_constant_speed_battery(space):
     """Interpolation is distance-affine on a 33-node grid, 100 pairs."""
     times = np.linspace(0.0, 1.0, 33)
-    worst = 0.0
-    for trial in range(100):
-        rng = trial_rng(0, f"test/geodesic-speed/{space.kind}", trial)
-        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
-        total = space.distance(a, b)
-        points = [space.geodesic_point(a, b, float(t)) for t in times]
-        for i in range(1, len(times)):
-            from_start = space.distance(points[0], points[i])
-            worst = max(worst, abs(from_start - times[i] * total))
-            step = space.distance(points[i - 1], points[i])
-            worst = max(worst, abs(step - (times[i] - times[i - 1]) * total))
+    rngs = trial_rngs(0, f"test/geodesic-speed/{space.kind}", range(100))
+    a, b = (e[:, 0] for e in space.draw_geodesic_pairs(rngs, 1))
+    total = space.distances(a, b)
+    points = space.geodesic_points(a, b, times.reshape(-1, 1))
+    from_start = space.distances(points[:1], points[1:])
+    step = space.distances(points[:-1], points[1:])
+    worst = max(np.abs(from_start - times[1:, None] * total).max(),
+                np.abs(step - np.diff(times)[:, None] * total).max())
     assert worst < 1e-9
 
 
 @pytest.mark.parametrize("space", chart_spaces(), ids=CHART_IDS)
 def test_exp_log_roundtrip_battery(space):
     """exp after log returns to the second point, 500 pairs."""
-    worst = 0.0
-    for trial in range(500):
-        rng = trial_rng(0, f"test/exp-log/{space.kind}", trial)
-        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
-        back = space.exp_map(a, space.log_map(a, b))
-        worst = max(worst, space.distance(back, b))
-        assert space.tangent_norm(a, space.log_map(a, b)) == pytest.approx(
-            space.distance(a, b), abs=1e-9)
+    rngs = trial_rngs(0, f"test/exp-log/{space.kind}", range(500))
+    a, b = (e[:, 0] for e in space.draw_geodesic_pairs(rngs, 1))
+    v = space.log_maps(a, b)
+    worst = space.distances(space.exp_maps(a, v), b).max()
+    assert space.tangent_norms(a, v) == pytest.approx(
+        space.distances(a, b), abs=1e-9)
     assert worst < 1e-9
 
 
@@ -379,21 +382,19 @@ def test_random_tangent_honors_requested_norm(space):
     """Sampled tangents come back with the requested length."""
     rng = trial_rng(0, f"test/tangent-norm/{space.kind}", 0)
     base = space.random_point(rng)
-    v = space.random_tangent(base, rng, norm=2.5)
+    v, = space.draw_tangents([rng], base[None], [2.5])
     assert space.tangent_norm(base, v) == pytest.approx(2.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("space", all_spaces(), ids=SPACE_IDS)
 def test_comparison_sign_battery(space):
     """The quadrilateral comparison residual has the class's sign, 1000 samples."""
-    lo, hi = math.inf, -math.inf
-    for trial in range(1000):
-        rng = trial_rng(0, f"test/comparison/{space.kind}", trial)
-        z = space.random_point(rng)
-        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
-        t = float(rng.uniform(0.05, 0.95))
-        res = space.comparison_residual(z, a, b, t)
-        lo, hi = min(lo, res), max(hi, res)
+    rngs = trial_rngs(0, f"test/comparison/{space.kind}", range(1000))
+    z = space.draw_points(rngs, 1)[:, 0]
+    a, b = (e[:, 0] for e in space.draw_geodesic_pairs(rngs, 1))
+    t = uniforms(rngs, 0.05, 0.95)
+    res = _comparison_residuals(_comparison_distances(space, z, a, b, t), t)
+    lo, hi = res.min(), res.max()
     if space.curvature_class == "flat":
         assert max(abs(lo), abs(hi)) < 1e-10
     elif space.curvature_class == "global_npc":
@@ -407,10 +408,12 @@ def test_comparison_residual_vanishes_at_endpoints():
     """At t = 0 and t = 1 the comparison identity is exact."""
     for space in all_spaces():
         rng = trial_rng(0, f"test/comparison-ends/{space.kind}", 0)
-        z = space.random_point(rng)
-        a, b = (e[0] for e in space.random_geodesic_pairs(rng, 1))
-        assert abs(space.comparison_residual(z, a, b, 0.0)) < 1e-12
-        assert abs(space.comparison_residual(z, a, b, 1.0)) < 1e-12
+        z = space.random_points(rng, 1)
+        a, b = (e[0] for e in space.draw_geodesic_pairs([rng], 1))
+        for t in (0.0, 1.0):
+            res = _comparison_residuals(
+                _comparison_distances(space, z, a, b, t), t)
+            assert abs(res[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +434,8 @@ def _streams(space, name: str, k: int = 4):
 @pytest.mark.parametrize("space", all_spaces(), ids=SPACE_IDS)
 def test_a_batch_of_streams_draws_the_bytes_of_each_stream_alone(space):
     """Points, geodesic pairs and tangents drawn from ``k`` streams as one
-    stacked batch equal, byte for byte, ``k`` one-stream draws of
-    ``random_points``, ``random_geodesic_pairs`` and ``random_tangent``,
-    and leave every stream in the same state."""
+    stacked batch equal, byte for byte, ``k`` draws on a batch of one
+    stream, and leave every stream in the same state."""
     batched, single = _streams(space, "draws"), _streams(space, "draws")
     points = space.draw_points(batched, 3)
     ys, zs = space.draw_geodesic_pairs(batched, 2)
@@ -441,14 +443,14 @@ def test_a_batch_of_streams_draws_the_bytes_of_each_stream_alone(space):
     assert ys.shape == zs.shape == (4, 2) + space.point_shape
     for i, rng in enumerate(single):
         assert _same_bytes(points[i], space.random_points(rng, 3))
-        y, z = space.random_geodesic_pairs(rng, 2)
-        assert _same_bytes(ys[i], y) and _same_bytes(zs[i], z)
+        y, z = space.draw_geodesic_pairs([rng], 2)
+        assert _same_bytes(ys[i], y[0]) and _same_bytes(zs[i], z[0])
     if space.has_chart:
         norms = np.array([0.5, 1.0, 1.5, 2.5])
         tangents = space.draw_tangents(batched, points[:, 0], norms)
         for i, rng in enumerate(single):
-            assert _same_bytes(tangents[i], space.random_tangent(
-                points[i, 0], rng, norm=norms[i]))
+            assert _same_bytes(tangents[i], space.draw_tangents(
+                [rng], points[i, :1], norms[i:i + 1])[0])
     for a, b in zip(batched, single):
         assert a.random() == b.random()
 

@@ -29,7 +29,6 @@ from nlsp import (
     StepCurve,
     TimeGrid,
     ValidationError,
-    atomwise_consistency_gap,
     atomwise_consistency_gaps,
     batch_speeds,
     bundle_norms,
@@ -41,8 +40,7 @@ from nlsp import (
     decompose_bv,
     derivative_identity_residual,
     derivative_identity_residuals,
-    metric_derivative,
-    sample_smooth_path,
+    sample_smooth_paths,
     sec_atom,
     sec_time,
     speed_identity_residual,
@@ -56,14 +54,13 @@ from nlsp import (
 )
 from nlsp.curves import metric_speeds
 from nlsp.mappings import _weighted_norm
+from nlsp.rng import trial_rngs
 from nlsp.suites import default_tree, random_family, random_step_curve
 
 
 def lp_curve(times, mapping_rows, fam, p=2.0):
     """A sampled curve in L^p from rows of per-atom points."""
-    space = LpSpace(fam, p)
-    maps = tuple(MetricMapping(fam, row) for row in mapping_rows)
-    return SampledCurve(space, tuple(times), maps)
+    return SampledCurve(LpSpace(fam, p), tuple(times), tuple(mapping_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +76,7 @@ def test_decompose_ac_keeps_point_objects():
     rows = [(np.array([t]), np.array([2.0 * t])) for t in times]
     c = lp_curve(times, rows, fam)
     d = decompose_ac(c, 2.0)
-    assert len(d.per_atom_curves) == 2
-    for j in range(2):
-        for i in range(9):
-            assert np.array_equal(d.per_atom_curves[j].values[i],
-                                  c.values[i, j])
+    assert d.source is c and d.source.values is c.values
 
 
 def test_decompose_ac_rejects_p_one_and_infinity():
@@ -117,8 +110,8 @@ def test_derivative_identity_is_exact_for_constant_curves():
     c = lp_curve(times, [pts] * 7, fam)
     d = decompose_ac(c, 2.0)
     assert np.all(derivative_identity_residual(d) == 0.0)
-    assert all(np.all(metric_derivative(a) == 0.0)
-               for a in d.per_atom_curves)
+    # The per-atom speeds, over the atom axis of the curve's values.
+    assert np.all(metric_speeds(target, c.values, c.times_array) == 0.0)
 
 
 def test_derivative_identity_on_distinct_speed_great_circles():
@@ -147,8 +140,8 @@ def test_derivative_identity_on_distinct_speed_great_circles():
     assert float(np.max(residual[1:-1])) < 1e-3
     assert float(np.max(residual)) <= 1e-12
     # Per-atom speeds recover each circle's angular speed.
-    for atom, omega in zip(d.per_atom_curves, omegas):
-        assert np.allclose(metric_derivative(atom)[1:-1], omega, atol=1e-6)
+    speeds = metric_speeds(sphere, c.values, c.times_array)
+    assert np.allclose(speeds[1:-1], omegas, atol=1e-6)
 
 
 def test_lp_curve_and_bundle_distances_agree():
@@ -189,7 +182,7 @@ def test_decompose_bv_of_single_global_jump():
     f = MetricMapping(fam, (np.zeros(2), np.array([1.0, 0.0])))
     g = MetricMapping(fam, (np.array([3.0, 4.0]), np.array([1.0, 2.0])))
     space = LpSpace(fam, 1.0)
-    c = StepCurve(space, (0.0, 0.4, 1.0), (f, g))
+    c = StepCurve(space, (0.0, 0.4, 1.0), (f.values, g.values))
     bv = decompose_bv(c)
     assert len(bv.per_atom_curves) == 2
     for j in range(2):
@@ -210,8 +203,7 @@ def test_decompose_bv_on_tree_valued_mappings():
     pts = [tuple(tree.random_point(rng) for _ in range(2)) for _ in range(3)]
     fam = MappingFamily(base, tree, pts[0])
     space = LpSpace(fam, 1.0)
-    maps = tuple(MetricMapping(fam, row) for row in pts)
-    c = StepCurve(space, (0.0, 0.3, 0.6, 1.0), maps)
+    c = StepCurve(space, (0.0, 0.3, 0.6, 1.0), tuple(pts))
     bv = decompose_bv(c)
     assert variation_identity_residual(bv) <= 1e-12
     for j in range(2):
@@ -238,8 +230,7 @@ def test_variation_identity_on_random_step_curves():
         space = LpSpace(fam, 1.0)
         breaks = tuple([0.0] + sorted(
             rng.uniform(0.05, 0.95, size=pieces - 1).tolist()) + [1.0])
-        c = StepCurve(space, breaks,
-                      tuple(MetricMapping(fam, row) for row in rows))
+        c = StepCurve(space, breaks, tuple(rows))
         bv = decompose_bv(c)
         assert variation_identity_residual(bv) <= 1e-12
         for _ in range(5):
@@ -324,10 +315,9 @@ def _same_bits(a, b) -> bool:
 def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
     """One stacked sweep per grid gives every path's samples, derivative
     residuals, metric derivatives, bundle norms and consistency gaps bit for
-    bit as the curve-by-curve loop does, zero-weight atoms included; and
-    ``materialize`` is its path's column of the sweep."""
-    paths = [sample_smooth_path(target, trial_rng(3, "test/sweep", ci))
-             for ci in range(4)]
+    bit as the curve-by-curve loop does, zero-weight atoms included; and a
+    sweep of one path is its path's column of the sweep."""
+    paths = sample_smooth_paths(target, trial_rngs(3, "test/sweep", range(4)))
     paths[1] = _zero_weight_atom(paths[1], 2)
     spaces = [LpSpace(path.family, 2.0) for path in paths]
     for n in (9, 33):
@@ -338,7 +328,8 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
         for k, path in enumerate(paths):
             curve = _loop_materialize(path, n)
             assert _same_bits(values[:, k], curve.values)
-            assert _same_bits(path.materialize(n).values, curve.values)
+            assert _same_bits(sweep_smooth_paths([path], n)[1][:, 0],
+                              curve.values)
             expected = _loop_derivative_residual(curve, 2.0)
             assert _same_bits(residuals[k], expected)
             dec = decompose_ac(curve, 2.0)
@@ -351,7 +342,6 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
             assert _same_bits(bundle_norms(sf), loop_bundle)
             assert _same_bits(speed_identity_residual(sf),
                               np.abs(loop_md - loop_bundle))
-            assert atomwise_consistency_gap(sf) == loop_gap
 
 
 def test_stacked_tree_curves_equal_the_curve_loop_bit_for_bit():
