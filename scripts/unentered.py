@@ -51,6 +51,7 @@ ALLOWED: dict[str, str] = {
     "curves.py:_require_multinode": HELPER,
     "curves.py:metric_derivative": BENCHMARK,
     "curves.py:energy": BENCHMARK,
+    "curves.py:skorokhod_distance": BENCHMARK,
     "errors.py:GeodesicError.__init__": INPUT_CHECK,
     "geometry.py:LpGeodesic.sweep": HELPER,
     "geometry.py:lp_geodesic": BENCHMARK,

@@ -79,7 +79,6 @@ from .sections import (
 )
 from .speed import (
     SpeedField,
-    atomwise_consistency_gaps,
     batch_speeds,
     bundle_norm,
     bundle_norms,

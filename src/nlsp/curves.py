@@ -18,12 +18,12 @@ The Skorokhod upper bound is a dynamic program over pairs of warp knots
 that charges each warp segment every cell between its end knots, so it
 bounds the cost of the warp it returns without always being the cheapest
 such warp.  It runs for a batch of curve pairs at once
-(:func:`skorokhod_distances`):
-pairs with the same number of merged knots share one program, with the
-pairs on a leading axis, and a single pair is a batch of one.  Each cell
-takes the cheapest predecessor, ties resolved to the first in row-major
-order, so a pair's bounds and optimal warp do not depend on the batch it
-is computed in.
+(:func:`skorokhod_distances`): every pair is padded to the batch's largest
+knot count and all of them share one program, with the pairs on the last
+axis; a single pair is a batch of one.  No cell of a pair reads its
+padding, and each cell takes the cheapest predecessor, ties resolved to
+the first in row-major order, so a pair's bounds and optimal warp do not
+depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -102,12 +102,19 @@ def metric_speeds(space, points, times) -> np.ndarray:
     ``points[i]`` holds the samples at ``times[i]``; further batch axes
     (atoms, say) are carried through to the result.
     """
+    dists, dt = centred_distances(space, points, times)
+    return dists / dt
+
+
+def centred_distances(space, points, times) -> tuple[np.ndarray, np.ndarray]:
+    """The distances whose quotients :func:`metric_speeds` takes, and the
+    time spans it divides them by, shaped to broadcast against them."""
     n = len(times)
     lo = np.r_[0, 0:n - 2, n - 2]
     hi = np.r_[1, 2:n, n - 1]
     dists = space.distances(points[lo], points[hi])
     dt = times[hi] - times[lo]
-    return dists / dt.reshape(dt.shape + (1,) * (dists.ndim - 1))
+    return dists, dt.reshape(dt.shape + (1,) * (dists.ndim - 1))
 
 
 def energy(c: SampledCurve, p) -> float:
@@ -371,20 +378,6 @@ class SkorokhodBounds:
     output_knots: tuple[float, ...]
 
 
-def _merged_knots(c: StepCurve, g: StepCurve, warp_grid: int) -> np.ndarray:
-    a, b = c.interval
-    raw = np.unique(np.concatenate([
-        np.array(c.breakpoints), np.array(g.breakpoints),
-        np.linspace(a, b, warp_grid + 1)]))
-    tol = 1e-12 * (b - a)
-    keep = [float(raw[0])]
-    for x in raw[1:]:
-        if float(x) - keep[-1] > tol:
-            keep.append(float(x))
-    keep[0], keep[-1] = a, b
-    return np.array(keep)
-
-
 def skorokhod_distance(c: StepCurve, g: StepCurve,
                        warp_grid: int = 16) -> SkorokhodBounds:
     """Two-sided bounds on the Skorokhod distance between step curves.
@@ -409,15 +402,19 @@ def skorokhod_distance(c: StepCurve, g: StepCurve,
 
 
 def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
-    """:func:`skorokhod_distance` for every ``(c, g)`` pair, in input order.
+    """:func:`skorokhod_distance` for every ``(c, g)`` pair, in input order,
+    with one run of the dynamic program for the whole batch.
 
-    Pairs whose merged knot sets have the same size ``n`` share one run of
-    the dynamic program, with the pairs on a leading batch axis; the work
-    per pair and per knot cell is that of a single pair.  Each cell
-    ``(i2, j2)`` takes the cheapest predecessor ``(i, j)``, ties resolved
-    to the first in row-major order (argmin's first-occurrence rule over
-    each pair's flattened ``(i, j)`` block), so a pair's bounds and warp do
-    not depend on the batch it shares.
+    Every pair is padded to the batch's largest merged knot count ``n``: a
+    pair with ``m`` knots ``k`` gets the extra knots ``k[m-1] + 1, k[m-1] +
+    2, ...``.  Cell ``(i2, j2)`` reads only the cells ``(i, j)`` with ``i <
+    i2`` and ``j < j2``, and every operation on them is elementwise across
+    pairs, so the cells up to ``(m-1, m-1)`` never see the padding, and
+    the lower bound reads the pair's own cells only.  Each cell takes the
+    cheapest predecessor, ties resolved to the first in row-major order
+    (argmin's first-occurrence rule over the pair's flattened ``(i, j)``
+    block).  A pair's bounds and warp therefore do not depend on the batch
+    it is computed in.
     """
     pairs = list(pairs)
     for i, pair in enumerate(pairs):
@@ -431,17 +428,14 @@ def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
     if not isinstance(warp_grid, (int, np.integer)) or warp_grid < 1:
         raise ValidationError(
             f"warp_grid must be a positive integer, got {warp_grid!r}")
+    if not pairs:
+        return []
 
-    knots = [_merged_knots(c, g, int(warp_grid)) for c, g in pairs]
-    out = [None] * len(pairs)
-    for n in sorted({len(k) for k in knots}):
-        group = [b for b, k in enumerate(knots) if len(k) == n]
-        pieces = np.stack([_pieces(*pairs[b], knots[b]) for b in group])
-        value, pred = _warp_program(np.stack([knots[b] for b in group]),
-                                    pieces)
-        for row, b in enumerate(group):
-            out[b] = _bounds(knots[b], pieces[row], value[row], pred[row])
-    return out
+    knots, counts = _merged_knots(pairs, int(warp_grid))
+    pieces = _pieces(pairs, knots)
+    lower = _lower_bounds(pieces, counts)
+    value, pred = _warp_program(knots, pieces)
+    return _bounds(knots, counts, lower, value, pred)
 
 
 def _check_pair(c, g, where: str = "") -> None:
@@ -459,75 +453,159 @@ def _check_pair(c, g, where: str = "") -> None:
             f"{c.interval} and {g.interval}{where}")
 
 
-def _pieces(c: StepCurve, g: StepCurve, knots: np.ndarray) -> np.ndarray:
-    """``pieces[k, l]``: distance between ``c`` on knot cell ``k`` and ``g``
-    on knot cell ``l``."""
-    return c.space.distances(c.value_at(knots[:-1])[:, None],
-                             g.value_at(knots[:-1])[None, :])
+def _padded(rows) -> np.ndarray:
+    """Rows of floats as one table, each padded on the right with NaN, which
+    sorts last and compares false."""
+    rows = list(rows)
+    width = max(map(len, rows))
+    return np.array([tuple(r) + (math.nan,) * (width - len(r)) for r in rows])
+
+
+def _merged_knots(pairs, warp_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The warp knots of every pair, one padded row each, and their counts.
+
+    A pair's knots are both curves' breakpoints and the ``warp_grid``
+    cells of its interval ``[a, b]``, in ascending order, keeping ``a`` and
+    then each value more than ``tol = 1e-12 (b - a)`` above the last value
+    kept; the last knot is then set to ``b``.  All rows are sorted at once.
+    While a row has no gap in ``(0, tol]``, its kept values are exactly
+    those more than ``tol`` above their predecessor; a row with such a gap
+    is thinned value by value.  A row of ``m`` knots is padded with ``b +
+    1, b + 2, ...``.
+    """
+    a, b = np.array([c.interval for c, _ in pairs]).T
+    raw = np.concatenate([_padded(c.breakpoints for c, _ in pairs),
+                          _padded(g.breakpoints for _, g in pairs),
+                          np.linspace(a, b, warp_grid + 1, axis=1)], axis=1)
+    raw.sort(axis=1)
+    tol = (1e-12 * (b - a))[:, None]
+    gaps = np.diff(raw, axis=1)
+    present = ~np.isnan(raw)
+    keep = np.concatenate([present[:, :1], gaps > tol], axis=1) & present
+    for r in np.flatnonzero(((gaps > 0.0) & (gaps <= tol)).any(axis=1)):
+        last = raw[r, 0]
+        for k in range(1, int(present[r].sum())):
+            keep[r, k] = bool(raw[r, k] - last > tol[r, 0])
+            if keep[r, k]:
+                last = raw[r, k]
+    counts = keep.sum(axis=1)
+    cols = np.arange(counts.max())
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :len(cols)]
+    beyond = cols - (counts - 1)[:, None]
+    return np.where(beyond >= 0, b[:, None] + beyond,
+                    np.take_along_axis(raw, order, axis=1)), counts
+
+
+def _values_at(curves, t: np.ndarray) -> np.ndarray:
+    """``values[k, b]``: the value of ``curves[b]`` at time ``t[k, b]``,
+    from the piece :meth:`StepCurve.piece_index` finds."""
+    breakpoints = _padded(c.breakpoints for c in curves)
+    idx = np.clip((breakpoints <= t[..., None]).sum(axis=-1) - 1, 0,
+                  [len(c.values) - 1 for c in curves])
+    offsets = np.cumsum([0] + [len(c.values) for c in curves[:-1]])
+    return np.concatenate([c.values for c in curves])[idx + offsets]
+
+
+def _pieces(pairs, knots: np.ndarray) -> np.ndarray:
+    """``pieces[k, l, b]``: distance between ``c`` on knot cell ``k`` and
+    ``g`` on knot cell ``l`` of pair ``b``; one ``distances`` call per
+    ambient space.  On a cell of its padding, each curve holds its last
+    piece."""
+    t = knots[:, :-1].T
+    by_space: dict[int, list[int]] = {}
+    for b, (c, _) in enumerate(pairs):
+        by_space.setdefault(id(c.space), []).append(b)
+    pieces = np.empty((len(t), len(t), len(pairs)))
+    for cols in by_space.values():
+        cs, gs = zip(*(pairs[b] for b in cols))
+        pieces[:, :, cols] = cs[0].space.distances(
+            _values_at(cs, t[:, cols])[:, None],
+            _values_at(gs, t[:, cols])[None, :])
+    return pieces
+
+
+def _lower_bounds(pieces: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per pair, the two-sided mismatch between the curves' value sets:
+    the largest distance from a piece of one curve to the nearest piece of
+    the other, over the pair's own cells."""
+    real = np.arange(len(pieces))[:, None] < counts - 1
+    near = np.where(real[:, None] & real[None, :], pieces, math.inf)
+    to_g = np.where(real, near.min(axis=1), 0.0).max(axis=0)
+    to_c = np.where(real, near.min(axis=0), 0.0).max(axis=0)
+    return np.maximum(to_g, to_c)
 
 
 def _warp_program(knots: np.ndarray, pieces: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The dynamic program over warp knot pairs for a batch of ``B`` pairs
-    with ``n`` knots each: ``knots`` is ``(B, n)``, ``pieces`` ``(B, n-1,
-    n-1)``.
+    padded to ``n`` knots each: ``knots`` is ``(B, n)``, ``pieces`` ``(n-1,
+    n-1, B)``.
 
-    ``value[b, i, j]`` is the best achievable cost of a warp of pair ``b``
+    ``value[i, j, b]`` is the best achievable cost of a warp of pair ``b``
     matching ``knots[b, i]`` in the input scale to ``knots[b, j]`` in the
-    output scale, having covered ``[a, knots[b, i])``; ``pred[b, i, j]`` is
-    its predecessor as a flat index into the ``(i, j)`` block of cell
-    ``(i, j)``.
+    output scale, having covered ``[a, knots[b, i])``; ``pred[i, j, b]``
+    is its predecessor as the flat index ``i' * j + j'`` into the ``(i,
+    j)`` block of cell ``(i, j)``.  Every array holds the pair axis last,
+    so the elementwise work of a cell runs over contiguous runs of pairs.
     """
     batch, n = knots.shape
     every = np.arange(batch)
-    value = np.full((batch, n, n), math.inf)
-    value[:, 0, 0] = 0.0
-    pred = np.full((batch, n, n), -1, dtype=np.int64)
-    # logs[k][b, m] = log(knots[b, k] - knots[b, m]) for m < k.
-    logs = [np.log(knots[:, k, None] - knots[:, :k]) for k in range(n)]
-    # rows[b, i, l]: max of pieces[b, i:i2, l], the cells the segment from
-    # row i to row i2 crosses; rv[b, i, j]: max of rows[b, i, j:j2] and of
-    # value[b, i, j], which is final for every i < i2.  Maxima are exact, so
-    # growing them one row or column at a time gives the same numbers as
-    # any other order.
+    value = np.full((n, n, batch), math.inf)
+    value[0, 0] = 0.0
+    pred = np.full((n, n, batch), -1, dtype=np.int32)
+    # logs[k][m, b] = log(knots[b, k] - knots[b, m]) for m < k.
+    by_knot = knots.T
+    logs = [np.log(by_knot[k] - by_knot[:k]) for k in range(n)]
+    # rows[i, l, b]: max of pieces[i:i2, l, b], the cells the segment from
+    # row i to row i2 crosses; rv[i, j, b]: max of rows[i, j:j2, b] and of
+    # value[i, j, b], which is final for every i < i2.  Maxima are exact,
+    # so growing them one row or column at a time gives the same numbers
+    # as any other order.
     rows = np.empty_like(pieces)
     rv = np.empty_like(pieces)
-    cand = np.empty(batch * (n - 1) * (n - 1))
+    cand = np.empty(pieces.size)
     for i2 in range(1, n):
-        np.maximum(rows[:, :i2 - 1], pieces[:, i2 - 1:i2],
-                   out=rows[:, :i2 - 1])
-        rows[:, i2 - 1] = pieces[:, i2 - 1]
-        log_in = logs[i2][:, :, None]
+        np.maximum(rows[:i2 - 1], pieces[i2 - 1:i2], out=rows[:i2 - 1])
+        rows[i2 - 1] = pieces[i2 - 1]
+        log_in = logs[i2][:, None]
         for j2 in range(1, n):
-            np.maximum(rv[:, :i2, :j2 - 1], rows[:, :i2, j2 - 1:j2],
-                       out=rv[:, :i2, :j2 - 1])
-            np.maximum(rows[:, :i2, j2 - 1], value[:, :i2, j2 - 1],
-                       out=rv[:, :i2, j2 - 1])
-            block = cand[:batch * i2 * j2].reshape(batch, i2, j2)
-            np.subtract(logs[j2][:, None, :], log_in, out=block)
+            np.maximum(rv[:i2, :j2 - 1], rows[:i2, j2 - 1:j2],
+                       out=rv[:i2, :j2 - 1])
+            np.maximum(rows[:i2, j2 - 1], value[:i2, j2 - 1],
+                       out=rv[:i2, j2 - 1])
+            block = cand[:i2 * j2 * batch].reshape(i2, j2, batch)
+            np.subtract(logs[j2], log_in, out=block)
             np.abs(block, out=block)
-            np.maximum(block, rv[:, :i2, :j2], out=block)
-            flat = block.reshape(batch, -1).argmin(axis=1)
-            value[:, i2, j2] = block.reshape(batch, -1)[every, flat]
-            pred[:, i2, j2] = flat
+            np.maximum(block, rv[:i2, :j2], out=block)
+            flat = block.reshape(-1, batch).argmin(axis=0)
+            value[i2, j2] = block.reshape(-1, batch)[flat, every]
+            pred[i2, j2] = flat
     return value, pred
 
 
-def _bounds(knots: np.ndarray, pieces: np.ndarray, value: np.ndarray,
-            pred: np.ndarray) -> SkorokhodBounds:
-    """Read one pair's bounds and optimal warp off its program."""
-    n = len(knots)
-    lower = max(float(pieces.min(axis=1).max()),
-                float(pieces.min(axis=0).max()), 0.0)
-    path = [(n - 1, n - 1)]
-    while path[-1] != (0, 0):
-        i, j = path[-1]
-        flat = int(pred[i, j])
-        path.append((flat // j, flat % j))
-    path.reverse()
-    return SkorokhodBounds(
-        upper=float(value[n - 1, n - 1]),
-        lower=float(lower),
-        input_knots=tuple(float(knots[i]) for i, _ in path),
-        output_knots=tuple(float(knots[j]) for _, j in path),
-    )
+def _bounds(knots: np.ndarray, counts: np.ndarray, lower: np.ndarray,
+            value: np.ndarray, pred: np.ndarray) -> list[SkorokhodBounds]:
+    """Read every pair's bounds and optimal warp off the program, walking
+    back along ``pred`` from ``(m-1, m-1)`` for all pairs at once."""
+    every = np.arange(len(counts))
+    i = j = counts - 1
+    path_i, path_j = [i], [j]
+    # A warp's cells other than (0, 0) have i, j >= 1, and each step back
+    # lowers both, so a pair whose walk has ended rests at (0, 0).
+    while path_i[-1].any():
+        flat = pred[i, j, every]
+        done = i == 0
+        width = np.maximum(j, 1)
+        i = np.where(done, 0, flat // width)
+        j = np.where(done, 0, flat % width)
+        path_i.append(i)
+        path_j.append(j)
+    path_i, path_j = np.array(path_i), np.array(path_j)
+    steps = (path_i > 0).sum(axis=0)
+    upper = value[counts - 1, counts - 1, every]
+    return [SkorokhodBounds(
+        upper=float(upper[b]),
+        lower=float(lower[b]),
+        input_knots=tuple(knots[b, path_i[s::-1, b]].tolist()),
+        output_knots=tuple(knots[b, path_j[s::-1, b]].tolist()),
+    ) for b, s in enumerate(steps.tolist())]

@@ -48,6 +48,7 @@ from .targets import (
     FLAT,
     GLOBAL_NNC,
     GLOBAL_NPC,
+    _COMPARISON_PART,
     TargetSpace,
     _comparison_distances,
     _comparison_residuals,
@@ -84,14 +85,24 @@ class GeodesicSweep:
         * D |`` over all node pairs, where ``D`` is the endpoint distance."""
         t, total = self.times, self.endpoint_distances()
         worst = np.zeros(len(total))
-        # One start node per batched call: all node pairs at once would hold
-        # nodes^2 / 2 copies of every trial's atoms in memory.
-        for i in range(len(t) - 1):
-            expected = ((t[i + 1:] - t[i]) / (t[-1] - t[0]))[:, None] * total
-            gaps = np.abs(self.space.distances(self.nodes[i:i + 1],
-                                               self.nodes[i + 1:]) - expected)
+        for lo, hi in self._node_pairs():
+            expected = ((t[hi] - t[lo]) / (t[-1] - t[0]))[:, None] * total
+            gaps = np.abs(self.space.distances(self.nodes[lo],
+                                               self.nodes[hi]) - expected)
             worst = np.maximum(worst, gaps.max(axis=0))
         return worst
+
+    def _node_pairs(self) -> list:
+        """Index pairs ``(lo, hi)`` that cover every node pair ``lo < hi``
+        once: all of them in one part when it holds at most
+        :data:`~nlsp.targets._COMPARISON_PART` points a side, else one part
+        per start node, as slices, since all pairs at once would hold
+        nodes^2 / 2 copies of every trial's atoms."""
+        n = len(self.times)
+        if n * (n - 1) // 2 * math.prod(self.starts.shape[:2]) \
+                <= _COMPARISON_PART:
+            return [np.triu_indices(n, 1)]
+        return [(slice(i, i + 1), slice(i + 1, None)) for i in range(n - 1)]
 
     def from_start(self) -> tuple[np.ndarray, np.ndarray]:
         """``D_p(c(a), c(t))`` per node and trial, and its residual

@@ -267,8 +267,12 @@ class LpSpace:
         """``d_p`` between two batches of points, broadcast together; one
         target call covers every atom of every pair.  Like the target
         kernels, it takes validated points."""
-        dists = self.family.target.distances(np.asarray(fs, float),
-                                             np.asarray(gs, float))
+        return self.norms(self.family.target.distances(
+            np.asarray(fs, float), np.asarray(gs, float)))
+
+    def norms(self, dists) -> np.ndarray:
+        """``d_p`` of pairs whose atom distances are ``dists``: the weighted
+        ``p``-norm over its last axis."""
         return _weighted_norm(dists, self.family.base_space.weights_array,
                               self.p)
 

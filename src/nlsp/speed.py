@@ -12,11 +12,11 @@ metric derivative; :func:`speed_identity_residual` measures the gap, which
 shrinks linearly with the time step because the bundle norm is a one-sided
 quotient while the metric derivative is centered.
 
-:func:`batch_speeds` and :func:`atomwise_consistency_gaps` evaluate many
-curves on one time grid, stacked as a ``(node, curve, atom,
-*point_shape)`` batch, through the same array helpers as the single-curve
-functions: one log-map call, one tangent-norm call and one per-atom
-distance call for the whole batch.
+:func:`batch_speeds` evaluates many curves on one time grid, stacked as
+a ``(node, curve, atom, *point_shape)`` batch, through the same array
+helpers as the single-curve functions: one log-map call, one tangent-norm
+call and one per-atom distance call for the whole batch, and it also
+checks the bundle norm against the per-atom speeds.
 
 Targets without a tangent chart (metric trees) are refused: their curves
 still have metric derivatives, but no velocity vectors.
@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import metric_derivative, metric_speeds
+from .curves import metric_derivative
 from .errors import UnsupportedOperationError, ValidationError
 from .mappings import _weighted_norm, check_p
 from .transport import (
     TransportDecomposition,
     _batch_parts,
-    curve_speeds,
+    speed_table,
     weighted_speed_powers,
 )
 
@@ -115,38 +115,28 @@ def _bundle_norms(target, bases, vectors, weights, p: float) -> np.ndarray:
     return _weighted_norm(target.tangent_norms(bases, vectors), weights, p)
 
 
-def batch_speeds(spaces, values, times) -> tuple[np.ndarray, np.ndarray]:
-    """Metric derivatives and bundle norms of every curve of a batch
-    ``(node, curve, atom, *point_shape)`` sharing one time grid; each of
-    shape ``(curve, node)``.
+def batch_speeds(spaces, values, times
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Metric derivatives and bundle norms, each of shape ``(curve, node)``,
+    and atomwise consistency gaps ``(curve,)`` of every curve of a batch
+    ``(node, curve, atom, *point_shape)`` sharing one time grid.
 
     The velocities take one ``log_maps`` call and their norms one
     ``tangent_norms`` call over the whole batch; the metric derivatives
-    take one ``LpSpace.distances`` call per curve.
+    and the per-atom speeds are one :func:`~nlsp.transport.speed_table`.
+    A curve's gap compares ``bundle_norm(t_i)^p`` against ``sum_j w_j
+    |f_j'|(t_i)^p`` (centred per-atom metric derivatives) at interior
+    nodes, and is its worst relative mismatch.
     """
     target, weights, p = _batch_parts(spaces, values)
     _charted(target)
     vectors = _velocities(target, values, times)
     bundle = _bundle_norms(target, values, vectors, weights, p).T
-    return curve_speeds(spaces, values, times), bundle
-
-
-def atomwise_consistency_gaps(spaces, values, times,
-                              bundle: np.ndarray) -> np.ndarray:
-    """Relative gap between the bundle norm and the atomwise speed sum of
-    every curve of a batch, given its bundle norms ``(curve, node)``.
-
-    Compares ``bundle_norm(t_i)^p`` against ``sum_j w_j |f_j'|(t_i)^p``
-    (centered per-atom metric derivatives) at interior nodes and returns
-    each curve's worst relative mismatch.  The per-atom speeds take one
-    target ``distances`` call over the whole batch.
-    """
-    target, weights, p = _batch_parts(spaces, values)
-    rhs = weighted_speed_powers(metric_speeds(target, values, times),
-                                weights, p)[:, 1:-1]
+    speeds, atoms = speed_table(spaces, target, values, times)
+    rhs = weighted_speed_powers(atoms, weights, p)[:, 1:-1]
     lhs = bundle[:, 1:-1] ** p
     denom = np.maximum(np.abs(rhs), 1e-300)
-    return np.max(np.abs(lhs - rhs) / denom, axis=1)
+    return speeds, bundle, np.max(np.abs(lhs - rhs) / denom, axis=1)
 
 
 def _require_speed_field(s) -> None:

@@ -22,13 +22,14 @@ source value it was read from.
 
 Both identities also come in batch form, and the single-curve functions
 are the batch of one.  :func:`derivative_identity_residuals` takes many
-curves on one time grid as a ``(node, curve, atom, *point_shape)`` batch:
-the per-atom side is one target ``distances`` call over all of it, and the
-``L^p`` side one ``LpSpace.distances`` call per curve, since each curve has
-its own weights.  :func:`variation_identity_residuals` builds a step
-curve's jump table once — the ``L^1`` jumps between consecutive pieces and
-every atom's target jumps — and reads the variation over each subinterval
-off it as a masked sum, added in ascending time order.
+curves on one time grid as a ``(node, curve, atom, *point_shape)`` batch,
+and reads both sides off one table of centred per-atom distances
+(:func:`speed_table`): the per-atom side directly, and the ``L^p`` side as
+each curve's weighted norm over its atoms.
+:func:`variation_identity_residuals` builds a step curve's jump table
+once — the ``L^1`` jumps between consecutive pieces and every atom's
+target jumps — and reads the variation over each subinterval off it as a
+masked sum, added in ascending time order.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .curves import (
     StepCurve,
     _ascending_sums,
     _variation_masks,
-    metric_speeds,
+    centred_distances,
     variation,
 )
 from .errors import ValidationError
@@ -147,15 +148,21 @@ def _batch_parts(spaces, values) -> tuple[object, np.ndarray, float]:
     return target, weights, p
 
 
-def curve_speeds(spaces, values, times) -> np.ndarray:
-    """Metric derivatives of a batch of curves of mappings; shape
-    ``(curve, node)``.
+def speed_table(spaces, target, values, times
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Metric derivatives ``(curve, node)`` of a batch ``(node, curve, atom,
+    *point_shape)`` of curves of mappings, curve ``k`` in ``spaces[k]``
+    over ``target``, and their per-atom speeds ``(node, curve, atom)``.
 
-    Each curve has its own weights, so each takes one ``LpSpace.distances``
-    call, on its view ``values[:, k]`` of the batch.
+    Both are read off one table of centred per-atom distances, built with
+    one target ``distances`` call: a curve's metric derivative is its
+    space's norm of its atoms' distances over the centred time span, which
+    is what ``LpSpace.distances`` gives for that curve alone.
     """
-    return np.stack([metric_speeds(space, values[:, k], times)
-                     for k, space in enumerate(spaces)])
+    dists, dt = centred_distances(target, values, times)
+    speeds = np.stack([space.norms(dists[:, k])
+                       for k, space in enumerate(spaces)])
+    return speeds / dt[:, 0, 0], dists / dt
 
 
 def derivative_identity_residual(d: TransportDecomposition) -> np.ndarray:
@@ -179,14 +186,11 @@ def derivative_identity_residuals(spaces, values, times) -> np.ndarray:
     ``(node, curve, atom, *point_shape)`` sharing one time grid; shape
     ``(curve, node)``.
 
-    The ``L^p`` side takes one ``LpSpace.distances`` call per curve; the
-    per-atom side is one target ``distances`` call over the whole batch.
+    Both sides are read off one :func:`speed_table`.
     """
     target, weights, p = _batch_parts(spaces, values)
-    lhs = curve_speeds(spaces, values, times) ** p
-    rhs = weighted_speed_powers(metric_speeds(target, values, times),
-                                weights, p)
-    return lhs - rhs
+    speeds, atoms = speed_table(spaces, target, values, times)
+    return speeds ** p - weighted_speed_powers(atoms, weights, p)
 
 
 @dataclass(frozen=True, eq=False)

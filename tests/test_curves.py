@@ -468,10 +468,25 @@ def test_skorokhod_distances_names_the_faulty_pair():
         skorokhod_distances([(c, other_interval)])
 
 
+def _loop_knots(c, g, warp_grid):
+    """One pair's merged warp knots, thinned value by value: the reference
+    for the batched knot table."""
+    a, b = c.interval
+    raw = np.unique(np.concatenate([
+        np.array(c.breakpoints), np.array(g.breakpoints),
+        np.linspace(a, b, warp_grid + 1)]))
+    keep = [float(raw[0])]
+    for x in raw[1:]:
+        if float(x) - keep[-1] > 1e-12 * (b - a):
+            keep.append(float(x))
+    keep[0], keep[-1] = a, b
+    return np.array(keep)
+
+
 def _loop_skorokhod(c, g, warp_grid):
     """The pair-at-a-time dynamic program, cell by cell: the reference for
     the batched one."""
-    knots = curves._merged_knots(c, g, warp_grid)
+    knots = _loop_knots(c, g, warp_grid)
     n = len(knots)
     pieces = c.space.distances(c.value_at(knots[:-1])[:, None],
                                g.value_at(knots[:-1])[None, :])
@@ -531,7 +546,7 @@ def test_batched_skorokhod_program_equals_the_pair_loop_bit_for_bit():
         rng = trial_rng(0, "test/skorokhod-batch", trial)
         pairs.append((rand_step(rng, trial % 2 == 0),
                       rand_step(rng, trial % 4 == 1)))
-    counts = {len(curves._merged_knots(c, g, 8)) for c, g in pairs}
+    counts = {len(_loop_knots(c, g, 8)) for c, g in pairs}
     assert min(counts) <= 14 and max(counts) >= 20 and len(counts) >= 6
 
     batched = skorokhod_distances(pairs, warp_grid=8)
@@ -545,6 +560,52 @@ def test_batched_skorokhod_program_equals_the_pair_loop_bit_for_bit():
     assert skorokhod_distances([(c, g)], warp_grid=16) \
         == [skorokhod_distance(c, g, warp_grid=16)]
     assert skorokhod_distances([], warp_grid=8) == []
+
+
+def test_a_pair_reads_the_same_alone_as_beside_pairs_with_more_knots():
+    """A pair padded to the knot count of a larger batch gets the bounds
+    and warp it gets alone, bit for bit, and keeps its own knot count."""
+    small = scalar_step((0.0, 0.4, 1.0), (0.0, 1.0))
+    other = scalar_step((0.0, 0.55, 1.0), (0.0, 1.0))
+    busy = [(scalar_step(np.r_[0.0, np.sort(r.uniform(0.05, 0.95, 5)), 1.0],
+                         r.uniform(0.0, 2.0, 6)),
+             scalar_step(np.r_[0.0, np.sort(r.uniform(0.05, 0.95, 6)), 1.0],
+                         r.uniform(0.0, 2.0, 7)))
+            for r in trial_rngs(0, "test/skorokhod-padding", range(4))]
+    alone = skorokhod_distance(small, other, warp_grid=4)
+    assert len(_loop_knots(small, other, 4)) \
+        < min(len(_loop_knots(c, g, 4)) for c, g in busy)
+    for at in (0, 2, 4):
+        batch = busy[:at] + [(small, other)] + busy[at:]
+        assert skorokhod_distances(batch, warp_grid=4)[at] == alone
+    assert alone.upper > 0.0 and set(alone.input_knots) <= set(
+        _loop_knots(small, other, 4).tolist())
+
+
+def test_knot_table_thins_each_row_as_the_sequential_rule_does():
+    """Values closer than ``tol = 1e-12 (b - a)`` to the last kept knot are
+    dropped in order: of a chain 0.6e-12 apart every second value stays,
+    which a rule reading each gap alone would get wrong.  Rows without
+    such a gap, on other intervals, are thinned alike."""
+    tol = 1e-12
+    chain = scalar_step((0.0, 0.3, 0.3 + 1.2 * tol, 1.0), (0.0, 1.0, 2.0))
+    middle = scalar_step((0.0, 0.3 + 0.6 * tol, 0.7, 1.0), (1.0, 0.0, 2.0))
+    near_end = scalar_step((0.0, 0.5, 1.0 - 0.5 * tol, 1.0), (0.0, 1.0, 3.0))
+    shifted = StepCurve(E1, (-1.0, 0.2, 2.5),
+                        (np.array([0.0]), np.array([1.0])))
+    pairs = [(chain, middle), (near_end, chain), (shifted, shifted),
+             (chain, chain)]
+    knots, counts = curves._merged_knots(pairs, 8)
+    for (c, g), row, m in zip(pairs, knots, counts):
+        expected = _loop_knots(c, g, 8)
+        assert row[:m].tolist() == expected.tolist()
+        assert row[m:].tolist() == [expected[-1] + k
+                                    for k in range(1, len(row) - m + 1)]
+    assert 0.3 + 0.6 * tol not in knots[0] and 0.3 + 1.2 * tol in knots[0]
+    assert 1.0 - 0.5 * tol not in knots[1]
+    for (c, g), b in zip(pairs, skorokhod_distances(pairs, warp_grid=8)):
+        assert (b.upper, b.lower, b.input_knots, b.output_knots) \
+            == _loop_skorokhod(c, g, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from nlsp import (
     run_length,
     trial_rng,
 )
+from nlsp import geometry
 from nlsp.curves import lengths
 from nlsp.geometry import reparam_energy_ratios
 from nlsp.rng import trial_rngs
@@ -248,6 +249,37 @@ def test_sweep_scores_equal_the_per_trial_path(name, p, interval):
             assert scores["energy"][i] \
                 == (b - a) ** (p - 1.0) * energy(geo.curve, p)
             assert scores["power"][i] == total ** p
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", ["sphere", "spd2", "spd3", "metric_tree"])
+def test_constant_speed_residuals_equal_the_start_node_loop(name, p,
+                                                            monkeypatch):
+    """One call for all 136 node pairs of three 3-atom trials changes no
+    bit: the residuals equal those of one distance call per start node,
+    which is what a sweep too large for one part still makes."""
+    base = FiniteMeasureSpace(("x0", "x1", "x2"), (0.75, 1.25, 0.5))
+    sweep = draw_geodesic_sweep(SWEEP_TARGETS[name], base, p, 5,
+                                f"test/parts/{name}", 3, 17)
+    t, total = sweep.times, sweep.endpoint_distances()
+    expected = np.zeros(3)
+    for i in range(16):
+        gaps = np.abs(sweep.space.distances(sweep.nodes[i:i + 1],
+                                            sweep.nodes[i + 1:])
+                      - ((t[i + 1:] - t[i]) / (t[-1] - t[0]))[:, None] * total)
+        expected = np.maximum(expected, gaps.max(axis=0))
+    calls = []
+    real = type(sweep.space).distances
+    monkeypatch.setattr(type(sweep.space), "distances",
+                        lambda self, fs, gs: calls.append(len(gs))
+                        or real(self, fs, gs))
+    for part, sizes in [(136 * 9, [3, 136]),
+                        (136 * 9 - 1, [3] + list(range(16, 0, -1)))]:
+        monkeypatch.setattr(geometry, "_COMPARISON_PART", part)
+        calls.clear()
+        assert sweep.constant_speed_residuals().tobytes() \
+            == expected.tobytes()
+        assert calls == sizes
 
 
 def _antipodal_sweep(weights):

@@ -24,7 +24,6 @@ from nlsp import (
     Sphere,
     UnsupportedOperationError,
     ValidationError,
-    atomwise_consistency_gaps,
     batch_speeds,
     bundle_norm,
     bundle_norms,
@@ -76,8 +75,9 @@ def test_linear_motion_gives_exact_bundle_norm():
     assert np.array_equal(tangent_norms(s, 0), np.array([2.0, 2.0]))
     assert all(bundle_norm(s, i) == 4.0 for i in range(9))
     assert float(np.max(speed_identity_residual(s))) == 0.0
-    gaps = atomwise_consistency_gaps([c.space], c.values[:, None],
-                                     c.times_array, bundle_norms(s)[None])
+    _, bundle, gaps = batch_speeds([c.space], c.values[:, None],
+                                   c.times_array)
+    assert np.array_equal(bundle, bundle_norms(s)[None])
     assert gaps.tolist() == [0.0]
 
 
@@ -170,8 +170,7 @@ def test_atomwise_consistency_across_targets(target, p):
     paths = sample_smooth_paths(target, [rng], p=p)
     spaces = [LpSpace(path.family, p) for path in paths]
     times, values = sweep_smooth_paths(paths, 129)
-    _, bundle = batch_speeds(spaces, values, times)
-    assert atomwise_consistency_gaps(spaces, values, times, bundle)[0] <= 5e-3
+    assert batch_speeds(spaces, values, times)[2][0] <= 5e-3
 
 
 def test_tree_curves_decompose_but_have_no_velocity():

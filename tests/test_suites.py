@@ -25,7 +25,6 @@ from nlsp import (
     Sphere,
     ValidationError,
     VariationMeasure,
-    atomwise_consistency_gaps,
     batch_speeds,
     decay_order,
     default_tree,
@@ -335,9 +334,11 @@ def _tree_fractions_to_the_1_01(monkeypatch):
 
 
 def _warp_knots_on_the_uniform_grid_only(monkeypatch):
-    monkeypatch.setattr(
-        curves, "_merged_knots",
-        lambda c, g, warp_grid: np.linspace(*c.interval, warp_grid + 1))
+    def uniform(pairs, warp_grid):
+        knots = [np.linspace(*c.interval, warp_grid + 1) for c, _ in pairs]
+        return np.array(knots), np.full(len(pairs), warp_grid + 1)
+
+    monkeypatch.setattr(curves, "_merged_knots", uniform)
 
 
 def _reverse_atoms_of_sec_atom(monkeypatch):
@@ -361,10 +362,9 @@ def _reverse_nodes_of_sec_time(monkeypatch):
 
 
 def _lp_distances_one_ppm_long(monkeypatch):
-    real = LpSpace.distances
+    real = LpSpace.norms
     monkeypatch.setattr(
-        LpSpace, "distances",
-        lambda self, fs, gs: (1.0 + 1e-6) * real(self, fs, gs))
+        LpSpace, "norms", lambda self, dists: (1.0 + 1e-6) * real(self, dists))
 
 
 def _sphere_log_maps_nan(monkeypatch):
@@ -495,9 +495,8 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
         paths = sample_smooth_paths(target, trial_rngs(7, stream, range(2)))
         spaces = [LpSpace(path.family, 2.0) for path in paths]
         times, values = sweep_smooth_paths(paths, 129)
-        md, bundle = batch_speeds(spaces, values, times)
+        md, bundle, gap_scores = batch_speeds(spaces, values, times)
         gaps = np.max(np.abs(md - bundle)[:, 1:-1], axis=1)
-        gap_scores = atomwise_consistency_gaps(spaces, values, times, bundle)
         assert failed[f"speed_identity_residual[{target.kind}]"].endswith(
             _worst_key(stream, gaps))
         assert failed[f"bundle_consistency[{target.kind}]"].endswith(
@@ -562,3 +561,36 @@ def test_an_integer_exponent_gives_the_bytes_of_its_float(battery, kwargs):
     """``p = 2`` and ``p = 2.0`` name the same streams, checks and rows."""
     assert (_result_bytes(battery(p_values=(2,), **kwargs))
             == _result_bytes(battery(p_values=(2.0,), **kwargs)))
+
+
+def test_skorokhod_battery_runs_two_warp_programs(monkeypatch):
+    """The drawn pairs make one program at the warp grid; with the three
+    worked examples they make one more at twice that grid, and each
+    example reads what a call of its own at grid 16 reads."""
+    programs = []
+    real = curves._warp_program
+
+    def counted(knots, pieces):
+        programs.append(knots.shape)
+        return real(knots, pieces)
+
+    monkeypatch.setattr(curves, "_warp_program", counted)
+    examples = suites.run_skorokhod(seed=7).metrics["examples"]
+    assert [batch for batch, _ in programs] == [200, 203]
+
+    line = Euclidean(1)
+
+    def step(breaks, vals):
+        return curves.StepCurve(line, breaks,
+                                tuple(np.array([v]) for v in vals))
+
+    c_self = step((0.0, 0.3, 0.7, 1.0), (0.0, 1.3, 0.4))
+    g_redundant = step((0.0, 0.3, 0.5, 0.7, 1.0), (0.0, 1.3, 1.3, 0.4))
+    alone = [curves.skorokhod_distance(c, g, warp_grid=16).upper
+             for c, g in [(c_self, c_self), (c_self, g_redundant),
+                          (step((0.0, 0.5, 1.0), (0.0, 1.0)),
+                           step((0.0, 0.6, 1.0), (0.0, 1.0)))]]
+    assert len(programs) == 5
+    assert [examples["self_distance"],
+            examples["identical_function_distance"],
+            examples["shifted_jump_upper"]] == alone

@@ -29,7 +29,6 @@ from nlsp import (
     StepCurve,
     TimeGrid,
     ValidationError,
-    atomwise_consistency_gaps,
     batch_speeds,
     bundle_norms,
     compute_speed,
@@ -323,8 +322,7 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
     for n in (9, 33):
         times, values = sweep_smooth_paths(paths, n)
         residuals = derivative_identity_residuals(spaces, values, times)
-        md, bundle = batch_speeds(spaces, values, times)
-        gaps = atomwise_consistency_gaps(spaces, values, times, bundle)
+        md, bundle, gaps = batch_speeds(spaces, values, times)
         for k, path in enumerate(paths):
             curve = _loop_materialize(path, n)
             assert _same_bits(values[:, k], curve.values)
@@ -342,6 +340,24 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
             assert _same_bits(bundle_norms(sf), loop_bundle)
             assert _same_bits(speed_identity_residual(sf),
                               np.abs(loop_md - loop_bundle))
+
+
+@pytest.mark.parametrize("target", [Sphere(3), Spd(2)],
+                         ids=["sphere", "spd"])
+def test_one_table_residuals_equal_the_per_curve_route_bit_for_bit(target):
+    """On the transport battery's own seed-7 batches, the residuals read off
+    one table of per-atom distances equal those whose ``L^p`` side takes
+    one ``LpSpace.distances`` call per curve, bit for bit."""
+    stream = f"transport/{target.kind}"
+    paths = sample_smooth_paths(target, trial_rngs(7, stream, range(20)))
+    spaces = [LpSpace(path.family, 2.0) for path in paths]
+    for n in (65, 129, 257):
+        times, values = sweep_smooth_paths(paths, n)
+        residuals = derivative_identity_residuals(spaces, values, times)
+        for k, space in enumerate(spaces):
+            curve = SampledCurve(space, tuple(times), values[:, k])
+            assert _same_bits(residuals[k],
+                              _loop_derivative_residual(curve, 2.0))
 
 
 def test_stacked_tree_curves_equal_the_curve_loop_bit_for_bit():
