@@ -26,7 +26,6 @@ from .curves import (
     metric_derivative,
     skorokhod_distance,
     skorokhod_distances,
-    variation,
     variation_measure,
     variations,
 )
@@ -88,7 +87,7 @@ from .speed import (
 )
 from .suites import (
     DEFAULT_TREE_EDGES,
-    SmoothLpPath,
+    SmoothLpPaths,
     SuiteResult,
     decay_order,
     default_equality_tol,
@@ -104,7 +103,6 @@ from .suites import (
     run_speed,
     run_transport,
     sample_smooth_paths,
-    sweep_smooth_paths,
 )
 from .targets import (
     Euclidean,

@@ -246,24 +246,16 @@ class StepCurve:
                 for at, jump in zip(self.breakpoints[1:-1], jumps)]
 
 
-def variation(c, subinterval: tuple[float, float] | None = None) -> float:
-    """Total variation over an open subinterval (default: all of ``(a, b)``).
+def variations(c, subintervals) -> np.ndarray:
+    """Total variation over each open subinterval ``(s, t)`` of
+    ``subintervals`` (``None`` for all of ``(a, b)``), in input order.
 
     For a step curve this is the sum of jump distances at breakpoints
     strictly inside the subinterval.  For a sampled curve it is the chordal
     length over the sample segments wholly contained in the subinterval's
-    closure.  This is :func:`variations` on a batch of one subinterval.
-    """
-    return float(variations(c, [subinterval])[0])
-
-
-def variations(c, subintervals) -> np.ndarray:
-    """:func:`variation` over each ``(s, t)`` of ``subintervals`` (``None``
-    for the whole interval), in input order.
-
-    The curve's table of jumps (a step curve) or segment lengths (a sampled
-    curve) is computed once, with one ``distances`` call; each variation is
-    a masked sum over it, added in ascending time order.
+    closure.  The curve's table of jumps (a step curve) or segment lengths
+    (a sampled curve) is computed once, with one ``distances`` call; each
+    variation is a masked sum over it, added in ascending time order.
     """
     inside = _variation_masks(c, subintervals)
     if isinstance(c, StepCurve):
@@ -345,7 +337,7 @@ class VariationMeasure:
 
 def variation_measure(c: StepCurve) -> VariationMeasure:
     """Jump measure of a step curve; its open intervals reproduce
-    :func:`variation` exactly."""
+    :func:`variations` exactly."""
     if not isinstance(c, StepCurve):
         raise ValidationError(
             f"variation_measure expects a StepCurve, got {type(c).__name__}")

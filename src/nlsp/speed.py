@@ -12,11 +12,12 @@ metric derivative; :func:`speed_identity_residual` measures the gap, which
 shrinks linearly with the time step because the bundle norm is a one-sided
 quotient while the metric derivative is centered.
 
-:func:`batch_speeds` evaluates many curves on one time grid, stacked as
-a ``(node, curve, atom, *point_shape)`` batch, through the same array
-helpers as the single-curve functions: one log-map call, one tangent-norm
-call and one per-atom distance call for the whole batch, and it also
-checks the bundle norm against the per-atom speeds.
+:func:`batch_speeds` evaluates many curves on one target and one time
+grid, stacked as a ``(node, curve, atom, *point_shape)`` batch with a
+``(curve, atom)`` table of weights, through the same array helpers as the
+single-curve functions: one log-map call, one tangent-norm call and one
+per-atom distance call for the whole batch, and it also checks the bundle
+norm against the per-atom speeds.
 
 Targets without a tangent chart (metric trees) are refused: their curves
 still have metric derivatives, but no velocity vectors.
@@ -33,7 +34,6 @@ from .errors import UnsupportedOperationError, ValidationError
 from .mappings import _weighted_norm, check_p
 from .transport import (
     TransportDecomposition,
-    _batch_parts,
     speed_table,
     weighted_speed_powers,
 )
@@ -115,11 +115,12 @@ def _bundle_norms(target, bases, vectors, weights, p: float) -> np.ndarray:
     return _weighted_norm(target.tangent_norms(bases, vectors), weights, p)
 
 
-def batch_speeds(spaces, values, times
+def batch_speeds(target, weights, p, values, times
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Metric derivatives and bundle norms, each of shape ``(curve, node)``,
     and atomwise consistency gaps ``(curve,)`` of every curve of a batch
-    ``(node, curve, atom, *point_shape)`` sharing one time grid.
+    ``(node, curve, atom, *point_shape)`` over ``target`` sharing one time
+    grid, with ``(curve, atom)`` weights, at ``1 < p < inf``.
 
     The velocities take one ``log_maps`` call and their norms one
     ``tangent_norms`` call over the whole batch; the metric derivatives
@@ -128,11 +129,10 @@ def batch_speeds(spaces, values, times
     |f_j'|(t_i)^p`` (centred per-atom metric derivatives) at interior
     nodes, and is its worst relative mismatch.
     """
-    target, weights, p = _batch_parts(spaces, values)
     _charted(target)
+    speeds, atoms = speed_table(target, weights, p, values, times)
     vectors = _velocities(target, values, times)
     bundle = _bundle_norms(target, values, vectors, weights, p).T
-    speeds, atoms = speed_table(spaces, target, values, times)
     rhs = weighted_speed_powers(atoms, weights, p)[:, 1:-1]
     lhs = bundle[:, 1:-1] ** p
     denom = np.maximum(np.abs(rhs), 1e-300)

@@ -7,6 +7,9 @@ decide its pass flag and failure lines.  All randomness flows through
 counter-based streams keyed by ``(seed, suite name, trial index)``
 (:func:`nlsp.rng.trial_rng`), and trial results are collected in index
 order, so every suite produces byte-identical output for a fixed seed.
+The smooth paths of the speed and transport batteries are one
+:class:`SmoothLpPaths` batch per target: stacked ``(curve, atom)``
+weights and anchors, not one object per curve.
 
 :data:`BATTERIES` holds, for each suite, the facts its callers need: the
 tolerance names it reads and the config fields it accepts.  :func:`run_all`
@@ -219,94 +222,70 @@ def _draw_by_kind(seed: int, stream: str, trials: int, draws) -> list:
 
 
 @dataclass(frozen=True, eq=False)
-class SmoothLpPath:
-    """A smooth curve of mappings, realizable on any time grid.
+class SmoothLpPaths:
+    """A batch of smooth curves of mappings on one target, realizable on
+    any time grid.
 
-    Every atom travels along a fixed target geodesic with a smooth,
-    strictly monotone time warp ``phi_j(t) = delta + (1 - 2 delta) t +
-    a_j sin(2 pi t + theta_j) / (2 pi)``; the warp stays inside ``(0, 1)``
-    and its small amplitude keeps the one-sided/centered difference gap
-    well inside the tolerances that the convergence batteries certify.
-    Atom ``j``'s geodesic has length ``legs[j]``, so the path's speed has
-    the closed form ``(sum_j w_j (legs[j] phi_j'(t))^p)^(1/p)``.
+    Atom ``j`` of curve ``k`` has weight ``w = weights[k, j]`` and travels
+    a target geodesic of length ``L = legs[k, j]`` with a smooth, strictly
+    monotone time warp ``phi(t) = delta + (1 - 2 delta) t + a sin(2 pi t +
+    theta) / (2 pi)``; the warp stays inside ``(0, 1)`` and its small
+    amplitude keeps the one-sided/centered difference gap well inside the
+    tolerances that the convergence batteries certify.  Curve ``k``'s
+    speed has the closed form ``(sum_j w (L phi'(t))^p)^(1/p)``.
     """
 
-    family: MappingFamily
+    target: TargetSpace
     p: float
-    anchors: np.ndarray  # (atom, 2, *point_shape): start and end points
-    wiggles: np.ndarray  # (atom, 2): amplitude and phase
-    legs: np.ndarray  # (atom,): the target distance from start to end
+    weights: np.ndarray  # (curve, atom)
+    anchors: np.ndarray  # (2, curve, atom, *point_shape): starts, then ends
+    wiggles: np.ndarray  # (2, curve, atom): amplitudes, then phases
+    legs: np.ndarray  # (curve, atom): the target distance from start to end
     delta: ClassVar[float] = 0.05
 
     def warp(self, t) -> np.ndarray:
-        """Every atom's warp at the times ``t``: shape ``(*t.shape, atom)``."""
-        t = np.asarray(t, float)[..., None]
-        amp, phase = self.wiggles.T
+        """Every atom's warp at the times ``t``: ``(*t.shape, curve, atom)``."""
+        t = np.asarray(t, float)[..., None, None]
+        amp, phase = self.wiggles
         return (self.delta + (1.0 - 2.0 * self.delta) * t
                 + amp * np.sin(2.0 * math.pi * t + phase) / (2.0 * math.pi))
 
-
-def sweep_smooth_paths(paths, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample smooth paths at ``n_nodes`` uniform times on [0, 1].
-
-    The paths must share one target object and one atom count.  Returns
-    the times and one batch of shape ``(node, path, atom, *point_shape)``:
-    one ``warp`` per path, then one ``geodesic_points`` and one
-    ``as_points`` call for all of them.
-    """
-    paths = list(paths)
-    target = paths[0].family.target if paths else None
-    if not paths or any(path.family.target is not target
-                        or len(path.anchors) != len(paths[0].anchors)
-                        for path in paths):
-        raise ValidationError(
-            "a sweep needs at least one path, and its paths must share one "
-            "target object and one atom count")
-    times = np.linspace(0.0, 1.0, int(n_nodes))
-    fractions = np.stack([path.warp(times) for path in paths], axis=1)
-    ys, zs = (np.array([path.anchors[:, e] for path in paths]) for e in (0, 1))
-    values = target.geodesic_points(ys, zs, fractions)
-    return times, target.as_points(values, fractions.shape)
+    def sweep(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The times of ``n_nodes`` uniform nodes on [0, 1], and the paths'
+        values there as one ``(node, curve, atom, *point_shape)`` batch,
+        from one ``geodesic_points`` and one ``as_points`` call."""
+        times = np.linspace(0.0, 1.0, int(n_nodes))
+        fractions = self.warp(times)
+        values = self.target.geodesic_points(*self.anchors, fractions)
+        return times, self.target.as_points(values, fractions.shape)
 
 
 def sample_smooth_paths(target: TargetSpace, rngs,
-                        p: float = 2.0) -> list[SmoothLpPath]:
-    """Draw a smooth random path of mappings (one geodesic leg per atom)
-    from each stream.
+                        p: float = 2.0) -> SmoothLpPaths:
+    """Draw a batch of smooth random paths of mappings (one geodesic leg
+    per atom), curve ``k`` from stream ``rngs[k]``.
 
     Each stream reads its weights and base points, then, atom by atom, a
     start point, a leg length, a tangent of that length and the wiggle;
     every read is formed for all streams at once, and one ``exp_maps``
-    call gives every end point.
+    call gives every end point.  No path uses its base points: they are
+    read so that every later read stays where it is in its stream.
     """
-    ids = tuple(f"x{j}" for j in range(SMOOTH_PATH_ATOMS))
     weights = uniforms(rngs, 0.5, 1.5, SMOOTH_PATH_ATOMS) / SMOOTH_PATH_ATOMS
-    bases = target.draw_points(rngs, SMOOTH_PATH_ATOMS)
+    target.draw_points(rngs, SMOOTH_PATH_ATOMS)
     starts, tangents, legs, wiggles = [], [], [], []
     for _ in range(SMOOTH_PATH_ATOMS):
         starts.append(target.draw_points(rngs, 1)[:, 0])
         legs.append(uniforms(rngs, 0.4, 0.8))
         tangents.append(target.draw_tangents(rngs, starts[-1], legs[-1]))
         wiggles.append(np.stack([uniforms(rngs, 0.04, 0.06),
-                                 uniforms(rngs, 0.0, 2.0 * math.pi)], axis=-1))
+                                 uniforms(rngs, 0.0, 2.0 * math.pi)]))
     starts = np.stack(starts, axis=1)
     ends = target.exp_maps(starts, np.stack(tangents, axis=1))
-    return [SmoothLpPath(
-        family=MappingFamily(FiniteMeasureSpace(ids, tuple(w.tolist())),
-                             target, base),
-        p=float(p), anchors=anchors, wiggles=wiggle, legs=leg)
-        for w, base, anchors, wiggle, leg in zip(
-            weights, bases, np.stack([starts, ends], axis=2),
-            np.stack(wiggles, axis=1), np.stack(legs, axis=1))]
-
-
-def _draw_smooth_paths(seed: int, stream: str, target: TargetSpace,
-                       curves: int, p: float) -> tuple[list, list]:
-    """The draw step of the smooth-path batteries: path ``ci`` from stream
-    ``(seed, stream, ci)``, all paths at once, and the ``LpSpace`` of each."""
-    paths = sample_smooth_paths(
-        target, trial_rngs(seed, stream, range(int(curves))), p=p)
-    return paths, [LpSpace(path.family, p) for path in paths]
+    return SmoothLpPaths(target=target, p=float(p), weights=weights,
+                         anchors=np.stack([starts, ends]),
+                         wiggles=np.stack(wiggles, axis=-1),
+                         legs=np.stack(legs, axis=1))
 
 
 def _nonuniform_times(rngs, n_nodes: int) -> list[tuple[float, ...]]:
@@ -484,10 +463,10 @@ def run_transport(seed: int = 7, curves: int = 20,
     Both halves run in two steps.  The draw step reads each curve from its
     own stream ``(seed, "transport/<kind>", curve)`` or ``(seed,
     "transport/bv", curve)``; the smooth paths of one target are formed
-    all at once, and each step curve forms its values as one batch.  The
-    compute step sweeps all
-    smooth paths of one target on one grid as a single ``(node, curve,
-    atom, *point_shape)`` batch, whose per-atom speeds take one target call;
+    all at once, as one :class:`SmoothLpPaths` batch, and each step curve
+    forms its values as one batch.  The compute step sweeps all smooth
+    paths of one target on one grid as a single ``(node, curve, atom,
+    *point_shape)`` batch, whose per-atom speeds take one target call;
     each step curve builds its jump table once, and the whole interval and
     the drawn subintervals are masked sums over it.  A failed residual
     check names the stream key of its worst curve.
@@ -502,13 +481,15 @@ def run_transport(seed: int = 7, curves: int = 20,
     p = float(p)
     for target in targets:
         stream = f"transport/{target.kind}"
-        paths, spaces = _draw_smooth_paths(seed, stream, target, curves, p)
+        paths = sample_smooth_paths(
+            target, trial_rngs(seed, stream, range(int(curves))), p)
         # per_grid[k][ci]: the largest interior residual of curve ci on
         # grid k.  One target and one grid are stacked at a time.
         per_grid = []
         for n in grids:
-            times, values = sweep_smooth_paths(paths, n)
-            res = derivative_identity_residuals(spaces, values, times)
+            times, values = paths.sweep(n)
+            res = derivative_identity_residuals(target, paths.weights, p,
+                                                values, times)
             per_grid.append(np.max(np.abs(res[:, 1:-1]), axis=1))
         grid_maxima, order, gates = _convergence_checks(
             "derivative_identity", target.kind, stream, per_grid, grids,
@@ -931,13 +912,13 @@ def run_speed(seed: int = 7, curves: int = 6,
 
     The draw step reads each curve's path from its own stream ``(seed,
     "speed/<kind>", curve)`` and forms the paths of one target all at
-    once.  The compute step sweeps all
-    paths of one target on one grid as a single ``(node, curve, atom,
+    once, as one :class:`SmoothLpPaths` batch.  The compute step sweeps
+    all paths of one target on one grid as a single ``(node, curve, atom,
     *point_shape)`` batch: one log-map call for the velocities, one
     tangent-norm call for the bundle norms, and one target distance call
-    for the per-atom speeds of the consistency check; the metric
-    derivative takes one ``d_p`` call per curve.  A failed gap check names
-    the stream key of its worst curve.
+    whose table gives both the per-atom speeds of the consistency check and
+    every curve's metric derivative.  A failed gap check names the stream
+    key of its worst curve.
     """
     tol = _tolerances(tolerances)
     grids = tuple(int(n) for n in grids)
@@ -950,11 +931,13 @@ def run_speed(seed: int = 7, curves: int = 6,
 
     for target in targets:
         stream = f"speed/{target.kind}"
-        paths, spaces = _draw_smooth_paths(seed, stream, target, curves, p)
+        paths = sample_smooth_paths(
+            target, trial_rngs(seed, stream, range(int(curves))), p)
         per_grid = []
         for n in grids:
-            times, values = sweep_smooth_paths(paths, n)
-            md, bundle, grid_gaps = batch_speeds(spaces, values, times)
+            times, values = paths.sweep(n)
+            md, bundle, grid_gaps = batch_speeds(target, paths.weights, p,
+                                                 values, times)
             res = np.abs(md - bundle)
             per_grid.append(np.max(res[:, 1:-1], axis=1))
             if n == mid_grid:

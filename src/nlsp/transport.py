@@ -22,21 +22,22 @@ source value it was read from.
 
 Both identities also come in batch form, and the single-curve functions
 are the batch of one.  :func:`derivative_identity_residuals` takes many
-curves on one time grid as a ``(node, curve, atom, *point_shape)`` batch,
-and reads both sides off one table of centred per-atom distances
+curves on one target and one time grid as a ``(node, curve, atom,
+*point_shape)`` batch with a ``(curve, atom)`` table of weights, and reads
+both sides off one table of centred per-atom distances
 (:func:`speed_table`): the per-atom side directly, and the ``L^p`` side as
 each curve's weighted norm over its atoms.
 :func:`variation_identity_residuals` builds a step curve's jump table
 once — the ``L^1`` jumps between consecutive pieces and every atom's
 target jumps — and reads the variation over each subinterval off it as a
-masked sum, added in ascending time order.
+masked sum, added in ascending time order.  The counterexample reads
+every atom's moduli and variation off its source curve the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,13 @@ from .curves import (
     _ascending_sums,
     _variation_masks,
     centred_distances,
-    variation,
 )
 from .errors import ValidationError
 from .mappings import (
     FiniteMeasureSpace,
     LpSpace,
     MappingFamily,
+    _weighted_norm,
 )
 from .targets import Euclidean
 
@@ -123,46 +124,25 @@ def weighted_speed_powers(speeds: np.ndarray, weights: np.ndarray,
                      np.moveaxis(speeds ** p, 0, -1))[..., 0, :]
 
 
-def _batch_parts(spaces, values) -> tuple[object, np.ndarray, float]:
-    """The shared target, the stacked ``(curve, atom)`` weights and the
-    shared exponent of a batch of curves of mappings.
-
-    ``values`` has shape ``(node, curve, atom, *point_shape)``: curve ``k``
-    lives in ``spaces[k]``, and every space must share one target object
-    and one exponent.
-    """
-    spaces = list(spaces)
-    if not spaces or not all(isinstance(s, LpSpace) for s in spaces):
-        raise ValidationError(
-            "a batch of curves needs one LpSpace per curve")
-    target, p = spaces[0].family.target, spaces[0].p
-    if any(s.family.target is not target or s.p != p for s in spaces):
-        raise ValidationError(
-            "the curves of a batch must share one target object and one "
-            "exponent")
-    if np.ndim(values) < 3 or np.shape(values)[1] != len(spaces):
-        raise ValidationError(
-            f"expected values of shape (node, {len(spaces)}, atom, ...), got "
-            f"{np.shape(values)}")
-    weights = np.stack([s.family.base_space.weights_array for s in spaces])
-    return target, weights, p
-
-
-def speed_table(spaces, target, values, times
+def speed_table(target, weights, p, values, times
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Metric derivatives ``(curve, node)`` of a batch ``(node, curve, atom,
-    *point_shape)`` of curves of mappings, curve ``k`` in ``spaces[k]``
-    over ``target``, and their per-atom speeds ``(node, curve, atom)``.
+    """Metric derivatives ``(curve, node)`` in ``L^p``, ``1 < p < inf``, of
+    a batch ``(node, curve, atom, *point_shape)`` of curves of mappings over
+    ``target`` with ``(curve, atom)`` weights, and their per-atom speeds.
 
     Both are read off one table of centred per-atom distances, built with
-    one target ``distances`` call: a curve's metric derivative is its
-    space's norm of its atoms' distances over the centred time span, which
-    is what ``LpSpace.distances`` gives for that curve alone.
+    one target ``distances`` call: a curve's metric derivative is the
+    weighted ``p``-norm of its atoms' distances over the centred time span,
+    which is what ``LpSpace.distances`` gives for that curve alone.
     """
+    if not 1.0 < float(p) < math.inf:
+        raise ValidationError(f"the speed identities need 1 < p < inf, got {p!r}")
+    if np.shape(weights) != np.shape(values)[1:3]:
+        raise ValidationError(
+            f"expected (curve, atom) weights of shape "
+            f"{np.shape(values)[1:3]}, got {np.shape(weights)}")
     dists, dt = centred_distances(target, values, times)
-    speeds = np.stack([space.norms(dists[:, k])
-                       for k, space in enumerate(spaces)])
-    return speeds / dt[:, 0, 0], dists / dt
+    return _weighted_norm(dists, weights, p).T / dt[:, 0, 0], dists / dt
 
 
 def derivative_identity_residual(d: TransportDecomposition) -> np.ndarray:
@@ -176,39 +156,32 @@ def derivative_identity_residual(d: TransportDecomposition) -> np.ndarray:
     if not isinstance(d, TransportDecomposition):
         raise ValidationError(
             f"expected a TransportDecomposition, got {type(d).__name__}")
-    source = d.source
+    c, family = d.source, d.source.space.family
     return derivative_identity_residuals(
-        [source.space], source.values[:, None], source.times_array)[0]
+        family.target, family.base_space.weights_array[None], d.p,
+        c.values[:, None], c.times_array)[0]
 
 
-def derivative_identity_residuals(spaces, values, times) -> np.ndarray:
+def derivative_identity_residuals(target, weights, p, values, times
+                                  ) -> np.ndarray:
     """:func:`derivative_identity_residual` of every curve of a batch
-    ``(node, curve, atom, *point_shape)`` sharing one time grid; shape
+    ``(node, curve, atom, *point_shape)`` over ``target`` sharing one time
+    grid, with ``(curve, atom)`` weights, at ``1 < p < inf``; shape
     ``(curve, node)``.
 
     Both sides are read off one :func:`speed_table`.
     """
-    target, weights, p = _batch_parts(spaces, values)
-    speeds, atoms = speed_table(spaces, target, values, times)
+    speeds, atoms = speed_table(target, weights, p, values, times)
     return speeds ** p - weighted_speed_powers(atoms, weights, p)
 
 
 @dataclass(frozen=True, eq=False)
 class BVTransportDecomposition:
-    """A step curve of mappings with its per-atom step curves.
-
-    All curves share the breakpoint tuple by reference, and the atom slices
-    hold values bitwise equal to the source's.  The slices are built on
-    first read: the variation identity reads the source's jump table alone.
-    """
+    """A step curve of mappings in ``L^1``, sliced atom by atom: atom
+    ``j``'s slice is ``source.values[:, j]`` on the source's breakpoints,
+    and the variation identity reads every slice off one jump table."""
 
     source: StepCurve
-
-    @cached_property
-    def per_atom_curves(self) -> tuple[StepCurve, ...]:
-        c = self.source
-        return tuple(StepCurve(c.space.family.target, c.breakpoints, values)
-                     for values in c.values.swapaxes(0, 1))
 
 
 def decompose_bv(c: StepCurve) -> BVTransportDecomposition:
@@ -342,17 +315,17 @@ def counterexample_p1(n: int = 64,
         space.distances(vals[i:i + 1], vals[i + 1:]) / (grid[i + 1:] - grid[i])
         for i in range(n)])
 
-    decomposition = decompose_bv(curve)
-    moduli = []
-    for r in refinements:
-        fine = np.arange(r * n + 1) / (r * n)
-        worst = max(float(np.abs(np.diff(ac.value_at(fine), axis=0)).max())
-                    for ac in decomposition.per_atom_curves)
-        moduli.append((r, worst))
+    # The largest step of any atom on each refined grid.
+    fine = [np.arange(r * n + 1) / (r * n) for r in refinements]
+    moduli = [(r, float(np.abs(np.diff(curve.value_at(t), axis=0)).max()))
+              for r, t in zip(refinements, fine)]
 
+    # Every atom's variation over the whole interval, off one jump table.
+    v = curve.values
     w = space.family.base_space.weights_array
-    total_var = float(np.dot(w, [variation(ac)
-                                 for ac in decomposition.per_atom_curves]))
+    atoms = _ascending_sums(space.family.target.distances(v[:-1], v[1:]),
+                            _variation_masks(curve, [None]))[0]
+    total_var = float(np.dot(w, atoms))
     return CounterexampleReport(
         n=int(n),
         lipschitz_lo=float(ratios.min()),

@@ -31,8 +31,8 @@ from nlsp import (
     skorokhod_distance,
     skorokhod_distances,
     trial_rng,
-    variation,
     variation_measure,
+    variations,
 )
 
 E1 = Euclidean(1)
@@ -216,24 +216,24 @@ def test_bad_times_name_the_first_bad_entry(build, match):
 def test_variation_of_up_down_step_is_two():
     """Jumping 0 -> 1 -> 0 accumulates variation 2."""
     c = scalar_step((0.0, 0.3, 0.7, 1.0), (0.0, 1.0, 0.0))
-    assert variation(c) == 2.0
+    assert variations(c, [None])[0] == 2.0
 
 
 def test_variation_frozen_six_piece_example():
     """A fixed six-piece curve accumulates its jump sizes: 4.5."""
     c = scalar_step((0.0, 0.15, 0.35, 0.52, 0.7, 0.88, 1.0),
                     (0.0, 1.3, 0.4, 0.9, -0.2, 0.5))
-    assert variation(c) == pytest.approx(4.5, abs=1e-12)
+    assert variations(c, [None])[0] == pytest.approx(4.5, abs=1e-12)
 
 
 def test_variation_of_monotone_sampled_curve():
     """A monotone scalar curve's variation is its total rise."""
     times = tuple(np.linspace(0.0, 1.0, 33))
     c = SampledCurve(E1, times, tuple(np.array([t * t]) for t in times))
-    assert variation(c) == pytest.approx(1.0, abs=1e-12)
+    assert variations(c, [None])[0] == pytest.approx(1.0, abs=1e-12)
     down_up = SampledCurve(
         E1, (0.0, 0.5, 1.0), (np.ones(1), np.zeros(1), np.ones(1)))
-    assert variation(down_up) == 2.0
+    assert variations(down_up, [None])[0] == 2.0
 
 
 def test_step_variation_matches_brute_force_partition_supremum():
@@ -248,7 +248,7 @@ def test_step_variation_matches_brute_force_partition_supremum():
                    + [1.0])
     vals = tuple(rng.normal(size=1) for _ in range(6))
     c = StepCurve(E1, breaks, vals)
-    total = variation(c)
+    total = variations(c, [None])[0]
 
     candidates = []
     for lo, hi in zip(breaks, breaks[1:]):
@@ -271,15 +271,15 @@ def test_step_variation_matches_brute_force_partition_supremum():
 def test_variation_on_open_subintervals():
     """Only jumps strictly inside the open subinterval count."""
     c = scalar_step((0.0, 0.5, 1.0), (0.0, 3.0))
-    assert variation(c, (0.0, 0.5)) == 0.0
-    assert variation(c, (0.5, 1.0)) == 0.0
-    assert variation(c, (0.4, 0.6)) == 3.0
-    assert variation(c, (0.0, 1.0)) == 3.0
+    assert variations(c, [(0.0, 0.5)])[0] == 0.0
+    assert variations(c, [(0.5, 1.0)])[0] == 0.0
+    assert variations(c, [(0.4, 0.6)])[0] == 3.0
+    assert variations(c, [(0.0, 1.0)])[0] == 3.0
     # Windows may extend past the interval; only interior jumps count.
-    assert variation(c, (-0.5, 0.5)) == 0.0
-    assert variation(c, (0.5, 0.5)) == 0.0
+    assert variations(c, [(-0.5, 0.5)])[0] == 0.0
+    assert variations(c, [(0.5, 0.5)])[0] == 0.0
     with pytest.raises(ValidationError, match="empty"):
-        variation(c, (0.6, 0.4))
+        variations(c, [(0.6, 0.4)])
 
 
 def test_variation_is_additive_at_non_jump_splits():
@@ -287,13 +287,15 @@ def test_variation_is_additive_at_non_jump_splits():
     c = scalar_step((0.0, 0.15, 0.35, 0.52, 0.7, 0.88, 1.0),
                     (0.0, 1.3, 0.4, 0.9, -0.2, 0.5))
     for split in (0.2, 0.4, 0.6, 0.99):
-        left = variation(c, (0.0, split))
-        right = variation(c, (split, 1.0))
-        assert left + right == pytest.approx(variation(c), abs=1e-12)
+        left = variations(c, [(0.0, split)])[0]
+        right = variations(c, [(split, 1.0)])[0]
+        assert left + right == pytest.approx(variations(c, [None])[0],
+                                             abs=1e-12)
     # Splitting exactly at a jump drops that jump: strict superadditivity.
-    left = variation(c, (0.0, 0.52))
-    right = variation(c, (0.52, 1.0))
-    assert variation(c) - (left + right) == pytest.approx(0.5, abs=1e-12)
+    left = variations(c, [(0.0, 0.52)])[0]
+    right = variations(c, [(0.52, 1.0)])[0]
+    assert variations(c, [None])[0] - (left + right) == pytest.approx(
+        0.5, abs=1e-12)
 
 
 def test_variation_measure_of_single_jump():
@@ -323,14 +325,14 @@ def test_variation_measure_agrees_with_variation():
                        + [1.0])
         c = StepCurve(E2, breaks, tuple(rng.normal(size=2) for _ in range(k)))
         m = variation_measure(c)
-        assert m.of_open_interval(0.0, 1.0) == pytest.approx(variation(c),
-                                                             abs=1e-14)
+        assert m.of_open_interval(0.0, 1.0) == pytest.approx(
+            variations(c, [None])[0], abs=1e-14)
         for _ in range(10):
             s, t = np.sort(rng.uniform(0.0, 1.0, size=2))
             if s == t:
                 continue
             assert m.of_open_interval(float(s), float(t)) == pytest.approx(
-                variation(c, (float(s), float(t))), abs=1e-14)
+                variations(c, [(float(s), float(t))])[0], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +635,7 @@ def test_variation_equals_jump_sum(c):
     """Variation telescopes to the sum of consecutive jump sizes."""
     jumps = sum(float(np.abs(b - a)[0])
                 for a, b in zip(c.values, c.values[1:]))
-    assert variation(c) == pytest.approx(jumps, abs=1e-12)
+    assert variations(c, [None])[0] == pytest.approx(jumps, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -419,8 +419,8 @@ CONTAINERS = {
     "TransportDecomposition": lambda k: decompose_ac(_lp_curve(k), 2.0),
     "BVTransportDecomposition": lambda k: decompose_bv(_step_curve(k)),
     "SpeedField": lambda k: compute_speed(decompose_ac(_lp_curve(k), 2.0)),
-    "SmoothLpPath": lambda k: sample_smooth_paths(
-        Euclidean(2), [trial_rng(int(k), "test/containers", 0)])[0],
+    "SmoothLpPaths": lambda k: sample_smooth_paths(
+        Euclidean(2), [trial_rng(int(k), "test/containers", 0)]),
 }
 
 

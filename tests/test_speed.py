@@ -33,11 +33,11 @@ from nlsp import (
     default_tree,
     sample_smooth_paths,
     speed_identity_residual,
-    sweep_smooth_paths,
     tangent_norms,
     trial_rng,
 )
-from nlsp.curves import metric_speeds
+from nlsp.rng import trial_rngs
+from nlsp.transport import speed_table
 
 
 def plane_family(weights=(1.0, 3.0)):
@@ -75,8 +75,10 @@ def test_linear_motion_gives_exact_bundle_norm():
     assert np.array_equal(tangent_norms(s, 0), np.array([2.0, 2.0]))
     assert all(bundle_norm(s, i) == 4.0 for i in range(9))
     assert float(np.max(speed_identity_residual(s))) == 0.0
-    _, bundle, gaps = batch_speeds([c.space], c.values[:, None],
-                                   c.times_array)
+    family = c.space.family
+    _, bundle, gaps = batch_speeds(
+        family.target, family.base_space.weights_array[None], 2.0,
+        c.values[:, None], c.times_array)
     assert np.array_equal(bundle, bundle_norms(s)[None])
     assert gaps.tolist() == [0.0]
 
@@ -114,11 +116,14 @@ def test_speed_identity_residual_decays_linearly():
     boundary nodes compare one-sided quotients over the same pair and sit
     at roundoff."""
     rng = trial_rng(0, "test/speed-decay", 0)
-    path, = sample_smooth_paths(Spd(2), [rng], p=2.0)
-    space = LpSpace(path.family, 2.0)
+    paths = sample_smooth_paths(Spd(2), [rng], p=2.0)
+    base = FiniteMeasureSpace(("x0", "x1", "x2", "x3"),
+                              tuple(paths.weights[0].tolist()))
+    space = LpSpace(MappingFamily(base, paths.target, paths.anchors[0, 0]),
+                    2.0)
     res = {}
     for n in (129, 257):
-        times, values = sweep_smooth_paths([path], n)
+        times, values = paths.sweep(n)
         curve = SampledCurve(space, tuple(times.tolist()), values[:, 0])
         res[n] = speed_identity_residual(compute_speed(decompose_ac(curve,
                                                                     2.0)))
@@ -136,28 +141,27 @@ def test_smooth_path_speed_meets_its_closed_form(target):
     so the path's speed is ``(sum_j w_j (legs[j] phi_j'(t))^p)^(1/p)``, a
     closed form that calls no distance.  On the transport battery's own
     paths the drawn legs equal the anchors' target distances, and the
-    centred difference quotients of ``metric_speeds`` meet the closed form
+    centred difference quotients of ``speed_table`` meet the closed form
     at second order in the step."""
     p = 2.0
-    for ci in range(3):
-        path, = sample_smooth_paths(
-            target, [trial_rng(7, f"transport/{target.kind}", ci)], p=p)
-        space = LpSpace(path.family, p)
-        legs = target.distances(path.anchors[:, 0], path.anchors[:, 1])
-        assert np.max(np.abs(legs - path.legs)) <= 1e-12
-        w = path.family.base_space.weights_array
-        amp, phase = path.wiggles.T
-        gaps = []
-        for n in (65, 129, 257, 513):
-            times, values = sweep_smooth_paths([path], n)
-            t = times[:, None]
-            rate = (1.0 - 2.0 * path.delta) + amp * np.cos(
-                2.0 * math.pi * t + phase)
-            exact = np.sum(w * (path.legs * rate) ** p, axis=-1) ** (1.0 / p)
-            quotients = metric_speeds(space, values[:, 0], times)
-            gaps.append(float(np.max(np.abs(quotients - exact)[1:-1])))
-        assert gaps[-1] <= 1e-6
-        assert decay_order(gaps) >= 1.9
+    paths = sample_smooth_paths(
+        target, trial_rngs(7, f"transport/{target.kind}", range(3)), p=p)
+    legs = target.distances(*paths.anchors)
+    assert np.max(np.abs(legs - paths.legs)) <= 1e-12
+    amp, phase = paths.wiggles
+    gaps = []
+    for n in (65, 129, 257, 513):
+        times, values = paths.sweep(n)
+        t = times[:, None, None]
+        rate = (1.0 - 2.0 * paths.delta) + amp * np.cos(
+            2.0 * math.pi * t + phase)
+        exact = np.sum(paths.weights * (paths.legs * rate) ** p,
+                       axis=-1) ** (1.0 / p)
+        quotients = speed_table(target, paths.weights, p, values, times)[0]
+        gaps.append(np.max(np.abs(quotients - exact.T)[:, 1:-1], axis=1))
+    for curve_gaps in np.transpose(gaps):
+        assert curve_gaps[-1] <= 1e-6
+        assert decay_order(curve_gaps.tolist()) >= 1.9
 
 
 @pytest.mark.parametrize("target", [Euclidean(3), Sphere(3), Spd(2)],
@@ -168,9 +172,8 @@ def test_atomwise_consistency_across_targets(target, p):
     metric-derivative powers within the documented slack."""
     rng = trial_rng(0, f"test/speed-consistency/{target.kind}/{p}", 0)
     paths = sample_smooth_paths(target, [rng], p=p)
-    spaces = [LpSpace(path.family, p) for path in paths]
-    times, values = sweep_smooth_paths(paths, 129)
-    assert batch_speeds(spaces, values, times)[2][0] <= 5e-3
+    times, values = paths.sweep(129)
+    assert batch_speeds(target, paths.weights, p, values, times)[2][0] <= 5e-3
 
 
 def test_tree_curves_decompose_but_have_no_velocity():

@@ -18,7 +18,6 @@ from nlsp import (
     DEFAULT_TOLERANCES,
     CurveOfMappings,
     Euclidean,
-    LpSpace,
     MappingOfCurves,
     MetricTree,
     Spd,
@@ -30,10 +29,9 @@ from nlsp import (
     default_tree,
     derivative_identity_residuals,
     sample_smooth_paths,
-    sweep_smooth_paths,
     trial_rng,
 )
-from nlsp import curves, geometry, suites
+from nlsp import curves, geometry, mappings, suites, transport
 from nlsp.rng import trial_rngs
 from nlsp.suites import (
     BATTERIES,
@@ -83,20 +81,19 @@ def test_smooth_path_warp_is_monotone_inside_unit_interval(target):
     """Each atom's time warp stays strictly inside (0, 1) and strictly
     increases, so swept curves never fold back."""
     rng = trial_rng(0, "suite/smooth-path", 0)
-    path, = sample_smooth_paths(target, [rng], p=2.0)
+    paths = sample_smooth_paths(target, [rng], p=2.0)
     ts = np.linspace(0.0, 1.0, 257)
-    warped = path.warp(ts)
-    assert warped.shape == (len(ts), len(path.anchors))
-    for j in range(len(path.anchors)):
-        assert np.all(warped[:, j] > 0.0) and np.all(warped[:, j] < 1.0)
-        assert np.all(np.diff(warped[:, j]) > 0.0)
+    warped = paths.warp(ts)
+    assert warped.shape == (len(ts), 1, 4)
+    assert np.all(warped > 0.0) and np.all(warped < 1.0)
+    assert np.all(np.diff(warped, axis=0) > 0.0)
 
 
 def test_smooth_path_materializes_on_any_grid():
     rng = trial_rng(0, "suite/smooth-path-grid", 0)
     paths = sample_smooth_paths(Sphere(3), [rng], p=2.0)
     for n in (17, 33):
-        times, values = sweep_smooth_paths(paths, n)
+        times, values = paths.sweep(n)
         assert len(times) == n
         assert times[0] == 0.0 and times[-1] == 1.0
         assert values.shape == (n, 1, 4, 3)
@@ -362,9 +359,14 @@ def _reverse_nodes_of_sec_time(monkeypatch):
 
 
 def _lp_distances_one_ppm_long(monkeypatch):
-    real = LpSpace.norms
-    monkeypatch.setattr(
-        LpSpace, "norms", lambda self, dists: (1.0 + 1e-6) * real(self, dists))
+    real = mappings._weighted_norm
+
+    def scaled(dists, weights, p):
+        return (1.0 + 1e-6) * real(dists, weights, p)
+
+    # LpSpace.norms and the speed table each read the norm by name.
+    for module in (mappings, transport):
+        monkeypatch.setattr(module, "_weighted_norm", scaled)
 
 
 def _sphere_log_maps_nan(monkeypatch):
@@ -481,9 +483,9 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     for target in (Sphere(3), Spd(2)):
         stream = f"transport/{target.kind}"
         paths = sample_smooth_paths(target, trial_rngs(7, stream, range(3)))
-        times, values = sweep_smooth_paths(paths, 257)
-        res = derivative_identity_residuals(
-            [LpSpace(path.family, 2.0) for path in paths], values, times)
+        times, values = paths.sweep(257)
+        res = derivative_identity_residuals(target, paths.weights, 2.0,
+                                            values, times)
         scores = np.max(np.abs(res[:, 1:-1]), axis=1)
         assert failed[f"derivative_identity_residual[{target.kind}]"] \
             .endswith(_worst_key(stream, scores))
@@ -493,9 +495,9 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     for target in (Euclidean(2), Sphere(3), Spd(2)):
         stream = f"speed/{target.kind}"
         paths = sample_smooth_paths(target, trial_rngs(7, stream, range(2)))
-        spaces = [LpSpace(path.family, 2.0) for path in paths]
-        times, values = sweep_smooth_paths(paths, 129)
-        md, bundle, gap_scores = batch_speeds(spaces, values, times)
+        times, values = paths.sweep(129)
+        md, bundle, gap_scores = batch_speeds(target, paths.weights, 2.0,
+                                              values, times)
         gaps = np.max(np.abs(md - bundle)[:, 1:-1], axis=1)
         assert failed[f"speed_identity_residual[{target.kind}]"].endswith(
             _worst_key(stream, gaps))

@@ -43,9 +43,7 @@ from nlsp import (
     sec_atom,
     sec_time,
     speed_identity_residual,
-    sweep_smooth_paths,
     trial_rng,
-    variation,
     variation_identity_residual,
     variation_identity_residuals,
     variation_measure,
@@ -54,12 +52,25 @@ from nlsp import (
 from nlsp.curves import metric_speeds
 from nlsp.mappings import _weighted_norm
 from nlsp.rng import trial_rngs
-from nlsp.suites import default_tree, random_family, random_step_curve
+from nlsp.suites import (
+    default_tree,
+    random_family,
+    random_step_curve,
+    run_speed,
+    run_transport,
+)
+from nlsp.transport import speed_table
 
 
 def lp_curve(times, mapping_rows, fam, p=2.0):
     """A sampled curve in L^p from rows of per-atom points."""
     return SampledCurve(LpSpace(fam, p), tuple(times), tuple(mapping_rows))
+
+
+def _atom_curves(c):
+    """One target step curve per atom of a step curve of mappings."""
+    return [StepCurve(c.space.family.target, c.breakpoints, values)
+            for values in c.values.swapaxes(0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +194,15 @@ def test_decompose_bv_of_single_global_jump():
     space = LpSpace(fam, 1.0)
     c = StepCurve(space, (0.0, 0.4, 1.0), (f.values, g.values))
     bv = decompose_bv(c)
-    assert len(bv.per_atom_curves) == 2
+    atom_curves = _atom_curves(bv.source)
+    assert len(atom_curves) == 2
     for j in range(2):
-        pc = bv.per_atom_curves[j]
+        pc = atom_curves[j]
         assert pc.breakpoints == (0.0, 0.4, 1.0)
         assert np.array_equal(pc.values[0], f.values[j])
         assert np.array_equal(pc.values[1], g.values[j])
-    assert variation(bv.per_atom_curves[0]) == 5.0
-    assert variation(bv.per_atom_curves[1]) == 2.0
+    assert variations(atom_curves[0], [None])[0] == 5.0
+    assert variations(atom_curves[1], [None])[0] == 2.0
     assert variation_identity_residual(bv) <= 1e-15
 
 
@@ -205,11 +217,10 @@ def test_decompose_bv_on_tree_valued_mappings():
     c = StepCurve(space, (0.0, 0.3, 0.6, 1.0), tuple(pts))
     bv = decompose_bv(c)
     assert variation_identity_residual(bv) <= 1e-12
-    for j in range(2):
+    for j, pc in enumerate(_atom_curves(bv.source)):
         expected = sum(tree.distance(pts[k][j], pts[k + 1][j])
                        for k in range(2))
-        assert variation(bv.per_atom_curves[j]) == pytest.approx(
-            expected, abs=1e-12)
+        assert variations(pc, [None])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_variation_identity_on_random_step_curves():
@@ -248,11 +259,28 @@ def test_variation_identity_on_random_step_curves():
 # must equal it bit for bit.
 
 
-def _loop_materialize(path, n):
+def _one_curve(paths, k):
+    """Curve ``k`` of a batch of smooth paths, as a batch of one."""
+    return dataclasses.replace(
+        paths, weights=paths.weights[k:k + 1],
+        anchors=paths.anchors[:, k:k + 1], wiggles=paths.wiggles[:, k:k + 1],
+        legs=paths.legs[k:k + 1])
+
+
+def _curve_space(paths, k):
+    """The ``LpSpace`` of curve ``k`` of a batch of smooth paths alone."""
+    ids = tuple(f"x{j}" for j in range(paths.weights.shape[1]))
+    base = FiniteMeasureSpace(ids, tuple(paths.weights[k].tolist()))
+    return LpSpace(MappingFamily(base, paths.target, paths.anchors[0, k]),
+                   paths.p)
+
+
+def _loop_materialize(paths, k, n):
     times = np.linspace(0.0, 1.0, n)
-    ys, zs = (np.array(ends) for ends in zip(*path.anchors))
-    nodes = path.family.target.geodesic_points(ys, zs, path.warp(times))
-    return SampledCurve(LpSpace(path.family, path.p),
+    nodes = paths.target.geodesic_points(
+        paths.anchors[0, k], paths.anchors[1, k],
+        _one_curve(paths, k).warp(times)[:, 0])
+    return SampledCurve(_curve_space(paths, k),
                         tuple(float(t) for t in times), nodes)
 
 
@@ -291,17 +319,14 @@ def _loop_variation(c, sub):
 def _loop_variation_residual(d, sub):
     w = d.source.space.family.base_space.weights_array
     return _loop_variation(d.source, sub) - float(np.dot(
-        w, [_loop_variation(curve, sub) for curve in d.per_atom_curves]))
+        w, [_loop_variation(curve, sub) for curve in _atom_curves(d.source)]))
 
 
-def _zero_weight_atom(path, atom):
-    """The same path with one atom's weight set to zero."""
-    base = path.family.base_space
-    weights = list(base.weights)
-    weights[atom] = 0.0
-    family = MappingFamily(FiniteMeasureSpace(base.atom_ids, tuple(weights)),
-                           path.family.target, path.family.base_values)
-    return dataclasses.replace(path, family=family)
+def _zero_weight_atom(paths, curve, atom):
+    """The same paths with one atom of one curve weighted zero."""
+    weights = paths.weights.copy()
+    weights[curve, atom] = 0.0
+    return dataclasses.replace(paths, weights=weights)
 
 
 def _same_bits(a, b) -> bool:
@@ -316,17 +341,18 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
     residuals, metric derivatives, bundle norms and consistency gaps bit for
     bit as the curve-by-curve loop does, zero-weight atoms included; and a
     sweep of one path is its path's column of the sweep."""
-    paths = sample_smooth_paths(target, trial_rngs(3, "test/sweep", range(4)))
-    paths[1] = _zero_weight_atom(paths[1], 2)
-    spaces = [LpSpace(path.family, 2.0) for path in paths]
+    paths = _zero_weight_atom(sample_smooth_paths(
+        target, trial_rngs(3, "test/sweep", range(4))), 1, 2)
     for n in (9, 33):
-        times, values = sweep_smooth_paths(paths, n)
-        residuals = derivative_identity_residuals(spaces, values, times)
-        md, bundle, gaps = batch_speeds(spaces, values, times)
-        for k, path in enumerate(paths):
-            curve = _loop_materialize(path, n)
+        times, values = paths.sweep(n)
+        residuals = derivative_identity_residuals(target, paths.weights, 2.0,
+                                                  values, times)
+        md, bundle, gaps = batch_speeds(target, paths.weights, 2.0, values,
+                                        times)
+        for k in range(4):
+            curve = _loop_materialize(paths, k, n)
             assert _same_bits(values[:, k], curve.values)
-            assert _same_bits(sweep_smooth_paths([path], n)[1][:, 0],
+            assert _same_bits(_one_curve(paths, k).sweep(n)[1][:, 0],
                               curve.values)
             expected = _loop_derivative_residual(curve, 2.0)
             assert _same_bits(residuals[k], expected)
@@ -350,12 +376,13 @@ def test_one_table_residuals_equal_the_per_curve_route_bit_for_bit(target):
     one ``LpSpace.distances`` call per curve, bit for bit."""
     stream = f"transport/{target.kind}"
     paths = sample_smooth_paths(target, trial_rngs(7, stream, range(20)))
-    spaces = [LpSpace(path.family, 2.0) for path in paths]
     for n in (65, 129, 257):
-        times, values = sweep_smooth_paths(paths, n)
-        residuals = derivative_identity_residuals(spaces, values, times)
-        for k, space in enumerate(spaces):
-            curve = SampledCurve(space, tuple(times), values[:, k])
+        times, values = paths.sweep(n)
+        residuals = derivative_identity_residuals(target, paths.weights, 2.0,
+                                                  values, times)
+        for k in range(20):
+            curve = SampledCurve(_curve_space(paths, k), tuple(times),
+                                 values[:, k])
             assert _same_bits(residuals[k],
                               _loop_derivative_residual(curve, 2.0))
 
@@ -371,10 +398,12 @@ def test_stacked_tree_curves_equal_the_curve_loop_bit_for_bit():
     times = np.linspace(0.0, 1.0, 17)
     values = tree.geodesic_points(ys, zs, np.broadcast_to(
         times[:, None, None], (17, 3, 3)))
-    spaces = [LpSpace(family, 1.5) for family in families]
-    residuals = derivative_identity_residuals(spaces, values, times)
-    for k, space in enumerate(spaces):
-        curve = SampledCurve(space, tuple(times), values[:, k])
+    weights = np.stack([family.base_space.weights_array
+                        for family in families])
+    residuals = derivative_identity_residuals(tree, weights, 1.5, values,
+                                              times)
+    for k, family in enumerate(families):
+        curve = SampledCurve(LpSpace(family, 1.5), tuple(times), values[:, k])
         assert _same_bits(residuals[k],
                           _loop_derivative_residual(curve, 1.5))
 
@@ -406,7 +435,7 @@ def test_jump_table_sums_equal_the_subinterval_loop_bit_for_bit(target):
             assert _same_bits(residuals[k], expected)
             assert _same_bits(variation_identity_residual(d, sub), expected)
             assert _same_bits(direct[k], _loop_variation(curve, sub))
-            assert _same_bits(variation(curve, sub), direct[k])
+            assert _same_bits(variations(curve, [sub])[0], direct[k])
             if sub is not None:
                 assert vm.of_open_interval(*sub) == direct[k]
         # The open-interval rule: only the jump at bp[2] lies in (bp[1], bp[3]).
@@ -440,13 +469,13 @@ def test_counterexample_curve_structure():
     """Each atom of the staircase jumps exactly once, by exactly one."""
     c = counterexample_curve(4)
     assert len(c.values) == 5
-    bv = decompose_bv(c)
-    assert len(bv.per_atom_curves) == 4
-    for j, pc in enumerate(bv.per_atom_curves):
+    atom_curves = _atom_curves(c)
+    assert len(atom_curves) == 4
+    for j, pc in enumerate(atom_curves):
         sizes = [float(np.abs(b - a)[0])
                  for a, b in zip(pc.values, pc.values[1:])]
         assert sorted(sizes) == [0.0, 0.0, 0.0, 1.0]
-        assert variation(pc) == 1.0
+        assert variations(pc, [None])[0] == 1.0
 
 
 def test_counterexample_p1_report_is_exact_at_powers_of_two():
@@ -472,3 +501,50 @@ def test_counterexample_p1_validates_n():
     """The staircase needs at least two steps."""
     with pytest.raises(ValidationError):
         counterexample_p1(1)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_counterexample_atoms_equal_the_per_atom_loop_bit_for_bit(n):
+    """The moduli, read off the source curve's values, and the total
+    variation, read off one ``(jump, atom)`` table, equal a loop over one
+    step curve per atom bit for bit."""
+    rep = counterexample_p1(n, refinements=(1, 2, 4))
+    c = counterexample_curve(n)
+    atom_curves = _atom_curves(c)
+    for r, modulus in rep.atom_moduli:
+        fine = np.arange(r * n + 1) / (r * n)
+        assert _same_bits(modulus, max(
+            float(np.abs(np.diff(pc.value_at(fine), axis=0)).max())
+            for pc in atom_curves))
+    w = c.space.family.base_space.weights_array
+    assert _same_bits(rep.total_variation, float(np.dot(
+        w, [variations(pc, [None])[0] for pc in atom_curves])))
+
+
+# ---------------------------------------------------------------------------
+# Exponents and weights outside the speed identities
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0], ids=["inf", "one"])
+@pytest.mark.parametrize("battery", [run_speed, run_transport],
+                         ids=["speed", "transport"])
+def test_ac_batteries_refuse_exponents_outside_one_to_inf(battery, p):
+    """The speed identities hold for ``1 < p < inf``: a library call of
+    either smooth-path battery outside that range is refused, as the CLI
+    refuses it, and neither crashes nor certifies."""
+    with pytest.raises(ValidationError, match="1 < p < inf"):
+        battery(seed=7, curves=2, grids=(65, 129), p=p)
+
+
+def test_speed_table_refuses_weights_off_the_curve_atom_axes():
+    """Weights must have the values' ``(curve, atom)`` shape."""
+    paths = sample_smooth_paths(Sphere(3), trial_rngs(3, "test/weights",
+                                                      range(3)))
+    times, values = paths.sweep(9)
+    for weights in (paths.weights[:2], paths.weights[:, :3], paths.weights[0],
+                    paths.weights[None]):
+        for identity in (speed_table, derivative_identity_residuals,
+                         batch_speeds):
+            with pytest.raises(ValidationError, match="weights"):
+                identity(paths.target, weights, 2.0, values, times)
