@@ -77,8 +77,13 @@ ALLOWED: dict[str, str] = {
     "mappings.py:uniform_grid": API,
     "mappings.py:ProductGridMapping.value": API,
     "mappings.py:constant_in_time": API,
+    "mappings.py:_require_same_product": HELPER,
+    "mappings.py:product_lp_norm": BENCHMARK,
     "sections.py:sec_time_inverse": BIJECTION,
     "sections.py:sec_atom_inverse": BIJECTION,
+    "sections.py:_require_shared": HELPER,
+    "sections.py:d_pp": BENCHMARK,
+    "sections.py:D_pp": BENCHMARK,
     "speed.py:SpeedField.curve": API,
     "speed.py:SpeedField.times": API,
     "speed.py:compute_speed": BENCHMARK,

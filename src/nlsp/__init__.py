@@ -116,6 +116,7 @@ from .transport import (
     BVTransportDecomposition,
     CounterexampleReport,
     TransportDecomposition,
+    batch_variation_residuals,
     counterexample_curve,
     counterexample_family,
     counterexample_p1,
@@ -124,7 +125,6 @@ from .transport import (
     derivative_identity_residual,
     derivative_identity_residuals,
     variation_identity_residual,
-    variation_identity_residuals,
 )
 
 __version__ = "0.1.0"

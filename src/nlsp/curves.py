@@ -239,11 +239,10 @@ class StepCurve:
         """The value at time ``t``; a batch of values for an array of times."""
         return self.values[self.piece_index(t)]
 
-    def jumps(self) -> list[tuple[float, float]]:
-        """Interior breakpoints with the distance jumped there, ascending."""
-        jumps = self.space.distances(self.values[:-1], self.values[1:])
-        return [(at, float(jump))
-                for at, jump in zip(self.breakpoints[1:-1], jumps)]
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        """The distance jumped at each interior breakpoint, ascending."""
+        return self.space.distances(self.values[:-1], self.values[1:])
 
 
 def variations(c, subintervals) -> np.ndarray:
@@ -258,11 +257,8 @@ def variations(c, subintervals) -> np.ndarray:
     variation is a masked sum over it, added in ascending time order.
     """
     inside = _variation_masks(c, subintervals)
-    if isinstance(c, StepCurve):
-        table = c.space.distances(c.values[:-1], c.values[1:])
-    else:
-        table = c.segment_lengths()
-    return _ascending_sums(table, inside)
+    return _ascending_sums(c.jumps if isinstance(c, StepCurve)
+                           else c.segment_lengths(), inside)
 
 
 def _variation_masks(c, subintervals) -> np.ndarray:
@@ -288,16 +284,19 @@ def _variation_masks(c, subintervals) -> np.ndarray:
 
 
 def _ascending_sums(table: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """``sum_i table[i]`` over the ``i`` with ``inside[k, i]``, for every
-    row ``k``: shape ``(k, *table.shape[1:])``.
+    """``sum_i table[..., i, ...]`` over the ``i`` with ``inside[..., k,
+    i]``, for every row ``k``.  ``table`` has shape ``(*batch, i, *rest)``
+    and ``inside`` ``(*batch, k, i)``; the result ``(*batch, k, *rest)``.
 
     The terms are added one at a time in ascending ``i``, as Python's
     ``sum`` adds a list, and a term left out adds an exact zero.
     """
-    mask = inside.reshape(inside.shape + (1,) * (table.ndim - 1))
-    terms = np.where(mask, table, 0.0)
-    start = np.zeros_like(terms[:, :1])
-    return np.cumsum(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+    axis = inside.ndim - 1
+    mask = inside.reshape(inside.shape + (1,) * (table.ndim - axis))
+    terms = np.where(mask, np.expand_dims(table, axis - 1), 0.0)
+    start = np.zeros(terms.shape[:axis] + (1,) + terms.shape[axis + 1:])
+    sums = np.cumsum(np.concatenate([start, terms], axis=axis), axis=axis)
+    return np.take(sums, -1, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -341,12 +340,8 @@ def variation_measure(c: StepCurve) -> VariationMeasure:
     if not isinstance(c, StepCurve):
         raise ValidationError(
             f"variation_measure expects a StepCurve, got {type(c).__name__}")
-    jumps = c.jumps()
-    return VariationMeasure(
-        interval=c.interval,
-        jump_times=tuple(at for at, _ in jumps),
-        jump_masses=tuple(j for _, j in jumps),
-    )
+    return VariationMeasure(c.interval, c.breakpoints[1:-1],
+                            tuple(c.jumps.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -223,16 +223,26 @@ def _weighted_norm(dists: np.ndarray, weights: np.ndarray,
     """Weighted p-norm over the last axis of pointwise distances.
 
     For ``p = inf`` the maximum over positive weights (zero if none).
+    ``weights`` broadcasts against ``dists``.
     """
     if math.isinf(p):
         pos = weights > 0.0
-        if not pos.any():
-            return np.zeros(dists.shape[:-1])
-        return dists[..., pos].max(axis=-1)
+        top = np.where(pos, dists, -math.inf).max(axis=-1)
+        return np.where(pos.any(axis=-1), top, 0.0)
     # keepdims: the root is taken by the array power loop for every batch
     # shape, so one pair and a batch of pairs round alike.
     total = np.add.reduce(dists ** p * weights, axis=-1, keepdims=True)
     return (total ** (1.0 / p))[..., 0]
+
+
+def iterated_norms(dists: np.ndarray, weights, p: float) -> np.ndarray:
+    """Iterated weighted ``p``-norms of a batch ``(..., n_1, ..., n_k)`` of
+    distance tables, the last axis first; ``weights[i]`` has shape ``(...,
+    n_{i+1})``.  The product norms are its one-pair forms."""
+    for outer, w in reversed(list(enumerate(weights))):
+        dists = _weighted_norm(
+            dists, w.reshape(w.shape[:-1] + (1,) * outer + w.shape[-1:]), p)
+    return dists
 
 
 def d_p(f: MetricMapping, g: MetricMapping, p) -> float:
@@ -428,4 +438,4 @@ def product_lp_norm(c1: ProductGridMapping, c2: ProductGridMapping, p) -> float:
     _require_same_product(c1, c2)
     dists = c1.family.target.distances(c1.values, c2.values)
     weights = np.outer(c1.grid.node_weights, c1.family.base_space.weights_array)
-    return float(_weighted_norm(dists.ravel(), weights.ravel(), p))
+    return float(iterated_norms(dists.ravel(), [weights.ravel()], p))

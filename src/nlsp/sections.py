@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 from .mappings import (
-    LpSpace,
     MappingFamily,
     ProductGridMapping,
     TimeGrid,
     _check_grid_and_family,
-    _weighted_norm,
     check_p,
+    iterated_norms,
 )
 
 
@@ -118,8 +117,9 @@ def d_pp(c1: CurveOfMappings, c2: CurveOfMappings, p) -> float:
         raise ValidationError("d_pp expects two CurveOfMappings")
     _require_shared(c1, c2, "curves of mappings")
     p = check_p(p)
-    node_dists = LpSpace(c1.family, p).distances(c1.values, c2.values)
-    return float(_weighted_norm(node_dists, c1.grid.node_weights, p))
+    dists = c1.family.target.distances(c1.values, c2.values)
+    return float(iterated_norms(dists, [c1.grid.node_weights,
+                                        c1.family.base_space.weights_array], p))
 
 
 def D_pp(m1: MappingOfCurves, m2: MappingOfCurves, p) -> float:
@@ -133,5 +133,5 @@ def D_pp(m1: MappingOfCurves, m2: MappingOfCurves, p) -> float:
     _require_shared(m1, m2, "mappings of curves")
     p = check_p(p)
     dists = m1.family.target.distances(m1.atom_values, m2.atom_values)
-    atom_norms = _weighted_norm(dists, m1.grid.node_weights, p)
-    return float(_weighted_norm(atom_norms, m1.family.base_space.weights_array, p))
+    return float(iterated_norms(dists, [m1.family.base_space.weights_array,
+                                        m1.grid.node_weights], p))

@@ -54,18 +54,18 @@ from .mappings import (
     ProductGridMapping,
     TimeGrid,
     check_p,
-    product_lp_norm,
+    iterated_norms,
 )
 from .rng import trial_rngs, uniforms
-from .sections import D_pp, d_pp, sec_atom, sec_time, transpose, transpose_inverse
+from .sections import sec_atom, sec_time, transpose, transpose_inverse
 from .speed import batch_speeds
 from .targets import (FLAT, GLOBAL_NNC, GLOBAL_NPC, Euclidean, MetricTree,
                       Spd, Sphere, TargetSpace)
 from .transport import (
+    batch_variation_residuals,
     counterexample_p1,
     decompose_bv,
     derivative_identity_residuals,
-    variation_identity_residuals,
 )
 
 #: Residual maxima below this floor are treated as exactly converged when
@@ -178,40 +178,24 @@ def default_tree() -> MetricTree:
     return MetricTree(DEFAULT_TREE_EDGES)
 
 
-def random_base_space(rng: np.random.Generator, n_atoms: int,
-                      zero_atom: bool = False) -> FiniteMeasureSpace:
-    """Random positive weights, optionally with one zero-weight atom."""
-    weights = rng.uniform(0.25, 1.0, n_atoms)
-    if zero_atom and n_atoms > 1:
-        weights[int(rng.integers(n_atoms))] = 0.0
-    return FiniteMeasureSpace(
-        tuple(f"x{j}" for j in range(n_atoms)),
-        tuple(float(w) for w in weights))
-
-
 def random_families(target: TargetSpace, rngs, n_atoms: int,
-                    zero_atoms=None) -> list[MappingFamily]:
-    """A random family per stream: each stream reads its weights (with a
-    zero-weight atom where ``zero_atoms`` says so), then one draw forms the
-    base points of every stream."""
-    if zero_atoms is None:
-        zero_atoms = [False] * len(rngs)
-    spaces = [random_base_space(rng, n_atoms, zero)
-              for rng, zero in zip(rngs, zero_atoms)]
+                    zero_atoms=()) -> list[MappingFamily]:
+    """A random family per stream: each stream reads its weights on [0.25,
+    1) and, where ``zero_atoms`` says so, the index of an atom whose weight
+    it zeroes; then one draw forms the base points of every stream."""
+    weights = uniforms(rngs, 0.25, 1.0, n_atoms)
+    for i in np.flatnonzero(zero_atoms) if n_atoms > 1 else ():
+        weights[i, int(rngs[i].integers(n_atoms))] = 0.0
+    ids = tuple(f"x{j}" for j in range(n_atoms))
     bases = target.draw_points(rngs, n_atoms)
-    return [MappingFamily(space, target, base)
-            for space, base in zip(spaces, bases)]
-
-
-def random_family(target: TargetSpace, rng: np.random.Generator,
-                  n_atoms: int, zero_atom: bool = False) -> MappingFamily:
-    return random_families(target, [rng], n_atoms, [zero_atom])[0]
+    return [MappingFamily(FiniteMeasureSpace(ids, tuple(w)), target, base)
+            for w, base in zip(weights.tolist(), bases)]
 
 
 def _draw_by_kind(seed: int, stream: str, trials: int, draws) -> list:
     """Trial ``i`` drawn from its stream ``(seed, stream, i)`` by
-    ``draws[i % len(draws)](rngs, indices)``, which draws all trials of
-    its kind at once; returned in trial order."""
+    ``draws[i % len(draws)](rngs, indices)``, which draws (and may score)
+    all trials of its kind at once; returned in trial order."""
     out = [None] * int(trials)
     for kind, draw in enumerate(draws):
         indices = range(kind, int(trials), len(draws))
@@ -345,22 +329,30 @@ def polyline_mapping_curves(target: TargetSpace, rngs) -> list[SampledCurve]:
                 families, _nonuniform_times(rngs, POLYLINE_NODES), nodes)]
 
 
-def random_step_curve(space, draw_values, rng: np.random.Generator,
-                      pieces: int) -> StepCurve:
-    """Step curve on [0, 1] with random interior breakpoints and values.
-
-    The stream is read for the breakpoints first; then ``draw_values(k)``
-    reads the values of all ``k`` pieces and forms them as one batch.
-    """
-    if pieces < 1:
-        raise ValidationError(f"need at least one piece, got {pieces}")
-    while True:
-        interior = np.sort(rng.uniform(0.08, 0.92, pieces - 1))
-        if pieces == 1 or np.min(np.diff(np.concatenate(
-                [[0.0], interior, [1.0]]))) >= 0.02:
-            break
-    breaks = (0.0, *(float(t) for t in interior), 1.0)
-    return StepCurve(space, breaks, draw_values(pieces))
+def draw_step_pieces(rngs, pieces, draw_values) -> list[tuple]:
+    """Breakpoints and values of a random step curve on [0, 1] with
+    ``pieces[i]`` pieces from stream ``i``.  Each stream reads interior
+    breakpoints on [0.08, 0.92) until every piece is 0.02 long, in rounds
+    over the streams of one piece count, then ``draw_values(rngs, k)``
+    forms their ``(stream, k, ...)`` values."""
+    pieces = [int(k) for k in pieces]
+    if any(k < 1 for k in pieces):
+        raise ValidationError(f"need at least one piece, got {min(pieces)}")
+    out = [None] * len(pieces)
+    for k in sorted(set(pieces)):
+        rows = [i for i, n in enumerate(pieces) if n == k]
+        group = [rngs[i] for i in rows]
+        interior = np.empty((len(group), k - 1))
+        todo = np.arange(len(group))
+        while len(todo):
+            interior[todo] = np.sort(uniforms(
+                [group[i] for i in todo], 0.08, 0.92, k - 1), axis=1)
+            gaps = np.diff(interior[todo], prepend=0.0, append=1.0, axis=1)
+            todo = todo[gaps.min(axis=1) < 0.02]
+        for i, inner, values in zip(rows, interior.tolist(),
+                                    draw_values(group, k)):
+            out[i] = ((0.0, *inner, 1.0), values)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +373,37 @@ def _product_pairs(target: TargetSpace, rule: str, rngs, trials) -> list:
             for grid, family, a, b in zip(grids, families, c1, c2)]
 
 
+def _fubini_scores(target: TargetSpace, pairs, p_values) -> list[tuple]:
+    """Per pair: the largest relative gap over ``p_values`` of each iterated
+    norm to the joint one, and whether the transpose round trip changed a
+    bit.  Each reading of all pairs is one stacked ``distances`` call; the
+    atom-major one keeps the node-major memory that ``D_pp`` sees."""
+    c1, c2 = zip(*pairs)
+    t1, t2 = ([sec_time(c) for c in cs] for cs in (c1, c2))
+    a1, a2 = ([sec_atom(c) for c in cs] for cs in (c1, c2))
+    nodes = np.stack([c.grid.node_weights for c in c1])
+    atoms = np.stack([c.family.base_space.weights_array for c in c1])
+    joint_weights = (nodes[:, :, None] * atoms[:, None, :]).reshape(len(c1), -1)
+    joint = target.distances(*(np.stack([c.values for c in cs])
+                               for cs in (c1, c2))).reshape(len(c1), -1)
+    time = target.distances(*(np.stack([t.values for t in ts])
+                              for ts in (t1, t2)))
+    atom = target.distances(*(np.stack([a.atom_values.swapaxes(0, 1)
+                                        for a in mc]).swapaxes(1, 2)
+                              for mc in (a1, a2)))
+    gaps = []
+    for p in p_values:
+        norm = iterated_norms(joint, [joint_weights], p)
+        gaps.append(np.abs([iterated_norms(time, [nodes, atoms], p) - norm,
+                            iterated_norms(atom, [atoms, nodes], p) - norm])
+                    / np.maximum(norm, 1e-300))
+    # The worst exponent of each trial, NaN first, as ``reading`` takes it.
+    time_gaps, atom_gaps = np.max(gaps, axis=0).tolist()
+    changed = [transpose_inverse(transpose(t)).values.tobytes()
+               != c.values.tobytes() for t, c in zip(t1, c1)]
+    return list(zip(time_gaps, atom_gaps, changed))
+
+
 def run_fubini(seed: int = 7, trials: int = 100,
                p_values: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf),
                tolerances: Mapping | None = None) -> SuiteResult:
@@ -389,30 +412,17 @@ def run_fubini(seed: int = 7, trials: int = 100,
     Random product mappings on a 16-node x 8-atom grid, exponents
     ``{1, 2, 3, inf}`` by default, alternating flat and spherical targets,
     with zero-weight atoms and both grid rules represented.
+
+    Each target kind draws all its trials at once and reads them off one
+    stacked distance table per reading (:func:`_fubini_scores`).
     """
     tol = _tolerances(tolerances)
-    p_values = tuple(float(p) for p in p_values)
-
-    # Even trials map into the sphere, odd ones into the plane; each kind
-    # draws all its trials at once.
-    drawn = _draw_by_kind(seed, "fubini", trials, (
-        lambda rngs, idx: _product_pairs(Sphere(3), "trapezoid", rngs, idx),
-        lambda rngs, idx: _product_pairs(Euclidean(2), "left_cells", rngs,
-                                         idx)))
-
-    def one_trial(i: int):
-        c1, c2 = drawn[i]
-        t1, t2, a1, a2 = sec_time(c1), sec_time(c2), sec_atom(c1), sec_atom(c2)
-        gaps = []
-        for p in p_values:
-            joint = product_lp_norm(c1, c2, p)
-            gaps.append(np.abs([d_pp(t1, t2, p) - joint,
-                                D_pp(a1, a2, p) - joint]) / max(joint, 1e-300))
-        time_gap, atom_gap = (reading(g) for g in zip(*gaps))
-        back = transpose_inverse(transpose(t1))
-        return time_gap, atom_gap, back.values.tobytes() != c1.values.tobytes()
-
-    results = map_trials(one_trial, int(trials))
+    p_values = tuple(check_p(p) for p in p_values)
+    # Even trials map into the sphere, odd ones into the plane.
+    results = _draw_by_kind(seed, "fubini", trials, [
+        lambda rngs, idx, kind=kind: _fubini_scores(
+            kind[0], _product_pairs(*kind, rngs, idx), p_values)
+        for kind in ((Sphere(3), "trapezoid"), (Euclidean(2), "left_cells"))])
     time_gaps, atom_gaps, changed = zip(*results)
     why = "integrating {} outside {} must reproduce the joint product norm"
 
@@ -463,13 +473,13 @@ def run_transport(seed: int = 7, curves: int = 20,
     Both halves run in two steps.  The draw step reads each curve from its
     own stream ``(seed, "transport/<kind>", curve)`` or ``(seed,
     "transport/bv", curve)``; the smooth paths of one target are formed
-    all at once, as one :class:`SmoothLpPaths` batch, and each step curve
-    forms its values as one batch.  The compute step sweeps all smooth
-    paths of one target on one grid as a single ``(node, curve, atom,
-    *point_shape)`` batch, whose per-atom speeds take one target call;
-    each step curve builds its jump table once, and the whole interval and
-    the drawn subintervals are masked sums over it.  A failed residual
-    check names the stream key of its worst curve.
+    all at once, as one :class:`SmoothLpPaths` batch, and the step curves
+    of one target and atom count in rounds.  The compute step sweeps all
+    smooth paths of one target on one grid as a single ``(node, curve,
+    atom, *point_shape)`` batch, whose per-atom speeds take one target
+    call; those step curves share one jump table, and each variation is a
+    masked sum over it.  A failed residual check names the stream key of
+    its worst curve.
     """
     tol = _tolerances(tolerances)
     grids = tuple(int(n) for n in grids)
@@ -507,32 +517,31 @@ def run_transport(seed: int = 7, curves: int = 20,
 
     bv_targets = (Euclidean(2), default_tree())
 
-    def draw_bv(rng: np.random.Generator, i: int):
-        target = bv_targets[i % 2]
-        n_atoms = 3 + i % 3
-        family = random_family(target, rng, n_atoms, zero_atom=(i % 5 == 0))
-        curve = random_step_curve(
-            LpSpace(family, 1.0), lambda k: target.random_points(
-                rng, k * n_atoms).reshape(k, n_atoms, *target.point_shape),
-            rng, pieces=3 + i % 4)
-        subintervals = [tuple(ends) for ends in
-                        np.sort(rng.uniform(0.0, 1.0, (10, 2)), axis=1)]
-        return curve, subintervals
-
-    def one_bv(curve: StepCurve, subintervals: list):
+    def draw_bv(rngs, idx):
+        # Curve i maps into bv_targets[i % 2] with 3 + i % 3 atoms, so one
+        # kind (i % 6) shares a target and an atom count, and a jump table.
+        target, n_atoms = bv_targets[idx[0] % 2], 3 + idx[0] % 3
+        families = random_families(target, rngs, n_atoms,
+                                   [i % 5 == 0 for i in idx])
+        curves = [StepCurve(LpSpace(family, 1.0), *drawn)
+                  for family, drawn in zip(families, draw_step_pieces(
+                      rngs, [3 + i % 4 for i in idx],
+                      lambda rngs, k: target.draw_points(rngs, k * n_atoms)
+                      .reshape(len(rngs), k, n_atoms, *target.point_shape)))]
+        subs = np.sort(uniforms(rngs, 0.0, 1.0, (10, 2)), axis=2)
         # The whole interval first, then the drawn subintervals.
-        residuals = variation_identity_residuals(
-            decompose_bv(curve), [None, *subintervals])
-        vm = variation_measure(curve)
-        direct = variations(curve, subintervals)
-        measure_gap = reading([0.0] + [
-            abs(vm.of_open_interval(s, t) - v)
-            for (s, t), v in zip(subintervals, direct)])
-        return float(np.max(np.abs(residuals))), measure_gap
+        residuals = batch_variation_residuals(
+            [decompose_bv(c) for c in curves], np.concatenate(
+                [np.broadcast_to([[0.0, 1.0]], (len(curves), 1, 2)), subs], 1))
+        gaps = []
+        for curve, sub in zip(curves, subs):
+            vm = variation_measure(curve)
+            gaps.append(reading([0.0] + [
+                abs(vm.of_open_interval(s, t) - v)
+                for (s, t), v in zip(sub, variations(curve, sub))]))
+        return list(zip(np.max(np.abs(residuals), axis=1).tolist(), gaps))
 
-    drawn = [draw_bv(rng, i) for i, rng in enumerate(
-        trial_rngs(seed, "transport/bv", range(int(bv_curves))))]
-    bv_results = [one_bv(curve, subs) for curve, subs in drawn]
+    bv_results = _draw_by_kind(seed, "transport/bv", bv_curves, [draw_bv] * 6)
     bv_worst, measure_gaps = zip(*bv_results)
     checks += [
         Check("variation_identity_residual", bv_worst,
@@ -978,7 +987,8 @@ def run_skorokhod(seed: int = 7, pairs: int = 200,
                   tolerances: Mapping | None = None) -> SuiteResult:
     """Worked examples hit known values; bounds sandwich and refine monotonically.
 
-    The battery runs two warp programs: one over the drawn pairs at
+    The pairs are drawn in rounds (:func:`draw_step_pieces`).  The battery
+    runs two warp programs: one over the drawn pairs at
     :data:`SKOROKHOD_WARP_GRID`, and one at twice that grid over the drawn
     pairs and the three worked examples together.  A pair's bounds do not
     depend on the batch it shares (:func:`~nlsp.curves.skorokhod_distances`),
@@ -998,11 +1008,13 @@ def run_skorokhod(seed: int = 7, pairs: int = 200,
     g_sixth = StepCurve(target, (0.0, 0.6, 1.0), (pt(0.0), pt(1.0)))
     worked = [(c_self, c_self), (c_self, g_redundant), (c_half, g_sixth)]
 
-    drawn = [tuple(random_step_curve(
-        target, lambda k: rng.uniform(0.0, 2.0, (k, 1)), rng,
-        pieces=2 + (i + shift) % 3) for shift in (0, 1))
-        for i, rng in enumerate(
-            trial_rngs(seed, "skorokhod/pairs", range(int(pairs))))]
+    # Stream i reads a curve of 2 + i % 3 pieces, then one of 2 + (i + 1)
+    # % 3, with values uniform on [0, 2).
+    rngs = trial_rngs(seed, "skorokhod/pairs", range(int(pairs)))
+    drawn = list(zip(*([StepCurve(target, *d) for d in draw_step_pieces(
+        rngs, [2 + (i + shift) % 3 for i in range(len(rngs))],
+        lambda rngs, k: uniforms(rngs, 0.0, 2.0, (k, 1)))]
+        for shift in (0, 1))))
     coarse = skorokhod_distances(drawn, warp_grid=SKOROKHOD_WARP_GRID)
     fine = skorokhod_distances(drawn + worked,
                                warp_grid=2 * SKOROKHOD_WARP_GRID)

@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from .rng import normals, uniforms
+from .rng import _is_integer, normals, uniforms
 
 FLAT = "flat"
 GLOBAL_NPC = "global_npc"
@@ -70,8 +70,11 @@ SPHERE_UNIT_TOL = 1e-12
 SPHERE_TANGENT_TOL = 1e-10
 #: SPD points must be symmetric to this tolerance...
 SPD_SYMMETRY_TOL = 1e-12
-#: ... with every eigenvalue above this floor.
+#: ... with every eigenvalue above this floor...
 SPD_MIN_EIG = 1e-10
+#: ... and above this fraction of the largest, so each has a Cholesky
+#: factor (random points lost a pivot at computed ratios <= 1.4e-16 only).
+SPD_MIN_RATIO = 1e-14
 #: Sphere endpoints whose angle is within this margin of pi are antipodal.
 ANTIPODAL_MARGIN = 1e-9
 #: Random sphere pairs are drawn at angles in this range, keeping a wide
@@ -81,11 +84,6 @@ SPHERE_SAFE_RADIUS = (0.3, 2.5)
 #: three batches of points; for SPD(3) that is 0.44 MB, and larger parts
 #: raised the peak resident memory of the ``wide_spd`` benchmark.
 _COMPARISON_PART = 2048
-
-
-def _is_integer(value) -> bool:
-    """An ``int`` or numpy integer; a ``bool`` is not a size."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_fractions(t) -> np.ndarray:
@@ -982,11 +980,15 @@ class Spd(TargetSpace):
                 f"max asymmetry {asym!r}")
         if asym > 0.0:
             arr = _sym(arr)
-        min_eig = float(_eigvalsh(arr).min(initial=np.inf))
-        if min_eig <= SPD_MIN_EIG:
+        eigs = _eigvalsh(arr)
+        low = eigs.min(axis=-1)
+        min_eig = float(low.min(initial=np.inf))
+        ratio = float((low / eigs.max(axis=-1)).min(initial=np.inf))
+        if min_eig <= SPD_MIN_EIG or ratio <= SPD_MIN_RATIO:
             raise ValidationError(
-                f"spd point must have eigenvalues above {SPD_MIN_EIG}, got "
-                f"minimum {min_eig!r}")
+                f"spd point must have eigenvalues above {SPD_MIN_EIG} and "
+                f"above {SPD_MIN_RATIO} times its largest, got minimum "
+                f"{min_eig!r} and ratio {ratio!r}")
         return arr
 
     def distances(self, ys, zs) -> np.ndarray:

@@ -608,6 +608,34 @@ def test_spd_eigenvalue_floor_inside_a_batch(factor, accepted):
             spd.as_points(batch)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_spd_point_that_enters_has_a_cholesky_factor(n):
+    """Past a condition number of about 1e16 a Cholesky factor loses its
+    last pivot.  The relative floor refuses such points where they enter:
+    of random points with condition numbers 1e10 to 1e18, each that
+    ``as_points`` accepts factors, and the ill-conditioned ones that the
+    absolute floor alone lets in are refused."""
+    spd = Spd(n)
+    rng = trial_rng(0, f"test/batched/spd-ratio/{n}", 0)
+    accepted = refused_by_ratio = 0
+    for _ in range(400):
+        log_cond = rng.uniform(10.0, 18.0)
+        top = 10.0 ** rng.uniform(-3.0, 9.0)
+        lam = top * 10.0 ** (-log_cond * np.r_[0.0, 1.0,
+                                                rng.uniform(0.0, 1.0, n - 2)])
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = (q * lam) @ q.T
+        a = 0.5 * (a + a.T)
+        try:
+            spd.as_points(a)
+        except ValidationError:
+            refused_by_ratio += lam.min() > 10.0 * SPD_MIN_EIG
+            continue
+        accepted += 1
+        spd.distances(a, np.eye(n))  # factors a, or raises
+    assert accepted > 80 and refused_by_ratio > 30
+
+
 def _embedded(m: np.ndarray, d: float) -> np.ndarray:
     """The 3x3 block-diagonal matrix ``diag(m, d)``."""
     out = np.zeros((3, 3))

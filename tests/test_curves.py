@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsp import curves
-from nlsp.rng import trial_rngs
-from nlsp.suites import random_step_curve
+from nlsp.rng import trial_rngs, uniforms
+from nlsp.suites import draw_step_pieces
 from nlsp import (
     Euclidean,
     SampledCurve,
@@ -408,10 +408,10 @@ def test_skorokhod_upper_bounds_the_cost_of_its_warp():
     the merged knots: the program charges a segment every cell of the
     rectangle between its end knots, and pair 61's warp through the first
     inner breakpoints of both curves costs 0.025 less."""
-    drawn = [tuple(random_step_curve(
-        E1, lambda k: rng.uniform(0.0, 2.0, (k, 1)), rng,
-        pieces=2 + (i + shift) % 3) for shift in (0, 1))
-        for i, rng in enumerate(trial_rngs(7, "skorokhod/pairs", range(200)))]
+    rngs = trial_rngs(7, "skorokhod/pairs", range(200))
+    drawn = list(zip(*([StepCurve(E1, *d) for d in draw_step_pieces(
+        rngs, [2 + (i + shift) % 3 for i in range(200)],
+        lambda r, k: uniforms(r, 0.0, 2.0, (k, 1)))] for shift in (0, 1))))
     bounds = skorokhod_distances(drawn, warp_grid=8)
     for (c, g), b in zip(drawn, bounds):
         assert _warp_cost(c, g, b.input_knots, b.output_knots) \

@@ -39,6 +39,9 @@ from nlsp import (
     trial_rng,
     uniform_grid,
 )
+from nlsp import suites
+from nlsp.checks import reading
+from nlsp.rng import trial_rngs
 
 
 def random_product_mapping(target, rng, n_nodes=7, n_atoms=4, rule="trapezoid"):
@@ -234,3 +237,53 @@ def test_metric_tree_product_data_reads_both_ways():
         assert product_lp_norm(pm, other, p) == pytest.approx(want, rel=1e-14)
         assert d_pp(cm, sec_time(other), p) == pytest.approx(want, rel=1e-14)
         assert D_pp(mc, sec_atom(other), p) == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The fubini battery's stacked tables
+# ---------------------------------------------------------------------------
+
+
+def _one_pair_gaps(c1, c2, p_values):
+    """The fubini scores of one pair, through the one-pair norms."""
+    t1, t2, a1, a2 = sec_time(c1), sec_time(c2), sec_atom(c1), sec_atom(c2)
+    gaps = []
+    for p in p_values:
+        joint = product_lp_norm(c1, c2, p)
+        gaps.append(np.abs([d_pp(t1, t2, p) - joint, D_pp(a1, a2, p) - joint])
+                    / max(joint, 1e-300))
+    time_gap, atom_gap = (reading(g) for g in zip(*gaps))
+    back = transpose_inverse(transpose(t1))
+    return time_gap, atom_gap, back.values.tobytes() != c1.values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("kind", [0, 1], ids=["sphere", "euclidean"])
+def test_stacked_fubini_tables_equal_the_one_pair_norms_bit_for_bit(seed, kind):
+    """Every trial and exponent read off the three stacked tables of a kind
+    gives the bits of ``d_pp``, ``D_pp`` and ``product_lp_norm`` on that
+    pair alone, zero-weight atoms and both grid rules included."""
+    target, rule = ((Sphere(3), "trapezoid"), (Euclidean(2), "left_cells"))[kind]
+    p_values = (1.0, 2.0, 3.0, math.inf)
+    idx = range(kind, 100, 2)
+    pairs = suites._product_pairs(target, rule,
+                                  trial_rngs(seed, "fubini", idx), idx)
+    scores = suites._fubini_scores(target, pairs, p_values)
+    for (c1, c2), got in zip(pairs, scores):
+        want = _one_pair_gaps(c1, c2, p_values)
+        assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+        assert got[2] is want[2] is False
+
+
+def test_fubini_makes_three_distance_calls_per_target_kind(monkeypatch):
+    """One joint, one time-major and one atom-major table per kind, for all
+    trials and exponents."""
+    calls = {}
+    for space in (Sphere, Euclidean):
+        def counted(self, ys, zs, real=space.distances):
+            calls[self.kind] = calls.get(self.kind, 0) + 1
+            return real(self, ys, zs)
+
+        monkeypatch.setattr(space, "distances", counted)
+    assert suites.run_fubini(seed=7).passed
+    assert calls == {"sphere": 3, "euclidean": 3}

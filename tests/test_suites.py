@@ -32,11 +32,10 @@ from nlsp import (
     trial_rng,
 )
 from nlsp import curves, geometry, mappings, suites, transport
-from nlsp.rng import trial_rngs
+from nlsp.rng import trial_rngs, uniforms
 from nlsp.suites import (
     BATTERIES,
     order_jsonable,
-    random_base_space,
     run_all,
 )
 
@@ -69,11 +68,55 @@ def test_order_jsonable_forms():
 
 
 def test_random_base_space_zero_atom_option():
-    rng = trial_rng(0, "suite/base-space", 0)
-    space = random_base_space(rng, 5, zero_atom=True)
-    w = space.weights_array
-    assert np.sum(w == 0.0) == 1
-    assert np.all(w[w > 0.0] >= 0.25)
+    """A family drawn with a zero atom has exactly one; each stream reads
+    its weights and that atom's index as it does alone."""
+    rngs, alone = (trial_rngs(0, "suite/base-space", range(4)) for _ in "ab")
+    families = suites.random_families(Sphere(3), rngs, 5,
+                                      [True, False, True, False])
+    for k, (family, rng) in enumerate(zip(families, alone)):
+        w = family.base_space.weights_array
+        assert np.sum(w == 0.0) == (1 if k % 2 == 0 else 0)
+        assert np.all(w[w > 0.0] >= 0.25)
+        want = rng.uniform(0.25, 1.0, 5)
+        if k % 2 == 0:
+            want[int(rng.integers(5))] = 0.0
+        assert w.tobytes() == want.tobytes()
+        assert family.base_values.tobytes() \
+            == Sphere(3).random_points(rng, 5).tobytes()
+
+
+def _one_stream_step_curve(rng, pieces: int, draw_values):
+    """A step curve's breakpoints and values read from one stream alone:
+    interior breakpoints redrawn until every piece is 0.02 long, then the
+    values; and how many draws the breakpoints took."""
+    draws = 0
+    while True:
+        draws += 1
+        interior = np.sort(rng.uniform(0.08, 0.92, pieces - 1))
+        if np.min(np.diff(np.concatenate([[0.0], interior, [1.0]]))) >= 0.02:
+            break
+    return (0.0, *interior.tolist(), 1.0), draw_values(rng, pieces), draws
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_step_curves_drawn_in_rounds_equal_a_one_stream_loop(seed):
+    """Every stream of a round-by-round draw reads what it reads alone:
+    the same breakpoints after the same redraws, the same values, and the
+    same stream position after; pieces from 1 to 6 mixed in one batch."""
+    pieces = [1 + i % 6 for i in range(60)]
+    batch, alone = (trial_rngs(seed, "test/step-rounds", range(60))
+                    for _ in range(2))
+    drawn = suites.draw_step_pieces(batch, pieces, lambda rngs, k: uniforms(
+        rngs, 0.0, 2.0, (k, 1)))
+    redraws = 0
+    for rng, k, (breaks, values), one in zip(alone, pieces, drawn, batch):
+        want_breaks, want_values, draws = _one_stream_step_curve(
+            rng, k, lambda r, n: r.uniform(0.0, 2.0, (n, 1)))
+        redraws += draws - 1
+        assert np.array(breaks).tobytes() == np.array(want_breaks).tobytes()
+        assert values.tobytes() == want_values.tobytes()
+        assert one.random() == rng.random()
+    assert redraws > 0
 
 
 @pytest.mark.parametrize("target", [Sphere(3), Spd(2)], ids=["sphere", "spd"])

@@ -463,19 +463,21 @@ class _ScriptedStream:
         self.rng, self.script = rng, script
         self.normal_reads, self.variates = [], 0
 
-    def standard_normal(self, size):
-        out = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        values = self.rng.standard_normal(size if out is None else out.shape)
         k = len(self.normal_reads)
         if k in self.script:
-            out = self.script[k](out, self.normal_reads)
-        self.normal_reads.append(out)
-        self.variates += out.size
+            values = self.script[k](values, self.normal_reads)
+        self.normal_reads.append(values)
+        self.variates += values.size
+        if out is None:
+            return values
+        out[...] = values
         return out
 
-    def uniform(self, low, high, size=None):
-        out = self.rng.uniform(low, high, size)
-        self.variates += np.size(out)
-        return out
+    def random(self, out):
+        self.variates += out.size
+        return self.rng.random(out=out)
 
 
 def _forced_redraw_both_ways(space, name, script, draw):
@@ -986,14 +988,18 @@ def test_spd_kernels_decompose_only_whitened_matrices(monkeypatch, n):
 
 @pytest.mark.filterwarnings("error")
 def test_spd_base_point_cholesky_cannot_factor_is_refused():
-    """A point that clears the eigenvalue floor at condition number 5e16,
-    past what a double Cholesky factor can hold, is refused by its batch
-    index in every kernel that factors it, not turned into NaN."""
+    """A point that clears the absolute eigenvalue floor at condition
+    number 5e16, past what a double Cholesky factor can hold, is refused
+    where it enters, by the relative floor.  Past that door, every kernel
+    that factors it still refuses it by its batch index, not turning it
+    into NaN."""
     spd = Spd(2)
     c, s = math.cos(0.4), math.sin(0.4)
     q = np.array([[c, -s], [s, c]])
     bad = (q * np.array([1e7, 2e-10])) @ q.T
-    ys = spd.as_points([np.eye(2), 0.5 * (bad + bad.T)])
+    ys = np.array([np.eye(2), 0.5 * (bad + bad.T)])
+    with pytest.raises(ValidationError, match="times its largest"):
+        spd.as_points(ys)
     zs = spd.as_points([2.0 * np.eye(2)] * 2)
     for kernel, other in [(spd.distances, zs), (spd.log_maps, zs),
                           (spd.tangent_norms, zs), (spd.exp_maps, zs),

@@ -24,6 +24,7 @@ from nlsp import (
     MetricMapping,
     ProductGridMapping,
     SampledCurve,
+    SpaceMismatchError,
     Spd,
     Sphere,
     StepCurve,
@@ -45,21 +46,20 @@ from nlsp import (
     speed_identity_residual,
     trial_rng,
     variation_identity_residual,
-    variation_identity_residuals,
     variation_measure,
     variations,
 )
 from nlsp.curves import metric_speeds
 from nlsp.mappings import _weighted_norm
-from nlsp.rng import trial_rngs
+from nlsp.rng import trial_rngs, uniforms
 from nlsp.suites import (
     default_tree,
-    random_family,
-    random_step_curve,
+    draw_step_pieces,
+    random_families,
     run_speed,
     run_transport,
 )
-from nlsp.transport import speed_table
+from nlsp.transport import batch_variation_residuals, speed_table
 
 
 def lp_curve(times, mapping_rows, fam, p=2.0):
@@ -313,7 +313,8 @@ def _loop_speed(curve, p):
 
 def _loop_variation(c, sub):
     s, t = c.interval if sub is None else sub
-    return float(sum(jump for at, jump in c.jumps() if s < at < t))
+    return float(sum(jump for at, jump in zip(c.breakpoints[1:-1], c.jumps)
+                     if s < at < t))
 
 
 def _loop_variation_residual(d, sub):
@@ -327,6 +328,13 @@ def _zero_weight_atom(paths, curve, atom):
     weights = paths.weights.copy()
     weights[curve, atom] = 0.0
     return dataclasses.replace(paths, weights=weights)
+
+
+def _one_curve_residuals(d, subs) -> np.ndarray:
+    """The variation residuals of one curve over ``subs`` (``None`` for
+    the whole interval), as a batch of one."""
+    return batch_variation_residuals(
+        [d], [[d.source.interval if sub is None else sub for sub in subs]])[0]
 
 
 def _same_bits(a, b) -> bool:
@@ -392,7 +400,7 @@ def test_stacked_tree_curves_equal_the_curve_loop_bit_for_bit():
     curves, one with a zero-weight atom, matches the loop bit for bit."""
     tree = default_tree()
     rng = trial_rng(3, "test/tree-sweep", 0)
-    families = [random_family(tree, rng, 3, zero_atom=(k == 0))
+    families = [random_families(tree, [rng], 3, [k == 0])[0]
                 for k in range(3)]
     ys, zs = (tree.random_points(rng, 9).reshape(3, 3, 2) for _ in range(2))
     times = np.linspace(0.0, 1.0, 17)
@@ -418,16 +426,17 @@ def test_jump_table_sums_equal_the_subinterval_loop_bit_for_bit(target):
     outside the open interval) and on ones holding no jump at all."""
     for trial in range(4):
         rng = trial_rng(3, f"test/jump-table/{target.kind}", trial)
-        family = random_family(target, rng, 4, zero_atom=(trial % 2 == 0))
-        curve = random_step_curve(
-            LpSpace(family, 1.0), lambda k: target.random_points(
-                rng, 4 * k).reshape(k, 4, *target.point_shape), rng, pieces=5)
+        family, = random_families(target, [rng], 4, [trial % 2 == 0])
+        (breaks, values), = draw_step_pieces(
+            [rng], [5], lambda rngs, k: target.draw_points(rngs, 4 * k).reshape(
+                len(rngs), k, 4, *target.point_shape))
+        curve = StepCurve(LpSpace(family, 1.0), breaks, values)
         bp = curve.breakpoints
         subs = [None, (bp[1], bp[3]), (bp[1], bp[1]), (0.0, bp[1]),
                 (0.5 * (bp[1] + bp[2]), 0.5 * (bp[1] + bp[2]))]
         subs += [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(6)]
         d = decompose_bv(curve)
-        residuals = variation_identity_residuals(d, subs)
+        residuals = _one_curve_residuals(d, subs)
         direct = variations(curve, subs)
         vm = variation_measure(curve)
         for k, sub in enumerate(subs):
@@ -439,7 +448,7 @@ def test_jump_table_sums_equal_the_subinterval_loop_bit_for_bit(target):
             if sub is not None:
                 assert vm.of_open_interval(*sub) == direct[k]
         # The open-interval rule: only the jump at bp[2] lies in (bp[1], bp[3]).
-        assert direct[1] == curve.jumps()[1][1]
+        assert direct[1] == curve.jumps[1]
         assert direct[2] == direct[3] == direct[4] == 0.0
     assert variations(curve, []).shape == (0,)
 
@@ -519,6 +528,82 @@ def test_counterexample_atoms_equal_the_per_atom_loop_bit_for_bit(n):
     w = c.space.family.base_space.weights_array
     assert _same_bits(rep.total_variation, float(np.dot(
         w, [variations(pc, [None])[0] for pc in atom_curves])))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_counterexample_quotients_in_parts_equal_one_call_per_start(
+        monkeypatch, n):
+    """The Lipschitz quotients, taken in bounded parts of pairs, bracket
+    the quotients of one distance call per start time bit for bit; at
+    n = 64 the 2,080 pairs take 9 calls, not 64."""
+    c = counterexample_curve(n)
+    grid = np.arange(n + 1) / n
+    vals = c.value_at(grid)
+    loop = np.concatenate([
+        c.space.distances(vals[i:i + 1], vals[i + 1:]) / (grid[i + 1:] - grid[i])
+        for i in range(n)])
+    calls = []
+    real = LpSpace.distances
+    monkeypatch.setattr(LpSpace, "distances", lambda self, fs, gs: (
+        calls.append(np.shape(fs)[0]) or real(self, fs, gs)))
+    rep = counterexample_p1(n)
+    assert _same_bits(rep.lipschitz_lo, float(loop.min()))
+    assert _same_bits(rep.lipschitz_hi, float(loop.max()))
+    assert sum(calls) == n * (n + 1) // 2
+    assert max(calls) * n * 8 <= 128 * 1024
+    if n == 64:
+        assert len(calls) == 9
+
+
+@pytest.mark.parametrize("target", [Euclidean(2), default_tree()],
+                         ids=["euclidean", "tree"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_batched_variation_residuals_equal_the_one_curve_loop_bit_for_bit(
+        target, seed):
+    """Step curves of 1 to 6 pieces, padded to one jump table, each with a
+    zero-weight atom on every third curve, give every residual bit for bit
+    as the curve alone and as the per-atom loop, on the whole interval and
+    on drawn subintervals."""
+    rngs = trial_rngs(seed, "test/bv-batch", range(12))
+    families = random_families(target, rngs, 4, [i % 3 == 0 for i in range(12)])
+    drawn = draw_step_pieces(rngs, [1 + i % 6 for i in range(12)], lambda r, k: (
+        target.draw_points(r, 4 * k).reshape(len(r), k, 4, *target.point_shape)))
+    ds = [decompose_bv(StepCurve(LpSpace(family, 1.0), breaks, values))
+          for family, (breaks, values) in zip(families, drawn)]
+    subs = np.sort(uniforms(rngs, 0.0, 1.0, (5, 2)), axis=2)
+    bounds = np.concatenate([np.broadcast_to([[0.0, 1.0]], (12, 1, 2)), subs],
+                            axis=1)
+    batch = batch_variation_residuals(ds, bounds)
+    assert batch.shape == (12, 6)
+    for d, row, sub in zip(ds, batch, subs):
+        alone = _one_curve_residuals(d, [None, *map(tuple, sub)])
+        assert _same_bits(row, alone)
+        for k, one in enumerate([None, *map(tuple, sub)]):
+            assert _same_bits(row[k], _loop_variation_residual(d, one))
+
+
+def test_batched_variation_residuals_refuse_a_mixed_batch():
+    """One target object and one atom count per batch; bounds of shape
+    ``(curve, k, 2)``."""
+    rng = trial_rng(0, "test/bv-mixed", 0)
+
+    def curve(target, n_atoms):
+        family, = random_families(target, [rng], n_atoms)
+        return decompose_bv(StepCurve(
+            LpSpace(family, 1.0), (0.0, 0.5, 1.0),
+            target.random_points(rng, 2 * n_atoms).reshape(2, n_atoms, -1)))
+
+    plane = Euclidean(2)
+    bounds = np.zeros((2, 1, 2))
+    with pytest.raises(SpaceMismatchError, match="one target"):
+        batch_variation_residuals([curve(plane, 3), curve(Euclidean(2), 3)],
+                                  bounds)
+    with pytest.raises(SpaceMismatchError, match="atom count"):
+        batch_variation_residuals([curve(plane, 3), curve(plane, 4)], bounds)
+    with pytest.raises(ValidationError, match="bounds"):
+        batch_variation_residuals([curve(plane, 3)], bounds)
+    with pytest.raises(ValidationError, match="s <= t"):
+        batch_variation_residuals([curve(plane, 3)], [[(0.6, 0.4)]])
 
 
 # ---------------------------------------------------------------------------
