@@ -5,12 +5,11 @@ Works with any ambient exposing the batched ``as_points`` /
 :class:`~nlsp.mappings.LpSpace` alike.  Each curve validates its samples
 with one ``as_points`` call and keeps them as one float array, ``values``,
 whose first axis is time, so that sample distances take one batched call
-too; a curve built on a canonical batch (a retimed curve, say) shares its
-buffer.  A curve of mappings is one ``(node, atom, *point_shape)`` array,
+too.  A curve of mappings is one ``(node, atom, *point_shape)`` array,
 and its atom slices are that array's ``swapaxes(0, 1)``.
-Provides sampled curves with metric derivative, length, p-energy and
-constant-speed reparametrization; right-continuous step curves with total
-variation and its jump measure; and two-sided bounds for the Skorokhod
+Provides sampled curves with metric derivative, length, p-energy, and
+constant-speed retiming of a batch (:func:`retimed_times`); right-continuous
+step curves with total variation and its jump measure; and two-sided bounds for the Skorokhod
 distance between step curves.  :func:`variations` reads the variation over
 many subintervals off one table of jumps or segment lengths.
 
@@ -35,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .mappings import check_p, check_times
+from .mappings import check_count, check_p, check_times
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +147,10 @@ def table_lengths(seg: np.ndarray) -> np.ndarray:
 
 def table_energies(seg: np.ndarray, times, p: float) -> np.ndarray:
     """:func:`energies` read off ``seg``, the distances of consecutive
-    samples along the first axis, at sample times ``times``."""
-    dt = np.diff(times).reshape((-1,) + (1,) * (seg.ndim - 1))
+    samples along the first axis, at sample times ``times``: one column
+    shared by the batch, or one per curve, with time on the first axis."""
+    dt = np.diff(times, axis=0)
+    dt = dt.reshape(dt.shape + (1,) * (seg.ndim - dt.ndim))
     return _time_sums(seg ** p / dt ** (p - 1.0))
 
 
@@ -159,33 +160,30 @@ def _time_sums(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
 
 
-def retimed(c: SampledCurve, seg: np.ndarray, eps: float) -> SampledCurve:
-    """Re-time the samples of ``c`` so the curve moves at (nearly) constant
-    speed, given ``seg``, its segment distances.
-
-    Node ``i`` is moved to
+def retimed_times(times, seg: np.ndarray, eps: float) -> np.ndarray:
+    """The times at which curves with segment distances ``seg`` move at
+    (nearly) constant speed, with time on the first axis of both arrays.
+    Node ``i`` of a curve on ``[a, b]`` is moved to
 
     ``tau_i = a + (S_i + (t_i - a) eps / (b - a)) (b - a) / (L + eps)``
 
     where ``S_i`` is the cumulative chordal length and ``L`` the total; the
-    values are untouched, so ``seg`` is the retimed curve's table too.  The
-    ``eps > 0`` slack keeps the new times strictly increasing across
-    zero-length segments, and when the input is already constant-speed the
+    samples are untouched, so ``seg`` is the retimed curves' table too.
+    The ``eps > 0`` slack keeps the new times strictly increasing across
+    zero-length segments, and when a curve is already constant-speed its
     times are reproduced (up to roundoff far below any meaningful
     tolerance).
     """
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValidationError(f"eps must be a positive real, got {eps!r}")
-    a, b = c.interval
+    times = np.asarray(times, float)
+    a, b = times[0], times[-1]
     span = b - a
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(cum[-1])
-    t = c.times_array
-    tau = a + (cum + (t - a) * (eps / span)) * (span / (total + eps))
-    tau[0] = a
-    tau[-1] = b
-    return SampledCurve(c.space, tuple(float(x) for x in tau), c.values)
+    cum = np.concatenate([np.zeros_like(seg[:1]), np.cumsum(seg, axis=0)])
+    tau = a + (cum + (times - a) * (eps / span)) * (span / (cum[-1] + eps))
+    tau[0], tau[-1] = a, b
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +410,11 @@ def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
                 f"skorokhod_distances expects (c, g) pairs, got "
                 f"{type(pair).__name__} at pair {i}") from None
         _check_pair(c, g, f" (pair {i})")
-    if not isinstance(warp_grid, (int, np.integer)) or warp_grid < 1:
-        raise ValidationError(
-            f"warp_grid must be a positive integer, got {warp_grid!r}")
+    warp_grid = check_count(warp_grid, "warp_grid")
     if not pairs:
         return []
 
-    knots, counts = _merged_knots(pairs, int(warp_grid))
+    knots, counts = _merged_knots(pairs, warp_grid)
     pieces = _pieces(pairs, knots)
     lower = _lower_bounds(pieces, counts)
     value, pred = _warp_program(knots, pieces)

@@ -30,7 +30,7 @@ from .curves import (
     energies,
     lengths,
     metric_speeds,
-    retimed,
+    retimed_times,
     table_energies,
     table_lengths,
 )
@@ -41,6 +41,7 @@ from .mappings import (
     MappingFamily,
     MetricMapping,
     _weighted_norm,
+    check_count,
     check_p,
 )
 from .rng import trial_rng, trial_rngs, uniforms
@@ -199,9 +200,7 @@ def draw_geodesic_sweep(target: TargetSpace, base_space: FiniteMeasureSpace,
     endpoints from ``(seed, stream, i)``, with the bytes of a draw of that
     trial alone, and the ``(trial, atom)`` batches are validated once.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    trials = int(trials)
+    trials = check_count(trials, "trials")
     n = len(base_space)
     family = MappingFamily(base_space, target, target.random_points(
         trial_rng(seed, setup or f"{stream}/setup", 0), n))
@@ -334,13 +333,11 @@ def curvature_comparison_suite(
             f"target {target.kind!r} declares curvature class "
             f"{target.curvature_class!r}; expected one of "
             f"{sorted(classes)} — refusing to guess a comparison sign")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    trials = check_count(trials, "trials")
     _require_positive_mass(base_space, "curvature_comparison_suite")
 
     weights = base_space.weights_array
     mass = base_space.total_mass
-    trials = int(trials)
     stream = f"curvature/{target.kind}"
 
     # Draw step: one stream per trial, every kind of draw taken from all
@@ -377,24 +374,20 @@ def curvature_comparison_suite(
 # ---------------------------------------------------------------------------
 
 
-def reparam_energy_ratios(curve: SampledCurve, p_values, eps: float):
-    """Retime ``curve`` once at constant speed and score it per exponent.
-
-    Returns the length of the retimed curve, the length ``L`` of ``curve``
-    and, for each ``p`` in ``p_values``, the energy ratio ``(b-a)^{p-1} E_p
-    / L^p`` of the retimed curve.  Retiming moves only the times, so one
-    table of segment distances serves both curves, each reading summed as
-    :func:`~nlsp.curves.lengths` and :func:`~nlsp.curves.energies` sum it; the
-    two lengths are therefore the same number.
+def retimed_energy_ratios(times, seg: np.ndarray, p_values, eps: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Retime curves at constant speed, given their ``(node, curve)`` times
+    and ``(segment, curve)`` segment distances, which retiming keeps
+    (:func:`~nlsp.curves.retimed_times`).  Returns each length ``L`` and,
+    shaped ``(p, curve)``, the retimed ratios ``(b-a)^{p-1} E_p / L^p``,
+    their per-curve powers taken on Python floats as one curve takes them.
     """
-    seg = curve.segment_lengths()
-    total = float(table_lengths(seg))
-    if total <= 0.0:
+    total = table_lengths(seg)
+    if not (total > 0.0).all():
         raise ValidationError(
-            "reparametrization certificates need a curve of positive length")
-    re = retimed(curve, seg, eps)
-    a, b = re.interval
-    return total, total, [
-        (b - a) ** (p - 1.0) * float(table_energies(
-            seg, re.times_array, check_p(p, allow_inf=False))) / total ** p
-        for p in p_values]
+            "reparametrization certificates need curves of positive length")
+    tau = retimed_times(times, seg, eps)
+    spans, lengths = (tau[-1] - tau[0]).tolist(), total.tolist()
+    return total, np.array([[s ** (p - 1.0) * e / L ** p for s, e, L in zip(
+        spans, table_energies(seg, tau, check_p(p, allow_inf=False)).tolist(),
+        lengths)] for p in p_values])

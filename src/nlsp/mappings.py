@@ -54,6 +54,13 @@ def check_p(p, *, allow_inf: bool = True) -> float:
     return p
 
 
+def check_count(n, what: str) -> int:
+    """Validate a count of trials, curves or atoms; returns it as an int."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def check_times(times, what: str) -> tuple[float, ...]:
     """Validate a sequence of times; returns it as a tuple of floats.
 
@@ -123,8 +130,7 @@ class FiniteMeasureSpace:
 
 def uniform_space(n: int, mass: float = 1.0, prefix: str = "x") -> FiniteMeasureSpace:
     """``n`` atoms of equal weight summing to ``mass``."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    check_count(n, "n")
     if not math.isfinite(float(mass)) or float(mass) < 0.0:
         raise ValidationError(f"mass must be finite and nonnegative, got {mass!r}")
     w = float(mass) / n
@@ -153,9 +159,6 @@ class MappingFamily:
                 f"target must be a TargetSpace, got {type(self.target).__name__}")
         object.__setattr__(self, "base_values", self.target.as_points(
             self.base_values, (len(self.base_space),)))
-
-    def mapping(self, values) -> "MetricMapping":
-        return MetricMapping(self, values)
 
     def base_mapping(self) -> "MetricMapping":
         """The base mapping ``h`` itself, as a member of the family."""
@@ -195,12 +198,6 @@ class MetricMapping:
     @property
     def target(self) -> TargetSpace:
         return self.family.target
-
-    def value(self, j: int):
-        return self.values[j]
-
-    def __getitem__(self, j: int):
-        return self.values[j]
 
 
 def _require_same_family(f: MetricMapping, g: MetricMapping) -> None:
@@ -336,14 +333,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @property
-    def a(self) -> float:
-        return self.nodes[0]
-
-    @property
-    def b(self) -> float:
-        return self.nodes[-1]
 
     @cached_property
     def nodes_array(self) -> np.ndarray:

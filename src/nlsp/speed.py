@@ -59,10 +59,6 @@ class SpeedField:
     def curve(self):
         return self.decomposition.source
 
-    @property
-    def times(self) -> tuple[float, ...]:
-        return self.decomposition.source.times
-
 
 def compute_speed(d: TransportDecomposition) -> SpeedField:
     """Differentiate every atom slice of a decomposition via the log map.

@@ -35,7 +35,6 @@ from .config import (
     target_from_config,
 )
 from .curves import (
-    SampledCurve,
     StepCurve,
     skorokhod_distances,
     variation_measure,
@@ -45,7 +44,7 @@ from .errors import ConfigError, ValidationError
 from .geometry import (
     curvature_comparison_suite,
     draw_geodesic_sweep,
-    reparam_energy_ratios,
+    retimed_energy_ratios,
 )
 from .mappings import (
     FiniteMeasureSpace,
@@ -53,6 +52,7 @@ from .mappings import (
     MappingFamily,
     ProductGridMapping,
     TimeGrid,
+    check_count,
     check_p,
     iterated_norms,
 )
@@ -272,14 +272,13 @@ def sample_smooth_paths(target: TargetSpace, rngs,
                          legs=np.stack(legs, axis=1))
 
 
-def _nonuniform_times(rngs, n_nodes: int) -> list[tuple[float, ...]]:
-    """Each stream's times from 0 to 1, with increments drawn on
-    ``[0.5, 1.5)`` and rescaled."""
+def _nonuniform_times(rngs, n_nodes: int) -> np.ndarray:
+    """Each stream's times from 0 to 1, ``(stream, node)``, with increments
+    drawn on ``[0.5, 1.5)`` and rescaled."""
     incr = uniforms(rngs, 0.5, 1.5, n_nodes - 1)
     cum = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=-1)],
                          axis=-1)
-    cum = cum / cum[:, -1:]
-    return [tuple(row) for row in cum.tolist()]
+    return cum / cum[:, -1:]
 
 
 def _polyline_waypoints(target: TargetSpace, rngs) -> np.ndarray:
@@ -305,28 +304,28 @@ def _polyline_nodes(target: TargetSpace, ways: np.ndarray) -> np.ndarray:
                                   fraction.reshape(shape))
 
 
-def polyline_curves(target: TargetSpace, rngs) -> list[SampledCurve]:
-    """Piecewise-geodesic curve through random waypoints, nonuniform times,
-    from each stream.
-
-    Consecutive waypoints are a geodesic leg of length 0.5 to 0.9 apart,
-    so each curve's chordal length is at least ``POLYLINE_LEGS / 2``.
+def polyline_tables(target: TargetSpace, rngs, mappings: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(node, stream)`` times and ``(segment, stream)`` segment
+    distances of a piecewise-geodesic curve through random waypoints from
+    each stream.  Waypoints are a leg of 0.5 to 0.9 apart, so each curve is
+    at least ``POLYLINE_LEGS / 2`` long.  A curve of ``mappings`` reads its
+    weights and unused base points (as :func:`random_families` does), then
+    its waypoints atom after atom.  All nodes are one ``(node, stream[,
+    atom], *point_shape)`` batch: one ``as_points`` and one distance call.
     """
-    nodes = _polyline_nodes(target, _polyline_waypoints(target, rngs))
-    return [SampledCurve(target, times, values) for times, values in
-            zip(_nonuniform_times(rngs, POLYLINE_NODES), nodes)]
-
-
-def polyline_mapping_curves(target: TargetSpace, rngs) -> list[SampledCurve]:
-    """Piecewise-geodesic curve of mappings (same waypoint scheme per atom)
-    from each stream: atom after atom, every stream's waypoints at once."""
-    families = random_families(target, rngs, POLYLINE_ATOMS)
-    ways = np.stack([_polyline_waypoints(target, rngs)
-                     for _ in range(POLYLINE_ATOMS)], axis=2)
-    nodes = _polyline_nodes(target, ways)
-    return [SampledCurve(LpSpace(family, POLYLINE_P), times, values)
-            for family, times, values in zip(
-                families, _nonuniform_times(rngs, POLYLINE_NODES), nodes)]
+    if mappings:
+        weights = uniforms(rngs, 0.25, 1.0, POLYLINE_ATOMS)
+        target.draw_points(rngs, POLYLINE_ATOMS)
+        ways = np.stack([_polyline_waypoints(target, rngs)
+                         for _ in range(POLYLINE_ATOMS)], axis=2)
+    else:
+        ways = _polyline_waypoints(target, rngs)
+    nodes = target.as_points(_polyline_nodes(target, ways).swapaxes(0, 1))
+    seg = target.distances(nodes[:-1], nodes[1:])
+    if mappings:
+        seg = iterated_norms(seg, [weights], POLYLINE_P)
+    return np.ascontiguousarray(_nonuniform_times(rngs, POLYLINE_NODES).T), seg
 
 
 def draw_step_pieces(rngs, pieces, draw_values) -> list[tuple]:
@@ -365,7 +364,8 @@ def _product_pairs(target: TargetSpace, rule: str, rngs, trials) -> list:
     weight on trials divisible by 4), a 16-node grid with the given rule,
     and two product mappings on it."""
     families = random_families(target, rngs, 8, [i % 4 == 0 for i in trials])
-    grids = [TimeGrid(times, rule) for times in _nonuniform_times(rngs, 16)]
+    grids = [TimeGrid(times, rule)
+             for times in _nonuniform_times(rngs, 16).tolist()]
     c1, c2 = (target.draw_points(rngs, 8 * 16).reshape(len(rngs), 16, 8, -1)
               for _ in range(2))
     return [(ProductGridMapping(grid, family, a),
@@ -417,6 +417,7 @@ def run_fubini(seed: int = 7, trials: int = 100,
     stacked distance table per reading (:func:`_fubini_scores`).
     """
     tol = _tolerances(tolerances)
+    trials = check_count(trials, "trials")
     p_values = tuple(check_p(p) for p in p_values)
     # Even trials map into the sphere, odd ones into the plane.
     results = _draw_by_kind(seed, "fubini", trials, [
@@ -431,7 +432,7 @@ def run_fubini(seed: int = 7, trials: int = 100,
     return SuiteResult(
         name="fubini",
         metrics={
-            "trials": int(trials),
+            "trials": trials,
             "p_values": [order_jsonable(p) for p in p_values],
             "max_rel_gap_time_major": reading(time_gaps),
             "max_rel_gap_atom_major": reading(atom_gaps),
@@ -482,6 +483,8 @@ def run_transport(seed: int = 7, curves: int = 20,
     its worst curve.
     """
     tol = _tolerances(tolerances)
+    curves = check_count(curves, "curves")
+    bv_curves = check_count(bv_curves, "bv_curves")
     grids = tuple(int(n) for n in grids)
     targets = (Sphere(3), Spd(2))
     ac_metrics = {}
@@ -492,7 +495,7 @@ def run_transport(seed: int = 7, curves: int = 20,
     for target in targets:
         stream = f"transport/{target.kind}"
         paths = sample_smooth_paths(
-            target, trial_rngs(seed, stream, range(int(curves))), p)
+            target, trial_rngs(seed, stream, range(curves)), p)
         # per_grid[k][ci]: the largest interior residual of curve ci on
         # grid k.  One target and one grid are stacked at a time.
         per_grid = []
@@ -559,10 +562,10 @@ def run_transport(seed: int = 7, curves: int = 20,
     return SuiteResult(
         name="transport",
         metrics={
-            "curves": int(curves),
+            "curves": curves,
             "grids": list(grids),
             "derivative_identity": ac_metrics,
-            "bv_curves": int(bv_curves),
+            "bv_curves": bv_curves,
             "max_variation_residual": reading(bv_worst),
             "max_measure_gap": reading(measure_gaps),
         },
@@ -586,6 +589,7 @@ def run_counterexample(seed: int = 7, sizes: tuple[int, ...] = (4, 16, 64),
     """
     del seed  # the construction is fully deterministic
     tol = _tolerances(tolerances)
+    check_count(len(sizes), "the number of sizes")
     checks = []
     rows = [["n", "lipschitz_lo", "lipschitz_hi", "max_atom_modulus",
              "total_variation"]]
@@ -816,13 +820,15 @@ def run_length(seed: int = 7, trials: int = 12,
     reaches the bound within ``(1 + REPARAM_EPS)^p``.  Each target and
     finite ``p > 1`` sweeps its geodesics from the stream ``(seed,
     "length/<kind>/p=<p>", trial)``.  ``length_equality`` unset means
-    :func:`default_equality_tol` of each target.
+    :func:`default_equality_tol` of each target.  Reparam curve ``i`` reads
+    ``(seed, "length/reparam", i)``; each of its three kinds is one table.
     """
     p_values = tuple(check_p(p, allow_inf=False) for p in p_values)
     for p in p_values:
         if p <= 1.0:
             raise ValidationError(f"the length battery needs p > 1, got {p!r}")
     equality_tol = _tolerances(tolerances)["length_equality"]
+    reparam_curves = check_count(reparam_curves, "reparam_curves")
     targets = (Euclidean(2), Sphere(3), Spd(2), default_tree())
     base_space = FiniteMeasureSpace(("x0", "x1", "x2"), (0.75, 1.25, 0.5))
 
@@ -863,38 +869,30 @@ def run_length(seed: int = 7, trials: int = 12,
     # Reparametrization battery: mixed plain-target and mapping-space
     # curves, all of length >= 1 so the additive slack REPARAM_EPS stays
     # within the multiplicative budget (1 + REPARAM_EPS)^p.
-    drawn = _draw_by_kind(seed, "length/reparam", reparam_curves, (
-        lambda rngs, _: polyline_curves(Euclidean(2), rngs),
-        lambda rngs, _: polyline_curves(Sphere(3), rngs),
-        lambda rngs, _: polyline_mapping_curves(Sphere(3), rngs)))
+    def reparam(rngs, idx):
+        # Curve i is a plane curve, a sphere curve, or a curve of mappings
+        # into the sphere, by i % 3.
+        target = Euclidean(2) if idx[0] % 3 == 0 else Sphere(3)
+        total, ratios = retimed_energy_ratios(*polyline_tables(
+            target, rngs, idx[0] % 3 == 2), p_values, REPARAM_EPS)
+        if total.min() < 1.0:  # pragma: no cover - legs give >= 1.5
+            raise ValidationError(f"a reparam curve of length {total.min()!r}")
+        return [reading([ratio - (1.0 + REPARAM_EPS) ** p
+                         for ratio, p in zip(column, p_values)])
+                for column in ratios.T.tolist()]
 
-    def one_reparam(i: int):
-        curve = drawn[i]
-        re_total, total, ratios = reparam_energy_ratios(
-            curve, p_values, REPARAM_EPS)
-        if total < 1.0:  # pragma: no cover - legs guarantee length >= 1.5
-            raise ValidationError(
-                f"reparam battery sampled a curve of length {total!r} < 1")
-        worst_excess = reading([ratio - (1.0 + REPARAM_EPS) ** p
-                                for ratio, p in zip(ratios, p_values)])
-        return worst_excess, float(abs(re_total - total))
-
-    excess, len_gaps = zip(*map_trials(one_reparam, int(reparam_curves)))
-    checks += [
+    excess = _draw_by_kind(seed, "length/reparam", reparam_curves,
+                           [reparam] * 3)
+    checks.append(
         Check("reparam_energy_budget", excess, 1e-12, MAX,
               "scaled energy / length^p - (1 + eps)^p", "constant-speed "
               "retiming must drive the energy to the length bound",
-              "length/reparam"),
-        Check("reparam_length_invariance", len_gaps, 1e-10, MAX,
-              "length change under retiming",
-              "reparametrization must not move the values", "length/reparam"),
-    ]
+              "length/reparam"))
 
     metrics["reparam"] = {
-        "curves": int(reparam_curves),
+        "curves": reparam_curves,
         "eps": REPARAM_EPS,
         "max_budget_excess": reading(excess),
-        "max_length_gap": reading(len_gaps),
     }
     return SuiteResult(
         name="length",
@@ -930,18 +928,19 @@ def run_speed(seed: int = 7, curves: int = 6,
     key of its worst curve.
     """
     tol = _tolerances(tolerances)
+    curves = check_count(curves, "curves")
     grids = tuple(int(n) for n in grids)
     mid_grid = grids[len(grids) // 2]
     targets = (Euclidean(2), Sphere(3), Spd(2))
     checks = []
     p = float(p)
-    metrics = {"curves": int(curves), "grids": list(grids), "targets": {}}
+    metrics = {"curves": curves, "grids": list(grids), "targets": {}}
     trace_rows = [["t", "metric_derivative", "bundle_norm", "residual"]]
 
     for target in targets:
         stream = f"speed/{target.kind}"
         paths = sample_smooth_paths(
-            target, trial_rngs(seed, stream, range(int(curves))), p)
+            target, trial_rngs(seed, stream, range(curves)), p)
         per_grid = []
         for n in grids:
             times, values = paths.sweep(n)
@@ -995,6 +994,7 @@ def run_skorokhod(seed: int = 7, pairs: int = 200,
     so each example reads as it would alone.
     """
     example_tol = _tolerances(tolerances)["skorokhod_example"]
+    pairs = check_count(pairs, "pairs")
     target = Euclidean(1)
 
     def pt(x: float):
@@ -1010,7 +1010,7 @@ def run_skorokhod(seed: int = 7, pairs: int = 200,
 
     # Stream i reads a curve of 2 + i % 3 pieces, then one of 2 + (i + 1)
     # % 3, with values uniform on [0, 2).
-    rngs = trial_rngs(seed, "skorokhod/pairs", range(int(pairs)))
+    rngs = trial_rngs(seed, "skorokhod/pairs", range(pairs))
     drawn = list(zip(*([StepCurve(target, *d) for d in draw_step_pieces(
         rngs, [2 + (i + shift) % 3 for i in range(len(rngs))],
         lambda rngs, k: uniforms(rngs, 0.0, 2.0, (k, 1)))]
@@ -1037,7 +1037,7 @@ def run_skorokhod(seed: int = 7, pairs: int = 200,
     return SuiteResult(
         name="skorokhod",
         metrics={
-            "pairs": int(pairs),
+            "pairs": pairs,
             "warp_grid": SKOROKHOD_WARP_GRID,
             "examples": {k: float(v) for k, v in examples.items()},
             "max_sandwich_violation": reading(sandwich),

@@ -56,6 +56,7 @@ from .mappings import (
     LpSpace,
     MappingFamily,
     _weighted_norm,
+    check_count,
 )
 from .targets import Euclidean
 
@@ -282,8 +283,7 @@ class CounterexampleReport:
 def counterexample_family(n: int) -> MappingFamily:
     """``n`` uniform atoms at the midpoints of ``(0, 1)``, real-valued,
     with base mapping identically zero."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    check_count(n, "n")
     ids = tuple(f"m{j}" for j in range(n))
     space = FiniteMeasureSpace(ids, (1.0 / n,) * n)
     target = Euclidean(1)

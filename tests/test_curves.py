@@ -135,37 +135,55 @@ def test_holder_bound_between_length_and_energy():
 
 
 def test_constant_speed_reparam_flattens_speed():
-    """Reparametrizing t -> t^2 equalizes cell speeds to within 1e-4."""
-    times = tuple(np.linspace(0.0, 1.0, 65))
-    c = SampledCurve(E1, times, tuple(np.array([t * t]) for t in times))
-    re = curves.retimed(c, c.segment_lengths(), 1e-6)
-    speeds = [float(np.abs(re.values[i + 1] - re.values[i])[0])
-              / (re.times[i + 1] - re.times[i])
-              for i in range(len(re.times) - 1)]
-    spread = max(speeds) / min(speeds) - 1.0
+    """Retiming t -> t^2 equalizes cell speeds to within 1e-4, and the
+    energy of the retimed samples meets the budget."""
+    times = np.linspace(0.0, 1.0, 65)
+    c = SampledCurve(E1, tuple(times), tuple(np.array([t * t]) for t in times))
+    seg = c.segment_lengths()
+    tau = curves.retimed_times(times, seg, 1e-6)
+    assert tau[0] == 0.0 and tau[-1] == 1.0
+    speeds = seg / np.diff(tau)
+    spread = speeds.max() / speeds.min() - 1.0
     assert spread <= 1e-4
     total = curves.lengths(E1, c.values)
-    assert curves.lengths(E1, re.values) == pytest.approx(total, abs=1e-10)
     for p in (1.5, 2.0, 3.0):
-        ratio = energy(re, p) / total ** p  # interval length is one
+        ratio = curves.table_energies(seg, tau, p) / total ** p  # span one
         assert ratio <= (1.0 + 1e-6) ** p + 1e-12
 
 
 def test_constant_speed_reparam_keeps_constant_speed_curves():
     """An already-constant-speed curve keeps its time samples."""
-    times = tuple(np.linspace(0.0, 1.0, 9))
-    c = SampledCurve(E2, times, tuple(np.array([t, 2.0 * t]) for t in times))
-    re = curves.retimed(c, c.segment_lengths(), 1e-6)
-    assert np.allclose(re.times, times, atol=1e-10)
+    times = np.linspace(0.0, 1.0, 9)
+    c = SampledCurve(E2, tuple(times),
+                     tuple(np.array([t, 2.0 * t]) for t in times))
+    tau = curves.retimed_times(times, c.segment_lengths(), 1e-6)
+    assert np.allclose(tau, times, atol=1e-10)
 
 
 def test_constant_speed_reparam_validates_eps():
     """The speed-slack parameter must be positive and finite."""
-    c = SampledCurve(E1, (0.0, 1.0), (np.zeros(1), np.ones(1)))
-    with pytest.raises(ValidationError):
-        curves.retimed(c, c.segment_lengths(), 0.0)
-    with pytest.raises(ValidationError):
-        curves.retimed(c, c.segment_lengths(), -1e-3)
+    seg = np.ones(1)
+    for eps in (0.0, -1e-3, math.inf):
+        with pytest.raises(ValidationError, match="eps"):
+            curves.retimed_times((0.0, 1.0), seg, eps)
+
+
+def test_retimed_times_and_energies_of_a_batch_match_each_curve():
+    """A batch with per-curve times in its columns is retimed and scored
+    bit for bit as each curve alone."""
+    rng = trial_rng(0, "test/retimed-batch", 0)
+    times = np.concatenate([np.zeros((1, 5)), np.cumsum(
+        rng.uniform(0.5, 1.5, size=(8, 5)), axis=0)])
+    seg = rng.uniform(0.0, 1.0, size=(8, 5))
+    seg[3, 2] = 0.0
+    tau = curves.retimed_times(times, seg, 1e-6)
+    assert (np.diff(tau, axis=0) > 0.0).all()
+    for k in range(5):
+        alone = curves.retimed_times(times[:, k], seg[:, k], 1e-6)
+        assert alone.tobytes() == np.ascontiguousarray(tau[:, k]).tobytes()
+        for p in (1.5, 2.0, 3.0):
+            assert (curves.table_energies(seg[:, k], alone, p)
+                    == curves.table_energies(seg, tau, p)[k])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from nlsp import (
 )
 from nlsp import geometry
 from nlsp.curves import lengths
-from nlsp.geometry import reparam_energy_ratios
+from nlsp.geometry import retimed_energy_ratios
 from nlsp.rng import trial_rngs
 from nlsp.suites import LENGTH_KAPPA
 
@@ -474,13 +474,16 @@ def test_default_equality_tol_by_target_class():
 
 
 def test_reparam_energy_ratios_meet_the_budget():
-    """The retimed geodesic's energy ratio never exceeds (1 + eps)^p."""
-    rng = trial_rng(0, "test/certificate", 0)
-    fam = three_atom_family(Spd(2), rng)
-    f, g = (MetricMapping(fam, e[0])
-            for e in fam.target.draw_geodesic_pairs([rng], 3))
-    geo = lp_geodesic(f, g, 2.0, n_nodes=17)
+    """Every retimed geodesic's energy ratio stays within (1 + eps)^p, and
+    a curve of zero length is refused."""
+    sweep = draw_geodesic_sweep(Spd(2), small_base(), 2.0, 0,
+                                "test/certificate", 4, 17)
+    seg = sweep.space.distances(sweep.nodes[:-1], sweep.nodes[1:])
     p_values = (1.5, 2.0, 3.0)
-    _, _, ratios = reparam_energy_ratios(geo.curve, p_values, 1e-6)
-    for p, ratio in zip(p_values, ratios):
-        assert ratio <= (1.0 + 1e-6) ** p
+    total, ratios = retimed_energy_ratios(sweep.times[:, None], seg,
+                                          p_values, 1e-6)
+    assert total.shape == (4,) and ratios.shape == (3, 4)
+    for p, row in zip(p_values, ratios):
+        assert (row <= (1.0 + 1e-6) ** p).all()
+    with pytest.raises(ValidationError, match="positive length"):
+        retimed_energy_ratios(sweep.times[:, None], 0.0 * seg, p_values, 1e-6)

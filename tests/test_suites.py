@@ -18,8 +18,10 @@ from nlsp import (
     DEFAULT_TOLERANCES,
     CurveOfMappings,
     Euclidean,
+    LpSpace,
     MappingOfCurves,
     MetricTree,
+    SampledCurve,
     Spd,
     Sphere,
     ValidationError,
@@ -28,6 +30,7 @@ from nlsp import (
     decay_order,
     default_tree,
     derivative_identity_residuals,
+    energy,
     sample_smooth_paths,
     trial_rng,
 )
@@ -418,6 +421,11 @@ def _sphere_log_maps_nan(monkeypatch):
                         lambda self, ys, zs: real(self, ys, zs) * math.nan)
 
 
+def _retiming_keeps_the_times(monkeypatch):
+    monkeypatch.setattr(geometry, "retimed_times",
+                        lambda times, seg, eps: np.asarray(times, float))
+
+
 def _euclidean_distances_nan(monkeypatch):
     real = Euclidean.distances
     monkeypatch.setattr(Euclidean, "distances",
@@ -447,6 +455,11 @@ MUTATIONS = [
          for p in (1.5, 2.0, 3.0)
          for check in ("energy_length_upper", "geodesic_energy_equality")},
         id="length-tree-fraction-power"),
+    pytest.param(
+        _retiming_keeps_the_times,
+        lambda: suites.run_length(seed=7, trials=4, reparam_curves=3),
+        {"reparam_energy_budget": "length/reparam"},
+        id="reparam-keep-times"),
     pytest.param(
         _warp_knots_on_the_uniform_grid_only,
         lambda: suites.run_skorokhod(seed=7, pairs=10),
@@ -505,6 +518,75 @@ def test_battery_fails_on_a_mutated_primitive(monkeypatch, mutate, battery,
         if stream is not None:
             assert re.search(rf"\(worst: {re.escape(stream)} trial \d+\)$",
                              failed[name]), failed[name]
+
+
+def _one_curve_reparam_excess(seed: int, n_curves: int, p_values,
+                              eps: float) -> list[float]:
+    """The reparam battery's per-curve scores by the one-curve route: each
+    polyline a :class:`SampledCurve` of its own, validated alone, retimed
+    by the scalar formula and scored by ``energy``."""
+    out = [None] * n_curves
+    kinds = ((Euclidean(2), False), (Sphere(3), False), (Sphere(3), True))
+    for k, (target, mapped) in enumerate(kinds):
+        indices = range(k, n_curves, len(kinds))
+        rngs = trial_rngs(seed, "length/reparam", indices)
+        if mapped:
+            spaces = [LpSpace(family, suites.POLYLINE_P) for family in
+                      suites.random_families(target, rngs,
+                                             suites.POLYLINE_ATOMS)]
+            ways = np.stack([suites._polyline_waypoints(target, rngs)
+                             for _ in range(suites.POLYLINE_ATOMS)], axis=2)
+        else:
+            spaces = [target] * len(indices)
+            ways = suites._polyline_waypoints(target, rngs)
+        nodes = suites._polyline_nodes(target, ways)
+        times = suites._nonuniform_times(rngs, suites.POLYLINE_NODES)
+        for i, space, t, values in zip(indices, spaces, times.tolist(), nodes):
+            c = SampledCurve(space, tuple(t), values)
+            seg = c.segment_lengths()
+            total = float(curves.table_lengths(seg))
+            a, b = c.times[0], c.times[-1]
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            tau = a + ((cum + (c.times_array - a) * (eps / (b - a)))
+                       * ((b - a) / (float(cum[-1]) + eps)))
+            tau[0], tau[-1] = a, b
+            re = SampledCurve(space, tuple(tau.tolist()), c.values)
+            out[i] = max((b - a) ** (p - 1.0) * energy(re, p) / total ** p
+                         - (1.0 + eps) ** p for p in p_values)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+def test_reparam_scores_match_the_one_curve_route(seed):
+    """Every curve's budget score, read off the stacked polylines of its
+    kind, is the one its own curve object gives, bit for bit."""
+    result = suites.run_length(seed=seed, trials=1, n_nodes=5)
+    (check,) = (c for c in result.checks if c.name == "reparam_energy_budget")
+    oracle = _one_curve_reparam_excess(seed, 50, (1.5, 2.0, 3.0),
+                                       suites.REPARAM_EPS)
+    assert (np.asarray(check.observed, float).tobytes()
+            == np.array(oracle).tobytes())
+
+
+@pytest.mark.parametrize("run", [
+    lambda: suites.run_fubini(trials=0),
+    lambda: suites.run_transport(curves=0),
+    lambda: suites.run_transport(bv_curves=0),
+    lambda: suites.run_speed(curves=0),
+    lambda: suites.run_skorokhod(pairs=0),
+    lambda: suites.run_length(reparam_curves=0),
+    lambda: suites.run_length(trials=0),
+    lambda: suites.run_counterexample(sizes=()),
+    lambda: suites.run_geodesic(trials=0),
+    lambda: suites.run_curvature(trials=0),
+], ids=["fubini", "transport", "transport-bv", "speed", "skorokhod",
+        "length-reparam", "length", "counterexample", "geodesic",
+        "curvature"])
+def test_a_zero_count_is_refused(run):
+    """A battery refuses an empty trial, curve, pair or size count with a
+    ValidationError naming it, never a numpy error from an empty batch."""
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        run()
 
 
 def _worst_key(stream: str, scores) -> str:
