@@ -25,7 +25,6 @@ from collections.abc import Callable
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .config import ExperimentConfig, build_config
 from .errors import ConfigError
@@ -56,15 +55,6 @@ def _parse_tolerance_flags(pairs) -> dict[str, float]:
             raise ConfigError(f"expected a number, got {value!r}",
                               field=f"tolerance.{name}") from exc
     return out
-
-
-def _cell(value):
-    """Render one CSV cell deterministically."""
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def _finish(cfg: ExperimentConfig,
@@ -98,7 +88,7 @@ def _finish(cfg: ExperimentConfig,
             with open(outdir / f"{name}.csv", "w", newline="",
                       encoding="utf-8") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
-                writer.writerows([[_cell(x) for x in row] for row in rows])
+                writer.writerows(rows)
     for name in sorted(_TABLES.difference(*(r.csv for r in results))):
         (outdir / f"{name}.csv").unlink(missing_ok=True)
     if not summary["passed"]:

@@ -20,9 +20,10 @@ such warp.  It runs for a batch of curve pairs at once
 (:func:`skorokhod_distances`): every pair is padded to the batch's largest
 knot count and all of them share one program, with the pairs on the last
 axis; a single pair is a batch of one.  No cell of a pair reads its
-padding, and each cell takes the cheapest predecessor, ties resolved to
-the first in row-major order, so a pair's bounds and optimal warp do not
-depend on the batch it is computed in.
+padding.  The program keeps only each cell's value; the optimal warp is
+read back afterwards, along the one path per pair, by taking at each cell
+its first cheapest predecessor in row-major order.  So a pair's bounds and
+optimal warp do not depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -395,11 +396,13 @@ def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
     2, ...``.  Cell ``(i2, j2)`` reads only the cells ``(i, j)`` with ``i <
     i2`` and ``j < j2``, and every operation on them is elementwise across
     pairs, so the cells up to ``(m-1, m-1)`` never see the padding, and
-    the lower bound reads the pair's own cells only.  Each cell takes the
-    cheapest predecessor, ties resolved to the first in row-major order
-    (argmin's first-occurrence rule over the pair's flattened ``(i, j)``
-    block).  A pair's bounds and warp therefore do not depend on the batch
-    it is computed in.
+    the lower bound reads the pair's own cells only.  The program stores
+    only each cell's value, a minimum over its candidates; the warp is
+    then walked back from ``(m-1, m-1)``, recomputing the candidates of
+    the cells on the path alone and stepping to the first minimum in
+    row-major order (argmin's first-occurrence rule over the pair's
+    flattened ``(i, j)`` block).  Minima and maxima do not round, so a
+    pair's bounds and warp do not depend on the batch it is computed in.
     """
     pairs = list(pairs)
     for i, pair in enumerate(pairs):
@@ -417,8 +420,9 @@ def skorokhod_distances(pairs, warp_grid: int = 16) -> list[SkorokhodBounds]:
     knots, counts = _merged_knots(pairs, warp_grid)
     pieces = _pieces(pairs, knots)
     lower = _lower_bounds(pieces, counts)
-    value, pred = _warp_program(knots, pieces)
-    return _bounds(knots, counts, lower, value, pred)
+    logs = _knot_logs(knots)
+    value = _warp_program(logs, pieces)
+    return _bounds(knots, counts, lower, logs, pieces, value)
 
 
 def _check_pair(c, g, where: str = "") -> None:
@@ -518,69 +522,109 @@ def _lower_bounds(pieces: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.maximum(to_g, to_c)
 
 
-def _warp_program(knots: np.ndarray, pieces: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _knot_logs(knots: np.ndarray) -> np.ndarray:
+    """``logs[k, m, b] = log(knots[b, k] - knots[b, m])`` for ``m < k``,
+    and zero above: the log-slopes of every warp segment, one row per end
+    knot, shared by the program and the walk back."""
+    batch, n = knots.shape
+    by_knot = knots.T
+    logs = np.zeros((n, n, batch))
+    for k in range(1, n):
+        np.log(by_knot[k] - by_knot[:k], out=logs[k, :k])
+    return logs
+
+
+def _warp_program(logs: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """The dynamic program over warp knot pairs for a batch of ``B`` pairs
-    padded to ``n`` knots each: ``knots`` is ``(B, n)``, ``pieces`` ``(n-1,
-    n-1, B)``.
+    padded to ``n`` knots each: ``logs`` is :func:`_knot_logs`' ``(n, n,
+    B)`` table, ``pieces`` ``(n-1, n-1, B)``.
 
     ``value[i, j, b]`` is the best achievable cost of a warp of pair ``b``
     matching ``knots[b, i]`` in the input scale to ``knots[b, j]`` in the
-    output scale, having covered ``[a, knots[b, i])``; ``pred[i, j, b]``
-    is its predecessor as the flat index ``i' * j + j'`` into the ``(i,
-    j)`` block of cell ``(i, j)``.  Every array holds the pair axis last,
-    so the elementwise work of a cell runs over contiguous runs of pairs.
+    output scale, having covered ``[a, knots[b, i])``.  Only ``(0, 0)`` is
+    reachable in row 0 and column 0, so each cell ``(i2, j2)`` takes the
+    minimum of the ``(0, 0)`` candidate, formed for a whole row at once,
+    and one min-reduction over its block ``1 <= i < i2``, ``1 <= j < j2``.
+    The program keeps no argmin: :func:`_bounds` recovers the warp.  Every
+    array holds the pair axis last, so the elementwise work of a cell runs
+    over contiguous runs of pairs.
     """
-    batch, n = knots.shape
-    every = np.arange(batch)
+    n, batch = len(logs), pieces.shape[-1]
     value = np.full((n, n, batch), math.inf)
     value[0, 0] = 0.0
-    pred = np.full((n, n, batch), -1, dtype=np.int32)
-    # logs[k][m, b] = log(knots[b, k] - knots[b, m]) for m < k.
-    by_knot = knots.T
-    logs = [np.log(by_knot[k] - by_knot[:k]) for k in range(n)]
     # rows[i, l, b]: max of pieces[i:i2, l, b], the cells the segment from
     # row i to row i2 crosses; rv[i, j, b]: max of rows[i, j:j2, b] and of
-    # value[i, j, b], which is final for every i < i2.  Maxima are exact,
-    # so growing them one row or column at a time gives the same numbers
-    # as any other order.
+    # value[i, j, b], which is final for every i < i2.  Maxima and minima
+    # are exact, so growing them one row or column at a time gives the
+    # same numbers as any other order.
     rows = np.empty_like(pieces)
     rv = np.empty_like(pieces)
     cand = np.empty(pieces.size)
+    least = np.empty(batch)
     for i2 in range(1, n):
         np.maximum(rows[:i2 - 1], pieces[i2 - 1:i2], out=rows[:i2 - 1])
         rows[i2 - 1] = pieces[i2 - 1]
-        log_in = logs[i2][:, None]
-        for j2 in range(1, n):
-            np.maximum(rv[:i2, :j2 - 1], rows[:i2, j2 - 1:j2],
-                       out=rv[:i2, :j2 - 1])
-            np.maximum(rows[:i2, j2 - 1], value[:i2, j2 - 1],
-                       out=rv[:i2, j2 - 1])
-            block = cand[:i2 * j2 * batch].reshape(i2, j2, batch)
-            np.subtract(logs[j2], log_in, out=block)
+        # From (0, 0) to (i2, j2) for every j2: the log-slope gap, and
+        # every piece of rows 0 to i2 - 1 and columns 0 to j2 - 1.
+        np.subtract(logs[1:, 0], logs[i2, 0], out=value[i2, 1:])
+        np.abs(value[i2, 1:], out=value[i2, 1:])
+        np.maximum(value[i2, 1:], np.maximum.accumulate(rows[0], axis=0),
+                   out=value[i2, 1:])
+        if i2 == 1:
+            continue
+        log_in = logs[i2, 1:i2, None]
+        for j2 in range(2, n):
+            np.maximum(rv[1:i2, 1:j2 - 1], rows[1:i2, j2 - 1:j2],
+                       out=rv[1:i2, 1:j2 - 1])
+            np.maximum(rows[1:i2, j2 - 1], value[1:i2, j2 - 1],
+                       out=rv[1:i2, j2 - 1])
+            block = cand[:(i2 - 1) * (j2 - 1) * batch].reshape(
+                i2 - 1, j2 - 1, batch)
+            np.subtract(logs[j2, 1:j2], log_in, out=block)
             np.abs(block, out=block)
-            np.maximum(block, rv[:i2, :j2], out=block)
-            flat = block.reshape(-1, batch).argmin(axis=0)
-            value[i2, j2] = block.reshape(-1, batch)[flat, every]
-            pred[i2, j2] = flat
-    return value, pred
+            np.maximum(block, rv[1:i2, 1:j2], out=block)
+            np.min(block.reshape(-1, batch), axis=0, out=least)
+            np.minimum(value[i2, j2], least, out=value[i2, j2])
+    return value
 
 
 def _bounds(knots: np.ndarray, counts: np.ndarray, lower: np.ndarray,
-            value: np.ndarray, pred: np.ndarray) -> list[SkorokhodBounds]:
-    """Read every pair's bounds and optimal warp off the program, walking
-    back along ``pred`` from ``(m-1, m-1)`` for all pairs at once."""
+            logs: np.ndarray, pieces: np.ndarray, value: np.ndarray
+            ) -> list[SkorokhodBounds]:
+    """Read every pair's bounds off the program's ``value`` table, and its
+    optimal warp back from ``(m-1, m-1)``.
+
+    At each step back, every pair still walking recomputes the candidate
+    block of its current cell ``(i, j)`` from ``pieces``, ``logs`` and
+    ``value``, all pairs at once in one block padded to the largest ``i``
+    and ``j``, and steps to the block's first minimum in row-major order,
+    which is the predecessor the program's minimum came from.  Maxima do
+    not round, so each candidate has the bits it had in the program.
+    """
     every = np.arange(len(counts))
     i = j = counts - 1
     path_i, path_j = [i], [j]
     # A warp's cells other than (0, 0) have i, j >= 1, and each step back
     # lowers both, so a pair whose walk has ended rests at (0, 0).
-    while path_i[-1].any():
-        flat = pred[i, j, every]
-        done = i == 0
-        width = np.maximum(j, 1)
-        i = np.where(done, 0, flat // width)
-        j = np.where(done, 0, flat % width)
+    while (walking := np.flatnonzero(i)).size:
+        wi, wj = i[walking], j[walking]
+        rows, cols = np.arange(wi.max())[:, None], np.arange(wj.max())[:, None]
+        outside = (rows[:, None] >= wi) | (cols >= wj)
+        cand = value[:len(rows), :len(cols)][..., walking]
+        slope = (logs[wj, cols, walking][None]
+                 - logs[wi, rows, walking][:, None])
+        np.maximum(cand, np.abs(slope, out=slope), out=cand)
+        # Candidate (i', j') crosses the pieces [i', i) x [j', j): running
+        # maxima from the far corner, over -inf outside the pair's block.
+        rect = pieces[:len(rows), :len(cols)][..., walking]
+        rect[outside] = -math.inf
+        np.maximum.accumulate(rect[::-1], axis=0, out=rect[::-1])
+        np.maximum.accumulate(rect[:, ::-1], axis=1, out=rect[:, ::-1])
+        np.maximum(cand, rect, out=cand)
+        cand[outside] = math.inf
+        flat = cand.reshape(-1, len(walking)).argmin(axis=0)
+        i, j = i.copy(), j.copy()
+        i[walking], j[walking] = np.divmod(flat, len(cols))
         path_i.append(i)
         path_j.append(j)
     path_i, path_j = np.array(path_i), np.array(path_j)

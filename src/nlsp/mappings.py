@@ -61,6 +61,15 @@ def check_count(n, what: str) -> int:
     return int(n)
 
 
+def check_nonempty(values, what: str) -> tuple:
+    """Validate a sequence of inputs that needs at least one entry
+    (exponents, targets, node counts); returns it as a tuple."""
+    values = tuple(values)
+    if not values:
+        raise ValidationError(f"{what} must not be empty")
+    return values
+
+
 def check_times(times, what: str) -> tuple[float, ...]:
     """Validate a sequence of times; returns it as a tuple of floats.
 

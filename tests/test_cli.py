@@ -171,6 +171,10 @@ REFUSED_INPUTS = [
     (["geodesic"],
      '{"target": {"kind": "metric_tree", "edges": [["a", "b", true]]}}',
      "edge 0 length must be a number, got True"),
+    (["speed"], '{"grid": [2, 3]}',
+     "field 'grid': convergence batteries need at least two increasing "
+     "node counts of at least 3 each, got [2, 3]"),
+    (["transport"], '{"grid": [2, 3]}', "node counts of at least 3 each"),
 ]
 
 
@@ -178,7 +182,7 @@ REFUSED_INPUTS = [
     "argv,text,message", REFUSED_INPUTS,
     ids=["seed-geodesic", "seed-all", "seed-counterexample", "seed-negative",
          "duplicate-key", "not-utf8", "bool-euclidean-dim", "bool-spd-dim",
-         "bool-tree-edge"])
+         "bool-tree-edge", "two-node-grid-speed", "two-node-grid-transport"])
 def test_refused_inputs_exit_2_without_a_traceback(runner, tmp_path, argv,
                                                    text, message):
     """Out-of-range flags, repeated keys, files that are not UTF-8 and

@@ -582,6 +582,29 @@ def test_batched_skorokhod_program_equals_the_pair_loop_bit_for_bit():
     assert skorokhod_distances([], warp_grid=8) == []
 
 
+def test_tied_candidates_walk_back_to_the_pair_loops_warp():
+    """Pairs whose cells tie many candidates (a curve against itself or a
+    refined copy, constant curves split at redundant breakpoints) get, in
+    one batch, the bounds and the warp of the pair-at-a-time loop, whose
+    argmin takes the first minimum in row-major order."""
+    c = scalar_step((0.0, 0.3, 0.7, 1.0), (0.0, 1.3, 0.4))
+    refined = scalar_step((0.0, 0.125, 0.3, 0.5, 0.7, 0.875, 1.0),
+                          (0.0, 0.0, 1.3, 1.3, 0.4, 0.4))
+    flat = scalar_step((0.0, 1.0), (0.7,))
+    flat_split = scalar_step((0.0, 0.25, 0.5, 0.75, 1.0), (0.7,) * 4)
+    other_flat = scalar_step((0.0, 0.6, 1.0), (1.1, 1.1))
+    pairs = [(c, c), (c, refined), (refined, c), (refined, refined),
+             (flat, flat), (flat, flat_split), (flat_split, flat),
+             (flat_split, other_flat), (other_flat, other_flat),
+             (c, flat), (flat_split, refined)]
+    for warp_grid in (4, 8, 16):
+        batched = skorokhod_distances(pairs, warp_grid=warp_grid)
+        for b, (x, y) in zip(batched, pairs):
+            assert (b.upper, b.lower, b.input_knots, b.output_knots) \
+                == _loop_skorokhod(x, y, warp_grid)
+        assert [b.upper for b in batched[:7]] == [0.0] * 7
+
+
 def test_a_pair_reads_the_same_alone_as_beside_pairs_with_more_knots():
     """A pair padded to the knot count of a larger batch gets the bounds
     and warp it gets alone, bit for bit, and keeps its own knot count."""

@@ -122,8 +122,7 @@ def test_speed_identity_residual_decays_linearly():
     space = LpSpace(MappingFamily(base, paths.target, paths.anchors[0, 0]),
                     2.0)
     res = {}
-    for n in (129, 257):
-        times, values = paths.sweep(n)
+    for n, (times, values) in zip((129, 257), paths.sweep((129, 257))):
         curve = SampledCurve(space, tuple(times.tolist()), values[:, 0])
         res[n] = speed_identity_residual(compute_speed(decompose_ac(curve,
                                                                     2.0)))
@@ -150,8 +149,7 @@ def test_smooth_path_speed_meets_its_closed_form(target):
     assert np.max(np.abs(legs - paths.legs)) <= 1e-12
     amp, phase = paths.wiggles
     gaps = []
-    for n in (65, 129, 257, 513):
-        times, values = paths.sweep(n)
+    for times, values in paths.sweep((65, 129, 257, 513)):
         t = times[:, None, None]
         rate = (1.0 - 2.0 * paths.delta) + amp * np.cos(
             2.0 * math.pi * t + phase)
@@ -172,7 +170,7 @@ def test_atomwise_consistency_across_targets(target, p):
     metric-derivative powers within the documented slack."""
     rng = trial_rng(0, f"test/speed-consistency/{target.kind}/{p}", 0)
     paths = sample_smooth_paths(target, [rng], p=p)
-    times, values = paths.sweep(129)
+    [(times, values)] = paths.sweep([129])
     assert batch_speeds(target, paths.weights, p, values, times)[2][0] <= 5e-3
 
 

@@ -138,11 +138,37 @@ def test_smooth_path_warp_is_monotone_inside_unit_interval(target):
 def test_smooth_path_materializes_on_any_grid():
     rng = trial_rng(0, "suite/smooth-path-grid", 0)
     paths = sample_smooth_paths(Sphere(3), [rng], p=2.0)
-    for n in (17, 33):
-        times, values = paths.sweep(n)
+    for n, (times, values) in zip((17, 33), paths.sweep((17, 33))):
         assert len(times) == n
         assert times[0] == 0.0 and times[-1] == 1.0
         assert values.shape == (n, 1, 4, 3)
+
+
+@pytest.mark.parametrize("grids", [(65, 129, 257), (33, 50)],
+                         ids=["nested", "non-nested"])
+@pytest.mark.parametrize("target", [Euclidean(2), Sphere(3), Spd(2)],
+                         ids=["euclidean", "sphere", "spd"])
+def test_union_sweep_gives_each_grid_the_bits_of_its_own_sweep(target,
+                                                               grids):
+    """One sweep over the union of the grids' nodes gives every grid the
+    times and values of a sweep of that grid alone, bit for bit; the
+    coarser grids of a nested family are views of the finest."""
+    paths = sample_smooth_paths(
+        target, trial_rngs(7, f"speed/{target.kind}", range(6)))
+    swept = paths.sweep(grids)
+    assert len(swept) == len(grids)
+    for n, (times, values) in zip(grids, swept):
+        alone = np.linspace(0.0, 1.0, n)
+        fractions = paths.warp(alone)
+        expected = target.as_points(
+            target.geodesic_points(*paths.anchors, fractions),
+            fractions.shape)
+        assert times.tobytes() == alone.tobytes()
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+    if grids == (65, 129, 257):
+        assert all(np.shares_memory(values, swept[-1][1])
+                   for _, values in swept)
 
 
 def test_default_tree_is_reusable():
@@ -179,6 +205,52 @@ def test_every_table_of_run_all_is_declared_on_its_battery_row():
     assert [r.name for r in results] == [b.name for b in BATTERIES]
     for battery, result in zip(BATTERIES, results):
         assert sorted(result.csv) == sorted(battery.tables), battery.name
+
+
+def test_every_csv_cell_is_a_python_float_int_or_str():
+    """The CLI hands each row to ``csv.writer`` as it is, which writes
+    ``str(cell)``: for these types the shortest round-trip form, while a
+    numpy scalar's ``str`` need not be (``np.float32(0.1)`` writes ``0.1``
+    for the value ``0.10000000149011612``)."""
+    for result in run_all(seed=7):
+        for name, rows in result.csv.items():
+            kinds = {type(cell) for row in rows for cell in row}
+            assert kinds <= {float, int, str}, (name, kinds)
+
+
+#: An empty tuple where a battery needs at least one entry.
+EMPTY_INPUTS = [
+    (suites.run_speed, {"grids": ()}),
+    (suites.run_geodesic, {"targets": ()}),
+    (suites.run_geodesic, {"p_values": ()}),
+    (suites.run_fubini, {"p_values": ()}),
+    (suites.run_length, {"p_values": ()}),
+    (suites.run_curvature, {"targets": ()}),
+]
+
+
+@pytest.mark.parametrize(
+    "run,kwargs", EMPTY_INPUTS,
+    ids=["speed-grids", "geodesic-targets", "geodesic-p", "fubini-p",
+         "length-p", "curvature-targets"])
+def test_an_empty_input_tuple_is_refused_where_it_enters(run, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValidationError, match=f"^{name} must not be empty"):
+        run(seed=7, **kwargs)
+
+
+@pytest.mark.parametrize("grids", [(1, 2), (2, 3), (65,), (129, 65),
+                                   (65, 65), (65, 129.0)],
+                         ids=["1-2", "2-3", "65", "129-65", "65-65",
+                              "float-count"])
+@pytest.mark.parametrize("run", [suites.run_speed, suites.run_transport],
+                         ids=["speed", "transport"])
+def test_convergence_grids_need_two_increasing_counts_of_three(run, grids):
+    """Every grid of a convergence battery needs an interior node, and
+    successive grids must refine; anything else is refused before a
+    run."""
+    with pytest.raises(ValidationError, match="node count"):
+        run(seed=7, curves=1, grids=grids)
 
 
 @pytest.mark.parametrize("battery", BATTERIES, ids=lambda b: b.name)
@@ -608,7 +680,7 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     for target in (Sphere(3), Spd(2)):
         stream = f"transport/{target.kind}"
         paths = sample_smooth_paths(target, trial_rngs(7, stream, range(3)))
-        times, values = paths.sweep(257)
+        [(times, values)] = paths.sweep([257])
         res = derivative_identity_residuals(target, paths.weights, 2.0,
                                             values, times)
         scores = np.max(np.abs(res[:, 1:-1]), axis=1)
@@ -620,7 +692,7 @@ def test_transport_and_speed_failures_name_their_worst_curve(monkeypatch):
     for target in (Euclidean(2), Sphere(3), Spd(2)):
         stream = f"speed/{target.kind}"
         paths = sample_smooth_paths(target, trial_rngs(7, stream, range(2)))
-        times, values = paths.sweep(129)
+        [(times, values)] = paths.sweep([129])
         md, bundle, gap_scores = batch_speeds(target, paths.weights, 2.0,
                                               values, times)
         gaps = np.max(np.abs(md - bundle)[:, 1:-1], axis=1)
@@ -666,14 +738,11 @@ def test_curvature_and_length_failures_name_a_drawn_stream(monkeypatch,
 def _result_bytes(result) -> bytes:
     """What the CLI writes for a battery result, with every check's name,
     stream and scores."""
-    from nlsp.cli import _cell
-
     return json.dumps({
         "passed": result.passed,
         "metrics": result.metrics,
         "failures": list(result.failures),
-        "csv": {name: [[_cell(x) for x in row] for row in rows]
-                for name, rows in result.csv.items()},
+        "csv": result.csv,
         "checks": [[c.name, c.stream,
                     np.asarray(c.observed, float).tobytes().hex()]
                    for c in result.checks],
@@ -697,9 +766,9 @@ def test_skorokhod_battery_runs_two_warp_programs(monkeypatch):
     programs = []
     real = curves._warp_program
 
-    def counted(knots, pieces):
-        programs.append(knots.shape)
-        return real(knots, pieces)
+    def counted(logs, pieces):
+        programs.append((pieces.shape[-1], len(logs)))
+        return real(logs, pieces)
 
     monkeypatch.setattr(curves, "_warp_program", counted)
     examples = suites.run_skorokhod(seed=7).metrics["examples"]

@@ -351,8 +351,7 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
     sweep of one path is its path's column of the sweep."""
     paths = _zero_weight_atom(sample_smooth_paths(
         target, trial_rngs(3, "test/sweep", range(4))), 1, 2)
-    for n in (9, 33):
-        times, values = paths.sweep(n)
+    for n, (times, values) in zip((9, 33), paths.sweep((9, 33))):
         residuals = derivative_identity_residuals(target, paths.weights, 2.0,
                                                   values, times)
         md, bundle, gaps = batch_speeds(target, paths.weights, 2.0, values,
@@ -360,7 +359,7 @@ def test_stacked_sweep_and_speed_equal_the_curve_loop_bit_for_bit(target):
         for k in range(4):
             curve = _loop_materialize(paths, k, n)
             assert _same_bits(values[:, k], curve.values)
-            assert _same_bits(_one_curve(paths, k).sweep(n)[1][:, 0],
+            assert _same_bits(_one_curve(paths, k).sweep([n])[0][1][:, 0],
                               curve.values)
             expected = _loop_derivative_residual(curve, 2.0)
             assert _same_bits(residuals[k], expected)
@@ -384,8 +383,7 @@ def test_one_table_residuals_equal_the_per_curve_route_bit_for_bit(target):
     one ``LpSpace.distances`` call per curve, bit for bit."""
     stream = f"transport/{target.kind}"
     paths = sample_smooth_paths(target, trial_rngs(7, stream, range(20)))
-    for n in (65, 129, 257):
-        times, values = paths.sweep(n)
+    for times, values in paths.sweep((65, 129, 257)):
         residuals = derivative_identity_residuals(target, paths.weights, 2.0,
                                                   values, times)
         for k in range(20):
@@ -626,7 +624,7 @@ def test_speed_table_refuses_weights_off_the_curve_atom_axes():
     """Weights must have the values' ``(curve, atom)`` shape."""
     paths = sample_smooth_paths(Sphere(3), trial_rngs(3, "test/weights",
                                                       range(3)))
-    times, values = paths.sweep(9)
+    [(times, values)] = paths.sweep([9])
     for weights in (paths.weights[:2], paths.weights[:, :3], paths.weights[0],
                     paths.weights[None]):
         for identity in (speed_table, derivative_identity_residuals,
